@@ -1,4 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the merge-sort design choices DESIGN.md calls
+//! out (all pin `SortKernel::MergeSort`; the default size-driven dispatch
+//! reads none of these knobs):
 //!
 //! * out-of-cache merge fan-out `F` (Eq. 8's `log_F` passes vs per-pass
 //!   loser-tree work);
@@ -7,7 +9,7 @@
 //!   merge-sort invocations — the `C_overhead` effect behind the
 //!   Figure 4 time hill).
 
-use mcs_simd_sort::{sort_pairs_in_groups, sort_pairs_with, GroupBounds, SortConfig};
+use mcs_simd_sort::{sort_pairs_in_groups, sort_pairs_with, GroupBounds, SortConfig, SortKernel};
 use mcs_test_support::microbench::{BenchmarkId, Criterion, Throughput};
 use mcs_test_support::{criterion_group, criterion_main};
 
@@ -16,6 +18,13 @@ fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state >> 7;
     *state ^= *state << 17;
     *state
+}
+
+fn merge_sort() -> SortConfig {
+    SortConfig {
+        kernel: SortKernel::MergeSort,
+        ..SortConfig::default()
+    }
 }
 
 fn bench_fanout(c: &mut Criterion) {
@@ -32,7 +41,7 @@ fn bench_fanout(c: &mut Criterion) {
         let cfg = SortConfig {
             fanout,
             in_cache_bytes: 256 * 1024,
-            ..SortConfig::default()
+            ..merge_sort()
         };
         g.bench_function(BenchmarkId::new("u32_sort", fanout), |b| {
             b.iter(|| {
@@ -59,7 +68,7 @@ fn bench_in_cache_run(c: &mut Criterion) {
     for kb in [64usize, 256, 1024, 4096] {
         let cfg = SortConfig {
             in_cache_bytes: kb * 1024,
-            ..SortConfig::default()
+            ..merge_sort()
         };
         g.bench_function(BenchmarkId::new("u32_sort", kb), |b| {
             b.iter(|| {
@@ -90,7 +99,7 @@ fn bench_small_threshold(c: &mut Criterion) {
     for thr in [0usize, 32, 192, 1024] {
         let cfg = SortConfig {
             small_threshold: thr,
-            ..SortConfig::default()
+            ..merge_sort()
         };
         g.bench_function(BenchmarkId::new("segmented_64elem_groups", thr), |b| {
             b.iter(|| {
@@ -104,40 +113,10 @@ fn bench_small_threshold(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_multiway_impl(c: &mut Criterion) {
-    // SIMD merge tree vs scalar loser tree for the out-of-cache phase.
-    let n = 1usize << 21;
-    let mut state = 0x7777u64;
-    let keys: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
-    let oids: Vec<u32> = (0..n as u32).collect();
-    let mut g = c.benchmark_group("ablation_multiway_impl");
-    g.throughput(Throughput::Elements(n as u64));
-    g.sample_size(10);
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    for (name, scalar) in [("simd_merge_tree", false), ("scalar_loser_tree", true)] {
-        let cfg = SortConfig {
-            in_cache_bytes: 128 * 1024, // force several out-of-cache passes
-            scalar_multiway: scalar,
-            ..SortConfig::default()
-        };
-        g.bench_function(BenchmarkId::new("u32_sort", name), |b| {
-            b.iter(|| {
-                let mut k = keys.clone();
-                let mut o = oids.clone();
-                sort_pairs_with(&mut k, &mut o, &cfg);
-                (k, o)
-            })
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_fanout,
     bench_in_cache_run,
-    bench_small_threshold,
-    bench_multiway_impl
+    bench_small_threshold
 );
 criterion_main!(benches);

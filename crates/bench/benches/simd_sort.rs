@@ -1,9 +1,9 @@
-//! Micro-bench: SIMD merge-sort throughput per bank width,
-//! AVX2 vs portable vs the scalar pdqsort baseline. The per-bank ordering
-//! (16 < 32 < 64 in time) is the data-parallelism property code
-//! massaging exploits.
+//! Micro-bench: sort throughput per bank width — the SIMD merge-sort
+//! (AVX2 vs portable), the default size-driven dispatch, and the scalar
+//! pdqsort baseline. The merge-sort's per-bank ordering (16 < 32 < 64 in
+//! time) is the data-parallelism property code massaging exploits.
 
-use mcs_simd_sort::{sort_pairs_scalar, sort_pairs_with, SortConfig};
+use mcs_simd_sort::{sort_pairs_scalar, sort_pairs_with, SortConfig, SortKernel};
 use mcs_test_support::microbench::{BenchmarkId, Criterion, Throughput};
 use mcs_test_support::{criterion_group, criterion_main};
 
@@ -28,10 +28,14 @@ fn bench_sorts(c: &mut Criterion) {
     let k64: Vec<u64> = (0..n).map(|_| xorshift(&mut state)).collect();
     let oids: Vec<u32> = (0..n as u32).collect();
 
-    let avx2 = SortConfig::default();
+    let auto = SortConfig::default();
+    let avx2 = SortConfig {
+        kernel: SortKernel::MergeSort,
+        ..SortConfig::default()
+    };
     let portable = SortConfig {
         force_portable: true,
-        ..SortConfig::default()
+        ..avx2.clone()
     };
 
     macro_rules! case {
@@ -46,6 +50,9 @@ fn bench_sorts(c: &mut Criterion) {
             });
         };
     }
+    case!("u16_auto", k16, &auto);
+    case!("u32_auto", k32, &auto);
+    case!("u64_auto", k64, &auto);
     case!("u16_avx2", k16, &avx2);
     case!("u16_portable", k16, &portable);
     case!("u32_avx2", k32, &avx2);

@@ -49,7 +49,7 @@ fn main() {
                 model: model.clone(),
                 exec: ExecConfig {
                     threads: t,
-                    ..ExecConfig::default()
+                    ..mcs_bench::paper_exec()
                 },
             };
             let ((_, ct), d) = time(|| run_bench_query(w, bq, &cfg));

@@ -9,7 +9,7 @@
 //! queries.
 
 use mcs_bench::{cost_model, ms, print_table, rows, seed, time};
-use mcs_core::{multi_column_sort, ExecConfig};
+use mcs_core::multi_column_sort;
 use mcs_planner::{
     measure_all_plans, measure_plan, rank_by_time, roga, ExhaustiveOptions, RogaOptions,
 };
@@ -67,7 +67,7 @@ fn main() {
                     max_rounds: 3,
                     max_plans: 400,
                     repeats: 1,
-                    exec: ExecConfig::default(),
+                    exec: mcs_bench::paper_exec(),
                 },
             ))
         } else {
@@ -84,7 +84,7 @@ fn main() {
             )
             .expect("non-empty sort key");
             let (_, sort_d) = time(|| {
-                multi_column_sort(&refs, &specs, &r.plan, &ExecConfig::default())
+                multi_column_sort(&refs, &specs, &r.plan, &mcs_bench::paper_exec())
                     .expect("valid sort instance")
             });
             let rank = measured

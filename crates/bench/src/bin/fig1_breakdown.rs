@@ -22,7 +22,7 @@ fn main() {
     let cfg = EngineConfig {
         planner: PlannerMode::ColumnAtATime,
         model: cost_model(),
-        ..EngineConfig::default()
+        exec: mcs_bench::paper_exec(),
     };
 
     let mut out = Vec::new();

@@ -10,13 +10,13 @@
 //!   rounds.
 
 use mcs_bench::{ms, print_table, rows, seed, time};
-use mcs_core::{multi_column_sort, ExecConfig};
+use mcs_core::multi_column_sort;
 use mcs_workloads::{ex1, ex2, ex4, MicroInstance};
 
 fn run(m: &MicroInstance) {
     println!("\n== {} ==", m.name);
     let refs = m.column_refs();
-    let cfg = ExecConfig::default();
+    let cfg = mcs_bench::paper_exec();
     let mut out_rows = Vec::new();
     for (name, plan) in &m.plans {
         let (res, d) =

@@ -9,7 +9,7 @@
 //!   `N_group`, and the average sortable-group size.
 
 use mcs_bench::{ms, print_table, rows, seed, time};
-use mcs_core::{multi_column_sort, ExecConfig};
+use mcs_core::multi_column_sort;
 use mcs_workloads::ex3;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
     println!("Figure 4: Ex3 shift family, N = {n}, 2^13 NDV per column\n");
     let m = ex3(n, s);
     let refs = m.column_refs();
-    let cfg = ExecConfig::default();
+    let cfg = mcs_bench::paper_exec();
 
     let mut out_rows = Vec::new();
     for (name, plan) in &m.plans {

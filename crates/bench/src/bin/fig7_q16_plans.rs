@@ -9,7 +9,6 @@
 //! search algorithms find a plan whose actual rank is ≈ 1.
 
 use mcs_bench::{cost_model, env_usize, print_table, rows, seed};
-use mcs_core::ExecConfig;
 use mcs_planner::{
     measure_all_plans, measure_plan, rank_by_time, roga, rrs, ExhaustiveOptions, RogaOptions,
     RrsOptions,
@@ -41,7 +40,7 @@ fn main() {
         max_rounds,
         max_plans: env_usize("MCS_FIG7_MAX_PLANS", 2000),
         repeats: 1,
-        exec: ExecConfig::default(),
+        exec: mcs_bench::paper_exec(),
     };
     let measured = measure_all_plans(&refs, &specs, &opts);
     println!(

@@ -5,8 +5,16 @@
 //! incl. post-aggregation sorts) is measured with massaging disabled
 //! (column-at-a-time) and enabled (ROGA-chosen plan); the bar is the
 //! ratio. Expected shape (paper): 1.8×–5.5× across the board.
+//!
+//! The figure's subject is the paper's SIMD merge-sort, so both configs
+//! pin `SortKernel::MergeSort`. The `auto` column repeats the experiment
+//! under the engine's default size-driven kernel dispatch (model and
+//! executor both `SortKernel::Auto`): its own off/on ratio and, in
+//! parentheses, its massaging-on time.
 
 use mcs_bench::{cost_model, engine_pair, ms, print_table, rows, seed, speedup};
+use mcs_core::SortKernel;
+use mcs_cost::CostModel;
 use mcs_workloads::{
     airline, run_bench_query, tpcds, tpch, AirlineParams, TpcdsParams, TpchParams, Workload,
 };
@@ -17,6 +25,10 @@ fn main() {
     println!("Figure 8: multi-column sorting speedup with code massaging (rows = {n})\n");
     let model = cost_model();
     let (on, off) = engine_pair(&model);
+    let (auto_on, auto_off) = engine_pair(&CostModel {
+        kernel: SortKernel::Auto,
+        ..model.clone()
+    });
 
     let workloads: Vec<Workload> = vec![
         tpch(&TpchParams {
@@ -45,6 +57,8 @@ fn main() {
         for bq in &w.queries {
             let (_, t_off) = run_bench_query(w, bq, &off);
             let (_, t_on) = run_bench_query(w, bq, &on);
+            let (_, t_auto_off) = run_bench_query(w, bq, &auto_off);
+            let (_, t_auto_on) = run_bench_query(w, bq, &auto_on);
             let plan = t_on
                 .stages
                 .first()
@@ -58,6 +72,11 @@ fn main() {
                 ms(t_on.mcs_ns),
                 speedup(t_off.mcs_ns, t_on.mcs_ns),
                 ms(t_on.plan_search_ns),
+                format!(
+                    "{} ({} ms)",
+                    speedup(t_auto_off.mcs_ns, t_auto_on.mcs_ns),
+                    ms(t_auto_on.mcs_ns)
+                ),
                 plan,
             ]);
         }
@@ -70,6 +89,7 @@ fn main() {
             "mcs_on_ms",
             "speedup",
             "search_ms",
+            "auto speedup (mcs_on)",
             "chosen plan (stage 1)",
         ],
         &out,

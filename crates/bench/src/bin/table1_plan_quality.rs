@@ -11,7 +11,6 @@
 //! wide keys are measured on a plan subsample (`MCS_T1_MAX_PLANS`).
 
 use mcs_bench::{cost_model, env_usize, print_table, rows, seed};
-use mcs_core::ExecConfig;
 use mcs_planner::{
     measure_all_plans, measure_plan, rank_by_time, roga, rrs, ExhaustiveOptions, RogaOptions,
     RrsOptions,
@@ -77,7 +76,7 @@ fn main() {
                     max_rounds,
                     max_plans,
                     repeats: 1,
-                    exec: ExecConfig::default(),
+                    exec: mcs_bench::paper_exec(),
                 },
             );
             if measured.is_empty() {
@@ -108,7 +107,7 @@ fn main() {
                 max_rounds,
                 max_plans,
                 repeats: 1,
-                exec: ExecConfig::default(),
+                exec: mcs_bench::paper_exec(),
             };
             let t_roga = measure_plan(&refs, &specs, &r.plan, &opts).expect("valid plan");
             let t_rrs = measure_plan(&refs, &specs, &rr.plan, &opts).expect("valid plan");

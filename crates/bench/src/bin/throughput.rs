@@ -27,6 +27,7 @@
 //! (batch size per measurement, default 64), `MCS_SEED`.
 
 use mcs_bench::{env_usize, export_telemetry, print_table, rows, seed};
+use mcs_core::SortKernel;
 use mcs_engine::{Database, EngineConfig, PlannerMode, Query, QueryOptions, Session};
 use mcs_test_support::{allocation_count, thread_allocation_count, CountingAlloc};
 use mcs_workloads::{tpch, QuerySpec, TpchParams};
@@ -134,7 +135,11 @@ fn measure(
 /// keeps 2^16 codes entirely in the in-cache phases — nothing to
 /// measure).
 fn merge_counters(db: &Database, base: &EngineConfig, query: &Query, use_ovc: bool) -> (u64, u64) {
+    // The loser tree (and with it OVC) is the merge-sort's out-of-cache
+    // phase: pin that kernel, in executor and model alike.
     let mut cfg = base.clone();
+    cfg.exec.sort.kernel = SortKernel::MergeSort;
+    cfg.model.kernel = SortKernel::MergeSort;
     cfg.exec.sort.in_cache_bytes = 4096;
     cfg.exec.sort.use_ovc = use_ovc;
     cfg.model.ovc = use_ovc;

@@ -19,6 +19,7 @@
 
 use std::time::{Duration, Instant};
 
+use mcs_core::{ExecConfig, SortConfig, SortKernel};
 use mcs_cost::{calibrate, CalibrationOptions, CostModel, MachineSpec};
 use mcs_engine::{EngineConfig, ExplainReport, PlannerMode, QueryTimings};
 
@@ -47,32 +48,50 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, t.elapsed())
 }
 
-/// The cost model for experiments: calibrated when `MCS_CALIBRATE=1`,
-/// canned defaults otherwise (calibration takes ~1 min on one core).
+/// The cost model for the paper's experiments: calibrated when
+/// `MCS_CALIBRATE=1`, canned defaults otherwise (calibration takes ~1 min
+/// on one core); pricing the paper's SIMD merge-sort
+/// ([`SortKernel::MergeSort`]) — the subject of every figure and table —
+/// so it pairs with [`paper_exec`].
 pub fn cost_model() -> CostModel {
-    if std::env::var("MCS_CALIBRATE").as_deref() == Ok("1") {
+    let mut m = if std::env::var("MCS_CALIBRATE").as_deref() == Ok("1") {
         eprintln!("[mcs-bench] calibrating cost model (MCS_CALIBRATE=1)…");
         let m = calibrate(MachineSpec::detect(), &CalibrationOptions::default());
         eprintln!("[mcs-bench] calibration done: {:#?}", m.consts);
         m
     } else {
         CostModel::with_defaults()
+    };
+    m.kernel = SortKernel::MergeSort;
+    m
+}
+
+/// Executor settings of the paper-figure bins: the paper's SIMD
+/// merge-sort, not the default size-driven kernel dispatch.
+pub fn paper_exec() -> ExecConfig {
+    ExecConfig {
+        sort: SortConfig {
+            kernel: SortKernel::MergeSort,
+            ..SortConfig::default()
+        },
+        ..ExecConfig::default()
     }
 }
 
-/// Engine configs: (massaging ON via ROGA, massaging OFF).
+/// Engine configs: (massaging ON via ROGA, massaging OFF), both running
+/// the sort kernel `model` prices.
 pub fn engine_pair(model: &CostModel) -> (EngineConfig, EngineConfig) {
-    let on = EngineConfig {
-        planner: PlannerMode::Roga { rho: Some(0.001) },
-        model: model.clone(),
-        ..EngineConfig::default()
+    let pair = |planner| {
+        EngineConfig::builder()
+            .planner(planner)
+            .model(model.clone())
+            .kernel(model.kernel)
+            .build()
     };
-    let off = EngineConfig {
-        planner: PlannerMode::ColumnAtATime,
-        model: model.clone(),
-        ..EngineConfig::default()
-    };
-    (on, off)
+    (
+        pair(PlannerMode::Roga { rho: Some(0.001) }),
+        pair(PlannerMode::ColumnAtATime),
+    )
 }
 
 /// Render an aligned text table.

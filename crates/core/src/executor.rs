@@ -165,9 +165,10 @@ pub struct RoundStats {
     pub groups_out: usize,
     /// Largest group fed to this round's segmented sort.
     pub max_group: usize,
-    /// Merge-sort sub-phase times (in-register / in-cache / multiway),
-    /// summed over this round's SIMD-sort invocations. All zero unless
-    /// the `phase-timing` feature of `mcs-simd-sort` is enabled.
+    /// Per-kernel times (merge-sort in-register / in-cache / multiway,
+    /// radix, small sorts), summed over this round's sort invocations.
+    /// All zero unless the `phase-timing` feature of `mcs-simd-sort` is
+    /// enabled.
     pub phases: PhaseTimes,
     /// Loser-tree comparison counters of this round's out-of-cache merge
     /// passes: total matches and the subset short-circuited by
@@ -414,7 +415,7 @@ pub fn multi_column_sort(
 
 /// Like [`multi_column_sort`], but drawing all working memory — round-key
 /// buffers, gather spares, the oid permutation, group offsets, and the
-/// SIMD merge-sort scratch — from `arena`.
+/// sort-kernel scratch — from `arena`.
 ///
 /// The arena grows monotonically to the high-water mark of the
 /// executions it has served, so repeated calls (a session replaying a
@@ -695,8 +696,9 @@ fn canonicalize_ties<K: mcs_simd_sort::Key>(keys: &[K], oids: &mut [u32], groups
 }
 
 /// Emit the per-round telemetry spans: one lookup span (rounds after the
-/// first), one sort span with its three merge-sort sub-phase spans, and
-/// one boundary-scan span when the scan ran. Aggregated per round — the
+/// first), one sort span with its per-kernel sub-spans (the three
+/// merge-sort phases, radix, small sorts), and one boundary-scan span
+/// when the scan ran. Aggregated per round — the
 /// segmented sort may cover thousands of groups, so spans are recorded
 /// from the already-measured [`RoundStats`] rather than per group.
 fn record_round_spans(k: usize, round: &crate::plan::Round, rs: &RoundStats, scanned: bool) {
@@ -718,6 +720,8 @@ fn record_round_spans(k: usize, round: &crate::plan::Round, rs: &RoundStats, sca
     for (name, ns) in [
         ("mcs.round.sort.in_register", rs.phases.in_register_ns),
         ("mcs.round.sort.in_cache_merge", rs.phases.in_cache_merge_ns),
+        ("mcs.round.sort.radix", rs.phases.radix_ns),
+        ("mcs.round.sort.small", rs.phases.small_sort_ns),
     ] {
         telemetry::record_span(name, ns, vec![("round", k.into())]);
     }

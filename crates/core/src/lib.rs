@@ -61,4 +61,4 @@ pub use plan::{MassagePlan, PlanError, Round, SortSpec};
 
 // Re-export the pieces callers need alongside plans.
 pub use mcs_cancel::{CancelCause, CancelToken, CHECK_INTERVAL};
-pub use mcs_simd_sort::{Bank, GroupBounds, PhaseTimes, SortConfig};
+pub use mcs_simd_sort::{Bank, GroupBounds, PhaseTimes, SortConfig, SortKernel};

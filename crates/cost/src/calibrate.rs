@@ -8,7 +8,10 @@ use std::time::Instant;
 
 use mcs_columnar::CodeVec;
 use mcs_core::{massage, Bank, GroupBounds, MassagePlan, SortConfig, SortSpec};
-use mcs_simd_sort::{sort_pairs_in_groups, sort_pairs_with};
+use mcs_simd_sort::{
+    kernel_for, sort_pairs_in_groups, sort_pairs_with, SizeKernel, SortKernel, INSERTION_MAX_ROWS,
+    PACKED_MAX_ROWS,
+};
 use mcs_test_support::Rng;
 
 use crate::linalg::{least_squares_nonneg, solve};
@@ -71,6 +74,7 @@ pub fn calibrate(machine: MachineSpec, opts: &CalibrationOptions) -> CostModel {
         consts: consts.clone(),
         machine: machine.clone(),
         ovc: true,
+        kernel: SortKernel::Auto,
     };
     let (b16, ov16) = calibrate_sort_bank::<u16>(&model_seed, Bank::B16, opts);
     let (b32, ov32) = calibrate_sort_bank::<u32>(&model_seed, Bank::B32, opts);
@@ -81,10 +85,22 @@ pub fn calibrate(machine: MachineSpec, opts: &CalibrationOptions) -> CostModel {
     // One shared invocation overhead: average of the three fits.
     consts.c_overhead = (ov16 + ov32 + ov64) / 3.0;
 
+    // The size-driven kernels: bank-blind terms on the 32-bit bank.
+    let (c_insertion, c_insertion_row) = calibrate_insertion(opts);
+    consts.c_insertion = c_insertion;
+    consts.c_insertion_row = c_insertion_row;
+    let fixed = [
+        calibrate_auto_bank::<u16>(&model_seed, &mut consts.b16, Bank::B16, opts),
+        calibrate_auto_bank::<u32>(&model_seed, &mut consts.b32, Bank::B32, opts),
+        calibrate_auto_bank::<u64>(&model_seed, &mut consts.b64, Bank::B64, opts),
+    ];
+    consts.c_radix_fixed = fixed.iter().sum::<f64>() / fixed.len() as f64;
+
     CostModel {
         consts,
         machine,
         ovc: true,
+        kernel: SortKernel::Auto,
     }
 }
 
@@ -174,6 +190,7 @@ where
     // coding is modelled as a multiplier (`OVC_MERGE_DISCOUNT`) on top of
     // it, so measuring with OVC enabled would double-count the benefit.
     let cfg = SortConfig {
+        kernel: SortKernel::MergeSort,
         use_ovc: false,
         ..SortConfig::default()
     };
@@ -213,6 +230,7 @@ where
                 c_sort_network: x[1].max(0.05),
                 c_in_cache_merge: x[2].max(0.05),
                 c_out_of_cache_merge: x[3].max(0.05),
+                ..*model.consts.bank(bank)
             },
             x[0].max(100.0),
         ),
@@ -232,6 +250,103 @@ where
     }
 }
 
+/// Wall time (ns) of one default-config ([`SortKernel::Auto`]) segmented
+/// sort of `keys` cut into whole groups of `len` rows, and the rows it
+/// sorted. The fastest of three runs: calibration wants the kernel's
+/// cost, not the machine's noise.
+fn time_auto_groups<K: mcs_simd_sort::SortableKey>(keys: &[K], len: usize) -> (f64, f64) {
+    let n = keys.len() / len * len;
+    let bounds = GroupBounds::from_offsets((0..=n / len).map(|g| (g * len) as u32).collect());
+    let cfg = SortConfig::default();
+    let mut scratch = mcs_simd_sort::SortScratch::new();
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let mut k = keys[..n].to_vec();
+        let mut o: Vec<u32> = (0..n as u32).collect();
+        let t = Instant::now();
+        mcs_simd_sort::sort_pairs_in_groups_scratch(&mut k, &mut o, &bounds, &cfg, &mut scratch);
+        best = best.min(t.elapsed().as_nanos() as f64);
+        std::hint::black_box(&k);
+    }
+    (best, n as f64)
+}
+
+/// Insertion calibration: groups of 4 and of [`INSERTION_MAX_ROWS`] rows,
+/// solved as a 2×2 system for the quadratic and the per-row constant.
+fn calibrate_insertion(opts: &CalibrationOptions) -> (f64, f64) {
+    let mut rng = Rng::seed_from_u64(opts.seed ^ 3);
+    let keys: Vec<u32> = (0..opts.rows).map(|_| rng.gen()).collect();
+    let mut a = Vec::new();
+    let mut b = Vec::new();
+    for len in [4usize, INSERTION_MAX_ROWS] {
+        debug_assert_eq!(kernel_for(len), SizeKernel::Insertion);
+        let (ns, codes) = time_auto_groups(&keys, len);
+        a.push(vec![codes * len as f64, codes]);
+        b.push(ns);
+    }
+    match solve(&a, &b) {
+        Some(x) if x[0] > 0.0 && x[1] > 0.0 => (x[0], x[1]),
+        _ => {
+            let d = CostConstants::defaults();
+            (d.c_insertion, d.c_insertion_row)
+        }
+    }
+}
+
+/// Packed-word and radix calibration for one bank, written into `bc`;
+/// returns the bank's fit of the per-pass fixed cost.
+///
+/// * packed: groups of [`PACKED_MAX_ROWS`] rows, `T = c · codes · log2 n`;
+/// * radix: full-width random keys, so every key byte is a live pass —
+///   groups of 512 and of 8192 rows (both L2-resident) solved as a 2×2
+///   system for the per-code and the fixed cost of a pass, then one sort
+///   of the whole input for the out-of-cache rate.
+fn calibrate_auto_bank<K>(
+    model: &CostModel,
+    bc: &mut BankConstants,
+    bank: Bank,
+    opts: &CalibrationOptions,
+) -> f64
+where
+    K: mcs_simd_sort::SortableKey,
+{
+    let mut rng = Rng::seed_from_u64(opts.seed ^ (bank.bits() as u64) << 8);
+    let keys: Vec<K> = (0..opts.rows).map(|_| K::from_u64(rng.gen())).collect();
+    let defaults = CostConstants::defaults();
+
+    let (ns, codes) = time_auto_groups(&keys, PACKED_MAX_ROWS);
+    bc.c_packed = ns / (codes * (PACKED_MAX_ROWS as f64).log2());
+
+    let passes = f64::from(bank.bits() / 8);
+    let mut a = Vec::new();
+    let mut b = Vec::new();
+    for len in [512usize, 8192] {
+        let (ns, codes) = time_auto_groups(&keys, len.min(keys.len()));
+        a.push(vec![passes * codes, passes * codes / len as f64]);
+        b.push(ns);
+    }
+    let fixed = match solve(&a, &b) {
+        Some(x) if x[0] > 0.0 && x[1] > 0.0 => {
+            bc.c_radix_pass = x[0];
+            x[1]
+        }
+        _ => {
+            // Degenerate fit: charge everything to the per-code term.
+            bc.c_radix_pass = b[1] / a[1][0];
+            defaults.c_radix_fixed
+        }
+    };
+    bc.c_radix_pass_mem = if keys.len() as f64 > model.machine.in_cache_run_codes(bank.bits()) {
+        let (ns, codes) = time_auto_groups(&keys, keys.len());
+        (ns / (passes * codes)).max(bc.c_radix_pass)
+    } else {
+        // Calibration input fits the cache: keep the default ratio.
+        let d = defaults.bank(bank);
+        bc.c_radix_pass * d.c_radix_pass_mem / d.c_radix_pass
+    };
+    fixed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,9 +364,15 @@ mod tests {
         assert!(c.c_massage > 0.0 && c.c_massage < 1000.0);
         assert!(c.c_scan > 0.0 && c.c_scan < 1000.0);
         assert!(c.c_overhead >= 100.0);
+        assert!(c.c_insertion > 0.0 && c.c_insertion_row > 0.0);
+        assert!(c.c_radix_fixed > 0.0);
         for bc in [c.b16, c.b32, c.b64] {
             assert!(bc.c_sort_network > 0.0);
+            assert!(bc.c_packed > 0.0 && bc.c_packed < 1000.0);
+            assert!(bc.c_radix_pass > 0.0 && bc.c_radix_pass < 1000.0);
+            assert!(bc.c_radix_pass_mem >= bc.c_radix_pass);
         }
+        assert_eq!(model.kernel, SortKernel::Auto);
     }
 
     #[test]
@@ -266,16 +387,28 @@ mod tests {
         let model = calibrate(MachineSpec::detect(), &opts);
         let n = 1usize << 17;
         let mut rng = Rng::seed_from_u64(42);
-        let mut keys: Vec<u32> = (0..n).map(|_| rng.gen()).collect();
-        let mut oids: Vec<u32> = (0..n as u32).collect();
-        let t = Instant::now();
-        sort_pairs_with(&mut keys, &mut oids, &SortConfig::default());
-        let actual = t.elapsed().as_nanos() as f64;
-        let predicted = model.t_sort_invocation(n as f64, Bank::B32);
-        let ratio = predicted / actual;
-        assert!(
-            (0.2..5.0).contains(&ratio),
-            "predicted {predicted:.0} actual {actual:.0} ratio {ratio:.2}"
-        );
+        // Both kernels: the calibrated model is an `Auto` model, and its
+        // merge-sort constants must still price `SortKernel::MergeSort`.
+        for kernel in [SortKernel::Auto, SortKernel::MergeSort] {
+            let cfg = SortConfig {
+                kernel,
+                ..SortConfig::default()
+            };
+            let model = CostModel {
+                kernel,
+                ..model.clone()
+            };
+            let mut keys: Vec<u32> = (0..n).map(|_| rng.gen()).collect();
+            let mut oids: Vec<u32> = (0..n as u32).collect();
+            let t = Instant::now();
+            sort_pairs_with(&mut keys, &mut oids, &cfg);
+            let actual = t.elapsed().as_nanos() as f64;
+            let predicted = model.t_sort_invocation(n as f64, Bank::B32, 32);
+            let ratio = predicted / actual;
+            assert!(
+                (0.2..5.0).contains(&ratio),
+                "{kernel:?}: predicted {predicted:.0} actual {actual:.0} ratio {ratio:.2}"
+            );
+        }
     }
 }

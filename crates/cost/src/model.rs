@@ -4,11 +4,14 @@
 
 use mcs_columnar::size_of_width;
 use mcs_core::{Bank, MassagePlan, SortSpec};
+use mcs_simd_sort::radix::passes_for_width;
+use mcs_simd_sort::{kernel_for, SizeKernel, SortKernel};
 
 use crate::estimate::{estimate_groups, GroupEstimate, KeyColumnStats};
 use crate::machine::MachineSpec;
 
-/// Per-bank merge-sort constants (ns per code).
+/// Per-bank sort-kernel constants (ns per code): the three merge-sort
+/// terms of Eq. 5 and the terms of the size-driven kernels.
 ///
 /// Deviation from the paper, for identifiability: Eq. 7 folds all
 /// in-cache merge passes into one constant, which makes
@@ -26,6 +29,13 @@ pub struct BankConstants {
     pub c_in_cache_merge: f64,
     /// `C^b_out-of-cache-merge` (Eq. 8): one out-of-cache pass per code.
     pub c_out_of_cache_merge: f64,
+    /// Packed-word kernel: per code per `log2 n` of its group.
+    pub c_packed: f64,
+    /// Radix kernel: one scatter pass per code (with that pass's share of
+    /// the histogram read) while source and destination fit the L2.
+    pub c_radix_pass: f64,
+    /// Radix kernel: one scatter pass per code once they do not.
+    pub c_radix_pass_mem: f64,
 }
 
 /// All calibrated constants of the model (ns; the paper uses cycles — a
@@ -42,6 +52,14 @@ pub struct CostConstants {
     pub c_scan: f64,
     /// `C_overhead`: merge-sort invocation overhead (Eq. 2).
     pub c_overhead: f64,
+    /// Insertion kernel: per `n²` of a group of `n` rows.
+    pub c_insertion: f64,
+    /// Insertion kernel: per row (the segmented loop's dispatch and the
+    /// final move of each row).
+    pub c_insertion_row: f64,
+    /// Radix kernel: fixed cost of one scatter pass (the 256-entry prefix
+    /// sum and that digit's share of the histogram set-up).
+    pub c_radix_fixed: f64,
     /// Per-bank constants, indexed 16/32/64.
     pub b16: BankConstants,
     /// 32-bit bank constants.
@@ -51,29 +69,46 @@ pub struct CostConstants {
 }
 
 impl CostConstants {
-    /// Ballpark defaults (measured once on the development machine); use
-    /// [`crate::calibrate::calibrate`] for real rankings.
+    /// Defaults measured on the development machine (a 2-core x86-64 VM
+    /// with AVX2, 2 MiB L2, 32 MiB LLC) by [`crate::calibrate::calibrate`]
+    /// at its default options; use `calibrate` for real rankings
+    /// elsewhere. The three Eq. 5 merge-sort constants per bank are the
+    /// exception: their least-squares fit is ill-conditioned on this
+    /// machine, so they stay at hand-measured ballparks that keep the
+    /// paper's plan rankings (Figures 3 and 4).
     pub fn defaults() -> CostConstants {
         CostConstants {
-            c_cache: 4.0,
-            c_mem: 70.0,
-            c_massage: 2.0,
-            c_scan: 1.5,
+            c_cache: 8.9,
+            c_mem: 22.0,
+            c_massage: 3.7,
+            c_scan: 3.5,
             c_overhead: 150.0,
+            c_insertion: 0.43,
+            c_insertion_row: 4.2,
+            c_radix_fixed: 65.0,
             b16: BankConstants {
                 c_sort_network: 1.0,
                 c_in_cache_merge: 1.0,
                 c_out_of_cache_merge: 15.0,
+                c_packed: 1.12,
+                c_radix_pass: 1.54,
+                c_radix_pass_mem: 3.4,
             },
             b32: BankConstants {
                 c_sort_network: 1.6,
                 c_in_cache_merge: 3.2,
                 c_out_of_cache_merge: 15.0,
+                c_packed: 1.15,
+                c_radix_pass: 1.75,
+                c_radix_pass_mem: 3.6,
             },
             b64: BankConstants {
                 c_sort_network: 4.0,
                 c_in_cache_merge: 12.0,
                 c_out_of_cache_merge: 20.0,
+                c_packed: 1.66,
+                c_radix_pass: 1.75,
+                c_radix_pass_mem: 3.4,
             },
         }
     }
@@ -230,6 +265,12 @@ pub struct CostModel {
     /// set). Must mirror the executor's `SortConfig::use_ovc` so
     /// predictions line up with measurements; both default to `true`.
     pub ovc: bool,
+    /// Which sort family the executor runs — must mirror the executor's
+    /// `SortConfig::kernel`, like [`CostModel::ovc`]. Under
+    /// [`SortKernel::Auto`] (the default of both) a sort is priced as the
+    /// kernel the size dispatch will run on it; under
+    /// [`SortKernel::MergeSort`] by the paper's Eq. 5.
+    pub kernel: SortKernel,
 }
 
 impl CostModel {
@@ -240,6 +281,7 @@ impl CostModel {
             consts: CostConstants::defaults(),
             machine: MachineSpec::detect(),
             ovc: true,
+            kernel: SortKernel::Auto,
         }
     }
 
@@ -320,18 +362,62 @@ impl CostModel {
             + self.c_out_of_cache_merge(bank) * n * p_oc
     }
 
-    /// `T_sort(N, b)` (Eq. 2): one SIMD-sort invocation.
-    pub fn t_sort_invocation(&self, n: f64, bank: Bank) -> f64 {
+    /// What [`SortKernel::Auto`] spends sorting `groups` groups of `avg`
+    /// rows each (`codes = groups · avg` rows in all), `width` live key
+    /// bits in `bank`: the closed-form term of the one kernel
+    /// [`kernel_for`] picks for that length —
+    ///
+    /// * insertion: `c_insertion · n² + c_insertion_row · n` per group;
+    /// * packed-word: `c_packed[bank] · n · log2 n`;
+    /// * radix: `⌈width/8⌉` scatter passes of
+    ///   `n · c_radix_pass[bank] + c_radix_fixed` each (digits above
+    ///   `width` hold one bucket and are skipped), at the `_mem` rate once
+    ///   a group and its scatter destination outgrow the L2.
+    fn t_auto_kernels(&self, groups: f64, codes: f64, avg: f64, bank: Bank, width: u32) -> f64 {
+        let c = &self.consts;
+        let bc = c.bank(bank);
+        match kernel_for(avg.round() as usize) {
+            SizeKernel::Insertion => codes * (c.c_insertion * avg + c.c_insertion_row),
+            SizeKernel::Packed => bc.c_packed * codes * avg.log2(),
+            SizeKernel::Radix => {
+                let passes = f64::from(passes_for_width(width));
+                let per_code = if avg <= self.machine.in_cache_run_codes(bank.bits()) {
+                    bc.c_radix_pass
+                } else {
+                    bc.c_radix_pass_mem
+                };
+                passes * (codes * per_code + groups * c.c_radix_fixed)
+            }
+        }
+    }
+
+    /// `T_sort(N, b)` (Eq. 2): one sort invocation over `n` codes whose
+    /// low `width` bits are live, by the configured [`CostModel::kernel`].
+    pub fn t_sort_invocation(&self, n: f64, bank: Bank, width: u32) -> f64 {
         if n <= 1.0 {
             return 0.0;
         }
-        self.consts.c_overhead + self.t_mergesort(n, bank)
+        match self.kernel {
+            SortKernel::Auto => self.t_auto_kernels(1.0, n, n, bank, width),
+            SortKernel::MergeSort => self.consts.c_overhead + self.t_mergesort(n, bank),
+        }
     }
 
-    /// `T^k_sort` (Eq. 1) for a round sorting within the estimated groups.
-    pub fn t_sort_round(&self, est: &GroupEstimate, bank: Bank) -> f64 {
+    /// `T^k_sort` (Eq. 1) for a round of `width` bits sorting within the
+    /// estimated groups. O(1): the round is priced at its average
+    /// sortable group size.
+    pub fn t_sort_round(&self, est: &GroupEstimate, bank: Bank, width: u32) -> f64 {
         if est.sortable < 0.5 {
             return 0.0;
+        }
+        if self.kernel == SortKernel::Auto {
+            return self.t_auto_kernels(
+                est.sortable,
+                est.codes_in_sortable,
+                est.avg_sortable_size,
+                bank,
+                width,
+            );
         }
         let bc = self.consts.bank(bank);
         let p_ic = self.in_cache_passes(est.avg_sortable_size, bank);
@@ -344,10 +430,11 @@ impl CostModel {
 
     /// `T_sort^{j+1}` given that rounds `1..=j` cover `prefix_bits` of the
     /// key and round `j+1` uses `bank` — the quantity Algorithm 1's greedy
-    /// step minimizes (its line 11).
+    /// step minimizes (its line 11). The greedy step fixes round `j+1`'s
+    /// width only later, so the round is priced at the bank's full width.
     pub fn t_sort_after_prefix(&self, inst: &SortInstance, prefix_bits: u32, bank: Bank) -> f64 {
         let est = estimate_groups(&inst.stats, inst.rows, prefix_bits);
-        self.t_sort_round(&est, bank)
+        self.t_sort_round(&est, bank, bank.bits())
     }
 
     /// Full per-round `T_mcs` prediction of executing `plan` on `inst` —
@@ -386,12 +473,12 @@ impl CostModel {
                 est_groups_in: 1.0,
             };
             if k == 0 {
-                rc.sort = self.t_sort_invocation(n as f64, round.bank);
+                rc.sort = self.t_sort_invocation(n as f64, round.bank, round.width);
             } else {
                 rc.lookup = self.t_lookup(n, round.width);
                 let est = estimate_groups(&inst.stats, n, prefix_bits);
                 rc.est_groups_in = est.groups;
-                rc.sort = self.t_sort_round(&est, round.bank);
+                rc.sort = self.t_sort_round(&est, round.bank, round.width);
             }
             if k < last || inst.want_final_groups {
                 rc.scan = self.t_scan(n);
@@ -417,11 +504,21 @@ impl CostModel {
 mod tests {
     use super::*;
 
+    /// The paper's model: its Ex1–Ex4 shapes are claims about the SIMD
+    /// merge-sort.
     fn model() -> CostModel {
         CostModel {
             consts: CostConstants::defaults(),
             machine: MachineSpec::default(),
             ovc: true,
+            kernel: SortKernel::MergeSort,
+        }
+    }
+
+    fn auto_model() -> CostModel {
+        CostModel {
+            kernel: SortKernel::Auto,
+            ..model()
         }
     }
 
@@ -522,6 +619,58 @@ mod tests {
             without.consts.b32.c_out_of_cache_merge * (1.0 - OVC_MERGE_DISCOUNT) * big * p_oc;
         let delta = without.t_mergesort(big, Bank::B32) - with_ovc.t_mergesort(big, Bank::B32);
         assert!((delta - expected_delta).abs() < 1e-6);
+    }
+
+    #[test]
+    fn auto_prices_the_kernel_the_dispatch_runs() {
+        use mcs_simd_sort::{INSERTION_MAX_ROWS, PACKED_MAX_ROWS};
+        let m = auto_model();
+        let c = &m.consts;
+        // Insertion: quadratic plus linear, bank- and width-blind.
+        let n = INSERTION_MAX_ROWS as f64;
+        let ins = c.c_insertion * n * n + c.c_insertion_row * n;
+        assert!((m.t_sort_invocation(n, Bank::B16, 9) - ins).abs() < 1e-9);
+        assert!((m.t_sort_invocation(n, Bank::B64, 60) - ins).abs() < 1e-9);
+        // Packed: n log n at the bank's constant.
+        let n = PACKED_MAX_ROWS as f64;
+        let packed = c.b32.c_packed * n * n.log2();
+        assert!((m.t_sort_invocation(n, Bank::B32, 20) - packed).abs() < 1e-9);
+        // Radix: one term per live key byte — massaging a round from 17
+        // down to 16 bits drops a pass, widening it within a byte is free.
+        let n = 10_000.0;
+        let pass = n * c.b32.c_radix_pass + c.c_radix_fixed;
+        assert!((m.t_sort_invocation(n, Bank::B32, 17) - 3.0 * pass).abs() < 1e-6);
+        assert!((m.t_sort_invocation(n, Bank::B32, 24) - 3.0 * pass).abs() < 1e-6);
+        let pass16 = n * c.b16.c_radix_pass + c.c_radix_fixed;
+        assert!((m.t_sort_invocation(n, Bank::B16, 16) - 2.0 * pass16).abs() < 1e-6);
+        // Past the L2 the per-pass rate switches to the memory constant.
+        let big = m.machine.in_cache_run_codes(32) * 4.0;
+        let pass_mem = big * c.b32.c_radix_pass_mem + c.c_radix_fixed;
+        assert!((m.t_sort_invocation(big, Bank::B32, 32) - 4.0 * pass_mem).abs() < 1e-3);
+        // Nothing to sort costs nothing under either kernel.
+        assert_eq!(m.t_sort_invocation(1.0, Bank::B32, 32), 0.0);
+        assert_eq!(model().t_sort_invocation(1.0, Bank::B32, 32), 0.0);
+    }
+
+    #[test]
+    fn auto_round_is_priced_at_its_average_group() {
+        let m = auto_model();
+        let est = |groups: f64, avg: f64| GroupEstimate {
+            groups,
+            sortable: groups,
+            codes_in_sortable: groups * avg,
+            avg_sortable_size: avg,
+        };
+        // 1000 groups of 64 rows cost 1000 packed sorts of 64 rows.
+        let one = m.t_sort_invocation(64.0, Bank::B32, 32);
+        let round = m.t_sort_round(&est(1000.0, 64.0), Bank::B32, 32);
+        assert!((round - 1000.0 * one).abs() < 1e-6);
+        // Same for radix-sized groups, fixed cost included.
+        let one = m.t_sort_invocation(2048.0, Bank::B64, 40);
+        let round = m.t_sort_round(&est(50.0, 2048.0), Bank::B64, 40);
+        assert!((round - 50.0 * one).abs() < 1e-6);
+        // No sortable groups: free.
+        assert_eq!(m.t_sort_round(&est(0.0, 0.0), Bank::B16, 8), 0.0);
     }
 
     #[test]

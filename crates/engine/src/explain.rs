@@ -7,9 +7,10 @@
 //! ratio cell replaced by a fixed placeholder), the latter byte-stable
 //! across runs for golden-snapshot testing.
 
-use mcs_core::{ExecStats, MassagePlan};
+use mcs_core::{ExecStats, MassagePlan, RoundStats, SortKernel};
 use mcs_cost::{CostModel, PlanCost, SortInstance};
 use mcs_extsort::SpillStats;
+use mcs_simd_sort::{kernel_for, radix::passes_for_width, SizeKernel};
 
 use crate::pipeline::QueryTimings;
 
@@ -24,6 +25,8 @@ pub struct ExplainReport {
     pub plan: MassagePlan,
     /// Per-round predictions from the cost model.
     pub predicted: PlanCost,
+    /// The sort family the model priced (and the executor ran).
+    pub kernel: SortKernel,
     /// Measured execution statistics.
     pub measured: ExecStats,
     /// Degradation-ladder rungs taken while executing (stable snake_case
@@ -61,6 +64,7 @@ impl ExplainReport {
             rows: inst.rows,
             plan: plan.clone(),
             predicted: model.t_mcs_rounds(inst, plan),
+            kernel: model.kernel,
             measured: measured.clone(),
             degradations: Vec::new(),
             plan_cached: false,
@@ -243,7 +247,12 @@ impl ExplainReport {
                 ));
             }
             out.push_str(&row(
-                &format!("R{} sort", k + 1),
+                format!(
+                    "R{} sort {}",
+                    k + 1,
+                    round_kernel(self.kernel, pc.width, rs)
+                )
+                .trim_end(),
                 &width,
                 &bank,
                 pc.sort,
@@ -253,6 +262,8 @@ impl ExplainReport {
                 ("in-register", rs.phases.in_register_ns),
                 ("in-cache merge", rs.phases.in_cache_merge_ns),
                 ("multiway merge", rs.phases.multiway_merge_ns),
+                ("radix", rs.phases.radix_ns),
+                ("small sorts", rs.phases.small_sort_ns),
             ] {
                 if ns > 0 && !redact {
                     out.push_str(&format!(
@@ -297,6 +308,25 @@ impl ExplainReport {
             self.measured.total_ns as f64,
         ));
         out
+    }
+}
+
+/// Name the kernel a round's sort ran, the way the cost model prices it:
+/// by the round's mean sorted-group length (`radix×p` = `p` scatter
+/// passes, one per live key byte). Empty when the round sorted nothing.
+fn round_kernel(kernel: SortKernel, width: u32, rs: &RoundStats) -> String {
+    if rs.invocations == 0 {
+        return String::new();
+    }
+    match kernel {
+        SortKernel::MergeSort => "mergesort".to_string(),
+        SortKernel::Auto => {
+            match kernel_for((rs.codes_sorted + rs.invocations / 2) / rs.invocations) {
+                SizeKernel::Insertion => "insertion".to_string(),
+                SizeKernel::Packed => "packed".to_string(),
+                SizeKernel::Radix => format!("radix×{}", passes_for_width(width)),
+            }
+        }
     }
 }
 

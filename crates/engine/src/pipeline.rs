@@ -25,12 +25,13 @@
 //! Only input conditions no plan can fix ([`EngineError`]) surface as
 //! errors from [`run_query`].
 
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use mcs_columnar::{BitVec, CodeVec, Column, Table};
 use mcs_core::{
     multi_column_sort, multi_column_sort_with, tuple_cmp, ExecArena, ExecConfig, ExecStats,
-    GroupBounds, MassagePlan, MultiColumnSortOutput, SortError, SortSpec,
+    GroupBounds, MassagePlan, MultiColumnSortOutput, SortError, SortKernel, SortSpec,
 };
 use mcs_cost::{CostModel, KeyColumnStats, SortInstance};
 use mcs_extsort::{external_multi_column_sort_with, SpillStats};
@@ -159,6 +160,16 @@ impl EngineConfigBuilder {
     pub fn ovc(mut self, on: bool) -> Self {
         self.cfg.exec.sort.use_ovc = on;
         self.cfg.model.ovc = on;
+        self
+    }
+
+    /// Pick the sort family (default: the size-driven
+    /// [`SortKernel::Auto`] dispatch), keeping the executor knob and the
+    /// cost model's pricing in lockstep the same way [`Self::ovc`] does:
+    /// the planner must rank plans by the kernel that will run them.
+    pub fn kernel(mut self, kernel: SortKernel) -> Self {
+        self.cfg.exec.sort.kernel = kernel;
+        self.cfg.model.kernel = kernel;
         self
     }
 
@@ -427,22 +438,30 @@ pub(crate) fn warm_plan(
         return Ok(());
     }
     let want_groups = !query.group_by.is_empty() || !query.partition_by.is_empty();
-    let (_cols, _specs, inst) = prepare_sort(table, &keys, &oids, want_groups, &mut timings)?;
+    let (_cols, _specs, inst) =
+        prepare_sort(table, query, &keys, &oids, want_groups, &mut timings)?;
     let _ = pick_plan(&inst, query.order_free(), cfg, &mut timings, Some(cache))?;
     Ok(())
 }
 
-/// Gather the sort-key columns (restricted to `oids`) and build the
-/// planner's instance.
-fn prepare_sort(
-    table: &Table,
+/// A query's sort-key columns, its sort specs and the planner's instance.
+type PreparedSort<'t> = (Vec<Cow<'t, CodeVec>>, Vec<SortSpec>, SortInstance);
+
+/// The sort-key columns restricted to `oids` — gathered, or borrowed from
+/// the table as they are when `query` has no filter (then `oids` is the
+/// identity and the gather would be a copy) — and the planner's instance.
+fn prepare_sort<'t>(
+    table: &'t Table,
+    query: &Query,
     keys: &[OrderKey],
     oids: &[u32],
     want_final_groups: bool,
     timings: &mut QueryTimings,
-) -> Result<(Vec<CodeVec>, Vec<SortSpec>, SortInstance), EngineError> {
+) -> Result<PreparedSort<'t>, EngineError> {
     let t = Instant::now();
-    let mut cols: Vec<CodeVec> = Vec::with_capacity(keys.len());
+    let unfiltered = query.filters.is_empty();
+    debug_assert!(!unfiltered || oids.len() == table.rows());
+    let mut cols: Vec<Cow<'t, CodeVec>> = Vec::with_capacity(keys.len());
     let mut specs: Vec<SortSpec> = Vec::with_capacity(keys.len());
     let mut stats: Vec<KeyColumnStats> = Vec::with_capacity(keys.len());
     for k in keys {
@@ -452,7 +471,11 @@ fn prepare_sort(
                 column: k.column.clone(),
                 context: "sort key",
             })?;
-        cols.push(col.gather(oids));
+        cols.push(if unfiltered {
+            Cow::Borrowed(col.codes())
+        } else {
+            Cow::Owned(col.gather(oids))
+        });
         specs.push(SortSpec {
             width: col.width(),
             descending: k.descending,
@@ -782,7 +805,7 @@ fn scalar_fallback_sort(
 /// permutation (positions into `oids`) and grouping.
 #[allow(clippy::too_many_arguments)]
 fn run_mcs(
-    cols: &[CodeVec],
+    cols: &[Cow<'_, CodeVec>],
     specs: &[SortSpec],
     inst: &SortInstance,
     order_free: bool,
@@ -793,7 +816,7 @@ fn run_mcs(
 ) -> Result<MultiColumnSortOutput, EngineError> {
     let (plan, order) = pick_plan(inst, order_free, cfg, timings, cache)?;
     let (pcols, pspecs): (Vec<&CodeVec>, Vec<SortSpec>) = (
-        order.iter().map(|&i| &cols[i]).collect(),
+        order.iter().map(|&i| &*cols[i]).collect(),
         order.iter().map(|&i| specs[i]).collect(),
     );
     let t = Instant::now();
@@ -822,7 +845,7 @@ fn execute_orderby(
             query: query.name.clone(),
         });
     }
-    let (cols, specs, inst) = prepare_sort(table, &keys, oids, false, timings)?;
+    let (cols, specs, inst) = prepare_sort(table, query, &keys, oids, false, timings)?;
     let out = run_mcs(&cols, &specs, &inst, false, cfg, timings, cache, arena)?;
 
     // Final oids into the base table.
@@ -873,7 +896,7 @@ fn execute_grouped(
     }
 
     let keys = query.sort_keys();
-    let (cols, specs, inst) = prepare_sort(table, &keys, oids, true, timings)?;
+    let (cols, specs, inst) = prepare_sort(table, query, &keys, oids, true, timings)?;
     let out = run_mcs(
         &cols,
         &specs,
@@ -1001,7 +1024,7 @@ fn execute_window(
     arena: Option<&mut ExecArena>,
 ) -> Result<Vec<(String, Vec<u64>)>, EngineError> {
     let keys = query.sort_keys();
-    let (cols, specs, inst) = prepare_sort(table, &keys, oids, true, timings)?;
+    let (cols, specs, inst) = prepare_sort(table, query, &keys, oids, true, timings)?;
     // Window key: direction-adjusted concatenation of the window-order
     // columns — bounded by one machine word, checked before sorting so a
     // too-wide query fails fast without wasted work.
@@ -1032,7 +1055,7 @@ fn execute_window(
         let permuted: Vec<u64> = out.oids.iter().map(|&p| c.get(p as usize)).collect();
         parts = parts.refine_by(&permuted);
     }
-    let wo_cols: Vec<&CodeVec> = cols.iter().skip(np).collect();
+    let wo_cols: Vec<&CodeVec> = cols.iter().skip(np).map(|c| &**c).collect();
     let mut window_keys = vec![0u64; out.oids.len()];
     for (c, s) in wo_cols.iter().zip(wo_specs) {
         for (p, wk) in window_keys.iter_mut().enumerate() {

@@ -38,7 +38,6 @@
 pub mod avx2;
 pub mod kernel;
 mod key;
-mod merge_tree;
 pub mod multiway;
 pub mod network;
 pub mod ovc;
@@ -67,13 +66,16 @@ pub use parallel::{
 };
 pub use phase::PhaseTimes;
 pub use radix::{sort_pairs_radix, sort_pairs_radix_in_groups};
-pub use scalar::{insertion_sort_pairs, sort_pairs_scalar};
+pub use scalar::{insertion_sort_pairs, sort_pairs_packed, sort_pairs_scalar};
 pub use scratch::{MergeScratch, SortScratch, WorkerScratch};
 pub use segmented::{
     group_boundaries, sort_pairs_in_groups, sort_pairs_in_groups_scratch, GroupBounds,
     SegmentedSortStats,
 };
-pub use sort::{avx2_available, SortConfig, SortableKey, DEFAULT_PARALLEL_CUTOFF_ROWS};
+pub use sort::{
+    avx2_available, kernel_for, SizeKernel, SortConfig, SortKernel, SortableKey,
+    DEFAULT_PARALLEL_CUTOFF_ROWS, INSERTION_MAX_ROWS, PACKED_MAX_ROWS,
+};
 
 /// Sort `(keys, oids)` ascending by key with default configuration.
 ///

@@ -22,7 +22,6 @@
 use crate::multiway::{multiway_merge, multiway_merge_scratch_cancellable};
 use crate::ovc;
 use crate::phase;
-use crate::scalar::insertion_sort_pairs;
 use crate::scratch::{SortScratch, WorkerScratch};
 use crate::segmented::{GroupBounds, SegmentedSortStats};
 use crate::sort::{SortConfig, SortableKey};
@@ -222,7 +221,7 @@ pub fn sort_pairs_in_groups_parallel<K: SortableKey>(
 }
 
 /// Like [`sort_pairs_in_groups_parallel`], but drawing span bookkeeping
-/// and every worker's merge-sort buffers from `scratch` — the hot-path
+/// and every worker's sort-kernel buffers from `scratch` — the hot-path
 /// work is allocation-free once the scratch is warm (thread spawning,
 /// queue seeding, and split-group merges still allocate; the serial
 /// `threads == 1` path does not).
@@ -399,11 +398,7 @@ fn run_worker<K: SortableKey>(
                 // SAFETY: slice bounds of one split group are disjoint
                 // from each other and from every span.
                 let (ck, co) = unsafe { (slice_mut(kp, ps, pe - ps), slice_mut(op, ps, pe - ps)) };
-                if ck.len() <= cfg.small_threshold {
-                    insertion_sort_pairs(ck, co);
-                } else {
-                    K::sort_pairs_with_scratch(ck, co, cfg, worker);
-                }
+                K::sort_pairs_with_scratch(ck, co, cfg, worker);
                 // Harvest this thread's phase/merge marks per slice (span
                 // tasks harvest inside `sort_groups_by_offsets`).
                 stats.phases.add(phase::take_phases());

@@ -1,18 +1,19 @@
-//! Per-phase timing of the three-phase merge-sort.
+//! Per-kernel timing of the sort substrate: the three merge-sort phases,
+//! the radix kernel, and the small-sort kernels.
 //!
-//! The merge-sort runs once per sortable group, often thousands of times
-//! per round, so phase times are accumulated in a thread-local and
-//! harvested *once per round* into [`PhaseTimes`] — no lock or allocation
-//! on the sort path. With the `phase-timing` feature disabled every
-//! function here is an empty inline stub and the hot loops take no
-//! timestamps at all.
+//! A kernel runs once per sortable group, often thousands of times per
+//! round, so times are accumulated in a thread-local and harvested *once
+//! per round* into [`PhaseTimes`] — no lock or allocation on the sort
+//! path. The small kernels (insertion, packed-word) take no per-group
+//! timestamps at all: the segmented loop times itself once and credits
+//! them the remainder ([`small_residual_ns`]). With the `phase-timing`
+//! feature disabled every function here is an empty inline stub and the
+//! hot loops take no timestamps.
 
-/// Nanoseconds spent in each of the merge-sort's three phases
-/// (the paper's Eq. 5 decomposition), summed over every SIMD-sort
-/// invocation covered by one harvest.
-///
-/// Groups small enough for the scalar insertion-sort fallback never enter
-/// the phased pipeline and contribute zero to all three fields.
+/// Nanoseconds spent in each sort kernel, summed over every invocation
+/// covered by one harvest: the merge-sort's three phases (the paper's
+/// Eq. 5 decomposition; zero unless [`crate::SortKernel::MergeSort`] ran),
+/// the LSD radix kernel, and the small-sort kernels.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Phase (a): in-register sorting networks + transpose.
@@ -21,6 +22,11 @@ pub struct PhaseTimes {
     pub in_cache_merge_ns: u64,
     /// Phase (c): out-of-cache multiway merge passes.
     pub multiway_merge_ns: u64,
+    /// The LSD radix kernel (histogram + scatter passes + copy-back).
+    pub radix_ns: u64,
+    /// The insertion and packed-word kernels, including the segmented
+    /// loop's per-group dispatch. Only the segmented sort reports it.
+    pub small_sort_ns: u64,
 }
 
 impl PhaseTimes {
@@ -29,11 +35,17 @@ impl PhaseTimes {
         self.in_register_ns += other.in_register_ns;
         self.in_cache_merge_ns += other.in_cache_merge_ns;
         self.multiway_merge_ns += other.multiway_merge_ns;
+        self.radix_ns += other.radix_ns;
+        self.small_sort_ns += other.small_sort_ns;
     }
 
-    /// Total time across all three phases.
+    /// Total time across all kernels.
     pub fn total_ns(&self) -> u64 {
-        self.in_register_ns + self.in_cache_merge_ns + self.multiway_merge_ns
+        self.in_register_ns
+            + self.in_cache_merge_ns
+            + self.multiway_merge_ns
+            + self.radix_ns
+            + self.small_sort_ns
     }
 }
 
@@ -48,6 +60,8 @@ mod imp {
             in_register_ns: 0,
             in_cache_merge_ns: 0,
             multiway_merge_ns: 0,
+            radix_ns: 0,
+            small_sort_ns: 0,
         }) };
     }
 
@@ -74,6 +88,24 @@ mod imp {
         });
     }
 
+    /// Credit one radix-kernel invocation started at `a` to the current
+    /// thread's accumulator.
+    #[inline]
+    pub fn record_radix(a: Mark) {
+        ACC.with(|acc| {
+            let mut t = acc.get();
+            t.radix_ns += a.elapsed().as_nanos() as u64;
+            acc.set(t);
+        });
+    }
+
+    /// What a segmented loop started at `a` spent outside the kernels
+    /// that time themselves (`timed`): the small sorts and their dispatch.
+    #[inline]
+    pub fn small_residual_ns(a: Mark, timed: &PhaseTimes) -> u64 {
+        (a.elapsed().as_nanos() as u64).saturating_sub(timed.total_ns())
+    }
+
     /// Drain this thread's accumulated phase times.
     pub fn take_phases() -> PhaseTimes {
         ACC.with(|acc| acc.replace(PhaseTimes::default()))
@@ -95,6 +127,16 @@ mod imp {
     #[inline(always)]
     pub fn record_marks(_a: Mark, _b: Mark, _c: Mark, _d: Mark) {}
 
+    /// No-op.
+    #[inline(always)]
+    pub fn record_radix(_a: Mark) {}
+
+    /// Always zero.
+    #[inline(always)]
+    pub fn small_residual_ns(_a: Mark, _timed: &PhaseTimes) -> u64 {
+        0
+    }
+
     /// Always zero.
     #[inline(always)]
     pub fn take_phases() -> PhaseTimes {
@@ -102,7 +144,7 @@ mod imp {
     }
 }
 
-pub use imp::{mark, record_marks, take_phases, Mark};
+pub use imp::{mark, record_marks, record_radix, small_residual_ns, take_phases, Mark};
 
 #[cfg(all(test, feature = "phase-timing"))]
 mod tests {

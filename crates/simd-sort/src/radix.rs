@@ -1,82 +1,164 @@
-//! LSD radix sort for `(key, oid)` pairs — the paper's stated future
-//! work (§7): "The performance of in-memory radix-sort depends on the
-//! size (number of bits) of the radix … Code massaging would allow a
-//! careful choice of the radix size when radix-sorting multiple columns."
+//! LSD radix sort for `(key, oid)` pairs — the kernel the paper names as
+//! what code massaging should feed next (§7): "The performance of
+//! in-memory radix-sort depends on the size (number of bits) of the radix
+//! … Code massaging would allow a careful choice of the radix size when
+//! radix-sorting multiple columns."
 //!
-//! The sort takes the *effective* key width as a parameter: a massaged
-//! round of `w` bits needs only `⌈w/8⌉` counting passes, so
-//! bit-borrowing pays off for radix sort just as bank narrowing does for
-//! the SIMD merge-sort. Passes whose digit is constant across the input
-//! are skipped (common after massaging, when high bits are sparse).
+//! One read pass builds the histogram of every 8-bit digit on the stack;
+//! a digit whose histogram has a single occupied bucket is skipped. A
+//! massaged round of `w` bits therefore runs at most `⌈w/8⌉` scatter
+//! passes — the bits above `w` are zero in every key — without the width
+//! being passed in: bit-borrowing pays off for radix sort in passes just
+//! as bank narrowing does for the SIMD merge-sort in lanes.
+//!
+//! The scatter ping-pongs between the caller's slices and one
+//! caller-provided buffer pair, so a warm caller allocates nothing, and
+//! every completed pass leaves both sides holding a permutation of the
+//! input pairs: a cancellation between passes never loses or duplicates
+//! a row.
 
 use crate::key::Key;
-use crate::scalar::insertion_sort_pairs;
+use crate::phase;
 use crate::segmented::{GroupBounds, SegmentedSortStats};
+use mcs_cancel::CancelToken;
 
 /// Radix (digit) size in bits; 8 gives byte-wide counting passes.
 const DIGIT_BITS: u32 = 8;
 const BUCKETS: usize = 1 << DIGIT_BITS;
 
-/// Sort `(keys, oids)` ascending with LSD radix sort over the low
-/// `width_bits` of each key (all key bits above `width_bits` must be
-/// zero — true by construction for encoded codes and massaged rounds).
-pub fn sort_pairs_radix<K: Key>(keys: &mut [K], oids: &mut [u32], width_bits: u32) {
-    assert_eq!(keys.len(), oids.len());
+/// Scatter passes the kernel runs, at most, on keys of `width_bits` live
+/// bits: one per key byte that can hold more than one bucket.
+#[inline]
+pub fn passes_for_width(width_bits: u32) -> u32 {
+    width_bits.div_ceil(DIGIT_BITS)
+}
+
+#[inline(always)]
+fn digit<K: Key>(k: K, d: usize) -> usize {
+    ((k.to_u64() >> (d as u32 * DIGIT_BITS)) & (BUCKETS as u64 - 1)) as usize
+}
+
+/// Stable LSD radix sort of `(keys, oids)` over the `D = K::BITS / 8`
+/// digits of the key, using `kbuf`/`obuf` (grown to `keys.len()`, never
+/// shrunk) as the other side of the ping-pong. `cancel` is polled before
+/// every scatter pass; a fired token returns early with `keys`/`oids`
+/// holding the pairs in some intermediate order.
+// With `phase-timing` off, `phase::Mark` is `()`: the mark compiles away.
+#[allow(clippy::let_unit_value, clippy::unit_arg)]
+pub(crate) fn radix_sort_pairs<K: Key, const D: usize>(
+    keys: &mut [K],
+    oids: &mut [u32],
+    kbuf: &mut Vec<K>,
+    obuf: &mut Vec<u32>,
+    cancel: &CancelToken,
+) {
+    debug_assert_eq!(D as u32 * DIGIT_BITS, K::BITS);
+    assert_eq!(keys.len(), oids.len(), "keys/oids length mismatch");
     let n = keys.len();
-    if n <= 64 {
-        insertion_sort_pairs(keys, oids);
+    if n < 2 {
         return;
     }
-    debug_assert!(width_bits >= 1 && width_bits <= K::BITS);
-    let passes = width_bits.div_ceil(DIGIT_BITS);
+    // Bucket counts are `u32`: the executor caps inputs below `u32::MAX`
+    // rows (oids are `u32`), and a count never exceeds `n`.
+    assert!(n <= u32::MAX as usize, "radix sort input exceeds u32 rows");
+    let t0 = phase::mark();
 
-    let mut kbuf: Vec<K> = vec![K::default(); n];
-    let mut obuf: Vec<u32> = vec![0u32; n];
-    let mut src_is_orig = true;
-
-    for pass in 0..passes {
-        let shift = pass * DIGIT_BITS;
-        let (sk, so, dk, dov): (&mut [K], &mut [u32], &mut [K], &mut [u32]) = if src_is_orig {
-            (keys, oids, &mut kbuf, &mut obuf)
-        } else {
-            (&mut kbuf, &mut obuf, keys, oids)
-        };
-
-        // Histogram.
-        let mut hist = [0usize; BUCKETS];
-        for k in sk.iter() {
-            hist[((k.to_u64() >> shift) & 0xFF) as usize] += 1;
+    let mut hist = [[0u32; BUCKETS]; D];
+    for &k in keys.iter() {
+        for (d, h) in hist.iter_mut().enumerate() {
+            h[digit(k, d)] += 1;
         }
-        // Skip constant-digit passes (frequent for massaged high bits).
-        if hist.contains(&n) {
-            continue;
-        }
-        // Exclusive prefix sums -> bucket start offsets.
-        let mut offsets = [0usize; BUCKETS];
-        let mut acc = 0usize;
-        for (o, &h) in offsets.iter_mut().zip(hist.iter()) {
-            *o = acc;
-            acc += h;
-        }
-        // Stable scatter.
-        for i in 0..n {
-            let d = ((sk[i].to_u64() >> shift) & 0xFF) as usize;
-            let at = offsets[d];
-            offsets[d] += 1;
-            dk[at] = sk[i];
-            dov[at] = so[i];
-        }
-        src_is_orig = !src_is_orig;
     }
 
-    if !src_is_orig {
-        keys.copy_from_slice(&kbuf);
-        oids.copy_from_slice(&obuf);
+    if kbuf.len() < n {
+        kbuf.resize(n, K::default());
+    }
+    if obuf.len() < n {
+        obuf.resize(n, 0);
+    }
+    let (kbuf, obuf) = (&mut kbuf[..n], &mut obuf[..n]);
+
+    let mut in_caller = true;
+    for (d, h) in hist.iter_mut().enumerate() {
+        // Every key shares this digit: the pass would be the identity.
+        if h[digit(keys[0], d)] as usize == n {
+            continue;
+        }
+        if cancel.check().is_err() {
+            break;
+        }
+        // Exclusive prefix sums turn counts into bucket write cursors.
+        let mut acc = 0u32;
+        for c in h.iter_mut() {
+            let count = *c;
+            *c = acc;
+            acc += count;
+        }
+        if in_caller {
+            scatter(keys, oids, kbuf, obuf, h, d);
+        } else {
+            scatter(kbuf, obuf, keys, oids, h, d);
+        }
+        in_caller = !in_caller;
+    }
+    if !in_caller {
+        keys.copy_from_slice(kbuf);
+        oids.copy_from_slice(obuf);
+    }
+    phase::record_radix(t0);
+}
+
+/// One stable counting-sort pass on digit `d`: `cursors` holds each
+/// bucket's next write position.
+#[inline(always)]
+fn scatter<K: Key>(
+    sk: &[K],
+    so: &[u32],
+    dk: &mut [K],
+    dov: &mut [u32],
+    cursors: &mut [u32; BUCKETS],
+    d: usize,
+) {
+    for (&k, &o) in sk.iter().zip(so) {
+        let c = &mut cursors[digit(k, d)];
+        let at = *c as usize;
+        *c += 1;
+        dk[at] = k;
+        dov[at] = o;
     }
 }
 
+/// [`radix_sort_pairs`] with `D` picked from the key's bank.
+#[inline]
+pub(crate) fn radix_sort_pairs_bank<K: Key>(
+    keys: &mut [K],
+    oids: &mut [u32],
+    kbuf: &mut Vec<K>,
+    obuf: &mut Vec<u32>,
+    cancel: &CancelToken,
+) {
+    match K::BITS {
+        16 => radix_sort_pairs::<K, 2>(keys, oids, kbuf, obuf, cancel),
+        32 => radix_sort_pairs::<K, 4>(keys, oids, kbuf, obuf, cancel),
+        _ => radix_sort_pairs::<K, 8>(keys, oids, kbuf, obuf, cancel),
+    }
+}
+
+/// Radix-sort `(keys, oids)` ascending by key at any length (no size
+/// dispatch — the `kernel_probe` and `ext_radix` bins measure the kernel
+/// itself). `width_bits` is the effective key width: every key bit above
+/// it must be zero, which is what lets the kernel skip those digits.
+pub fn sort_pairs_radix<K: Key>(keys: &mut [K], oids: &mut [u32], width_bits: u32) {
+    debug_assert!(width_bits >= 1 && width_bits <= K::BITS);
+    debug_assert!(keys
+        .iter()
+        .all(|k| width_bits == 64 || k.to_u64() >> width_bits == 0));
+    let (mut kbuf, mut obuf) = (Vec::new(), Vec::new());
+    radix_sort_pairs_bank(keys, oids, &mut kbuf, &mut obuf, &CancelToken::none());
+}
+
 /// Segmented radix sort (per-group), mirroring
-/// [`crate::sort_pairs_in_groups`].
+/// [`crate::sort_pairs_in_groups`]; one buffer pair serves every group.
 pub fn sort_pairs_radix_in_groups<K: Key>(
     keys: &mut [K],
     oids: &mut [u32],
@@ -84,7 +166,10 @@ pub fn sort_pairs_radix_in_groups<K: Key>(
     width_bits: u32,
 ) -> SegmentedSortStats {
     assert_eq!(groups.num_rows(), keys.len());
+    debug_assert!(width_bits >= 1 && width_bits <= K::BITS);
     let mut stats = SegmentedSortStats::default();
+    let (mut kbuf, mut obuf) = (Vec::new(), Vec::new());
+    let none = CancelToken::none();
     for r in groups.iter() {
         let len = r.len();
         if len <= 1 {
@@ -93,8 +178,15 @@ pub fn sort_pairs_radix_in_groups<K: Key>(
         stats.invocations += 1;
         stats.codes_sorted += len;
         stats.max_group = stats.max_group.max(len);
-        sort_pairs_radix(&mut keys[r.clone()], &mut oids[r], width_bits);
+        radix_sort_pairs_bank(
+            &mut keys[r.clone()],
+            &mut oids[r],
+            &mut kbuf,
+            &mut obuf,
+            &none,
+        );
     }
+    stats.phases = phase::take_phases();
     stats
 }
 
@@ -178,24 +270,90 @@ mod tests {
         let mut o = vec![0u32, 1];
         sort_pairs_radix(&mut k, &mut o, 10);
         assert_eq!(k, vec![1, 9]);
+        assert_eq!(o, vec![1, 0]);
     }
 
     #[test]
-    fn narrower_width_skips_passes() {
-        // Values fit in 9 bits; sorting "as 9-bit" and "as 32-bit" agree.
+    fn single_bucket_digits_are_skipped() {
+        // Values fit in 9 bits: two live digits, so an even pass count —
+        // the result lands in the caller's slices and the scratch pair
+        // still holds the first pass's output, not the final order.
         let n = 2000;
         let mut state = 77u64;
         let orig: Vec<u32> = (0..n)
             .map(|_| (xorshift(&mut state) & 0x1FF) as u32)
             .collect();
-        let mut k1 = orig.clone();
-        let mut o1: Vec<u32> = (0..n as u32).collect();
-        sort_pairs_radix(&mut k1, &mut o1, 9);
-        let mut k2 = orig.clone();
-        let mut o2: Vec<u32> = (0..n as u32).collect();
-        sort_pairs_radix(&mut k2, &mut o2, 32);
-        assert_eq!(k1, k2);
-        assert_eq!(o1, o2); // both stable -> identical permutations
+        let mut k = orig.clone();
+        let mut o: Vec<u32> = (0..n as u32).collect();
+        let (mut kbuf, mut obuf) = (Vec::new(), Vec::new());
+        radix_sort_pairs_bank(&mut k, &mut o, &mut kbuf, &mut obuf, &CancelToken::none());
+        check(&orig, &k, &o);
+        assert_ne!(kbuf, k, "two passes: scratch holds the low-digit order");
+        assert!(kbuf.windows(2).all(|w| w[0] & 0xFF <= w[1] & 0xFF));
+
+        // All-equal keys: every digit has one bucket, nothing moves and
+        // the scratch is sized but never written.
+        let mut k = vec![42u32; 500];
+        let mut o: Vec<u32> = (0..500).rev().collect();
+        let expect = o.clone();
+        let (mut kbuf, mut obuf) = (Vec::new(), Vec::new());
+        radix_sort_pairs_bank(&mut k, &mut o, &mut kbuf, &mut obuf, &CancelToken::none());
+        assert_eq!(o, expect);
+        assert!(kbuf.iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn fired_token_leaves_a_permutation() {
+        let n = 4096usize;
+        let mut state = 5u64;
+        let orig: Vec<u64> = (0..n).map(|_| xorshift(&mut state)).collect();
+        let mut k = orig.clone();
+        let mut o: Vec<u32> = (0..n as u32).collect();
+        let token = CancelToken::new();
+        token.cancel();
+        let (mut kbuf, mut obuf) = (Vec::new(), Vec::new());
+        radix_sort_pairs_bank(&mut k, &mut o, &mut kbuf, &mut obuf, &token);
+        // No pass ran: the pairs are untouched.
+        assert_eq!(k, orig);
+        assert!(o.iter().enumerate().all(|(i, &x)| x == i as u32));
+    }
+
+    #[test]
+    fn token_fired_between_passes_leaves_a_permutation() {
+        // Deadlines swept across the sort's own duration: some expire
+        // before the first pass, some between passes, the late ones not
+        // at all. Wherever the token fires, the slices must hold the
+        // input pairs, each key still next to its oid — and be sorted
+        // whenever the token did not fire.
+        let n = 1usize << 16;
+        let mut state = 11u64;
+        let orig: Vec<u64> = (0..n).map(|_| xorshift(&mut state)).collect();
+        let oids0: Vec<u32> = (0..n as u32).collect();
+        let (mut kbuf, mut obuf) = (Vec::new(), Vec::new());
+        let t = std::time::Instant::now();
+        let (mut k, mut o) = (orig.clone(), oids0.clone());
+        radix_sort_pairs_bank(&mut k, &mut o, &mut kbuf, &mut obuf, &CancelToken::none());
+        let whole = t.elapsed();
+        check(&orig, &k, &o);
+
+        let mut unsorted = 0;
+        for step in 0..=16u32 {
+            let token = CancelToken::with_timeout(whole * step / 16);
+            let (mut k, mut o) = (orig.clone(), oids0.clone());
+            radix_sort_pairs_bank(&mut k, &mut o, &mut kbuf, &mut obuf, &token);
+            let mut seen = vec![false; n];
+            for (&key, &oid) in k.iter().zip(&o) {
+                assert_eq!(key, orig[oid as usize], "step {step}: pair torn apart");
+                assert!(!seen[oid as usize], "step {step}: oid {oid} duplicated");
+                seen[oid as usize] = true;
+            }
+            if k.windows(2).all(|w| w[0] <= w[1]) {
+                continue;
+            }
+            assert!(token.is_cancelled(), "step {step}: unsorted without a fire");
+            unsorted += 1;
+        }
+        assert!(unsorted > 0, "no deadline fired before the last pass");
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! Caller-provided scratch memory for the merge-sort pipeline.
+//! Caller-provided scratch memory for the sort kernels.
 //!
 //! Every phase of the three-phase merge-sort ([`crate::sort`]) and the
 //! out-of-cache loser tree ([`crate::multiway`]) needs working memory:
 //! the padded ping-pong key/oid buffer pairs, the per-pass run list, and
-//! the loser-tree node arrays. The plain entry points allocate these on
+//! the loser-tree node arrays. The radix kernel ([`crate::radix`]) uses
+//! the first buffer of each pair as the other side of its scatter
+//! ping-pong; the packed-word kernel a word buffer bounded by its
+//! crossover length. The plain entry points allocate these on
 //! demand per call; the `_scratch` variants instead draw them from a
 //! [`SortScratch`] owned by the caller, growing each buffer monotonically
 //! to its high-water mark so a warm caller performs no heap allocation
@@ -44,6 +47,12 @@ pub struct SortScratch {
     pub(crate) runs: Vec<Range<usize>>,
     /// Loser-tree node arrays.
     pub(crate) merge: MergeScratch,
+    /// Sort words of the packed-word kernel (`key << 32 | oid`, or
+    /// `key bits ‖ row index` in the 64-bit bank); never longer than the
+    /// packed/radix crossover.
+    pub(crate) packed: Vec<u64>,
+    /// The 64-bit bank's `(key, oid)` pairs in sorted-word order.
+    pub(crate) packed_wide: Vec<(u64, u32)>,
 }
 
 impl SortScratch {
@@ -64,6 +73,8 @@ impl SortScratch {
             + pair(&self.codes)
             + self.runs.capacity() * core::mem::size_of::<Range<usize>>()
             + self.merge.bytes()
+            + self.packed.capacity() * core::mem::size_of::<u64>()
+            + self.packed_wide.capacity() * core::mem::size_of::<(u64, u32)>()
     }
 }
 

@@ -10,7 +10,6 @@
 use crate::key::Key;
 use crate::ovc::{self, MergeCounters};
 use crate::phase::{self, PhaseTimes};
-use crate::scalar::insertion_sort_pairs;
 use crate::scratch::SortScratch;
 use crate::sort::{SortConfig, SortableKey};
 use mcs_cancel::CHECK_INTERVAL;
@@ -106,7 +105,7 @@ pub struct SegmentedSortStats {
     pub codes_sorted: usize,
     /// Largest group size encountered.
     pub max_group: usize,
-    /// Time spent in each merge-sort phase, summed across invocations
+    /// Time spent in each sort kernel, summed across invocations
     /// (all zero unless the `phase-timing` feature is on).
     pub phases: PhaseTimes,
     /// Loser-tree comparison counters of the out-of-cache merge passes,
@@ -117,11 +116,9 @@ pub struct SegmentedSortStats {
     pub morsels: mcs_morsel::MorselCounts,
 }
 
-/// Sort `(keys, oids)` within each group independently.
-///
-/// Groups of length ≤ `cfg.small_threshold` use insertion sort (their
-/// merge-sort `C_overhead` would dominate); larger groups run the full
-/// SIMD merge-sort on the sub-slices.
+/// Sort `(keys, oids)` within each group independently, each group by
+/// the kernel [`SortableKey::sort_pairs_with_scratch`] picks for its
+/// length.
 pub fn sort_pairs_in_groups<K: SortableKey>(
     keys: &mut [K],
     oids: &mut [u32],
@@ -132,7 +129,7 @@ pub fn sort_pairs_in_groups<K: SortableKey>(
     sort_pairs_in_groups_scratch(keys, oids, groups, cfg, &mut scratch)
 }
 
-/// Like [`sort_pairs_in_groups`], but drawing all merge-sort working
+/// Like [`sort_pairs_in_groups`], but drawing all kernel working
 /// memory from `scratch` — allocation-free once the scratch is warm.
 pub fn sort_pairs_in_groups_scratch<K: SortableKey>(
     keys: &mut [K],
@@ -147,6 +144,8 @@ pub fn sort_pairs_in_groups_scratch<K: SortableKey>(
 
 /// Group-wise sort over a raw offsets slice (the parallel path hands each
 /// worker a rebased sub-slice without building a `GroupBounds`).
+// With `phase-timing` off, `phase::Mark` is `()`: the mark compiles away.
+#[allow(clippy::let_unit_value, clippy::unit_arg)]
 pub(crate) fn sort_groups_by_offsets<K: SortableKey>(
     keys: &mut [K],
     oids: &mut [u32],
@@ -158,9 +157,10 @@ pub(crate) fn sort_groups_by_offsets<K: SortableKey>(
     let mut stats = SegmentedSortStats::default();
     let _ = phase::take_phases(); // clear any stale thread-local residue
     let _ = ovc::take_merge_counters();
+    let t0 = phase::mark();
     // Cancellation poll, amortized over rows so runs of tiny groups don't
-    // pay an `Instant::now` each (large groups also poll inside the full
-    // merge-sort). A fired token abandons the remaining groups; the
+    // pay an `Instant::now` each (large groups also poll inside their
+    // kernel). A fired token abandons the remaining groups; the
     // caller re-checks the token and discards the partially sorted round.
     let mut rows_since_poll = 0usize;
     for w in offsets.windows(2) {
@@ -179,15 +179,10 @@ pub(crate) fn sort_groups_by_offsets<K: SortableKey>(
         stats.invocations += 1;
         stats.codes_sorted += len;
         stats.max_group = stats.max_group.max(len);
-        let k = &mut keys[r.clone()];
-        let o = &mut oids[r];
-        if len <= cfg.small_threshold {
-            insertion_sort_pairs(k, o);
-        } else {
-            K::sort_pairs_with_scratch(k, o, cfg, scratch);
-        }
+        K::sort_pairs_with_scratch(&mut keys[r.clone()], &mut oids[r], cfg, scratch);
     }
     stats.phases = phase::take_phases();
+    stats.phases.small_sort_ns = phase::small_residual_ns(t0, &stats.phases);
     stats.merge = ovc::take_merge_counters();
     stats
 }
@@ -302,6 +297,7 @@ mod tests {
     #[test]
     fn large_groups_use_simd_path() {
         let cfg = SortConfig {
+            kernel: crate::SortKernel::MergeSort,
             small_threshold: 8,
             ..SortConfig::default()
         };

@@ -1,12 +1,15 @@
-//! Top-level merge-sort assembly: padding, the three phases, runtime
-//! dispatch between the AVX2 and portable kernels.
+//! The sort entry point: the size-driven kernel dispatch
+//! ([`kernel_for`]) every round, morsel and spilled chunk goes through,
+//! and the merge-sort assembly (padding, the three phases, runtime
+//! dispatch between the AVX2 and portable kernels) it keeps reachable as
+//! [`SortKernel::MergeSort`].
 
 use crate::kernel::{merge_pass, phase1_block_sort, Kernel};
 use crate::key::Key;
-use crate::merge_tree::multiway_pass_simd;
 use crate::multiway::{multiway_pass_ovc_scratch_cancellable, multiway_pass_scratch_cancellable};
 use crate::ovc;
 use crate::phase;
+use crate::radix;
 use crate::scalar;
 use crate::scratch::SortScratch;
 use mcs_cancel::CancelToken;
@@ -15,8 +18,70 @@ use mcs_cancel::CancelToken;
 /// rows sort serially regardless of the requested thread count.
 pub const DEFAULT_PARALLEL_CUTOFF_ROWS: usize = 4096;
 
-/// Tuning knobs of the merge-sort, mirroring the constants of the paper's
-/// cost model (§4).
+/// Longest input the insertion kernel sorts under [`SortKernel::Auto`].
+/// Read off the `insertion`/`packed` rows of the committed crossover
+/// table (`results/kernel_probe.txt`): at 16 rows per group insertion is
+/// within 10 % of the packed-word sort in the 16/32-bit banks and well
+/// ahead of it in the 64-bit bank; at 24 rows the packed-word sort (the
+/// standard sort switches to a branchless small-sort network there) is
+/// level in the 64-bit bank and almost twice as fast in the narrow ones.
+pub const INSERTION_MAX_ROWS: usize = 16;
+
+/// Longest input the packed-word kernel sorts under [`SortKernel::Auto`];
+/// longer inputs radix-sort. Read off the `packed`/`radix` rows of the
+/// same table. The crossover depends on the bank — the radix kernel pays
+/// one 256-entry prefix sum per key byte, the packed kernel sorts 8-byte
+/// words in every bank — and lies at 64 rows in the 16-bit bank, between
+/// 128 and 192 in the 32-bit bank and near 2048 in the 64-bit bank; 128
+/// is the probed length with the smallest worst-case loss (ns per row)
+/// over the three. Also bounds the packed kernel's scratch, which is why
+/// that scratch is O(1) in the row count, and the 64-bit bank's
+/// worst-case tie repair.
+pub const PACKED_MAX_ROWS: usize = 128;
+
+/// The kernel [`SortKernel::Auto`] runs on an input of a given length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SizeKernel {
+    /// [`crate::insertion_sort_pairs`].
+    Insertion,
+    /// [`crate::sort_pairs_packed`].
+    Packed,
+    /// The scratch-backed LSD radix sort ([`crate::radix`]).
+    Radix,
+}
+
+/// The dispatch rule of [`SortKernel::Auto`]: by input length alone.
+/// The cost model prices rounds with this same function, so what ROGA
+/// ranks is what the sorter runs.
+#[inline]
+pub fn kernel_for(n: usize) -> SizeKernel {
+    if n <= INSERTION_MAX_ROWS {
+        SizeKernel::Insertion
+    } else if n <= PACKED_MAX_ROWS {
+        SizeKernel::Packed
+    } else {
+        SizeKernel::Radix
+    }
+}
+
+/// Which sort family [`SortableKey::sort_pairs_with_scratch`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum SortKernel {
+    /// Size-driven dispatch ([`kernel_for`]): insertion → packed-word →
+    /// LSD radix. The fastest kernel at every length on every machine
+    /// measured, hence the default.
+    #[default]
+    Auto,
+    /// The paper's SIMD merge-sort (in-register networks, in-cache
+    /// bitonic merges, out-of-cache loser tree) above
+    /// [`SortConfig::small_threshold`], insertion sort below it. Kept for
+    /// the paper-figure bins and the Eq. 5 cost-model tests, whose subject
+    /// is that sort.
+    MergeSort,
+}
+
+/// Tuning knobs of the sort substrate; the merge-sort ones mirror the
+/// constants of the paper's cost model (§4).
 #[derive(Debug, Clone)]
 pub struct SortConfig {
     /// Bytes a run may occupy before merging goes out-of-cache
@@ -27,23 +92,18 @@ pub struct SortConfig {
     pub in_cache_bytes: usize,
     /// Fan-out `F` of the out-of-cache merge tree. Default: 8.
     pub fanout: usize,
-    /// Inputs up to this length use the scalar small-sort instead of the
-    /// full SIMD pipeline. Default: 192.
+    /// Under [`SortKernel::MergeSort`], inputs up to this length use
+    /// insertion sort instead of the full SIMD pipeline. Default: 192.
+    /// ([`SortKernel::Auto`] dispatches on its own constants.)
     pub small_threshold: usize,
     /// Force the portable kernel even when AVX2 is available (used by
     /// tests and the SIMD-vs-portable benches).
     pub force_portable: bool,
-    /// Use the scalar loser tree (default) or the buffered SIMD merge
-    /// tree for the out-of-cache phase. Measured on this machine the
-    /// loser tree wins: the tree's per-step carry state (an
-    /// `Option<(__m256i, payload)>`) spills YMM registers around every
-    /// vector step, costing more than the branchy scalar replay it
-    /// replaces. Kept as an ablation (`ablation_multiway_impl` bench).
-    pub scalar_multiway: bool,
+    /// Which sort family runs. Default: [`SortKernel::Auto`].
+    pub kernel: SortKernel,
     /// Carry offset-value codes through the out-of-cache loser-tree
     /// passes ([`crate::ovc`]), collapsing most full-key comparisons to
-    /// a single integer compare. Only consulted on the scalar multiway
-    /// path (the SIMD merge-tree ablation ignores it). Default: on.
+    /// a single integer compare. Default: on.
     pub use_ovc: bool,
     /// Inputs shorter than this run serially even when the caller asks for
     /// multiple threads ([`crate::sort_pairs_parallel`] and the morsel-driven
@@ -52,8 +112,9 @@ pub struct SortConfig {
     /// roughly where one worker's share stops fitting the in-register
     /// phase's sweet spot and spawn cost amortizes).
     pub parallel_cutoff_rows: usize,
-    /// Cooperative cancellation token, polled at every phase boundary and
-    /// every [`mcs_cancel::CHECK_INTERVAL`] merge pops. The sort entry
+    /// Cooperative cancellation token, polled at every phase boundary,
+    /// every radix pass and every [`mcs_cancel::CHECK_INTERVAL`] merge
+    /// pops. The sort entry
     /// points stay infallible: a fired token makes them return early
     /// *leaving garbage in `keys`/`oids`* — fallible callers re-check the
     /// token after the call and surface a typed error. The default
@@ -68,7 +129,7 @@ impl Default for SortConfig {
             fanout: 8,
             small_threshold: 192,
             force_portable: false,
-            scalar_multiway: true,
+            kernel: SortKernel::Auto,
             use_ovc: true,
             parallel_cutoff_rows: DEFAULT_PARALLEL_CUTOFF_ROWS,
             cancel: CancelToken::none(),
@@ -171,12 +232,10 @@ unsafe fn mergesort_generic<Kn: Kernel>(
         run *= 2;
     }
 
-    // Phase (c): F-way out-of-cache merge passes (SIMD merge tree with
-    // cache-resident node buffers, or the scalar loser tree for ablation,
-    // with or without offset-value codes riding along).
+    // Phase (c): F-way out-of-cache loser-tree merge passes, with or
+    // without offset-value codes riding along.
     let t2 = phase::mark();
-    let buf_elems = 4096;
-    let with_ovc = cfg.scalar_multiway && cfg.use_ovc;
+    let with_ovc = cfg.use_ovc;
     if with_ovc && run < padded {
         // Derive the initial codes in one linear pass over the phase-(b)
         // output; later passes produce their output codes as they merge.
@@ -200,20 +259,14 @@ unsafe fn mergesort_generic<Kn: Kernel>(
                     kb, ob, cb, ka, oa, ca, run, cfg.fanout, runs_buf, merge, cancel,
                 )
             }
-        } else if cfg.scalar_multiway {
-            if src_is_a {
-                multiway_pass_scratch_cancellable(
-                    ka, oa, kb, ob, run, cfg.fanout, runs_buf, merge, cancel,
-                )
-            } else {
-                multiway_pass_scratch_cancellable(
-                    kb, ob, ka, oa, run, cfg.fanout, runs_buf, merge, cancel,
-                )
-            }
         } else if src_is_a {
-            multiway_pass_simd::<Kn>(ka, oa, kb, ob, run, cfg.fanout, buf_elems)
+            multiway_pass_scratch_cancellable(
+                ka, oa, kb, ob, run, cfg.fanout, runs_buf, merge, cancel,
+            )
         } else {
-            multiway_pass_simd::<Kn>(kb, ob, ka, oa, run, cfg.fanout, buf_elems)
+            multiway_pass_scratch_cancellable(
+                kb, ob, ka, oa, run, cfg.fanout, runs_buf, merge, cancel,
+            )
         };
         src_is_a = !src_is_a;
         // A fired token may have truncated the pass above, leaving the
@@ -263,7 +316,7 @@ fn compact_padding<K: Key>(keys: &mut [K], oids: &mut [u32], n: usize) {
 macro_rules! dispatch_sort {
     ($fn_name:ident, $scratch_name:ident, $avx_name:ident, $k:ty, $field:ident, $portable:ty, $avx:ty) => {
         /// Sort `(keys, oids)` ascending by key with the configured
-        /// merge-sort. oid values must be `< u32::MAX`.
+        /// kernel. oid values must be `< u32::MAX`.
         pub fn $fn_name(keys: &mut [$k], oids: &mut [u32], cfg: &SortConfig) {
             let mut scratch = SortScratch::new();
             $scratch_name(keys, oids, cfg, &mut scratch)
@@ -278,6 +331,19 @@ macro_rules! dispatch_sort {
             scratch: &mut SortScratch,
         ) {
             assert_eq!(keys.len(), oids.len(), "keys/oids length mismatch");
+            if cfg.kernel == SortKernel::Auto {
+                return match kernel_for(keys.len()) {
+                    SizeKernel::Insertion => scalar::insertion_sort_pairs(keys, oids),
+                    SizeKernel::Packed => scalar::sort_pairs_packed(keys, oids, scratch),
+                    SizeKernel::Radix => radix::radix_sort_pairs_bank(
+                        keys,
+                        oids,
+                        &mut scratch.$field.0,
+                        &mut scratch.oids.0,
+                        &cfg.cancel,
+                    ),
+                };
+            }
             if keys.len() <= cfg.small_threshold {
                 scalar::insertion_sort_pairs(keys, oids);
                 return;
@@ -348,13 +414,16 @@ dispatch_sort!(
     crate::avx2::A64
 );
 
-/// Key types that have a full SIMD sort pipeline.
+/// Key types that have the full set of sort kernels.
 pub trait SortableKey: Key {
     /// Sort `(keys, oids)` ascending by key.
     fn sort_pairs_with(keys: &mut [Self], oids: &mut [u32], cfg: &SortConfig);
 
     /// Sort `(keys, oids)` ascending by key, drawing all working memory
     /// from `scratch` ([`SortScratch`]); allocation-free once warm.
+    ///
+    /// This is the one place a kernel is chosen: serial rounds, morsel
+    /// spans and chunks, and spilled chunks all sort through it.
     fn sort_pairs_with_scratch(
         keys: &mut [Self],
         oids: &mut [u32],
@@ -426,57 +495,85 @@ mod tests {
         check_sorted_permutation(&orig, &keys, &oids);
     }
 
+    fn merge_sort() -> SortConfig {
+        SortConfig {
+            kernel: SortKernel::MergeSort,
+            ..SortConfig::default()
+        }
+    }
+
+    fn both_kernels() -> [SortConfig; 2] {
+        [SortConfig::default(), merge_sort()]
+    }
+
+    #[test]
+    fn kernel_for_steps_at_the_two_crossovers() {
+        assert_eq!(SortConfig::default().kernel, SortKernel::Auto);
+        assert_eq!(kernel_for(0), SizeKernel::Insertion);
+        assert_eq!(kernel_for(INSERTION_MAX_ROWS), SizeKernel::Insertion);
+        assert_eq!(kernel_for(INSERTION_MAX_ROWS + 1), SizeKernel::Packed);
+        assert_eq!(kernel_for(PACKED_MAX_ROWS), SizeKernel::Packed);
+        assert_eq!(kernel_for(PACKED_MAX_ROWS + 1), SizeKernel::Radix);
+        assert_eq!(kernel_for(usize::MAX), SizeKernel::Radix);
+    }
+
     #[test]
     fn sort_u32_sizes() {
-        let cfg = SortConfig::default();
-        for n in [
-            0usize, 1, 2, 63, 64, 65, 192, 193, 256, 1000, 4096, 10_000, 100_000,
-        ] {
-            roundtrip::<u32>(n, u64::MAX, &cfg, 42 + n as u64);
+        for cfg in both_kernels() {
+            for n in [
+                0usize, 1, 2, 63, 64, 65, 192, 193, 256, 1000, 4096, 10_000, 100_000,
+            ] {
+                roundtrip::<u32>(n, u64::MAX, &cfg, 42 + n as u64);
+            }
         }
     }
 
     #[test]
     fn sort_u16_sizes() {
-        let cfg = SortConfig::default();
-        for n in [0usize, 255, 256, 257, 5000, 70_000] {
-            roundtrip::<u16>(n, u64::MAX, &cfg, 7 + n as u64);
+        for cfg in both_kernels() {
+            for n in [0usize, 255, 256, 257, 5000, 70_000] {
+                roundtrip::<u16>(n, u64::MAX, &cfg, 7 + n as u64);
+            }
         }
     }
 
     #[test]
     fn sort_u64_sizes() {
-        let cfg = SortConfig::default();
-        for n in [0usize, 15, 16, 17, 1000, 50_000] {
-            roundtrip::<u64>(n, u64::MAX, &cfg, 99 + n as u64);
+        for cfg in both_kernels() {
+            for n in [0usize, 15, 16, 17, 1000, 50_000] {
+                roundtrip::<u64>(n, u64::MAX, &cfg, 99 + n as u64);
+            }
         }
     }
 
     #[test]
     fn sort_with_heavy_ties() {
-        let cfg = SortConfig::default();
-        roundtrip::<u32>(20_000, 0x7, &cfg, 1);
-        roundtrip::<u16>(20_000, 0x3, &cfg, 2);
-        roundtrip::<u64>(20_000, 0x1, &cfg, 3);
+        for cfg in both_kernels() {
+            roundtrip::<u32>(20_000, 0x7, &cfg, 1);
+            roundtrip::<u16>(20_000, 0x3, &cfg, 2);
+            roundtrip::<u64>(20_000, 0x1, &cfg, 3);
+        }
     }
 
     #[test]
     fn sort_with_max_keys_present() {
-        // Many real MAX keys exercise the padding-compaction path.
-        let cfg = SortConfig::default();
-        let n = 5000;
-        let orig: Vec<u16> = (0..n)
-            .map(|i| if i % 3 == 0 { u16::MAX } else { i as u16 })
-            .collect();
-        let mut keys = orig.clone();
-        let mut oids: Vec<u32> = (0..n as u32).collect();
-        u16::sort_pairs_with(&mut keys, &mut oids, &cfg);
-        check_sorted_permutation(&orig, &keys, &oids);
+        // Many real MAX keys exercise the merge-sort's padding-compaction
+        // path (and must be nothing special to the other kernels).
+        for cfg in both_kernels() {
+            let n = 5000;
+            let orig: Vec<u16> = (0..n)
+                .map(|i| if i % 3 == 0 { u16::MAX } else { i as u16 })
+                .collect();
+            let mut keys = orig.clone();
+            let mut oids: Vec<u32> = (0..n as u32).collect();
+            u16::sort_pairs_with(&mut keys, &mut oids, &cfg);
+            check_sorted_permutation(&orig, &keys, &oids);
+        }
     }
 
     #[test]
     fn portable_matches_avx2() {
-        let mut cfg = SortConfig::default();
+        let mut cfg = merge_sort();
         let n = 30_000;
         let mut state = 0xDEADBEEFu64;
         let orig: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
@@ -501,7 +598,7 @@ mod tests {
             in_cache_bytes: 1024, // force out-of-cache merging early
             fanout: 3,
             small_threshold: 16,
-            ..SortConfig::default()
+            ..merge_sort()
         };
         roundtrip::<u32>(50_000, u64::MAX, &cfg, 5);
         roundtrip::<u16>(50_000, u64::MAX, &cfg, 6);
@@ -512,10 +609,15 @@ mod tests {
     fn scratch_reuse_matches_fresh_across_banks_and_sizes() {
         // One scratch carried across banks and shrinking/growing inputs
         // must produce outputs identical to the allocate-per-call path.
-        let cfg = SortConfig::default();
+        for cfg in both_kernels() {
+            scratch_reuse_matches_fresh(&cfg);
+        }
+    }
+
+    fn scratch_reuse_matches_fresh(cfg: &SortConfig) {
         let mut scratch = SortScratch::new();
         let mut state = 0xABCDu64;
-        for &n in &[10_000usize, 500, 25_000, 0, 7] {
+        for &n in &[10_000usize, 500, 25_000, 0, 7, 100] {
             macro_rules! check_bank {
                 ($k:ty) => {{
                     let orig: Vec<$k> = (0..n)
@@ -523,10 +625,10 @@ mod tests {
                         .collect();
                     let mut k1 = orig.clone();
                     let mut o1: Vec<u32> = (0..n as u32).collect();
-                    <$k>::sort_pairs_with(&mut k1, &mut o1, &cfg);
+                    <$k>::sort_pairs_with(&mut k1, &mut o1, cfg);
                     let mut k2 = orig.clone();
                     let mut o2: Vec<u32> = (0..n as u32).collect();
-                    <$k>::sort_pairs_with_scratch(&mut k2, &mut o2, &cfg, &mut scratch);
+                    <$k>::sort_pairs_with_scratch(&mut k2, &mut o2, cfg, &mut scratch);
                     assert_eq!(k1, k2);
                     assert_eq!(o1, o2);
                 }};
@@ -549,18 +651,23 @@ mod tests {
 
     #[test]
     fn already_sorted_and_reversed() {
-        let cfg = SortConfig::default();
+        for cfg in both_kernels() {
+            already_sorted_and_reversed_under(&cfg);
+        }
+    }
+
+    fn already_sorted_and_reversed_under(cfg: &SortConfig) {
         let n = 10_000usize;
         let orig: Vec<u32> = (0..n as u32).collect();
         let mut keys = orig.clone();
         let mut oids: Vec<u32> = (0..n as u32).collect();
-        sort_u32_with(&mut keys, &mut oids, &cfg);
+        sort_u32_with(&mut keys, &mut oids, cfg);
         check_sorted_permutation(&orig, &keys, &oids);
 
         let orig: Vec<u32> = (0..n as u32).rev().collect();
         let mut keys = orig.clone();
         let mut oids: Vec<u32> = (0..n as u32).collect();
-        sort_u32_with(&mut keys, &mut oids, &cfg);
+        sort_u32_with(&mut keys, &mut oids, cfg);
         check_sorted_permutation(&orig, &keys, &oids);
     }
 }

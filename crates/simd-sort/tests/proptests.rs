@@ -1,13 +1,14 @@
-//! Property-based tests: the SIMD sorts agree with the scalar oracle on
-//! arbitrary inputs, for every bank width, both backends and the
-//! segmented/parallel variants.
+//! Property-based tests: the SIMD merge-sort agrees with the scalar
+//! oracle on arbitrary inputs, for every bank width and both backends,
+//! and so do the segmented/parallel variants under the default kernel
+//! dispatch (whose own matrix is `dispatch_proptests.rs`).
 //!
 //! Driven by the `mcs-test-support` mini-harness: `PROPTEST_CASES` caps
 //! the case count, `MCS_TEST_SEED` replays a reported failure.
 
 use mcs_simd_sort::{
     group_boundaries, sort_pairs_in_groups, sort_pairs_parallel, sort_pairs_with, GroupBounds,
-    SortConfig, SortableKey,
+    SortConfig, SortKernel, SortableKey,
 };
 use mcs_test_support::{check, Rng};
 
@@ -23,6 +24,7 @@ fn verify<K: SortableKey>(orig: &[K], keys: &[K], oids: &[u32]) {
 
 fn run_sort<K: SortableKey>(orig: Vec<K>, force_portable: bool) {
     let cfg = SortConfig {
+        kernel: SortKernel::MergeSort,
         force_portable,
         // Small bounds exercise multi-pass merging even at proptest sizes.
         in_cache_bytes: 4096,

@@ -75,5 +75,5 @@ pub mod prelude {
         Query, QueryOptions, QueryResult, Session,
     };
     pub use mcs_planner::{roga, rrs, RogaOptions, RrsOptions, SearchError};
-    pub use mcs_simd_sort::{sort_pairs, sort_pairs_with, SortConfig};
+    pub use mcs_simd_sort::{sort_pairs, sort_pairs_with, SortConfig, SortKernel};
 }

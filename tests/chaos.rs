@@ -23,6 +23,16 @@ use codemassage::faults::{fired, points, set_delay_micros, with_armed, FireMode}
 use codemassage::prelude::*;
 use codemassage::telemetry;
 
+/// Held by every test for its whole body. The fault registry, the delay
+/// knob and the telemetry collector are process-global, and
+/// [`with_armed`] only serializes the armed sections: a test's clean
+/// (unarmed) run would otherwise traverse whatever a concurrently running
+/// test has armed and take rungs it asserts it did not.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn chaos_table(n: usize) -> Table {
     let mut t = Table::new("sales");
     t.add_column(Column::from_u64s(
@@ -83,6 +93,7 @@ fn run_and_check(t: &Table, q: &Query, cfg: &EngineConfig) -> Vec<DegradeReason>
 /// back to P0 and still produce the right answer.
 #[test]
 fn planner_search_failure_degrades_to_p0() {
+    let _serial = serial();
     let t = chaos_table(4096);
     let q = groupby_query();
     let cfg = EngineConfig::default(); // ROGA
@@ -98,6 +109,7 @@ fn planner_search_failure_degrades_to_p0() {
 /// single plan is costed. P0 runs without an estimate.
 #[test]
 fn deadline_starvation_runs_p0() {
+    let _serial = serial();
     let t = chaos_table(4096);
     let q = groupby_query();
     let cfg = EngineConfig::default();
@@ -112,6 +124,7 @@ fn deadline_starvation_runs_p0() {
 /// must detect the non-finite estimate and trust Lemma 1 over it.
 #[test]
 fn nan_cost_estimates_degrade_to_p0() {
+    let _serial = serial();
     let t = chaos_table(4096);
     let q = groupby_query();
     let cfg = EngineConfig {
@@ -132,6 +145,7 @@ fn nan_cost_estimates_degrade_to_p0() {
 /// chunk index, and the engine re-runs the sort.
 #[test]
 fn worker_panic_is_caught_and_rerun() {
+    let _serial = serial();
     let t = chaos_table(20_000); // big enough for the parallel path
     let q = groupby_query();
     let cfg = EngineConfig {
@@ -161,6 +175,7 @@ fn worker_panic_is_caught_and_rerun() {
 /// the scalar comparator sort.
 #[test]
 fn persistent_round_failure_falls_to_scalar_sort() {
+    let _serial = serial();
     let t = chaos_table(4096);
     let q = groupby_query();
     let cfg = EngineConfig::default();
@@ -175,6 +190,7 @@ fn persistent_round_failure_falls_to_scalar_sort() {
 /// grouped-result post-sort (TPC-H Q13's shape).
 #[test]
 fn orderby_and_post_sort_survive_round_faults() {
+    let _serial = serial();
     let t = chaos_table(4096);
 
     let mut ob = Query::named("chaos_orderby");
@@ -206,13 +222,17 @@ fn orderby_and_post_sort_survive_round_faults() {
 /// code-first comparisons must not change a single row.
 #[test]
 fn ovc_merge_path_survives_round_faults() {
+    let _serial = serial();
     let t = chaos_table(8192);
     let mut q = Query::named("chaos_ovc_orderby");
     q.order_by = vec![OrderKey::asc("ship_date"), OrderKey::asc("price")];
     q.select = vec!["ship_date".into(), "price".into(), "nation".into()];
 
     for use_ovc in [true, false] {
-        let mut cfg = EngineConfig::default();
+        // The loser tree is the merge-sort's: pin that kernel.
+        let mut cfg = EngineConfig::builder()
+            .kernel(SortKernel::MergeSort)
+            .build();
         cfg.exec.sort.in_cache_bytes = 2048; // ~256-element runs: forces multiway passes
         cfg.exec.sort.use_ovc = use_ovc;
         cfg.model.ovc = use_ovc;
@@ -241,6 +261,7 @@ fn ovc_merge_path_survives_round_faults() {
 /// same session (same arena) must fully overwrite what it reads.
 #[test]
 fn mid_round_fault_does_not_poison_the_session_arena() {
+    let _serial = serial();
     let t = chaos_table(20_000); // big enough for the parallel path
     let mut db = Database::new();
     db.register(t.clone());
@@ -299,6 +320,7 @@ fn mid_round_fault_does_not_poison_the_session_arena() {
 /// byte-identical to a fresh-buffer run.
 #[test]
 fn mid_morsel_worker_panic_is_typed_and_leaves_the_arena_clean() {
+    let _serial = serial();
     use codemassage::core::{multi_column_sort_with, ExecArena, SortError};
     use mcs_columnar::CodeVec;
 
@@ -364,6 +386,7 @@ fn budgeted_cfg() -> EngineConfig {
 /// answer, and nothing counted as spilled.
 #[test]
 fn spill_write_fault_degrades_to_in_memory() {
+    let _serial = serial();
     let t = chaos_table(8192);
     let q = groupby_query();
     let cfg = budgeted_cfg();
@@ -406,6 +429,7 @@ fn spill_write_fault_degrades_to_in_memory() {
 /// Same contract — `spill_failed` rung, in-memory rerun, correct rows.
 #[test]
 fn spill_read_fault_degrades_to_in_memory() {
+    let _serial = serial();
     let t = chaos_table(8192);
     let q = groupby_query();
     let cfg = budgeted_cfg();
@@ -424,6 +448,7 @@ fn spill_read_fault_degrades_to_in_memory() {
 /// rung taken must be the spill one.
 #[test]
 fn probabilistic_spill_faults_stay_correct() {
+    let _serial = serial();
     let t = chaos_table(8192);
     let q = groupby_query();
     let cfg = budgeted_cfg();
@@ -455,6 +480,7 @@ fn probabilistic_spill_faults_stay_correct() {
 /// or (never, for these faults) a typed error.
 #[test]
 fn chaos_sweep_never_aborts_and_stays_correct() {
+    let _serial = serial();
     let t = chaos_table(8192);
     let mut ob = Query::named("sweep_orderby");
     ob.order_by = vec![OrderKey::desc("price"), OrderKey::asc("nation")];
@@ -519,6 +545,7 @@ const HEADROOM: Duration = Duration::from_millis(50);
 /// armed-Always delay point at the massage entry never traverses.
 #[test]
 fn pre_expired_deadline_executes_no_phase() {
+    let _serial = serial();
     let t = chaos_table(4096);
     let mut db = Database::new();
     db.register(t.clone());
@@ -551,6 +578,7 @@ fn pre_expired_deadline_executes_no_phase() {
 /// pre-fault clean run byte-for-byte.
 #[test]
 fn deadline_fires_inside_every_phase_without_poisoning_the_session() {
+    let _serial = serial();
     let t = chaos_table(8192);
     let mut db = Database::new();
     db.register(t.clone());
@@ -617,6 +645,7 @@ fn deadline_fires_inside_every_phase_without_poisoning_the_session() {
 /// in-memory retry never ran.
 #[test]
 fn expired_deadline_skips_the_spill_failed_retry() {
+    let _serial = serial();
     let t = chaos_table(8192);
     let mut db = Database::new();
     db.register(t.clone());
@@ -669,6 +698,7 @@ fn expired_deadline_skips_the_spill_failed_retry() {
 /// sort-fault traversals, typed `Cancelled`.
 #[test]
 fn cancellation_preempts_the_degradation_ladder() {
+    let _serial = serial();
     let t = chaos_table(8192);
     let mut db = Database::new();
     db.register(t.clone());
@@ -723,6 +753,7 @@ fn cancellation_preempts_the_degradation_ladder() {
 /// the error cause reports what actually stopped the query.
 #[test]
 fn manual_cancel_wins_over_a_pending_deadline() {
+    let _serial = serial();
     let t = chaos_table(8192);
     let mut db = Database::new();
     db.register(t.clone());
@@ -763,6 +794,7 @@ fn manual_cancel_wins_over_a_pending_deadline() {
 /// on disk (the RAII guard, not just the happy path, deletes them).
 #[test]
 fn no_spill_files_survive_any_exit_path() {
+    let _serial = serial();
     fn on_disk_spill_dirs() -> usize {
         let prefix = format!("mcs-extsort-{}-", std::process::id());
         std::fs::read_dir(std::env::temp_dir())

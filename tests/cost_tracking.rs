@@ -4,12 +4,14 @@
 //!
 //! This is a sanity rail, not a benchmark: it catches the cost model and
 //! the executor drifting apart (a changed constant, a phase the model no
-//! longer prices, a round the executor stopped timing) while staying
-//! robust to noisy CI machines. The plan shapes mirror the differential
-//! oracle's coverage matrix (identity / stitch / borrow / split).
+//! longer prices, a round the executor stopped timing, a kernel the model
+//! prices but the dispatch no longer runs) while staying robust to noisy
+//! CI machines. The plan shapes mirror the differential oracle's coverage
+//! matrix (identity / stitch / borrow / split), each under both sort
+//! kernels with the model's `kernel` mirroring the executor's.
 
 use mcs_columnar::CodeVec;
-use mcs_core::{multi_column_sort, ExecConfig, MassagePlan, SortSpec};
+use mcs_core::{multi_column_sort, ExecConfig, MassagePlan, SortConfig, SortKernel, SortSpec};
 use mcs_cost::{
     calibrate, CalibrationOptions, CostModel, KeyColumnStats, MachineSpec, SortInstance,
 };
@@ -65,10 +67,30 @@ fn build_instance(rng: &mut Rng, widths: &[u32]) -> (Vec<CodeVec>, Vec<SortSpec>
 }
 
 fn check_plan(label: &str, model: &CostModel, widths: &[u32], plan: &MassagePlan) {
-    let mut rng = Rng::stream(0x5EED_C057, label);
+    for kernel in [SortKernel::Auto, SortKernel::MergeSort] {
+        let model = CostModel {
+            kernel,
+            ..model.clone()
+        };
+        check_plan_under(&format!("{label}/{kernel:?}"), label, &model, widths, plan);
+    }
+}
+
+fn check_plan_under(
+    label: &str,
+    data: &str,
+    model: &CostModel,
+    widths: &[u32],
+    plan: &MassagePlan,
+) {
+    let mut rng = Rng::stream(0x5EED_C057, data);
     let (cols, specs, inst) = build_instance(&mut rng, widths);
     let refs: Vec<&CodeVec> = cols.iter().collect();
     let cfg = ExecConfig {
+        sort: SortConfig {
+            kernel: model.kernel,
+            ..SortConfig::default()
+        },
         threads: 1, // predictions are single-core CPU time
         want_final_groups: true,
         ..ExecConfig::default()

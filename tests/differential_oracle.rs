@@ -7,9 +7,9 @@
 //!
 //! Coverage is enforced, not hoped for: the axis matrix test records a
 //! cell for every (plan shape × SIMD bank × thread count × direction
-//! mix × OVC on/off) it actually executed and then asserts the full
-//! cross product is present, so dropping any axis from the driver loop
-//! fails the test. The OVC axis rides inside `run_and_check`: every
+//! mix × OVC on/off × budget × sort kernel) it actually executed and then
+//! asserts the full cross product is present, so dropping any axis from
+//! the driver loop fails the test. The OVC axis rides inside `run_and_check`: every
 //! problem runs the merge with offset-value codes enabled *and*
 //! disabled, and the two outputs must be byte-identical.
 
@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use mcs_columnar::CodeVec;
 use mcs_core::{
     multi_column_sort, multi_column_sort_with, Bank, ExecArena, ExecConfig, MassagePlan, Round,
-    SortSpec,
+    SortConfig, SortKernel, SortSpec,
 };
 use mcs_engine::rank_over;
 use mcs_test_support::{
@@ -105,9 +105,12 @@ fn sort_specs(p: &SortProblem) -> Vec<SortSpec> {
         .collect()
 }
 
-/// Run the full pipeline for `p` under `plan`/`threads` and check the
-/// oid order, group bounds, per-group membership, window ranks, and
-/// per-group aggregates against the scalar reference.
+/// Both sort families: the size-driven dispatch and the SIMD merge-sort.
+const KERNELS: [SortKernel; 2] = [SortKernel::Auto, SortKernel::MergeSort];
+
+/// Run the full pipeline for `p` under `plan`/`threads` with each sort
+/// kernel and check the oid order, group bounds, per-group membership,
+/// window ranks, and per-group aggregates against the scalar reference.
 fn run_and_check(
     label: &str,
     p: &SortProblem,
@@ -115,10 +118,34 @@ fn run_and_check(
     plan: &MassagePlan,
     threads: usize,
 ) {
+    for kernel in KERNELS {
+        run_and_check_kernel(
+            &format!("{label}/{kernel:?}"),
+            p,
+            reference,
+            plan,
+            threads,
+            kernel,
+        );
+    }
+}
+
+fn run_and_check_kernel(
+    label: &str,
+    p: &SortProblem,
+    reference: &Reference,
+    plan: &MassagePlan,
+    threads: usize,
+    kernel: SortKernel,
+) {
     let cols = code_vecs(p);
     let refs: Vec<&CodeVec> = cols.iter().collect();
     let specs = sort_specs(p);
     let cfg = ExecConfig {
+        sort: SortConfig {
+            kernel,
+            ..SortConfig::default()
+        },
         threads,
         want_final_groups: true,
         ..ExecConfig::default()
@@ -281,7 +308,7 @@ fn full_axis_matrix_against_reference() {
     };
 
     let mut rng = Rng::seed_from_u64(0xD1FF_0AC1E_u64);
-    let mut covered: BTreeSet<(Shape, u32, usize, bool, bool, usize)> = BTreeSet::new();
+    let mut covered: BTreeSet<(Shape, u32, usize, bool, bool, usize, String)> = BTreeSet::new();
 
     for bank in Bank::ALL {
         for shape in SHAPES {
@@ -308,20 +335,24 @@ fn full_axis_matrix_against_reference() {
                             if mixed { "mixed" } else { "asc" }
                         );
                         run_and_check(&label, &p, &reference, &plan, threads);
-                        // run_and_check executes the merge with OVC on
-                        // (the default) and off, and the sort in memory
-                        // (divisor 0) and under footprint/4 and
-                        // footprint/16 budgets; every cell is covered.
-                        for ovc in [true, false] {
-                            for budget_div in [0usize, 4, 16] {
-                                covered.insert((
-                                    shape,
-                                    bank.bits(),
-                                    threads,
-                                    mixed,
-                                    ovc,
-                                    budget_div,
-                                ));
+                        // run_and_check executes every `KERNELS` entry,
+                        // each with the merge with OVC on (the default)
+                        // and off, and the sort in memory (divisor 0) and
+                        // under footprint/4 and footprint/16 budgets;
+                        // every cell is covered.
+                        for kernel in KERNELS {
+                            for ovc in [true, false] {
+                                for budget_div in [0usize, 4, 16] {
+                                    covered.insert((
+                                        shape,
+                                        bank.bits(),
+                                        threads,
+                                        mixed,
+                                        ovc,
+                                        budget_div,
+                                        format!("{kernel:?}"),
+                                    ));
+                                }
                             }
                         }
                     }
@@ -338,17 +369,19 @@ fn full_axis_matrix_against_reference() {
                 for mixed in [false, true] {
                     for ovc in [true, false] {
                         for budget_div in [0usize, 4, 16] {
-                            assert!(
-                                covered.contains(&(shape, bank_bits, threads, mixed, ovc, budget_div)),
-                                "axis cell dropped: {shape:?} x B{bank_bits} x {threads} threads x mixed={mixed} x ovc={ovc} x budget 1/{budget_div}"
-                            );
+                            for kernel in ["Auto", "MergeSort"] {
+                                assert!(
+                                    covered.contains(&(shape, bank_bits, threads, mixed, ovc, budget_div, kernel.to_string())),
+                                    "axis cell dropped: {shape:?} x B{bank_bits} x {threads} threads x mixed={mixed} x ovc={ovc} x budget 1/{budget_div} x kernel {kernel}"
+                                );
+                            }
                         }
                     }
                 }
             }
         }
     }
-    assert_eq!(covered.len(), 4 * 3 * 2 * 2 * 2 * 3);
+    assert_eq!(covered.len(), 4 * 3 * 2 * 2 * 2 * 3 * 2);
 }
 
 /// Randomized sweep: arbitrary column sets (totals past 64 bits force
@@ -422,6 +455,71 @@ fn tiny_budget_forces_at_least_four_spilled_runs() {
     assert_eq!(got.groups.offsets, want.groups.offsets, "spilled groups");
 }
 
+/// Deadlines swept across a sort whose rounds run the radix kernel: one
+/// already expired at entry, the rest expiring somewhere inside massage,
+/// a scatter pass, a lookup or a scan. Every outcome must be either the
+/// complete, byte-identical result or the typed cancellation error —
+/// never a partially sorted output — and the shared arena must serve the
+/// immediate retry byte-identically whichever way the run ended.
+#[test]
+fn deadline_swept_across_radix_rounds_never_publishes_garbage() {
+    let mut rng = Rng::seed_from_u64(0xDEAD_11E0);
+    let specs = [
+        mcs_test_support::ColumnSpec {
+            width: 8,
+            descending: false,
+        },
+        mcs_test_support::ColumnSpec {
+            width: 33,
+            descending: true,
+        },
+    ];
+    // 2^8 first-column values: round 2's groups average 234 rows, past
+    // the packed/radix crossover, so both rounds run the radix kernel.
+    let p = gen_problem(&mut rng, 60_000, &specs, Dist::Uniform);
+    let cols = code_vecs(&p);
+    let refs: Vec<&CodeVec> = cols.iter().collect();
+    let sspecs = sort_specs(&p);
+    let plan = MassagePlan::column_at_a_time(&sspecs);
+    let cfg = ExecConfig {
+        want_final_groups: true,
+        ..ExecConfig::default()
+    };
+    let mut arena = ExecArena::new();
+    let t = std::time::Instant::now();
+    let want = multi_column_sort_with(&refs, &sspecs, &plan, &cfg, &mut arena).expect("no token");
+    let whole = t.elapsed();
+    assert!(
+        want.stats
+            .rounds
+            .iter()
+            .all(|r| r.codes_sorted / r.invocations > mcs_simd_sort::PACKED_MAX_ROWS),
+        "both rounds must reach the radix kernel"
+    );
+
+    let mut cancelled = 0;
+    for step in 0..=16u32 {
+        let mut timed = cfg.clone();
+        timed.sort.cancel = mcs_core::CancelToken::with_timeout(whole * step / 16);
+        match multi_column_sort_with(&refs, &sspecs, &plan, &timed, &mut arena) {
+            Ok(out) => {
+                assert_eq!(out.oids, want.oids, "step {step}: completed run differs");
+                assert_eq!(out.groups.offsets, want.groups.offsets, "step {step}");
+            }
+            Err(mcs_core::SortError::Cancelled(_)) => cancelled += 1,
+            Err(e) => panic!("step {step}: wrong error {e:?}"),
+        }
+        let retry = multi_column_sort_with(&refs, &sspecs, &plan, &cfg, &mut arena)
+            .expect("retry on the same arena");
+        assert_eq!(retry.oids, want.oids, "step {step}: retry oids");
+        assert_eq!(
+            retry.groups.offsets, want.groups.offsets,
+            "step {step}: retry groups"
+        );
+    }
+    assert!(cancelled > 0, "the expired-at-entry deadline must cancel");
+}
+
 /// The work-stealing axis: one group holding >90% of the rows after
 /// round 1 makes the static per-worker seeding maximally unbalanced, so
 /// the workers that finish their small groups early must steal from the
@@ -459,49 +557,58 @@ fn skewed_group_distribution_steals_and_stays_byte_identical() {
     let specs = sort_specs(&p);
     let plan = MassagePlan::column_at_a_time(&specs);
 
-    let run = |threads: usize| {
-        let cfg = ExecConfig {
-            threads,
-            want_final_groups: true,
-            ..ExecConfig::default()
+    for kernel in KERNELS {
+        let run = |threads: usize| {
+            let cfg = ExecConfig {
+                sort: SortConfig {
+                    kernel,
+                    ..SortConfig::default()
+                },
+                threads,
+                want_final_groups: true,
+                ..ExecConfig::default()
+            };
+            multi_column_sort(&refs, &specs, &plan, &cfg).expect("valid sort instance")
         };
-        multi_column_sort(&refs, &specs, &plan, &cfg).expect("valid sort instance")
-    };
-    let serial = run(1);
-    assert!(
-        serial.stats.morsel_counts().is_empty(),
-        "threads=1 must not schedule morsels"
-    );
-    mcs_test_support::assert_matches_reference(
-        "skew/t1",
-        &p,
-        &reference,
-        &serial.oids,
-        Some(&serial.groups.offsets),
-    );
-    for threads in [2usize, 4, 8] {
-        let mut stolen = 0u64;
-        for attempt in 0..50 {
-            let out = run(threads);
-            assert_eq!(
-                out.oids, serial.oids,
-                "skew/t{threads}/attempt{attempt}: steal schedule leaked into the output"
-            );
-            assert_eq!(
-                out.groups.offsets, serial.groups.offsets,
-                "skew/t{threads}/attempt{attempt}: group bounds diverged"
-            );
-            let m = out.stats.morsel_counts();
-            assert!(m.dispatched > 0, "skew/t{threads}: no morsels dispatched");
-            stolen = m.stolen;
-            if stolen > 0 {
-                break;
-            }
-        }
+        let serial = run(1);
         assert!(
-            stolen > 0,
-            "skew/t{threads}: no steal observed in 50 attempts on a >90% skewed group"
+            serial.stats.morsel_counts().is_empty(),
+            "threads=1 must not schedule morsels"
         );
+        mcs_test_support::assert_matches_reference(
+            &format!("skew/{kernel:?}/t1"),
+            &p,
+            &reference,
+            &serial.oids,
+            Some(&serial.groups.offsets),
+        );
+        for threads in [2usize, 4, 8] {
+            let mut stolen = 0u64;
+            for attempt in 0..50 {
+                let out = run(threads);
+                assert_eq!(
+                    out.oids, serial.oids,
+                    "skew/{kernel:?}/t{threads}/attempt{attempt}: steal schedule leaked into the output"
+                );
+                assert_eq!(
+                    out.groups.offsets, serial.groups.offsets,
+                    "skew/{kernel:?}/t{threads}/attempt{attempt}: group bounds diverged"
+                );
+                let m = out.stats.morsel_counts();
+                assert!(
+                    m.dispatched > 0,
+                    "skew/{kernel:?}/t{threads}: no morsels dispatched"
+                );
+                stolen = m.stolen;
+                if stolen > 0 {
+                    break;
+                }
+            }
+            assert!(
+                stolen > 0,
+                "skew/{kernel:?}/t{threads}: no steal observed in 50 attempts on a >90% skewed group"
+            );
+        }
     }
 }
 

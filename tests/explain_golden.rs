@@ -1,7 +1,7 @@
 //! Golden snapshot of the redacted EXPLAIN rendering: a fixed instance
 //! under a fixed plan must produce byte-identical output across runs and
 //! machines. Wall-clock cells are redacted; everything else — layout,
-//! plan notation, widths, banks, group flow, invocation counts — is
+//! plan notation, widths, banks, per-round kernel, group flow, invocation counts — is
 //! deterministic and pinned here. Update the snapshot deliberately when
 //! the report format changes.
 
@@ -14,7 +14,7 @@ EXPLAIN mcs: golden
 plan {R1: 24/[32], R2: 6/[16]}  rows 4096  predicted T_mcs ###  measured ###
 phase                  width  bank  predicted   measured  pred/act
 massage                    -     -        ###        ###       ###
-R1 sort                   24  [32]        ###        ###       ###
+R1 sort radix×3           24  [32]        ###        ###       ###
 R1 scan                   24  [32]        ###        ###       ###
    groups 1 -> 4096, 1 sort invocations, 4096 codes
 R2 lookup                  6  [16]        ###        ###       ###

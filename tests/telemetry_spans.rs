@@ -1,6 +1,6 @@
 //! Acceptance test for the telemetry layer: every pipeline phase —
-//! ByteSlice scan, per-round lookup, per-round sort (with its three
-//! sub-phases), boundary scan, aggregation, window rank — emits exactly
+//! ByteSlice scan, per-round lookup, per-round sort (with its five
+//! per-kernel sub-spans), boundary scan, aggregation, window rank — emits exactly
 //! one span per execution, with the expected names, and the JSONL export
 //! carries them all.
 //!
@@ -76,11 +76,27 @@ fn three_column_query_emits_one_span_per_phase() {
     telemetry::reset();
     let r = run_query(&t, &q, &cfg).unwrap();
     assert!(r.rows > 0);
+
+    // The default kernel is the size-driven dispatch: all kernel time is
+    // in the radix and small-sort sub-spans, none in the merge-sort
+    // phases, and the sub-spans fit inside the sort spans they detail.
+    let snap = telemetry::snapshot();
+    let dur = |name: &str| -> u64 {
+        let spans = snap.spans.iter().filter(|s| s.name == name);
+        spans.map(|s| s.dur_ns).sum()
+    };
+    let merge_phases = dur("mcs.round.sort.in_register")
+        + dur("mcs.round.sort.in_cache_merge")
+        + dur("mcs.round.sort.multiway_merge");
+    assert_eq!(merge_phases, 0, "Auto ran a merge-sort phase");
+    let kernels = dur("mcs.round.sort.radix") + dur("mcs.round.sort.small");
+    assert!(kernels > 0 && kernels <= dur("mcs.round.sort"));
     let counts = span_counts();
 
     // One span per phase execution: 1 filter scan; 1 massage; lookups for
     // rounds 2 and 3 only (round 1 sorts the gathered column directly);
-    // 3 sorts, each with its three sub-phase spans; 3 boundary scans
+    // 3 sorts, each with its five per-kernel sub-spans (the three
+    // merge-sort phases, radix, small sorts); 3 boundary scans
     // (want_final_groups prices the last round's scan too); 1 aggregation;
     // 1 query envelope.
     let expect: &[(&str, usize)] = &[
@@ -91,6 +107,8 @@ fn three_column_query_emits_one_span_per_phase() {
         ("mcs.round.sort.in_register", 3),
         ("mcs.round.sort.in_cache_merge", 3),
         ("mcs.round.sort.multiway_merge", 3),
+        ("mcs.round.sort.radix", 3),
+        ("mcs.round.sort.small", 3),
         ("mcs.round.scan", 3),
         ("engine.aggregate", 1),
         ("engine.query", 1),
@@ -349,7 +367,9 @@ fn fault_point_registry_is_pinned() {
 #[test]
 fn cancellation_counters_and_marker_spans_fire() {
     let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let t = demo_table(2048);
+    // Large enough that one query outlasts the spawning of the seven
+    // threads it must shed in the saturation step below.
+    let t = demo_table(1 << 17);
     let mut db = Database::new();
     db.register(t);
     let session = Session::new(&db, EngineConfig::default());

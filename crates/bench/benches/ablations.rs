@@ -4,12 +4,9 @@
 //!
 //! * out-of-cache merge fan-out `F` (Eq. 8's `log_F` passes vs per-pass
 //!   loser-tree work);
-//! * in-cache run size (when to leave binary SIMD merging);
-//! * segmented-sort small-group threshold (insertion sort vs full
-//!   merge-sort invocations — the `C_overhead` effect behind the
-//!   Figure 4 time hill).
+//! * in-cache run size (when to leave binary SIMD merging).
 
-use mcs_simd_sort::{sort_pairs_in_groups, sort_pairs_with, GroupBounds, SortConfig, SortKernel};
+use mcs_simd_sort::{sort_pairs_with, SortConfig, SortKernel};
 use mcs_test_support::microbench::{BenchmarkId, Criterion, Throughput};
 use mcs_test_support::{criterion_group, criterion_main};
 
@@ -82,41 +79,5 @@ fn bench_in_cache_run(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_small_threshold(c: &mut Criterion) {
-    // Many small groups: the regime of a second sorting round.
-    let n = 1usize << 19;
-    let group = 64usize;
-    let mut state = 0x9999u64;
-    let keys: Vec<u16> = (0..n).map(|_| xorshift(&mut state) as u16).collect();
-    let oids: Vec<u32> = (0..n as u32).collect();
-    let offsets: Vec<u32> = (0..=n / group).map(|g| (g * group) as u32).collect();
-    let bounds = GroupBounds::from_offsets(offsets);
-    let mut g = c.benchmark_group("ablation_small_threshold");
-    g.throughput(Throughput::Elements(n as u64));
-    g.sample_size(10);
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    for thr in [0usize, 32, 192, 1024] {
-        let cfg = SortConfig {
-            small_threshold: thr,
-            ..merge_sort()
-        };
-        g.bench_function(BenchmarkId::new("segmented_64elem_groups", thr), |b| {
-            b.iter(|| {
-                let mut k = keys.clone();
-                let mut o = oids.clone();
-                sort_pairs_in_groups(&mut k, &mut o, &bounds, &cfg);
-                (k, o)
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_fanout,
-    bench_in_cache_run,
-    bench_small_threshold
-);
+criterion_group!(benches, bench_fanout, bench_in_cache_run);
 criterion_main!(benches);

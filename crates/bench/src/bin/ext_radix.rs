@@ -14,7 +14,9 @@ use mcs_bench::{explain_enabled, ms, paper_exec, print_table, rows, seed, time};
 use mcs_core::{massage, multi_column_sort, ExecConfig, MassagePlan, RoundKeys, SortKernel};
 use mcs_cost::CostModel;
 use mcs_engine::ExplainReport;
-use mcs_simd_sort::{group_boundaries, sort_pairs_radix, sort_pairs_with, SortConfig};
+use mcs_simd_sort::{
+    group_boundaries, radix_sort_pairs, sort_pairs_with, CancelToken, SortConfig, SortScratch,
+};
 use mcs_workloads::ex3;
 
 fn main() {
@@ -51,7 +53,12 @@ fn main() {
         let (_, d_radix) = time(|| {
             let mut k = v.clone();
             let mut o = oids.clone();
-            sort_pairs_radix(&mut k, &mut o, 17);
+            radix_sort_pairs(
+                &mut k,
+                &mut o,
+                &mut SortScratch::new(),
+                &CancelToken::none(),
+            );
             group_boundaries(&k).num_groups()
         });
         out.push(vec![

@@ -19,9 +19,9 @@ use std::time::Instant;
 
 use mcs_bench::{env_usize, print_table};
 use mcs_simd_sort::{
-    insertion_sort_pairs, sort_pairs_in_groups_scratch, sort_pairs_packed,
-    sort_pairs_radix_in_groups, sort_pairs_scalar, GroupBounds, Key, SortConfig, SortKernel,
-    SortScratch, SortableKey,
+    insertion_sort_pairs, radix_sort_pairs, sort_pairs_in_groups, sort_pairs_packed,
+    sort_pairs_scalar, CancelToken, GroupBounds, Key, SortConfig, SortKernel, SortScratch,
+    SortableKey, WorkerScratch,
 };
 
 /// Timed repetitions per cell; the fastest is reported (the probe asks
@@ -68,7 +68,8 @@ fn probe_bank<K: SortableKey>(bank: &str, keys: &[K], lens: &[usize], out: &mut 
         force_portable: true,
         ..merge.clone()
     };
-    let mut scratch = SortScratch::new();
+    let (mut workers, mut scratch) = (WorkerScratch::new(), SortScratch::new());
+    let serial = "the serial path spawns no worker";
     for &len in lens {
         // Whole groups only: the tail that does not fill one stays a
         // run of singletons, which no kernel touches.
@@ -80,19 +81,22 @@ fn probe_bank<K: SortableKey>(bank: &str, keys: &[K], lens: &[usize], out: &mut 
 
         for (variant, cfg) in [("mergesort", &merge), ("auto", &auto)] {
             let v = melem_per_s(keys, |k, o| {
-                sort_pairs_in_groups_scratch(k, o, &groups, cfg, &mut scratch);
+                sort_pairs_in_groups(k, o, &groups, 1, cfg, &mut workers).expect(serial);
             });
             cell(variant, v);
         }
         // The portable merge-sort only where the SIMD one is the subject.
         if len >= 1 << 16 {
             let v = melem_per_s(keys, |k, o| {
-                sort_pairs_in_groups_scratch(k, o, &groups, &portable, &mut scratch);
+                sort_pairs_in_groups(k, o, &groups, 1, &portable, &mut workers).expect(serial);
             });
             cell("mergesort portable", v);
         }
         let v = melem_per_s(keys, |k, o| {
-            sort_pairs_radix_in_groups(k, o, &groups, K::BITS);
+            for r in groups.iter() {
+                let (k, o) = (&mut k[r.clone()], &mut o[r]);
+                radix_sort_pairs(k, o, &mut scratch, &CancelToken::none());
+            }
         });
         cell("radix", v);
         // The comparison kernels only where they are candidates: packed

@@ -11,14 +11,13 @@ use std::time::Instant;
 use mcs_cancel::CancelCause;
 use mcs_columnar::CodeVec;
 use mcs_simd_sort::{
-    for_each_chunk, sort_pairs_in_groups_parallel_scratch, GroupBounds, MergeCounters,
-    MorselCounts, PhaseTimes, SegmentedSortStats, SortConfig, WorkerPanic, WorkerScratch,
-    DEFAULT_PARALLEL_CUTOFF_ROWS,
+    for_each_chunk, sort_pairs_in_groups, GroupBounds, MergeCounters, MorselCounts, PhaseTimes,
+    SegmentedSortStats, SortConfig, WorkerPanic, WorkerScratch, PARALLEL_CUTOFF_ROWS,
 };
 use mcs_telemetry as telemetry;
 
 use crate::arena::{ArenaStats, ExecArena, Lease};
-use crate::massage::{massage_into_cancellable, width_mask, RoundKeys, SendPtr};
+use crate::massage::{massage_into, width_mask, RoundKeys, SendPtr};
 use crate::plan::{MassagePlan, PlanError, SortSpec};
 
 /// Why a [`multi_column_sort`] invocation was rejected before running.
@@ -45,8 +44,8 @@ pub enum SortError {
     WorkerPanicked {
         /// Round (0-based) whose sort lost a worker.
         round: usize,
-        /// Chunk index of the dead worker within that round.
-        chunk: usize,
+        /// Index of the dead worker within that round's sort.
+        worker: usize,
     },
     /// A fault-injection point fired (chaos testing only; carries the
     /// fault-point name from [`mcs_faults::points`]).
@@ -76,8 +75,8 @@ impl core::fmt::Display for SortError {
             SortError::TooManyRows(n) => {
                 write!(f, "{n} rows exceed the u32 oid space")
             }
-            SortError::WorkerPanicked { round, chunk } => {
-                write!(f, "sort worker panicked in round {round}, chunk {chunk}")
+            SortError::WorkerPanicked { round, worker } => {
+                write!(f, "sort worker panicked in round {round}, chunk {worker}")
             }
             SortError::Injected(name) => write!(f, "injected fault: {name}"),
             SortError::Spill(msg) => write!(f, "run spill failed: {msg}"),
@@ -263,7 +262,7 @@ fn gather_into_morsels<T: Copy + Default + Send + Sync>(
 ) -> MorselCounts {
     debug_assert_eq!(src.len(), oids.len());
     let n = oids.len();
-    if threads <= 1 || n < DEFAULT_PARALLEL_CUTOFF_ROWS {
+    if threads <= 1 || n < PARALLEL_CUTOFF_ROWS {
         gather_into(src, oids, dst);
         return MorselCounts::default();
     }
@@ -348,7 +347,7 @@ fn sort_round(
 ) -> Result<SegmentedSortStats, WorkerPanic> {
     macro_rules! go {
         ($v:expr) => {
-            sort_pairs_in_groups_parallel_scratch($v, oids, groups, cfg.threads, &cfg.sort, scratch)
+            sort_pairs_in_groups($v, oids, groups, cfg.threads, &cfg.sort, scratch)
         };
     }
     match keys {
@@ -369,12 +368,7 @@ fn refine_groups_into(
     spare: &mut Vec<u32>,
     threads: usize,
 ) -> MorselCounts {
-    let n = match keys {
-        RoundKeys::B16(v) => v.len(),
-        RoundKeys::B32(v) => v.len(),
-        RoundKeys::B64(v) => v.len(),
-    };
-    let counts = if threads <= 1 || n < DEFAULT_PARALLEL_CUTOFF_ROWS {
+    let counts = if threads <= 1 || keys.len() < PARALLEL_CUTOFF_ROWS {
         match keys {
             RoundKeys::B16(v) => groups.refine_into(v, spare),
             RoundKeys::B32(v) => groups.refine_into(v, spare),
@@ -474,7 +468,7 @@ fn sort_impl(
     // (which has no massage phase).
     mcs_faults::delay_point(mcs_faults::points::EXEC_DELAY_MASSAGE);
     let tm = Instant::now();
-    let (prog, massage_morsels) = massage_into_cancellable(
+    let (prog, massage_morsels) = massage_into(
         inputs,
         specs,
         plan,
@@ -630,7 +624,7 @@ fn run_rounds(cfg: &ExecConfig, lease: &mut Lease, stats: &mut ExecStats) -> Res
         let sstats = sort_round(keys, oids, groups, cfg, workers).map_err(|p| {
             SortError::WorkerPanicked {
                 round: k,
-                chunk: p.chunk,
+                worker: p.worker,
             }
         })?;
         // A token fired inside the segmented sort made it exit early with

@@ -54,9 +54,7 @@ pub use executor::{
     multi_column_sort, multi_column_sort_with, tuple_cmp, verify_sorted, ExecConfig, ExecStats,
     MultiColumnSortOutput, RoundStats, SortError,
 };
-pub use massage::{
-    massage, massage_into, massage_into_cancellable, width_mask, FipStep, MassageProgram, RoundKeys,
-};
+pub use massage::{massage, massage_into, width_mask, FipStep, MassageProgram, RoundKeys};
 pub use plan::{MassagePlan, PlanError, Round, SortSpec};
 
 // Re-export the pieces callers need alongside plans.

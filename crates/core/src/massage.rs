@@ -109,51 +109,6 @@ impl MassageProgram {
                 .all(|s| s.in_shift == 0 && s.out_shift == 0)
             && self.specs.iter().all(|s| !s.descending)
     }
-
-    /// Execute over `inputs` (one [`CodeVec`] per spec, equal lengths),
-    /// producing one `u64` key vector per output round, optionally
-    /// partition-parallel across `threads`.
-    pub fn execute(&self, inputs: &[&CodeVec], threads: usize) -> Vec<Vec<u64>> {
-        assert_eq!(inputs.len(), self.specs.len());
-        let n = inputs.first().map_or(0, |c| c.len());
-        for c in inputs {
-            assert_eq!(c.len(), n, "input column length mismatch");
-        }
-        let mut out: Vec<Vec<u64>> = self.out_widths.iter().map(|_| vec![0u64; n]).collect();
-
-        // One sequential pass per step; rows chunked across threads.
-        for step in &self.steps {
-            let src = inputs[step.in_col];
-            let spec = self.specs[step.in_col];
-            let comp_mask = if spec.descending {
-                width_mask(spec.width)
-            } else {
-                0
-            };
-            let seg_mask = width_mask(step.len);
-            let dst = &mut out[step.out_col];
-            // SAFETY-free parallelism: chunks are disjoint row ranges; we
-            // hand each thread a raw pointer region via split_at_mut-like
-            // chunking below.
-            let dst_ptr = SendPtr(dst.as_mut_ptr());
-            for_each_chunk(n, threads, |_, start, len| {
-                // Rebind to capture the whole SendPtr rather than its raw
-                // *mut field (edition-2021 closures capture disjoint
-                // fields, and a bare *mut is not Send).
-                #[allow(clippy::redundant_locals)]
-                let dst_ptr = dst_ptr;
-                for r in start..start + len {
-                    let code = src.get(r) ^ comp_mask;
-                    let bits = (code >> step.in_shift) & seg_mask;
-                    // SAFETY: row ranges of different chunks are disjoint.
-                    unsafe {
-                        *dst_ptr.0.add(r) |= bits << step.out_shift;
-                    }
-                }
-            });
-        }
-        out
-    }
 }
 
 /// `(1 << w) - 1` without overflow at `w = 64`.
@@ -224,15 +179,6 @@ pub enum RoundKeys {
 }
 
 impl RoundKeys {
-    /// Narrow `u64` keys into the bank's physical type.
-    pub fn from_u64s(bank: Bank, keys: &[u64]) -> RoundKeys {
-        match bank {
-            Bank::B16 => RoundKeys::B16(keys.iter().map(|&v| v as u16).collect()),
-            Bank::B32 => RoundKeys::B32(keys.iter().map(|&v| v as u32).collect()),
-            Bank::B64 => RoundKeys::B64(keys.to_vec()),
-        }
-    }
-
     /// The bank this buffer physically is.
     pub fn bank(&self) -> Bank {
         match self {
@@ -273,25 +219,15 @@ impl RoundKeys {
 /// `outs` must hold one zero-filled [`RoundKeys`] per plan round, each
 /// of the round's bank and of the input row count; every FIP step ORs
 /// its bit segment straight into the destination bank type, so no
-/// intermediate wide `u64` vectors are materialized. Returns the
-/// compiled program (for `I_FIP` accounting).
+/// intermediate wide `u64` vectors are materialized.
+///
+/// `cancel` is polled before every FIP step (each is one full O(n) pass
+/// over a column segment). A fired token abandons the remaining steps,
+/// leaving partially massaged round buffers — the caller must observe the
+/// token and discard them. The compiled program (for `I_FIP` accounting)
+/// is returned either way, along with the morsel scheduler counters
+/// summed over the executed steps (all zero when the steps ran serially).
 pub fn massage_into(
-    inputs: &[&CodeVec],
-    specs: &[SortSpec],
-    plan: &MassagePlan,
-    threads: usize,
-    outs: &mut [RoundKeys],
-) -> MassageProgram {
-    massage_into_cancellable(inputs, specs, plan, threads, outs, &CancelToken::none()).0
-}
-
-/// Like [`massage_into`], polling `cancel` before every FIP step (each is
-/// one full O(n) pass over a column segment). A fired token abandons the
-/// remaining steps, leaving partially massaged round buffers — the caller
-/// must observe the token and discard them. The compiled program is
-/// returned either way, along with the morsel scheduler counters summed
-/// over the executed steps (all zero when the steps ran serially).
-pub fn massage_into_cancellable(
     inputs: &[&CodeVec],
     specs: &[SortSpec],
     plan: &MassagePlan,
@@ -349,7 +285,14 @@ pub fn massage(
             Bank::B64 => RoundKeys::B64(vec![0u64; n]),
         })
         .collect();
-    let prog = massage_into(inputs, specs, plan, threads, &mut keys);
+    let (prog, _) = massage_into(
+        inputs,
+        specs,
+        plan,
+        threads,
+        &mut keys,
+        &CancelToken::none(),
+    );
     (keys, prog)
 }
 
@@ -449,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_matches_oracle_across_plans() {
+    fn massage_matches_oracle_across_plans() {
         let c1 = CodeVec::from_u64s(17, [0u64, 131_071, 42, 99_999]);
         let c2 = CodeVec::from_u64s(33, [1u64 << 32, 0, 8_589_934_591, 12345]);
         let inputs = vec![&c1, &c2];
@@ -471,11 +414,11 @@ mod tests {
                         descending: d,
                     })
                     .collect();
-                let prog = MassageProgram::compile(&sp, &plan);
-                let got = prog.execute(&inputs, 1);
+                let (got, prog) = massage(&inputs, &sp, &plan, 1);
+                assert_eq!(prog, MassageProgram::compile(&sp, &plan));
                 for row in 0..4 {
                     let want = oracle(&inputs, &sp, &plan_widths, row);
-                    let got_row: Vec<u64> = got.iter().map(|c| c[row]).collect();
+                    let got_row: Vec<u64> = got.iter().map(|c| c.get(row)).collect();
                     assert_eq!(
                         got_row, want,
                         "plan={plan_widths:?} desc={desc_pattern:?} row={row}"
@@ -486,15 +429,14 @@ mod tests {
     }
 
     #[test]
-    fn execute_parallel_matches_serial() {
+    fn massage_parallel_matches_serial() {
         let n = 10_000;
         let c1 = CodeVec::from_u64s(20, (0..n).map(|i| (i * 7919) % (1 << 20)));
         let c2 = CodeVec::from_u64s(40, (0..n).map(|i| (i * 104_729) % (1u64 << 40)));
         let sp = specs(&[20, 40]);
         let plan = MassagePlan::from_widths(&[24, 36]);
-        let prog = MassageProgram::compile(&sp, &plan);
-        let a = prog.execute(&[&c1, &c2], 1);
-        let b = prog.execute(&[&c1, &c2], 4);
+        let (a, _) = massage(&[&c1, &c2], &sp, &plan, 1);
+        let (b, _) = massage(&[&c1, &c2], &sp, &plan, 4);
         assert_eq!(a, b);
     }
 
@@ -521,44 +463,8 @@ mod tests {
         let c = CodeVec::from_u64s(64, [u64::MAX, 0, 42]);
         let sp = vec![SortSpec::desc(64)];
         let plan = MassagePlan::from_widths(&[64]);
-        let prog = MassageProgram::compile(&sp, &plan);
-        let out = prog.execute(&[&c], 1);
-        assert_eq!(out[0], vec![0, u64::MAX, !42]);
-    }
-
-    #[test]
-    fn massage_into_matches_wide_execute_across_plans() {
-        // The bank-native path must agree with the legacy wide-u64
-        // execute + narrow pipeline for every plan shape and direction.
-        let c1 = CodeVec::from_u64s(17, [0u64, 131_071, 42, 99_999]);
-        let c2 = CodeVec::from_u64s(33, [1u64 << 32, 0, 8_589_934_591, 12345]);
-        let inputs = vec![&c1, &c2];
-        for plan_widths in [vec![17, 33], vec![18, 32], vec![50], vec![16, 16, 18]] {
-            let plan = MassagePlan::from_widths(&plan_widths);
-            for desc_pattern in [[false, false], [true, true]] {
-                let sp: Vec<SortSpec> = [17u32, 33]
-                    .iter()
-                    .zip(desc_pattern)
-                    .map(|(&w, d)| SortSpec {
-                        width: w,
-                        descending: d,
-                    })
-                    .collect();
-                let prog = MassageProgram::compile(&sp, &plan);
-                let wide = prog.execute(&inputs, 1);
-                let want: Vec<RoundKeys> = plan
-                    .rounds
-                    .iter()
-                    .zip(&wide)
-                    .map(|(r, w)| RoundKeys::from_u64s(r.bank, w))
-                    .collect();
-                for threads in [1usize, 3] {
-                    let (got, prog2) = massage(&inputs, &sp, &plan, threads);
-                    assert_eq!(prog2.i_fip(), prog.i_fip());
-                    assert_eq!(got, want, "plan={plan_widths:?} desc={desc_pattern:?}");
-                }
-            }
-        }
+        let (out, _) = massage(&[&c], &sp, &plan, 1);
+        assert_eq!(out[0], RoundKeys::B64(vec![0, u64::MAX, !42]));
     }
 
     #[test]
@@ -568,14 +474,13 @@ mod tests {
         let sp = specs(&[20]);
         let plan = MassagePlan::from_widths(&[20]); // wants B32
         let mut outs = vec![RoundKeys::B16(vec![0u16; 3])];
-        massage_into(&[&c1], &sp, &plan, 1, &mut outs);
+        massage_into(&[&c1], &sp, &plan, 1, &mut outs, &CancelToken::none());
     }
 
     #[test]
-    fn round_keys_narrowing() {
-        let keys = [1u64, 65_535, 70_000];
-        let rk = RoundKeys::from_u64s(Bank::B32, &keys);
-        assert!(matches!(rk, RoundKeys::B32(_)));
+    fn round_keys_accessors() {
+        let rk = RoundKeys::B32(vec![1, 65_535, 70_000]);
+        assert_eq!(rk.bank(), Bank::B32);
         assert_eq!(rk.get(2), 70_000);
         assert_eq!(rk.len(), 3);
     }

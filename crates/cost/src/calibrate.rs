@@ -9,8 +9,8 @@ use std::time::Instant;
 use mcs_columnar::CodeVec;
 use mcs_core::{massage, Bank, GroupBounds, MassagePlan, SortConfig, SortSpec};
 use mcs_simd_sort::{
-    kernel_for, sort_pairs_in_groups, sort_pairs_with, SizeKernel, SortKernel, INSERTION_MAX_ROWS,
-    PACKED_MAX_ROWS,
+    kernel_for, sort_pairs_in_groups, sort_pairs_with, SizeKernel, SortKernel, WorkerScratch,
+    INSERTION_MAX_ROWS, PACKED_MAX_ROWS,
 };
 use mcs_test_support::Rng;
 
@@ -197,6 +197,7 @@ where
 
     let mut a = Vec::new();
     let mut b = Vec::new();
+    let mut scratch = WorkerScratch::new();
     for &groups in &opts.group_counts {
         let groups = groups.min(n / 2).max(1);
         // Equal-size groups over the row range.
@@ -208,7 +209,8 @@ where
         let mut keys = base_keys.clone();
         let mut oids: Vec<u32> = (0..n as u32).collect();
         let t = Instant::now();
-        let stats = sort_pairs_in_groups(&mut keys, &mut oids, &bounds, &cfg);
+        let stats = sort_pairs_in_groups(&mut keys, &mut oids, &bounds, 1, &cfg, &mut scratch)
+            .expect("the serial path spawns no worker");
         let elapsed = t.elapsed().as_nanos() as f64;
         std::hint::black_box(&keys[0]);
         let avg = stats.codes_sorted as f64 / stats.invocations.max(1) as f64;
@@ -258,13 +260,14 @@ fn time_auto_groups<K: mcs_simd_sort::SortableKey>(keys: &[K], len: usize) -> (f
     let n = keys.len() / len * len;
     let bounds = GroupBounds::from_offsets((0..=n / len).map(|g| (g * len) as u32).collect());
     let cfg = SortConfig::default();
-    let mut scratch = mcs_simd_sort::SortScratch::new();
+    let mut scratch = WorkerScratch::new();
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let mut k = keys[..n].to_vec();
         let mut o: Vec<u32> = (0..n as u32).collect();
         let t = Instant::now();
-        mcs_simd_sort::sort_pairs_in_groups_scratch(&mut k, &mut o, &bounds, &cfg, &mut scratch);
+        sort_pairs_in_groups(&mut k, &mut o, &bounds, 1, &cfg, &mut scratch)
+            .expect("the serial path spawns no worker");
         best = best.min(t.elapsed().as_nanos() as f64);
         std::hint::black_box(&k);
     }

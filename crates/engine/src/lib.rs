@@ -38,7 +38,6 @@
 mod aggregate;
 mod error;
 mod explain;
-pub mod mal;
 mod pipeline;
 mod query;
 pub mod reference;

@@ -8,7 +8,7 @@
 //! [`mcs_core::ExecArena`]), the sorted chunks are spilled to disk as
 //! self-describing little-endian run files, and the runs are k-way
 //! merged back through the streaming offset-value-coded loser tree of
-//! [`mcs_simd_sort::StreamMerger`] behind bounded read-ahead buffers —
+//! [`mcs_simd_sort::LoserTree`] behind bounded read-ahead buffers —
 //! so merge comparisons stay code-resolved out-of-core (Do & Graefe,
 //! *Robust and Efficient Sorting with Offset-Value Coding*).
 //!

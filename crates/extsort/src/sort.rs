@@ -11,7 +11,7 @@ use mcs_core::{
     GroupBounds, MassagePlan, MultiColumnSortOutput, SortError, SortSpec, CHECK_INTERVAL,
 };
 use mcs_simd_sort::{
-    ovc_encode, take_merge_counters, MergeScratch, StreamHead, StreamMerger, StreamSource,
+    ovc_encode, take_merge_counters, LoserTree, MergeHead, MergeScratch, MergeSource,
 };
 use mcs_telemetry as telemetry;
 
@@ -164,7 +164,7 @@ impl RunCursor {
     }
 }
 
-/// The merge's [`StreamSource`] over all spilled runs. Offset-value
+/// The merge's [`MergeSource`] over all spilled runs. Offset-value
 /// codes are rebuilt here, at run-boundary granularity: each head is
 /// coded against its run predecessor's first word, the first element of
 /// a run against the all-zero key — exactly the invariant the loser
@@ -181,16 +181,17 @@ impl RunsSource {
     }
 }
 
-impl StreamSource for RunsSource {
+impl MergeSource for RunsSource {
     type Error = RunFileError;
+    const CODED: bool = true;
 
-    fn next(&mut self, run: usize) -> Result<Option<StreamHead>, RunFileError> {
+    fn next(&mut self, run: usize) -> Result<Option<MergeHead>, RunFileError> {
         let c = &mut self.cursors[run];
         // The head we are about to replace is the element being popped.
         let prev_w0 = c.words[0];
         c.emitted.copy_from_slice(&c.words);
         match c.reader.read_entry(&mut c.words)? {
-            Some(oid) => Ok(Some(StreamHead {
+            Some(oid) => Ok(Some(MergeHead {
                 word0: c.words[0],
                 code: ovc_encode(c.words[0], prev_w0),
                 oid,
@@ -199,8 +200,8 @@ impl StreamSource for RunsSource {
         }
     }
 
-    fn cmp_heads(&self, a: usize, b: usize) -> core::cmp::Ordering {
-        self.cursors[a].words.cmp(&self.cursors[b].words)
+    fn cmp_tails(&self, a: usize, b: usize) -> core::cmp::Ordering {
+        self.cursors[a].words[1..].cmp(&self.cursors[b].words[1..])
     }
 }
 
@@ -331,14 +332,16 @@ pub fn external_multi_column_sort_with(
     for p in &files {
         cursors.push(RunCursor::open(per_run, p, kw).map_err(spill_err)?);
     }
-    let mut source = RunsSource { cursors };
     let mut scratch = MergeScratch::new();
     let runs = files.len();
-    let mut merger = StreamMerger::new(&mut source, runs, &mut scratch).map_err(spill_err)?;
+    // Whatever an abandoned merge on this thread left behind is not ours.
+    let _ = take_merge_counters();
+    let mut merger =
+        LoserTree::new(RunsSource { cursors }, runs, &mut scratch).map_err(spill_err)?;
     let mut oids: Vec<u32> = Vec::with_capacity(n);
     let mut offsets: Vec<u32> = vec![0];
     let mut prev = vec![0u64; kw];
-    while let Some((run, oid, code)) = merger.pop().map_err(spill_err)? {
+    while let Some((run, head)) = merger.pop().map_err(spill_err)? {
         if oids.len().is_multiple_of(CHECK_INTERVAL) {
             cfg.sort.cancel.check()?;
         }
@@ -347,14 +350,16 @@ pub fn external_multi_column_sort_with(
             // The popped code is relative to the previous output: a
             // nonzero code proves a new key (first words differ); a zero
             // code only proves equal first words, so compare the rest.
-            if !oids.is_empty() && (code != 0 || cur != prev.as_slice()) {
+            if !oids.is_empty() && (head.code != 0 || cur != prev.as_slice()) {
                 offsets.push(oids.len() as u32);
             }
             prev.copy_from_slice(cur);
         }
-        oids.push(oid);
+        oids.push(head.oid);
     }
     offsets.push(n as u32);
+    // The tree credits its matches when it goes away.
+    drop(merger);
     let counters = take_merge_counters();
     spill.merge_comparisons = counters.comparisons;
     spill.merge_ovc_hits = counters.ovc_hits;

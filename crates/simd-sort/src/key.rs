@@ -26,11 +26,29 @@ pub trait Key:
     fn from_u64(v: u64) -> Self;
 }
 
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for u16 {}
-    impl Sealed for u32 {}
-    impl Sealed for u64 {}
+pub(crate) mod sealed {
+    use crate::scratch::KeyBufs;
+
+    /// Seals [`super::Key`] and hands each key type its own bank's
+    /// ping-pong buffer pair out of a [`crate::SortScratch`].
+    pub trait Sealed: Sized {
+        fn bufs(b: &mut KeyBufs) -> &mut (Vec<Self>, Vec<Self>);
+    }
+    impl Sealed for u16 {
+        fn bufs(b: &mut KeyBufs) -> &mut (Vec<u16>, Vec<u16>) {
+            &mut b.k16
+        }
+    }
+    impl Sealed for u32 {
+        fn bufs(b: &mut KeyBufs) -> &mut (Vec<u32>, Vec<u32>) {
+            &mut b.k32
+        }
+    }
+    impl Sealed for u64 {
+        fn bufs(b: &mut KeyBufs) -> &mut (Vec<u64>, Vec<u64>) {
+            &mut b.k64
+        }
+    }
 }
 
 impl Key for u16 {

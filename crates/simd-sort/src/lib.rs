@@ -1,17 +1,28 @@
 //! # mcs-simd-sort
 //!
-//! SIMD merge-sort with a sorting-network kernel over 16/32/64-bit banks,
-//! sorting `(key, oid)` pairs — the `SIMD-Sort` substrate of the paper
-//! *Fast Multi-Column Sorting in Main-Memory Column-Stores* (SIGMOD'16).
+//! The sort substrate of *Fast Multi-Column Sorting in Main-Memory
+//! Column-Stores* (SIGMOD'16): sorting `(key, oid)` pairs over
+//! 16/32/64-bit key banks.
 //!
-//! The implementation follows the merge-sort of Balkesen et al. that the
-//! paper's cost model (Eq. 5) decomposes into three phases:
+//! By default ([`SortKernel::Auto`]) every sort is dispatched on its
+//! length alone ([`kernel_for`]): insertion sort up to
+//! [`INSERTION_MAX_ROWS`] rows, a comparison sort on packed `key‖oid`
+//! words up to [`PACKED_MAX_ROWS`], a scratch-backed LSD radix sort
+//! ([`radix`]) above. [`sort_pairs_in_groups`] runs that dispatch once per
+//! tied group of a multi-column round, serially or as work-stealing
+//! morsels ([`parallel`]).
+//!
+//! The paper's own `SIMD-Sort` stays reachable as
+//! [`SortKernel::MergeSort`] for the figure bins and the cost-model
+//! tests: the merge-sort of Balkesen et al. that the paper's cost model
+//! (Eq. 5) decomposes into three phases:
 //!
 //! 1. **in-register sorting** — vertical Batcher networks over `L = 256/b`
 //!    registers + transpose, producing sorted runs of `L`;
 //! 2. **in-cache merging** — streaming binary bitonic merge networks until
 //!    runs reach half the L2 cache;
-//! 3. **out-of-cache merging** — `F`-way loser-tree merge passes.
+//! 3. **out-of-cache merging** — `F`-way loser-tree merge passes
+//!    ([`multiway`]; the same tree merges split groups and spilled runs).
 //!
 //! Keys occupy `b`-bit lanes; the 32-bit oid payload travels in parallel
 //! registers, so narrower banks really do get proportionally more data
@@ -53,28 +64,17 @@ mod sort;
 pub use key::{Bank, Key};
 pub use mcs_cancel::{CancelCause, CancelToken, CHECK_INTERVAL};
 pub use mcs_morsel::{Morsel, MorselCounts, MorselQueue};
-pub use multiway::{
-    multiway_merge_ovc_scratch, multiway_merge_ovc_scratch_cancellable, multiway_merge_scratch,
-    multiway_merge_scratch_cancellable, multiway_pass_ovc_scratch,
-    multiway_pass_ovc_scratch_cancellable, multiway_pass_scratch,
-    multiway_pass_scratch_cancellable, StreamHead, StreamMerger, StreamSource,
-};
+pub use multiway::{multiway_merge, multiway_pass, LoserTree, MergeHead, MergeSource};
 pub use ovc::{ovc_encode, take_merge_counters, MergeCounters};
-pub use parallel::{
-    for_each_chunk, sort_pairs_in_groups_parallel, sort_pairs_in_groups_parallel_scratch,
-    sort_pairs_parallel, WorkerPanic,
-};
+pub use parallel::{for_each_chunk, sort_pairs_in_groups, WorkerPanic};
 pub use phase::PhaseTimes;
-pub use radix::{sort_pairs_radix, sort_pairs_radix_in_groups};
+pub use radix::radix_sort_pairs;
 pub use scalar::{insertion_sort_pairs, sort_pairs_packed, sort_pairs_scalar};
 pub use scratch::{MergeScratch, SortScratch, WorkerScratch};
-pub use segmented::{
-    group_boundaries, sort_pairs_in_groups, sort_pairs_in_groups_scratch, GroupBounds,
-    SegmentedSortStats,
-};
+pub use segmented::{group_boundaries, GroupBounds, SegmentedSortStats};
 pub use sort::{
     avx2_available, kernel_for, SizeKernel, SortConfig, SortKernel, SortableKey,
-    DEFAULT_PARALLEL_CUTOFF_ROWS, INSERTION_MAX_ROWS, PACKED_MAX_ROWS,
+    INSERTION_MAX_ROWS, MERGE_SORT_INSERTION_MAX_ROWS, PACKED_MAX_ROWS, PARALLEL_CUTOFF_ROWS,
 };
 
 /// Sort `(keys, oids)` ascending by key with default configuration.
@@ -82,12 +82,14 @@ pub use sort::{
 /// `keys` and `oids` must be the same length; oid values must be
 /// `< u32::MAX` (reserved as the internal padding sentinel).
 pub fn sort_pairs<K: SortableKey>(keys: &mut [K], oids: &mut [u32]) {
-    K::sort_pairs_with(keys, oids, &SortConfig::default());
+    sort_pairs_with(keys, oids, &SortConfig::default());
 }
 
-/// Sort `(keys, oids)` ascending by key with an explicit [`SortConfig`].
+/// Sort `(keys, oids)` ascending by key with an explicit [`SortConfig`],
+/// through a fresh [`SortScratch`] (callers that sort repeatedly keep
+/// one and call [`SortableKey::sort_pairs_with_scratch`]).
 pub fn sort_pairs_with<K: SortableKey>(keys: &mut [K], oids: &mut [u32], cfg: &SortConfig) {
-    K::sort_pairs_with(keys, oids, cfg);
+    K::sort_pairs_with_scratch(keys, oids, cfg, &mut SortScratch::new());
 }
 
 #[cfg(test)]

@@ -5,17 +5,23 @@
 //! reduces that to `⌈log_F(R)⌉` passes (Eq. 8 in the paper). Each pass
 //! merges groups of up to `F` adjacent runs with a classic loser tree.
 //!
-//! The tree's node arrays live in a caller-provided [`MergeScratch`] so
-//! repeated passes (and repeated sorts) reuse the same memory; the plain
-//! entry points allocate a fresh scratch per call.
+//! There is one tree, [`LoserTree`], generic over where its run heads
+//! come from ([`MergeSource`]): index ranges of in-memory slices, with or
+//! without offset-value codes ([`multiway_merge`] / [`multiway_pass`]),
+//! or spilled run files (`mcs-extsort`). Its node arrays live in a
+//! caller-provided [`MergeScratch`] so repeated passes (and repeated
+//! sorts) reuse the same memory.
 //!
 //! # Offset-value coding
 //!
-//! The `_ovc_` variants additionally carry a per-element offset-value
-//! code ([`crate::ovc`]) alongside every `(key, oid)` pair: the code of
-//! an element is taken relative to its predecessor in its run. Inside
-//! the tree every match compares the two head codes first and touches
-//! the full keys only on a code tie. This is sound because every match
+//! A source with [`MergeSource::CODED`] set delivers a per-element
+//! offset-value code ([`crate::ovc`]) alongside every `(key, oid)` pair:
+//! the code of an element is taken relative to its predecessor in its
+//! run. Inside the tree every match compares the two head codes first and
+//! touches the full keys only on a code tie; a plain key comparison is
+//! the degenerate case — every match a code tie — so for an uncoded
+//! source the code branch and every code load and store compile away.
+//! Deciding by codes is sound because every match
 //! the tree plays is between two elements coded against a *common base*:
 //!
 //! * during the initial tree rebuild both comparands are
@@ -38,214 +44,202 @@
 
 use crate::key::Key;
 use crate::ovc::{self, ovc_encode};
-use crate::scratch::MergeScratch;
+use crate::scratch::{MergeScratch, TreeNodes};
+use core::cmp::Ordering;
+use core::convert::Infallible;
 use core::ops::Range;
 use mcs_cancel::{CancelToken, CHECK_INTERVAL};
 
-/// A loser tree over up to `F` input runs of `(key, oid)` pairs.
+/// One element delivered by a [`MergeSource`]: the most significant
+/// 64-bit word of its (possibly multi-word) sort key, its offset-value
+/// code relative to the run predecessor's first word (run heads coded
+/// against zero), and the payload oid.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MergeHead {
+    /// Most significant `u64` word of the element's sort key.
+    pub word0: u64,
+    /// `ovc_encode(word0, predecessor word0)`; `0` at the run head.
+    /// Ignored (and popped as `0`) unless [`MergeSource::CODED`].
+    pub code: u32,
+    /// Payload object id.
+    pub oid: u32,
+}
+
+/// A supplier of sorted runs for the [`LoserTree`]: index ranges of
+/// in-memory slices, or e.g. spilled run files behind bounded read-ahead
+/// buffers.
+///
+/// Keys may be wider than 64 bits: the tree only sees each head's most
+/// significant word (and its offset-value code over that word); whenever
+/// two heads tie on it, the tree asks the source to compare the rest of
+/// the keys via [`MergeSource::cmp_tails`]. Such a source must keep each
+/// run's current head resident until the next [`MergeSource::next`] call
+/// for that run.
+pub trait MergeSource {
+    /// The error [`MergeSource::next`] can fail with, surfaced through
+    /// [`LoserTree::pop`]; [`Infallible`] for in-memory sources.
+    type Error;
+
+    /// Whether [`MergeHead::code`] carries offset-value codes. When
+    /// `false` the tree never reads or maintains codes: every match is a
+    /// plain key comparison.
+    const CODED: bool;
+
+    /// Advance run `run` to its next element and return it, or `None`
+    /// when the run is exhausted. Elements must come back in
+    /// non-decreasing key order, with codes (if [`MergeSource::CODED`])
+    /// relative to the previous element of the same run (the head
+    /// against the all-zero key).
+    fn next(&mut self, run: usize) -> Result<Option<MergeHead>, Self::Error>;
+
+    /// Compare what the current heads of runs `a` and `b` hold beyond
+    /// their first word. Only called while both runs have a live head
+    /// with equal first words. Single-word sources keep the default.
+    #[inline]
+    fn cmp_tails(&self, _a: usize, _b: usize) -> Ordering {
+        Ordering::Equal
+    }
+}
+
+/// A loser tree over the runs of a [`MergeSource`].
 ///
 /// Exhausted runs are represented by an explicit `valid = false` flag
 /// rather than a sentinel key, so `K::MAX` remains a legal key value.
 /// Head keys are held widened to `u64` in the scratch (order-preserving
 /// for unsigned codes), which lets one scratch serve every bank.
-struct LoserTree<'a, K: Key> {
-    keys: &'a [K],
-    oids: &'a [u32],
-    /// Node arrays: cursors, heads, losers (`s.tree[0]` = winner).
-    s: &'a mut MergeScratch,
+///
+/// With a coded source every match follows the protocol described in the
+/// module docs: codes decide a match when they differ (the loser's stored
+/// code stays valid unchanged), a code tie plays the full keys and
+/// recomputes the loser's code relative to the winner, and equal keys
+/// assign the higher-run-index loser code 0. The code each popped element
+/// carries is relative to the previous output, keeping codes valid for
+/// the next merge pass. For multi-word keys, codes and the widened heads
+/// cover only each key's most significant word, so
+/// `ovc_encode(loser word0, winner word0)` may legitimately return 0 for
+/// distinct keys that agree on their first word. That is sound because a
+/// 0 code only ever short-circuits a match into the full-key comparison,
+/// never away from it.
+///
+/// Dropping the tree — drained, abandoned on cancellation, or unwound by
+/// a source error — credits the matches it played to the thread-local
+/// accumulator behind [`crate::take_merge_counters`], exactly once.
+pub struct LoserTree<'a, S: MergeSource> {
+    src: S,
+    // The scratch's node arrays, borrowed as slices: reaching them through
+    // the scratch on every access cost 5-8 % of a 16-run merge.
+    /// Loser at each internal node; `tree[0]` is the overall winner.
+    tree: &'a mut [u32],
+    /// Temporary winner array used by the full rebuild.
+    winner: &'a mut [u32],
+    /// `(first key word, valid)`, code and payload oid of each run's head.
+    heads: &'a mut [(u64, bool)],
+    head_codes: &'a mut [u32],
+    head_oids: &'a mut [u32],
     /// Number of leaves (padded to a power of two).
     m: usize,
-    /// Matches played between two live runs (harvested per merge call).
+    /// Matches played between two live runs.
     comparisons: u64,
-}
-
-impl<'a, K: Key> LoserTree<'a, K> {
-    fn new(keys: &'a [K], oids: &'a [u32], runs: &[Range<usize>], s: &'a mut MergeScratch) -> Self {
-        let m = runs.len().next_power_of_two().max(2);
-        s.prepare(m);
-        for i in 0..m {
-            s.cursors[i] = (0, 0);
-            s.heads[i] = (0, false);
-        }
-        for (i, r) in runs.iter().enumerate() {
-            s.cursors[i] = (r.start, r.end);
-            s.heads[i] = if r.start < r.end {
-                (keys[r.start].to_u64(), true)
-            } else {
-                (0, false)
-            };
-        }
-        let mut lt = LoserTree {
-            keys,
-            oids,
-            s,
-            m,
-            comparisons: 0,
-        };
-        lt.rebuild();
-        lt
-    }
-
-    /// `a` beats `b` if it has a head and it is strictly smaller, or equal
-    /// with a lower run index.
-    ///
-    /// The lower-run-index tie-break is a documented invariant, not a
-    /// convenience: callers pass runs in buffer order, so it makes the
-    /// merge stable by run (equal keys drain in run order — see the
-    /// `merge_is_stable_by_run_order` regression test), and the OVC
-    /// variant's correctness depends on it — a tied loser is assigned
-    /// code 0, "equal to its base", which is only true relative to the
-    /// element actually declared the winner, and the code-update
-    /// protocol needs `beats` to be a strict deterministic total order
-    /// over live heads. Do not weaken it to an arbitrary choice.
-    #[inline]
-    fn beats(&mut self, a: u32, b: u32) -> bool {
-        match (self.s.heads[a as usize], self.s.heads[b as usize]) {
-            ((ka, true), (kb, true)) => {
-                self.comparisons += 1;
-                ka < kb || (ka == kb && a < b)
-            }
-            ((_, true), (_, false)) => true,
-            ((_, false), _) => false,
-        }
-    }
-
-    /// Full rebuild: play all matches bottom-up.
-    fn rebuild(&mut self) {
-        let m = self.m;
-        for i in 0..m {
-            self.s.winner[m + i] = i as u32;
-        }
-        for i in (1..m).rev() {
-            let (a, b) = (self.s.winner[2 * i], self.s.winner[2 * i + 1]);
-            let (w, l) = if self.beats(a, b) { (a, b) } else { (b, a) };
-            self.s.winner[i] = w;
-            self.s.tree[i] = l;
-        }
-        self.s.tree[0] = self.s.winner[1];
-    }
-
-    /// Pop the smallest `(key, oid)`; returns `None` when all runs drain.
-    #[inline]
-    fn pop(&mut self) -> Option<(K, u32)> {
-        let w = self.s.tree[0] as usize;
-        let (key_u64, valid) = self.s.heads[w];
-        if !valid {
-            return None;
-        }
-        let key = K::from_u64(key_u64);
-        let (cur, end) = self.s.cursors[w];
-        let oid = self.oids[cur];
-        let next = cur + 1;
-        self.s.cursors[w].0 = next;
-        self.s.heads[w] = if next < end {
-            (self.keys[next].to_u64(), true)
-        } else {
-            (0, false)
-        };
-        // Replay matches from leaf w to the root.
-        let mut winner = w as u32;
-        let mut node = (self.m + w) >> 1;
-        while node >= 1 {
-            let other = self.s.tree[node];
-            if self.beats(other, winner) {
-                self.s.tree[node] = winner;
-                winner = other;
-            }
-            node >>= 1;
-        }
-        self.s.tree[0] = winner;
-        Some((key, oid))
-    }
-}
-
-/// A loser tree whose matches compare offset-value codes first.
-///
-/// Identical tree mechanics to [`LoserTree`], plus a per-head code
-/// maintained under the protocol described in the module docs: codes
-/// decide a match when they differ (the loser's stored code stays valid
-/// unchanged), a code tie plays the full keys and recomputes the
-/// loser's code relative to the winner, and equal keys assign the
-/// higher-run-index loser code 0. Produces the output code array as a
-/// side effect, keeping codes valid for the next merge pass.
-struct OvcLoserTree<'a, K: Key> {
-    keys: &'a [K],
-    oids: &'a [u32],
-    /// Per-element codes, parallel to `keys` (relative to each element's
-    /// run predecessor; run heads are coded against zero).
-    codes: &'a [u32],
-    s: &'a mut MergeScratch,
-    m: usize,
-    comparisons: u64,
+    /// The subset decided by the offset-value codes alone.
     ovc_hits: u64,
 }
 
-impl<'a, K: Key> OvcLoserTree<'a, K> {
-    fn new(
-        keys: &'a [K],
-        oids: &'a [u32],
-        codes: &'a [u32],
-        runs: &[Range<usize>],
-        s: &'a mut MergeScratch,
-    ) -> Self {
-        let m = runs.len().next_power_of_two().max(2);
-        s.prepare(m);
-        for i in 0..m {
-            s.cursors[i] = (0, 0);
-            s.heads[i] = (0, false);
-            s.head_codes[i] = 0;
-        }
-        for (i, r) in runs.iter().enumerate() {
-            s.cursors[i] = (r.start, r.end);
-            if r.start < r.end {
-                s.heads[i] = (keys[r.start].to_u64(), true);
-                s.head_codes[i] = codes[r.start];
-            }
-        }
-        let mut lt = OvcLoserTree {
-            keys,
-            oids,
-            codes,
-            s,
+impl<'a, S: MergeSource> LoserTree<'a, S> {
+    /// Build the tree over `num_runs` runs, pulling each run's head from
+    /// the source.
+    pub fn new(src: S, num_runs: usize, scratch: &'a mut MergeScratch) -> Result<Self, S::Error> {
+        Self::over(src, num_runs, &mut scratch.nodes)
+    }
+
+    fn over(src: S, num_runs: usize, n: &'a mut TreeNodes) -> Result<Self, S::Error> {
+        let m = num_runs.next_power_of_two().max(2);
+        n.prepare(m);
+        let mut lt = LoserTree {
+            src,
+            tree: &mut n.tree,
+            winner: &mut n.winner,
+            heads: &mut n.heads,
+            head_codes: &mut n.head_codes,
+            head_oids: &mut n.head_oids,
             m,
             comparisons: 0,
             ovc_hits: 0,
         };
+        for run in 0..num_runs {
+            let head = lt.src.next(run)?;
+            lt.set_head(run, head);
+        }
         lt.rebuild();
-        lt
+        Ok(lt)
     }
 
-    /// The OVC match: like [`LoserTree::beats`] (including the
-    /// load-bearing lower-run-index tie-break), but decided by the head
-    /// codes when they differ, and updating the *loser's* stored code so
-    /// it is relative to the winner. `rebuild` relies on this update too:
-    /// its comparands are subtree winners still coded against the common
-    /// all-zero base, so the same protocol applies.
-    #[inline]
+    /// Immutable view of the underlying source — e.g. to inspect the
+    /// element a [`LoserTree::pop`] just surrendered, which sources
+    /// typically retain until that run's next refill.
+    pub fn source(&self) -> &S {
+        &self.src
+    }
+
+    #[inline(always)]
+    fn set_head(&mut self, run: usize, head: Option<MergeHead>) {
+        let h = head.unwrap_or_default();
+        self.heads[run] = (h.word0, head.is_some());
+        if S::CODED {
+            self.head_codes[run] = h.code;
+        }
+        self.head_oids[run] = h.oid;
+    }
+
+    /// `a` beats `b` if it has a head and it is strictly smaller, or equal
+    /// with a lower run index. With a coded source the match is decided by
+    /// the head codes when they differ, and the *loser's* stored code is
+    /// updated so it is relative to the winner. `rebuild` relies on this
+    /// update too: its comparands are subtree winners still coded against
+    /// the common all-zero base, so the same protocol applies.
+    ///
+    /// The lower-run-index tie-break is a documented invariant, not a
+    /// convenience: callers pass runs in buffer order, so it makes the
+    /// merge stable by run (equal keys drain in run order — see the
+    /// `merge_is_stable_by_run_order` regression test), and the code
+    /// protocol's correctness depends on it — a tied loser is assigned
+    /// code 0, "equal to its base", which is only true relative to the
+    /// element actually declared the winner, and the code-update
+    /// protocol needs `beats` to be a strict deterministic total order
+    /// over live heads. Do not weaken it to an arbitrary choice.
+    // Forced inline (with `set_head` and the slice source's `next`): left
+    // to the inliner, the codes-off merge ran 10 % behind the plain tree
+    // it replaced; forced, it is level with it.
+    #[inline(always)]
     fn beats(&mut self, a: u32, b: u32) -> bool {
-        match (self.s.heads[a as usize], self.s.heads[b as usize]) {
-            ((ka, true), (kb, true)) => {
+        match (self.heads[a as usize], self.heads[b as usize]) {
+            ((wa, true), (wb, true)) => {
                 self.comparisons += 1;
-                let (ca, cb) = (self.s.head_codes[a as usize], self.s.head_codes[b as usize]);
-                if ca != cb {
-                    // Codes over a common base order the keys, and the
-                    // loser's code relative to the winner is unchanged
-                    // (same first-difference position and word).
-                    self.ovc_hits += 1;
-                    return ca < cb;
+                if S::CODED {
+                    let (ca, cb) = (self.head_codes[a as usize], self.head_codes[b as usize]);
+                    if ca != cb {
+                        // Codes over a common base order the keys, and the
+                        // loser's code relative to the winner is unchanged
+                        // (same first-difference position and word).
+                        self.ovc_hits += 1;
+                        return ca < cb;
+                    }
                 }
-                if ka == kb {
-                    // Equal keys: lower run index wins; the loser is
-                    // equal to its new base.
-                    self.s.head_codes[a.max(b) as usize] = 0;
-                    a < b
-                } else if ka < kb {
-                    self.s.head_codes[b as usize] = ovc_encode(kb, ka);
-                    true
-                } else {
-                    self.s.head_codes[a as usize] = ovc_encode(ka, kb);
-                    false
+                // Code tie (or no codes): play the full keys; on equal
+                // keys the lower run index wins.
+                let a_wins = wa < wb
+                    || (wa == wb
+                        && match self.src.cmp_tails(a as usize, b as usize) {
+                            Ordering::Less => true,
+                            Ordering::Greater => false,
+                            Ordering::Equal => a < b,
+                        });
+                if S::CODED {
+                    // Recode the loser against its new base, the winner: 0
+                    // when their first words agree.
+                    let (loser, lw, ww) = if a_wins { (b, wb, wa) } else { (a, wa, wb) };
+                    self.head_codes[loser as usize] = ovc_encode(lw, ww);
                 }
+                a_wins
             }
             ((_, true), (_, false)) => true,
             ((_, false), _) => false,
@@ -256,574 +250,274 @@ impl<'a, K: Key> OvcLoserTree<'a, K> {
     fn rebuild(&mut self) {
         let m = self.m;
         for i in 0..m {
-            self.s.winner[m + i] = i as u32;
+            self.winner[m + i] = i as u32;
         }
         for i in (1..m).rev() {
-            let (a, b) = (self.s.winner[2 * i], self.s.winner[2 * i + 1]);
+            let (a, b) = (self.winner[2 * i], self.winner[2 * i + 1]);
             let (w, l) = if self.beats(a, b) { (a, b) } else { (b, a) };
-            self.s.winner[i] = w;
-            self.s.tree[i] = l;
+            self.winner[i] = w;
+            self.tree[i] = l;
         }
-        self.s.tree[0] = self.s.winner[1];
+        self.tree[0] = self.winner[1];
     }
 
-    /// Pop the smallest `(key, oid, code)`, the code relative to the
-    /// previous output; returns `None` when all runs drain.
+    /// Pop the smallest element as `(run, head)` — the head's code
+    /// relative to the previous output's first word (0 means the first
+    /// words are equal; the full keys may still differ past word 0).
+    /// Returns `Ok(None)` when every run has drained.
     #[inline]
-    fn pop(&mut self) -> Option<(K, u32, u32)> {
-        let w = self.s.tree[0] as usize;
-        let (key_u64, valid) = self.s.heads[w];
+    pub fn pop(&mut self) -> Result<Option<(usize, MergeHead)>, S::Error> {
+        let w = self.tree[0] as usize;
+        let (word0, valid) = self.heads[w];
         if !valid {
-            return None;
+            return Ok(None);
         }
-        let key = K::from_u64(key_u64);
-        let code = self.s.head_codes[w];
-        let (cur, end) = self.s.cursors[w];
-        let oid = self.oids[cur];
-        let next = cur + 1;
-        self.s.cursors[w].0 = next;
-        if next < end {
-            self.s.heads[w] = (self.keys[next].to_u64(), true);
-            // Relative to its run predecessor — the element just popped.
-            self.s.head_codes[w] = self.codes[next];
-        } else {
-            self.s.heads[w] = (0, false);
-            self.s.head_codes[w] = 0;
-        }
+        let out = MergeHead {
+            word0,
+            code: if S::CODED { self.head_codes[w] } else { 0 },
+            oid: self.head_oids[w],
+        };
+        // The refill is coded relative to its run predecessor — the
+        // element being popped.
+        let head = self.src.next(w)?;
+        self.set_head(w, head);
         // Replay matches from leaf w to the root. Every stored loser on
         // this path was last beaten by the element just popped, so all
         // comparands share it as their code base.
         let mut winner = w as u32;
         let mut node = (self.m + w) >> 1;
         while node >= 1 {
-            let other = self.s.tree[node];
+            let other = self.tree[node];
             if self.beats(other, winner) {
-                self.s.tree[node] = winner;
+                self.tree[node] = winner;
                 winner = other;
             }
             node >>= 1;
         }
-        self.s.tree[0] = winner;
-        Some((key, oid, code))
+        self.tree[0] = winner;
+        Ok(Some((w, out)))
     }
 }
 
-/// Merge `runs` (disjoint, individually sorted index ranges of `src_*`)
-/// into `dst_*` starting at `dst_at`, with caller-provided node arrays.
-pub fn multiway_merge_scratch<K: Key>(
-    src_k: &[K],
-    src_o: &[u32],
-    dst_k: &mut [K],
-    dst_o: &mut [u32],
-    runs: &[Range<usize>],
-    dst_at: usize,
-    scratch: &mut MergeScratch,
-) {
-    multiway_merge_scratch_cancellable(
-        src_k,
-        src_o,
-        dst_k,
-        dst_o,
-        runs,
-        dst_at,
-        scratch,
-        &CancelToken::none(),
-    );
-}
-
-/// Like [`multiway_merge_scratch`], polling `cancel` every
-/// [`CHECK_INTERVAL`] pops. A fired token stops the merge mid-stream,
-/// leaving the tail of the destination range unwritten — the caller must
-/// observe the token and discard the buffer. Comparison counters are
-/// credited either way.
-#[allow(clippy::too_many_arguments)]
-pub fn multiway_merge_scratch_cancellable<K: Key>(
-    src_k: &[K],
-    src_o: &[u32],
-    dst_k: &mut [K],
-    dst_o: &mut [u32],
-    runs: &[Range<usize>],
-    dst_at: usize,
-    scratch: &mut MergeScratch,
-    cancel: &CancelToken,
-) {
-    debug_assert!(!runs.is_empty());
-    if runs.len() == 1 {
-        let r = runs[0].clone();
-        let n = r.len();
-        dst_k[dst_at..dst_at + n].copy_from_slice(&src_k[r.clone()]);
-        dst_o[dst_at..dst_at + n].copy_from_slice(&src_o[r]);
-        return;
+impl<S: MergeSource> Drop for LoserTree<'_, S> {
+    fn drop(&mut self) {
+        ovc::record(self.comparisons, self.ovc_hits);
     }
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut lt = LoserTree::new(src_k, src_o, runs, scratch);
-    for i in 0..total {
-        if i % CHECK_INTERVAL == 0 && cancel.check().is_err() {
-            ovc::record(lt.comparisons, 0);
-            return;
-        }
-        let (k, o) = lt.pop().expect("loser tree drained early");
-        dst_k[dst_at + i] = k;
-        dst_o[dst_at + i] = o;
-    }
-    debug_assert!(lt.pop().is_none());
-    ovc::record(lt.comparisons, 0);
 }
 
-/// Like [`multiway_merge_scratch`], but with per-element offset-value
-/// codes riding along: `src_c` holds each element's code relative to its
-/// run predecessor (run heads coded against zero), matches are decided
-/// by code compares where possible, and `dst_c` receives the merged
-/// output's codes (each relative to the previous output element, run
-/// heads of the merged run against zero) — valid input for the next
-/// merge pass.
-#[allow(clippy::too_many_arguments)]
-pub fn multiway_merge_ovc_scratch<K: Key>(
-    src_k: &[K],
-    src_o: &[u32],
-    src_c: &[u32],
-    dst_k: &mut [K],
-    dst_o: &mut [u32],
-    dst_c: &mut [u32],
-    runs: &[Range<usize>],
-    dst_at: usize,
-    scratch: &mut MergeScratch,
-) {
-    multiway_merge_ovc_scratch_cancellable(
-        src_k,
-        src_o,
-        src_c,
-        dst_k,
-        dst_o,
-        dst_c,
-        runs,
-        dst_at,
-        scratch,
-        &CancelToken::none(),
-    );
+/// Index ranges of `(keys, oids[, codes])` slices as merge runs, read
+/// through per-run cursors.
+struct SliceRuns<'a, K, const CODED: bool> {
+    keys: &'a [K],
+    oids: &'a [u32],
+    /// Per-element codes, parallel to `keys` (relative to each element's
+    /// run predecessor; run heads are coded against zero). Empty unless
+    /// `CODED`.
+    codes: &'a [u32],
+    /// `(cursor, end)` per run.
+    cursors: &'a mut [(usize, usize)],
 }
 
-/// Like [`multiway_merge_ovc_scratch`], polling `cancel` every
-/// [`CHECK_INTERVAL`] pops; see
-/// [`multiway_merge_scratch_cancellable`] for the early-exit contract.
-#[allow(clippy::too_many_arguments)]
-pub fn multiway_merge_ovc_scratch_cancellable<K: Key>(
-    src_k: &[K],
-    src_o: &[u32],
-    src_c: &[u32],
-    dst_k: &mut [K],
-    dst_o: &mut [u32],
-    dst_c: &mut [u32],
-    runs: &[Range<usize>],
-    dst_at: usize,
-    scratch: &mut MergeScratch,
-    cancel: &CancelToken,
-) {
-    debug_assert!(!runs.is_empty());
-    if runs.len() == 1 {
-        let r = runs[0].clone();
-        let n = r.len();
-        dst_k[dst_at..dst_at + n].copy_from_slice(&src_k[r.clone()]);
-        dst_o[dst_at..dst_at + n].copy_from_slice(&src_o[r.clone()]);
-        dst_c[dst_at..dst_at + n].copy_from_slice(&src_c[r]);
-        return;
-    }
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut lt = OvcLoserTree::new(src_k, src_o, src_c, runs, scratch);
-    for i in 0..total {
-        if i % CHECK_INTERVAL == 0 && cancel.check().is_err() {
-            ovc::record(lt.comparisons, lt.ovc_hits);
-            return;
-        }
-        let (k, o, c) = lt.pop().expect("loser tree drained early");
-        dst_k[dst_at + i] = k;
-        dst_o[dst_at + i] = o;
-        dst_c[dst_at + i] = c;
-    }
-    debug_assert!(lt.pop().is_none());
-    ovc::record(lt.comparisons, lt.ovc_hits);
-}
+impl<K: Key, const CODED: bool> MergeSource for SliceRuns<'_, K, CODED> {
+    type Error = Infallible;
+    const CODED: bool = CODED;
 
-/// Merge `runs` (disjoint, individually sorted index ranges of `src_*`)
-/// into `dst_*` starting at `dst_at`.
-pub fn multiway_merge<K: Key>(
-    src_k: &[K],
-    src_o: &[u32],
-    dst_k: &mut [K],
-    dst_o: &mut [u32],
-    runs: &[Range<usize>],
-    dst_at: usize,
-) {
-    let mut scratch = MergeScratch::new();
-    multiway_merge_scratch(src_k, src_o, dst_k, dst_o, runs, dst_at, &mut scratch);
-}
-
-/// One `F`-way pass over the whole buffer with caller-provided scratch:
-/// merges consecutive groups of up to `fanout` runs of length `run` from
-/// `src` into `dst`. Returns the new run length (`run * fanout`).
-#[allow(clippy::too_many_arguments)]
-pub fn multiway_pass_scratch<K: Key>(
-    src_k: &[K],
-    src_o: &[u32],
-    dst_k: &mut [K],
-    dst_o: &mut [u32],
-    run: usize,
-    fanout: usize,
-    runs_buf: &mut Vec<Range<usize>>,
-    merge: &mut MergeScratch,
-) -> usize {
-    multiway_pass_scratch_cancellable(
-        src_k,
-        src_o,
-        dst_k,
-        dst_o,
-        run,
-        fanout,
-        runs_buf,
-        merge,
-        &CancelToken::none(),
-    )
-}
-
-/// Like [`multiway_pass_scratch`], polling `cancel` between merge groups
-/// and (through the cancellable merge) every [`CHECK_INTERVAL`] pops
-/// inside each group. A fired token abandons the rest of the pass; the
-/// caller must observe the token and discard the destination buffer. The
-/// nominal new run length is returned either way.
-#[allow(clippy::too_many_arguments)]
-pub fn multiway_pass_scratch_cancellable<K: Key>(
-    src_k: &[K],
-    src_o: &[u32],
-    dst_k: &mut [K],
-    dst_o: &mut [u32],
-    run: usize,
-    fanout: usize,
-    runs_buf: &mut Vec<Range<usize>>,
-    merge: &mut MergeScratch,
-    cancel: &CancelToken,
-) -> usize {
-    let n = src_k.len();
-    debug_assert!(fanout >= 2);
-    let group = run * fanout;
-    let mut start = 0usize;
-    while start < n {
-        if cancel.check().is_err() {
-            return group;
-        }
-        let end = (start + group).min(n);
-        runs_buf.clear();
-        let mut s = start;
-        while s < end {
-            let e = (s + run).min(end);
-            runs_buf.push(s..e);
-            s = e;
-        }
-        multiway_merge_scratch_cancellable(
-            src_k, src_o, dst_k, dst_o, runs_buf, start, merge, cancel,
-        );
-        start = end;
-    }
-    group
-}
-
-/// One `F`-way pass with offset-value codes: like
-/// [`multiway_pass_scratch`], with `src_c`/`dst_c` carrying the
-/// per-element codes through the pass. Returns the new run length.
-#[allow(clippy::too_many_arguments)]
-pub fn multiway_pass_ovc_scratch<K: Key>(
-    src_k: &[K],
-    src_o: &[u32],
-    src_c: &[u32],
-    dst_k: &mut [K],
-    dst_o: &mut [u32],
-    dst_c: &mut [u32],
-    run: usize,
-    fanout: usize,
-    runs_buf: &mut Vec<Range<usize>>,
-    merge: &mut MergeScratch,
-) -> usize {
-    multiway_pass_ovc_scratch_cancellable(
-        src_k,
-        src_o,
-        src_c,
-        dst_k,
-        dst_o,
-        dst_c,
-        run,
-        fanout,
-        runs_buf,
-        merge,
-        &CancelToken::none(),
-    )
-}
-
-/// Like [`multiway_pass_ovc_scratch`], polling `cancel` between merge
-/// groups and every [`CHECK_INTERVAL`] pops inside each group; see
-/// [`multiway_pass_scratch_cancellable`] for the early-exit contract.
-#[allow(clippy::too_many_arguments)]
-pub fn multiway_pass_ovc_scratch_cancellable<K: Key>(
-    src_k: &[K],
-    src_o: &[u32],
-    src_c: &[u32],
-    dst_k: &mut [K],
-    dst_o: &mut [u32],
-    dst_c: &mut [u32],
-    run: usize,
-    fanout: usize,
-    runs_buf: &mut Vec<Range<usize>>,
-    merge: &mut MergeScratch,
-    cancel: &CancelToken,
-) -> usize {
-    let n = src_k.len();
-    debug_assert!(fanout >= 2);
-    let group = run * fanout;
-    let mut start = 0usize;
-    while start < n {
-        if cancel.check().is_err() {
-            return group;
-        }
-        let end = (start + group).min(n);
-        runs_buf.clear();
-        let mut s = start;
-        while s < end {
-            let e = (s + run).min(end);
-            runs_buf.push(s..e);
-            s = e;
-        }
-        multiway_merge_ovc_scratch_cancellable(
-            src_k, src_o, src_c, dst_k, dst_o, dst_c, runs_buf, start, merge, cancel,
-        );
-        start = end;
-    }
-    group
-}
-
-/// One element delivered by a [`StreamSource`]: the most significant
-/// 64-bit word of its (possibly multi-word) sort key, its offset-value
-/// code relative to the run predecessor's first word (run heads coded
-/// against zero), and the payload oid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamHead {
-    /// Most significant `u64` word of the element's sort key.
-    pub word0: u64,
-    /// `ovc_encode(word0, predecessor word0)`; `0` at the run head.
-    pub code: u32,
-    /// Payload object id.
-    pub oid: u32,
-}
-
-/// A supplier of sorted runs for the streaming merge, e.g. spilled run
-/// files behind bounded read-ahead buffers.
-///
-/// Keys may be wider than 64 bits: the tree only sees each head's most
-/// significant word (and its offset-value code over that word); whenever
-/// two heads tie on codes — which implies equal first words relative to
-/// a common base — the tree asks the source to compare the full keys via
-/// [`StreamSource::cmp_heads`]. The source must keep each run's current
-/// head resident until the next [`StreamSource::next`] call for that run.
-pub trait StreamSource {
-    /// The I/O error type surfaced through [`StreamMerger::pop`].
-    type Error;
-
-    /// Advance run `run` to its next element and return it, or `None`
-    /// when the run is exhausted. Elements must come back in
-    /// non-decreasing key order with codes relative to the previous
-    /// element of the same run (the head against the all-zero key).
-    fn next(&mut self, run: usize) -> Result<Option<StreamHead>, Self::Error>;
-
-    /// Compare the full sort keys of the current heads of runs `a` and
-    /// `b`. Only called while both runs have a live head, and only on a
-    /// code tie (equal first words over a common base).
-    fn cmp_heads(&self, a: usize, b: usize) -> core::cmp::Ordering;
-}
-
-/// A streaming offset-value-coded loser tree over a [`StreamSource`].
-///
-/// Same match protocol as the internal `OvcLoserTree` — codes decide when they
-/// differ, a code tie plays the full keys through the source and the
-/// loser's code is recomputed against the winner, equal keys break
-/// toward the lower run index — generalized to multi-word keys: codes
-/// and the scratch's widened heads cover only each key's most
-/// significant word, so `ovc_encode(loser word0, winner word0)` may
-/// legitimately return 0 for distinct keys that agree on their first
-/// word. That is sound because a 0 code only ever short-circuits a match
-/// into the full-key comparison, never away from it.
-pub struct StreamMerger<'a, S: StreamSource> {
-    src: &'a mut S,
-    s: &'a mut MergeScratch,
-    m: usize,
-    comparisons: u64,
-    ovc_hits: u64,
-    recorded: bool,
-}
-
-impl<'a, S: StreamSource> StreamMerger<'a, S> {
-    /// Build the tree over `num_runs` runs, pulling each run's head from
-    /// the source.
-    pub fn new(
-        src: &'a mut S,
-        num_runs: usize,
-        scratch: &'a mut MergeScratch,
-    ) -> Result<Self, S::Error> {
-        let m = num_runs.next_power_of_two().max(2);
-        scratch.prepare(m);
-        for i in 0..m {
-            scratch.cursors[i] = (0, 0);
-            scratch.heads[i] = (0, false);
-            scratch.head_codes[i] = 0;
-            scratch.head_oids[i] = 0;
-        }
-        for i in 0..num_runs {
-            if let Some(h) = src.next(i)? {
-                scratch.heads[i] = (h.word0, true);
-                scratch.head_codes[i] = h.code;
-                scratch.head_oids[i] = h.oid;
-            }
-        }
-        let mut lt = StreamMerger {
-            src,
-            s: scratch,
-            m,
-            comparisons: 0,
-            ovc_hits: 0,
-            recorded: false,
-        };
-        lt.rebuild();
-        Ok(lt)
-    }
-
-    /// Immutable view of the underlying source — e.g. to inspect the
-    /// element a [`StreamMerger::pop`] just surrendered, which sources
-    /// typically retain until that run's next refill.
-    pub fn source(&self) -> &S {
-        &*self.src
-    }
-
-    /// The OVC match over stream heads; see [`OvcLoserTree::beats`] for
-    /// the protocol and the load-bearing lower-run-index tie-break.
-    #[inline]
-    fn beats(&mut self, a: u32, b: u32) -> bool {
-        match (self.s.heads[a as usize], self.s.heads[b as usize]) {
-            ((wa, true), (wb, true)) => {
-                self.comparisons += 1;
-                let (ca, cb) = (self.s.head_codes[a as usize], self.s.head_codes[b as usize]);
-                if ca != cb {
-                    self.ovc_hits += 1;
-                    return ca < cb;
-                }
-                // Code tie: first words are equal relative to the common
-                // base; play the full (possibly multi-word) keys.
-                match self.src.cmp_heads(a as usize, b as usize) {
-                    core::cmp::Ordering::Equal => {
-                        self.s.head_codes[a.max(b) as usize] = 0;
-                        a < b
-                    }
-                    core::cmp::Ordering::Less => {
-                        self.s.head_codes[b as usize] = ovc_encode(wb, wa);
-                        true
-                    }
-                    core::cmp::Ordering::Greater => {
-                        self.s.head_codes[a as usize] = ovc_encode(wa, wb);
-                        false
-                    }
-                }
-            }
-            ((_, true), (_, false)) => true,
-            ((_, false), _) => false,
-        }
-    }
-
-    /// Full rebuild: play all matches bottom-up.
-    fn rebuild(&mut self) {
-        let m = self.m;
-        for i in 0..m {
-            self.s.winner[m + i] = i as u32;
-        }
-        for i in (1..m).rev() {
-            let (a, b) = (self.s.winner[2 * i], self.s.winner[2 * i + 1]);
-            let (w, l) = if self.beats(a, b) { (a, b) } else { (b, a) };
-            self.s.winner[i] = w;
-            self.s.tree[i] = l;
-        }
-        self.s.tree[0] = self.s.winner[1];
-    }
-
-    /// Pop the smallest element as `(run, oid, code)` — the code relative
-    /// to the previous output's first word (0 means the first words are
-    /// equal; the full keys may still differ past word 0). Returns
-    /// `Ok(None)` when every run has drained, at which point the merge's
-    /// comparison counters are credited to the thread-local accumulator
-    /// exactly once.
-    pub fn pop(&mut self) -> Result<Option<(usize, u32, u32)>, S::Error> {
-        let w = self.s.tree[0] as usize;
-        let (_, valid) = self.s.heads[w];
-        if !valid {
-            if !self.recorded {
-                self.recorded = true;
-                ovc::record(self.comparisons, self.ovc_hits);
-            }
+    #[inline(always)]
+    fn next(&mut self, run: usize) -> Result<Option<MergeHead>, Infallible> {
+        let (cur, end) = self.cursors[run];
+        if cur == end {
             return Ok(None);
         }
-        let oid = self.s.head_oids[w];
-        let code = self.s.head_codes[w];
-        match self.src.next(w)? {
-            Some(h) => {
-                self.s.heads[w] = (h.word0, true);
-                // Relative to its run predecessor — the element popped.
-                self.s.head_codes[w] = h.code;
-                self.s.head_oids[w] = h.oid;
-            }
-            None => {
-                self.s.heads[w] = (0, false);
-                self.s.head_codes[w] = 0;
-                self.s.head_oids[w] = 0;
-            }
-        }
-        // Replay matches from leaf w to the root (common-base argument
-        // as in [`OvcLoserTree::pop`]).
-        let mut winner = w as u32;
-        let mut node = (self.m + w) >> 1;
-        while node >= 1 {
-            let other = self.s.tree[node];
-            if self.beats(other, winner) {
-                self.s.tree[node] = winner;
-                winner = other;
-            }
-            node >>= 1;
-        }
-        self.s.tree[0] = winner;
-        Ok(Some((w, oid, code)))
+        self.cursors[run].0 = cur + 1;
+        Ok(Some(MergeHead {
+            word0: self.keys[cur].to_u64(),
+            code: if CODED { self.codes[cur] } else { 0 },
+            oid: self.oids[cur],
+        }))
     }
 }
 
-/// One `F`-way pass over the whole buffer: merges consecutive groups of up
-/// to `fanout` runs of length `run` from `src` into `dst`. Returns the new
-/// run length (`run * fanout`).
+fn infallible<T>(r: Result<T, Infallible>) -> T {
+    match r {
+        Ok(v) => v,
+        Err(e) => match e {},
+    }
+}
+
+/// Drain a tree over `src` into the destination slices (`dc` is empty
+/// unless the source is coded).
+fn drain<K: Key, S: MergeSource<Error = Infallible>>(
+    src: S,
+    num_runs: usize,
+    nodes: &mut TreeNodes,
+    (dk, dov, dc): (&mut [K], &mut [u32], &mut [u32]),
+    cancel: &CancelToken,
+) {
+    let mut lt = infallible(LoserTree::over(src, num_runs, nodes));
+    for i in 0..dk.len() {
+        if i % CHECK_INTERVAL == 0 && cancel.check().is_err() {
+            return;
+        }
+        let (_, h) = infallible(lt.pop()).expect("loser tree drained early");
+        dk[i] = K::from_u64(h.word0);
+        dov[i] = h.oid;
+        if S::CODED {
+            dc[i] = h.code;
+        }
+    }
+    debug_assert!(infallible(lt.pop()).is_none());
+}
+
+/// Merge `runs` (disjoint, individually sorted index ranges of the `src`
+/// slices) into the `dst` slices starting at `dst_at`.
+///
+/// `src` is `(keys, oids, codes)` and `dst` its writable counterpart;
+/// both `codes` are `Some` or both `None`. With codes, `src.2` holds each
+/// element's offset-value code relative to its run predecessor (run heads
+/// coded against zero), matches are decided by code compares where
+/// possible, and `dst.2` receives the merged output's codes (each
+/// relative to the previous output element, the head of the merged run
+/// against zero) — valid input for the next merge pass.
+///
+/// `cancel` is polled every [`CHECK_INTERVAL`] pops. A fired token stops
+/// the merge mid-stream, leaving the tail of the destination range
+/// unwritten — the caller must observe the token and discard the buffer.
+/// Comparison counters are credited either way.
+pub fn multiway_merge<K: Key>(
+    src: (&[K], &[u32], Option<&[u32]>),
+    dst: (&mut [K], &mut [u32], Option<&mut [u32]>),
+    runs: &[Range<usize>],
+    dst_at: usize,
+    scratch: &mut MergeScratch,
+    cancel: &CancelToken,
+) {
+    debug_assert!(!runs.is_empty());
+    let (keys, oids, codes) = src;
+    assert_eq!(
+        codes.is_some(),
+        dst.2.is_some(),
+        "codes on one side of the merge only"
+    );
+    let total: usize = runs.iter().map(|r| r.len()).sum();
+    let window = dst_at..dst_at + total;
+    let dk = &mut dst.0[window.clone()];
+    let dov = &mut dst.1[window.clone()];
+    let dc = dst.2.map(|c| &mut c[window]);
+    if let [r] = runs {
+        dk.copy_from_slice(&keys[r.clone()]);
+        dov.copy_from_slice(&oids[r.clone()]);
+        if let (Some(sc), Some(dc)) = (codes, dc) {
+            dc.copy_from_slice(&sc[r.clone()]);
+        }
+        return;
+    }
+    let MergeScratch { cursors, nodes } = scratch;
+    cursors.clear();
+    cursors.extend(runs.iter().map(|r| (r.start, r.end)));
+    match (codes, dc) {
+        (Some(codes), Some(dc)) => drain(
+            SliceRuns::<K, true> {
+                keys,
+                oids,
+                codes,
+                cursors,
+            },
+            runs.len(),
+            nodes,
+            (dk, dov, dc),
+            cancel,
+        ),
+        _ => drain(
+            SliceRuns::<K, false> {
+                keys,
+                oids,
+                codes: &[],
+                cursors,
+            },
+            runs.len(),
+            nodes,
+            (dk, dov, &mut []),
+            cancel,
+        ),
+    }
+}
+
+/// One `F`-way pass over the whole buffer: merges consecutive groups of
+/// up to `fanout` runs of length `run` from `src` into `dst` (bundled as
+/// for [`multiway_merge`], whose codes ride through the pass when
+/// present). Returns the new run length (`run * fanout`).
+///
+/// `cancel` is polled between merge groups and, through the merge, every
+/// [`CHECK_INTERVAL`] pops inside each group. A fired token abandons the
+/// rest of the pass; the caller must observe the token and discard the
+/// destination buffer. The nominal new run length is returned either way.
 pub fn multiway_pass<K: Key>(
-    src_k: &[K],
-    src_o: &[u32],
-    dst_k: &mut [K],
-    dst_o: &mut [u32],
+    src: (&[K], &[u32], Option<&[u32]>),
+    dst: (&mut [K], &mut [u32], Option<&mut [u32]>),
     run: usize,
     fanout: usize,
+    runs_buf: &mut Vec<Range<usize>>,
+    scratch: &mut MergeScratch,
+    cancel: &CancelToken,
 ) -> usize {
-    let mut runs_buf: Vec<Range<usize>> = Vec::with_capacity(fanout);
-    let mut merge = MergeScratch::new();
-    multiway_pass_scratch(
-        src_k,
-        src_o,
-        dst_k,
-        dst_o,
-        run,
-        fanout,
-        &mut runs_buf,
-        &mut merge,
-    )
+    let n = src.0.len();
+    debug_assert!(fanout >= 2);
+    let (dk, dov, mut dc) = dst;
+    let group = run * fanout;
+    let mut start = 0usize;
+    while start < n {
+        if cancel.check().is_err() {
+            return group;
+        }
+        let end = (start + group).min(n);
+        runs_buf.clear();
+        runs_buf.extend((start..end).step_by(run).map(|s| s..(s + run).min(end)));
+        let dst = (&mut *dk, &mut *dov, dc.as_deref_mut());
+        multiway_merge(src, dst, runs_buf, start, scratch, cancel);
+        start = end;
+    }
+    group
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ovc::MergeCounters;
+
+    /// Codes-off merge through a fresh scratch.
+    fn merge<K: Key>(k: &[K], o: &[u32], dk: &mut [K], dlo: &mut [u32], runs: &[Range<usize>]) {
+        let mut scratch = MergeScratch::new();
+        multiway_merge(
+            (k, o, None),
+            (dk, dlo, None),
+            runs,
+            0,
+            &mut scratch,
+            &CancelToken::none(),
+        );
+    }
+
+    /// Codes-off pass through a fresh scratch.
+    fn pass<K: Key>(
+        k: &[K],
+        o: &[u32],
+        dk: &mut [K],
+        dlo: &mut [u32],
+        run: usize,
+        f: usize,
+    ) -> usize {
+        let (src, dst) = ((k, o, None), (dk, dlo, None));
+        let (mut runs, mut scratch) = (Vec::new(), MergeScratch::new());
+        multiway_pass(
+            src,
+            dst,
+            run,
+            f,
+            &mut runs,
+            &mut scratch,
+            &CancelToken::none(),
+        )
+    }
 
     #[test]
     fn merges_three_runs() {
@@ -831,7 +525,7 @@ mod tests {
         let o: Vec<u32> = (0..9).collect();
         let mut dk = vec![0u32; 9];
         let mut dlo = vec![0u32; 9];
-        multiway_merge(&k, &o, &mut dk, &mut dlo, &[0..3, 3..6, 6..9], 0);
+        merge(&k, &o, &mut dk, &mut dlo, &[0..3, 3..6, 6..9]);
         assert_eq!(dk, vec![0, 1, 2, 3, 4, 5, 6, 7, 8]);
         // oid i still points at key k[i].
         for i in 0..9 {
@@ -845,7 +539,7 @@ mod tests {
         let o: Vec<u32> = vec![0, 1, 2];
         let mut dk = vec![0u16; 3];
         let mut dlo = vec![0u32; 3];
-        multiway_merge(&k, &o, &mut dk, &mut dlo, &[0..2, 2..2, 2..3], 0);
+        merge(&k, &o, &mut dk, &mut dlo, &[0..2, 2..2, 2..3]);
         assert_eq!(dk, vec![1, 5, 6]);
     }
 
@@ -855,7 +549,7 @@ mod tests {
         let o: Vec<u32> = vec![10, 11, 12];
         let mut dk = vec![0u16; 3];
         let mut dlo = vec![0u32; 3];
-        multiway_merge(&k, &o, &mut dk, &mut dlo, &[0..2, 2..3], 0);
+        merge(&k, &o, &mut dk, &mut dlo, &[0..2, 2..3]);
         assert_eq!(dk, vec![3, u16::MAX, u16::MAX]);
         assert_eq!(dlo[0], 12);
         let mut tail = [dlo[1], dlo[2]];
@@ -873,7 +567,7 @@ mod tests {
         let o: Vec<u32> = (0..16).collect();
         let mut dk = vec![0u64; 16];
         let mut dlo = vec![0u32; 16];
-        let new_run = multiway_pass(&k, &o, &mut dk, &mut dlo, 4, 2);
+        let new_run = pass(&k, &o, &mut dk, &mut dlo, 4, 2);
         assert_eq!(new_run, 8);
         assert!(dk[0..8].windows(2).all(|w| w[0] <= w[1]));
         assert!(dk[8..16].windows(2).all(|w| w[0] <= w[1]));
@@ -885,14 +579,14 @@ mod tests {
         let o: Vec<u32> = (0..6).collect();
         let mut dk = vec![0u32; 6];
         let mut dlo = vec![0u32; 6];
-        multiway_merge(&k, &o, &mut dk, &mut dlo, &[0..2, 2..4, 4..6], 0);
+        merge(&k, &o, &mut dk, &mut dlo, &[0..2, 2..4, 4..6]);
         let mut got = dlo.clone();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
-    fn ovc_merge_matches_plain_and_produces_valid_codes() {
+    fn codes_on_and_off_merge_alike_and_on_emits_valid_codes() {
         let mut state = 0x5EED_1234u64;
         let mut next = move || {
             state ^= state << 13;
@@ -923,26 +617,24 @@ mod tests {
 
             let _ = ovc::take_merge_counters();
             let (mut pk, mut po) = (vec![0u64; n], vec![0u32; n]);
-            multiway_merge(&keys, &oids, &mut pk, &mut po, &runs, 0);
+            merge(&keys, &oids, &mut pk, &mut po, &runs);
             let plain = ovc::take_merge_counters();
 
             let (mut ok, mut oo, mut oc) = (vec![0u64; n], vec![0u32; n], vec![0u32; n]);
             let mut scratch = MergeScratch::new();
-            multiway_merge_ovc_scratch(
-                &keys,
-                &oids,
-                &codes,
-                &mut ok,
-                &mut oo,
-                &mut oc,
+            multiway_merge(
+                (&keys, &oids, Some(&codes)),
+                (&mut ok, &mut oo, Some(&mut oc)),
                 &runs,
                 0,
                 &mut scratch,
+                &CancelToken::none(),
             );
             let with_ovc = ovc::take_merge_counters();
 
-            // Byte-identical output (both trees share the run-index
-            // tie-break, so even duplicate payload order must agree).
+            // Byte-identical output (the run-index tie-break holds with
+            // and without codes, so even duplicate payload order must
+            // agree).
             assert_eq!(ok, pk);
             assert_eq!(oo, po);
 
@@ -996,9 +688,9 @@ mod tests {
         let mut in_src = true;
         while run < n {
             run = if in_src {
-                multiway_pass(&pk, &po, &mut pbk, &mut pbo, run, fanout)
+                pass(&pk, &po, &mut pbk, &mut pbo, run, fanout)
             } else {
-                multiway_pass(&pbk, &pbo, &mut pk, &mut po, run, fanout)
+                pass(&pbk, &pbo, &mut pk, &mut po, run, fanout)
             };
             in_src = !in_src;
         }
@@ -1013,33 +705,20 @@ mod tests {
         let mut run = run0;
         let mut in_src = true;
         while run < n {
-            run = if in_src {
-                multiway_pass_ovc_scratch(
-                    &keys,
-                    &oids,
-                    &ca,
-                    &mut bk,
-                    &mut bo,
-                    &mut cb,
-                    run,
-                    fanout,
-                    &mut runs_buf,
-                    &mut merge,
-                )
+            let (src, dst) = if in_src {
+                ((&keys, &oids, &ca), (&mut bk, &mut bo, &mut cb))
             } else {
-                multiway_pass_ovc_scratch(
-                    &bk,
-                    &bo,
-                    &cb,
-                    &mut keys,
-                    &mut oids,
-                    &mut ca,
-                    run,
-                    fanout,
-                    &mut runs_buf,
-                    &mut merge,
-                )
+                ((&bk, &bo, &cb), (&mut keys, &mut oids, &mut ca))
             };
+            run = multiway_pass(
+                (src.0, src.1, Some(src.2)),
+                (dst.0, dst.1, Some(dst.2)),
+                run,
+                fanout,
+                &mut runs_buf,
+                &mut merge,
+                &CancelToken::none(),
+            );
             in_src = !in_src;
         }
         let (got_k, got_o) = if in_src { (keys, oids) } else { (bk, bo) };
@@ -1047,7 +726,7 @@ mod tests {
         assert_eq!(got_o, want_o);
     }
 
-    /// In-memory [`StreamSource`] over multi-word keys, for tests: each
+    /// In-memory coded [`MergeSource`] over multi-word keys, for tests: each
     /// run is a sorted `Vec` of `(key words, oid)`.
     struct VecSource {
         runs: Vec<Vec<(Vec<u64>, u32)>>,
@@ -1061,10 +740,11 @@ mod tests {
         }
     }
 
-    impl StreamSource for VecSource {
+    impl MergeSource for VecSource {
         type Error = ();
+        const CODED: bool = true;
 
-        fn next(&mut self, run: usize) -> Result<Option<StreamHead>, ()> {
+        fn next(&mut self, run: usize) -> Result<Option<MergeHead>, ()> {
             let i = self.pos[run];
             let Some((words, oid)) = self.runs[run].get(i) else {
                 return Ok(None);
@@ -1075,26 +755,26 @@ mod tests {
                 self.runs[run][i - 1].0[0]
             };
             self.pos[run] += 1;
-            Ok(Some(StreamHead {
+            Ok(Some(MergeHead {
                 word0: words[0],
                 code: ovc_encode(words[0], prev_w0),
                 oid: *oid,
             }))
         }
 
-        fn cmp_heads(&self, a: usize, b: usize) -> core::cmp::Ordering {
+        fn cmp_tails(&self, a: usize, b: usize) -> Ordering {
             // The live head of a run is the element `next` returned last.
             let ha = &self.runs[a][self.pos[a] - 1].0;
             let hb = &self.runs[b][self.pos[b] - 1].0;
-            ha.cmp(hb)
+            ha[1..].cmp(&hb[1..])
         }
     }
 
     #[test]
-    fn stream_merger_matches_slice_merge_byte_for_byte() {
-        // Single-word keys: the streaming tree must reproduce the slice
-        // tree's output exactly, including duplicate payload order (both
-        // share the lower-run-index tie-break).
+    fn streamed_source_matches_slice_merge_byte_for_byte() {
+        // Single-word keys: the tree over a streaming source must
+        // reproduce the slice merge's output exactly, including duplicate
+        // payload order (the lower-run-index tie-break).
         let mut state = 0xC0FF_EE00u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1124,17 +804,17 @@ mod tests {
             let oids: Vec<u32> = (0..n as u32).collect();
             let (mut dk, mut dlo) = (vec![0u64; n], vec![0u32; n]);
             if n > 0 {
-                multiway_merge(&keys, &oids, &mut dk, &mut dlo, &runs, 0);
+                merge(&keys, &oids, &mut dk, &mut dlo, &runs);
             }
 
             let _ = ovc::take_merge_counters();
-            let mut src = VecSource::new(vruns);
             let mut scratch = MergeScratch::new();
-            let mut lt = StreamMerger::new(&mut src, count, &mut scratch).unwrap();
+            let mut lt = LoserTree::new(VecSource::new(vruns), count, &mut scratch).unwrap();
             let mut got: Vec<u32> = Vec::new();
-            while let Some((_, oid, _)) = lt.pop().unwrap() {
-                got.push(oid);
+            while let Some((_, h)) = lt.pop().unwrap() {
+                got.push(h.oid);
             }
+            drop(lt);
             assert_eq!(got, dlo, "count={count}");
             let c = ovc::take_merge_counters();
             if count > 1 && n > 16 {
@@ -1144,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_merger_orders_multi_word_keys() {
+    fn streamed_source_orders_multi_word_keys() {
         // Two-word keys engineered to collide on word 0, so ordering
         // depends on the full-key comparisons behind the code ties.
         let mut state = 0xBEEF_BEEFu64;
@@ -1176,13 +856,13 @@ mod tests {
         want.sort_by(|x, y| x.0.cmp(&y.0).then(x.1.cmp(&y.1)));
 
         let _ = ovc::take_merge_counters();
-        let mut src = VecSource::new(vruns);
         let mut scratch = MergeScratch::new();
-        let mut lt = StreamMerger::new(&mut src, 4, &mut scratch).unwrap();
+        let mut lt = LoserTree::new(VecSource::new(vruns), 4, &mut scratch).unwrap();
         let mut got: Vec<u32> = Vec::new();
-        while let Some((_, o, _)) = lt.pop().unwrap() {
-            got.push(o);
+        while let Some((_, h)) = lt.pop().unwrap() {
+            got.push(h.oid);
         }
+        drop(lt);
         let want_oids: Vec<u32> = want.iter().map(|e| e.1).collect();
         assert_eq!(got, want_oids);
         let c = ovc::take_merge_counters();
@@ -1193,41 +873,91 @@ mod tests {
         );
     }
 
-    #[test]
-    fn stream_merger_handles_empty_and_failing_sources() {
-        // No runs at all.
-        let mut src = VecSource::new(Vec::new());
-        let mut scratch = MergeScratch::new();
-        let mut lt = StreamMerger::new(&mut src, 0, &mut scratch).unwrap();
-        assert_eq!(lt.pop().unwrap(), None);
-        assert_eq!(lt.pop().unwrap(), None);
+    /// A source whose two run heads load fine and whose first refill
+    /// fails.
+    struct Failing {
+        calls: usize,
+    }
 
-        // A source that fails on the first refill after the heads.
-        struct Failing {
-            calls: usize,
-        }
-        impl StreamSource for Failing {
-            type Error = &'static str;
-            fn next(&mut self, _run: usize) -> Result<Option<StreamHead>, &'static str> {
-                self.calls += 1;
-                if self.calls <= 2 {
-                    Ok(Some(StreamHead {
-                        word0: self.calls as u64,
-                        code: ovc_encode(self.calls as u64, 0),
-                        oid: self.calls as u32,
-                    }))
-                } else {
-                    Err("read failed")
-                }
-            }
-            fn cmp_heads(&self, _a: usize, _b: usize) -> core::cmp::Ordering {
-                core::cmp::Ordering::Equal
+    impl MergeSource for Failing {
+        type Error = &'static str;
+        const CODED: bool = true;
+
+        fn next(&mut self, _run: usize) -> Result<Option<MergeHead>, &'static str> {
+            self.calls += 1;
+            if self.calls <= 2 {
+                Ok(Some(MergeHead {
+                    word0: self.calls as u64,
+                    code: ovc_encode(self.calls as u64, 0),
+                    oid: self.calls as u32,
+                }))
+            } else {
+                Err("read failed")
             }
         }
-        let mut src = Failing { calls: 0 };
+    }
+
+    #[test]
+    fn tree_over_no_runs_is_drained() {
+        // No runs at all.
         let mut scratch = MergeScratch::new();
-        let mut lt = StreamMerger::new(&mut src, 2, &mut scratch).unwrap();
+        let mut lt = LoserTree::new(VecSource::new(Vec::new()), 0, &mut scratch).unwrap();
+        assert_eq!(lt.pop().unwrap(), None);
+        assert_eq!(lt.pop().unwrap(), None);
+    }
+
+    #[test]
+    fn counters_are_credited_once_on_every_exit_path() {
+        let sorted_runs = |count: usize, len: u64| -> Vec<Vec<(Vec<u64>, u32)>> {
+            (0..count as u64)
+                .map(|r| {
+                    (0..len)
+                        .map(|i| (vec![i * 7 + r], (r * len + i) as u32))
+                        .collect()
+                })
+                .collect()
+        };
+        let mut scratch = MergeScratch::new();
+        let _ = ovc::take_merge_counters();
+
+        // Drained: every pop credited, and only when the tree goes away
+        // (repeated `None` pops add nothing).
+        let mut lt = LoserTree::new(VecSource::new(sorted_runs(4, 50)), 4, &mut scratch).unwrap();
+        while lt.pop().unwrap().is_some() {}
+        assert_eq!(lt.pop().unwrap(), None);
+        drop(lt);
+        let drained = ovc::take_merge_counters();
+        assert!(drained.comparisons >= 200 - 4);
+        assert_eq!(ovc::take_merge_counters(), MergeCounters::default());
+
+        // Abandoned mid-way, as a caller whose cancel token fired does:
+        // the matches played so far are credited, once.
+        let mut lt = LoserTree::new(VecSource::new(sorted_runs(4, 50)), 4, &mut scratch).unwrap();
+        for _ in 0..60 {
+            lt.pop().unwrap().unwrap();
+        }
+        drop(lt);
+        let abandoned = ovc::take_merge_counters();
+        assert!(abandoned.comparisons >= 60 && abandoned.comparisons < drained.comparisons);
+        assert_eq!(ovc::take_merge_counters(), MergeCounters::default());
+
+        // Source error: the rebuild's match survives the unwinding `?`.
+        let mut lt = LoserTree::new(Failing { calls: 0 }, 2, &mut scratch).unwrap();
         assert_eq!(lt.pop(), Err("read failed"));
+        drop(lt);
+        assert_eq!(ovc::take_merge_counters().comparisons, 1);
+        assert_eq!(ovc::take_merge_counters(), MergeCounters::default());
+
+        // A slice merge whose token has fired: rebuild credited, once.
+        let k: Vec<u32> = vec![1, 4, 2, 5];
+        let o: Vec<u32> = (0..4).collect();
+        let (mut dk, mut dlo) = (vec![0u32; 4], vec![0u32; 4]);
+        let token = CancelToken::new();
+        token.cancel();
+        let (src, dst) = ((&k[..], &o[..], None), (&mut dk[..], &mut dlo[..], None));
+        multiway_merge(src, dst, &[0..2, 2..4], 0, &mut scratch, &token);
+        assert_eq!(ovc::take_merge_counters().comparisons, 1);
+        assert_eq!(ovc::take_merge_counters(), MergeCounters::default());
     }
 
     #[test]
@@ -1235,18 +965,19 @@ mod tests {
         // A big merge followed by a smaller one through the same scratch:
         // stale node state from the first must not leak into the second.
         let mut scratch = MergeScratch::new();
+        let none = CancelToken::none();
         let k: Vec<u32> = vec![1, 4, 7, 2, 5, 8, 0, 3, 6, 9];
         let o: Vec<u32> = (0..10).collect();
         let mut dk = vec![0u32; 10];
         let mut dlo = vec![0u32; 10];
-        multiway_merge_scratch(
-            &k,
-            &o,
-            &mut dk,
-            &mut dlo,
-            &[0..3, 3..6, 6..8, 8..10],
+        let runs = [0..3, 3..6, 6..8, 8..10];
+        multiway_merge(
+            (&k, &o, None),
+            (&mut dk, &mut dlo, None),
+            &runs,
             0,
             &mut scratch,
+            &none,
         );
         assert_eq!(dk, vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
 
@@ -1254,14 +985,14 @@ mod tests {
         let o2: Vec<u32> = vec![0, 1];
         let mut dk2 = vec![0u32; 2];
         let mut dlo2 = vec![0u32; 2];
-        multiway_merge_scratch(
-            &k2,
-            &o2,
-            &mut dk2,
-            &mut dlo2,
-            &[0..1, 1..2],
+        let runs = [0..1, 1..2];
+        multiway_merge(
+            (&k2, &o2, None),
+            (&mut dk2, &mut dlo2, None),
+            &runs,
             0,
             &mut scratch,
+            &none,
         );
         assert_eq!(dk2, vec![1, 9]);
         assert_eq!(dlo2, vec![1, 0]);

@@ -1,16 +1,16 @@
 //! Multi-threaded sorting (the paper's §6.4 scaling experiments),
 //! morsel-driven.
 //!
-//! Strategy: carve the work into morsels — contiguous row ranges for the
-//! flat sort, whole-group spans plus split slices of oversized groups for
-//! the segmented sort — seed them range-partitioned across a
+//! Strategy: carve the work into morsels — whole-group spans plus split
+//! slices of oversized groups for the segmented sort, contiguous row
+//! ranges for [`for_each_chunk`] — seed them range-partitioned across a
 //! [`MorselQueue`], and let `T` workers (`std::thread::scope`, matching
 //! the paper's thread-per-core execution) pull morsels until the queue is
 //! dry. A worker that finishes its seed early steals from stragglers, so
 //! skewed group distributions no longer leave workers idle behind one
-//! giant group. The flat sort finishes with one multiway merge of the
-//! sorted chunk runs; a split group is merged by whichever worker sorts
-//! its last slice.
+//! giant group. A split group is merged by whichever worker sorts its
+//! last slice; a flat sort is the one-group case
+//! ([`GroupBounds::whole`]).
 //!
 //! Worker panics are caught at the scope boundary and surfaced as a typed
 //! [`WorkerPanic`] carrying the worker index, so a dying worker can be
@@ -19,12 +19,12 @@
 //! `CancelToken` polls and the `simd.worker.panic` fault point both live
 //! inside the morsel loop, bounding reaction latency to one morsel.
 
-use crate::multiway::{multiway_merge, multiway_merge_scratch_cancellable};
+use crate::multiway::multiway_merge;
 use crate::ovc;
 use crate::phase;
 use crate::scratch::{SortScratch, WorkerScratch};
-use crate::segmented::{GroupBounds, SegmentedSortStats};
-use crate::sort::{SortConfig, SortableKey};
+use crate::segmented::{sort_groups_by_offsets, GroupBounds, SegmentedSortStats};
+use crate::sort::{SortConfig, SortableKey, PARALLEL_CUTOFF_ROWS};
 use mcs_morsel::{row_morsels, MorselCounts, MorselQueue};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -47,18 +47,18 @@ const SPLIT_ALIGN: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerPanic {
     /// Index of the worker whose morsel loop died.
-    pub chunk: usize,
+    pub worker: usize,
 }
 
 impl core::fmt::Display for WorkerPanic {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "parallel-sort worker {} panicked", self.chunk)
+        write!(f, "parallel-sort worker {} panicked", self.worker)
     }
 }
 
 impl std::error::Error for WorkerPanic {}
 
-/// Raw base pointer smuggled into worker closures.
+/// Raw base pointer shared with the workers.
 ///
 /// Safety contract: every morsel names a row range disjoint from all
 /// other concurrently executing morsels, so the `&mut [T]` slices the
@@ -66,100 +66,6 @@ impl std::error::Error for WorkerPanic {}
 struct SendPtr<T>(*mut T);
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-/// # Safety
-/// `[at, at + len)` must lie inside `p`'s allocation and must not be
-/// accessed concurrently for the lifetime of the returned slice.
-unsafe fn slice_mut<'a, T>(p: SendPtr<T>, at: usize, len: usize) -> &'a mut [T] {
-    core::slice::from_raw_parts_mut(p.0.add(at), len)
-}
-
-/// Sort `(keys, oids)` using up to `threads` worker threads.
-///
-/// Inputs shorter than [`SortConfig::parallel_cutoff_rows`] sort serially.
-/// Otherwise the input is carved into contiguous chunk morsels (several
-/// per worker), each chunk is sorted by whichever worker pulls it, and a
-/// final multiway merge produces the total order.
-///
-/// Returns `Err(WorkerPanic)` — with `keys`/`oids` in an unspecified
-/// order — if a worker thread panics; the panic is contained at the
-/// scope boundary rather than propagated.
-pub fn sort_pairs_parallel<K: SortableKey>(
-    keys: &mut [K],
-    oids: &mut [u32],
-    threads: usize,
-    cfg: &SortConfig,
-) -> Result<(), WorkerPanic> {
-    assert_eq!(keys.len(), oids.len());
-    let n = keys.len();
-    let threads = threads.max(1);
-    if threads == 1 || n < cfg.parallel_cutoff_rows.max(1) {
-        K::sort_pairs_with(keys, oids, cfg);
-        return Ok(());
-    }
-    // More chunks than workers (so stragglers can be stolen around), but
-    // never chunks smaller than the serial cutoff.
-    let num_chunks = (threads * MORSELS_PER_WORKER)
-        .min(n / cfg.parallel_cutoff_rows.max(1))
-        .max(1);
-    let chunk = n.div_ceil(num_chunks);
-    let mut queue = MorselQueue::new(threads);
-    queue.seed_partitioned(row_morsels(n, chunk));
-
-    let kp = SendPtr(keys.as_mut_ptr());
-    let op = SendPtr(oids.as_mut_ptr());
-    let mut first_panic: Option<usize> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let queue = &queue;
-                scope.spawn(move || {
-                    let mut scratch = SortScratch::new();
-                    while let Some((m, _stolen)) = queue.pop(w) {
-                        if mcs_faults::fault_point!(mcs_faults::points::SIMD_WORKER_PANIC) {
-                            panic!("injected fault: {}", mcs_faults::points::SIMD_WORKER_PANIC);
-                        }
-                        if m.len == 0 {
-                            continue;
-                        }
-                        // SAFETY: row morsels tile `0..n` disjointly and
-                        // each is executed by exactly one worker.
-                        let (ck, co) = unsafe {
-                            (slice_mut(kp, m.start, m.len), slice_mut(op, m.start, m.len))
-                        };
-                        K::sort_pairs_with_scratch(ck, co, cfg, &mut scratch);
-                    }
-                })
-            })
-            .collect();
-        for (w, h) in handles.into_iter().enumerate() {
-            if h.join().is_err() && first_panic.is_none() {
-                first_panic = Some(w);
-            }
-        }
-    });
-    if let Some(worker) = first_panic {
-        return Err(WorkerPanic { chunk: worker });
-    }
-
-    // Single multiway merge of the sorted chunk runs.
-    let runs: Vec<core::ops::Range<usize>> = (0..n)
-        .step_by(chunk)
-        .map(|s| s..(s + chunk).min(n))
-        .collect();
-    let mut out_k = vec![K::default(); n];
-    let mut out_o = vec![0u32; n];
-    multiway_merge(keys, oids, &mut out_k, &mut out_o, &runs, 0);
-    keys.copy_from_slice(&out_k);
-    oids.copy_from_slice(&out_o);
-    Ok(())
-}
 
 /// Work items of the morsel-driven segmented sort.
 enum Task {
@@ -204,27 +110,16 @@ fn split_bounds(start: usize, len: usize, parts: usize) -> Vec<usize> {
     bounds
 }
 
-/// Segmented sort with groups distributed as work-stealing morsels
-/// across `threads` workers.
+/// Sort `(keys, oids)` within each group independently, each group by
+/// the kernel [`SortableKey::sort_pairs_with_scratch`] picks for its
+/// length, on up to `threads` workers, drawing span bookkeeping and every
+/// worker's sort-kernel buffers from `scratch`.
 ///
-/// Worker panics are caught and returned as a [`WorkerPanic`] carrying
-/// the worker index; the slices are then in an unspecified state.
-pub fn sort_pairs_in_groups_parallel<K: SortableKey>(
-    keys: &mut [K],
-    oids: &mut [u32],
-    groups: &GroupBounds,
-    threads: usize,
-    cfg: &SortConfig,
-) -> Result<SegmentedSortStats, WorkerPanic> {
-    let mut scratch = WorkerScratch::new();
-    sort_pairs_in_groups_parallel_scratch(keys, oids, groups, threads, cfg, &mut scratch)
-}
-
-/// Like [`sort_pairs_in_groups_parallel`], but drawing span bookkeeping
-/// and every worker's sort-kernel buffers from `scratch` — the hot-path
-/// work is allocation-free once the scratch is warm (thread spawning,
-/// queue seeding, and split-group merges still allocate; the serial
-/// `threads == 1` path does not).
+/// At `threads == 1`, or below [`PARALLEL_CUTOFF_ROWS`], the groups are
+/// sorted one after another on the calling thread — allocation-free once
+/// the scratch is warm, and never an `Err`. Otherwise the groups are
+/// distributed as work-stealing morsels (thread spawning, queue seeding
+/// and split-group merges allocate; the kernels still do not).
 ///
 /// Scheduling: whole groups are packed into contiguous spans of roughly
 /// `n / (threads · 4)` rows; any single group at least twice that size is
@@ -234,7 +129,10 @@ pub fn sort_pairs_in_groups_parallel<K: SortableKey>(
 /// workers pull LIFO locally and steal half a straggler's deque when dry.
 /// Group-level stats are counted once per *group* (a split group bumps
 /// `invocations` once, by its finisher), so stats match the serial path.
-pub fn sort_pairs_in_groups_parallel_scratch<K: SortableKey>(
+///
+/// Worker panics are caught and returned as a [`WorkerPanic`] carrying
+/// the worker index; the slices are then in an unspecified state.
+pub fn sort_pairs_in_groups<K: SortableKey>(
     keys: &mut [K],
     oids: &mut [u32],
     groups: &GroupBounds,
@@ -243,14 +141,15 @@ pub fn sort_pairs_in_groups_parallel_scratch<K: SortableKey>(
     scratch: &mut WorkerScratch,
 ) -> Result<SegmentedSortStats, WorkerPanic> {
     assert_eq!(keys.len(), oids.len());
-    assert_eq!(groups.num_rows(), keys.len());
+    assert_eq!(groups.num_rows(), keys.len(), "group bounds mismatch");
     let threads = threads.max(1);
     let n = keys.len();
-    if threads == 1 || n < cfg.parallel_cutoff_rows.max(1) {
-        return Ok(crate::segmented::sort_pairs_in_groups_scratch(
+    let offs = &groups.offsets;
+    if threads == 1 || n < PARALLEL_CUTOFF_ROWS {
+        return Ok(sort_groups_by_offsets(
             keys,
             oids,
-            groups,
+            offs,
             cfg,
             scratch.serial(),
         ));
@@ -259,7 +158,6 @@ pub fn sort_pairs_in_groups_parallel_scratch<K: SortableKey>(
     // Carve groups into morsels: contiguous spans of whole groups of
     // roughly `target` rows, with oversized groups split into slices.
     let target = n.div_ceil(threads * MORSELS_PER_WORKER).max(1);
-    let offs = &groups.offsets;
     let num_groups = groups.num_groups();
     scratch.spans.clear();
     let mut splits: Vec<SplitGroup> = Vec::new();
@@ -309,31 +207,30 @@ pub fn sort_pairs_in_groups_parallel_scratch<K: SortableKey>(
     queue.note_split(splits.len() as u64);
     queue.seed_partitioned(tasks);
 
-    let kp = SendPtr(keys.as_mut_ptr());
-    let op = SendPtr(oids.as_mut_ptr());
-    let spans = &scratch.spans;
-    let locals = &scratch.locals;
-    let splits = &splits;
-    let queue_ref = &queue;
+    let round = Round {
+        queue: &queue,
+        spans: &scratch.spans,
+        locals: &scratch.locals,
+        splits: &splits,
+        offs,
+        kp: SendPtr(keys.as_mut_ptr()),
+        op: SendPtr(oids.as_mut_ptr()),
+        cfg,
+    };
     let joined: Vec<std::thread::Result<SegmentedSortStats>> = std::thread::scope(|scope| {
+        let round = &round;
         let handles: Vec<_> = scratch
             .workers
             .iter_mut()
             .take(threads)
             .enumerate()
-            .map(|(w, worker)| {
-                scope.spawn(move || {
-                    run_worker::<K>(
-                        w, queue_ref, spans, locals, splits, offs, kp, op, cfg, worker,
-                    )
-                })
-            })
+            .map(|(w, worker)| scope.spawn(move || round.run_worker(w, worker)))
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
 
     let mut total = SegmentedSortStats::default();
-    for (w, r) in joined.into_iter().enumerate() {
+    for (worker, r) in joined.into_iter().enumerate() {
         match r {
             Ok(s) => {
                 total.invocations += s.invocations;
@@ -344,124 +241,138 @@ pub fn sort_pairs_in_groups_parallel_scratch<K: SortableKey>(
                 total.phases.add(s.phases);
                 total.merge.add(s.merge);
             }
-            Err(_) => return Err(WorkerPanic { chunk: w }),
+            Err(_) => return Err(WorkerPanic { worker }),
         }
     }
     total.morsels = queue.counts();
     Ok(total)
 }
 
-/// One worker's morsel loop: pop (or steal) tasks until the queue is dry.
-#[allow(clippy::too_many_arguments)]
-fn run_worker<K: SortableKey>(
-    w: usize,
-    queue: &MorselQueue<Task>,
-    spans: &[(usize, usize)],
-    locals: &[Vec<u32>],
-    splits: &[SplitGroup],
-    offs: &[u32],
+/// What the workers of one parallel segmented sort share.
+struct Round<'a, K> {
+    queue: &'a MorselQueue<Task>,
+    /// Whole-group spans as offsets-index ranges, and their rebased
+    /// offsets.
+    spans: &'a [(usize, usize)],
+    locals: &'a [Vec<u32>],
+    splits: &'a [SplitGroup],
+    /// The round's group offsets.
+    offs: &'a [u32],
     kp: SendPtr<K>,
     op: SendPtr<u32>,
-    cfg: &SortConfig,
-    worker: &mut SortScratch,
-) -> SegmentedSortStats {
-    let mut stats = SegmentedSortStats::default();
-    while let Some((task, _stolen)) = queue.pop(w) {
-        // Fault injection and cancellation live in the morsel loop:
-        // reaction latency is bounded by one morsel. A fired token stops
-        // this worker; the others stop at their own next poll, and the
-        // caller re-checks the token and discards the garbage round.
-        if mcs_faults::fault_point!(mcs_faults::points::SIMD_WORKER_PANIC) {
-            panic!("injected fault: {}", mcs_faults::points::SIMD_WORKER_PANIC);
-        }
-        if cfg.cancel.check().is_err() {
-            break;
-        }
-        match task {
-            Task::Span(s) => {
-                let (gs, ge) = spans[s];
-                let start = offs[gs] as usize;
-                let len = offs[ge] as usize - start;
-                // SAFETY: spans cover disjoint whole-group row ranges and
-                // each span task is executed by exactly one worker.
-                let (ck, co) = unsafe { (slice_mut(kp, start, len), slice_mut(op, start, len)) };
-                let got = crate::segmented::sort_groups_by_offsets(ck, co, &locals[s], cfg, worker);
-                stats.invocations += got.invocations;
-                stats.codes_sorted += got.codes_sorted;
-                stats.max_group = stats.max_group.max(got.max_group);
-                stats.phases.add(got.phases);
-                stats.merge.add(got.merge);
+    cfg: &'a SortConfig,
+}
+
+impl<K: SortableKey> Round<'_, K> {
+    /// The `(keys, oids)` rows `start..start + len`.
+    ///
+    /// # Safety
+    /// The range must lie inside the round's slices and must not be
+    /// accessed by any other worker for the lifetime of the result.
+    unsafe fn rows<'r>(&self, start: usize, len: usize) -> (&'r mut [K], &'r mut [u32]) {
+        (
+            core::slice::from_raw_parts_mut(self.kp.0.add(start), len),
+            core::slice::from_raw_parts_mut(self.op.0.add(start), len),
+        )
+    }
+
+    /// Worker `w`'s morsel loop: pop (or steal) tasks until the queue is
+    /// dry.
+    fn run_worker(&self, w: usize, worker: &mut SortScratch) -> SegmentedSortStats {
+        let mut stats = SegmentedSortStats::default();
+        while let Some((task, _stolen)) = self.queue.pop(w) {
+            // Fault injection and cancellation live in the morsel loop:
+            // reaction latency is bounded by one morsel. A fired token stops
+            // this worker; the others stop at their own next poll, and the
+            // caller re-checks the token and discards the garbage round.
+            if mcs_faults::fault_point!(mcs_faults::points::SIMD_WORKER_PANIC) {
+                panic!("injected fault: {}", mcs_faults::points::SIMD_WORKER_PANIC);
             }
-            Task::Chunk { split, part } => {
-                let sg = &splits[split];
-                let (ps, pe) = (sg.bounds[part], sg.bounds[part + 1]);
-                // SAFETY: slice bounds of one split group are disjoint
-                // from each other and from every span.
-                let (ck, co) = unsafe { (slice_mut(kp, ps, pe - ps), slice_mut(op, ps, pe - ps)) };
-                K::sort_pairs_with_scratch(ck, co, cfg, worker);
-                // Harvest this thread's phase/merge marks per slice (span
-                // tasks harvest inside `sort_groups_by_offsets`).
-                stats.phases.add(phase::take_phases());
-                stats.merge.add(ovc::take_merge_counters());
-                if sg.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    finish_split::<K>(sg, kp, op, cfg, worker, &mut stats);
+            if self.cfg.cancel.check().is_err() {
+                break;
+            }
+            match task {
+                Task::Span(s) => {
+                    let (gs, ge) = self.spans[s];
+                    let start = self.offs[gs] as usize;
+                    let len = self.offs[ge] as usize - start;
+                    // SAFETY: spans cover disjoint whole-group row ranges and
+                    // each span task is executed by exactly one worker.
+                    let (ck, co) = unsafe { self.rows(start, len) };
+                    let got = sort_groups_by_offsets(ck, co, &self.locals[s], self.cfg, worker);
+                    stats.invocations += got.invocations;
+                    stats.codes_sorted += got.codes_sorted;
+                    stats.max_group = stats.max_group.max(got.max_group);
+                    stats.phases.add(got.phases);
+                    stats.merge.add(got.merge);
+                }
+                Task::Chunk { split, part } => {
+                    let sg = &self.splits[split];
+                    let (ps, pe) = (sg.bounds[part], sg.bounds[part + 1]);
+                    // SAFETY: slice bounds of one split group are disjoint
+                    // from each other and from every span.
+                    let (ck, co) = unsafe { self.rows(ps, pe - ps) };
+                    K::sort_pairs_with_scratch(ck, co, self.cfg, worker);
+                    if sg.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                        self.finish_split(sg, worker, &mut stats);
+                    }
+                    // Harvest this thread's phase/merge marks per slice,
+                    // finisher merge included (span tasks harvest inside
+                    // `sort_groups_by_offsets`).
+                    stats.phases.add(phase::take_phases());
+                    stats.merge.add(ovc::take_merge_counters());
                 }
             }
         }
+        stats
     }
-    stats
-}
 
-/// Merge the sorted slices of a split group back into group order. Runs
-/// on whichever worker sorted the last slice; stats for the group are
-/// bumped here, once, so totals match the serial per-group accounting.
-fn finish_split<K: SortableKey>(
-    sg: &SplitGroup,
-    kp: SendPtr<K>,
-    op: SendPtr<u32>,
-    cfg: &SortConfig,
-    worker: &mut SortScratch,
-    stats: &mut SegmentedSortStats,
-) {
-    let start = sg.bounds[0];
-    let len = *sg.bounds.last().unwrap() - start;
-    stats.invocations += 1;
-    stats.codes_sorted += len;
-    stats.max_group = stats.max_group.max(len);
-    let runs: Vec<core::ops::Range<usize>> = sg
-        .bounds
-        .windows(2)
-        .map(|b| b[0] - start..b[1] - start)
-        .collect();
-    // SAFETY: `remaining` hit zero, so every slice's sort completed and
-    // was published (AcqRel), and no other worker touches this group
-    // again — the range is exclusively ours now.
-    let (ck, co) = unsafe { (slice_mut(kp, start, len), slice_mut(op, start, len)) };
-    let mut out_k = vec![K::default(); len];
-    let mut out_o = vec![0u32; len];
-    multiway_merge_scratch_cancellable(
-        ck,
-        co,
-        &mut out_k,
-        &mut out_o,
-        &runs,
-        0,
-        &mut worker.merge,
-        &cfg.cancel,
-    );
-    if cfg.cancel.check().is_err() {
-        return; // round is garbage anyway; don't publish a partial merge
+    /// Merge the sorted slices of a split group back into group order. Runs
+    /// on whichever worker sorted the last slice; stats for the group are
+    /// bumped here, once, so totals match the serial per-group accounting.
+    fn finish_split(
+        &self,
+        sg: &SplitGroup,
+        worker: &mut SortScratch,
+        stats: &mut SegmentedSortStats,
+    ) {
+        let start = sg.bounds[0];
+        let len = *sg.bounds.last().unwrap() - start;
+        stats.invocations += 1;
+        stats.codes_sorted += len;
+        stats.max_group = stats.max_group.max(len);
+        let runs: Vec<core::ops::Range<usize>> = sg
+            .bounds
+            .windows(2)
+            .map(|b| b[0] - start..b[1] - start)
+            .collect();
+        // SAFETY: `remaining` hit zero, so every slice's sort completed and
+        // was published (AcqRel), and no other worker touches this group
+        // again — the range is exclusively ours now.
+        let (ck, co) = unsafe { self.rows(start, len) };
+        let mut out_k = vec![K::default(); len];
+        let mut out_o = vec![0u32; len];
+        multiway_merge(
+            (ck, co, None),
+            (&mut out_k, &mut out_o, None),
+            &runs,
+            0,
+            &mut worker.merge,
+            &self.cfg.cancel,
+        );
+        if self.cfg.cancel.check().is_err() {
+            return; // round is garbage anyway; don't publish a partial merge
+        }
+        ck.copy_from_slice(&out_k);
+        co.copy_from_slice(&out_o);
     }
-    ck.copy_from_slice(&out_k);
-    co.copy_from_slice(&out_o);
 }
 
 /// Parallel iteration over row-range morsels, used by the massage kernel
 /// and the executor's gather/boundary scans. `f(morsel_index, start, len)`
 /// over disjoint ranges tiling `0..n`; morsels are seeded range-
 /// partitioned and work-stolen like the sorts. Inputs shorter than
-/// [`crate::sort::DEFAULT_PARALLEL_CUTOFF_ROWS`] (call sites here carry
-/// no `SortConfig`) run as one serial call `f(0, 0, n)`.
+/// [`PARALLEL_CUTOFF_ROWS`] run as one serial call `f(0, 0, n)`.
 ///
 /// Returns the scheduler counters (all zero on the serial path).
 pub fn for_each_chunk(
@@ -470,7 +381,7 @@ pub fn for_each_chunk(
     f: impl Fn(usize, usize, usize) + Sync,
 ) -> MorselCounts {
     let threads = threads.max(1);
-    if threads == 1 || n < crate::sort::DEFAULT_PARALLEL_CUTOFF_ROWS {
+    if threads == 1 || n < PARALLEL_CUTOFF_ROWS {
         f(0, 0, n);
         return MorselCounts::default();
     }
@@ -494,7 +405,28 @@ pub fn for_each_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::Key;
+
+    /// The serial path through a fresh scratch.
+    fn sort_serial<K: SortableKey>(
+        keys: &mut [K],
+        oids: &mut [u32],
+        groups: &GroupBounds,
+        cfg: &SortConfig,
+    ) -> SegmentedSortStats {
+        sort_pairs_in_groups(keys, oids, groups, 1, cfg, &mut WorkerScratch::new())
+            .expect("the serial path spawns no worker")
+    }
+
+    /// `threads` workers through a fresh scratch.
+    fn sort_parallel<K: SortableKey>(
+        keys: &mut [K],
+        oids: &mut [u32],
+        groups: &GroupBounds,
+        threads: usize,
+    ) -> Result<SegmentedSortStats, WorkerPanic> {
+        let cfg = SortConfig::default();
+        sort_pairs_in_groups(keys, oids, groups, threads, &cfg, &mut WorkerScratch::new())
+    }
 
     fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;
@@ -504,16 +436,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sort_matches_serial() {
+    fn parallel_flat_sort_matches_serial() {
+        // One whole-relation group: split into slices, finisher-merged.
         let n = 50_000;
         let mut state = 12345u64;
         let orig: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
-        let cfg = SortConfig::default();
+        let whole = GroupBounds::whole(n as usize);
 
         for threads in [1usize, 2, 3, 4, 8] {
             let mut keys = orig.clone();
             let mut oids: Vec<u32> = (0..n as u32).collect();
-            sort_pairs_parallel(&mut keys, &mut oids, threads, &cfg).expect("no injected faults");
+            let s =
+                sort_parallel(&mut keys, &mut oids, &whole, threads).expect("no injected faults");
+            assert_eq!(s.morsels.split, u64::from(threads > 1));
             assert!(keys.windows(2).all(|w| w[0] <= w[1]));
             for i in 0..n as usize {
                 assert_eq!(keys[i], orig[oids[i] as usize]);
@@ -540,12 +475,11 @@ mod tests {
 
         let mut k1 = keys0.clone();
         let mut o1: Vec<u32> = (0..n as u32).collect();
-        let s1 = crate::segmented::sort_pairs_in_groups(&mut k1, &mut o1, &groups, &cfg);
+        let s1 = sort_serial(&mut k1, &mut o1, &groups, &cfg);
 
         let mut k2 = keys0.clone();
         let mut o2: Vec<u32> = (0..n as u32).collect();
-        let s2 = sort_pairs_in_groups_parallel(&mut k2, &mut o2, &groups, 4, &cfg)
-            .expect("no injected faults");
+        let s2 = sort_parallel(&mut k2, &mut o2, &groups, 4).expect("no injected faults");
 
         assert_eq!(k1, k2);
         assert_eq!(s1.invocations, s2.invocations);
@@ -571,12 +505,11 @@ mod tests {
 
         let mut k1 = keys0.clone();
         let mut o1: Vec<u32> = (0..n as u32).collect();
-        let s1 = crate::segmented::sort_pairs_in_groups(&mut k1, &mut o1, &groups, &cfg);
+        let s1 = sort_serial(&mut k1, &mut o1, &groups, &cfg);
 
         let mut k2 = keys0.clone();
         let mut o2: Vec<u32> = (0..n as u32).collect();
-        let s2 = sort_pairs_in_groups_parallel(&mut k2, &mut o2, &groups, 4, &cfg)
-            .expect("no injected faults");
+        let s2 = sort_parallel(&mut k2, &mut o2, &groups, 4).expect("no injected faults");
 
         assert_eq!(k1, k2, "split+merge must equal the serial group sort");
         assert_eq!(s1.invocations, s2.invocations);
@@ -609,14 +542,13 @@ mod tests {
 
         let mut k1 = keys0.clone();
         let mut o1: Vec<u32> = (0..n as u32).collect();
-        crate::segmented::sort_pairs_in_groups(&mut k1, &mut o1, &groups, &cfg);
+        sort_serial(&mut k1, &mut o1, &groups, &cfg);
 
         let mut saw_steal = false;
         for _ in 0..50 {
             let mut k2 = keys0.clone();
             let mut o2: Vec<u32> = (0..n as u32).collect();
-            let s = sort_pairs_in_groups_parallel(&mut k2, &mut o2, &groups, 4, &cfg)
-                .expect("no injected faults");
+            let s = sort_parallel(&mut k2, &mut o2, &groups, 4).expect("no injected faults");
             assert_eq!(k1, k2, "steal schedule must not change the keys");
             if s.morsels.stolen > 0 {
                 saw_steal = true;
@@ -627,30 +559,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cutoff_rows_is_honored() {
-        // Below the cutoff the parallel entry points run serially
-        // (dispatched == 0); lowering the knob re-enables scheduling.
-        let n = 3_000usize;
-        let mut state = 99u64;
-        let keys0: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
-        let groups = GroupBounds::from_offsets(vec![0, (n / 2) as u32, n as u32]);
-
-        let cfg = SortConfig::default();
-        assert!(n < cfg.parallel_cutoff_rows);
-        let mut k = keys0.clone();
-        let mut o: Vec<u32> = (0..n as u32).collect();
-        let s = sort_pairs_in_groups_parallel(&mut k, &mut o, &groups, 4, &cfg).unwrap();
-        assert_eq!(s.morsels, MorselCounts::default());
-
-        let low = SortConfig {
-            parallel_cutoff_rows: 64,
-            ..SortConfig::default()
-        };
-        let mut k2 = keys0.clone();
-        let mut o2: Vec<u32> = (0..n as u32).collect();
-        let s2 = sort_pairs_in_groups_parallel(&mut k2, &mut o2, &groups, 4, &low).unwrap();
-        assert!(s2.morsels.dispatched > 0);
-        assert_eq!(k, k2);
+    fn parallel_cutoff_is_the_constant() {
+        // Below the cutoff the sort runs serially whatever the thread
+        // count (dispatched == 0); from the cutoff on it schedules.
+        assert_eq!(PARALLEL_CUTOFF_ROWS, 4096);
+        for (n, parallel) in [
+            (PARALLEL_CUTOFF_ROWS - 1, false),
+            (PARALLEL_CUTOFF_ROWS, true),
+        ] {
+            let mut state = 99u64;
+            let keys0: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
+            let groups = GroupBounds::from_offsets(vec![0, (n / 2) as u32, n as u32]);
+            let mut k = keys0.clone();
+            let mut o: Vec<u32> = (0..n as u32).collect();
+            let s = sort_parallel(&mut k, &mut o, &groups, 4).unwrap();
+            assert_eq!(s.morsels.dispatched > 0, parallel, "n = {n}");
+            let mut k1 = keys0.clone();
+            let mut o1: Vec<u32> = (0..n as u32).collect();
+            sort_serial(&mut k1, &mut o1, &groups, &SortConfig::default());
+            assert_eq!(k, k1);
+        }
     }
 
     #[test]
@@ -696,18 +624,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_small_input_falls_back() {
-        let mut keys: Vec<u64> = vec![3, 1, 2];
-        let mut oids: Vec<u32> = vec![0, 1, 2];
-        sort_pairs_parallel(&mut keys, &mut oids, 8, &SortConfig::default())
-            .expect("serial fallback cannot panic");
-        assert_eq!(keys, vec![1, 2, 3]);
-        assert_eq!(u64::MAX_KEY, u64::MAX);
-    }
-
-    #[test]
     fn worker_panic_error_formats() {
-        let e = WorkerPanic { chunk: 3 };
+        let e = WorkerPanic { worker: 3 };
         assert!(e.to_string().contains("worker 3"));
     }
 
@@ -718,7 +636,7 @@ mod tests {
         let n = 20_000usize;
         let mut state = 99u64;
         let orig: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
-        let cfg = SortConfig::default();
+        let whole = GroupBounds::whole(n);
 
         with_armed(&[(points::SIMD_WORKER_PANIC, FireMode::Once)], || {
             // Silence the expected worker-panic backtrace.
@@ -726,18 +644,18 @@ mod tests {
             std::panic::set_hook(Box::new(|_| {}));
             let mut keys = orig.clone();
             let mut oids: Vec<u32> = (0..n as u32).collect();
-            let err = sort_pairs_parallel(&mut keys, &mut oids, 4, &cfg);
+            let err = sort_parallel(&mut keys, &mut oids, &whole, 4);
             std::panic::set_hook(prev);
             // Which worker pops the poisoned morsel first is a scheduling
             // race; any worker index is a valid report.
             let e = err.expect_err("armed fault must surface as WorkerPanic");
-            assert!(e.chunk < 4);
+            assert!(e.worker < 4);
         });
 
         // Disarmed again: the same call succeeds.
         let mut keys = orig.clone();
         let mut oids: Vec<u32> = (0..n as u32).collect();
-        sort_pairs_parallel(&mut keys, &mut oids, 4, &cfg).expect("disarmed");
+        sort_parallel(&mut keys, &mut oids, &whole, 4).expect("disarmed");
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
     }
 }

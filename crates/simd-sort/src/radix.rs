@@ -11,15 +11,15 @@
 //! being passed in: bit-borrowing pays off for radix sort in passes just
 //! as bank narrowing does for the SIMD merge-sort in lanes.
 //!
-//! The scatter ping-pongs between the caller's slices and one
-//! caller-provided buffer pair, so a warm caller allocates nothing, and
+//! The scatter ping-pongs between the caller's slices and the first
+//! key/oid buffers of a [`SortScratch`], so a warm caller allocates nothing, and
 //! every completed pass leaves both sides holding a permutation of the
 //! input pairs: a cancellation between passes never loses or duplicates
 //! a row.
 
 use crate::key::Key;
 use crate::phase;
-use crate::segmented::{GroupBounds, SegmentedSortStats};
+use crate::scratch::SortScratch;
 use mcs_cancel::CancelToken;
 
 /// Radix (digit) size in bits; 8 gives byte-wide counting passes.
@@ -38,14 +38,31 @@ fn digit<K: Key>(k: K, d: usize) -> usize {
     ((k.to_u64() >> (d as u32 * DIGIT_BITS)) & (BUCKETS as u64 - 1)) as usize
 }
 
-/// Stable LSD radix sort of `(keys, oids)` over the `D = K::BITS / 8`
-/// digits of the key, using `kbuf`/`obuf` (grown to `keys.len()`, never
-/// shrunk) as the other side of the ping-pong. `cancel` is polled before
-/// every scatter pass; a fired token returns early with `keys`/`oids`
-/// holding the pairs in some intermediate order.
+/// Stable LSD radix sort of `(keys, oids)` ascending by key, at any
+/// length (no size dispatch — the kernel itself), using `scratch`'s first
+/// key buffer of `K`'s bank and first oid buffer (grown to `keys.len()`,
+/// never shrunk) as the other side of the ping-pong. `cancel` is polled
+/// before every scatter pass; a fired token returns early with
+/// `keys`/`oids` holding the pairs in some intermediate order.
+#[inline]
+pub fn radix_sort_pairs<K: Key>(
+    keys: &mut [K],
+    oids: &mut [u32],
+    scratch: &mut SortScratch,
+    cancel: &CancelToken,
+) {
+    let (kbuf, obuf) = (&mut K::bufs(&mut scratch.keys).0, &mut scratch.oids.0);
+    match K::BITS {
+        16 => radix_sort_digits::<K, 2>(keys, oids, kbuf, obuf, cancel),
+        32 => radix_sort_digits::<K, 4>(keys, oids, kbuf, obuf, cancel),
+        _ => radix_sort_digits::<K, 8>(keys, oids, kbuf, obuf, cancel),
+    }
+}
+
+/// [`radix_sort_pairs`] over the `D = K::BITS / 8` digits of the key.
 // With `phase-timing` off, `phase::Mark` is `()`: the mark compiles away.
 #[allow(clippy::let_unit_value, clippy::unit_arg)]
-pub(crate) fn radix_sort_pairs<K: Key, const D: usize>(
+fn radix_sort_digits<K: Key, const D: usize>(
     keys: &mut [K],
     oids: &mut [u32],
     kbuf: &mut Vec<K>,
@@ -128,71 +145,13 @@ fn scatter<K: Key>(
     }
 }
 
-/// [`radix_sort_pairs`] with `D` picked from the key's bank.
-#[inline]
-pub(crate) fn radix_sort_pairs_bank<K: Key>(
-    keys: &mut [K],
-    oids: &mut [u32],
-    kbuf: &mut Vec<K>,
-    obuf: &mut Vec<u32>,
-    cancel: &CancelToken,
-) {
-    match K::BITS {
-        16 => radix_sort_pairs::<K, 2>(keys, oids, kbuf, obuf, cancel),
-        32 => radix_sort_pairs::<K, 4>(keys, oids, kbuf, obuf, cancel),
-        _ => radix_sort_pairs::<K, 8>(keys, oids, kbuf, obuf, cancel),
-    }
-}
-
-/// Radix-sort `(keys, oids)` ascending by key at any length (no size
-/// dispatch — the `kernel_probe` and `ext_radix` bins measure the kernel
-/// itself). `width_bits` is the effective key width: every key bit above
-/// it must be zero, which is what lets the kernel skip those digits.
-pub fn sort_pairs_radix<K: Key>(keys: &mut [K], oids: &mut [u32], width_bits: u32) {
-    debug_assert!(width_bits >= 1 && width_bits <= K::BITS);
-    debug_assert!(keys
-        .iter()
-        .all(|k| width_bits == 64 || k.to_u64() >> width_bits == 0));
-    let (mut kbuf, mut obuf) = (Vec::new(), Vec::new());
-    radix_sort_pairs_bank(keys, oids, &mut kbuf, &mut obuf, &CancelToken::none());
-}
-
-/// Segmented radix sort (per-group), mirroring
-/// [`crate::sort_pairs_in_groups`]; one buffer pair serves every group.
-pub fn sort_pairs_radix_in_groups<K: Key>(
-    keys: &mut [K],
-    oids: &mut [u32],
-    groups: &GroupBounds,
-    width_bits: u32,
-) -> SegmentedSortStats {
-    assert_eq!(groups.num_rows(), keys.len());
-    debug_assert!(width_bits >= 1 && width_bits <= K::BITS);
-    let mut stats = SegmentedSortStats::default();
-    let (mut kbuf, mut obuf) = (Vec::new(), Vec::new());
-    let none = CancelToken::none();
-    for r in groups.iter() {
-        let len = r.len();
-        if len <= 1 {
-            continue;
-        }
-        stats.invocations += 1;
-        stats.codes_sorted += len;
-        stats.max_group = stats.max_group.max(len);
-        radix_sort_pairs_bank(
-            &mut keys[r.clone()],
-            &mut oids[r],
-            &mut kbuf,
-            &mut obuf,
-            &none,
-        );
-    }
-    stats.phases = phase::take_phases();
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sort<K: Key>(keys: &mut [K], oids: &mut [u32]) {
+        radix_sort_pairs(keys, oids, &mut SortScratch::new(), &CancelToken::none());
+    }
 
     fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;
@@ -213,20 +172,15 @@ mod tests {
 
     #[test]
     fn radix_sorts_all_widths() {
-        for &(width, mask) in &[
-            (12u32, 0xFFFu64),
-            (16, 0xFFFF),
-            (24, 0xFF_FFFF),
-            (32, u32::MAX as u64),
-        ] {
+        for &mask in &[0xFFFu64, 0xFFFF, 0xFF_FFFF, u32::MAX as u64] {
             let n = 5000;
-            let mut state = width as u64 + 1;
+            let mut state = mask;
             let orig: Vec<u32> = (0..n)
                 .map(|_| (xorshift(&mut state) & mask) as u32)
                 .collect();
             let mut k = orig.clone();
             let mut o: Vec<u32> = (0..n as u32).collect();
-            sort_pairs_radix(&mut k, &mut o, width);
+            sort(&mut k, &mut o);
             check(&orig, &k, &o);
         }
     }
@@ -238,7 +192,7 @@ mod tests {
         let orig16: Vec<u16> = (0..n).map(|_| xorshift(&mut state) as u16).collect();
         let mut k = orig16.clone();
         let mut o: Vec<u32> = (0..n as u32).collect();
-        sort_pairs_radix(&mut k, &mut o, 16);
+        sort(&mut k, &mut o);
         check(&orig16, &k, &o);
 
         let orig64: Vec<u64> = (0..n)
@@ -246,7 +200,7 @@ mod tests {
             .collect();
         let mut k = orig64.clone();
         let mut o: Vec<u32> = (0..n as u32).collect();
-        sort_pairs_radix(&mut k, &mut o, 50);
+        sort(&mut k, &mut o);
         check(&orig64, &k, &o);
     }
 
@@ -256,7 +210,7 @@ mod tests {
         let orig: Vec<u32> = vec![5, 3, 5, 3, 5];
         let mut k = orig.clone();
         let mut o: Vec<u32> = (0..5).collect();
-        sort_pairs_radix(&mut k, &mut o, 32);
+        sort(&mut k, &mut o);
         assert_eq!(k, vec![3, 3, 5, 5, 5]);
         assert_eq!(o, vec![1, 3, 0, 2, 4]);
     }
@@ -265,10 +219,10 @@ mod tests {
     fn tiny_and_empty_inputs() {
         let mut k: Vec<u32> = vec![];
         let mut o: Vec<u32> = vec![];
-        sort_pairs_radix(&mut k, &mut o, 10);
+        sort(&mut k, &mut o);
         let mut k = vec![9u32, 1];
         let mut o = vec![0u32, 1];
-        sort_pairs_radix(&mut k, &mut o, 10);
+        sort(&mut k, &mut o);
         assert_eq!(k, vec![1, 9]);
         assert_eq!(o, vec![1, 0]);
     }
@@ -285,10 +239,11 @@ mod tests {
             .collect();
         let mut k = orig.clone();
         let mut o: Vec<u32> = (0..n as u32).collect();
-        let (mut kbuf, mut obuf) = (Vec::new(), Vec::new());
-        radix_sort_pairs_bank(&mut k, &mut o, &mut kbuf, &mut obuf, &CancelToken::none());
+        let mut scratch = SortScratch::new();
+        radix_sort_pairs(&mut k, &mut o, &mut scratch, &CancelToken::none());
         check(&orig, &k, &o);
-        assert_ne!(kbuf, k, "two passes: scratch holds the low-digit order");
+        let kbuf = &scratch.keys.k32.0;
+        assert_ne!(kbuf, &k, "two passes: scratch holds the low-digit order");
         assert!(kbuf.windows(2).all(|w| w[0] & 0xFF <= w[1] & 0xFF));
 
         // All-equal keys: every digit has one bucket, nothing moves and
@@ -296,10 +251,10 @@ mod tests {
         let mut k = vec![42u32; 500];
         let mut o: Vec<u32> = (0..500).rev().collect();
         let expect = o.clone();
-        let (mut kbuf, mut obuf) = (Vec::new(), Vec::new());
-        radix_sort_pairs_bank(&mut k, &mut o, &mut kbuf, &mut obuf, &CancelToken::none());
+        let mut scratch = SortScratch::new();
+        radix_sort_pairs(&mut k, &mut o, &mut scratch, &CancelToken::none());
         assert_eq!(o, expect);
-        assert!(kbuf.iter().all(|&x| x == 0));
+        assert!(scratch.keys.k32.0.iter().all(|&x| x == 0));
     }
 
     #[test]
@@ -311,8 +266,7 @@ mod tests {
         let mut o: Vec<u32> = (0..n as u32).collect();
         let token = CancelToken::new();
         token.cancel();
-        let (mut kbuf, mut obuf) = (Vec::new(), Vec::new());
-        radix_sort_pairs_bank(&mut k, &mut o, &mut kbuf, &mut obuf, &token);
+        radix_sort_pairs(&mut k, &mut o, &mut SortScratch::new(), &token);
         // No pass ran: the pairs are untouched.
         assert_eq!(k, orig);
         assert!(o.iter().enumerate().all(|(i, &x)| x == i as u32));
@@ -329,10 +283,10 @@ mod tests {
         let mut state = 11u64;
         let orig: Vec<u64> = (0..n).map(|_| xorshift(&mut state)).collect();
         let oids0: Vec<u32> = (0..n as u32).collect();
-        let (mut kbuf, mut obuf) = (Vec::new(), Vec::new());
+        let mut scratch = SortScratch::new();
         let t = std::time::Instant::now();
         let (mut k, mut o) = (orig.clone(), oids0.clone());
-        radix_sort_pairs_bank(&mut k, &mut o, &mut kbuf, &mut obuf, &CancelToken::none());
+        radix_sort_pairs(&mut k, &mut o, &mut scratch, &CancelToken::none());
         let whole = t.elapsed();
         check(&orig, &k, &o);
 
@@ -340,7 +294,7 @@ mod tests {
         for step in 0..=16u32 {
             let token = CancelToken::with_timeout(whole * step / 16);
             let (mut k, mut o) = (orig.clone(), oids0.clone());
-            radix_sort_pairs_bank(&mut k, &mut o, &mut kbuf, &mut obuf, &token);
+            radix_sort_pairs(&mut k, &mut o, &mut scratch, &token);
             let mut seen = vec![false; n];
             for (&key, &oid) in k.iter().zip(&o) {
                 assert_eq!(key, orig[oid as usize], "step {step}: pair torn apart");
@@ -354,15 +308,5 @@ mod tests {
             unsorted += 1;
         }
         assert!(unsorted > 0, "no deadline fired before the last pass");
-    }
-
-    #[test]
-    fn segmented_radix() {
-        let mut keys: Vec<u32> = vec![3, 1, 2, 9, 8, 7, 5];
-        let mut oids: Vec<u32> = (0..7).collect();
-        let groups = GroupBounds::from_offsets(vec![0, 3, 7]);
-        let stats = sort_pairs_radix_in_groups(&mut keys, &mut oids, &groups, 8);
-        assert_eq!(keys, vec![1, 2, 3, 5, 7, 8, 9]);
-        assert_eq!(stats.invocations, 2);
     }
 }

@@ -6,11 +6,12 @@
 //! the loser-tree node arrays. The radix kernel ([`crate::radix`]) uses
 //! the first buffer of each pair as the other side of its scatter
 //! ping-pong; the packed-word kernel a word buffer bounded by its
-//! crossover length. The plain entry points allocate these on
-//! demand per call; the `_scratch` variants instead draw them from a
-//! [`SortScratch`] owned by the caller, growing each buffer monotonically
-//! to its high-water mark so a warm caller performs no heap allocation
-//! at all.
+//! crossover length. Every sort and merge entry point draws them from a
+//! [`SortScratch`] (or the [`MergeScratch`] inside it) owned by the
+//! caller, growing each buffer monotonically to its high-water mark so a
+//! warm caller performs no heap allocation at all; only the two
+//! convenience functions [`crate::sort_pairs`] / [`crate::sort_pairs_with`]
+//! build a fresh scratch per call.
 //!
 //! [`SortScratch`] holds one buffer pair per key bank (`u16`/`u32`/`u64`)
 //! so a single instance serves every round of a multi-column sort
@@ -25,7 +26,21 @@
 
 use core::ops::Range;
 
-/// Reusable working memory for one serial merge-sort stream.
+/// The padded ping-pong key buffer pairs, one per bank. A key type
+/// borrows its own pair through `Key`'s sealed supertrait, which is what
+/// lets generic kernels take the whole [`SortScratch`]. (`pub` only
+/// because that supertrait names it; the crate does not export it.)
+#[derive(Debug, Default)]
+pub struct KeyBufs {
+    /// 16-bit-bank key buffers.
+    pub(crate) k16: (Vec<u16>, Vec<u16>),
+    /// 32-bit-bank key buffers.
+    pub(crate) k32: (Vec<u32>, Vec<u32>),
+    /// 64-bit-bank key buffers.
+    pub(crate) k64: (Vec<u64>, Vec<u64>),
+}
+
+/// Reusable working memory for one serial sort stream.
 ///
 /// `Default`/`new` construct an empty scratch that allocates nothing
 /// until first use; buffers then grow monotonically and are reused by
@@ -33,11 +48,7 @@ use core::ops::Range;
 #[derive(Debug, Default)]
 pub struct SortScratch {
     /// Padded ping-pong key buffers per bank.
-    pub(crate) k16: (Vec<u16>, Vec<u16>),
-    /// 32-bit-bank key buffers.
-    pub(crate) k32: (Vec<u32>, Vec<u32>),
-    /// 64-bit-bank key buffers.
-    pub(crate) k64: (Vec<u64>, Vec<u64>),
+    pub(crate) keys: KeyBufs,
     /// Padded ping-pong oid buffers (shared by all banks).
     pub(crate) oids: (Vec<u32>, Vec<u32>),
     /// Ping-pong offset-value-code buffers for the out-of-cache merge
@@ -66,9 +77,9 @@ impl SortScratch {
         fn pair<T>(p: &(Vec<T>, Vec<T>)) -> usize {
             (p.0.capacity() + p.1.capacity()) * core::mem::size_of::<T>()
         }
-        pair(&self.k16)
-            + pair(&self.k32)
-            + pair(&self.k64)
+        pair(&self.keys.k16)
+            + pair(&self.keys.k32)
+            + pair(&self.keys.k64)
             + pair(&self.oids)
             + pair(&self.codes)
             + self.runs.capacity() * core::mem::size_of::<Range<usize>>()
@@ -78,27 +89,35 @@ impl SortScratch {
     }
 }
 
-/// Reusable node arrays for the loser-tree multiway merge.
+/// Reusable working memory of the loser-tree multiway merge: the
+/// tree's node arrays plus the slice sources' run cursors.
 ///
 /// Head keys are stored widened to `u64` (zero-extension is
 /// order-preserving for unsigned codes), so one instance serves every
 /// key bank.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
-    /// `(cursor, end)` per run slot.
+    /// `(cursor, end)` per run of a slice merge (unused by sources that
+    /// keep their own position, e.g. spilled run files).
     pub(crate) cursors: Vec<(usize, usize)>,
+    /// The tree proper.
+    pub(crate) nodes: TreeNodes,
+}
+
+/// The loser tree's node arrays, one entry per (power-of-two padded) run
+/// slot unless noted.
+#[derive(Debug, Default)]
+pub(crate) struct TreeNodes {
     /// Loser at each internal node; `tree[0]` is the overall winner.
     pub(crate) tree: Vec<u32>,
-    /// Temporary winner array used by the full rebuild.
+    /// Temporary winner array used by the full rebuild (`2 * m` entries).
     pub(crate) winner: Vec<u32>,
-    /// `(widened head key, valid)` per run slot.
+    /// `(first key word of the head, valid)`.
     pub(crate) heads: Vec<(u64, bool)>,
     /// Offset-value code of each head, relative to the last element the
-    /// tree output (only maintained by the OVC merge variants).
+    /// tree output (only maintained for sources that deliver codes).
     pub(crate) head_codes: Vec<u32>,
-    /// Payload oid of each head (only maintained by the streaming merge,
-    /// whose sources deliver elements one at a time instead of exposing
-    /// slices the cursors could index).
+    /// Payload oid of each head.
     pub(crate) head_oids: Vec<u32>,
 }
 
@@ -110,21 +129,24 @@ impl MergeScratch {
 
     /// Total bytes currently held.
     pub fn bytes(&self) -> usize {
+        let n = &self.nodes;
         self.cursors.capacity() * core::mem::size_of::<(usize, usize)>()
-            + (self.tree.capacity()
-                + self.winner.capacity()
-                + self.head_codes.capacity()
-                + self.head_oids.capacity())
+            + (n.tree.capacity()
+                + n.winner.capacity()
+                + n.head_codes.capacity()
+                + n.head_oids.capacity())
                 * core::mem::size_of::<u32>()
-            + self.heads.capacity() * core::mem::size_of::<(u64, bool)>()
+            + n.heads.capacity() * core::mem::size_of::<(u64, bool)>()
     }
+}
 
-    /// Size the node arrays for `m` (power-of-two padded) run slots.
-    /// Contents after this call are unspecified; callers overwrite.
+impl TreeNodes {
+    /// Size the node arrays for `m` (power-of-two padded) run slots, every
+    /// slot an exhausted run (whose code and oid are never read).
     pub(crate) fn prepare(&mut self, m: usize) {
-        self.cursors.resize(m, (0, 0));
         self.tree.resize(m, 0);
         self.winner.resize(2 * m, 0);
+        self.heads.clear();
         self.heads.resize(m, (0, false));
         self.head_codes.resize(m, 0);
         self.head_oids.resize(m, 0);

@@ -116,34 +116,12 @@ pub struct SegmentedSortStats {
     pub morsels: mcs_morsel::MorselCounts,
 }
 
-/// Sort `(keys, oids)` within each group independently, each group by
-/// the kernel [`SortableKey::sort_pairs_with_scratch`] picks for its
-/// length.
-pub fn sort_pairs_in_groups<K: SortableKey>(
-    keys: &mut [K],
-    oids: &mut [u32],
-    groups: &GroupBounds,
-    cfg: &SortConfig,
-) -> SegmentedSortStats {
-    let mut scratch = SortScratch::new();
-    sort_pairs_in_groups_scratch(keys, oids, groups, cfg, &mut scratch)
-}
-
-/// Like [`sort_pairs_in_groups`], but drawing all kernel working
-/// memory from `scratch` — allocation-free once the scratch is warm.
-pub fn sort_pairs_in_groups_scratch<K: SortableKey>(
-    keys: &mut [K],
-    oids: &mut [u32],
-    groups: &GroupBounds,
-    cfg: &SortConfig,
-    scratch: &mut SortScratch,
-) -> SegmentedSortStats {
-    assert_eq!(groups.num_rows(), keys.len(), "group bounds mismatch");
-    sort_groups_by_offsets(keys, oids, &groups.offsets, cfg, scratch)
-}
-
-/// Group-wise sort over a raw offsets slice (the parallel path hands each
-/// worker a rebased sub-slice without building a `GroupBounds`).
+/// Sort `(keys, oids)` within each group of a raw offsets slice
+/// independently, each group by the kernel
+/// [`SortableKey::sort_pairs_with_scratch`] picks for its length — the
+/// serial loop under [`crate::sort_pairs_in_groups`] (whose parallel path
+/// hands each worker a rebased sub-slice without building a
+/// `GroupBounds`).
 // With `phase-timing` off, `phase::Mark` is `()`: the mark compiles away.
 #[allow(clippy::let_unit_value, clippy::unit_arg)]
 pub(crate) fn sort_groups_by_offsets<K: SortableKey>(
@@ -195,6 +173,18 @@ pub fn group_boundaries<K: Key>(keys: &[K]) -> GroupBounds {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SortConfig, WorkerScratch};
+
+    /// The serial segmented sort through a fresh scratch.
+    fn sort_pairs_in_groups<K: SortableKey>(
+        keys: &mut [K],
+        oids: &mut [u32],
+        groups: &GroupBounds,
+        cfg: &SortConfig,
+    ) -> SegmentedSortStats {
+        crate::sort_pairs_in_groups(keys, oids, groups, 1, cfg, &mut WorkerScratch::new())
+            .expect("the serial path spawns no worker")
+    }
 
     #[test]
     fn whole_and_refine() {
@@ -298,7 +288,6 @@ mod tests {
     fn large_groups_use_simd_path() {
         let cfg = SortConfig {
             kernel: crate::SortKernel::MergeSort,
-            small_threshold: 8,
             ..SortConfig::default()
         };
         let n = 4096;

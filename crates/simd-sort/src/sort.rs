@@ -5,8 +5,8 @@
 //! [`SortKernel::MergeSort`].
 
 use crate::kernel::{merge_pass, phase1_block_sort, Kernel};
-use crate::key::Key;
-use crate::multiway::{multiway_pass_ovc_scratch_cancellable, multiway_pass_scratch_cancellable};
+use crate::key::{sealed::Sealed as _, Key};
+use crate::multiway::multiway_pass;
 use crate::ovc;
 use crate::phase;
 use crate::radix;
@@ -14,9 +14,19 @@ use crate::scalar;
 use crate::scratch::SortScratch;
 use mcs_cancel::CancelToken;
 
-/// Default for [`SortConfig::parallel_cutoff_rows`]: inputs under 4096
-/// rows sort serially regardless of the requested thread count.
-pub const DEFAULT_PARALLEL_CUTOFF_ROWS: usize = 4096;
+/// Inputs shorter than this run serially even when the caller asks for
+/// multiple threads — the morsel-driven group sort and every
+/// [`crate::for_each_chunk`] phase (massage, gather, boundary scan) alike,
+/// so the phases of one round always agree about "parallel". Below it,
+/// thread spawn + merge overhead exceeds the work itself (4096 rows is
+/// roughly where spawn cost amortizes).
+pub const PARALLEL_CUTOFF_ROWS: usize = 4096;
+
+/// Under [`SortKernel::MergeSort`], inputs up to this length use
+/// insertion sort instead of the full SIMD pipeline, whose padding and
+/// per-invocation overhead dominate there. ([`SortKernel::Auto`]
+/// dispatches on its own constants.)
+pub const MERGE_SORT_INSERTION_MAX_ROWS: usize = 192;
 
 /// Longest input the insertion kernel sorts under [`SortKernel::Auto`].
 /// Read off the `insertion`/`packed` rows of the committed crossover
@@ -74,7 +84,7 @@ pub enum SortKernel {
     Auto,
     /// The paper's SIMD merge-sort (in-register networks, in-cache
     /// bitonic merges, out-of-cache loser tree) above
-    /// [`SortConfig::small_threshold`], insertion sort below it. Kept for
+    /// [`MERGE_SORT_INSERTION_MAX_ROWS`], insertion sort below it. Kept for
     /// the paper-figure bins and the Eq. 5 cost-model tests, whose subject
     /// is that sort.
     MergeSort,
@@ -92,10 +102,6 @@ pub struct SortConfig {
     pub in_cache_bytes: usize,
     /// Fan-out `F` of the out-of-cache merge tree. Default: 8.
     pub fanout: usize,
-    /// Under [`SortKernel::MergeSort`], inputs up to this length use
-    /// insertion sort instead of the full SIMD pipeline. Default: 192.
-    /// ([`SortKernel::Auto`] dispatches on its own constants.)
-    pub small_threshold: usize,
     /// Force the portable kernel even when AVX2 is available (used by
     /// tests and the SIMD-vs-portable benches).
     pub force_portable: bool,
@@ -105,13 +111,6 @@ pub struct SortConfig {
     /// passes ([`crate::ovc`]), collapsing most full-key comparisons to
     /// a single integer compare. Default: on.
     pub use_ovc: bool,
-    /// Inputs shorter than this run serially even when the caller asks for
-    /// multiple threads ([`crate::sort_pairs_parallel`] and the morsel-driven
-    /// group sort): below it, thread spawn + merge overhead exceeds the
-    /// sort itself. Default: [`DEFAULT_PARALLEL_CUTOFF_ROWS`] (4096 rows —
-    /// roughly where one worker's share stops fitting the in-register
-    /// phase's sweet spot and spawn cost amortizes).
-    pub parallel_cutoff_rows: usize,
     /// Cooperative cancellation token, polled at every phase boundary,
     /// every radix pass and every [`mcs_cancel::CHECK_INTERVAL`] merge
     /// pops. The sort entry
@@ -127,11 +126,9 @@ impl Default for SortConfig {
         SortConfig {
             in_cache_bytes: 1024 * 1024,
             fanout: 8,
-            small_threshold: 192,
             force_portable: false,
             kernel: SortKernel::Auto,
             use_ovc: true,
-            parallel_cutoff_rows: DEFAULT_PARALLEL_CUTOFF_ROWS,
             cancel: CancelToken::none(),
         }
     }
@@ -161,11 +158,12 @@ pub fn avx2_available() -> bool {
 }
 
 /// The generic three-phase merge-sort over any [`Kernel`], working out
-/// of a caller-provided buffer set.
+/// of `scratch`.
 ///
-/// `ka`/`oa` are loaded from `keys`/`oids` and padded; `kb`/`ob` are
-/// resized (not cleared — every pass fully overwrites its destination);
-/// `runs_buf` and `merge` feed the out-of-cache passes. All buffers grow
+/// The first buffer of the bank's key pair and of the oid pair is loaded
+/// from `keys`/`oids` and padded; the second ones are resized (not
+/// cleared — every pass fully overwrites its destination); the run list
+/// and merge scratch feed the out-of-cache passes. All buffers grow
 /// monotonically, so a warm caller allocates nothing.
 ///
 /// # Safety
@@ -175,23 +173,19 @@ pub fn avx2_available() -> bool {
 // With `phase-timing` off, `phase::Mark` is `()` and the phase marks
 // become unit values — fine, they compile away entirely.
 #[allow(clippy::let_unit_value, clippy::unit_arg)]
-#[allow(clippy::too_many_arguments)]
 unsafe fn mergesort_generic<Kn: Kernel>(
     keys: &mut [Kn::K],
     oids: &mut [u32],
     cfg: &SortConfig,
-    ka: &mut Vec<Kn::K>,
-    kb: &mut Vec<Kn::K>,
-    oa: &mut Vec<u32>,
-    ob: &mut Vec<u32>,
-    ca: &mut Vec<u32>,
-    cb: &mut Vec<u32>,
-    runs_buf: &mut Vec<core::ops::Range<usize>>,
-    merge: &mut crate::scratch::MergeScratch,
+    scratch: &mut SortScratch,
 ) {
     let n = keys.len();
     let l = Kn::L;
     let block = l * l;
+    let (ka, kb) = <Kn::K>::bufs(&mut scratch.keys);
+    let (oa, ob) = &mut scratch.oids;
+    let (ca, cb) = &mut scratch.codes;
+    let (runs_buf, merge) = (&mut scratch.runs, &mut scratch.merge);
 
     // Pad to a whole number of in-register blocks with MAX_KEY sentinels.
     // The kernel passes infer sizes from slice lengths, so every buffer
@@ -213,62 +207,48 @@ unsafe fn mergesort_generic<Kn: Kernel>(
     phase1_block_sort::<Kn>(ka, oa);
     let t1 = phase::mark();
 
+    // Every pass from here on reads `src` and writes `dst`, then the two
+    // trade places.
+    let mut src = (ka, oa, ca);
+    let mut dst = (kb, ob, cb);
+
     // Phase (b): binary SIMD bitonic merging while runs fit in cache.
     let in_cache_run = cfg.in_cache_run::<Kn::K>(l);
     let mut run = l;
-    let mut src_is_a = true;
     while run < padded && run < in_cache_run {
         // Cancellation: each binary pass is one cache-resident stream over
         // the buffer, so a per-pass poll bounds latency to one pass.
         if cfg.cancel.check().is_err() {
             return;
         }
-        if src_is_a {
-            merge_pass::<Kn>(ka, oa, kb, ob, run);
-        } else {
-            merge_pass::<Kn>(kb, ob, ka, oa, run);
-        }
-        src_is_a = !src_is_a;
+        merge_pass::<Kn>(src.0, src.1, dst.0, dst.1, run);
+        core::mem::swap(&mut src, &mut dst);
         run *= 2;
     }
 
     // Phase (c): F-way out-of-cache loser-tree merge passes, with or
     // without offset-value codes riding along.
     let t2 = phase::mark();
-    let with_ovc = cfg.use_ovc;
-    if with_ovc && run < padded {
+    let with_ovc = cfg.use_ovc && run < padded;
+    if with_ovc {
         // Derive the initial codes in one linear pass over the phase-(b)
         // output; later passes produce their output codes as they merge.
-        ca.resize(padded, 0);
-        cb.resize(padded, 0);
-        if src_is_a {
-            ovc::derive_codes(ka, run, ca);
-        } else {
-            ovc::derive_codes(kb, run, cb);
-        }
+        src.2.resize(padded, 0);
+        dst.2.resize(padded, 0);
+        ovc::derive_codes(src.0, run, src.2);
     }
     let cancel = &cfg.cancel;
     while run < padded {
-        run = if with_ovc {
-            if src_is_a {
-                multiway_pass_ovc_scratch_cancellable(
-                    ka, oa, ca, kb, ob, cb, run, cfg.fanout, runs_buf, merge, cancel,
-                )
-            } else {
-                multiway_pass_ovc_scratch_cancellable(
-                    kb, ob, cb, ka, oa, ca, run, cfg.fanout, runs_buf, merge, cancel,
-                )
-            }
-        } else if src_is_a {
-            multiway_pass_scratch_cancellable(
-                ka, oa, kb, ob, run, cfg.fanout, runs_buf, merge, cancel,
-            )
-        } else {
-            multiway_pass_scratch_cancellable(
-                kb, ob, ka, oa, run, cfg.fanout, runs_buf, merge, cancel,
-            )
-        };
-        src_is_a = !src_is_a;
+        run = multiway_pass(
+            (src.0, src.1, with_ovc.then_some(&src.2[..])),
+            (dst.0, dst.1, with_ovc.then_some(&mut dst.2[..])),
+            run,
+            cfg.fanout,
+            runs_buf,
+            merge,
+            cancel,
+        );
+        core::mem::swap(&mut src, &mut dst);
         // A fired token may have truncated the pass above, leaving the
         // destination buffer partially written; bail before touching it.
         if cancel.check().is_err() {
@@ -283,10 +263,25 @@ unsafe fn mergesort_generic<Kn: Kernel>(
     if cfg.cancel.check().is_err() {
         return;
     }
-    let (fk, fo) = if src_is_a { (ka, oa) } else { (kb, ob) };
-    compact_padding(fk, fo, n);
-    keys.copy_from_slice(&fk[..n]);
-    oids.copy_from_slice(&fo[..n]);
+    compact_padding(src.0, src.1, n);
+    keys.copy_from_slice(&src.0[..n]);
+    oids.copy_from_slice(&src.1[..n]);
+}
+
+/// [`mergesort_generic`] compiled with AVX2 enabled, so the kernel's
+/// intrinsics inline into the phase loops.
+///
+/// # Safety
+/// The current CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mergesort_avx2<Kn: Kernel>(
+    keys: &mut [Kn::K],
+    oids: &mut [u32],
+    cfg: &SortConfig,
+    scratch: &mut SortScratch,
+) {
+    mergesort_generic::<Kn>(keys, oids, cfg, scratch)
 }
 
 /// Move padding sentinels to the very end of the sorted buffer.
@@ -313,114 +308,11 @@ fn compact_padding<K: Key>(keys: &mut [K], oids: &mut [u32], n: usize) {
     // Keys in [start..padded) are all MAX_KEY already; only oids moved.
 }
 
-macro_rules! dispatch_sort {
-    ($fn_name:ident, $scratch_name:ident, $avx_name:ident, $k:ty, $field:ident, $portable:ty, $avx:ty) => {
-        /// Sort `(keys, oids)` ascending by key with the configured
-        /// kernel. oid values must be `< u32::MAX`.
-        pub fn $fn_name(keys: &mut [$k], oids: &mut [u32], cfg: &SortConfig) {
-            let mut scratch = SortScratch::new();
-            $scratch_name(keys, oids, cfg, &mut scratch)
-        }
-
-        /// Like the plain variant, but drawing all working memory from
-        /// `scratch` (allocation-free once the scratch is warm).
-        pub fn $scratch_name(
-            keys: &mut [$k],
-            oids: &mut [u32],
-            cfg: &SortConfig,
-            scratch: &mut SortScratch,
-        ) {
-            assert_eq!(keys.len(), oids.len(), "keys/oids length mismatch");
-            if cfg.kernel == SortKernel::Auto {
-                return match kernel_for(keys.len()) {
-                    SizeKernel::Insertion => scalar::insertion_sort_pairs(keys, oids),
-                    SizeKernel::Packed => scalar::sort_pairs_packed(keys, oids, scratch),
-                    SizeKernel::Radix => radix::radix_sort_pairs_bank(
-                        keys,
-                        oids,
-                        &mut scratch.$field.0,
-                        &mut scratch.oids.0,
-                        &cfg.cancel,
-                    ),
-                };
-            }
-            if keys.len() <= cfg.small_threshold {
-                scalar::insertion_sort_pairs(keys, oids);
-                return;
-            }
-            debug_assert!(oids.iter().all(|&o| o != u32::MAX));
-            let (ka, kb) = (&mut scratch.$field.0, &mut scratch.$field.1);
-            let (oa, ob) = (&mut scratch.oids.0, &mut scratch.oids.1);
-            let (ca, cb) = (&mut scratch.codes.0, &mut scratch.codes.1);
-            let (runs, merge) = (&mut scratch.runs, &mut scratch.merge);
-            #[cfg(target_arch = "x86_64")]
-            if !cfg.force_portable && avx2_available() {
-                // SAFETY: AVX2 presence checked above.
-                unsafe { $avx_name(keys, oids, cfg, ka, kb, oa, ob, ca, cb, runs, merge) };
-                return;
-            }
-            // SAFETY: portable kernel has no ISA requirements.
-            unsafe {
-                mergesort_generic::<$portable>(keys, oids, cfg, ka, kb, oa, ob, ca, cb, runs, merge)
-            }
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx_name(
-            keys: &mut [$k],
-            oids: &mut [u32],
-            cfg: &SortConfig,
-            ka: &mut Vec<$k>,
-            kb: &mut Vec<$k>,
-            oa: &mut Vec<u32>,
-            ob: &mut Vec<u32>,
-            ca: &mut Vec<u32>,
-            cb: &mut Vec<u32>,
-            runs: &mut Vec<core::ops::Range<usize>>,
-            merge: &mut crate::scratch::MergeScratch,
-        ) {
-            mergesort_generic::<$avx>(keys, oids, cfg, ka, kb, oa, ob, ca, cb, runs, merge)
-        }
-    };
-}
-
-dispatch_sort!(
-    sort_u16_with,
-    sort_u16_with_scratch,
-    sort_u16_avx2,
-    u16,
-    k16,
-    crate::portable::P16,
-    crate::avx2::A16
-);
-dispatch_sort!(
-    sort_u32_with,
-    sort_u32_with_scratch,
-    sort_u32_avx2,
-    u32,
-    k32,
-    crate::portable::P32,
-    crate::avx2::A32
-);
-dispatch_sort!(
-    sort_u64_with,
-    sort_u64_with_scratch,
-    sort_u64_avx2,
-    u64,
-    k64,
-    crate::portable::P64,
-    crate::avx2::A64
-);
-
 /// Key types that have the full set of sort kernels.
 pub trait SortableKey: Key {
-    /// Sort `(keys, oids)` ascending by key.
-    fn sort_pairs_with(keys: &mut [Self], oids: &mut [u32], cfg: &SortConfig);
-
-    /// Sort `(keys, oids)` ascending by key, drawing all working memory
-    /// from `scratch` ([`SortScratch`]); allocation-free once warm.
+    /// Sort `(keys, oids)` ascending by key with the configured kernel,
+    /// drawing all working memory from `scratch` ([`SortScratch`]);
+    /// allocation-free once warm. oid values must be `< u32::MAX`.
     ///
     /// This is the one place a kernel is chosen: serial rounds, morsel
     /// spans and chunks, and spilled chunks all sort through it.
@@ -433,32 +325,54 @@ pub trait SortableKey: Key {
 }
 
 macro_rules! impl_sortable {
-    ($k:ty, $fn_name:ident, $scratch_name:ident) => {
+    ($k:ty, $portable:ty, $avx:ty) => {
         impl SortableKey for $k {
-            #[inline]
-            fn sort_pairs_with(keys: &mut [Self], oids: &mut [u32], cfg: &SortConfig) {
-                $fn_name(keys, oids, cfg)
-            }
-            #[inline]
             fn sort_pairs_with_scratch(
                 keys: &mut [Self],
                 oids: &mut [u32],
                 cfg: &SortConfig,
                 scratch: &mut SortScratch,
             ) {
-                $scratch_name(keys, oids, cfg, scratch)
+                assert_eq!(keys.len(), oids.len(), "keys/oids length mismatch");
+                // Both families insertion-sort their smallest inputs, through
+                // this one call site, so they do it at the same speed.
+                let kernel = kernel_for(keys.len());
+                let insertion = match cfg.kernel {
+                    SortKernel::Auto => kernel == SizeKernel::Insertion,
+                    SortKernel::MergeSort => keys.len() <= MERGE_SORT_INSERTION_MAX_ROWS,
+                };
+                if insertion {
+                    return scalar::insertion_sort_pairs(keys, oids);
+                }
+                if cfg.kernel == SortKernel::Auto {
+                    return if kernel == SizeKernel::Packed {
+                        scalar::sort_pairs_packed(keys, oids, scratch)
+                    } else {
+                        radix::radix_sort_pairs(keys, oids, scratch, &cfg.cancel)
+                    };
+                }
+                debug_assert!(oids.iter().all(|&o| o != u32::MAX));
+                #[cfg(target_arch = "x86_64")]
+                if !cfg.force_portable && avx2_available() {
+                    // SAFETY: AVX2 presence checked above.
+                    unsafe { mergesort_avx2::<$avx>(keys, oids, cfg, scratch) };
+                    return;
+                }
+                // SAFETY: portable kernel has no ISA requirements.
+                unsafe { mergesort_generic::<$portable>(keys, oids, cfg, scratch) }
             }
         }
     };
 }
 
-impl_sortable!(u16, sort_u16_with, sort_u16_with_scratch);
-impl_sortable!(u32, sort_u32_with, sort_u32_with_scratch);
-impl_sortable!(u64, sort_u64_with, sort_u64_with_scratch);
+impl_sortable!(u16, crate::portable::P16, crate::avx2::A16);
+impl_sortable!(u32, crate::portable::P32, crate::avx2::A32);
+impl_sortable!(u64, crate::portable::P64, crate::avx2::A64);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sort_pairs_with;
 
     fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;
@@ -491,7 +405,7 @@ mod tests {
             .collect();
         let mut keys = orig.clone();
         let mut oids: Vec<u32> = (0..n as u32).collect();
-        K::sort_pairs_with(&mut keys, &mut oids, cfg);
+        sort_pairs_with(&mut keys, &mut oids, cfg);
         check_sorted_permutation(&orig, &keys, &oids);
     }
 
@@ -566,7 +480,7 @@ mod tests {
                 .collect();
             let mut keys = orig.clone();
             let mut oids: Vec<u32> = (0..n as u32).collect();
-            u16::sort_pairs_with(&mut keys, &mut oids, &cfg);
+            sort_pairs_with(&mut keys, &mut oids, &cfg);
             check_sorted_permutation(&orig, &keys, &oids);
         }
     }
@@ -581,12 +495,12 @@ mod tests {
         let mut k1 = orig.clone();
         let mut o1: Vec<u32> = (0..n as u32).collect();
         cfg.force_portable = true;
-        sort_u32_with(&mut k1, &mut o1, &cfg);
+        sort_pairs_with(&mut k1, &mut o1, &cfg);
 
         let mut k2 = orig.clone();
         let mut o2: Vec<u32> = (0..n as u32).collect();
         cfg.force_portable = false;
-        sort_u32_with(&mut k2, &mut o2, &cfg);
+        sort_pairs_with(&mut k2, &mut o2, &cfg);
 
         assert_eq!(k1, k2);
         check_sorted_permutation(&orig, &k2, &o2);
@@ -597,7 +511,6 @@ mod tests {
         let cfg = SortConfig {
             in_cache_bytes: 1024, // force out-of-cache merging early
             fanout: 3,
-            small_threshold: 16,
             ..merge_sort()
         };
         roundtrip::<u32>(50_000, u64::MAX, &cfg, 5);
@@ -625,7 +538,7 @@ mod tests {
                         .collect();
                     let mut k1 = orig.clone();
                     let mut o1: Vec<u32> = (0..n as u32).collect();
-                    <$k>::sort_pairs_with(&mut k1, &mut o1, cfg);
+                    sort_pairs_with(&mut k1, &mut o1, cfg);
                     let mut k2 = orig.clone();
                     let mut o2: Vec<u32> = (0..n as u32).collect();
                     <$k>::sort_pairs_with_scratch(&mut k2, &mut o2, cfg, &mut scratch);
@@ -641,15 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cutoff_default_is_pinned() {
-        assert_eq!(DEFAULT_PARALLEL_CUTOFF_ROWS, 4096);
-        assert_eq!(
-            SortConfig::default().parallel_cutoff_rows,
-            DEFAULT_PARALLEL_CUTOFF_ROWS
-        );
-    }
-
-    #[test]
     fn already_sorted_and_reversed() {
         for cfg in both_kernels() {
             already_sorted_and_reversed_under(&cfg);
@@ -661,13 +565,13 @@ mod tests {
         let orig: Vec<u32> = (0..n as u32).collect();
         let mut keys = orig.clone();
         let mut oids: Vec<u32> = (0..n as u32).collect();
-        sort_u32_with(&mut keys, &mut oids, cfg);
+        sort_pairs_with(&mut keys, &mut oids, cfg);
         check_sorted_permutation(&orig, &keys, &oids);
 
         let orig: Vec<u32> = (0..n as u32).rev().collect();
         let mut keys = orig.clone();
         let mut oids: Vec<u32> = (0..n as u32).collect();
-        sort_u32_with(&mut keys, &mut oids, cfg);
+        sort_pairs_with(&mut keys, &mut oids, cfg);
         check_sorted_permutation(&orig, &keys, &oids);
     }
 }

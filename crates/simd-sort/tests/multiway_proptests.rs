@@ -11,12 +11,25 @@
 
 use core::ops::Range;
 
-use mcs_simd_sort::multiway::{multiway_merge, multiway_pass};
 use mcs_simd_sort::{
-    group_boundaries, multiway_merge_ovc_scratch, ovc_encode, sort_pairs_radix,
-    sort_pairs_radix_in_groups, MergeScratch,
+    group_boundaries, multiway_merge, multiway_pass, ovc_encode, radix_sort_pairs, CancelToken,
+    Key, MergeScratch, SortScratch,
 };
 use mcs_test_support::{check, Rng};
+
+/// Codes-off merge of `runs` into `dst` from offset 0, through a fresh
+/// scratch.
+fn merge<K: Key>(k: &[K], o: &[u32], dk: &mut [K], dlo: &mut [u32], runs: &[Range<usize>]) {
+    let (src, dst) = ((k, o, None), (dk, dlo, None));
+    multiway_merge(
+        src,
+        dst,
+        runs,
+        0,
+        &mut MergeScratch::new(),
+        &CancelToken::none(),
+    );
+}
 
 /// Run counts exercised by every merge property.
 const RUN_COUNTS: [usize; 4] = [1, 2, 7, 16];
@@ -68,7 +81,7 @@ fn merge_property(rng: &mut Rng, dup_heavy: bool, pre_sorted: bool) {
         let n = keys.len();
         let mut dst_k = vec![0u32; n];
         let mut dst_o = vec![0u32; n];
-        multiway_merge(&keys, &oids, &mut dst_k, &mut dst_o, &runs, 0);
+        merge(&keys, &oids, &mut dst_k, &mut dst_o, &runs);
         verify_merge(&keys, &dst_k, &dst_o);
     }
 }
@@ -100,9 +113,9 @@ fn multiway_merge_pre_sorted() {
 /// run* — equal keys drain in run order. `gen_runs` assigns oids as
 /// buffer positions, so stability means equal keys carry strictly
 /// ascending oids in the output. Duplicate-heavy inputs make ties the
-/// common case, and the OVC variant must tie-break identically (its
-/// code-update protocol assumes the loser of an equal-key match is the
-/// higher run index).
+/// common case, and the merge must tie-break identically with codes on
+/// (the code-update protocol assumes the loser of an equal-key match is
+/// the higher run index).
 #[test]
 fn merge_is_stable_by_run_order() {
     fn assert_run_stable(dst_k: &[u32], dst_o: &[u32]) {
@@ -124,11 +137,11 @@ fn merge_is_stable_by_run_order() {
             let n = keys.len();
             let mut dst_k = vec![0u32; n];
             let mut dst_o = vec![0u32; n];
-            multiway_merge(&keys, &oids, &mut dst_k, &mut dst_o, &runs, 0);
+            merge(&keys, &oids, &mut dst_k, &mut dst_o, &runs);
             verify_merge(&keys, &dst_k, &dst_o);
             assert_run_stable(&dst_k, &dst_o);
 
-            // The OVC merge must make the same tie-break decisions.
+            // With codes on, the same tie-break decisions and stream.
             let mut codes = vec![0u32; n];
             for r in &runs {
                 for i in r.clone() {
@@ -138,16 +151,13 @@ fn merge_is_stable_by_run_order() {
             }
             let (mut ok, mut oo, mut oc) = (vec![0u32; n], vec![0u32; n], vec![0u32; n]);
             let mut scratch = MergeScratch::new();
-            multiway_merge_ovc_scratch(
-                &keys,
-                &oids,
-                &codes,
-                &mut ok,
-                &mut oo,
-                &mut oc,
+            multiway_merge(
+                (&keys, &oids, Some(&codes)),
+                (&mut ok, &mut oo, Some(&mut oc)),
                 &runs,
                 0,
                 &mut scratch,
+                &CancelToken::none(),
             );
             assert_eq!(ok, dst_k, "OVC merge reordered keys");
             assert_eq!(oo, dst_o, "OVC merge broke run-order stability");
@@ -163,7 +173,7 @@ fn multiway_merge_all_runs_empty() {
         let runs: Vec<Range<usize>> = (0..count).map(|_| 0..0).collect();
         let mut dst_k: Vec<u32> = Vec::new();
         let mut dst_o: Vec<u32> = Vec::new();
-        multiway_merge(&[], &[], &mut dst_k, &mut dst_o, &runs, 0);
+        merge::<u32>(&[], &[], &mut dst_k, &mut dst_o, &runs);
         assert!(dst_k.is_empty());
     }
 }
@@ -197,13 +207,22 @@ fn multiway_pass_matches_full_sort() {
         oids.copy_from_slice(&sorted_oids);
         let mut buf_k = vec![0u64; n];
         let mut buf_o = vec![0u32; n];
+        let (mut runs_buf, mut scratch) = (Vec::new(), MergeScratch::new());
         let mut in_orig = true;
         while run < n {
-            run = if in_orig {
-                multiway_pass(&keys, &oids, &mut buf_k, &mut buf_o, run, fanout)
+            let (src, dst) = if in_orig {
+                (
+                    (&keys[..], &oids[..], None),
+                    (&mut buf_k[..], &mut buf_o[..], None),
+                )
             } else {
-                multiway_pass(&buf_k, &buf_o, &mut keys, &mut oids, run, fanout)
+                (
+                    (&buf_k[..], &buf_o[..], None),
+                    (&mut keys[..], &mut oids[..], None),
+                )
             };
+            let none = CancelToken::none();
+            run = multiway_pass(src, dst, run, fanout, &mut runs_buf, &mut scratch, &none);
             in_orig = !in_orig;
         }
         let (fk, fo) = if in_orig {
@@ -242,7 +261,12 @@ fn radix_matches_oracle() {
         }
         let orig = keys.clone();
         let mut oids: Vec<u32> = (0..n as u32).collect();
-        sort_pairs_radix(&mut keys, &mut oids, width);
+        radix_sort_pairs(
+            &mut keys,
+            &mut oids,
+            &mut SortScratch::new(),
+            &CancelToken::none(),
+        );
         verify_merge(&orig, &keys, &oids);
     });
 }
@@ -251,7 +275,6 @@ fn radix_matches_oracle() {
 fn radix_in_groups_matches_oracle() {
     check("radix_in_groups_matches_oracle", 32, |rng| {
         let n = rng.gen_range(1..3000usize);
-        let width = 16u32;
         // Group keys with few distinct values yield realistic segment
         // shapes (some singleton, some large).
         let group_key: Vec<u32> = {
@@ -263,8 +286,13 @@ fn radix_in_groups_matches_oracle() {
         let src: Vec<u32> = (0..n).map(|_| rng.gen::<u32>() & 0xFFFF).collect();
         let mut keys = src.clone();
         let mut oids: Vec<u32> = (0..n as u32).collect();
-        let stats = sort_pairs_radix_in_groups(&mut keys, &mut oids, &groups, width);
-        assert!(stats.codes_sorted <= n);
+        // One scratch serves every group, whatever order their lengths
+        // come in.
+        let mut scratch = SortScratch::new();
+        for r in groups.iter() {
+            let (k, o) = (&mut keys[r.clone()], &mut oids[r]);
+            radix_sort_pairs(k, o, &mut scratch, &CancelToken::none());
+        }
         // Each group individually sorted, oids a permutation overall.
         for r in groups.iter() {
             assert!(keys[r].windows(2).all(|w| w[0] <= w[1]));

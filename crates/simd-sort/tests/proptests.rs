@@ -7,8 +7,8 @@
 //! the case count, `MCS_TEST_SEED` replays a reported failure.
 
 use mcs_simd_sort::{
-    group_boundaries, sort_pairs_in_groups, sort_pairs_parallel, sort_pairs_with, GroupBounds,
-    SortConfig, SortKernel, SortableKey,
+    group_boundaries, sort_pairs_in_groups, sort_pairs_with, GroupBounds, SortConfig, SortKernel,
+    SortableKey, WorkerScratch,
 };
 use mcs_test_support::{check, Rng};
 
@@ -29,7 +29,6 @@ fn run_sort<K: SortableKey>(orig: Vec<K>, force_portable: bool) {
         // Small bounds exercise multi-pass merging even at proptest sizes.
         in_cache_bytes: 4096,
         fanout: 3,
-        small_threshold: 16,
         ..SortConfig::default()
     };
     let mut keys = orig.clone();
@@ -114,7 +113,9 @@ fn segmented_sort_is_sorted_per_group() {
         let groups = GroupBounds::from_offsets(offs);
         let mut keys = v.clone();
         let mut oids: Vec<u32> = (0..n as u32).collect();
-        sort_pairs_in_groups(&mut keys, &mut oids, &groups, &SortConfig::default());
+        let (cfg, mut scratch) = (SortConfig::default(), WorkerScratch::new());
+        sort_pairs_in_groups(&mut keys, &mut oids, &groups, 1, &cfg, &mut scratch)
+            .expect("the serial path spawns no worker");
         for r in groups.iter() {
             assert!(keys[r].windows(2).all(|w| w[0] <= w[1]));
         }
@@ -127,14 +128,18 @@ fn segmented_sort_is_sorted_per_group() {
 #[test]
 fn parallel_matches_serial_order() {
     check("parallel_matches_serial_order", 64, |rng| {
-        let v: Vec<u32> = random_vec(rng, 5000);
+        // Long enough that most cases clear the parallel cutoff, where the
+        // one whole-relation group is split into slices and finisher-merged.
+        let v: Vec<u32> = random_vec(rng, 12_000);
         let cfg = SortConfig::default();
         let mut k1 = v.clone();
         let mut o1: Vec<u32> = (0..v.len() as u32).collect();
         sort_pairs_with(&mut k1, &mut o1, &cfg);
         let mut k2 = v.clone();
         let mut o2: Vec<u32> = (0..v.len() as u32).collect();
-        sort_pairs_parallel(&mut k2, &mut o2, 3, &cfg).expect("no faults armed");
+        let (whole, mut scratch) = (GroupBounds::whole(v.len()), WorkerScratch::new());
+        sort_pairs_in_groups(&mut k2, &mut o2, &whole, 3, &cfg, &mut scratch)
+            .expect("no faults armed");
         assert_eq!(k1, k2);
     });
 }

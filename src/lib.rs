@@ -10,7 +10,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`simd_sort`] | SIMD merge-sort (16/32/64-bit banks, key+oid pairs) |
+//! | [`simd_sort`] | the sort substrate: size-driven insertion → packed-word → radix dispatch over 16/32/64-bit banks of key+oid pairs, the segmented sort, the loser tree, the paper's SIMD merge-sort |
 //! | [`columnar`] | encoded columns, ByteSlice scans, WideTables |
 //! | [`core`] | massage plans, the FIP kernel, the multi-column sort executor |
 //! | [`cost`] | the calibrated, architecture-aware cost model (§4) |

@@ -161,9 +161,7 @@ fn warm_scratch_sort_is_allocation_free() {
     // The layer below the executor: a serial segmented sort drawing all
     // working memory from a warm `WorkerScratch` must not allocate
     // (this is what the arena's zero-allocation guarantee rests on).
-    use mcs_simd_sort::{
-        sort_pairs_in_groups_parallel_scratch, GroupBounds, SortConfig, WorkerScratch,
-    };
+    use mcs_simd_sort::{sort_pairs_in_groups, GroupBounds, SortConfig, WorkerScratch};
     let n = 4096usize;
     let orig: Vec<u16> = (0..n)
         .map(|i| (i as u64 * 2654435761 % 65536) as u16)
@@ -173,16 +171,14 @@ fn warm_scratch_sort_is_allocation_free() {
     let groups = GroupBounds::from_offsets(vec![0, n as u32]);
     let mut keys = orig.clone();
     let mut oids: Vec<u32> = (0..n as u32).collect();
-    sort_pairs_in_groups_parallel_scratch(&mut keys, &mut oids, &groups, 1, &cfg, &mut scratch)
-        .unwrap();
+    sort_pairs_in_groups(&mut keys, &mut oids, &groups, 1, &cfg, &mut scratch).unwrap();
     for _ in 0..2 {
         keys.copy_from_slice(&orig);
         for (i, o) in oids.iter_mut().enumerate() {
             *o = i as u32;
         }
         let before = thread_allocation_count();
-        sort_pairs_in_groups_parallel_scratch(&mut keys, &mut oids, &groups, 1, &cfg, &mut scratch)
-            .unwrap();
+        sort_pairs_in_groups(&mut keys, &mut oids, &groups, 1, &cfg, &mut scratch).unwrap();
         assert_eq!(thread_allocation_count() - before, 0, "warm sort allocated");
     }
 }

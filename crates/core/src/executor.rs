@@ -1089,58 +1089,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "faults")]
-    #[test]
-    fn injected_round_failure_and_worker_panic_become_typed_errors() {
-        use mcs_faults::{points, with_armed, FireMode};
-        let n = 20_000usize;
-        let a = col(
-            11,
-            &(0..n).map(|i| ((i * 31) % 2048) as u64).collect::<Vec<_>>(),
-        );
-        let b = col(
-            21,
-            &(0..n)
-                .map(|i| ((i * 7_919) % (1 << 21)) as u64)
-                .collect::<Vec<_>>(),
-        );
-        let inputs = vec![&a, &b];
-        let specs = vec![SortSpec::asc(11), SortSpec::asc(21)];
-        let plan = MassagePlan::column_at_a_time(&specs);
-
-        // Round-sort fault on the second round.
-        with_armed(&[(points::CORE_ROUND_SORT, FireMode::Nth(2))], || {
-            let err = multi_column_sort(&inputs, &specs, &plan, &ExecConfig::default())
-                .map(|out| out.oids);
-            assert_eq!(err, Err(SortError::Injected(points::CORE_ROUND_SORT)));
-        });
-
-        // Worker panic in the parallel path surfaces round + chunk.
-        with_armed(&[(points::SIMD_WORKER_PANIC, FireMode::Once)], || {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
-            let err = multi_column_sort(
-                &inputs,
-                &specs,
-                &plan,
-                &ExecConfig {
-                    threads: 4,
-                    ..ExecConfig::default()
-                },
-            );
-            std::panic::set_hook(prev);
-            match err {
-                Err(SortError::WorkerPanicked { round: 0, .. }) => {}
-                other => panic!("expected WorkerPanicked in round 0, got {other:?}"),
-            }
-        });
-
-        // Disarmed: the identical call succeeds again.
-        let out = multi_column_sort(&inputs, &specs, &plan, &ExecConfig::default())
-            .expect("no faults armed");
-        verify_sorted(&inputs, &specs, &out, true);
-    }
-
     #[test]
     fn arena_reuse_matches_fresh_and_reports_stats() {
         let n = 8_000usize;

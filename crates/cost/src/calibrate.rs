@@ -73,7 +73,6 @@ pub fn calibrate(machine: MachineSpec, opts: &CalibrationOptions) -> CostModel {
     let model_seed = CostModel {
         consts: consts.clone(),
         machine: machine.clone(),
-        ovc: true,
         kernel: SortKernel::Auto,
     };
     let (b16, ov16) = calibrate_sort_bank::<u16>(&model_seed, Bank::B16, opts);
@@ -99,7 +98,6 @@ pub fn calibrate(machine: MachineSpec, opts: &CalibrationOptions) -> CostModel {
     CostModel {
         consts,
         machine,
-        ovc: true,
         kernel: SortKernel::Auto,
     }
 }
@@ -186,12 +184,8 @@ where
     let n = opts.rows;
     let mut rng = Rng::seed_from_u64(opts.seed ^ bank.bits() as u64);
     let base_keys: Vec<K> = (0..n).map(|_| K::from_u64(rng.gen())).collect();
-    // Calibrate the *undiscounted* out-of-cache constant: offset-value
-    // coding is modelled as a multiplier (`OVC_MERGE_DISCOUNT`) on top of
-    // it, so measuring with OVC enabled would double-count the benefit.
     let cfg = SortConfig {
         kernel: SortKernel::MergeSort,
-        use_ovc: false,
         ..SortConfig::default()
     };
 

@@ -45,5 +45,5 @@ pub use linalg::{least_squares, least_squares_nonneg, solve};
 pub use machine::MachineSpec;
 pub use model::{
     BankConstants, CostBreakdown, CostConstants, CostModel, PlanCost, RoundCost, SortInstance,
-    OVC_MERGE_DISCOUNT, SPILL_BYTE_NS,
+    SPILL_BYTE_NS,
 };

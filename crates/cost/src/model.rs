@@ -27,7 +27,9 @@ pub struct BankConstants {
     /// `C^b_in-cache-merge` (Eq. 7, per-pass form): one binary in-cache
     /// merge pass per code.
     pub c_in_cache_merge: f64,
-    /// `C^b_out-of-cache-merge` (Eq. 8): one out-of-cache pass per code.
+    /// `C^b_out-of-cache-merge` (Eq. 8): one out-of-cache pass per code,
+    /// offset-value codes included — the executor always carries them
+    /// through the loser tree, and calibration measures it that way.
     pub c_out_of_cache_merge: f64,
     /// Packed-word kernel: per code per `log2 n` of its group.
     pub c_packed: f64,
@@ -75,7 +77,9 @@ impl CostConstants {
     /// elsewhere. The three Eq. 5 merge-sort constants per bank are the
     /// exception: their least-squares fit is ill-conditioned on this
     /// machine, so they stay at hand-measured ballparks that keep the
-    /// paper's plan rankings (Figures 3 and 4).
+    /// paper's plan rankings (Figures 3 and 4); the out-of-cache ones
+    /// are the uncoded 15 / 15 / 20 ballparks × 0.85, the share offset-value
+    /// codes leave of a loser-tree pass (exact in `f64`).
     pub fn defaults() -> CostConstants {
         CostConstants {
             c_cache: 8.9,
@@ -89,7 +93,7 @@ impl CostConstants {
             b16: BankConstants {
                 c_sort_network: 1.0,
                 c_in_cache_merge: 1.0,
-                c_out_of_cache_merge: 15.0,
+                c_out_of_cache_merge: 12.75,
                 c_packed: 1.12,
                 c_radix_pass: 1.54,
                 c_radix_pass_mem: 3.4,
@@ -97,7 +101,7 @@ impl CostConstants {
             b32: BankConstants {
                 c_sort_network: 1.6,
                 c_in_cache_merge: 3.2,
-                c_out_of_cache_merge: 15.0,
+                c_out_of_cache_merge: 12.75,
                 c_packed: 1.15,
                 c_radix_pass: 1.75,
                 c_radix_pass_mem: 3.6,
@@ -105,7 +109,7 @@ impl CostConstants {
             b64: BankConstants {
                 c_sort_network: 4.0,
                 c_in_cache_merge: 12.0,
-                c_out_of_cache_merge: 20.0,
+                c_out_of_cache_merge: 17.0,
                 c_packed: 1.66,
                 c_radix_pass: 1.75,
                 c_radix_pass_mem: 3.4,
@@ -233,15 +237,6 @@ impl PlanCost {
     }
 }
 
-/// Fraction of the calibrated out-of-cache merge cost that remains when
-/// the executor runs the loser tree with offset-value codes: most matches
-/// resolve on a single `u32` code comparison instead of a full key
-/// comparison plus the code-update bookkeeping, which empirically shaves
-/// ~15% off the per-pass cost on uniform keys. A multiplier (rather than
-/// a separately calibrated constant) keeps the calibration linear system
-/// unchanged.
-pub const OVC_MERGE_DISCOUNT: f64 = 0.85;
-
 /// Nanoseconds charged per byte moved through the spill path of the
 /// out-of-core sort. Every spilled byte is written once (run files) and
 /// read back once (the streaming merge), so the external path adds
@@ -260,13 +255,8 @@ pub struct CostModel {
     pub consts: CostConstants,
     /// Machine parameters.
     pub machine: MachineSpec,
-    /// Whether the executor's out-of-cache merge uses offset-value codes
-    /// ([`OVC_MERGE_DISCOUNT`] is applied to `c_out_of_cache_merge` when
-    /// set). Must mirror the executor's `SortConfig::use_ovc` so
-    /// predictions line up with measurements; both default to `true`.
-    pub ovc: bool,
     /// Which sort family the executor runs — must mirror the executor's
-    /// `SortConfig::kernel`, like [`CostModel::ovc`]. Under
+    /// `SortConfig::kernel` so predictions line up with measurements. Under
     /// [`SortKernel::Auto`] (the default of both) a sort is priced as the
     /// kernel the size dispatch will run on it; under
     /// [`SortKernel::MergeSort`] by the paper's Eq. 5.
@@ -280,7 +270,6 @@ impl CostModel {
         CostModel {
             consts: CostConstants::defaults(),
             machine: MachineSpec::detect(),
-            ovc: true,
             kernel: SortKernel::Auto,
         }
     }
@@ -293,18 +282,6 @@ impl CostModel {
     #[inline]
     pub fn t_spill(&self, spilled_bytes: u64) -> f64 {
         2.0 * spilled_bytes as f64 * SPILL_BYTE_NS
-    }
-
-    /// Effective out-of-cache merge constant for `bank`, including the
-    /// offset-value-code discount when [`CostModel::ovc`] is set.
-    #[inline]
-    pub fn c_out_of_cache_merge(&self, bank: Bank) -> f64 {
-        let c = self.consts.bank(bank).c_out_of_cache_merge;
-        if self.ovc {
-            c * OVC_MERGE_DISCOUNT
-        } else {
-            c
-        }
     }
 
     /// `T_lookup` (Eq. 3): `N` random accesses into a `width`-bit column.
@@ -357,9 +334,7 @@ impl CostModel {
         let bc = self.consts.bank(bank);
         let p_ic = self.in_cache_passes(n, bank);
         let p_oc = self.merge_passes(n, bank);
-        bc.c_sort_network * n
-            + bc.c_in_cache_merge * n * p_ic
-            + self.c_out_of_cache_merge(bank) * n * p_oc
+        bc.c_sort_network * n + bc.c_in_cache_merge * n * p_ic + bc.c_out_of_cache_merge * n * p_oc
     }
 
     /// What [`SortKernel::Auto`] spends sorting `groups` groups of `avg`
@@ -425,7 +400,7 @@ impl CostModel {
         est.sortable * self.consts.c_overhead
             + est.codes_in_sortable * bc.c_sort_network
             + est.codes_in_sortable * bc.c_in_cache_merge * p_ic
-            + est.codes_in_sortable * self.c_out_of_cache_merge(bank) * p_oc
+            + est.codes_in_sortable * bc.c_out_of_cache_merge * p_oc
     }
 
     /// `T_sort^{j+1}` given that rounds `1..=j` cover `prefix_bits` of the
@@ -510,7 +485,6 @@ mod tests {
         CostModel {
             consts: CostConstants::defaults(),
             machine: MachineSpec::default(),
-            ovc: true,
             kernel: SortKernel::MergeSort,
         }
     }
@@ -598,30 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn ovc_discount_applies_only_to_out_of_cache_merge() {
-        let with_ovc = model();
-        let without = CostModel {
-            ovc: false,
-            ..model()
-        };
-        // In-cache sizes: no out-of-cache passes, so no discount.
-        let small = 1000.0;
-        assert_eq!(with_ovc.merge_passes(small, Bank::B32), 0.0);
-        assert_eq!(
-            with_ovc.t_mergesort(small, Bank::B32),
-            without.t_mergesort(small, Bank::B32)
-        );
-        // Out-of-cache sizes: exactly the discounted merge term differs.
-        let big = with_ovc.machine.in_cache_run_codes(32) * 64.0;
-        let p_oc = with_ovc.merge_passes(big, Bank::B32);
-        assert!(p_oc >= 1.0);
-        let expected_delta =
-            without.consts.b32.c_out_of_cache_merge * (1.0 - OVC_MERGE_DISCOUNT) * big * p_oc;
-        let delta = without.t_mergesort(big, Bank::B32) - with_ovc.t_mergesort(big, Bank::B32);
-        assert!((delta - expected_delta).abs() < 1e-6);
-    }
-
-    #[test]
     fn auto_prices_the_kernel_the_dispatch_runs() {
         use mcs_simd_sort::{INSERTION_MAX_ROWS, PACKED_MAX_ROWS};
         let m = auto_model();
@@ -681,9 +631,11 @@ mod tests {
         assert!((m.t_spill(1_000) - 2_000.0 * SPILL_BYTE_NS).abs() < 1e-9);
         assert!((m.t_spill(2_000) - 2.0 * m.t_spill(1_000)).abs() < 1e-9);
         // The term ignores the model's plan-sensitive knobs entirely.
-        let mut no_ovc = CostModel::with_defaults();
-        no_ovc.ovc = false;
-        assert_eq!(m.t_spill(4_096), no_ovc.t_spill(4_096));
+        let merge = CostModel {
+            kernel: SortKernel::MergeSort,
+            ..CostModel::with_defaults()
+        };
+        assert_eq!(m.t_spill(4_096), merge.t_spill(4_096));
     }
 
     #[test]

@@ -153,20 +153,10 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Enable or disable offset-value coding in the out-of-cache merge,
-    /// keeping the executor knob and the cost model's merge discount in
-    /// lockstep (setting only one of them would make EXPLAIN's predicted
-    /// merge cost drift from the measured one). Defaults to enabled.
-    pub fn ovc(mut self, on: bool) -> Self {
-        self.cfg.exec.sort.use_ovc = on;
-        self.cfg.model.ovc = on;
-        self
-    }
-
     /// Pick the sort family (default: the size-driven
     /// [`SortKernel::Auto`] dispatch), keeping the executor knob and the
-    /// cost model's pricing in lockstep the same way [`Self::ovc`] does:
-    /// the planner must rank plans by the kernel that will run them.
+    /// cost model's pricing in lockstep: the planner must rank plans by
+    /// the kernel that will run them.
     pub fn kernel(mut self, kernel: SortKernel) -> Self {
         self.cfg.exec.sort.kernel = kernel;
         self.cfg.model.kernel = kernel;

@@ -873,9 +873,9 @@ mod tests {
         assert_eq!(stats.entries, 0);
     }
 
-    // BENCH_throughput.json's cold TPC-H Q1 cells report
-    // `cache_misses: 33` for one prepare plus a 16-query batch. That is
-    // not a double-count: a grouped + ORDER BY query performs TWO
+    // A cold session (plan-cache capacity 0) running TPC-H Q1 misses 33
+    // times for one prepare plus a 16-query batch. That is not a
+    // double-count: a grouped + ORDER BY query performs TWO
     // plan-cache lookups per execution — the main sort over the group
     // keys, plus the post-sort of the grouped result (`inst2` in
     // `execute_grouped`) — while a pure ORDER BY query performs one.
@@ -1096,14 +1096,19 @@ mod tests {
         let gate = AdmissionGate::new(2);
         let held_a = gate.acquire();
         let held_b = gate.acquire();
-        let err = gate
-            .acquire_timeout(Duration::from_millis(10))
-            .expect_err("saturated gate must shed");
-        match err {
-            EngineError::Overloaded { waited_ns } => {
-                assert!(waited_ns >= 10_000_000, "shed early after {waited_ns} ns");
+        for ms in [0, 10] {
+            let err = gate
+                .acquire_timeout(Duration::from_millis(ms))
+                .expect_err("saturated gate must shed");
+            match err {
+                EngineError::Overloaded { waited_ns } => {
+                    assert!(
+                        waited_ns >= ms * 1_000_000,
+                        "shed early after {waited_ns} ns"
+                    );
+                }
+                other => panic!("expected Overloaded, got {other:?}"),
             }
-            other => panic!("expected Overloaded, got {other:?}"),
         }
         drop(held_a);
         let reacquired = gate.acquire_timeout(Duration::from_secs(5));

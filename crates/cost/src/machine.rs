@@ -1,5 +1,6 @@
-//! Hardware description used by the cost model (the paper's `M_LLC`,
-//! `M_L2`, `S` and merge fan-out `F`).
+//! Hardware description used by the cost model (the paper's `M_LLC` and
+//! `M_L2`; the merge fan-out `F` is the sorter's own
+//! `SortConfig::fanout`).
 
 use std::fs;
 
@@ -10,10 +11,6 @@ pub struct MachineSpec {
     pub llc_bytes: usize,
     /// L2 cache capacity in bytes (`M_L2`, Eqs. 7–8).
     pub l2_bytes: usize,
-    /// SIMD register width in bits (`S`; 256 for AVX2).
-    pub simd_bits: u32,
-    /// Fan-out `F` of the out-of-cache merge tree (Eq. 8).
-    pub fanout: usize,
 }
 
 impl Default for MachineSpec {
@@ -21,8 +18,6 @@ impl Default for MachineSpec {
         MachineSpec {
             llc_bytes: 32 * 1024 * 1024,
             l2_bytes: 2 * 1024 * 1024,
-            simd_bits: 256,
-            fanout: 8,
         }
     }
 }

@@ -5,7 +5,7 @@
 use mcs_columnar::size_of_width;
 use mcs_core::{Bank, MassagePlan, SortSpec};
 use mcs_simd_sort::radix::passes_for_width;
-use mcs_simd_sort::{kernel_for, SizeKernel, SortKernel};
+use mcs_simd_sort::{kernel_for, SizeKernel, SortConfig, SortKernel};
 
 use crate::estimate::{estimate_groups, GroupEstimate, KeyColumnStats};
 use crate::machine::MachineSpec;
@@ -305,13 +305,14 @@ impl CostModel {
     }
 
     /// Out-of-cache merge passes for `n` codes in bank `b`
-    /// (`⌈log_F(n·(b/8)/0.5·M_L2)⌉`, Eq. 8; 0 when the data fits).
+    /// (`⌈log_F(n·(b/8)/0.5·M_L2)⌉`, Eq. 8; 0 when the data fits), with
+    /// `F` the sorter's default fan-out.
     pub fn merge_passes(&self, n: f64, bank: Bank) -> f64 {
         let run = self.machine.in_cache_run_codes(bank.bits());
         if n <= run {
             0.0
         } else {
-            (n / run).ln() / (self.machine.fanout as f64).ln()
+            (n / run).ln() / (SortConfig::default().fanout as f64).ln()
         }
         .ceil()
     }

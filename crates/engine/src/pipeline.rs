@@ -793,11 +793,8 @@ fn scalar_fallback_sort(
 
 /// Sort the gathered key columns under the chosen plan; returns the
 /// permutation (positions into `oids`) and grouping.
-#[allow(clippy::too_many_arguments)]
 fn run_mcs(
-    cols: &[Cow<'_, CodeVec>],
-    specs: &[SortSpec],
-    inst: &SortInstance,
+    (cols, specs, inst): &PreparedSort<'_>,
     order_free: bool,
     cfg: &EngineConfig,
     timings: &mut QueryTimings,
@@ -835,8 +832,8 @@ fn execute_orderby(
             query: query.name.clone(),
         });
     }
-    let (cols, specs, inst) = prepare_sort(table, query, &keys, oids, false, timings)?;
-    let out = run_mcs(&cols, &specs, &inst, false, cfg, timings, cache, arena)?;
+    let prepared = prepare_sort(table, query, &keys, oids, false, timings)?;
+    let out = run_mcs(&prepared, false, cfg, timings, cache, arena)?;
 
     // Final oids into the base table.
     let final_oids: Vec<u32> = out.oids.iter().map(|&p| oids[p as usize]).collect();
@@ -886,17 +883,16 @@ fn execute_grouped(
     }
 
     let keys = query.sort_keys();
-    let (cols, specs, inst) = prepare_sort(table, query, &keys, oids, true, timings)?;
+    let prepared = prepare_sort(table, query, &keys, oids, true, timings)?;
     let out = run_mcs(
-        &cols,
-        &specs,
-        &inst,
+        &prepared,
         query.order_free(),
         cfg,
         timings,
         cache,
         arena.as_deref_mut(),
     )?;
+    let cols = &prepared.0;
     let final_oids: Vec<u32> = out.oids.iter().map(|&p| oids[p as usize]).collect();
 
     // Aggregate per group (Figure 2 steps 4-5): check every referenced
@@ -1003,7 +999,6 @@ fn execute_grouped(
     Ok(result)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn execute_window(
     table: &Table,
     query: &Query,
@@ -1014,7 +1009,8 @@ fn execute_window(
     arena: Option<&mut ExecArena>,
 ) -> Result<Vec<(String, Vec<u64>)>, EngineError> {
     let keys = query.sort_keys();
-    let (cols, specs, inst) = prepare_sort(table, query, &keys, oids, true, timings)?;
+    let prepared = prepare_sort(table, query, &keys, oids, true, timings)?;
+    let (cols, specs, _) = &prepared;
     // Window key: direction-adjusted concatenation of the window-order
     // columns — bounded by one machine word, checked before sorting so a
     // too-wide query fails fast without wasted work.
@@ -1024,16 +1020,7 @@ fn execute_window(
     if total_wo > 64 {
         return Err(EngineError::WindowKeyTooWide { bits: total_wo });
     }
-    let out = run_mcs(
-        &cols,
-        &specs,
-        &inst,
-        query.order_free(),
-        cfg,
-        timings,
-        cache,
-        arena,
-    )?;
+    let out = run_mcs(&prepared, query.order_free(), cfg, timings, cache, arena)?;
     let final_oids: Vec<u32> = out.oids.iter().map(|&p| oids[p as usize]).collect();
 
     let t = Instant::now();

@@ -9,8 +9,9 @@
 //! The crate follows the `mcs-telemetry` pattern: everything exists in two
 //! builds selected by the `enabled` cargo feature (off by default):
 //!
-//! * **enabled** (`--features faults` anywhere up the dependency chain) —
-//!   fault points consult a process-global registry of armed faults.
+//! * **enabled** (the facade's `--features faults`, or `--features
+//!   mcs-faults/enabled` on any package) — fault points consult a
+//!   process-global registry of armed faults.
 //!   Arming is explicit and deterministic: a fault fires always, once, on
 //!   the n-th traversal, or with a seeded pseudo-random probability — no
 //!   wall-clock, no global entropy, so every chaos run is replayable.
@@ -244,7 +245,8 @@ mod active {
         registry().get(name).map_or(0, |s| s.fired)
     }
 
-    /// Whether any build up the feature chain armed live fault points.
+    /// Whether this build compiled the fault points live
+    /// (`mcs-faults/enabled`).
     pub const fn is_enabled() -> bool {
         true
     }
@@ -312,7 +314,8 @@ mod active {
         0
     }
 
-    /// Whether any build up the feature chain armed live fault points.
+    /// Whether this build compiled the fault points live
+    /// (`mcs-faults/enabled`).
     #[inline(always)]
     pub const fn is_enabled() -> bool {
         false

@@ -349,28 +349,6 @@ mod tests {
         assert_eq!(r, Err(SearchError::EmptySortKey));
     }
 
-    #[cfg(feature = "faults")]
-    #[test]
-    fn injected_search_failure_and_starvation() {
-        use mcs_faults::{points, with_armed, FireMode};
-        let inst = SortInstance::uniform(1 << 20, &[(10, 1024.0), (17, 8192.0)]);
-        let m = model();
-
-        with_armed(&[(points::PLANNER_SEARCH, FireMode::Always)], || {
-            let r = roga(&inst, &m, &RogaOptions::default()).map(|r| r.plans_costed);
-            assert_eq!(r, Err(SearchError::Injected(points::PLANNER_SEARCH)));
-        });
-
-        with_armed(&[(points::PLANNER_STARVE, FireMode::Always)], || {
-            let r = roga(&inst, &m, &RogaOptions::default()).expect("starvation is not an error");
-            assert!(r.timed_out);
-            assert_eq!(r.plans_costed, 0);
-            assert!(!r.est_cost.is_finite());
-            // Lemma 1: the starved result still carries a valid plan.
-            assert!(r.plan.validate(inst.total_width()).is_ok());
-        });
-    }
-
     #[test]
     fn greedy_assign_respects_bank_floors() {
         let inst = SortInstance::uniform(1 << 16, &[(20, 1e5), (20, 1e5), (19, 1e5)]);

@@ -6,9 +6,10 @@
 //! per round* into [`PhaseTimes`] — no lock or allocation on the sort
 //! path. The small kernels (insertion, packed-word) take no per-group
 //! timestamps at all: the segmented loop times itself once and credits
-//! them the remainder ([`small_residual_ns`]). With the `phase-timing`
-//! feature disabled every function here is an empty inline stub and the
-//! hot loops take no timestamps.
+//! them the remainder ([`small_residual_ns`]).
+
+use std::cell::Cell;
+use std::time::Instant;
 
 /// Nanoseconds spent in each sort kernel, summed over every invocation
 /// covered by one harvest: the merge-sort's three phases (the paper's
@@ -49,112 +50,62 @@ impl PhaseTimes {
     }
 }
 
-#[cfg(feature = "phase-timing")]
-mod imp {
-    use super::PhaseTimes;
-    use std::cell::Cell;
-    use std::time::Instant;
-
-    thread_local! {
-        static ACC: Cell<PhaseTimes> = const { Cell::new(PhaseTimes {
-            in_register_ns: 0,
-            in_cache_merge_ns: 0,
-            multiway_merge_ns: 0,
-            radix_ns: 0,
-            small_sort_ns: 0,
-        }) };
-    }
-
-    /// A timestamp taken at a phase boundary.
-    pub type Mark = Instant;
-
-    /// Take a phase-boundary timestamp.
-    #[inline(always)]
-    pub fn mark() -> Mark {
-        Instant::now()
-    }
-
-    /// Credit one merge-sort invocation's phase boundaries
-    /// (`a`→`b` in-register, `b`→`c` in-cache, `c`→`d` multiway) to the
-    /// current thread's accumulator.
-    #[inline]
-    pub fn record_marks(a: Mark, b: Mark, c: Mark, d: Mark) {
-        ACC.with(|acc| {
-            let mut t = acc.get();
-            t.in_register_ns += b.duration_since(a).as_nanos() as u64;
-            t.in_cache_merge_ns += c.duration_since(b).as_nanos() as u64;
-            t.multiway_merge_ns += d.duration_since(c).as_nanos() as u64;
-            acc.set(t);
-        });
-    }
-
-    /// Credit one radix-kernel invocation started at `a` to the current
-    /// thread's accumulator.
-    #[inline]
-    pub fn record_radix(a: Mark) {
-        ACC.with(|acc| {
-            let mut t = acc.get();
-            t.radix_ns += a.elapsed().as_nanos() as u64;
-            acc.set(t);
-        });
-    }
-
-    /// What a segmented loop started at `a` spent outside the kernels
-    /// that time themselves (`timed`): the small sorts and their dispatch.
-    #[inline]
-    pub fn small_residual_ns(a: Mark, timed: &PhaseTimes) -> u64 {
-        (a.elapsed().as_nanos() as u64).saturating_sub(timed.total_ns())
-    }
-
-    /// Drain this thread's accumulated phase times.
-    pub fn take_phases() -> PhaseTimes {
-        ACC.with(|acc| acc.replace(PhaseTimes::default()))
-    }
+thread_local! {
+    static ACC: Cell<PhaseTimes> = const { Cell::new(PhaseTimes {
+        in_register_ns: 0,
+        in_cache_merge_ns: 0,
+        multiway_merge_ns: 0,
+        radix_ns: 0,
+        small_sort_ns: 0,
+    }) };
 }
 
-#[cfg(not(feature = "phase-timing"))]
-mod imp {
-    use super::PhaseTimes;
-
-    /// Zero-sized stand-in for the phase-boundary timestamp.
-    pub type Mark = ();
-
-    /// No-op.
-    #[inline(always)]
-    pub fn mark() -> Mark {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn record_marks(_a: Mark, _b: Mark, _c: Mark, _d: Mark) {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn record_radix(_a: Mark) {}
-
-    /// Always zero.
-    #[inline(always)]
-    pub fn small_residual_ns(_a: Mark, _timed: &PhaseTimes) -> u64 {
-        0
-    }
-
-    /// Always zero.
-    #[inline(always)]
-    pub fn take_phases() -> PhaseTimes {
-        PhaseTimes::default()
-    }
+/// Credit one merge-sort invocation's phase boundaries
+/// (`a`→`b` in-register, `b`→`c` in-cache, `c`→`d` multiway) to the
+/// current thread's accumulator.
+#[inline]
+pub fn record_marks(a: Instant, b: Instant, c: Instant, d: Instant) {
+    ACC.with(|acc| {
+        let mut t = acc.get();
+        t.in_register_ns += b.duration_since(a).as_nanos() as u64;
+        t.in_cache_merge_ns += c.duration_since(b).as_nanos() as u64;
+        t.multiway_merge_ns += d.duration_since(c).as_nanos() as u64;
+        acc.set(t);
+    });
 }
 
-pub use imp::{mark, record_marks, record_radix, small_residual_ns, take_phases, Mark};
+/// Credit one radix-kernel invocation started at `a` to the current
+/// thread's accumulator.
+#[inline]
+pub fn record_radix(a: Instant) {
+    ACC.with(|acc| {
+        let mut t = acc.get();
+        t.radix_ns += a.elapsed().as_nanos() as u64;
+        acc.set(t);
+    });
+}
 
-#[cfg(all(test, feature = "phase-timing"))]
+/// What a segmented loop started at `a` spent outside the kernels
+/// that time themselves (`timed`): the small sorts and their dispatch.
+#[inline]
+pub fn small_residual_ns(a: Instant, timed: &PhaseTimes) -> u64 {
+    (a.elapsed().as_nanos() as u64).saturating_sub(timed.total_ns())
+}
+
+/// Drain this thread's accumulated phase times.
+pub fn take_phases() -> PhaseTimes {
+    ACC.with(|acc| acc.replace(PhaseTimes::default()))
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn accumulates_and_drains_per_thread() {
         let _ = take_phases();
-        let a = mark();
-        let b = mark();
+        let a = Instant::now();
+        let b = Instant::now();
         record_marks(a, b, b, b);
         record_marks(a, a, a, b);
         let t = take_phases();

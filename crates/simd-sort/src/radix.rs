@@ -21,6 +21,7 @@ use crate::key::Key;
 use crate::phase;
 use crate::scratch::SortScratch;
 use mcs_cancel::CancelToken;
+use std::time::Instant;
 
 /// Radix (digit) size in bits; 8 gives byte-wide counting passes.
 const DIGIT_BITS: u32 = 8;
@@ -60,8 +61,6 @@ pub fn radix_sort_pairs<K: Key>(
 }
 
 /// [`radix_sort_pairs`] over the `D = K::BITS / 8` digits of the key.
-// With `phase-timing` off, `phase::Mark` is `()`: the mark compiles away.
-#[allow(clippy::let_unit_value, clippy::unit_arg)]
 fn radix_sort_digits<K: Key, const D: usize>(
     keys: &mut [K],
     oids: &mut [u32],
@@ -78,7 +77,7 @@ fn radix_sort_digits<K: Key, const D: usize>(
     // Bucket counts are `u32`: the executor caps inputs below `u32::MAX`
     // rows (oids are `u32`), and a count never exceeds `n`.
     assert!(n <= u32::MAX as usize, "radix sort input exceeds u32 rows");
-    let t0 = phase::mark();
+    let t0 = Instant::now();
 
     let mut hist = [[0u32; BUCKETS]; D];
     for &k in keys.iter() {

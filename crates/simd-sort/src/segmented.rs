@@ -13,6 +13,7 @@ use crate::phase::{self, PhaseTimes};
 use crate::scratch::SortScratch;
 use crate::sort::{SortConfig, SortableKey};
 use mcs_cancel::CHECK_INTERVAL;
+use std::time::Instant;
 
 /// Group layout: starts of each group plus the final end, i.e.
 /// `groups[g] = bounds[g]..bounds[g+1]`. Always has at least one element
@@ -105,8 +106,7 @@ pub struct SegmentedSortStats {
     pub codes_sorted: usize,
     /// Largest group size encountered.
     pub max_group: usize,
-    /// Time spent in each sort kernel, summed across invocations
-    /// (all zero unless the `phase-timing` feature is on).
+    /// Time spent in each sort kernel, summed across invocations.
     pub phases: PhaseTimes,
     /// Loser-tree comparison counters of the out-of-cache merge passes,
     /// summed across invocations ([`crate::ovc`]).
@@ -122,8 +122,6 @@ pub struct SegmentedSortStats {
 /// serial loop under [`crate::sort_pairs_in_groups`] (whose parallel path
 /// hands each worker a rebased sub-slice without building a
 /// `GroupBounds`).
-// With `phase-timing` off, `phase::Mark` is `()`: the mark compiles away.
-#[allow(clippy::let_unit_value, clippy::unit_arg)]
 pub(crate) fn sort_groups_by_offsets<K: SortableKey>(
     keys: &mut [K],
     oids: &mut [u32],
@@ -135,7 +133,7 @@ pub(crate) fn sort_groups_by_offsets<K: SortableKey>(
     let mut stats = SegmentedSortStats::default();
     let _ = phase::take_phases(); // clear any stale thread-local residue
     let _ = ovc::take_merge_counters();
-    let t0 = phase::mark();
+    let t0 = Instant::now();
     // Cancellation poll, amortized over rows so runs of tiny groups don't
     // pay an `Instant::now` each (large groups also poll inside their
     // kernel). A fired token abandons the remaining groups; the

@@ -13,6 +13,7 @@ use crate::radix;
 use crate::scalar;
 use crate::scratch::SortScratch;
 use mcs_cancel::CancelToken;
+use std::time::Instant;
 
 /// Inputs shorter than this run serially even when the caller asks for
 /// multiple threads — the morsel-driven group sort and every
@@ -100,7 +101,8 @@ pub struct SortConfig {
     /// 2 MiB L2; keep this equal to `0.5 · M_L2` of the cost model's
     /// `MachineSpec` so estimated and actual merge passes agree).
     pub in_cache_bytes: usize,
-    /// Fan-out `F` of the out-of-cache merge tree. Default: 8.
+    /// Fan-out `F` of the out-of-cache merge tree. Default: 8, which the
+    /// cost model's Eq. 8 reads from here.
     pub fanout: usize,
     /// Force the portable kernel even when AVX2 is available (used by
     /// tests and the SIMD-vs-portable benches).
@@ -165,9 +167,6 @@ pub fn avx2_available() -> bool {
 /// Caller must guarantee the kernel's instructions are supported by the
 /// current CPU (trivially true for portable kernels).
 #[inline(always)]
-// With `phase-timing` off, `phase::Mark` is `()` and the phase marks
-// become unit values — fine, they compile away entirely.
-#[allow(clippy::let_unit_value, clippy::unit_arg)]
 unsafe fn mergesort_generic<Kn: Kernel>(
     keys: &mut [Kn::K],
     oids: &mut [u32],
@@ -198,9 +197,9 @@ unsafe fn mergesort_generic<Kn: Kernel>(
     ob.resize(padded, 0u32);
 
     // Phase (a): in-register sorting -> runs of L.
-    let t0 = phase::mark();
+    let t0 = Instant::now();
     phase1_block_sort::<Kn>(ka, oa);
-    let t1 = phase::mark();
+    let t1 = Instant::now();
 
     // Every pass from here on reads `src` and writes `dst`, then the two
     // trade places.
@@ -223,7 +222,7 @@ unsafe fn mergesort_generic<Kn: Kernel>(
 
     // Phase (c): F-way out-of-cache loser-tree merge passes with
     // offset-value codes riding along.
-    let t2 = phase::mark();
+    let t2 = Instant::now();
     if run < padded {
         // Derive the initial codes in one linear pass over the phase-(b)
         // output; later passes produce their output codes as they merge.
@@ -249,7 +248,7 @@ unsafe fn mergesort_generic<Kn: Kernel>(
             return;
         }
     }
-    phase::record_marks(t0, t1, t2, phase::mark());
+    phase::record_marks(t0, t1, t2, Instant::now());
 
     // Final poll before the compaction asserts and the copy-back: a pass
     // cut short by cancellation must never publish garbage into

@@ -1,7 +1,8 @@
 //! Armed fault points in the parallel sort. The fault registry is
 //! process-global, so an armed test must not share a binary with unarmed
-//! neighbours that would traverse it: this file is its own process.
-#![cfg(feature = "faults")]
+//! neighbours that would traverse it: this file is its own process. Run
+//! it with the fault points live:
+//! `cargo test -p mcs-simd-sort --features mcs-faults/enabled --test faults`.
 
 use mcs_faults::{points, with_armed, FireMode};
 use mcs_simd_sort::{sort_pairs_in_groups, GroupBounds, SortConfig, WorkerScratch};
@@ -15,6 +16,9 @@ fn xorshift(state: &mut u64) -> u64 {
 
 #[test]
 fn injected_worker_panic_is_caught() {
+    if !mcs_faults::is_enabled() {
+        return;
+    }
     let n = 20_000usize;
     let mut state = 99u64;
     let orig: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();

@@ -13,9 +13,9 @@
 //!   counters and histograms aggregate in-place. The collector is only
 //!   touched at phase granularity (per sort round, per query, per planner
 //!   doubling), never per row, so the overhead is nanoseconds per event.
-//! * **disabled** (`--no-default-features` anywhere up the dependency
-//!   chain) — the same API compiles to empty inline functions and
-//!   zero-sized guards; hot paths pay nothing, and callers need no `cfg`.
+//! * **disabled** (`--no-default-features` on the top-level crate) — the
+//!   same API compiles to empty inline functions and zero-sized guards;
+//!   hot paths pay nothing, and callers need no `cfg`.
 //!
 //! ```
 //! let mut g = mcs_telemetry::span("example.work");
@@ -24,9 +24,11 @@
 //! mcs_telemetry::counter_add("example.invocations", 1);
 //! ```
 //!
-//! Downstream crates expose their own `telemetry` feature forwarding to
-//! `mcs-telemetry/enabled`, so `cargo test --workspace
-//! --no-default-features` exercises the no-op path end to end.
+//! Library crates declare no feature of their own: the top-level crate's
+//! `telemetry` feature turns on `mcs-telemetry/enabled` and cargo's
+//! feature unification carries it to every crate in the build, so `cargo
+//! test --workspace --no-default-features` exercises the no-op path end
+//! to end.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

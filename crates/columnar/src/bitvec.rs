@@ -98,22 +98,6 @@ impl BitVec {
         }
     }
 
-    /// In-place union.
-    pub fn or_assign(&mut self, other: &BitVec) {
-        assert_eq!(self.len, other.len);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
-    }
-
-    /// In-place complement.
-    pub fn not_assign(&mut self) {
-        for w in self.words.iter_mut() {
-            *w = !*w;
-        }
-        self.mask_tail();
-    }
-
     /// Materialize the set bits as an oid list — the step between a scan's
     /// result bit vector and the lookups it drives.
     pub fn to_oids(&self) -> Vec<u32> {
@@ -151,9 +135,6 @@ mod tests {
     fn ones_masks_tail() {
         let v = BitVec::ones(70);
         assert_eq!(v.count_ones(), 70);
-        let mut w = v.clone();
-        w.not_assign();
-        assert_eq!(w.count_ones(), 0);
     }
 
     #[test]
@@ -167,9 +148,6 @@ mod tests {
         let mut c = a.clone();
         c.and_assign(&b);
         assert_eq!(c.to_oids(), vec![2]);
-        let mut d = a.clone();
-        d.or_assign(&b);
-        assert_eq!(d.to_oids(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl CodeVec {
         }
     }
 
-    /// Total memory footprint in bytes (`N · size(w)`).
-    pub fn footprint_bytes(&self) -> usize {
-        self.len() * self.code_bytes()
-    }
-
     /// Iterate all codes widened to `u64`.
     pub fn iter_u64(&self) -> Box<dyn Iterator<Item = u64> + '_> {
         match self {
@@ -179,11 +174,11 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_and_footprint() {
+    fn roundtrip() {
         let cv = CodeVec::from_u64s(12, [1u64, 4095, 0]);
         assert_eq!(cv.len(), 3);
         assert_eq!(cv.get(1), 4095);
-        assert_eq!(cv.footprint_bytes(), 6);
+        assert_eq!(cv.code_bytes(), 2);
         let collected: Vec<u64> = cv.iter_u64().collect();
         assert_eq!(collected, vec![1, 4095, 0]);
     }

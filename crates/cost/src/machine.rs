@@ -1,6 +1,6 @@
 //! Hardware description used by the cost model (the paper's `M_LLC` and
 //! `M_L2`; the merge fan-out `F` is the sorter's own
-//! `SortConfig::fanout`).
+//! `MERGE_FANOUT`).
 
 use std::fs;
 

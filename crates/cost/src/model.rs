@@ -5,7 +5,7 @@
 use mcs_columnar::size_of_width;
 use mcs_core::{Bank, MassagePlan, SortSpec};
 use mcs_simd_sort::radix::passes_for_width;
-use mcs_simd_sort::{kernel_for, SizeKernel, SortConfig, SortKernel};
+use mcs_simd_sort::{kernel_for, SizeKernel, SortKernel, MERGE_FANOUT};
 
 use crate::estimate::{estimate_groups, GroupEstimate, KeyColumnStats};
 use crate::machine::MachineSpec;
@@ -306,13 +306,13 @@ impl CostModel {
 
     /// Out-of-cache merge passes for `n` codes in bank `b`
     /// (`⌈log_F(n·(b/8)/0.5·M_L2)⌉`, Eq. 8; 0 when the data fits), with
-    /// `F` the sorter's default fan-out.
+    /// `F` the sorter's [`MERGE_FANOUT`].
     pub fn merge_passes(&self, n: f64, bank: Bank) -> f64 {
         let run = self.machine.in_cache_run_codes(bank.bits());
         if n <= run {
             0.0
         } else {
-            (n / run).ln() / (SortConfig::default().fanout as f64).ln()
+            (n / run).ln() / (MERGE_FANOUT as f64).ln()
         }
         .ceil()
     }

@@ -156,7 +156,7 @@ impl From<SqlError> for EngineError {
 /// label), and annotated in EXPLAIN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeReason {
-    /// The plan search (ROGA / RRS) returned an error; fell back to `P_0`.
+    /// The plan search (ROGA) returned an error; fell back to `P_0`.
     PlanSearchFailed,
     /// The cost model produced a non-finite estimate for the chosen plan;
     /// its ranking is meaningless, fell back to `P_0`.

@@ -138,13 +138,13 @@ impl ExplainReport {
             t(self.measured.total_ns as f64),
         ));
         // Only annotate degraded / cache-served executions: happy-path
-        // stateless reports stay byte-identical to the pre-ladder golden
+        // uncached reports stay byte-identical to the pre-ladder golden
         // snapshots.
         if self.plan_cached {
             out.push_str("plan: cached\n");
         }
         // Gate-queued executions attribute their wait; unqueued ones
-        // (stateless runs, unbounded admission) render no line, keeping
+        // (everything outside `run_concurrent`) render no line, keeping
         // every pre-gate golden snapshot stable. The wait is wall-clock,
         // so it redacts like a timing.
         if self.queue_ns > 0 {
@@ -153,9 +153,10 @@ impl ExplainReport {
                 t(self.queue_ns as f64)
             ));
         }
-        // Arena-backed executions (session path) report buffer reuse;
-        // the stateless path leaves `measured.arena` empty and renders
-        // no line, keeping the pre-arena golden snapshots stable. Grow/
+        // Arena-backed executions (every engine query) report buffer
+        // reuse; core's arena-less `multi_column_sort` leaves
+        // `measured.arena` empty and renders no line, keeping the
+        // pre-arena golden snapshots stable. Grow/
         // reuse counts are deterministic; the byte peak is not, so it
         // redacts like a timing.
         if !self.measured.arena.is_empty() {
@@ -408,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn stateless_reports_render_no_arena_line() {
+    fn arena_less_sorts_render_no_arena_line() {
         let n = 1024usize;
         let a = mcs_columnar::CodeVec::from_u64s(9, (0..n).map(|i| (i as u64 * 37) % 512));
         let inst = SortInstance::uniform(n, &[(9, 512.0)]);

@@ -26,16 +26,16 @@
 //! errors from [`run_query`].
 
 use std::borrow::Cow;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mcs_columnar::{BitVec, CodeVec, Column, Table};
 use mcs_core::{
-    multi_column_sort, multi_column_sort_with, tuple_cmp, ExecArena, ExecConfig, ExecStats,
-    GroupBounds, MassagePlan, MultiColumnSortOutput, SortError, SortKernel, SortSpec,
+    multi_column_sort_with, tuple_cmp, ExecArena, ExecConfig, ExecStats, GroupBounds, MassagePlan,
+    MultiColumnSortOutput, SortError, SortKernel, SortSpec,
 };
 use mcs_cost::{CostModel, KeyColumnStats, SortInstance};
 use mcs_extsort::{external_multi_column_sort_with, SpillStats};
-use mcs_planner::{roga, rrs, PlanFingerprint, RogaOptions, RrsOptions, SearchError};
+use mcs_planner::{roga, PlanFingerprint, RogaOptions, SearchError};
 use mcs_telemetry as telemetry;
 
 use crate::aggregate::aggregate_groups;
@@ -53,11 +53,6 @@ pub enum PlannerMode {
     Roga {
         /// Fraction of the best plan's estimated time (None = no limit).
         rho: Option<f64>,
-    },
-    /// Recursive random search with a fixed budget (baseline).
-    Rrs {
-        /// Search budget.
-        budget: Duration,
     },
     /// A fixed plan supplied by the caller (experiments).
     Fixed(MassagePlan),
@@ -176,7 +171,7 @@ pub struct QueryTimings {
     pub filter_scan_ns: u64,
     /// Lookups gathering sort-key and aggregate columns.
     pub gather_ns: u64,
-    /// Plan search (ROGA / RRS).
+    /// Plan search (ROGA).
     pub plan_search_ns: u64,
     /// Multi-column sorting (massage + all rounds).
     pub mcs_ns: u64,
@@ -198,17 +193,17 @@ pub struct QueryTimings {
     /// Degradation-ladder rungs taken while executing, in order (empty on
     /// the happy path).
     pub degradations: Vec<DegradeReason>,
-    /// Plan-cache hits during this execution (sessions only; a stateless
-    /// [`run_query`] has no cache and leaves this `0`).
+    /// Plan-cache hits during this execution (a [`run_query`] runs
+    /// against an empty capacity-0 cache, so it only ever misses).
     pub plan_cache_hits: u32,
     /// Plan-cache misses during this execution.
     pub plan_cache_misses: u32,
     /// Wall-clock spent queued in the session's
     /// [`AdmissionGate`](crate::AdmissionGate) before execution began.
-    /// Zero for stateless
-    /// runs and for sessions without bounded admission — the conditional
-    /// EXPLAIN `queued:` line renders only when this is non-zero, so
-    /// tail latency can be attributed to queueing vs executing.
+    /// Zero outside [`Session::run_concurrent`](crate::Session::run_concurrent),
+    /// the only path with a gate — the conditional EXPLAIN `queued:` line
+    /// renders only when this is non-zero, so tail latency can be
+    /// attributed to queueing vs executing.
     pub queue_ns: u64,
     /// What the out-of-core sort path spilled (all-zero when every sort
     /// ran in memory — the case whenever
@@ -217,13 +212,6 @@ pub struct QueryTimings {
 }
 
 impl QueryTimings {
-    /// Everything except multi-column sorting (the paper's
-    /// "Scan+Lookup+Aggregation+…" bar).
-    pub fn non_mcs_ns(&self) -> u64 {
-        self.total_ns
-            .saturating_sub(self.mcs_ns + self.post_sort_ns + self.plan_search_ns)
-    }
-
     /// Whether *every* plan this execution needed came from the session's
     /// plan cache (so no plan search ran at all and
     /// [`plan_search_ns`](QueryTimings::plan_search_ns) is zero).
@@ -285,48 +273,29 @@ fn record_degradation(timings: &mut QueryTimings, reason: DegradeReason, detail:
 /// conditions the engine cannot execute around (see [`EngineError`]).
 /// Recoverable faults degrade along the module-level ladder instead.
 ///
-/// This stateless entry point plans every query from scratch. A
-/// [`Session`](crate::Session) runs the same pipeline with a shared plan
-/// cache, skipping the search for repeated query shapes.
+/// This one-shot entry point is exactly a cold
+/// [`Session`](crate::Session) execution: the same pipeline over a fresh
+/// arena and a capacity-0 plan cache, so every query plans from scratch.
+/// A session keeps both across queries, skipping the search for repeated
+/// query shapes and reusing the arena's buffers.
 pub fn run_query(
     table: &Table,
     query: &Query,
     cfg: &EngineConfig,
 ) -> Result<QueryResult, EngineError> {
-    run_query_impl(table, query, cfg, None, None)
+    run_pipeline(table, query, cfg, &PlanCache::new(0), &mut ExecArena::new())
 }
 
-/// The shared pipeline body behind [`run_query`] (no cache, no arena) and
-/// the session path (`cache = Some(…)`, `arena = Some(…)`), plus the
-/// cancellation-outcome accounting every path shares.
-pub(crate) fn run_query_impl(
+/// The pipeline body behind both [`run_query`] and
+/// [`Session::query`](crate::Session::query): plans through `cache`, draws
+/// the sort's working memory from `arena`, and counts a deadline or
+/// cancellation outcome under its telemetry counter.
+pub(crate) fn run_pipeline(
     table: &Table,
     query: &Query,
     cfg: &EngineConfig,
-    cache: Option<&PlanCache>,
-    arena: Option<&mut ExecArena>,
-) -> Result<QueryResult, EngineError> {
-    let result = run_query_body(table, query, cfg, cache, arena);
-    if telemetry::is_enabled() {
-        let counter = match &result {
-            Err(EngineError::DeadlineExceeded) => Some("engine.deadline_exceeded"),
-            Err(EngineError::Cancelled) => Some("engine.cancelled"),
-            _ => None,
-        };
-        if let Some(name) = counter {
-            telemetry::counter_add(name, 1);
-            telemetry::record_span(name, 0, vec![("query", query.name.clone().into())]);
-        }
-    }
-    result
-}
-
-fn run_query_body(
-    table: &Table,
-    query: &Query,
-    cfg: &EngineConfig,
-    cache: Option<&PlanCache>,
-    arena: Option<&mut ExecArena>,
+    cache: &PlanCache,
+    arena: &mut ExecArena,
 ) -> Result<QueryResult, EngineError> {
     let t_total = Instant::now();
     let mut timings = QueryTimings::default();
@@ -336,18 +305,19 @@ fn run_query_body(
     // no sort. The executor re-polls the same token at every later phase
     // boundary and inside the long loops.
     if let Err(cause) = cfg.exec.sort.cancel.check() {
-        return Err(cause.into());
+        return Err(count_cancellation(cause.into(), query));
     }
 
     let oids = filter_oids(table, query, &mut timings)?;
 
-    let result = if !query.partition_by.is_empty() {
-        execute_window(table, query, cfg, &oids, &mut timings, cache, arena)?
+    let executed = if !query.partition_by.is_empty() {
+        execute_window(table, query, cfg, &oids, &mut timings, cache, arena)
     } else if !query.group_by.is_empty() {
-        execute_grouped(table, query, cfg, &oids, &mut timings, cache, arena)?
+        execute_grouped(table, query, cfg, &oids, &mut timings, cache, arena)
     } else {
-        execute_orderby(table, query, cfg, &oids, &mut timings, cache, arena)?
+        execute_orderby(table, query, cfg, &oids, &mut timings, cache, arena)
     };
+    let result = executed.map_err(|e| count_cancellation(e, query))?;
 
     timings.total_ns = t_total.elapsed().as_nanos() as u64;
     if telemetry::is_enabled() {
@@ -370,6 +340,22 @@ fn run_query_body(
         columns: result,
         timings,
     })
+}
+
+/// Count a deadline or cancellation outcome under `engine.deadline_exceeded`
+/// / `engine.cancelled` with a query-named marker span; other errors pass
+/// through uncounted.
+fn count_cancellation(e: EngineError, query: &Query) -> EngineError {
+    let counter = match e {
+        EngineError::DeadlineExceeded => "engine.deadline_exceeded",
+        EngineError::Cancelled => "engine.cancelled",
+        _ => return e,
+    };
+    if telemetry::is_enabled() {
+        telemetry::counter_add(counter, 1);
+        telemetry::record_span(counter, 0, vec![("query", query.name.clone().into())]);
+    }
+    e
 }
 
 /// Run `query`'s filters: ByteSlice scans, ANDed; no filters selects the
@@ -423,14 +409,17 @@ pub(crate) fn warm_plan(
         });
     }
     let oids = filter_oids(table, query, &mut timings)?;
-    if oids.is_empty() {
-        // Nothing qualifies: execution short-circuits before planning too.
-        return Ok(());
-    }
     let want_groups = !query.group_by.is_empty() || !query.partition_by.is_empty();
+    // Rejects what execution would reject before sorting (unknown sort
+    // keys, a too-wide window key), so no plan is cached for a query
+    // every execute fails.
     let (_cols, _specs, inst) =
         prepare_sort(table, query, &keys, &oids, want_groups, &mut timings)?;
-    let _ = pick_plan(&inst, query.order_free(), cfg, &mut timings, Some(cache))?;
+    if oids.is_empty() {
+        // Nothing qualifies: nothing worth planning.
+        return Ok(());
+    }
+    let _ = pick_plan(&inst, query.order_free(), cfg, &mut timings, cache)?;
     Ok(())
 }
 
@@ -440,6 +429,10 @@ type PreparedSort<'t> = (Vec<Cow<'t, CodeVec>>, Vec<SortSpec>, SortInstance);
 /// The sort-key columns restricted to `oids` — gathered, or borrowed from
 /// the table as they are when `query` has no filter (then `oids` is the
 /// identity and the gather would be a copy) — and the planner's instance.
+///
+/// A window query's rank key is the direction-adjusted concatenation of
+/// its window-order columns, bounded by one machine word: a wider one is
+/// rejected here, before any plan search or sort.
 fn prepare_sort<'t>(
     table: &'t Table,
     query: &Query,
@@ -476,6 +469,15 @@ fn prepare_sort<'t>(
         stats.push(s);
     }
     timings.gather_ns += t.elapsed().as_nanos() as u64;
+    if !query.partition_by.is_empty() {
+        let bits: u32 = specs[query.partition_by.len()..]
+            .iter()
+            .map(|s| s.width)
+            .sum();
+        if bits > 64 {
+            return Err(EngineError::WindowKeyTooWide { bits });
+        }
+    }
     let inst = SortInstance {
         rows: oids.len(),
         specs: specs.clone(),
@@ -488,12 +490,12 @@ fn prepare_sort<'t>(
 /// Run the planner, returning the plan and the column order to apply,
 /// recording search time.
 ///
-/// On the session path a plan cache is consulted first: a fingerprint hit
-/// returns the cached plan with **no** search and **no** contribution to
+/// The plan cache is consulted first: a fingerprint hit returns the
+/// cached plan with **no** search and **no** contribution to
 /// `plan_search_ns`; a miss searches as usual and, when the search
 /// succeeded cleanly (no degradation rung taken), publishes the result
-/// for the next equal-fingerprint query. Only the searched modes
-/// (ROGA / RRS) cache — fixed and column-at-a-time picks cost nothing.
+/// for the next equal-fingerprint query. Only the searched mode (ROGA)
+/// caches — fixed and column-at-a-time picks cost nothing.
 ///
 /// First rung of the degradation ladder: a failed search, a starved
 /// deadline, or a non-finite cost estimate falls back to `P_0` on the
@@ -504,21 +506,16 @@ fn pick_plan(
     order_free: bool,
     cfg: &EngineConfig,
     timings: &mut QueryTimings,
-    cache: Option<&PlanCache>,
+    cache: &PlanCache,
 ) -> Result<(MassagePlan, Vec<usize>), EngineError> {
-    let cache = cache.filter(|_| {
-        matches!(
-            &cfg.planner,
-            PlannerMode::Roga { .. } | PlannerMode::Rrs { .. }
-        )
-    });
-    let fp = cache.map(|_| PlanFingerprint::of(inst, order_free));
-    if let (Some(c), Some(f)) = (cache, &fp) {
-        if let Some(hit) = c.lookup(f) {
+    let searched_mode = matches!(cfg.planner, PlannerMode::Roga { .. });
+    let fp = searched_mode.then(|| PlanFingerprint::of(inst, order_free));
+    if let Some(f) = &fp {
+        if let Some(hit) = cache.lookup(f) {
             timings.plan_cache_hits += 1;
             return Ok(hit);
         }
-        c.note_miss();
+        cache.note_miss();
         timings.plan_cache_misses += 1;
     }
     let rungs_before = timings.degradations.len();
@@ -553,16 +550,6 @@ fn pick_plan(
                 r.timed_out && r.plans_costed == 0,
             ))
         }),
-        PlannerMode::Rrs { budget } => rrs(
-            inst,
-            &cfg.model,
-            &RrsOptions {
-                budget: *budget,
-                permute_columns: order_free,
-                ..Default::default()
-            },
-        )
-        .map(|r| Some((r.plan, r.column_order, r.est_cost, r.plans_costed == 0))),
     };
 
     let picked = match searched {
@@ -585,11 +572,7 @@ fn pick_plan(
                     "search deadline fired with zero plans costed",
                 );
                 (inst.p0(), identity)
-            } else if matches!(
-                &cfg.planner,
-                PlannerMode::Roga { .. } | PlannerMode::Rrs { .. }
-            ) && !est_cost.is_finite()
-            {
+            } else if searched_mode && !est_cost.is_finite() {
                 // Cost-model breakdown (NaN/∞ estimates): the plan
                 // ranking is meaningless, so trust Lemma 1 over it.
                 record_degradation(
@@ -607,9 +590,9 @@ fn pick_plan(
     // Publish only clean search results: a degraded pick (P0 stand-in) is
     // this query's problem, not a plan worth pinning for every future
     // equal-fingerprint query — and never poisons the shared cache.
-    if let (Some(c), Some(f)) = (cache, fp) {
+    if let Some(f) = fp {
         if timings.degradations.len() == rungs_before {
-            c.insert(f, picked.0.clone(), picked.1.clone());
+            cache.insert(f, picked.0.clone(), picked.1.clone());
         }
     }
     Ok(picked)
@@ -630,12 +613,12 @@ fn sort_error_recoverable(e: &SortError) -> bool {
     )
 }
 
-/// One sort attempt under one plan, dispatching between the in-memory
-/// executor and the out-of-core path: when a memory budget is set and
-/// the plan's leased footprint exceeds it, the sort runs through
-/// `mcs-extsort` (recording what spilled in `timings`). A spill I/O
-/// failure is the mildest rung of the ladder — the in-memory sort is
-/// still perfectly executable, so it reruns here under the *same* plan
+/// One sort attempt under one plan. With a memory budget set the sort
+/// goes through `mcs-extsort`, which owns the spill decision (it sorts in
+/// memory when the plan's leased footprint fits the budget, and spills
+/// otherwise), recording what spilled in `timings`. A spill I/O failure
+/// is the mildest rung of the ladder — the in-memory sort is still
+/// perfectly executable, so it reruns here under the *same* plan
 /// (recorded as [`DegradeReason::SpillFailed`]) before the caller ever
 /// considers `P_0`.
 fn sort_once(
@@ -643,42 +626,29 @@ fn sort_once(
     pspecs: &[SortSpec],
     plan: &MassagePlan,
     exec: &ExecConfig,
-    mut arena: Option<&mut ExecArena>,
+    arena: &mut ExecArena,
     timings: &mut QueryTimings,
 ) -> Result<MultiColumnSortOutput, SortError> {
-    let n = pcols.first().map_or(0, |c| c.len());
     if let Some(budget) = exec.memory_budget_bytes {
-        if mcs_core::lease_footprint_bytes(plan, n) > budget {
-            // The external path needs an arena for its chunk sorts; the
-            // stateless entry point gets a throwaway one.
-            let mut local = ExecArena::new();
-            let a = match arena.as_deref_mut() {
-                Some(a) => a,
-                None => &mut local,
-            };
-            match external_multi_column_sort_with(pcols, pspecs, plan, exec, a, budget) {
-                Ok((out, spill)) => {
-                    timings.spilled.runs += spill.runs;
-                    timings.spilled.bytes += spill.bytes;
-                    timings.spilled.merge_comparisons += spill.merge_comparisons;
-                    timings.spilled.merge_ovc_hits += spill.merge_ovc_hits;
-                    return Ok(out);
-                }
-                Err(SortError::Spill(msg)) => {
-                    record_degradation(timings, DegradeReason::SpillFailed, &msg);
-                    // Deadline-aware ladder: a fired token skips the
-                    // in-memory retry below — a timed-out query must
-                    // never double the work it already spent.
-                    exec.sort.cancel.check()?;
-                }
-                Err(e) => return Err(e),
+        match external_multi_column_sort_with(pcols, pspecs, plan, exec, arena, budget) {
+            Ok((out, spill)) => {
+                timings.spilled.runs += spill.runs;
+                timings.spilled.bytes += spill.bytes;
+                timings.spilled.merge_comparisons += spill.merge_comparisons;
+                timings.spilled.merge_ovc_hits += spill.merge_ovc_hits;
+                return Ok(out);
             }
+            Err(SortError::Spill(msg)) => {
+                record_degradation(timings, DegradeReason::SpillFailed, &msg);
+                // Deadline-aware ladder: a fired token skips the
+                // in-memory retry below — a timed-out query must never
+                // double the work it already spent.
+                exec.sort.cancel.check()?;
+            }
+            Err(e) => return Err(e),
         }
     }
-    match arena {
-        Some(a) => multi_column_sort_with(pcols, pspecs, plan, exec, a),
-        None => multi_column_sort(pcols, pspecs, plan, exec),
-    }
+    multi_column_sort_with(pcols, pspecs, plan, exec, arena)
 }
 
 /// Execute the sort under `plan`, degrading to `P_0` and then to the
@@ -690,7 +660,7 @@ fn sort_with_ladder(
     plan: MassagePlan,
     exec: &ExecConfig,
     timings: &mut QueryTimings,
-    mut arena: Option<&mut ExecArena>,
+    arena: &mut ExecArena,
 ) -> Result<(MultiColumnSortOutput, Option<MassagePlan>), EngineError> {
     let total: u32 = pspecs.iter().map(|s| s.width).sum();
     // Belt and braces: a plan that fails validation degrades here even if
@@ -702,10 +672,10 @@ fn sort_with_ladder(
             MassagePlan::column_at_a_time(pspecs)
         }
     };
-    // Every rung draws from the same arena when one is provided — the
-    // executor restores it on failure, so rung N+1 reuses rung N's
-    // buffers rather than starting cold.
-    let first = sort_once(pcols, pspecs, &plan, exec, arena.as_deref_mut(), timings);
+    // Every rung draws from the same arena — the executor restores it on
+    // failure, so rung N+1 reuses rung N's buffers rather than starting
+    // cold.
+    let first = sort_once(pcols, pspecs, &plan, exec, arena, timings);
     let err = match first {
         Ok(out) => return Ok((out, Some(plan))),
         Err(e) => e,
@@ -798,8 +768,8 @@ fn run_mcs(
     order_free: bool,
     cfg: &EngineConfig,
     timings: &mut QueryTimings,
-    cache: Option<&PlanCache>,
-    arena: Option<&mut ExecArena>,
+    cache: &PlanCache,
+    arena: &mut ExecArena,
 ) -> Result<MultiColumnSortOutput, EngineError> {
     let (plan, order) = pick_plan(inst, order_free, cfg, timings, cache)?;
     let (pcols, pspecs): (Vec<&CodeVec>, Vec<SortSpec>) = (
@@ -823,8 +793,8 @@ fn execute_orderby(
     cfg: &EngineConfig,
     oids: &[u32],
     timings: &mut QueryTimings,
-    cache: Option<&PlanCache>,
-    arena: Option<&mut ExecArena>,
+    cache: &PlanCache,
+    arena: &mut ExecArena,
 ) -> Result<Vec<(String, Vec<u64>)>, EngineError> {
     let keys = query.sort_keys();
     if keys.is_empty() {
@@ -871,8 +841,8 @@ fn execute_grouped(
     cfg: &EngineConfig,
     oids: &[u32],
     timings: &mut QueryTimings,
-    cache: Option<&PlanCache>,
-    mut arena: Option<&mut ExecArena>,
+    cache: &PlanCache,
+    arena: &mut ExecArena,
 ) -> Result<Vec<(String, Vec<u64>)>, EngineError> {
     // No qualifying rows: zero groups, empty output columns.
     if oids.is_empty() {
@@ -884,14 +854,7 @@ fn execute_grouped(
 
     let keys = query.sort_keys();
     let prepared = prepare_sort(table, query, &keys, oids, true, timings)?;
-    let out = run_mcs(
-        &prepared,
-        query.order_free(),
-        cfg,
-        timings,
-        cache,
-        arena.as_deref_mut(),
-    )?;
+    let out = run_mcs(&prepared, query.order_free(), cfg, timings, cache, arena)?;
     let cols = &prepared.0;
     let final_oids: Vec<u32> = out.oids.iter().map(|&p| oids[p as usize]).collect();
 
@@ -1005,21 +968,16 @@ fn execute_window(
     cfg: &EngineConfig,
     oids: &[u32],
     timings: &mut QueryTimings,
-    cache: Option<&PlanCache>,
-    arena: Option<&mut ExecArena>,
+    cache: &PlanCache,
+    arena: &mut ExecArena,
 ) -> Result<Vec<(String, Vec<u64>)>, EngineError> {
     let keys = query.sort_keys();
     let prepared = prepare_sort(table, query, &keys, oids, true, timings)?;
     let (cols, specs, _) = &prepared;
     // Window key: direction-adjusted concatenation of the window-order
-    // columns — bounded by one machine word, checked before sorting so a
-    // too-wide query fails fast without wasted work.
+    // columns (`prepare_sort` has checked it fits one machine word).
     let np = query.partition_by.len();
     let wo_specs = &specs[np..];
-    let total_wo: u32 = wo_specs.iter().map(|s| s.width).sum();
-    if total_wo > 64 {
-        return Err(EngineError::WindowKeyTooWide { bits: total_wo });
-    }
     let out = run_mcs(&prepared, query.order_free(), cfg, timings, cache, arena)?;
     let final_oids: Vec<u32> = out.oids.iter().map(|&p| oids[p as usize]).collect();
 

@@ -154,11 +154,6 @@ impl Query {
         self.sort_keys().len()
     }
 
-    /// Whether this query triggers a multi-column (≥ 2 attribute) sort.
-    pub fn is_multi_column(&self) -> bool {
-        self.sort_width() >= 2
-    }
-
     /// Number of attributes in the widest multi-column sort anywhere in
     /// the pipeline. A grouped (or windowed) query with an ORDER BY over
     /// group keys / aggregate labels triggers a *second* sort on the
@@ -191,7 +186,7 @@ mod tests {
         q.window_order = vec![OrderKey::asc("o")];
         assert_eq!(q.sort_keys(), vec![OrderKey::asc("p"), OrderKey::asc("o")]);
         assert!(!q.order_free());
-        assert!(q.is_multi_column());
+        assert_eq!(q.sort_width(), 2);
 
         let mut q = Query::named("o");
         q.order_by = vec![OrderKey::asc("a"), OrderKey::desc("b")];

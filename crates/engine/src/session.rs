@@ -42,7 +42,7 @@ use mcs_planner::PlanFingerprint;
 use mcs_telemetry as telemetry;
 
 use crate::error::EngineError;
-use crate::pipeline::{run_query_impl, warm_plan, EngineConfig, QueryResult};
+use crate::pipeline::{run_pipeline, warm_plan, EngineConfig, QueryResult};
 use crate::query::Query;
 
 /// Default number of cached plans per session.
@@ -421,7 +421,9 @@ impl<'db> Session<'db> {
     /// Plan `query` against `table` now — filters, statistics, ROGA —
     /// caching the chosen plan, and return a handle that executes
     /// without re-planning (for as long as the fingerprint still
-    /// matches).
+    /// matches). A query every execution would reject before sorting
+    /// (an unknown sort key, a window key wider than 64 bits) fails here
+    /// with the same error, before any plan search.
     pub fn prepare(&self, table: &str, query: &Query) -> Result<PreparedQuery, EngineError> {
         let t = self.resolve(table)?;
         warm_plan(t, query, &self.cfg, &self.cache)?;
@@ -471,9 +473,9 @@ impl<'db> Session<'db> {
             let mut cfg = self.cfg.clone();
             cfg.exec.sort.cancel = token;
             cfg.exec.threads = threads;
-            run_query_impl(t, query, &cfg, Some(&self.cache), Some(&mut arena))
+            run_pipeline(t, query, &cfg, &self.cache, &mut arena)
         } else {
-            run_query_impl(t, query, &self.cfg, Some(&self.cache), Some(&mut arena))
+            run_pipeline(t, query, &self.cfg, &self.cache, &mut arena)
         };
         // Return the arena and the borrowed workers even on error: the
         // executor restores its buffers on every exit path, so both stay
@@ -848,13 +850,13 @@ mod tests {
     }
 
     #[test]
-    fn session_results_match_the_stateless_path() {
+    fn session_results_match_run_query() {
         let db = db_with_sales();
         let session = Session::new(&db, EngineConfig::default());
         let q = orderby_query();
         let via_session = session.query("sales", &q, QueryOptions::default()).unwrap();
-        let stateless = crate::run_query(db.table("sales").unwrap(), &q, session.config()).unwrap();
-        assert_eq!(via_session.columns, stateless.columns);
+        let one_shot = crate::run_query(db.table("sales").unwrap(), &q, session.config()).unwrap();
+        assert_eq!(via_session.columns, one_shot.columns);
     }
 
     #[test]
@@ -1012,6 +1014,29 @@ mod tests {
             r.column_required("price").unwrap(),
             vec![20, 30, 40, 10, 50, 60]
         );
+    }
+
+    // `prepare` rejects what every execute rejects before sorting: a
+    // window key wider than one machine word fails with the same typed
+    // error, and no plan is searched or cached for it.
+    #[test]
+    fn prepare_rejects_a_too_wide_window_key_before_planning() {
+        let mut t = Table::new("wide");
+        t.add_column(Column::from_u64s("p", 2, [0u64, 1, 0, 1]));
+        t.add_column(Column::from_u64s("a", 40, [7u64, 5, 3, 1]));
+        t.add_column(Column::from_u64s("b", 40, [1u64, 2, 3, 4]));
+        let mut db = Database::new();
+        db.register(t);
+        let session = Session::new(&db, EngineConfig::default());
+        let mut q = Query::named("w");
+        q.partition_by = vec!["p".into()];
+        q.window_order = vec![OrderKey::asc("a"), OrderKey::asc("b")];
+        q.select = vec!["p".into()];
+        let want = EngineError::WindowKeyTooWide { bits: 80 };
+        assert_eq!(session.prepare("wide", &q).unwrap_err(), want);
+        assert_eq!(session.cache_stats(), PlanCacheStats::default());
+        let executed = session.query("wide", &q, QueryOptions::default());
+        assert_eq!(executed.unwrap_err(), want);
     }
 
     #[test]

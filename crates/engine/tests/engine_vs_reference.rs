@@ -195,22 +195,6 @@ fn fixed_plan_mode_works() {
 }
 
 #[test]
-fn rrs_planner_mode_works() {
-    let t = test_table(1500, 8);
-    let mut q = Query::named("r");
-    q.group_by = vec!["nation".into(), "price".into()];
-    q.aggregates = vec![Agg::new(AggKind::Count, "c")];
-    let cfg = EngineConfig {
-        planner: PlannerMode::Rrs {
-            budget: std::time::Duration::from_millis(3),
-        },
-        ..EngineConfig::default()
-    };
-    let got = run_query(&t, &q, &cfg).unwrap();
-    assert_same_rows(&got.columns, &naive_execute(&t, &q));
-}
-
-#[test]
 fn timings_are_recorded() {
     let t = test_table(3000, 9);
     let mut q = Query::named("t");

@@ -46,7 +46,8 @@ fn key_words(specs: &[SortSpec]) -> usize {
 /// `budget_bytes` of leased footprint. Derived from
 /// [`lease_footprint_bytes`], which is linear in the row count; always
 /// at least 1 so pathological budgets degrade to tiny runs instead of
-/// failing.
+/// failing. This only sizes chunks: whether to spill at all is
+/// [`external_multi_column_sort_with`]'s footprint test.
 pub fn chunk_rows_for_budget(plan: &MassagePlan, budget_bytes: usize) -> usize {
     const PROBE: usize = 4096;
     let per_row = lease_footprint_bytes(plan, PROBE).div_ceil(PROBE).max(1);
@@ -242,8 +243,11 @@ fn accumulate(acc: &mut ExecStats, s: &ExecStats) {
 /// returns its pre-final refinement; callers that consume groups must
 /// request final groups).
 ///
-/// When the whole input fits the budget in one chunk, this delegates to
-/// the in-memory sort and reports zero spilled runs.
+/// This is the one owner of the spill decision: when the in-memory
+/// sort's leased footprint ([`lease_footprint_bytes`]`(plan, n)`) fits
+/// the budget, it delegates to the in-memory sort and reports zero
+/// spilled runs; otherwise it spills in chunks of
+/// [`chunk_rows_for_budget`] rows.
 pub fn external_multi_column_sort_with(
     inputs: &[&CodeVec],
     specs: &[SortSpec],
@@ -253,11 +257,11 @@ pub fn external_multi_column_sort_with(
     budget_bytes: usize,
 ) -> Result<(MultiColumnSortOutput, SpillStats), SortError> {
     let n = inputs.first().map_or(0, |c| c.len());
-    let chunk_rows = chunk_rows_for_budget(plan, budget_bytes);
-    if chunk_rows >= n {
+    if lease_footprint_bytes(plan, n) <= budget_bytes {
         let out = multi_column_sort_with(inputs, specs, plan, cfg, arena)?;
         return Ok((out, SpillStats::default()));
     }
+    let chunk_rows = chunk_rows_for_budget(plan, budget_bytes);
 
     let total_t = Instant::now();
     let kw = key_words(specs);

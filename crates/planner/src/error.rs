@@ -9,8 +9,6 @@
 pub enum SearchError {
     /// The sort instance has no key bits — nothing to plan for.
     EmptySortKey,
-    /// [`offline_rho`](crate::offline_rho) was given an empty ρ ladder.
-    EmptyRhoLadder,
     /// A fault-injection point fired (chaos testing only; carries the
     /// fault-point name).
     Injected(&'static str),
@@ -20,7 +18,6 @@ impl core::fmt::Display for SearchError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             SearchError::EmptySortKey => write!(f, "sort key has zero total width"),
-            SearchError::EmptyRhoLadder => write!(f, "ρ calibration ladder is empty"),
             SearchError::Injected(name) => write!(f, "injected fault: {name}"),
         }
     }
@@ -35,7 +32,6 @@ mod tests {
     #[test]
     fn display_is_informative() {
         assert!(SearchError::EmptySortKey.to_string().contains("zero"));
-        assert!(SearchError::EmptyRhoLadder.to_string().contains("ladder"));
         assert!(SearchError::Injected("planner.search.fail")
             .to_string()
             .contains("planner.search.fail"));

@@ -61,11 +61,6 @@ impl PlanFingerprint {
             order_free,
         }
     }
-
-    /// Number of sort columns the fingerprinted instance had.
-    pub fn num_columns(&self) -> usize {
-        self.columns.len()
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +118,6 @@ mod tests {
         assert_ne!(base, PlanFingerprint::of(&desc, true), "ASC/DESC differs");
         let narrower = inst(4096, &[(10, 100.0), (16, 500.0)]);
         assert_ne!(base, PlanFingerprint::of(&narrower, true), "width differs");
-        assert_eq!(base.num_columns(), 2);
     }
 
     #[test]
@@ -147,8 +141,7 @@ mod tests {
             stats: vec![],
             want_final_groups: false,
         };
-        let fp = PlanFingerprint::of(&empty, false);
-        assert_eq!(fp.num_columns(), 0);
+        assert!(PlanFingerprint::of(&empty, false).columns.is_empty());
         let one = inst(1, &[(1, 1.0)]);
         let _ = PlanFingerprint::of(&one, false);
     }

@@ -31,7 +31,6 @@
 mod error;
 mod exhaustive;
 mod fingerprint;
-mod rho_auto;
 mod roga;
 mod rrs;
 pub mod space;
@@ -41,7 +40,6 @@ pub use exhaustive::{
     measure_all_plans, measure_plan, rank_by_time, rank_of, ExhaustiveOptions, MeasuredPlan,
 };
 pub use fingerprint::PlanFingerprint;
-pub use rho_auto::{offline_rho, online_roga, RHO_LADDER};
 pub use roga::{permute_instance, roga, RogaOptions, SearchResult};
 pub use rrs::{rrs, RrsOptions};
 pub use space::{bank_combos, enumerate_compositions, max_rounds, permutations, width_assignments};

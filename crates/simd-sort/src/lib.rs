@@ -74,7 +74,8 @@ pub use scratch::{MergeScratch, SortScratch, WorkerScratch};
 pub use segmented::{group_boundaries, GroupBounds, SegmentedSortStats};
 pub use sort::{
     avx2_available, kernel_for, SizeKernel, SortConfig, SortKernel, SortableKey,
-    INSERTION_MAX_ROWS, MERGE_SORT_INSERTION_MAX_ROWS, PACKED_MAX_ROWS, PARALLEL_CUTOFF_ROWS,
+    INSERTION_MAX_ROWS, MERGE_FANOUT, MERGE_SORT_INSERTION_MAX_ROWS, PACKED_MAX_ROWS,
+    PARALLEL_CUTOFF_ROWS,
 };
 
 /// Sort `(keys, oids)` ascending by key with default configuration.

@@ -59,12 +59,6 @@ impl GroupBounds {
             .map(|w| w[0] as usize..w[1] as usize)
     }
 
-    /// Number of groups with more than one row (`N_sort` in the paper:
-    /// each of these triggers one SIMD-sort invocation).
-    pub fn num_sortable(&self) -> usize {
-        self.iter().filter(|r| r.len() > 1).count()
-    }
-
     /// Refine: scan sorted `keys` and split every group at positions where
     /// consecutive keys differ (the paper's `T_scan` step, Eq. 9).
     pub fn refine_by<K: Key>(&self, keys: &[K]) -> GroupBounds {
@@ -190,7 +184,6 @@ mod tests {
         let g = group_boundaries(&keys);
         assert_eq!(g.offsets, vec![0, 2, 5, 6]);
         assert_eq!(g.num_groups(), 3);
-        assert_eq!(g.num_sortable(), 2);
     }
 
     #[test]
@@ -209,7 +202,6 @@ mod tests {
         let g = group_boundaries(&keys);
         assert_eq!(g.num_groups(), 1); // one empty group
         assert_eq!(g.num_rows(), 0);
-        assert_eq!(g.num_sortable(), 0);
     }
 
     #[test]
@@ -218,7 +210,6 @@ mod tests {
         // never sortable, and refine_by drops it from the output.
         let g = GroupBounds::from_offsets(vec![0, 2, 2, 5]);
         assert_eq!(g.num_groups(), 3);
-        assert_eq!(g.num_sortable(), 2);
         assert_eq!(g.iter().map(|r| r.len()).collect::<Vec<_>>(), vec![2, 0, 3]);
         let keys: Vec<u32> = vec![1, 1, 2, 2, 3];
         assert_eq!(g.refine_by(&keys).offsets, vec![0, 2, 4, 5]);
@@ -240,7 +231,6 @@ mod tests {
     #[test]
     fn single_row_partitions_survive_refinement() {
         let g = GroupBounds::from_offsets(vec![0, 1, 2, 3]);
-        assert_eq!(g.num_sortable(), 0);
         let keys: Vec<u32> = vec![7, 7, 7];
         // Equal keys across singleton boundaries must not merge.
         assert_eq!(g.refine_by(&keys).offsets, vec![0, 1, 2, 3]);

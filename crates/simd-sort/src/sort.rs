@@ -29,6 +29,10 @@ pub const PARALLEL_CUTOFF_ROWS: usize = 4096;
 /// dispatches on its own constants.)
 pub const MERGE_SORT_INSERTION_MAX_ROWS: usize = 192;
 
+/// Fan-out `F` of [`SortKernel::MergeSort`]'s out-of-cache loser-tree
+/// merge passes; the cost model's Eq. 8 reads it from here.
+pub const MERGE_FANOUT: usize = 8;
+
 /// Longest input the insertion kernel sorts under [`SortKernel::Auto`].
 /// Read off the `insertion`/`packed` rows of the committed crossover
 /// table (`results/kernel_probe.txt`): at 16 rows per group insertion is
@@ -101,11 +105,8 @@ pub struct SortConfig {
     /// 2 MiB L2; keep this equal to `0.5 · M_L2` of the cost model's
     /// `MachineSpec` so estimated and actual merge passes agree).
     pub in_cache_bytes: usize,
-    /// Fan-out `F` of the out-of-cache merge tree. Default: 8, which the
-    /// cost model's Eq. 8 reads from here.
-    pub fanout: usize,
     /// Force the portable kernel even when AVX2 is available (used by
-    /// tests and the SIMD-vs-portable benches).
+    /// tests and `kernel_probe`).
     pub force_portable: bool,
     /// Which sort family runs. Default: [`SortKernel::Auto`].
     pub kernel: SortKernel,
@@ -123,7 +124,6 @@ impl Default for SortConfig {
     fn default() -> Self {
         SortConfig {
             in_cache_bytes: 1024 * 1024,
-            fanout: 8,
             force_portable: false,
             kernel: SortKernel::Auto,
             cancel: CancelToken::none(),
@@ -236,7 +236,7 @@ unsafe fn mergesort_generic<Kn: Kernel>(
             (src.0, src.1, Some(&src.2[..])),
             (dst.0, dst.1, Some(&mut dst.2[..])),
             run,
-            cfg.fanout,
+            MERGE_FANOUT,
             runs_buf,
             merge,
             cancel,
@@ -500,10 +500,9 @@ mod tests {
     }
 
     #[test]
-    fn small_fanout_and_tiny_cache_exercise_multiway() {
+    fn tiny_cache_exercises_multiway() {
         let cfg = SortConfig {
             in_cache_bytes: 1024, // force out-of-cache merging early
-            fanout: 3,
             ..merge_sort()
         };
         roundtrip::<u32>(50_000, u64::MAX, &cfg, 5);

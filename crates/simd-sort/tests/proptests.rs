@@ -28,7 +28,6 @@ fn run_sort<K: SortableKey>(orig: Vec<K>, force_portable: bool) {
         force_portable,
         // Small bounds exercise multi-pass merging even at proptest sizes.
         in_cache_bytes: 4096,
-        fanout: 3,
         ..SortConfig::default()
     };
     let mut keys = orig.clone();

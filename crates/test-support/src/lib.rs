@@ -2,7 +2,7 @@
 //!
 //! The shared differential-testing substrate for the workspace. The
 //! repo builds in fully offline environments, so instead of `rand` /
-//! `proptest` / `criterion` this crate provides, with zero external
+//! `proptest` this crate provides, with zero external
 //! dependencies:
 //!
 //! * [`rng`] — a seeded xoshiro256++ PRNG with a `rand`-style API
@@ -16,8 +16,6 @@
 //!   lexicographically and derives group bounds, ranks, and aggregates,
 //!   plus [`oracle::assert_matches_reference`] for comparing an engine
 //!   result against it;
-//! * [`microbench`] — a criterion-compatible micro-benchmark shim for
-//!   the `[[bench]]` targets;
 //! * [`alloc_counter`] — a counting `GlobalAlloc` wrapper so tests can
 //!   assert allocation budgets (e.g. the warm-arena zero-allocation
 //!   round loop).
@@ -32,7 +30,6 @@
 
 pub mod alloc_counter;
 pub mod gen;
-pub mod microbench;
 pub mod oracle;
 pub mod prop;
 pub mod rng;

@@ -7,8 +7,6 @@
 //! direct scans. It shares no code with the engine's massage/SIMD
 //! pipeline, so any agreement between the two is meaningful.
 
-use crate::rng::Rng;
-
 /// A multi-column sort instance over plain `u64` codes.
 ///
 /// `columns[c][r]` is row `r`'s code in column `c`; every code is
@@ -214,19 +212,6 @@ pub fn assert_matches_reference(
     }
 }
 
-/// Shuffle the rows of a problem in place (columns stay aligned).
-/// Useful for turning sorted/adversarial layouts into permuted variants
-/// with identical value multisets.
-pub fn shuffle_rows(p: &mut SortProblem, rng: &mut Rng) {
-    let n = p.num_rows();
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..=i);
-        for c in &mut p.columns {
-            c.swap(i, j);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,18 +290,5 @@ mod tests {
         let p = problem(vec![(4, false, vec![3, 1, 2])]);
         let r = reference_sort(&p);
         assert_matches_reference("bad", &p, &r, &[0, 1, 2], None);
-    }
-
-    #[test]
-    fn shuffle_preserves_row_alignment() {
-        let mut p = problem(vec![
-            (8, false, vec![1, 2, 3, 4]),
-            (8, false, vec![10, 20, 30, 40]),
-        ]);
-        let mut rng = Rng::seed_from_u64(3);
-        shuffle_rows(&mut p, &mut rng);
-        for r in 0..4 {
-            assert_eq!(p.columns[1][r], p.columns[0][r] * 10);
-        }
     }
 }

@@ -7,6 +7,10 @@
 //!   execution arena's `bytes_peak`, which holds every buffer the chunk
 //!   sorts lease — stays within the budget times a small, documented
 //!   slack constant, across row counts, key shapes, and budget sizes.
+//! * **One spill decision.** `external_multi_column_sort_with` spills
+//!   exactly when the plan's leased footprint exceeds the budget, and the
+//!   engine defers to it, so a direct call and an engine query agree on
+//!   spill or no spill at every budget — the boundary included.
 //! * **Zero overhead when unset.** With no budget (the default), the
 //!   dispatch must not so much as allocate: a warm prepared query's
 //!   round loop reports *exactly* zero heap allocations, same as before
@@ -20,7 +24,7 @@ use mcs_columnar::CodeVec;
 use mcs_core::{
     lease_footprint_bytes, multi_column_sort_with, ExecArena, ExecConfig, MassagePlan, SortSpec,
 };
-use mcs_engine::{Column, Database, EngineConfig, OrderKey, Query, Session, Table};
+use mcs_engine::{Column, Database, EngineConfig, OrderKey, PlannerMode, Query, Session, Table};
 use mcs_extsort::external_multi_column_sort_with;
 use mcs_test_support::{thread_allocation_count, CountingAlloc, Rng};
 
@@ -212,4 +216,64 @@ fn binding_budget_on_the_engine_path_spills_and_reports() {
         !clean.contains("spill:"),
         "in-memory EXPLAIN grew a spill line:\n{clean}"
     );
+}
+
+/// The spill predicate at its boundary: at `budget == footprint` the
+/// in-memory sort fits and nothing spills; one byte less and the same
+/// multi-round plan spills several runs. Both results are byte-identical
+/// to the in-memory sort, and the engine running that plan under the same
+/// budget reports exactly the direct call's run count.
+#[test]
+fn spill_decision_is_the_footprint_test_on_both_paths() {
+    let n = 8192;
+    let db = sales_db(n);
+    let t = db.table("sales").unwrap();
+    let q = orderby_query();
+    let cols = [
+        t.column("nation").unwrap().codes(),
+        t.column("ship_date").unwrap().codes(),
+    ];
+    let specs = [
+        SortSpec {
+            width: 5,
+            descending: false,
+        },
+        SortSpec {
+            width: 11,
+            descending: true,
+        },
+    ];
+    let plan = MassagePlan::column_at_a_time(&specs);
+    assert_eq!(plan.num_rounds(), 2);
+    let cfg = ExecConfig::default();
+    let want = multi_column_sort_with(&cols, &specs, &plan, &cfg, &mut ExecArena::new()).unwrap();
+
+    let footprint = lease_footprint_bytes(&plan, n);
+    for budget in [footprint, footprint - 1] {
+        let (out, spill) = external_multi_column_sort_with(
+            &cols,
+            &specs,
+            &plan,
+            &cfg,
+            &mut ExecArena::new(),
+            budget,
+        )
+        .unwrap();
+        if budget == footprint {
+            assert_eq!(spill.runs, 0, "the sort fits its footprint: no spill");
+        } else {
+            assert!(spill.runs >= 2, "one byte short: {} runs", spill.runs);
+        }
+        assert_eq!(out.oids, want.oids, "budget {budget}");
+        assert_eq!(out.groups.offsets, want.groups.offsets, "budget {budget}");
+
+        let engine = EngineConfig::builder()
+            .planner(PlannerMode::Fixed(plan.clone()))
+            .threads(1)
+            .memory_budget(budget)
+            .build();
+        let r = mcs_engine::run_query(t, &q, &engine).unwrap();
+        assert_eq!(r.timings.plan.as_ref(), Some(&plan));
+        assert_eq!(r.timings.spilled.runs, spill.runs, "budget {budget}");
+    }
 }

@@ -264,11 +264,11 @@ fn session_plan_cache_counters_and_span() {
 
 /// The execution arena's reuse counters: a cold session execution grows
 /// the arena (`exec.arena.grow` + a `exec.arena.bytes_peak` delta), a
-/// warm rerun only reuses (`exec.arena.reuse`), the stateless path emits
-/// no arena counters at all, and EXPLAIN carries the matching `arena:`
-/// line (byte-peak redacted like a timing).
+/// warm rerun only reuses (`exec.arena.reuse`), a one-shot `run_query`
+/// grows its private arena like any cold execution, and EXPLAIN carries
+/// the matching `arena:` line (byte-peak redacted like a timing).
 #[test]
-fn arena_counters_fire_on_session_executions_only() {
+fn arena_counters_fire_on_every_execution() {
     let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let t = demo_table(2048);
     let mut db = Database::new();
@@ -315,16 +315,28 @@ fn arena_counters_fire_on_session_executions_only() {
     assert!(rep.render().contains("bytes, grows 1, reuses 1\n"));
     assert!(rep.render_redacted().contains("arena: peak ### bytes"));
 
-    // Stateless executions build their own private arena and stay silent.
+    // A one-shot run is a cold session execution: its fresh arena grows
+    // once and its capacity-0 plan cache misses once.
     telemetry::reset();
-    let mut q2 = Query::named("spans_stateless");
+    let mut q2 = Query::named("spans_one_shot");
     q2.order_by = vec![OrderKey::asc("nation")];
     q2.select = vec!["price".into()];
     let r = run_query(&t, &q2, &EngineConfig::default()).unwrap();
     let snap = telemetry::take_all();
-    assert_eq!(counter(&snap, "exec.arena.grow"), None);
+    assert_eq!(counter(&snap, "exec.arena.grow"), Some(1));
     assert_eq!(counter(&snap, "exec.arena.reuse"), None);
-    assert!(r.timings.mcs_stats.arena.is_empty());
+    assert_eq!(counter(&snap, "planner.cache.miss"), Some(1));
+    assert_eq!(
+        (
+            r.timings.mcs_stats.arena.grows,
+            r.timings.mcs_stats.arena.reuses
+        ),
+        (1, 0)
+    );
+    assert_eq!(
+        (r.timings.plan_cache_hits, r.timings.plan_cache_misses),
+        (0, 1)
+    );
 }
 
 /// The fault-point registry is part of the observability contract: chaos

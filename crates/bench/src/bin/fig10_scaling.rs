@@ -5,7 +5,7 @@
 //! scaling. The development VM has **2 cores**, so threads 4 and 8 only
 //! oversubscribe them; the harness exercises the morsel-parallel path
 //! (chunked massage, work-stolen per-group rounds, and the merge-sort's
-//! split-group chunk sorts + finisher merge) and reports throughput in
+//! split-group chunk sorts + post-join merges) and reports throughput in
 //! million tuples per second. Spine's `par_skew` is the end-to-end one.
 
 use mcs_bench::{cost_model, print_table, rows, seed, time};
@@ -69,7 +69,8 @@ fn main() {
     );
     println!(
         "\nShape check (paper): linear scaling on real multi-core hardware;\n\
-         on this single-core container the curve is flat by construction —\n\
-         the parallel code path itself is exercised and verified."
+         threads beyond the host's core count only oversubscribe it, so the\n\
+         curve is flat there by construction — the parallel code path\n\
+         itself is exercised and verified."
     );
 }

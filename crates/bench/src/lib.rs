@@ -16,6 +16,7 @@
 //! * `MCS_SEED` — RNG seed.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
 

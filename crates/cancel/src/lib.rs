@@ -33,6 +33,7 @@
 //! failure: every later lease overwrites what it reads.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fmt;

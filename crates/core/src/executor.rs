@@ -17,7 +17,7 @@ use mcs_simd_sort::{
 use mcs_telemetry as telemetry;
 
 use crate::arena::{ArenaStats, ExecArena, Lease};
-use crate::massage::{massage_into, width_mask, RoundKeys, SendPtr};
+use crate::massage::{massage_into, width_mask, RoundKeys};
 use crate::plan::{MassagePlan, PlanError, SortSpec};
 
 /// Why a [`multi_column_sort`] invocation was rejected before running.
@@ -266,18 +266,12 @@ fn gather_into_morsels<T: Copy + Default + Send + Sync>(
     }
     dst.clear();
     dst.resize(n, T::default());
-    let dst_ptr = SendPtr(dst.as_mut_ptr());
-    for_each_chunk(n, threads, |_, start, len| {
-        #[allow(clippy::redundant_locals)]
-        let dst_ptr = dst_ptr;
-        for (i, &o) in oids[start..start + len].iter().enumerate() {
-            // SAFETY: row-range morsels tile `0..n` disjointly, so each
-            // destination index is written by exactly one worker.
-            unsafe {
-                *dst_ptr.0.add(start + i) = src[o as usize];
-            }
+    let (_, counts) = for_each_chunk(dst, threads, |start, chunk| {
+        for (d, &o) in chunk.iter_mut().zip(&oids[start..]) {
+            *d = src[o as usize];
         }
-    })
+    });
+    counts
 }
 
 /// Morsel-driven boundary scan: equivalent to [`GroupBounds::refine_into`]
@@ -296,14 +290,14 @@ fn refine_into_morsels<K: mcs_simd_sort::Key>(
     threads: usize,
 ) -> MorselCounts {
     let n = keys.len();
-    let parts: std::sync::Mutex<Vec<(usize, Vec<u32>)>> = std::sync::Mutex::new(Vec::new());
-    let counts = for_each_chunk(n, threads, |_, start, len| {
+    // The scan writes no rows: its morsels tile a zero-sized slice.
+    let (parts, counts) = for_each_chunk(&mut vec![(); n], threads, |start, rows| {
         let mut local: Vec<u32> = Vec::new();
         let from = start.max(1);
         // First offset >= `from`; duplicates (empty groups) are skipped
         // in the walk below, matching the serial scan's dedup.
         let mut p = offsets.partition_point(|&b| (b as usize) < from);
-        for i in from..start + len {
+        for i in from..start + rows.len() {
             while p < offsets.len() && (offsets[p] as usize) < i {
                 p += 1;
             }
@@ -316,16 +310,11 @@ fn refine_into_morsels<K: mcs_simd_sort::Key>(
                 local.push(i as u32);
             }
         }
-        parts
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((start, local));
+        local
     });
-    let mut parts = parts.into_inner().unwrap_or_else(|e| e.into_inner());
-    parts.sort_unstable_by_key(|&(start, _)| start);
     out.clear();
     out.push(0);
-    for (_, local) in &parts {
+    for local in &parts {
         out.extend_from_slice(local);
     }
     if n > 0 {

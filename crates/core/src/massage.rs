@@ -121,17 +121,6 @@ pub fn width_mask(w: u32) -> u64 {
     }
 }
 
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-// SAFETY: used only with disjoint index ranges per thread.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
 /// Run one FIP step with a bank-native destination: OR the step's bit
 /// segment of every row directly into `dst` in the bank's physical type.
 ///
@@ -147,24 +136,14 @@ fn execute_step_into<K: Key>(
     threads: usize,
 ) -> MorselCounts {
     let seg_mask = width_mask(step.len);
-    let n = dst.len();
-    let dst_ptr = SendPtr(dst.as_mut_ptr());
-    for_each_chunk(n, threads, |_, start, len| {
-        // Rebind to capture the whole SendPtr rather than its raw *mut
-        // field (edition-2021 closures capture disjoint fields, and a
-        // bare *mut is not Send).
-        #[allow(clippy::redundant_locals)]
-        let dst_ptr = dst_ptr;
-        for r in start..start + len {
+    let (_, counts) = for_each_chunk(dst, threads, |start, chunk| {
+        for (r, d) in (start..).zip(chunk) {
             let code = src.get(r) ^ comp_mask;
             let bits = (code >> step.in_shift) & seg_mask;
-            // SAFETY: row ranges of different chunks are disjoint.
-            unsafe {
-                let p = dst_ptr.0.add(r);
-                *p = K::from_u64((*p).to_u64() | (bits << step.out_shift));
-            }
+            *d = K::from_u64(d.to_u64() | (bits << step.out_shift));
         }
-    })
+    });
+    counts
 }
 
 /// Round keys in their bank's physical type, ready for the SIMD sort.

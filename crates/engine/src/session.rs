@@ -329,8 +329,8 @@ impl<'db> Session<'db> {
     }
 
     /// A session holding at most `capacity` cached plans. `0` disables
-    /// caching — every execution plans from scratch (the throughput
-    /// benchmark's "cold" mode).
+    /// caching — every execution plans from scratch (how the benchmark's
+    /// `small_adhoc` workload runs the planner cold).
     pub fn with_cache_capacity(
         db: &'db Database,
         cfg: EngineConfig,
@@ -892,7 +892,7 @@ mod tests {
         q.aggregates = vec![Agg::new(AggKind::Count, "cnt")];
         q.order_by = vec![OrderKey::asc("nation"), OrderKey::asc("ship_date")];
 
-        // Cold (capacity 0, the benchmark's cold mode): every lookup
+        // Cold (capacity 0, as `small_adhoc` runs): every lookup
         // misses, so Q executions after one prepare miss 1 + 2·Q times.
         let session = Session::with_cache_capacity(&db, EngineConfig::default(), 0);
         let prepared = session.prepare("sales", &q).unwrap();

@@ -26,6 +26,7 @@
 //! plan/bank/thread/direction/OVC matrix.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 // Library code must surface failures as typed errors, never panic on a
 // recoverable path. Test modules opt back in with `#[allow]`.
 #![deny(clippy::unwrap_used, clippy::expect_used)]

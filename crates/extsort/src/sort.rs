@@ -10,15 +10,13 @@ use mcs_core::{
     lease_footprint_bytes, multi_column_sort_with, width_mask, ExecArena, ExecConfig, ExecStats,
     GroupBounds, MassagePlan, MultiColumnSortOutput, SortError, SortSpec, CHECK_INTERVAL,
 };
-use mcs_simd_sort::{
-    ovc_encode, take_merge_counters, LoserTree, MergeHead, MergeScratch, MergeSource,
-};
+use mcs_simd_sort::{ovc_encode, LoserTree, MergeHead, MergeScratch, MergeSource};
 use mcs_telemetry as telemetry;
 
 use crate::runfile::{RunFileError, RunFileReader, RunFileWriter};
 
 /// What the external path spilled, for `QueryTimings` / EXPLAIN and the
-/// `scale_sweep` benchmark.
+/// benchmark's `spill_sort` workload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillStats {
     /// Sorted runs written to disk (0 = the in-memory path ran).
@@ -338,8 +336,6 @@ pub fn external_multi_column_sort_with(
     }
     let mut scratch = MergeScratch::new();
     let runs = files.len();
-    // Whatever an abandoned merge on this thread left behind is not ours.
-    let _ = take_merge_counters();
     let mut merger =
         LoserTree::new(RunsSource { cursors }, runs, &mut scratch).map_err(spill_err)?;
     let mut oids: Vec<u32> = Vec::with_capacity(n);
@@ -362,9 +358,9 @@ pub fn external_multi_column_sort_with(
         oids.push(head.oid);
     }
     offsets.push(n as u32);
-    // The tree credits its matches when it goes away.
+    // The tree credits its matches to `scratch` when it goes away.
     drop(merger);
-    let counters = take_merge_counters();
+    let counters = scratch.counters();
     spill.merge_comparisons = counters.comparisons;
     spill.merge_ovc_hits = counters.ovc_hits;
     telemetry::record_span(
@@ -457,6 +453,42 @@ mod tests {
         assert!(spill.merge_comparisons > 0);
         assert_eq!(got.oids, want.oids);
         assert_eq!(got.groups.offsets, want.groups.offsets);
+    }
+
+    #[test]
+    fn spill_counters_ignore_earlier_sorts_on_the_thread() {
+        // The merge counts its own matches (through its own scratch), so
+        // a merge-sort that just ran on the same thread cannot leak into
+        // them.
+        let spill_on_thread = |merge_sort_first: bool| {
+            std::thread::spawn(move || {
+                if merge_sort_first {
+                    let mut keys: Vec<u32> = (0..20_000u32).map(|i| i.wrapping_mul(7919)).collect();
+                    let mut oids: Vec<u32> = (0..20_000).collect();
+                    let cfg = mcs_simd_sort::SortConfig {
+                        kernel: mcs_simd_sort::SortKernel::MergeSort,
+                        in_cache_bytes: 4096,
+                        ..Default::default()
+                    };
+                    mcs_simd_sort::sort_pairs_with(&mut keys, &mut oids, &cfg);
+                }
+                let c0 =
+                    CodeVec::from_u64s(12, (0..600u64).map(|i| i * 37 % 1000).collect::<Vec<_>>());
+                let sp = specs(&[(12, false)]);
+                let plan = MassagePlan::column_at_a_time(&sp);
+                let budget = lease_footprint_bytes(&plan, 600) / 8;
+                let cfg = ExecConfig::default();
+                let mut arena = ExecArena::new();
+                external_multi_column_sort_with(&[&c0], &sp, &plan, &cfg, &mut arena, budget)
+                    .unwrap()
+                    .1
+            })
+            .join()
+            .unwrap()
+        };
+        let fresh = spill_on_thread(false);
+        assert!(fresh.runs >= 4 && fresh.merge_comparisons > 0);
+        assert_eq!(spill_on_thread(true), fresh);
     }
 
     #[test]

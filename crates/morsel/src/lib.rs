@@ -36,44 +36,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// A row-range morsel: `len` rows starting at `start`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Morsel {
-    /// First row of the range.
-    pub start: usize,
-    /// Number of rows.
-    pub len: usize,
-}
-
-impl Morsel {
-    /// The range's one-past-the-end row.
-    #[inline]
-    pub fn end(&self) -> usize {
-        self.start + self.len
-    }
-}
-
-/// Split `0..n` into row-range morsels of roughly `target` rows
-/// (at least one morsel even for `n == 0`; the last may be short).
-pub fn row_morsels(n: usize, target: usize) -> Vec<Morsel> {
-    let target = target.max(1);
-    let mut out = Vec::with_capacity(n.div_ceil(target).max(1));
-    let mut start = 0usize;
-    loop {
-        let len = target.min(n - start);
-        out.push(Morsel { start, len });
-        start += len;
-        if start >= n {
-            break;
-        }
-    }
-    out
-}
 
 /// Scheduler counters, harvested with [`MorselQueue::counts`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -219,28 +186,6 @@ impl<T> MorselQueue<T> {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-
-    #[test]
-    fn row_morsels_cover_the_range_exactly() {
-        for (n, target) in [
-            (0usize, 7usize),
-            (1, 7),
-            (7, 7),
-            (8, 7),
-            (100, 7),
-            (100, 1000),
-        ] {
-            let ms = row_morsels(n, target);
-            assert!(!ms.is_empty());
-            let mut at = 0usize;
-            for m in &ms {
-                assert_eq!(m.start, at, "n={n} target={target}");
-                assert!(m.len <= target);
-                at = m.end();
-            }
-            assert_eq!(at, n, "n={n} target={target}");
-        }
-    }
 
     #[test]
     fn owner_pops_lifo_stealer_takes_fifo_half() {

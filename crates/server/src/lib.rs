@@ -40,6 +40,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 // Serving code must degrade to typed wire errors, never panic on a
 // recoverable path. Test modules opt back in with `#[allow]`.
 #![deny(clippy::unwrap_used, clippy::expect_used)]

@@ -63,9 +63,9 @@ mod sort;
 
 pub use key::{Bank, Key};
 pub use mcs_cancel::{CancelCause, CancelToken, CHECK_INTERVAL};
-pub use mcs_morsel::{Morsel, MorselCounts, MorselQueue};
+pub use mcs_morsel::{MorselCounts, MorselQueue};
 pub use multiway::{multiway_merge, multiway_pass, LoserTree, MergeHead, MergeSource};
-pub use ovc::{ovc_encode, take_merge_counters, MergeCounters};
+pub use ovc::{ovc_encode, MergeCounters};
 pub use parallel::{for_each_chunk, sort_pairs_in_groups, WorkerPanic};
 pub use phase::PhaseTimes;
 pub use radix::radix_sort_pairs;

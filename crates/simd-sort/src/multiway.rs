@@ -43,7 +43,7 @@
 //! is produced for free and stays valid for the next merge pass.
 
 use crate::key::Key;
-use crate::ovc::{self, ovc_encode};
+use crate::ovc::{ovc_encode, MergeCounters};
 use crate::scratch::{MergeScratch, TreeNodes};
 use core::cmp::Ordering;
 use core::convert::Infallible;
@@ -122,8 +122,8 @@ pub trait MergeSource {
 /// never away from it.
 ///
 /// Dropping the tree — drained, abandoned on cancellation, or unwound by
-/// a source error — credits the matches it played to the thread-local
-/// accumulator behind [`crate::take_merge_counters`], exactly once.
+/// a source error — credits the matches it played to the counters of the
+/// [`MergeScratch`] it borrows ([`MergeScratch::counters`]), exactly once.
 pub struct LoserTree<'a, S: MergeSource> {
     src: S,
     // The scratch's node arrays, borrowed as slices: reaching them through
@@ -138,20 +138,25 @@ pub struct LoserTree<'a, S: MergeSource> {
     head_oids: &'a mut [u32],
     /// Number of leaves (padded to a power of two).
     m: usize,
-    /// Matches played between two live runs.
-    comparisons: u64,
-    /// The subset decided by the offset-value codes alone.
-    ovc_hits: u64,
+    /// Matches played so far, credited to `counters` on drop.
+    played: MergeCounters,
+    /// The scratch's counters.
+    counters: &'a mut MergeCounters,
 }
 
 impl<'a, S: MergeSource> LoserTree<'a, S> {
     /// Build the tree over `num_runs` runs, pulling each run's head from
     /// the source.
     pub fn new(src: S, num_runs: usize, scratch: &'a mut MergeScratch) -> Result<Self, S::Error> {
-        Self::over(src, num_runs, &mut scratch.nodes)
+        Self::over(src, num_runs, &mut scratch.nodes, &mut scratch.counters)
     }
 
-    fn over(src: S, num_runs: usize, n: &'a mut TreeNodes) -> Result<Self, S::Error> {
+    fn over(
+        src: S,
+        num_runs: usize,
+        n: &'a mut TreeNodes,
+        counters: &'a mut MergeCounters,
+    ) -> Result<Self, S::Error> {
         let m = num_runs.next_power_of_two().max(2);
         n.prepare(m);
         let mut lt = LoserTree {
@@ -162,8 +167,8 @@ impl<'a, S: MergeSource> LoserTree<'a, S> {
             head_codes: &mut n.head_codes,
             head_oids: &mut n.head_oids,
             m,
-            comparisons: 0,
-            ovc_hits: 0,
+            played: MergeCounters::default(),
+            counters,
         };
         for run in 0..num_runs {
             let head = lt.src.next(run)?;
@@ -213,14 +218,14 @@ impl<'a, S: MergeSource> LoserTree<'a, S> {
     fn beats(&mut self, a: u32, b: u32) -> bool {
         match (self.heads[a as usize], self.heads[b as usize]) {
             ((wa, true), (wb, true)) => {
-                self.comparisons += 1;
+                self.played.comparisons += 1;
                 if S::CODED {
                     let (ca, cb) = (self.head_codes[a as usize], self.head_codes[b as usize]);
                     if ca != cb {
                         // Codes over a common base order the keys, and the
                         // loser's code relative to the winner is unchanged
                         // (same first-difference position and word).
-                        self.ovc_hits += 1;
+                        self.played.ovc_hits += 1;
                         return ca < cb;
                     }
                 }
@@ -301,7 +306,7 @@ impl<'a, S: MergeSource> LoserTree<'a, S> {
 
 impl<S: MergeSource> Drop for LoserTree<'_, S> {
     fn drop(&mut self) {
-        ovc::record(self.comparisons, self.ovc_hits);
+        self.counters.add(self.played);
     }
 }
 
@@ -349,11 +354,11 @@ fn infallible<T>(r: Result<T, Infallible>) -> T {
 fn drain<K: Key, S: MergeSource<Error = Infallible>>(
     src: S,
     num_runs: usize,
-    nodes: &mut TreeNodes,
+    scratch: (&mut TreeNodes, &mut MergeCounters),
     (dk, dov, dc): (&mut [K], &mut [u32], &mut [u32]),
     cancel: &CancelToken,
 ) {
-    let mut lt = infallible(LoserTree::over(src, num_runs, nodes));
+    let mut lt = infallible(LoserTree::over(src, num_runs, scratch.0, scratch.1));
     for i in 0..dk.len() {
         if i % CHECK_INTERVAL == 0 && cancel.check().is_err() {
             return;
@@ -411,7 +416,11 @@ pub fn multiway_merge<K: Key>(
         }
         return;
     }
-    let MergeScratch { cursors, nodes } = scratch;
+    let MergeScratch {
+        cursors,
+        nodes,
+        counters,
+    } = scratch;
     cursors.clear();
     cursors.extend(runs.iter().map(|r| (r.start, r.end)));
     match (codes, dc) {
@@ -423,7 +432,7 @@ pub fn multiway_merge<K: Key>(
                 cursors,
             },
             runs.len(),
-            nodes,
+            (nodes, counters),
             (dk, dov, dc),
             cancel,
         ),
@@ -435,7 +444,7 @@ pub fn multiway_merge<K: Key>(
                 cursors,
             },
             runs.len(),
-            nodes,
+            (nodes, counters),
             (dk, dov, &mut []),
             cancel,
         ),
@@ -482,10 +491,17 @@ pub fn multiway_pass<K: Key>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ovc::MergeCounters;
+    use crate::ovc;
 
-    /// Codes-off merge through a fresh scratch.
-    fn merge<K: Key>(k: &[K], o: &[u32], dk: &mut [K], dlo: &mut [u32], runs: &[Range<usize>]) {
+    /// Codes-off merge through a fresh scratch; returns the matches the
+    /// merge credited to it.
+    fn merge<K: Key>(
+        k: &[K],
+        o: &[u32],
+        dk: &mut [K],
+        dlo: &mut [u32],
+        runs: &[Range<usize>],
+    ) -> MergeCounters {
         let mut scratch = MergeScratch::new();
         multiway_merge(
             (k, o, None),
@@ -495,6 +511,7 @@ mod tests {
             &mut scratch,
             &CancelToken::none(),
         );
+        scratch.counters()
     }
 
     /// Codes-off pass through a fresh scratch.
@@ -615,10 +632,8 @@ mod tests {
                 }
             }
 
-            let _ = ovc::take_merge_counters();
             let (mut pk, mut po) = (vec![0u64; n], vec![0u32; n]);
-            merge(&keys, &oids, &mut pk, &mut po, &runs);
-            let plain = ovc::take_merge_counters();
+            let plain = merge(&keys, &oids, &mut pk, &mut po, &runs);
 
             let (mut ok, mut oo, mut oc) = (vec![0u64; n], vec![0u32; n], vec![0u32; n]);
             let mut scratch = MergeScratch::new();
@@ -630,7 +645,7 @@ mod tests {
                 &mut scratch,
                 &CancelToken::none(),
             );
-            let with_ovc = ovc::take_merge_counters();
+            let with_ovc = scratch.counters();
 
             // Byte-identical output (the run-index tie-break holds with
             // and without codes, so even duplicate payload order must
@@ -807,7 +822,6 @@ mod tests {
                 merge(&keys, &oids, &mut dk, &mut dlo, &runs);
             }
 
-            let _ = ovc::take_merge_counters();
             let mut scratch = MergeScratch::new();
             let mut lt = LoserTree::new(VecSource::new(vruns), count, &mut scratch).unwrap();
             let mut got: Vec<u32> = Vec::new();
@@ -816,7 +830,7 @@ mod tests {
             }
             drop(lt);
             assert_eq!(got, dlo, "count={count}");
-            let c = ovc::take_merge_counters();
+            let c = scratch.counters();
             if count > 1 && n > 16 {
                 assert!(c.comparisons > 0);
             }
@@ -855,7 +869,6 @@ mod tests {
         let mut want = all.clone();
         want.sort_by(|x, y| x.0.cmp(&y.0).then(x.1.cmp(&y.1)));
 
-        let _ = ovc::take_merge_counters();
         let mut scratch = MergeScratch::new();
         let mut lt = LoserTree::new(VecSource::new(vruns), 4, &mut scratch).unwrap();
         let mut got: Vec<u32> = Vec::new();
@@ -865,7 +878,7 @@ mod tests {
         drop(lt);
         let want_oids: Vec<u32> = want.iter().map(|e| e.1).collect();
         assert_eq!(got, want_oids);
-        let c = ovc::take_merge_counters();
+        let c = scratch.counters();
         assert!(c.comparisons >= 200 - 4);
         assert!(
             c.ovc_hits < c.comparisons,
@@ -917,8 +930,15 @@ mod tests {
                 })
                 .collect()
         };
+        // One scratch throughout: each step checks what it added to the
+        // scratch's counters.
         let mut scratch = MergeScratch::new();
-        let _ = ovc::take_merge_counters();
+        let mut seen = MergeCounters::default();
+        let mut credited = |scratch: &MergeScratch| {
+            let c = scratch.counters().since(seen);
+            seen = scratch.counters();
+            c
+        };
 
         // Drained: every pop credited, and only when the tree goes away
         // (repeated `None` pops add nothing).
@@ -926,9 +946,9 @@ mod tests {
         while lt.pop().unwrap().is_some() {}
         assert_eq!(lt.pop().unwrap(), None);
         drop(lt);
-        let drained = ovc::take_merge_counters();
+        let drained = credited(&scratch);
         assert!(drained.comparisons >= 200 - 4);
-        assert_eq!(ovc::take_merge_counters(), MergeCounters::default());
+        assert_eq!(credited(&scratch), MergeCounters::default());
 
         // Abandoned mid-way, as a caller whose cancel token fired does:
         // the matches played so far are credited, once.
@@ -937,16 +957,16 @@ mod tests {
             lt.pop().unwrap().unwrap();
         }
         drop(lt);
-        let abandoned = ovc::take_merge_counters();
+        let abandoned = credited(&scratch);
         assert!(abandoned.comparisons >= 60 && abandoned.comparisons < drained.comparisons);
-        assert_eq!(ovc::take_merge_counters(), MergeCounters::default());
+        assert_eq!(credited(&scratch), MergeCounters::default());
 
         // Source error: the rebuild's match survives the unwinding `?`.
         let mut lt = LoserTree::new(Failing { calls: 0 }, 2, &mut scratch).unwrap();
         assert_eq!(lt.pop(), Err("read failed"));
         drop(lt);
-        assert_eq!(ovc::take_merge_counters().comparisons, 1);
-        assert_eq!(ovc::take_merge_counters(), MergeCounters::default());
+        assert_eq!(credited(&scratch).comparisons, 1);
+        assert_eq!(credited(&scratch), MergeCounters::default());
 
         // A slice merge whose token has fired: rebuild credited, once.
         let k: Vec<u32> = vec![1, 4, 2, 5];
@@ -956,8 +976,8 @@ mod tests {
         token.cancel();
         let (src, dst) = ((&k[..], &o[..], None), (&mut dk[..], &mut dlo[..], None));
         multiway_merge(src, dst, &[0..2, 2..4], 0, &mut scratch, &token);
-        assert_eq!(ovc::take_merge_counters().comparisons, 1);
-        assert_eq!(ovc::take_merge_counters(), MergeCounters::default());
+        assert_eq!(credited(&scratch).comparisons, 1);
+        assert_eq!(credited(&scratch), MergeCounters::default());
     }
 
     #[test]

@@ -16,12 +16,9 @@
 //! prefixes short-circuit most often — exactly where the engine spends
 //! its merge time.
 //!
-//! The module also owns the thread-local comparison counters the
-//! telemetry layer harvests per round (modeled on [`crate::phase`], but
-//! always compiled: the counts are load-bearing for the cost model's
-//! calibration, not just observability).
-
-use std::cell::Cell;
+//! The module also defines [`MergeCounters`], the comparison counts every
+//! loser tree credits to the `MergeScratch` it borrows (load-bearing for
+//! the cost model's calibration, not just observability).
 
 /// Number of 16-bit words in a widened key.
 const ARITY: u32 = 4;
@@ -69,7 +66,7 @@ pub(crate) fn derive_codes<K: crate::key::Key>(keys: &[K], run: usize, codes: &m
     }
 }
 
-/// Comparison counters for one harvest window of multiway merging.
+/// Comparison counters of multiway merging.
 ///
 /// `comparisons` counts every decided loser-tree match between two live
 /// runs (both the plain and the OVC tree count, so before/after reports
@@ -90,32 +87,15 @@ impl MergeCounters {
         self.comparisons += other.comparisons;
         self.ovc_hits += other.ovc_hits;
     }
-}
 
-thread_local! {
-    static ACC: Cell<MergeCounters> = const {
-        Cell::new(MergeCounters {
-            comparisons: 0,
-            ovc_hits: 0,
-        })
-    };
-}
-
-/// Credit one merge call's comparison counts to the current thread's
-/// accumulator (called once per merge, not per match).
-#[inline]
-pub(crate) fn record(comparisons: u64, ovc_hits: u64) {
-    ACC.with(|acc| {
-        let mut c = acc.get();
-        c.comparisons += comparisons;
-        c.ovc_hits += ovc_hits;
-        acc.set(c);
-    });
-}
-
-/// Drain this thread's accumulated merge counters.
-pub fn take_merge_counters() -> MergeCounters {
-    ACC.with(|acc| acc.replace(MergeCounters::default()))
+    /// Element-wise difference from an `earlier` reading of the same
+    /// (only growing) counters: what was credited in between.
+    pub(crate) fn since(self, earlier: MergeCounters) -> MergeCounters {
+        MergeCounters {
+            comparisons: self.comparisons - earlier.comparisons,
+            ovc_hits: self.ovc_hits - earlier.ovc_hits,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -165,25 +145,5 @@ mod tests {
                 assert_eq!(a < b, ca < cb, "p={p:#x} a={a:#x} b={b:#x}");
             }
         }
-    }
-
-    #[test]
-    fn counters_accumulate_and_drain_per_thread() {
-        let _ = take_merge_counters();
-        record(10, 7);
-        record(5, 1);
-        assert_eq!(
-            take_merge_counters(),
-            MergeCounters {
-                comparisons: 15,
-                ovc_hits: 8
-            }
-        );
-        assert_eq!(take_merge_counters(), MergeCounters::default());
-        std::thread::spawn(|| {
-            assert_eq!(take_merge_counters(), MergeCounters::default());
-        })
-        .join()
-        .unwrap();
     }
 }

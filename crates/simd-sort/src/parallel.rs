@@ -3,14 +3,16 @@
 //!
 //! Strategy: carve the work into morsels — whole-group spans plus split
 //! slices of oversized groups for the segmented sort, contiguous row
-//! ranges for [`for_each_chunk`] — seed them range-partitioned across a
+//! ranges for [`for_each_chunk`] — each owning its own disjoint `&mut`
+//! rows of the caller's slices, seed them range-partitioned across a
 //! [`MorselQueue`], and let `T` workers (`std::thread::scope`, matching
 //! the paper's thread-per-core execution) pull morsels until the queue is
 //! dry. A worker that finishes its seed early steals from stragglers, so
 //! skewed group distributions no longer leave workers idle behind one
-//! giant group. Under the merge-sort an oversized group is split and
-//! merged by whichever worker sorts its last slice; a flat sort is the
-//! one-group case ([`GroupBounds::whole`]).
+//! giant group. Under the merge-sort an oversized group is split into
+//! slices sorted as separate morsels; once every worker has joined, a
+//! second pass over the same workers merges each split group as one
+//! morsel. A flat sort is the one-group case ([`GroupBounds::whole`]).
 //!
 //! Worker panics are caught at the scope boundary and surfaced as a typed
 //! [`WorkerPanic`] carrying the worker index, so a dying worker can be
@@ -20,13 +22,11 @@
 //! inside the morsel loop, bounding reaction latency to one morsel.
 
 use crate::multiway::multiway_merge;
-use crate::ovc;
-use crate::phase;
 use crate::scratch::{SortScratch, WorkerScratch};
-use crate::segmented::{sort_groups_by_offsets, GroupBounds, SegmentedSortStats};
+use crate::segmented::{group_stats, sort_groups_by_offsets, GroupBounds, SegmentedSortStats};
 use crate::sort::{SortConfig, SortKernel, SortableKey, PARALLEL_CUTOFF_ROWS};
-use mcs_morsel::{row_morsels, MorselCounts, MorselQueue};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use core::ops::Range;
+use mcs_morsel::{MorselCounts, MorselQueue};
 
 /// Morsels seeded per worker on a balanced input: finer than one-per-
 /// worker so stragglers leave stealable work, coarse enough that the
@@ -58,62 +58,45 @@ impl core::fmt::Display for WorkerPanic {
 
 impl std::error::Error for WorkerPanic {}
 
-/// Raw base pointer shared with the workers.
-///
-/// Safety contract: every morsel names a row range disjoint from all
-/// other concurrently executing morsels, so the `&mut [T]` slices the
-/// workers materialize never alias.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-/// Work items of the morsel-driven segmented sort.
-enum Task {
-    /// A contiguous span of whole groups — index into the scratch's
-    /// `spans`/`locals` bookkeeping; sorted group-by-group locally.
-    Span(usize),
+/// Work items of the morsel-driven segmented sort's first pass, each
+/// owning its rows of `(keys, oids)`.
+enum Task<'a, K> {
+    /// A contiguous span of whole groups with its window of the round's
+    /// offsets; sorted group-by-group.
+    Span(&'a mut [K], &'a mut [u32], &'a [u32]),
     /// One slice of an oversized (split) group.
-    Chunk {
-        /// Index into the split-group registry.
-        split: usize,
-        /// Which slice of that group.
-        part: usize,
-    },
+    Slice(&'a mut [K], &'a mut [u32]),
 }
 
-/// An oversized group carved into independently sortable slices. The
-/// worker that sorts the *last* slice (observes `remaining` hit zero)
-/// merges the sorted slices back into group order.
-struct SplitGroup {
-    /// Absolute row boundaries of the slices (`parts + 1` entries).
-    bounds: Vec<usize>,
-    /// Slices not yet sorted. `fetch_sub(AcqRel)` per finished slice:
-    /// the Release publishes this slice's sorted rows, the final Acquire
-    /// lets the finisher read all of them.
-    remaining: AtomicUsize,
-}
-
-/// Slice boundaries for splitting `len` rows at `start` into `parts`
-/// near-equal pieces, aligned down to [`SPLIT_ALIGN`] (collapsed
-/// boundaries are dropped, so tiny inputs may yield fewer parts).
-fn split_bounds(start: usize, len: usize, parts: usize) -> Vec<usize> {
-    let mut bounds = Vec::with_capacity(parts + 1);
-    bounds.push(start);
+/// Split `len` rows into `parts` near-equal runs, boundaries aligned down
+/// to [`SPLIT_ALIGN`] (collapsed boundaries are dropped, so tiny inputs
+/// may yield fewer runs).
+fn split_runs(len: usize, parts: usize) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::with_capacity(parts);
+    let mut at = 0;
     for p in 1..parts {
-        let mut cut = start + len * p / parts;
-        cut -= (cut - start) % SPLIT_ALIGN;
-        if cut > *bounds.last().unwrap() {
-            bounds.push(cut);
+        let mut cut = len * p / parts;
+        cut -= cut % SPLIT_ALIGN;
+        if cut > at {
+            runs.push(at..cut);
+            at = cut;
         }
     }
-    bounds.push(start + len);
-    bounds
+    runs.push(at..len);
+    runs
+}
+
+/// Split the first `len` rows off `rows`, leaving it the rest.
+fn take_rows<'a, T>(rows: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = core::mem::take(rows).split_at_mut(len);
+    *rows = tail;
+    head
 }
 
 /// Sort `(keys, oids)` within each group independently, each group by
 /// the kernel [`SortableKey::sort_pairs_with_scratch`] picks for its
-/// length, on up to `threads` workers, drawing span bookkeeping and every
-/// worker's sort-kernel buffers from `scratch`.
+/// length, on up to `threads` workers, drawing every worker's sort-kernel
+/// buffers from `scratch`.
 ///
 /// At `threads == 1`, or below [`PARALLEL_CUTOFF_ROWS`], the groups are
 /// sorted one after another on the calling thread — allocation-free once
@@ -124,13 +107,14 @@ fn split_bounds(start: usize, len: usize, parts: usize) -> Vec<usize> {
 /// Scheduling: whole groups are packed into contiguous spans of roughly
 /// `n / (threads · 4)` rows. Under [`SortKernel::MergeSort`] any single
 /// group at least twice that size is split at 64-row-aligned boundaries
-/// into slice morsels, sorted independently, and merged by the worker
-/// finishing the last slice; under [`SortKernel::Auto`] it stays one span
-/// (the merge would cost more than the split saves). All
-/// morsels are seeded range-partitioned (a balanced input steals nothing);
-/// workers pull LIFO locally and steal half a straggler's deque when dry.
-/// Group-level stats are counted once per *group* (a split group bumps
-/// `invocations` once, by its finisher), so stats match the serial path.
+/// into slice morsels, sorted independently, and merged after the join,
+/// one morsel per split group; under [`SortKernel::Auto`] it stays one
+/// span (the merge would cost more than the split saves). All morsels are
+/// seeded range-partitioned (a balanced input steals nothing); workers
+/// pull LIFO locally and steal half a straggler's deque when dry.
+/// Group-level stats are counted once per *group* from the offsets, so
+/// they match the serial path; kernel times and merge counters are what
+/// the run credited to the worker scratches.
 ///
 /// Worker panics are caught and returned as a [`WorkerPanic`] carrying
 /// the worker index; the slices are then in an unspecified state.
@@ -145,273 +129,224 @@ pub fn sort_pairs_in_groups<K: SortableKey>(
     assert_eq!(keys.len(), oids.len());
     assert_eq!(groups.num_rows(), keys.len(), "group bounds mismatch");
     let threads = threads.max(1);
-    let n = keys.len();
     let offs = &groups.offsets;
-    if threads == 1 || n < PARALLEL_CUTOFF_ROWS {
-        return Ok(sort_groups_by_offsets(
-            keys,
-            oids,
-            offs,
-            cfg,
-            scratch.serial(),
-        ));
+    let before = scratch.credited();
+    let mut stats = group_stats(offs);
+    if threads == 1 || keys.len() < PARALLEL_CUTOFF_ROWS {
+        sort_groups_by_offsets(keys, oids, offs, cfg, scratch.serial());
+    } else {
+        if scratch.workers.len() < threads {
+            scratch.workers.resize_with(threads, Default::default);
+        }
+        let workers = &mut scratch.workers[..threads];
+        stats.morsels = sort_morsels(keys, oids, offs, cfg, workers)?;
     }
+    let (phases, merge) = scratch.credited();
+    stats.phases = phases.since(before.0);
+    stats.merge = merge.since(before.1);
+    Ok(stats)
+}
 
-    // Carve groups into morsels: contiguous spans of whole groups of
-    // roughly `target` rows, with oversized groups split into slices.
-    let target = n.div_ceil(threads * MORSELS_PER_WORKER).max(1);
-    // Only the merge-sort splits: its chunks end in a loser-tree merge
-    // anyway. Under `Auto` the finisher merge alone costs about as much as
+/// The parallel path of [`sort_pairs_in_groups`]: sort the span and
+/// slice morsels, join, then merge every split group as one morsel.
+fn sort_morsels<K: SortableKey>(
+    keys: &mut [K],
+    oids: &mut [u32],
+    offs: &[u32],
+    cfg: &SortConfig,
+    workers: &mut [SortScratch],
+) -> Result<MorselCounts, WorkerPanic> {
+    let threads = workers.len();
+    // Carve groups into morsels in row order, each taking its rows off
+    // the untaken tail: contiguous spans of whole groups of roughly
+    // `target` rows, with oversized groups split into slices. Only the
+    // merge-sort splits: its slices end in a loser-tree merge anyway.
+    // Under `Auto` the split-group merge alone costs about as much as
     // radix-sorting the whole group on one worker, so a big group stays
     // one span morsel.
+    let target = keys.len().div_ceil(threads * MORSELS_PER_WORKER).max(1);
     let split_oversized = cfg.kernel == SortKernel::MergeSort;
-    let num_groups = groups.num_groups();
-    scratch.spans.clear();
-    let mut splits: Vec<SplitGroup> = Vec::new();
-    let mut tasks: Vec<Task> = Vec::new();
+    // Split groups: first row, and slice runs relative to it.
+    let mut splits: Vec<(usize, Vec<Range<usize>>)> = Vec::new();
+    let mut tasks: Vec<Task<K>> = Vec::new();
+    let (mut kt, mut ot) = (&mut *keys, &mut *oids);
+    let mut take = |len: usize| (take_rows(&mut kt, len), take_rows(&mut ot, len));
+    let num_groups = offs.len() - 1;
     let mut span_start = 0usize;
     for g in 0..num_groups {
         let len = (offs[g + 1] - offs[g]) as usize;
         if split_oversized && len >= 2 * target {
             if span_start < g {
-                tasks.push(Task::Span(scratch.spans.len()));
-                scratch.spans.push((span_start, g));
+                let (k, o) = take((offs[g] - offs[span_start]) as usize);
+                tasks.push(Task::Span(k, o, &offs[span_start..=g]));
             }
-            let bounds = split_bounds(offs[g] as usize, len, len.div_ceil(target));
-            let parts = bounds.len() - 1;
-            let split = splits.len();
-            splits.push(SplitGroup {
-                bounds,
-                remaining: AtomicUsize::new(parts),
-            });
-            for part in 0..parts {
-                tasks.push(Task::Chunk { split, part });
+            let runs = split_runs(len, len.div_ceil(target));
+            for r in &runs {
+                let (k, o) = take(r.len());
+                tasks.push(Task::Slice(k, o));
             }
+            splits.push((offs[g] as usize, runs));
             span_start = g + 1;
         } else if (offs[g + 1] - offs[span_start]) as usize >= target {
-            tasks.push(Task::Span(scratch.spans.len()));
-            scratch.spans.push((span_start, g + 1));
+            let (k, o) = take((offs[g + 1] - offs[span_start]) as usize);
+            tasks.push(Task::Span(k, o, &offs[span_start..=g + 1]));
             span_start = g + 1;
         }
     }
     if span_start < num_groups {
-        tasks.push(Task::Span(scratch.spans.len()));
-        scratch.spans.push((span_start, num_groups));
-    }
-
-    // Rebased offsets per span; one sort scratch per worker.
-    let num_spans = scratch.spans.len();
-    scratch.locals.resize_with(num_spans, Vec::new);
-    for (&(gs, ge), local) in scratch.spans.iter().zip(scratch.locals.iter_mut()) {
-        local.clear();
-        local.extend(offs[gs..=ge].iter().map(|&b| b - offs[gs]));
-    }
-    if scratch.workers.len() < threads {
-        scratch.workers.resize_with(threads, Default::default);
+        let (k, o) = take((offs[num_groups] - offs[span_start]) as usize);
+        tasks.push(Task::Span(k, o, &offs[span_start..]));
     }
 
     let mut queue = MorselQueue::new(threads);
     queue.note_split(splits.len() as u64);
     queue.seed_partitioned(tasks);
+    drive(&queue, workers.iter_mut(), |worker, task| {
+        // Fault injection and cancellation live in the morsel loop:
+        // reaction latency is bounded by one morsel. A fired token skips
+        // every remaining morsel; the caller re-checks the token and
+        // discards the garbage round.
+        if mcs_faults::fault_point!(mcs_faults::points::SIMD_WORKER_PANIC) {
+            panic!("injected fault: {}", mcs_faults::points::SIMD_WORKER_PANIC);
+        }
+        if cfg.cancel.check().is_err() {
+            return;
+        }
+        match task {
+            Task::Span(k, o, window) => sort_groups_by_offsets(k, o, window, cfg, worker),
+            Task::Slice(k, o) => K::sort_pairs_with_scratch(k, o, cfg, worker),
+        }
+    })?;
+    let mut counts = queue.counts();
+    if splits.is_empty() || cfg.cancel.check().is_err() {
+        return Ok(counts);
+    }
 
-    let round = Round {
-        queue: &queue,
-        spans: &scratch.spans,
-        locals: &scratch.locals,
-        splits: &splits,
-        offs,
-        kp: SendPtr(keys.as_mut_ptr()),
-        op: SendPtr(oids.as_mut_ptr()),
-        cfg,
-    };
-    let joined: Vec<std::thread::Result<SegmentedSortStats>> = std::thread::scope(|scope| {
-        let round = &round;
-        let handles: Vec<_> = scratch
-            .workers
-            .iter_mut()
-            .take(threads)
+    // Every slice is sorted: merge each split group back into group order.
+    let mut merges = Vec::with_capacity(splits.len());
+    let (mut kt, mut ot, mut at) = (keys, oids, 0usize);
+    for (start, runs) in &splits {
+        let len = runs[runs.len() - 1].end;
+        take_rows(&mut kt, start - at);
+        take_rows(&mut ot, start - at);
+        merges.push((take_rows(&mut kt, len), take_rows(&mut ot, len), &runs[..]));
+        at = start + len;
+    }
+    let mut queue = MorselQueue::new(threads.min(merges.len()));
+    queue.seed_partitioned(merges);
+    drive(&queue, workers.iter_mut(), |worker, (k, o, runs)| {
+        merge_split(k, o, runs, cfg, worker)
+    })?;
+    counts.add(queue.counts());
+    Ok(counts)
+}
+
+/// Merge the sorted slices `runs` of one split group back into group
+/// order, through the worker's merge scratch.
+fn merge_split<K: SortableKey>(
+    keys: &mut [K],
+    oids: &mut [u32],
+    runs: &[Range<usize>],
+    cfg: &SortConfig,
+    worker: &mut SortScratch,
+) {
+    let mut out_k = vec![K::default(); keys.len()];
+    let mut out_o = vec![0u32; keys.len()];
+    multiway_merge(
+        (keys, oids, None),
+        (&mut out_k, &mut out_o, None),
+        runs,
+        0,
+        &mut worker.merge,
+        &cfg.cancel,
+    );
+    if cfg.cancel.check().is_err() {
+        return; // round is garbage anyway; don't publish a partial merge
+    }
+    keys.copy_from_slice(&out_k);
+    oids.copy_from_slice(&out_o);
+}
+
+/// Run every morsel of `queue` on one scoped thread per worker queue,
+/// worker `w` owning the `w`-th of `states`: it pops (or steals) morsels
+/// until the queue is dry, handing each to `run` with its state. A
+/// panicking worker is reported as the lowest such index.
+fn drive<T: Send, W: Send>(
+    queue: &MorselQueue<T>,
+    states: impl IntoIterator<Item = W>,
+    run: impl Fn(&mut W, T) + Sync,
+) -> Result<(), WorkerPanic> {
+    let run = &run;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = states
+            .into_iter()
+            .take(queue.workers())
             .enumerate()
-            .map(|(w, worker)| scope.spawn(move || round.run_worker(w, worker)))
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-
-    let mut total = SegmentedSortStats::default();
-    for (worker, r) in joined.into_iter().enumerate() {
-        match r {
-            Ok(s) => {
-                total.invocations += s.invocations;
-                total.codes_sorted += s.codes_sorted;
-                total.max_group = total.max_group.max(s.max_group);
-                // CPU time summed across workers; may exceed the round's
-                // wall time.
-                total.phases.add(s.phases);
-                total.merge.add(s.merge);
-            }
-            Err(_) => return Err(WorkerPanic { worker }),
-        }
-    }
-    total.morsels = queue.counts();
-    Ok(total)
-}
-
-/// What the workers of one parallel segmented sort share.
-struct Round<'a, K> {
-    queue: &'a MorselQueue<Task>,
-    /// Whole-group spans as offsets-index ranges, and their rebased
-    /// offsets.
-    spans: &'a [(usize, usize)],
-    locals: &'a [Vec<u32>],
-    splits: &'a [SplitGroup],
-    /// The round's group offsets.
-    offs: &'a [u32],
-    kp: SendPtr<K>,
-    op: SendPtr<u32>,
-    cfg: &'a SortConfig,
-}
-
-impl<K: SortableKey> Round<'_, K> {
-    /// The `(keys, oids)` rows `start..start + len`.
-    ///
-    /// # Safety
-    /// The range must lie inside the round's slices and must not be
-    /// accessed by any other worker for the lifetime of the result.
-    unsafe fn rows<'r>(&self, start: usize, len: usize) -> (&'r mut [K], &'r mut [u32]) {
-        (
-            core::slice::from_raw_parts_mut(self.kp.0.add(start), len),
-            core::slice::from_raw_parts_mut(self.op.0.add(start), len),
-        )
-    }
-
-    /// Worker `w`'s morsel loop: pop (or steal) tasks until the queue is
-    /// dry.
-    fn run_worker(&self, w: usize, worker: &mut SortScratch) -> SegmentedSortStats {
-        let mut stats = SegmentedSortStats::default();
-        while let Some((task, _stolen)) = self.queue.pop(w) {
-            // Fault injection and cancellation live in the morsel loop:
-            // reaction latency is bounded by one morsel. A fired token stops
-            // this worker; the others stop at their own next poll, and the
-            // caller re-checks the token and discards the garbage round.
-            if mcs_faults::fault_point!(mcs_faults::points::SIMD_WORKER_PANIC) {
-                panic!("injected fault: {}", mcs_faults::points::SIMD_WORKER_PANIC);
-            }
-            if self.cfg.cancel.check().is_err() {
-                break;
-            }
-            match task {
-                Task::Span(s) => {
-                    let (gs, ge) = self.spans[s];
-                    let start = self.offs[gs] as usize;
-                    let len = self.offs[ge] as usize - start;
-                    // SAFETY: spans cover disjoint whole-group row ranges and
-                    // each span task is executed by exactly one worker.
-                    let (ck, co) = unsafe { self.rows(start, len) };
-                    let got = sort_groups_by_offsets(ck, co, &self.locals[s], self.cfg, worker);
-                    stats.invocations += got.invocations;
-                    stats.codes_sorted += got.codes_sorted;
-                    stats.max_group = stats.max_group.max(got.max_group);
-                    stats.phases.add(got.phases);
-                    stats.merge.add(got.merge);
-                }
-                Task::Chunk { split, part } => {
-                    let sg = &self.splits[split];
-                    let (ps, pe) = (sg.bounds[part], sg.bounds[part + 1]);
-                    // SAFETY: slice bounds of one split group are disjoint
-                    // from each other and from every span.
-                    let (ck, co) = unsafe { self.rows(ps, pe - ps) };
-                    K::sort_pairs_with_scratch(ck, co, self.cfg, worker);
-                    if sg.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        self.finish_split(sg, worker, &mut stats);
+            .map(|(w, mut state)| {
+                scope.spawn(move || {
+                    while let Some((task, _stolen)) = queue.pop(w) {
+                        run(&mut state, task);
                     }
-                    // Harvest this thread's phase/merge marks per slice,
-                    // finisher merge included (span tasks harvest inside
-                    // `sort_groups_by_offsets`).
-                    stats.phases.add(phase::take_phases());
-                    stats.merge.add(ovc::take_merge_counters());
-                }
+                })
+            })
+            .collect();
+        let mut joined = Ok(());
+        for (worker, h) in handles.into_iter().enumerate() {
+            if h.join().is_err() && joined.is_ok() {
+                joined = Err(WorkerPanic { worker });
             }
         }
-        stats
-    }
-
-    /// Merge the sorted slices of a split group back into group order. Runs
-    /// on whichever worker sorted the last slice; stats for the group are
-    /// bumped here, once, so totals match the serial per-group accounting.
-    fn finish_split(
-        &self,
-        sg: &SplitGroup,
-        worker: &mut SortScratch,
-        stats: &mut SegmentedSortStats,
-    ) {
-        let start = sg.bounds[0];
-        let len = *sg.bounds.last().unwrap() - start;
-        stats.invocations += 1;
-        stats.codes_sorted += len;
-        stats.max_group = stats.max_group.max(len);
-        let runs: Vec<core::ops::Range<usize>> = sg
-            .bounds
-            .windows(2)
-            .map(|b| b[0] - start..b[1] - start)
-            .collect();
-        // SAFETY: `remaining` hit zero, so every slice's sort completed and
-        // was published (AcqRel), and no other worker touches this group
-        // again — the range is exclusively ours now.
-        let (ck, co) = unsafe { self.rows(start, len) };
-        let mut out_k = vec![K::default(); len];
-        let mut out_o = vec![0u32; len];
-        multiway_merge(
-            (ck, co, None),
-            (&mut out_k, &mut out_o, None),
-            &runs,
-            0,
-            &mut worker.merge,
-            &self.cfg.cancel,
-        );
-        if self.cfg.cancel.check().is_err() {
-            return; // round is garbage anyway; don't publish a partial merge
-        }
-        ck.copy_from_slice(&out_k);
-        co.copy_from_slice(&out_o);
-    }
+        joined
+    })
 }
 
-/// Parallel iteration over row-range morsels, used by the massage kernel
-/// and the executor's gather/boundary scans. `f(morsel_index, start, len)`
-/// over disjoint ranges tiling `0..n`; morsels are seeded range-
-/// partitioned and work-stolen like the sorts. Inputs shorter than
-/// [`PARALLEL_CUTOFF_ROWS`] run as one serial call `f(0, 0, n)`.
+/// Parallel iteration over row-range morsels of `rows`, used by the
+/// massage kernel and the executor's gather and boundary scans:
+/// `f(start, chunk)` runs once per morsel with the morsel's own
+/// sub-slice `chunk = rows[start..start + chunk.len()]`. The morsels tile
+/// `rows` and are seeded range-partitioned and work-stolen like the
+/// sorts. Inputs shorter than [`PARALLEL_CUTOFF_ROWS`] run as one serial
+/// call `f(0, rows)`. A pass that writes no rows (a scan) tiles a
+/// zero-sized slice, e.g. `&mut vec![(); n]`, which allocates nothing.
 ///
-/// Returns the scheduler counters (all zero on the serial path).
-pub fn for_each_chunk(
-    n: usize,
+/// Returns the per-morsel results in row order, and the scheduler
+/// counters (all zero on the serial path). With `R = ()` the result
+/// vector allocates nothing either. A panicking morsel panics the caller.
+pub fn for_each_chunk<T: Send, R: Default + Send>(
+    rows: &mut [T],
     threads: usize,
-    f: impl Fn(usize, usize, usize) + Sync,
-) -> MorselCounts {
+    f: impl Fn(usize, &mut [T]) -> R + Sync,
+) -> (Vec<R>, MorselCounts) {
     let threads = threads.max(1);
+    let n = rows.len();
     if threads == 1 || n < PARALLEL_CUTOFF_ROWS {
-        f(0, 0, n);
-        return MorselCounts::default();
+        return (vec![f(0, rows)], MorselCounts::default());
     }
     let target = n.div_ceil(threads * MORSELS_PER_WORKER).max(1);
+    let mut results: Vec<R> = Vec::new();
+    results.resize_with(n.div_ceil(target), R::default);
     let mut queue = MorselQueue::new(threads);
-    queue.seed_partitioned(row_morsels(n, target).into_iter().enumerate().collect());
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let queue = &queue;
-            let f = &f;
-            scope.spawn(move || {
-                while let Some(((i, m), _stolen)) = queue.pop(w) {
-                    f(i, m.start, m.len);
-                }
-            });
-        }
-    });
-    queue.counts()
+    queue.seed_partitioned(
+        rows.chunks_mut(target)
+            .zip(results.iter_mut())
+            .enumerate()
+            .map(|(i, (chunk, slot))| (i * target, chunk, slot))
+            .collect(),
+    );
+    if let Err(p) = drive(&queue, 0..threads, |_, (start, chunk, slot)| {
+        *slot = f(start, chunk)
+    }) {
+        panic!("{p}");
+    }
+    let counts = queue.counts();
+    drop(queue);
+    (results, counts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MergeCounters;
 
     /// The serial path through a fresh scratch.
     fn sort_serial<K: SortableKey>(
@@ -554,6 +489,78 @@ mod tests {
     }
 
     #[test]
+    fn two_split_groups_merge_after_the_join() {
+        // Two oversized groups around and after runs of small ones: both
+        // split at every thread count, so the post-join pass merges
+        // several split groups. Keys are distinct (an odd multiplier is a
+        // bijection mod 2^32), so oids are byte-comparable too.
+        let n = 60_000usize;
+        let keys0: Vec<u32> = (0..n as u32)
+            .map(|i| i.wrapping_mul(0x9E37_79B1) ^ 0x5555)
+            .collect();
+        let mut offsets = vec![0u32, 24_000];
+        offsets.extend((1..=40).map(|i| 24_000 + 100 * i));
+        offsets.push(56_000);
+        offsets.extend((1..=40).map(|i| 56_000 + 100 * i));
+        let groups = GroupBounds::from_offsets(offsets);
+        let cfg = merge_sort();
+
+        let mut k1 = keys0.clone();
+        let mut o1: Vec<u32> = (0..n as u32).collect();
+        let s1 = sort_serial(&mut k1, &mut o1, &groups, &cfg);
+
+        for threads in [2usize, 4, 8] {
+            let mut k2 = keys0.clone();
+            let mut o2: Vec<u32> = (0..n as u32).collect();
+            let s2 = sort_parallel(&mut k2, &mut o2, &groups, threads, &cfg)
+                .expect("no injected faults");
+            assert_eq!(k2, k1, "t{threads}");
+            assert_eq!(o2, o1, "t{threads}");
+            assert_eq!(s2.morsels.split, 2, "t{threads}");
+            assert_eq!(s2.invocations, s1.invocations, "t{threads}");
+            assert_eq!(s2.codes_sorted, s1.codes_sorted, "t{threads}");
+            assert_eq!(s2.max_group, s1.max_group, "t{threads}");
+            assert!(s2.merge.comparisons > 0, "t{threads}: merges credited");
+        }
+    }
+
+    #[test]
+    fn stats_are_per_call_on_a_shared_scratch() {
+        // Kernel stats ride in the scratch: a MergeSort call's merge
+        // counts and phase times must not leak into the next call's
+        // report on the same scratch, serially or in parallel.
+        let n = 50_000usize;
+        let mut state = 2024u64;
+        let keys0: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
+        let whole = GroupBounds::whole(n);
+        let small_cache = SortConfig {
+            in_cache_bytes: 4096,
+            ..merge_sort()
+        };
+        for threads in [1usize, 2] {
+            let mut scratch = WorkerScratch::new();
+            let mut run = |cfg: &SortConfig| {
+                let mut keys = keys0.clone();
+                let mut oids: Vec<u32> = (0..n as u32).collect();
+                sort_pairs_in_groups(&mut keys, &mut oids, &whole, threads, cfg, &mut scratch)
+                    .expect("no injected faults")
+            };
+            let merged = run(&small_cache);
+            assert!(merged.merge.comparisons > 0, "t{threads}");
+            assert!(merged.phases.in_register_ns > 0, "t{threads}");
+            let auto = run(&SortConfig::default());
+            assert_eq!(auto.merge, MergeCounters::default(), "t{threads}");
+            let p = auto.phases;
+            assert_eq!(
+                (p.in_register_ns, p.in_cache_merge_ns, p.multiway_merge_ns),
+                (0, 0, 0),
+                "t{threads}"
+            );
+            assert!(p.radix_ns > 0, "t{threads}");
+        }
+    }
+
+    #[test]
     fn skewed_groups_eventually_steal() {
         // Steals are scheduling-dependent (a worker must go dry while
         // another still holds queued morsels), so retry a handful of
@@ -614,43 +621,53 @@ mod tests {
 
     #[test]
     fn split_bounds_are_aligned_and_cover() {
-        let b = split_bounds(1000, 10_000, 5);
-        assert_eq!(*b.first().unwrap(), 1000);
-        assert_eq!(*b.last().unwrap(), 11_000);
-        for w in b.windows(2) {
-            assert!(w[0] < w[1]);
+        // The runs tile `0..len` in order, each non-empty, with every
+        // internal cut on a `SPLIT_ALIGN` boundary.
+        fn assert_tiles(len: usize, parts: usize) {
+            let runs = split_runs(len, parts);
+            assert_eq!(runs.first().unwrap().start, 0);
+            assert_eq!(runs.last().unwrap().end, len);
+            assert!(runs.iter().all(|r| !r.is_empty()));
+            for w in runs.windows(2) {
+                assert_eq!(w[0].end, w[1].start);
+                assert_eq!(w[0].end % SPLIT_ALIGN, 0);
+            }
         }
-        for &cut in &b[1..b.len() - 1] {
-            assert_eq!((cut - 1000) % SPLIT_ALIGN, 0);
-        }
-        // Tiny input: collapsed boundaries are dropped, never empty parts.
-        let b = split_bounds(0, 70, 4);
-        for w in b.windows(2) {
-            assert!(w[0] < w[1]);
-        }
-        assert_eq!(*b.last().unwrap(), 70);
+        assert_tiles(10_000, 5);
+        assert_eq!(split_runs(10_000, 5).len(), 5);
+        // Tiny input: collapsed boundaries are dropped, never empty runs.
+        assert_tiles(70, 4);
     }
 
     #[test]
     fn for_each_chunk_covers_everything() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let n = 10_000usize;
-        let sum = AtomicUsize::new(0);
-        for_each_chunk(n, 4, |_, start, len| {
-            sum.fetch_add((start..start + len).sum::<usize>(), Ordering::Relaxed);
+        let mut rows = vec![0usize; n];
+        let (sums, counts) = for_each_chunk(&mut rows, 4, |start, chunk| {
+            for (i, r) in (start..).zip(chunk.iter_mut()) {
+                *r = i;
+            }
+            (start, chunk.len())
         });
-        assert_eq!(sum.load(Ordering::Relaxed), n * (n - 1) / 2);
+        assert_eq!(rows, (0..n).collect::<Vec<_>>());
+        // Results come back in row order, tiling `0..n`.
+        assert_eq!(sums.len() as u64, counts.dispatched);
+        let mut at = 0;
+        for (start, len) in sums {
+            assert_eq!(start, at);
+            at += len;
+        }
+        assert_eq!(at, n);
     }
 
     #[test]
     fn for_each_chunk_serial_below_cutoff() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let calls = AtomicUsize::new(0);
-        let counts = for_each_chunk(100, 8, |i, start, len| {
-            assert_eq!((i, start, len), (0, 0, 100));
-            calls.fetch_add(1, Ordering::Relaxed);
+        let mut rows = vec![(); 100];
+        let (calls, counts) = for_each_chunk(&mut rows, 8, |start, chunk| {
+            assert_eq!((start, chunk.len()), (0, 100));
+            1
         });
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(calls, vec![1]);
         assert_eq!(counts, MorselCounts::default());
     }
 

@@ -18,7 +18,6 @@
 //! a row.
 
 use crate::key::Key;
-use crate::phase;
 use crate::scratch::SortScratch;
 use mcs_cancel::CancelToken;
 use std::time::Instant;
@@ -52,12 +51,14 @@ pub fn radix_sort_pairs<K: Key>(
     scratch: &mut SortScratch,
     cancel: &CancelToken,
 ) {
+    let t0 = Instant::now();
     let (kbuf, obuf) = (&mut K::bufs(&mut scratch.keys).0, &mut scratch.oids.0);
     match K::BITS {
         16 => radix_sort_digits::<K, 2>(keys, oids, kbuf, obuf, cancel),
         32 => radix_sort_digits::<K, 4>(keys, oids, kbuf, obuf, cancel),
         _ => radix_sort_digits::<K, 8>(keys, oids, kbuf, obuf, cancel),
     }
+    scratch.phases.radix_ns += t0.elapsed().as_nanos() as u64;
 }
 
 /// [`radix_sort_pairs`] over the `D = K::BITS / 8` digits of the key.
@@ -77,7 +78,6 @@ fn radix_sort_digits<K: Key, const D: usize>(
     // Bucket counts are `u32`: the executor caps inputs below `u32::MAX`
     // rows (oids are `u32`), and a count never exceeds `n`.
     assert!(n <= u32::MAX as usize, "radix sort input exceeds u32 rows");
-    let t0 = Instant::now();
 
     let mut hist = [[0u32; BUCKETS]; D];
     for &k in keys.iter() {
@@ -121,7 +121,6 @@ fn radix_sort_digits<K: Key, const D: usize>(
         keys.copy_from_slice(kbuf);
         oids.copy_from_slice(obuf);
     }
-    phase::record_radix(t0);
 }
 
 /// One stable counting-sort pass on digit `d`: `cursors` holds each

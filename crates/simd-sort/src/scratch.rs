@@ -15,15 +15,22 @@
 //!
 //! [`SortScratch`] holds one buffer pair per key bank (`u16`/`u32`/`u64`)
 //! so a single instance serves every round of a multi-column sort
-//! regardless of the plan's bank choices. [`WorkerScratch`] extends this
-//! with per-worker instances plus the span bookkeeping the parallel
-//! segmented sort needs.
+//! regardless of the plan's bank choices. [`WorkerScratch`] holds one per
+//! worker of the parallel segmented sort.
+//!
+//! The scratch also carries what its kernels report: each kernel credits
+//! its time to the scratch's [`PhaseTimes`], each loser tree its matches
+//! to the [`MergeScratch`]'s [`MergeCounters`]. Both only grow; a caller
+//! reports the difference across its own call, so nothing has to be
+//! drained before or harvested after a sort.
 //!
 //! Scratch contents are *not* meaningful between calls: every user
 //! overwrites what it reads. A caller that aborts mid-sort (e.g. on an
 //! injected fault) leaves garbage behind, which is fine — the next call
 //! resizes and overwrites.
 
+use crate::ovc::MergeCounters;
+use crate::phase::PhaseTimes;
 use core::ops::Range;
 
 /// The padded ping-pong key buffer pairs, one per bank. A key type
@@ -64,6 +71,8 @@ pub struct SortScratch {
     pub(crate) packed: Vec<u64>,
     /// The 64-bit bank's `(key, oid)` pairs in sorted-word order.
     pub(crate) packed_wide: Vec<(u64, u32)>,
+    /// Time every kernel run on this scratch has spent, by kernel.
+    pub(crate) phases: PhaseTimes,
 }
 
 impl SortScratch {
@@ -102,6 +111,8 @@ pub struct MergeScratch {
     pub(crate) cursors: Vec<(usize, usize)>,
     /// The tree proper.
     pub(crate) nodes: TreeNodes,
+    /// Matches played by every tree built over this scratch.
+    pub(crate) counters: MergeCounters,
 }
 
 /// The loser tree's node arrays, one entry per (power-of-two padded) run
@@ -125,6 +136,13 @@ impl MergeScratch {
     /// An empty scratch; nothing is allocated until first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The matches played by every [`crate::LoserTree`] built over this
+    /// scratch so far, each credited when its tree was dropped (drained
+    /// or abandoned).
+    pub fn counters(&self) -> MergeCounters {
+        self.counters
     }
 
     /// Total bytes currently held.
@@ -153,15 +171,11 @@ impl TreeNodes {
     }
 }
 
-/// Scratch for the parallel segmented sort: per-worker [`SortScratch`]
-/// instances plus the span bookkeeping of the group distributor.
+/// Scratch for the parallel segmented sort: one [`SortScratch`] per
+/// worker.
 #[derive(Debug, Default)]
 pub struct WorkerScratch {
-    /// Contiguous spans of whole groups, as offsets-index ranges.
-    pub(crate) spans: Vec<(usize, usize)>,
-    /// Rebased group offsets per span.
-    pub(crate) locals: Vec<Vec<u32>>,
-    /// One sort scratch per worker span.
+    /// One sort scratch per worker; the serial path uses the first.
     pub(crate) workers: Vec<SortScratch>,
 }
 
@@ -173,13 +187,7 @@ impl WorkerScratch {
 
     /// Total bytes currently held across all workers.
     pub fn bytes(&self) -> usize {
-        self.spans.capacity() * core::mem::size_of::<(usize, usize)>()
-            + self
-                .locals
-                .iter()
-                .map(|l| l.capacity() * core::mem::size_of::<u32>())
-                .sum::<usize>()
-            + self.workers.iter().map(SortScratch::bytes).sum::<usize>()
+        self.workers.iter().map(SortScratch::bytes).sum()
     }
 
     /// The serial-path scratch (also worker 0 of the parallel path).
@@ -188,5 +196,15 @@ impl WorkerScratch {
             self.workers.push(SortScratch::new());
         }
         &mut self.workers[0]
+    }
+
+    /// Kernel time and merge matches credited to all workers so far.
+    pub(crate) fn credited(&self) -> (PhaseTimes, MergeCounters) {
+        let mut total = (PhaseTimes::default(), MergeCounters::default());
+        for w in &self.workers {
+            total.0.add(w.phases);
+            total.1.add(w.merge.counters);
+        }
+        total
     }
 }

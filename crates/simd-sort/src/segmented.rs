@@ -8,8 +8,8 @@
 //! the Figure 4 time hill.
 
 use crate::key::Key;
-use crate::ovc::{self, MergeCounters};
-use crate::phase::{self, PhaseTimes};
+use crate::ovc::MergeCounters;
+use crate::phase::PhaseTimes;
 use crate::scratch::SortScratch;
 use crate::sort::{SortConfig, SortableKey};
 use mcs_cancel::CHECK_INTERVAL;
@@ -100,41 +100,45 @@ pub struct SegmentedSortStats {
     pub codes_sorted: usize,
     /// Largest group size encountered.
     pub max_group: usize,
-    /// Time spent in each sort kernel, summed across invocations.
+    /// Time spent in each sort kernel, summed across invocations (and,
+    /// on the parallel path, across workers).
     pub phases: PhaseTimes,
-    /// Loser-tree comparison counters of the out-of-cache merge passes,
-    /// summed across invocations ([`crate::ovc`]).
+    /// Loser-tree comparison counters of the out-of-cache merge passes
+    /// and split-group merges, summed across invocations
+    /// ([`crate::ovc`]).
     pub merge: MergeCounters,
     /// Work-stealing scheduler counters of the parallel path (all zero on
     /// the serial path and below the parallel cutoff).
     pub morsels: mcs_morsel::MorselCounts,
 }
 
-/// Sort `(keys, oids)` within each group of a raw offsets slice
+/// Sort `(keys, oids)` within each group of an offsets window
 /// independently, each group by the kernel
 /// [`SortableKey::sort_pairs_with_scratch`] picks for its length — the
-/// serial loop under [`crate::sort_pairs_in_groups`] (whose parallel path
-/// hands each worker a rebased sub-slice without building a
-/// `GroupBounds`).
+/// serial loop under [`crate::sort_pairs_in_groups`], whose parallel path
+/// hands each worker a span's rows with the span's window of the round's
+/// offsets (`offsets[0]` is the first row of `keys`).
+///
+/// Kernel times are credited to `scratch`, plus the loop's own time
+/// outside the self-timing kernels as `small_sort_ns`.
 pub(crate) fn sort_groups_by_offsets<K: SortableKey>(
     keys: &mut [K],
     oids: &mut [u32],
     offsets: &[u32],
     cfg: &SortConfig,
     scratch: &mut SortScratch,
-) -> SegmentedSortStats {
+) {
     assert_eq!(keys.len(), oids.len());
-    let mut stats = SegmentedSortStats::default();
-    let _ = phase::take_phases(); // clear any stale thread-local residue
-    let _ = ovc::take_merge_counters();
+    let base = offsets[0];
     let t0 = Instant::now();
+    let timed = scratch.phases.total_ns();
     // Cancellation poll, amortized over rows so runs of tiny groups don't
     // pay an `Instant::now` each (large groups also poll inside their
     // kernel). A fired token abandons the remaining groups; the
     // caller re-checks the token and discards the partially sorted round.
     let mut rows_since_poll = 0usize;
     for w in offsets.windows(2) {
-        let r = w[0] as usize..w[1] as usize;
+        let r = (w[0] - base) as usize..(w[1] - base) as usize;
         let len = r.len();
         if len <= 1 {
             continue;
@@ -146,14 +150,24 @@ pub(crate) fn sort_groups_by_offsets<K: SortableKey>(
                 break;
             }
         }
-        stats.invocations += 1;
-        stats.codes_sorted += len;
-        stats.max_group = stats.max_group.max(len);
         K::sort_pairs_with_scratch(&mut keys[r.clone()], &mut oids[r], cfg, scratch);
     }
-    stats.phases = phase::take_phases();
-    stats.phases.small_sort_ns = phase::small_residual_ns(t0, &stats.phases);
-    stats.merge = ovc::take_merge_counters();
+    let kernels = scratch.phases.total_ns() - timed;
+    scratch.phases.small_sort_ns += (t0.elapsed().as_nanos() as u64).saturating_sub(kernels);
+}
+
+/// Group statistics of a round over `offsets`: every group of more than
+/// one row is one sort invocation.
+pub(crate) fn group_stats(offsets: &[u32]) -> SegmentedSortStats {
+    let mut stats = SegmentedSortStats::default();
+    for w in offsets.windows(2) {
+        let len = (w[1] - w[0]) as usize;
+        if len > 1 {
+            stats.invocations += 1;
+            stats.codes_sorted += len;
+            stats.max_group = stats.max_group.max(len);
+        }
+    }
     stats
 }
 

@@ -8,7 +8,6 @@ use crate::kernel::{merge_pass, phase1_block_sort, Kernel};
 use crate::key::{sealed::Sealed as _, Key};
 use crate::multiway::multiway_pass;
 use crate::ovc;
-use crate::phase;
 use crate::radix;
 use crate::scalar;
 use crate::scratch::SortScratch;
@@ -248,7 +247,12 @@ unsafe fn mergesort_generic<Kn: Kernel>(
             return;
         }
     }
-    phase::record_marks(t0, t1, t2, Instant::now());
+    let t3 = Instant::now();
+    let ns = |a: Instant, b: Instant| b.duration_since(a).as_nanos() as u64;
+    let p = &mut scratch.phases;
+    p.in_register_ns += ns(t0, t1);
+    p.in_cache_merge_ns += ns(t1, t2);
+    p.multiway_merge_ns += ns(t2, t3);
 
     // Final poll before the compaction asserts and the copy-back: a pass
     // cut short by cancellation must never publish garbage into

@@ -16,6 +16,7 @@
 //! Substitutions vs. the paper's data sources are listed in DESIGN.md.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod airline;
 pub mod gen;

@@ -49,6 +49,8 @@
 //! # Ok::<(), codemassage::engine::EngineError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use mcs_cancel as cancel;
 pub use mcs_client as client;
 pub use mcs_columnar as columnar;

@@ -1,68 +1,49 @@
 //! Group aggregation over sorted, grouped data (Figure 2's steps 4–5).
 
+use mcs_columnar::CodeVec;
 use mcs_core::GroupBounds;
 
 use crate::query::{Agg, AggKind};
 
-/// Compute one aggregate per group.
+/// Compute one aggregate per group, folding each straight from the base
+/// column it reads — no per-aggregate copy, so `SUM(x)` and `AVG(x)`
+/// both read `x` where it lies.
 ///
-/// `col_values` supplies the (already permuted) codes of a referenced
-/// column: `col_values(name)[p]` is the value at output position `p`.
+/// Group `g` holds the base rows `oids[groups[g]]`; `cols[i]` is the
+/// column aggregate `i` reads (only `COUNT(*)` reads none: `None` counts
+/// rows). `COUNT(DISTINCT)` sorts each group's codes in one reused
+/// buffer.
 pub fn aggregate_groups(
     aggs: &[Agg],
+    cols: &[Option<&CodeVec>],
     groups: &GroupBounds,
-    col_values: &dyn Fn(&str) -> Vec<u64>,
+    oids: &[u32],
 ) -> Vec<(String, Vec<u64>)> {
+    let mut distinct: Vec<u64> = Vec::new();
     let mut out = Vec::with_capacity(aggs.len());
-    for agg in aggs {
-        let vals = match &agg.kind {
-            AggKind::Count => {
-                let v: Vec<u64> = groups.iter().map(|r| r.len() as u64).collect();
-                v
-            }
-            AggKind::CountDistinct(c) => {
-                let data = col_values(c);
-                groups
-                    .iter()
-                    .map(|r| {
-                        let mut seen: Vec<u64> = data[r].to_vec();
-                        seen.sort_unstable();
-                        seen.dedup();
-                        seen.len() as u64
-                    })
-                    .collect()
-            }
-            AggKind::Sum(c) => {
-                let data = col_values(c);
-                groups.iter().map(|r| data[r].iter().sum::<u64>()).collect()
-            }
-            AggKind::Avg(c) => {
-                let data = col_values(c);
-                groups
-                    .iter()
-                    .map(|r| {
-                        if r.is_empty() {
-                            0
-                        } else {
-                            data[r.clone()].iter().sum::<u64>() / r.len() as u64
+    for (agg, col) in aggs.iter().zip(cols) {
+        let vals = match (&agg.kind, col) {
+            (AggKind::Count, _) | (_, None) => groups.iter().map(|r| r.len() as u64).collect(),
+            (kind, Some(col)) => groups
+                .iter()
+                .map(|r| {
+                    let len = r.len() as u64;
+                    let codes = oids[r].iter().map(|&o| col.get(o as usize));
+                    match kind {
+                        AggKind::Sum(_) => codes.sum(),
+                        AggKind::Avg(_) => codes.sum::<u64>() / len.max(1),
+                        AggKind::Min(_) => codes.min().unwrap_or(0),
+                        AggKind::Max(_) => codes.max().unwrap_or(0),
+                        AggKind::CountDistinct(_) | AggKind::Count => {
+                            distinct.clear();
+                            distinct.extend(codes);
+                            distinct.sort_unstable();
+                            distinct.dedup();
+                            distinct.len() as u64
                         }
-                    })
-                    .collect()
-            }
-            AggKind::Min(c) => {
-                let data = col_values(c);
-                groups
-                    .iter()
-                    .map(|r| data[r].iter().copied().min().unwrap_or(0))
-                    .collect()
-            }
-            AggKind::Max(c) => {
-                let data = col_values(c);
-                groups
-                    .iter()
-                    .map(|r| data[r].iter().copied().max().unwrap_or(0))
-                    .collect()
-            }
+                    }
+                })
+                .collect(),
         };
         out.push((agg.label.clone(), vals));
     }
@@ -78,12 +59,13 @@ mod tests {
         GroupBounds::from_offsets(vec![0, 2, 5])
     }
 
-    fn values(name: &str) -> Vec<u64> {
-        match name {
-            "x" => vec![10, 20, 5, 5, 2],
-            _ => panic!("unknown column {name}"),
-        }
+    /// Base column `x` = [5, 20, 2, 10, 5]; the sort put its rows in the
+    /// order [3, 1, 0, 4, 2], so the groups hold x = {10, 20}, {5, 5, 2}.
+    fn x() -> CodeVec {
+        CodeVec::from_u64s(5, [5u64, 20, 2, 10, 5])
     }
+
+    const OIDS: [u32; 5] = [3, 1, 0, 4, 2];
 
     #[test]
     fn all_aggregates() {
@@ -95,7 +77,9 @@ mod tests {
             Agg::new(AggKind::Max("x".into()), "max"),
             Agg::new(AggKind::CountDistinct("x".into()), "dcnt"),
         ];
-        let out = aggregate_groups(&aggs, &groups(), &|n| values(n));
+        let x = x();
+        let cols = [None, Some(&x), Some(&x), Some(&x), Some(&x), Some(&x)];
+        let out = aggregate_groups(&aggs, &cols, &groups(), &OIDS);
         let get = |l: &str| &out.iter().find(|(k, _)| k == l).unwrap().1;
         assert_eq!(get("cnt"), &vec![2, 3]);
         assert_eq!(get("sum"), &vec![30, 12]);
@@ -109,7 +93,7 @@ mod tests {
     fn empty_groups() {
         let g = GroupBounds::from_offsets(vec![0, 0]);
         let aggs = vec![Agg::new(AggKind::Count, "c")];
-        let out = aggregate_groups(&aggs, &g, &|_| vec![]);
+        let out = aggregate_groups(&aggs, &[None], &g, &[]);
         assert_eq!(out[0].1, vec![0]);
     }
 }

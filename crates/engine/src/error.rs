@@ -45,7 +45,9 @@ pub enum EngineError {
     Sort(SortError),
     /// The SQL text did not parse.
     Sql(SqlError),
-    /// Window `ORDER BY` keys wider than one 64-bit machine word.
+    /// Window `ORDER BY` keys wider than 64 bits in total: a documented
+    /// limit of the query surface, with a pinned wire error code (RANK
+    /// reads the sort's tie groups, which no key width limits).
     WindowKeyTooWide {
         /// Total window-order key width in bits.
         bits: u32,

@@ -28,7 +28,7 @@
 use std::borrow::Cow;
 use std::time::Instant;
 
-use mcs_columnar::{BitVec, CodeVec, Column, Table};
+use mcs_columnar::{BitVec, CodeVec, Column, ColumnStats, Table};
 use mcs_core::{
     multi_column_sort_with, tuple_cmp, ExecArena, ExecConfig, ExecStats, GroupBounds, MassagePlan,
     MultiColumnSortOutput, SortError, SortKernel, SortSpec,
@@ -40,9 +40,9 @@ use mcs_telemetry as telemetry;
 
 use crate::aggregate::aggregate_groups;
 use crate::error::{DegradeReason, EngineError};
-use crate::query::{AggKind, OrderKey, Query};
+use crate::query::{AggKind, Query};
 use crate::session::PlanCache;
-use crate::window::rank_over;
+use crate::window::{partition_bounds, rank_over};
 
 /// How the engine picks massage plans.
 #[derive(Debug, Clone)]
@@ -308,16 +308,10 @@ pub(crate) fn run_pipeline(
         return Err(count_cancellation(cause.into(), query));
     }
 
-    let oids = filter_oids(table, query, &mut timings)?;
-
-    let executed = if !query.partition_by.is_empty() {
-        execute_window(table, query, cfg, &oids, &mut timings, cache, arena)
-    } else if !query.group_by.is_empty() {
-        execute_grouped(table, query, cfg, &oids, &mut timings, cache, arena)
-    } else {
-        execute_orderby(table, query, cfg, &oids, &mut timings, cache, arena)
-    };
-    let result = executed.map_err(|e| count_cancellation(e, query))?;
+    let cols = Columns::resolve(table, query)?;
+    let oids = filter_oids(table, query, &cols, &mut timings);
+    let result = execute(query, &cols, cfg, &oids, &mut timings, cache, arena)
+        .map_err(|e| count_cancellation(e, query))?;
 
     timings.total_ns = t_total.elapsed().as_nanos() as u64;
     if telemetry::is_enabled() {
@@ -358,22 +352,148 @@ fn count_cancellation(e: EngineError, query: &Query) -> EngineError {
     e
 }
 
+/// What a query outputs, which decides what its sort must produce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// ORDER BY: the SELECT columns in sort order.
+    Ordered,
+    /// GROUP BY: keys and aggregates per final tie group.
+    Grouped,
+    /// PARTITION BY this many keys: the SELECT columns plus `rank`.
+    Windowed(usize),
+}
+
+/// Every column a query reads, looked up once before any work runs: a
+/// name the table lacks fails by existence, whatever rows the filter
+/// keeps.
+struct Columns<'t> {
+    shape: Shape,
+    /// The WHERE columns, in `query.filters` order.
+    filters: Vec<&'t Column>,
+    /// The sort keys ([`Query::sort_keys`]) and whether each descends.
+    keys: Vec<(&'t Column, bool)>,
+    /// SELECT (a grouped query outputs its keys and aggregates instead).
+    select: Vec<&'t CodeVec>,
+    /// Per aggregate of a grouped query, the column it reads.
+    aggs: Vec<Option<&'t CodeVec>>,
+    /// Per ORDER BY key of a grouped query, the output column it names
+    /// (group keys first, then aggregate labels).
+    resort: Vec<usize>,
+}
+
+impl<'t> Columns<'t> {
+    fn resolve(table: &'t Table, query: &Query) -> Result<Columns<'t>, EngineError> {
+        let keys = query.sort_keys();
+        if keys.is_empty() {
+            return Err(EngineError::NoSortKeys {
+                query: query.name.clone(),
+            });
+        }
+        let unknown = |column: &String, context| EngineError::UnknownColumn {
+            column: column.clone(),
+            context,
+        };
+        let col = |c: &String, context| table.column(c).ok_or_else(|| unknown(c, context));
+        let shape = if !query.partition_by.is_empty() {
+            Shape::Windowed(query.partition_by.len())
+        } else if !query.group_by.is_empty() {
+            Shape::Grouped
+        } else {
+            Shape::Ordered
+        };
+        let (select, aggs, order_by) = match shape {
+            Shape::Grouped => (&[][..], &query.aggregates[..], &query.order_by[..]),
+            _ => (&query.select[..], &[][..], &[][..]),
+        };
+        let outputs = query.group_by.iter().chain(aggs.iter().map(|a| &a.label));
+        Ok(Columns {
+            shape,
+            filters: query
+                .filters
+                .iter()
+                .map(|f| col(&f.column, "filter"))
+                .collect::<Result<_, _>>()?,
+            keys: keys
+                .iter()
+                .map(|k| Ok((col(&k.column, "sort key")?, k.descending)))
+                .collect::<Result<_, EngineError>>()?,
+            select: select
+                .iter()
+                .map(|c| Ok(col(c, "SELECT")?.codes()))
+                .collect::<Result<_, EngineError>>()?,
+            aggs: aggs
+                .iter()
+                .map(|a| match &a.kind {
+                    AggKind::Count => Ok(None),
+                    AggKind::CountDistinct(c)
+                    | AggKind::Sum(c)
+                    | AggKind::Avg(c)
+                    | AggKind::Min(c)
+                    | AggKind::Max(c) => Ok(Some(col(c, "aggregate")?.codes())),
+                })
+                .collect::<Result<_, EngineError>>()?,
+            resort: order_by
+                .iter()
+                .map(|k| {
+                    let found = outputs.clone().position(|n| *n == k.column);
+                    found.ok_or_else(|| unknown(&k.column, "ORDER BY over grouped result"))
+                })
+                .collect::<Result<_, _>>()?,
+        })
+    }
+
+    /// The planner's instance for the sort keys over `rows` qualifying
+    /// rows. It asks for the final grouping exactly when the query reads
+    /// it (GROUP BY, PARTITION BY): the one place that fact is set.
+    ///
+    /// A window query's order keys may total at most 64 bits — a
+    /// documented limit of the query surface, with a pinned wire error
+    /// code — so a wider one is rejected here, before any plan search.
+    fn sort_instance(&self, rows: usize) -> Result<SortInstance, EngineError> {
+        let specs: Vec<SortSpec> = self
+            .keys
+            .iter()
+            .map(|&(c, descending)| SortSpec {
+                width: c.width(),
+                descending,
+            })
+            .collect();
+        if let Shape::Windowed(np) = self.shape {
+            let bits: u32 = specs[np..].iter().map(|s| s.width).sum();
+            if bits > 64 {
+                return Err(EngineError::WindowKeyTooWide { bits });
+            }
+        }
+        let stats = self
+            .keys
+            .iter()
+            .map(|(c, _)| {
+                let mut s = KeyColumnStats::from_stats(c.width(), c.stats());
+                // Filtering can only reduce cardinality.
+                s.ndv = s.ndv.min(rows as f64).max(1.0);
+                s
+            })
+            .collect();
+        Ok(SortInstance {
+            rows,
+            specs,
+            stats,
+            want_final_groups: self.shape != Shape::Ordered,
+        })
+    }
+}
+
 /// Run `query`'s filters: ByteSlice scans, ANDed; no filters selects the
 /// whole table.
 fn filter_oids(
     table: &Table,
     query: &Query,
+    cols: &Columns<'_>,
     timings: &mut QueryTimings,
-) -> Result<Vec<u32>, EngineError> {
+) -> Vec<u32> {
     let t = Instant::now();
     let mut acc: Option<BitVec> = None;
-    for f in &query.filters {
-        let col = table
-            .column(&f.column)
-            .ok_or_else(|| EngineError::UnknownColumn {
-                column: f.column.clone(),
-                context: "filter",
-            })?;
+    for (f, col) in query.filters.iter().zip(&cols.filters) {
         let bv = col.byteslice().scan(&f.predicate);
         acc = Some(match acc {
             None => bv,
@@ -388,13 +508,13 @@ fn filter_oids(
         None => (0..table.rows() as u32).collect(),
     };
     timings.filter_scan_ns += t.elapsed().as_nanos() as u64;
-    Ok(oids)
+    oids
 }
 
-/// Run the planning front half of `query` — filters, sort-key gathering
-/// and statistics, plan search — populating `cache`, without executing
-/// the sort. This is [`Session::prepare`](crate::Session::prepare)'s
-/// engine half.
+/// Run the planning front half of `query` — column resolution, filters,
+/// statistics, plan search — populating `cache`, without executing the
+/// sort. This is [`Session::prepare`](crate::Session::prepare)'s engine
+/// half.
 pub(crate) fn warm_plan(
     table: &Table,
     query: &Query,
@@ -402,89 +522,18 @@ pub(crate) fn warm_plan(
     cache: &PlanCache,
 ) -> Result<(), EngineError> {
     let mut timings = QueryTimings::default();
-    let keys = query.sort_keys();
-    if keys.is_empty() {
-        return Err(EngineError::NoSortKeys {
-            query: query.name.clone(),
-        });
-    }
-    let oids = filter_oids(table, query, &mut timings)?;
-    let want_groups = !query.group_by.is_empty() || !query.partition_by.is_empty();
-    // Rejects what execution would reject before sorting (unknown sort
-    // keys, a too-wide window key), so no plan is cached for a query
-    // every execute fails.
-    let (_cols, _specs, inst) =
-        prepare_sort(table, query, &keys, &oids, want_groups, &mut timings)?;
+    // Rejects what execution would reject before sorting (an unknown
+    // column anywhere in the query, a too-wide window key), so no plan is
+    // cached for a query every execute fails.
+    let cols = Columns::resolve(table, query)?;
+    let oids = filter_oids(table, query, &cols, &mut timings);
+    let inst = cols.sort_instance(oids.len())?;
     if oids.is_empty() {
         // Nothing qualifies: nothing worth planning.
         return Ok(());
     }
     let _ = pick_plan(&inst, query.order_free(), cfg, &mut timings, cache)?;
     Ok(())
-}
-
-/// A query's sort-key columns, its sort specs and the planner's instance.
-type PreparedSort<'t> = (Vec<Cow<'t, CodeVec>>, Vec<SortSpec>, SortInstance);
-
-/// The sort-key columns restricted to `oids` — gathered, or borrowed from
-/// the table as they are when `query` has no filter (then `oids` is the
-/// identity and the gather would be a copy) — and the planner's instance.
-///
-/// A window query's rank key is the direction-adjusted concatenation of
-/// its window-order columns, bounded by one machine word: a wider one is
-/// rejected here, before any plan search or sort.
-fn prepare_sort<'t>(
-    table: &'t Table,
-    query: &Query,
-    keys: &[OrderKey],
-    oids: &[u32],
-    want_final_groups: bool,
-    timings: &mut QueryTimings,
-) -> Result<PreparedSort<'t>, EngineError> {
-    let t = Instant::now();
-    let unfiltered = query.filters.is_empty();
-    debug_assert!(!unfiltered || oids.len() == table.rows());
-    let mut cols: Vec<Cow<'t, CodeVec>> = Vec::with_capacity(keys.len());
-    let mut specs: Vec<SortSpec> = Vec::with_capacity(keys.len());
-    let mut stats: Vec<KeyColumnStats> = Vec::with_capacity(keys.len());
-    for k in keys {
-        let col = table
-            .column(&k.column)
-            .ok_or_else(|| EngineError::UnknownColumn {
-                column: k.column.clone(),
-                context: "sort key",
-            })?;
-        cols.push(if unfiltered {
-            Cow::Borrowed(col.codes())
-        } else {
-            Cow::Owned(col.gather(oids))
-        });
-        specs.push(SortSpec {
-            width: col.width(),
-            descending: k.descending,
-        });
-        let mut s = KeyColumnStats::from_stats(col.width(), col.stats());
-        // Filtering can only reduce cardinality.
-        s.ndv = s.ndv.min(oids.len() as f64).max(1.0);
-        stats.push(s);
-    }
-    timings.gather_ns += t.elapsed().as_nanos() as u64;
-    if !query.partition_by.is_empty() {
-        let bits: u32 = specs[query.partition_by.len()..]
-            .iter()
-            .map(|s| s.width)
-            .sum();
-        if bits > 64 {
-            return Err(EngineError::WindowKeyTooWide { bits });
-        }
-    }
-    let inst = SortInstance {
-        rows: oids.len(),
-        specs: specs.clone(),
-        stats,
-        want_final_groups,
-    };
-    Ok((cols, specs, inst))
 }
 
 /// Run the planner, returning the plan and the column order to apply,
@@ -761,272 +810,178 @@ fn scalar_fallback_sort(
     }
 }
 
-/// Sort the gathered key columns under the chosen plan; returns the
-/// permutation (positions into `oids`) and grouping.
-fn run_mcs(
-    (cols, specs, inst): &PreparedSort<'_>,
-    order_free: bool,
+/// Sort `cols` (described by `inst`) under `picked` — the plan and
+/// column order [`pick_plan`] chose — down the degradation ladder. The
+/// executor builds the final grouping exactly when
+/// `inst.want_final_groups` says the query reads it. Returns the output,
+/// the plan that ran, and `inst` in planner column order (what EXPLAIN
+/// prices).
+fn sort_planned(
+    cols: &[&CodeVec],
+    inst: &SortInstance,
+    (plan, order): (MassagePlan, Vec<usize>),
     cfg: &EngineConfig,
+    timings: &mut QueryTimings,
+    arena: &mut ExecArena,
+) -> Result<(MultiColumnSortOutput, Option<MassagePlan>, SortInstance), EngineError> {
+    let pcols: Vec<&CodeVec> = order.iter().map(|&i| cols[i]).collect();
+    let inst = mcs_planner::permute_instance(inst, &order);
+    let exec = ExecConfig {
+        want_final_groups: inst.want_final_groups,
+        ..cfg.exec.clone()
+    };
+    let (out, ran_plan) = sort_with_ladder(&pcols, &inst.specs, plan, &exec, timings, arena)?;
+    Ok((out, ran_plan, inst))
+}
+
+/// The one body behind every query shape: sort the qualifying `oids` by
+/// the query's keys once, then read each output straight from its base
+/// column through the sort's final oids — and, for GROUP BY and
+/// PARTITION BY, through the sort's final tie groups (Figure 2, steps
+/// 4–5). No column is gathered into a copy and no tie is found twice.
+fn execute(
+    query: &Query,
+    cols: &Columns<'_>,
+    cfg: &EngineConfig,
+    oids: &[u32],
     timings: &mut QueryTimings,
     cache: &PlanCache,
     arena: &mut ExecArena,
-) -> Result<MultiColumnSortOutput, EngineError> {
-    let (plan, order) = pick_plan(inst, order_free, cfg, timings, cache)?;
-    let (pcols, pspecs): (Vec<&CodeVec>, Vec<SortSpec>) = (
-        order.iter().map(|&i| &*cols[i]).collect(),
-        order.iter().map(|&i| specs[i]).collect(),
-    );
+) -> Result<Vec<(String, Vec<u64>)>, EngineError> {
+    if cols.shape == Shape::Grouped && oids.is_empty() {
+        // No qualifying rows: zero groups, empty output columns.
+        let names = query
+            .group_by
+            .iter()
+            .chain(query.aggregates.iter().map(|a| &a.label));
+        return Ok(names.map(|n| (n.clone(), Vec::new())).collect());
+    }
+    let inst = cols.sort_instance(oids.len())?;
+
+    // The sort-key columns restricted to `oids`: borrowed as they are when
+    // no filter ran (then `oids` is the identity and a gather would copy).
     let t = Instant::now();
-    let (out, ran_plan) = sort_with_ladder(&pcols, &pspecs, plan, &cfg.exec, timings, arena)?;
+    let keys: Vec<Cow<'_, CodeVec>> = cols
+        .keys
+        .iter()
+        .map(|(c, _)| match query.filters.is_empty() {
+            true => Cow::Borrowed(c.codes()),
+            false => Cow::Owned(c.gather(oids)),
+        })
+        .collect();
+    timings.gather_ns += t.elapsed().as_nanos() as u64;
+
+    let picked = pick_plan(&inst, query.order_free(), cfg, timings, cache)?;
+    let t = Instant::now();
+    let refs: Vec<&CodeVec> = keys.iter().map(|c| &**c).collect();
+    let (out, ran_plan, inst) = sort_planned(&refs, &inst, picked, cfg, timings, arena)?;
     timings.mcs_ns += t.elapsed().as_nanos() as u64;
     timings.mcs_stats = out.stats.clone();
     timings.plan = ran_plan;
-    // Record the instance in planner column order so EXPLAIN's predictions
-    // price exactly the plan that ran.
-    timings.sort_instance = Some(mcs_planner::permute_instance(inst, &order));
-    Ok(out)
-}
-
-fn execute_orderby(
-    table: &Table,
-    query: &Query,
-    cfg: &EngineConfig,
-    oids: &[u32],
-    timings: &mut QueryTimings,
-    cache: &PlanCache,
-    arena: &mut ExecArena,
-) -> Result<Vec<(String, Vec<u64>)>, EngineError> {
-    let keys = query.sort_keys();
-    if keys.is_empty() {
-        return Err(EngineError::NoSortKeys {
-            query: query.name.clone(),
-        });
-    }
-    let prepared = prepare_sort(table, query, &keys, oids, false, timings)?;
-    let out = run_mcs(&prepared, false, cfg, timings, cache, arena)?;
-
-    // Final oids into the base table.
+    timings.sort_instance = Some(inst);
     let final_oids: Vec<u32> = out.oids.iter().map(|&p| oids[p as usize]).collect();
 
+    // SELECT: one pass per column, straight from its base codes.
     let t = Instant::now();
-    let mut result = Vec::new();
-    for name in &query.select {
-        let col = table
-            .column(name)
-            .ok_or_else(|| EngineError::UnknownColumn {
-                column: name.clone(),
-                context: "SELECT",
-            })?;
-        result.push((name.clone(), col.gather(&final_oids).iter_u64().collect()));
-    }
+    let mut result: Vec<(String, Vec<u64>)> = query
+        .select
+        .iter()
+        .zip(&cols.select)
+        .map(|(name, c)| {
+            let vals = final_oids.iter().map(|&o| c.get(o as usize)).collect();
+            (name.clone(), vals)
+        })
+        .collect();
     timings.gather_ns += t.elapsed().as_nanos() as u64;
-    Ok(result)
-}
 
-/// The column an aggregate reads, if any.
-fn agg_column(kind: &AggKind) -> Option<&str> {
-    match kind {
-        AggKind::Count => None,
-        AggKind::CountDistinct(c)
-        | AggKind::Sum(c)
-        | AggKind::Avg(c)
-        | AggKind::Min(c)
-        | AggKind::Max(c) => Some(c),
-    }
-}
-
-fn execute_grouped(
-    table: &Table,
-    query: &Query,
-    cfg: &EngineConfig,
-    oids: &[u32],
-    timings: &mut QueryTimings,
-    cache: &PlanCache,
-    arena: &mut ExecArena,
-) -> Result<Vec<(String, Vec<u64>)>, EngineError> {
-    // No qualifying rows: zero groups, empty output columns.
-    if oids.is_empty() {
-        let mut result: Vec<(String, Vec<u64>)> =
-            query.group_by.iter().map(|g| (g.clone(), vec![])).collect();
-        result.extend(query.aggregates.iter().map(|a| (a.label.clone(), vec![])));
-        return Ok(result);
-    }
-
-    let keys = query.sort_keys();
-    let prepared = prepare_sort(table, query, &keys, oids, true, timings)?;
-    let out = run_mcs(&prepared, query.order_free(), cfg, timings, cache, arena)?;
-    let cols = &prepared.0;
-    let final_oids: Vec<u32> = out.oids.iter().map(|&p| oids[p as usize]).collect();
-
-    // Aggregate per group (Figure 2 steps 4-5): check every referenced
-    // column up front so the gather closure below stays infallible, then
-    // gather each once in output order.
-    for agg in &query.aggregates {
-        if let Some(c) = agg_column(&agg.kind) {
-            if table.column(c).is_none() {
-                return Err(EngineError::UnknownColumn {
-                    column: c.to_string(),
-                    context: "aggregate",
-                });
-            }
-        }
-    }
     let t = Instant::now();
-    let fetch = |name: &str| -> Vec<u64> {
-        table
-            .column(name)
-            .map(|c| c.gather(&final_oids).iter_u64().collect())
-            .unwrap_or_default()
+    let span = match cols.shape {
+        Shape::Ordered => None,
+        Shape::Windowed(np) => {
+            // The final groups are the ties on (partition keys, window
+            // order), so they carry the ranks; partitions only coarsen them.
+            let part_keys: Vec<&CodeVec> = cols.keys[..np].iter().map(|(c, _)| c.codes()).collect();
+            let parts = partition_bounds(&out.groups, &final_oids, &part_keys);
+            result.push(("rank".to_string(), rank_over(&parts, &out.groups)));
+            let attrs = [("partitions", parts.num_groups()), ("rows", out.oids.len())];
+            Some(("engine.window.rank", attrs))
+        }
+        Shape::Grouped => {
+            // Group keys from each group's first row, then the aggregates.
+            for (name, (c, _)) in query.group_by.iter().zip(&cols.keys) {
+                let vals = out
+                    .groups
+                    .iter()
+                    .map(|r| c.get(final_oids[r.start] as usize));
+                result.push((name.clone(), vals.collect()));
+            }
+            let aggs = aggregate_groups(&query.aggregates, &cols.aggs, &out.groups, &final_oids);
+            result.extend(aggs);
+            let attrs = [
+                ("groups", out.groups.num_groups()),
+                ("aggregates", cols.aggs.len()),
+            ];
+            Some(("engine.aggregate", attrs))
+        }
     };
-    let agg_out = aggregate_groups(&query.aggregates, &out.groups, &fetch);
-
-    // Group-key output columns: first row of each group.
-    let mut result: Vec<(String, Vec<u64>)> = Vec::new();
-    for (gi, g) in query.group_by.iter().enumerate() {
-        let gathered = &cols[gi];
-        let vals: Vec<u64> = out
-            .groups
-            .iter()
-            .map(|r| gathered.get(out.oids[r.start] as usize))
-            .collect();
-        result.push((g.clone(), vals));
-    }
-    result.extend(agg_out);
-    let agg_elapsed = t.elapsed().as_nanos() as u64;
-    timings.aggregate_ns += agg_elapsed;
-    if telemetry::is_enabled() {
-        telemetry::record_span(
-            "engine.aggregate",
-            agg_elapsed,
-            vec![
-                ("groups", out.groups.num_groups().into()),
-                ("aggregates", query.aggregates.len().into()),
-            ],
-        );
-    }
-
-    // ORDER BY over group keys / aggregate labels: a second multi-column
-    // sort on the grouped table (this is TPC-H Q13's situation).
-    if !query.order_by.is_empty() {
-        let t = Instant::now();
-        let n_groups = result.first().map_or(0, |(_, v)| v.len());
-        let mut ob_cols: Vec<CodeVec> = Vec::new();
-        let mut ob_specs: Vec<SortSpec> = Vec::new();
-        for k in &query.order_by {
-            let vals = result
-                .iter()
-                .find(|(n, _)| n == &k.column)
-                .ok_or_else(|| EngineError::UnknownColumn {
-                    column: k.column.clone(),
-                    context: "ORDER BY over grouped result",
-                })?
-                .1
-                .clone();
-            let width = mcs_columnar::width_for_max(vals.iter().copied().max().unwrap_or(0));
-            ob_cols.push(CodeVec::from_u64s(width, vals));
-            ob_specs.push(SortSpec {
-                width,
-                descending: k.descending,
-            });
+    if let Some((name, attrs)) = span {
+        let elapsed = t.elapsed().as_nanos() as u64;
+        timings.aggregate_ns += elapsed;
+        if telemetry::is_enabled() {
+            let attrs = attrs.iter().map(|&(k, v)| (k, v.into())).collect();
+            telemetry::record_span(name, elapsed, attrs);
         }
-        let refs: Vec<&CodeVec> = ob_cols.iter().collect();
-        // The grouped table is small; keep it simple and column-at-a-time
-        // unless massaging is enabled (then P0 vs ROGA is the planner's
-        // call with fresh statistics).
-        let inst2 = SortInstance {
-            rows: n_groups,
-            specs: ob_specs.clone(),
-            stats: ob_specs
-                .iter()
-                .zip(&ob_cols)
-                .map(|(s, c)| {
-                    let mut set: Vec<u64> = c.iter_u64().collect();
-                    set.sort_unstable();
-                    set.dedup();
-                    KeyColumnStats::uniform(s.width, set.len() as f64)
-                })
-                .collect(),
-            want_final_groups: false,
-        };
-        let (plan2, order2) = pick_plan(&inst2, false, cfg, timings, cache)?;
-        let (pcols, pspecs): (Vec<&CodeVec>, Vec<SortSpec>) = (
-            order2.iter().map(|&i| refs[i]).collect(),
-            order2.iter().map(|&i| ob_specs[i]).collect(),
-        );
-        let (sorted, _) = sort_with_ladder(&pcols, &pspecs, plan2, &cfg.exec, timings, arena)?;
-        for (_, vals) in result.iter_mut() {
-            *vals = sorted.oids.iter().map(|&p| vals[p as usize]).collect();
-        }
-        timings.post_sort_ns += t.elapsed().as_nanos() as u64;
+    }
+    if !cols.resort.is_empty() {
+        sort_grouped(&mut result, cols, query, cfg, timings, cache, arena)?;
     }
     Ok(result)
 }
 
-fn execute_window(
-    table: &Table,
+/// ORDER BY over group keys / aggregate labels: a second multi-column sort
+/// of the grouped rows (TPC-H Q13's situation), which reads no grouping.
+fn sort_grouped(
+    result: &mut [(String, Vec<u64>)],
+    cols: &Columns<'_>,
     query: &Query,
     cfg: &EngineConfig,
-    oids: &[u32],
     timings: &mut QueryTimings,
     cache: &PlanCache,
     arena: &mut ExecArena,
-) -> Result<Vec<(String, Vec<u64>)>, EngineError> {
-    let keys = query.sort_keys();
-    let prepared = prepare_sort(table, query, &keys, oids, true, timings)?;
-    let (cols, specs, _) = &prepared;
-    // Window key: direction-adjusted concatenation of the window-order
-    // columns (`prepare_sort` has checked it fits one machine word).
-    let np = query.partition_by.len();
-    let wo_specs = &specs[np..];
-    let out = run_mcs(&prepared, query.order_free(), cfg, timings, cache, arena)?;
-    let final_oids: Vec<u32> = out.oids.iter().map(|&p| oids[p as usize]).collect();
-
+) -> Result<(), EngineError> {
     let t = Instant::now();
-    // Partition bounds = ties on the partition keys only: recompute by
-    // scanning the sorted partition-key columns (they are the first
-    // `partition_by.len()` sort keys).
-    let mut parts = mcs_core::GroupBounds::whole(out.oids.len());
-    for c in cols.iter().take(np) {
-        let permuted: Vec<u64> = out.oids.iter().map(|&p| c.get(p as usize)).collect();
-        parts = parts.refine_by(&permuted);
+    let rows = result.first().map_or(0, |(_, v)| v.len());
+    let mut keys: Vec<CodeVec> = Vec::with_capacity(cols.resort.len());
+    let mut specs: Vec<SortSpec> = Vec::with_capacity(cols.resort.len());
+    let mut stats: Vec<KeyColumnStats> = Vec::with_capacity(cols.resort.len());
+    for (&i, k) in cols.resort.iter().zip(&query.order_by) {
+        let vals = &result[i].1;
+        let width = mcs_columnar::width_for_max(vals.iter().copied().max().unwrap_or(0));
+        let codes = CodeVec::from_u64s(width, vals.iter().copied());
+        // The grouped table is small; fresh exact NDVs let the planner
+        // choose between P0 and a massaged plan.
+        let ndv = ColumnStats::compute(&codes, width).ndv;
+        stats.push(KeyColumnStats::uniform(width, ndv as f64));
+        specs.push(SortSpec {
+            width,
+            descending: k.descending,
+        });
+        keys.push(codes);
     }
-    let wo_cols: Vec<&CodeVec> = cols.iter().skip(np).map(|c| &**c).collect();
-    let mut window_keys = vec![0u64; out.oids.len()];
-    for (c, s) in wo_cols.iter().zip(wo_specs) {
-        for (p, wk) in window_keys.iter_mut().enumerate() {
-            let mut v = c.get(out.oids[p] as usize);
-            if s.descending {
-                v ^= mcs_core::width_mask(s.width);
-            }
-            *wk = (*wk << s.width) | v;
-        }
+    let inst = SortInstance {
+        rows,
+        specs,
+        stats,
+        want_final_groups: false,
+    };
+    let picked = pick_plan(&inst, false, cfg, timings, cache)?;
+    let refs: Vec<&CodeVec> = keys.iter().collect();
+    let (sorted, _, _) = sort_planned(&refs, &inst, picked, cfg, timings, arena)?;
+    for (_, vals) in result.iter_mut() {
+        *vals = sorted.oids.iter().map(|&p| vals[p as usize]).collect();
     }
-    let ranks = rank_over(&parts, &window_keys);
-
-    let mut result = Vec::new();
-    for name in &query.select {
-        let col = table
-            .column(name)
-            .ok_or_else(|| EngineError::UnknownColumn {
-                column: name.clone(),
-                context: "SELECT",
-            })?;
-        result.push((name.clone(), col.gather(&final_oids).iter_u64().collect()));
-    }
-    result.push(("rank".to_string(), ranks));
-    let rank_elapsed = t.elapsed().as_nanos() as u64;
-    timings.aggregate_ns += rank_elapsed;
-    if telemetry::is_enabled() {
-        telemetry::record_span(
-            "engine.window.rank",
-            rank_elapsed,
-            vec![
-                ("partitions", parts.num_groups().into()),
-                ("rows", out.oids.len().into()),
-            ],
-        );
-    }
-    Ok(result)
+    timings.post_sort_ns += t.elapsed().as_nanos() as u64;
+    Ok(())
 }
 
 /// Materialize a query result as a new [`Table`] (multi-stage queries such
@@ -1048,7 +1003,7 @@ pub fn result_to_table(name: impl Into<String>, result: &QueryResult) -> Table {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::query::{Agg, Filter};
+    use crate::query::{Agg, Filter, OrderKey};
     use mcs_columnar::Predicate;
 
     fn small_table() -> Table {
@@ -1097,7 +1052,7 @@ mod tests {
         ));
     }
 
-    // Old panic site: `assert!(!keys.is_empty())` in execute_orderby.
+    // Old panic site: `assert!(!keys.is_empty())` on the ORDER BY path.
     #[test]
     fn query_without_sort_keys_is_a_typed_error() {
         let t = small_table();
@@ -1145,6 +1100,90 @@ mod tests {
         ));
     }
 
+    // Unknown columns fail by existence, not by data: a filter that keeps
+    // no row (so no group forms) returns the same error as one that keeps
+    // every row.
+    fn assert_unknown_with_and_without_rows(mut q: Query, column: &str, context: &'static str) {
+        let t = small_table();
+        let want = EngineError::UnknownColumn {
+            column: column.into(),
+            context,
+        };
+        for predicate in [Predicate::Le(255), Predicate::Gt(255)] {
+            q.filters = vec![Filter {
+                column: "price".into(),
+                predicate,
+            }];
+            let err = run_query(&t, &q, &EngineConfig::default()).unwrap_err();
+            assert_eq!(err, want, "{predicate:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_group_by_column_fails_with_or_without_rows() {
+        let mut q = Query::named("q");
+        q.group_by = vec!["nation".into(), "ghost".into()];
+        q.aggregates = vec![Agg::new(AggKind::Count, "cnt")];
+        assert_unknown_with_and_without_rows(q, "ghost", "sort key");
+    }
+
+    #[test]
+    fn unknown_aggregate_column_fails_with_or_without_rows() {
+        let mut q = Query::named("q");
+        q.group_by = vec!["nation".into()];
+        q.aggregates = vec![
+            Agg::new(AggKind::Count, "cnt"),
+            Agg::new(AggKind::Avg("ghost".into()), "a"),
+        ];
+        assert_unknown_with_and_without_rows(q, "ghost", "aggregate");
+    }
+
+    // A plain ORDER BY reads no grouping, so its last round skips the
+    // boundary scan (and a spilled sort merges without tracking group
+    // boundaries) — with the same oids as the sort that builds them.
+    #[test]
+    fn order_by_skips_the_final_boundary_scan() {
+        let n = 3000u64;
+        let mut t = Table::new("t");
+        t.add_column(Column::from_u64s("a", 3, (0..n).map(|i| i * 7 % 5)));
+        t.add_column(Column::from_u64s("b", 4, (0..n).map(|i| i * 13 % 11)));
+        t.add_column(Column::from_u64s("rid", 12, 0..n));
+        let mut q = Query::named("o");
+        q.order_by = vec![OrderKey::asc("a"), OrderKey::desc("b")];
+        q.select = vec!["rid".into()];
+        for budget in [None, Some(4096)] {
+            let mut cfg = EngineConfig::without_massaging();
+            cfg.exec.memory_budget_bytes = budget;
+            let r = run_query(&t, &q, &cfg).unwrap();
+            assert_eq!(r.timings.spilled.runs > 0, budget.is_some());
+            let last = r.timings.mcs_stats.rounds.last().unwrap();
+            assert_eq!(last.scan_ns, 0, "budget {budget:?}");
+            assert_eq!(last.groups_out, last.groups_in, "budget {budget:?}");
+
+            let exec = ExecConfig {
+                want_final_groups: true,
+                ..cfg.exec.clone()
+            };
+            let inst = r.timings.sort_instance.as_ref().unwrap();
+            let plan = r.timings.plan.as_ref().unwrap();
+            let cols = [t.expect_column("a").codes(), t.expect_column("b").codes()];
+            let mut timings = QueryTimings::default();
+            let grouped = sort_once(
+                &cols,
+                &inst.specs,
+                plan,
+                &exec,
+                &mut ExecArena::new(),
+                &mut timings,
+            )
+            .unwrap();
+            assert_eq!(timings.spilled.runs > 0, budget.is_some());
+            assert!(grouped.groups.num_groups() > 1);
+            let rids: Vec<u64> = grouped.oids.iter().map(|&o| o as u64).collect();
+            assert_eq!(r.column("rid").unwrap(), rids, "budget {budget:?}");
+        }
+    }
+
     // Old panic site: `unwrap_or_else(|| panic!("ORDER BY column ..."))`
     // on the grouped-result post-sort.
     #[test]
@@ -1164,7 +1203,7 @@ mod tests {
         ));
     }
 
-    // Old panic site: `assert!(total_wo <= 64)` in execute_window. The
+    // Old panic site: `assert!(total_wo <= 64)` on the window path. The
     // check now fires *before* any sorting work.
     #[test]
     fn too_wide_window_key_is_a_typed_error() {

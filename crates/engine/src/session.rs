@@ -422,8 +422,9 @@ impl<'db> Session<'db> {
     /// caching the chosen plan, and return a handle that executes
     /// without re-planning (for as long as the fingerprint still
     /// matches). A query every execution would reject before sorting
-    /// (an unknown sort key, a window key wider than 64 bits) fails here
-    /// with the same error, before any plan search.
+    /// fails here with the same error, before any plan search: an
+    /// unknown column anywhere in it (filter, sort key, SELECT, GROUP BY,
+    /// aggregate, ORDER BY label) or a window key wider than 64 bits.
     pub fn prepare(&self, table: &str, query: &Query) -> Result<PreparedQuery, EngineError> {
         let t = self.resolve(table)?;
         warm_plan(t, query, &self.cfg, &self.cache)?;
@@ -879,8 +880,8 @@ mod tests {
     // times for one prepare plus a 16-query batch. That is not a
     // double-count: a grouped + ORDER BY query performs TWO
     // plan-cache lookups per execution — the main sort over the group
-    // keys, plus the post-sort of the grouped result (`inst2` in
-    // `execute_grouped`) — while a pure ORDER BY query performs one.
+    // keys, plus the post-sort of the grouped result (`sort_grouped`) —
+    // while a pure ORDER BY query performs one.
     // This test pins both arithmetics against `Session::cache_stats`.
     #[test]
     fn grouped_order_by_performs_two_cache_lookups_per_execution() {
@@ -933,7 +934,7 @@ mod tests {
         assert_eq!(
             warm.hits,
             16 * 2 - 1,
-            "all 32 execution lookups hit except inst2's first"
+            "all 32 execution lookups hit except the post-sort's first"
         );
         assert_eq!(warm.entries, 2);
     }
@@ -1014,6 +1015,46 @@ mod tests {
             r.column_required("price").unwrap(),
             vec![20, 30, 40, 10, 50, 60]
         );
+    }
+
+    // `prepare` rejects an unknown column wherever the query names it,
+    // as every execute does, and plans nothing for it.
+    fn assert_prepare_rejects(q: &Query, column: &str, context: &'static str) {
+        let db = db_with_sales();
+        let session = Session::new(&db, EngineConfig::default());
+        let want = EngineError::UnknownColumn {
+            column: column.into(),
+            context,
+        };
+        assert_eq!(session.prepare("sales", q).unwrap_err(), want);
+        assert_eq!(session.cache_stats(), PlanCacheStats::default());
+        let executed = session.query("sales", q, QueryOptions::default());
+        assert_eq!(executed.unwrap_err(), want);
+    }
+
+    #[test]
+    fn prepare_rejects_an_unknown_select_column() {
+        let mut q = orderby_query();
+        q.select = vec!["price".into(), "ghost".into()];
+        assert_prepare_rejects(&q, "ghost", "SELECT");
+    }
+
+    #[test]
+    fn prepare_rejects_an_unknown_aggregate_column() {
+        use crate::query::{Agg, AggKind};
+        let mut q = Query::named("g");
+        q.group_by = vec!["nation".into()];
+        q.aggregates = vec![Agg::new(AggKind::Max("ghost".into()), "m")];
+        assert_prepare_rejects(&q, "ghost", "aggregate");
+    }
+
+    #[test]
+    fn prepare_rejects_an_unknown_group_by_column() {
+        use crate::query::{Agg, AggKind};
+        let mut q = Query::named("g");
+        q.group_by = vec!["nation".into(), "ghost".into()];
+        q.aggregates = vec![Agg::new(AggKind::Count, "c")];
+        assert_prepare_rejects(&q, "ghost", "sort key");
     }
 
     // `prepare` rejects what every execute rejects before sorting: a

@@ -1,25 +1,50 @@
 //! `RANK() OVER (PARTITION BY … ORDER BY …)` evaluation over the sorted,
-//! partitioned output of a multi-column sort.
+//! grouped output of a multi-column sort.
 
+use mcs_columnar::CodeVec;
 use mcs_core::GroupBounds;
 
-/// Compute SQL `RANK()` per output position.
-///
-/// `partitions` are the tie groups on the PARTITION BY keys; within each
-/// partition the rows are already sorted by the window order and
-/// `window_keys[p]` gives the combined (direction-adjusted) window sort
-/// key at output position `p`. Ties share a rank; the next distinct value
-/// jumps to `position + 1` (standard `RANK`, with gaps).
-pub fn rank_over(partitions: &GroupBounds, window_keys: &[u64]) -> Vec<u64> {
-    let mut out = vec![0u64; window_keys.len()];
-    for part in partitions.iter() {
-        let mut rank = 1u64;
-        for (off, p) in part.clone().enumerate() {
-            if off > 0 && window_keys[p] != window_keys[p - 1] {
-                rank = off as u64 + 1;
-            }
-            out[p] = rank;
+/// The partitions of a window query's sorted output: `groups` (the sort's
+/// final tie groups on the partition *and* window-order keys) merged
+/// wherever the partition keys `part_keys` — read from the base columns
+/// through `oids` — do not change across a group boundary. Only the rows
+/// on either side of each group start are compared.
+pub(crate) fn partition_bounds(
+    groups: &GroupBounds,
+    oids: &[u32],
+    part_keys: &[&CodeVec],
+) -> GroupBounds {
+    let n = groups.num_rows();
+    let mut offsets = vec![0u32];
+    for &start in &groups.offsets[1..groups.num_groups()] {
+        let (a, b) = (oids[start as usize - 1], oids[start as usize]);
+        if part_keys
+            .iter()
+            .any(|c| c.get(a as usize) != c.get(b as usize))
+        {
+            offsets.push(start);
         }
+    }
+    offsets.push(n as u32);
+    GroupBounds::from_offsets(offsets)
+}
+
+/// Compute SQL `RANK()` per output position from the sort's own ties.
+///
+/// `groups` are the final tie groups on the full sort key (PARTITION BY
+/// keys, then the window order), so rows of one group are exactly the
+/// rows that share a rank. `partitions` coarsen them: every partition
+/// starts at a group start. A row's rank is 1 + the offset of its group's
+/// first row within its partition (standard `RANK`, with gaps).
+pub fn rank_over(partitions: &GroupBounds, groups: &GroupBounds) -> Vec<u64> {
+    let mut out = vec![0u64; groups.num_rows()];
+    let mut starts = partitions.offsets.iter().map(|&s| s as usize).peekable();
+    let mut part_start = 0;
+    for g in groups.iter() {
+        while let Some(s) = starts.next_if(|&s| s <= g.start) {
+            part_start = s;
+        }
+        out[g.clone()].fill((g.start - part_start) as u64 + 1);
     }
     out
 }
@@ -28,48 +53,63 @@ pub fn rank_over(partitions: &GroupBounds, window_keys: &[u64]) -> Vec<u64> {
 mod tests {
     use super::*;
 
+    fn bounds(offsets: &[u32]) -> GroupBounds {
+        GroupBounds::from_offsets(offsets.to_vec())
+    }
+
     #[test]
     fn ranks_with_gaps() {
         // One partition, keys 5,5,7,9,9,9 -> ranks 1,1,3,4,4,4.
-        let parts = GroupBounds::from_offsets(vec![0, 6]);
-        let keys = vec![5, 5, 7, 9, 9, 9];
-        assert_eq!(rank_over(&parts, &keys), vec![1, 1, 3, 4, 4, 4]);
+        let ranks = rank_over(&bounds(&[0, 6]), &bounds(&[0, 2, 3, 6]));
+        assert_eq!(ranks, vec![1, 1, 3, 4, 4, 4]);
     }
 
     #[test]
     fn ranks_reset_per_partition() {
-        let parts = GroupBounds::from_offsets(vec![0, 3, 6]);
-        let keys = vec![1, 2, 2, 1, 1, 5];
-        assert_eq!(rank_over(&parts, &keys), vec![1, 2, 2, 1, 1, 3]);
+        // Keys 1,2,2 | 1,1,5.
+        let ranks = rank_over(&bounds(&[0, 3, 6]), &bounds(&[0, 1, 3, 5, 6]));
+        assert_eq!(ranks, vec![1, 2, 2, 1, 1, 3]);
     }
 
     #[test]
     fn empty() {
-        let parts = GroupBounds::whole(0);
-        assert!(rank_over(&parts, &[]).is_empty());
+        let whole = GroupBounds::whole(0);
+        assert!(rank_over(&whole, &whole).is_empty());
     }
 
     #[test]
     fn empty_partition_between_real_ones() {
-        // Offsets [0, 2, 2, 4]: the middle partition covers no rows and
-        // must not disturb its neighbours' ranks.
-        let parts = GroupBounds::from_offsets(vec![0, 2, 2, 4]);
-        let keys = vec![3, 3, 1, 2];
-        assert_eq!(rank_over(&parts, &keys), vec![1, 1, 1, 2]);
+        // Partition offsets [0, 2, 2, 4]: the middle partition covers no
+        // rows and must not disturb its neighbours' ranks (keys 3,3 | 1,2).
+        let ranks = rank_over(&bounds(&[0, 2, 2, 4]), &bounds(&[0, 2, 3, 4]));
+        assert_eq!(ranks, vec![1, 1, 1, 2]);
     }
 
     #[test]
     fn single_row_partitions_all_rank_one() {
-        let parts = GroupBounds::from_offsets(vec![0, 1, 2, 3, 4]);
-        let keys = vec![9, 1, 9, 1];
-        assert_eq!(rank_over(&parts, &keys), vec![1, 1, 1, 1]);
+        let singles = bounds(&[0, 1, 2, 3, 4]);
+        assert_eq!(rank_over(&singles, &singles), vec![1, 1, 1, 1]);
     }
 
     #[test]
     fn all_ties_spanning_whole_relation() {
         let n = 257usize;
-        let parts = GroupBounds::whole(n);
-        let keys = vec![7u64; n];
-        assert_eq!(rank_over(&parts, &keys), vec![1u64; n]);
+        let whole = GroupBounds::whole(n);
+        assert_eq!(rank_over(&whole, &whole), vec![1u64; n]);
+    }
+
+    #[test]
+    fn partitions_break_only_where_partition_keys_change() {
+        // Sorted rows (p, o): (0,1) (0,1) (0,2) (1,2) (1,3); the final
+        // groups are the ties on (p, o), stored in base rows 4,2,0,3,1.
+        let p = CodeVec::from_u64s(1, [0u64, 1, 0, 1, 0]);
+        let oids = [4u32, 2, 0, 3, 1];
+        let groups = bounds(&[0, 2, 3, 4, 5]);
+        let parts = partition_bounds(&groups, &oids, &[&p]);
+        assert_eq!(parts.offsets, vec![0, 3, 5]);
+        assert_eq!(rank_over(&parts, &groups), vec![1, 1, 3, 1, 2]);
+        // No rows: one empty partition, like an empty grouping.
+        let none = partition_bounds(&GroupBounds::whole(0), &[], &[&p]);
+        assert_eq!(none.offsets, vec![0, 0]);
     }
 }

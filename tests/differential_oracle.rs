@@ -247,9 +247,10 @@ fn run_and_check_kernel(
     assert_eq!(got_sums, want_agg.sums, "[{label}] group sums");
 
     // RANK() OVER (PARTITION BY col0 ORDER BY col1..): partitions are
-    // the tie runs on the first column of the sorted output; the window
-    // key is the direction-adjusted concatenation of the rest (the
-    // engine pipeline's construction). Needs the window key to fit u64.
+    // the tie runs on the first column of the sorted output. The engine
+    // ranks from the sort's final tie groups; the reference counts
+    // strictly smaller window keys, the direction-adjusted concatenation
+    // of the other columns, which needs them to fit u64.
     let window_width: u32 = p.widths[1..].iter().sum();
     if p.num_cols() >= 2 && window_width <= 64 {
         let n = p.num_rows();
@@ -272,7 +273,7 @@ fn run_and_check_kernel(
             })
             .collect();
         let parts = mcs_core::GroupBounds::from_offsets(partition_offsets.clone());
-        let got_ranks = rank_over(&parts, &window_keys);
+        let got_ranks = rank_over(&parts, &out.groups);
         let want_ranks = reference_rank(&partition_offsets, &window_keys);
         assert_eq!(got_ranks, want_ranks, "[{label}] window ranks");
     }

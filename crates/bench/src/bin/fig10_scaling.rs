@@ -3,10 +3,11 @@
 //!
 //! The paper pins threads to 10 Xeon / 4 i7 cores and observes linear
 //! scaling. The development VM has **2 cores**, so threads 4 and 8 only
-//! oversubscribe them; the harness exercises the morsel-parallel path
-//! (chunked massage, work-stolen per-group rounds, and the merge-sort's
-//! split-group chunk sorts + post-join merges) and reports throughput in
-//! million tuples per second. Spine's `par_skew` is the end-to-end one.
+//! oversubscribe them; the harness exercises the parallel path (each
+//! worker massages, gathers, sorts and scans its own contiguous row
+//! range, including the merge-sort's split-group slice sorts and
+//! post-join merges) and reports throughput in million tuples per
+//! second. Spine's `par_skew` is the end-to-end one.
 
 use mcs_bench::{cost_model, print_table, rows, seed, time};
 use mcs_core::ExecConfig;

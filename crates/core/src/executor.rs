@@ -12,7 +12,7 @@ use mcs_cancel::CancelCause;
 use mcs_columnar::CodeVec;
 use mcs_simd_sort::{
     for_each_chunk, sort_pairs_in_groups, GroupBounds, MergeCounters, MorselCounts, PhaseTimes,
-    SegmentedSortStats, SortConfig, WorkerPanic, WorkerScratch, PARALLEL_CUTOFF_ROWS,
+    SegmentedSortStats, SortConfig, SortKernel, WorkerPanic, WorkerScratch, PARALLEL_CUTOFF_ROWS,
 };
 use mcs_telemetry as telemetry;
 
@@ -171,7 +171,7 @@ pub struct RoundStats {
     /// passes: total matches and the subset short-circuited by
     /// offset-value codes (always counted, independent of features).
     pub merge: MergeCounters,
-    /// Work-stealing scheduler counters summed over this round's phases
+    /// Parallel scheduler counters summed over this round's phases
     /// (lookup gather + segmented sort + boundary scan); all zero at
     /// `threads == 1` or below the parallel cutoff.
     pub morsels: MorselCounts,
@@ -193,7 +193,7 @@ pub struct ExecStats {
     /// Reuse counters of the [`ExecArena`] that served this execution;
     /// default (all-zero) for arena-less [`multi_column_sort`] calls.
     pub arena: ArenaStats,
-    /// Work-stealing scheduler counters of the massage phase (the round
+    /// Parallel scheduler counters of the massage phase (the round
     /// phases report theirs in [`RoundStats::morsels`]).
     pub massage_morsels: MorselCounts,
 }
@@ -248,8 +248,8 @@ fn gather_into<T: Copy>(src: &[T], oids: &[u32], dst: &mut Vec<T>) {
     dst.extend(oids.iter().map(|&o| src[o as usize]));
 }
 
-/// Morsel-driven [`gather_into`]: workers pull row-range morsels and
-/// write disjoint slices of `dst`. Falls back to the serial gather (and
+/// Parallel [`gather_into`]: each worker writes the disjoint slice of
+/// `dst` in its own row range. Falls back to the serial gather (and
 /// its exact allocation behavior) at `threads == 1` or below the
 /// parallel cutoff. Returns the scheduler counters.
 fn gather_into_morsels<T: Copy + Default + Send + Sync>(
@@ -274,14 +274,14 @@ fn gather_into_morsels<T: Copy + Default + Send + Sync>(
     counts
 }
 
-/// Morsel-driven boundary scan: equivalent to [`GroupBounds::refine_into`]
-/// but with the key scan pulled as row-range morsels.
+/// Parallel boundary scan: equivalent to [`GroupBounds::refine_into`]
+/// but with each worker scanning its own row range.
 ///
 /// Position `i` (`0 < i < n`) is a refined boundary iff it is an existing
 /// group boundary or the sorted keys differ across it — a per-position
-/// predicate, so each morsel scans its range independently (walking the
-/// overlapping window of `offsets` alongside) and the per-morsel boundary
-/// lists concatenate in morsel order. Produces offsets byte-identical to
+/// predicate, so each worker scans its range independently (walking the
+/// overlapping window of `offsets` alongside) and the per-range boundary
+/// lists concatenate in row order. Produces offsets byte-identical to
 /// the serial scan. Returns the scheduler counters.
 fn refine_into_morsels<K: mcs_simd_sort::Key>(
     keys: &[K],
@@ -290,7 +290,7 @@ fn refine_into_morsels<K: mcs_simd_sort::Key>(
     threads: usize,
 ) -> MorselCounts {
     let n = keys.len();
-    // The scan writes no rows: its morsels tile a zero-sized slice.
+    // The scan writes no rows: its ranges tile a zero-sized slice.
     let (parts, counts) = for_each_chunk(&mut vec![(); n], threads, |start, rows| {
         let mut local: Vec<u32> = Vec::new();
         let from = start.max(1);
@@ -347,7 +347,7 @@ fn sort_round(
 /// Refine `groups` in place by the sorted `keys`, using `spare` as the
 /// write destination (swapped in afterwards). At `threads == 1` or below
 /// the parallel cutoff the serial (allocation-free on a warm `spare`)
-/// scan runs; otherwise the morsel-driven scan. Returns the scheduler
+/// scan runs; otherwise the parallel scan. Returns the scheduler
 /// counters.
 fn refine_groups_into(
     groups: &mut GroupBounds,
@@ -515,7 +515,6 @@ fn sort_impl(
         let m = stats.morsel_counts();
         for (name, delta) in [
             ("exec.morsel.dispatched", m.dispatched),
-            ("exec.morsel.stolen", m.stolen),
             ("exec.morsel.split", m.split),
         ] {
             if delta > 0 {
@@ -638,18 +637,23 @@ fn run_rounds(cfg: &ExecConfig, lease: &mut Lease, stats: &mut ExecStats) -> Res
         stats.rounds.push(rs);
     }
 
-    // Canonicalize ties: the SIMD sorting networks are not stable, so
-    // rows equal on the full key come out in an arbitrary order that
-    // varies with the plan, the thread count, and (out-of-core) the
-    // chunking. Restoring row order within each tie group makes every
-    // execution strategy — any valid plan, any thread count, the scalar
-    // fallback, and the external spill path — emit byte-identical
-    // output, which is what the differential oracle asserts. Allocation
-    // free: `sort_unstable` on `u32` sub-slices sorts in place.
-    match &rounds[last] {
-        RoundKeys::B16(v) => canonicalize_ties(v, oids, groups),
-        RoundKeys::B32(v) => canonicalize_ties(v, oids, groups),
-        RoundKeys::B64(v) => canonicalize_ties(v, oids, groups),
+    // Tie order: every `Auto` kernel is stable, and every round enters
+    // with each group's oids ascending (round 1 with the identity), so
+    // `Auto` already emits rows equal on the full key in row order. The
+    // merge-sort's sorting networks are not stable: its ties come out in
+    // an order that varies with the plan, the thread count, and
+    // (out-of-core) the chunking. Restoring row order within each tie
+    // group makes every execution strategy — any valid plan, any thread
+    // count, the scalar fallback, and the external spill path — emit
+    // byte-identical output, which is what the differential oracle
+    // asserts. Allocation free: `sort_unstable` on `u32` sub-slices sorts
+    // in place.
+    if cfg.sort.kernel == SortKernel::MergeSort {
+        match &rounds[last] {
+            RoundKeys::B16(v) => canonicalize_ties(v, oids, groups),
+            RoundKeys::B32(v) => canonicalize_ties(v, oids, groups),
+            RoundKeys::B64(v) => canonicalize_ties(v, oids, groups),
+        }
     }
     Ok(())
 }

@@ -170,22 +170,16 @@ impl ExplainReport {
                 peak, self.measured.arena.grows, self.measured.arena.reuses
             ));
         }
-        // Morsel-scheduled executions (threads > 1 over the parallel
-        // cutoff) report the work-stealing counters; serial executions
-        // dispatch nothing and render no line, keeping every pre-morsel
-        // golden snapshot stable. Dispatched and split counts are
-        // deterministic for a fixed config; how many morsels migrated via
-        // steals depends on scheduling, so `stolen` redacts like a timing.
+        // Parallel executions (threads > 1 over the parallel cutoff)
+        // report the scheduler counters; serial executions dispatch
+        // nothing and render no line, keeping every serial golden
+        // snapshot stable. Workers own fixed row ranges, so both counts
+        // are deterministic for a fixed config and nothing redacts.
         let morsels = self.measured.morsel_counts();
         if morsels.dispatched > 0 {
-            let stolen = if redact {
-                "###".to_string()
-            } else {
-                morsels.stolen.to_string()
-            };
             out.push_str(&format!(
-                "morsels: dispatched {} ({} stolen, {} split)\n",
-                morsels.dispatched, stolen, morsels.split
+                "morsels: dispatched {} ({} split)\n",
+                morsels.dispatched, morsels.split
             ));
         }
         if !self.degradations.is_empty() {
@@ -469,16 +463,17 @@ mod tests {
             ..ExecConfig::default()
         };
         let par = multi_column_sort(&[&a], &inst.specs, &plan, &cfg).expect("valid sort instance");
-        assert_eq!(par.oids, serial.oids, "steal schedule must not leak");
+        assert_eq!(par.oids, serial.oids, "thread count must not leak");
         let rep = ExplainReport::from_parts("unit", &inst, &plan, &par.stats, &model);
         let text = rep.render();
+        let m = par.stats.morsel_counts();
+        let line = format!("morsels: dispatched {} ({} split)\n", m.dispatched, m.split);
         assert!(
-            text.contains("morsels: dispatched"),
-            "parallel run renders the scheduler line: {text}"
+            text.contains(&line),
+            "parallel run renders {line:?}: {text}"
         );
-        // The steal count is scheduling-dependent: it redacts.
-        let red = rep.render_redacted();
-        assert!(red.contains("(### stolen"), "{red}");
+        // Both counts are deterministic: the line does not redact.
+        assert!(rep.render_redacted().contains(&line));
     }
 
     #[test]

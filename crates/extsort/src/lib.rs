@@ -19,8 +19,9 @@
 //! first element against the all-zero key). See `DESIGN.md` §13.
 //!
 //! The external path produces output **byte-identical** to the
-//! in-memory path: the core executor canonicalizes ties to row order,
-//! chunks are contiguous row ranges, and the merge tree breaks key ties
+//! in-memory path: the core executor emits ties in row order (its `Auto`
+//! kernels are stable; under `MergeSort` it canonicalizes them), chunks
+//! are contiguous row ranges, and the merge tree breaks key ties
 //! toward the lower run index, so ties drain in global row order either
 //! way. `tests/differential_oracle.rs` asserts this across the full
 //! plan/bank/thread/direction/OVC matrix.

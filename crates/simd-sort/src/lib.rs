@@ -9,8 +9,8 @@
 //! [`INSERTION_MAX_ROWS`] rows, a comparison sort on packed `key‖oid`
 //! words up to [`PACKED_MAX_ROWS`], a scratch-backed LSD radix sort
 //! ([`radix`]) above. [`sort_pairs_in_groups`] runs that dispatch once per
-//! tied group of a multi-column round, serially or as work-stealing
-//! morsels ([`parallel`]).
+//! tied group of a multi-column round, serially or on workers that each
+//! own one contiguous row range of the round ([`parallel`]).
 //!
 //! The paper's own `SIMD-Sort` stays reachable as
 //! [`SortKernel::MergeSort`] for the figure bins and the cost-model
@@ -63,10 +63,9 @@ mod sort;
 
 pub use key::{Bank, Key};
 pub use mcs_cancel::{CancelCause, CancelToken, CHECK_INTERVAL};
-pub use mcs_morsel::{MorselCounts, MorselQueue};
 pub use multiway::{multiway_merge, multiway_pass, LoserTree, MergeHead, MergeSource};
 pub use ovc::{ovc_encode, MergeCounters};
-pub use parallel::{for_each_chunk, sort_pairs_in_groups, WorkerPanic};
+pub use parallel::{for_each_chunk, sort_pairs_in_groups, MorselCounts, WorkerPanic};
 pub use phase::PhaseTimes;
 pub use radix::radix_sort_pairs;
 pub use scalar::{insertion_sort_pairs, sort_pairs_packed, sort_pairs_scalar};

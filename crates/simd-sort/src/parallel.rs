@@ -1,43 +1,75 @@
-//! Multi-threaded sorting (the paper's §6.4 scaling experiments),
-//! morsel-driven.
+//! Multi-threaded sorting (the paper's §6.4 scaling experiments) by
+//! static ownership.
 //!
-//! Strategy: carve the work into morsels — whole-group spans plus split
-//! slices of oversized groups for the segmented sort, contiguous row
-//! ranges for [`for_each_chunk`] — each owning its own disjoint `&mut`
-//! rows of the caller's slices, seed them range-partitioned across a
-//! [`MorselQueue`], and let `T` workers (`std::thread::scope`, matching
-//! the paper's thread-per-core execution) pull morsels until the queue is
-//! dry. A worker that finishes its seed early steals from stragglers, so
-//! skewed group distributions no longer leave workers idle behind one
-//! giant group. Under the merge-sort an oversized group is split into
-//! slices sorted as separate morsels; once every worker has joined, a
-//! second pass over the same workers merges each split group as one
-//! morsel. A flat sort is the one-group case ([`GroupBounds::whole`]).
+//! Strategy: each of `T` workers (`std::thread::scope`, matching the
+//! paper's thread-per-core execution) owns one contiguous, row-balanced
+//! range of the round and runs only the work inside it, so workers never
+//! coordinate. The segmented sort carves its rows into tasks — whole-group
+//! spans plus, under the merge-sort, slices of oversized groups — each
+//! owning its own disjoint `&mut` rows of the caller's slices, and worker
+//! `w` runs the contiguous run of tasks whose first row falls in
+//! `[w·n/T, (w+1)·n/T)`. Once every worker has joined, a second pass over
+//! the same workers merges each split group, dealt by the same rule.
+//! [`for_each_chunk`] gives worker `w` the `w`-th of `T` equal row
+//! ranges. A flat sort is the one-group case ([`GroupBounds::whole`]).
+//! Which worker runs what is a function of the input alone, and so is the
+//! output.
 //!
 //! Worker panics are caught at the scope boundary and surfaced as a typed
 //! [`WorkerPanic`] carrying the worker index, so a dying worker can be
 //! degraded around (the caller's buffers may hold partially sorted data
 //! and must be treated as garbage) instead of aborting the process.
-//! `CancelToken` polls and the `simd.worker.panic` fault point both live
-//! inside the morsel loop, bounding reaction latency to one morsel.
+//! `CancelToken` polls and the `simd.worker.panic` fault point both run
+//! once per task, bounding reaction latency to one task.
 
 use crate::multiway::multiway_merge;
 use crate::scratch::{SortScratch, WorkerScratch};
 use crate::segmented::{group_stats, sort_groups_by_offsets, GroupBounds, SegmentedSortStats};
 use crate::sort::{SortConfig, SortKernel, SortableKey, PARALLEL_CUTOFF_ROWS};
 use core::ops::Range;
-use mcs_morsel::{MorselCounts, MorselQueue};
 
-/// Morsels seeded per worker on a balanced input: finer than one-per-
-/// worker so stragglers leave stealable work, coarse enough that the
-/// queue's lock traffic stays negligible against a morsel's sort cost.
-const MORSELS_PER_WORKER: usize = 4;
+/// Sort tasks carved per worker: a span closes once it holds
+/// `n / (threads · 4)` rows. A worker sorts every task that starts in its
+/// range, so the rows it sorts overrun its share by less than one span —
+/// a quarter of that share — or by one oversized group.
+const TASKS_PER_WORKER: usize = 4;
 
 /// Split boundaries inside an oversized group are aligned down to this
 /// many rows — the in-register kernel's largest block (`L·L` for the
 /// 8-lane banks) — so every slice but the last enters the sort at whole-
 /// block granularity.
 const SPLIT_ALIGN: usize = 64;
+
+/// Scheduler counters of the parallel path (all zero on the serial path
+/// and below [`PARALLEL_CUTOFF_ROWS`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MorselCounts {
+    /// Tasks run: sort spans and slices, split-group merges and
+    /// [`for_each_chunk`] ranges. A function of the input, the kernel and
+    /// the thread count.
+    pub dispatched: u64,
+    /// Always 0: every worker owns a fixed range, so no task changes
+    /// worker. Kept because the benchmark's trace (`spine/src/trace.rs`)
+    /// still reads it.
+    pub stolen: u64,
+    /// Oversized groups split into slices (only under
+    /// [`SortKernel::MergeSort`]).
+    pub split: u64,
+}
+
+impl MorselCounts {
+    /// Accumulate `other` into `self`.
+    pub fn add(&mut self, other: MorselCounts) {
+        self.dispatched += other.dispatched;
+        self.stolen += other.stolen;
+        self.split += other.split;
+    }
+
+    /// Whether any work was scheduled.
+    pub fn is_empty(&self) -> bool {
+        *self == MorselCounts::default()
+    }
+}
 
 /// A worker thread of a parallel sort panicked.
 ///
@@ -46,7 +78,7 @@ const SPLIT_ALIGN: usize = 64;
 /// (serially or via a fallback path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerPanic {
-    /// Index of the worker whose morsel loop died.
+    /// Index of the worker whose task panicked.
     pub worker: usize,
 }
 
@@ -58,8 +90,8 @@ impl core::fmt::Display for WorkerPanic {
 
 impl std::error::Error for WorkerPanic {}
 
-/// Work items of the morsel-driven segmented sort's first pass, each
-/// owning its rows of `(keys, oids)`.
+/// Tasks of the segmented sort's first pass, each owning its rows of
+/// `(keys, oids)`.
 enum Task<'a, K> {
     /// A contiguous span of whole groups with its window of the round's
     /// offsets; sorted group-by-group.
@@ -67,6 +99,9 @@ enum Task<'a, K> {
     /// One slice of an oversized (split) group.
     Slice(&'a mut [K], &'a mut [u32]),
 }
+
+/// A split group: its first row, and its slice runs relative to it.
+type Split = (usize, Vec<Range<usize>>);
 
 /// Split `len` rows into `parts` near-equal runs, boundaries aligned down
 /// to [`SPLIT_ALIGN`] (collapsed boundaries are dropped, so tiny inputs
@@ -100,21 +135,20 @@ fn take_rows<'a, T>(rows: &mut &'a mut [T], len: usize) -> &'a mut [T] {
 ///
 /// At `threads == 1`, or below [`PARALLEL_CUTOFF_ROWS`], the groups are
 /// sorted one after another on the calling thread — allocation-free once
-/// the scratch is warm, and never an `Err`. Otherwise the groups are
-/// distributed as work-stealing morsels (thread spawning, queue seeding
-/// and split-group merges allocate; the kernels still do not).
+/// the scratch is warm, and never an `Err`. Otherwise each worker sorts
+/// the tasks of its own row range (thread spawning, task lists and
+/// split-group merges allocate; the kernels still do not).
 ///
 /// Scheduling: whole groups are packed into contiguous spans of roughly
 /// `n / (threads · 4)` rows. Under [`SortKernel::MergeSort`] any single
 /// group at least twice that size is split at 64-row-aligned boundaries
-/// into slice morsels, sorted independently, and merged after the join,
-/// one morsel per split group; under [`SortKernel::Auto`] it stays one
-/// span (the merge would cost more than the split saves). All morsels are
-/// seeded range-partitioned (a balanced input steals nothing); workers
-/// pull LIFO locally and steal half a straggler's deque when dry.
-/// Group-level stats are counted once per *group* from the offsets, so
-/// they match the serial path; kernel times and merge counters are what
-/// the run credited to the worker scratches.
+/// into slices, sorted independently, and merged after the join; under
+/// [`SortKernel::Auto`] it stays one span (the merge would cost more than
+/// the split saves). Worker `w` runs the tasks whose first row falls in
+/// `[w·n/T, (w+1)·n/T)`, and the split-group merges are dealt the same
+/// way. Group-level stats are counted once per *group* from the offsets,
+/// so they match the serial path; kernel times and merge counters are
+/// what the run credited to the worker scratches.
 ///
 /// Worker panics are caught and returned as a [`WorkerPanic`] carrying
 /// the worker index; the slices are then in an unspecified state.
@@ -139,7 +173,7 @@ pub fn sort_pairs_in_groups<K: SortableKey>(
             scratch.workers.resize_with(threads, Default::default);
         }
         let workers = &mut scratch.workers[..threads];
-        stats.morsels = sort_morsels(keys, oids, offs, cfg, workers)?;
+        stats.morsels = sort_in_ranges(keys, oids, offs, cfg, workers)?;
     }
     let (phases, merge) = scratch.credited();
     stats.phases = phases.since(before.0);
@@ -147,65 +181,81 @@ pub fn sort_pairs_in_groups<K: SortableKey>(
     Ok(stats)
 }
 
-/// The parallel path of [`sort_pairs_in_groups`]: sort the span and
-/// slice morsels, join, then merge every split group as one morsel.
-fn sort_morsels<K: SortableKey>(
+/// Carve the groups of `offs` into tasks in row order, each with its
+/// first row and its rows taken off the untaken tail of `(keys, oids)`:
+/// contiguous spans of whole groups of roughly `target` rows, and — when
+/// `split_oversized` — slices of every group of at least `2 · target`
+/// rows. Returns the tasks and the split groups.
+fn carve<'a, K>(
+    keys: &'a mut [K],
+    oids: &'a mut [u32],
+    offs: &'a [u32],
+    target: usize,
+    split_oversized: bool,
+) -> (Vec<(usize, Task<'a, K>)>, Vec<Split>) {
+    let mut splits: Vec<Split> = Vec::new();
+    let mut tasks = Vec::new();
+    let (mut kt, mut ot) = (keys, oids);
+    let mut take = |len: usize| (take_rows(&mut kt, len), take_rows(&mut ot, len));
+    let num_groups = offs.len() - 1;
+    let mut span_start = 0usize;
+    for g in 0..num_groups {
+        let (first, len) = (offs[span_start] as usize, (offs[g + 1] - offs[g]) as usize);
+        if split_oversized && len >= 2 * target {
+            if span_start < g {
+                let (k, o) = take(offs[g] as usize - first);
+                tasks.push((first, Task::Span(k, o, &offs[span_start..=g])));
+            }
+            let runs = split_runs(len, len.div_ceil(target));
+            for r in &runs {
+                let (k, o) = take(r.len());
+                tasks.push((offs[g] as usize + r.start, Task::Slice(k, o)));
+            }
+            splits.push((offs[g] as usize, runs));
+            span_start = g + 1;
+        } else if offs[g + 1] as usize - first >= target {
+            let (k, o) = take(offs[g + 1] as usize - first);
+            tasks.push((first, Task::Span(k, o, &offs[span_start..=g + 1])));
+            span_start = g + 1;
+        }
+    }
+    if span_start < num_groups {
+        let first = offs[span_start] as usize;
+        let (k, o) = take(offs[num_groups] as usize - first);
+        tasks.push((first, Task::Span(k, o, &offs[span_start..])));
+    }
+    (tasks, splits)
+}
+
+/// The parallel path of [`sort_pairs_in_groups`]: each worker sorts the
+/// span and slice tasks of its row range, then, after the join, merges
+/// the split groups of its row range.
+fn sort_in_ranges<K: SortableKey>(
     keys: &mut [K],
     oids: &mut [u32],
     offs: &[u32],
     cfg: &SortConfig,
     workers: &mut [SortScratch],
 ) -> Result<MorselCounts, WorkerPanic> {
-    let threads = workers.len();
-    // Carve groups into morsels in row order, each taking its rows off
-    // the untaken tail: contiguous spans of whole groups of roughly
-    // `target` rows, with oversized groups split into slices. Only the
-    // merge-sort splits: its slices end in a loser-tree merge anyway.
-    // Under `Auto` the split-group merge alone costs about as much as
-    // radix-sorting the whole group on one worker, so a big group stays
-    // one span morsel.
-    let target = keys.len().div_ceil(threads * MORSELS_PER_WORKER).max(1);
+    let (n, threads) = (keys.len(), workers.len());
+    // Only the merge-sort splits: its slices end in a loser-tree merge
+    // anyway. Under `Auto` the split-group merge alone costs about as
+    // much as radix-sorting the whole group on one worker, so a big group
+    // stays one span.
+    let target = n.div_ceil(threads * TASKS_PER_WORKER).max(1);
     let split_oversized = cfg.kernel == SortKernel::MergeSort;
-    // Split groups: first row, and slice runs relative to it.
-    let mut splits: Vec<(usize, Vec<Range<usize>>)> = Vec::new();
-    let mut tasks: Vec<Task<K>> = Vec::new();
-    let (mut kt, mut ot) = (&mut *keys, &mut *oids);
-    let mut take = |len: usize| (take_rows(&mut kt, len), take_rows(&mut ot, len));
-    let num_groups = offs.len() - 1;
-    let mut span_start = 0usize;
-    for g in 0..num_groups {
-        let len = (offs[g + 1] - offs[g]) as usize;
-        if split_oversized && len >= 2 * target {
-            if span_start < g {
-                let (k, o) = take((offs[g] - offs[span_start]) as usize);
-                tasks.push(Task::Span(k, o, &offs[span_start..=g]));
-            }
-            let runs = split_runs(len, len.div_ceil(target));
-            for r in &runs {
-                let (k, o) = take(r.len());
-                tasks.push(Task::Slice(k, o));
-            }
-            splits.push((offs[g] as usize, runs));
-            span_start = g + 1;
-        } else if (offs[g + 1] - offs[span_start]) as usize >= target {
-            let (k, o) = take((offs[g + 1] - offs[span_start]) as usize);
-            tasks.push(Task::Span(k, o, &offs[span_start..=g + 1]));
-            span_start = g + 1;
-        }
-    }
-    if span_start < num_groups {
-        let (k, o) = take((offs[num_groups] - offs[span_start]) as usize);
-        tasks.push(Task::Span(k, o, &offs[span_start..]));
-    }
-
-    let mut queue = MorselQueue::new(threads);
-    queue.note_split(splits.len() as u64);
-    queue.seed_partitioned(tasks);
-    drive(&queue, workers.iter_mut(), |worker, task| {
-        // Fault injection and cancellation live in the morsel loop:
-        // reaction latency is bounded by one morsel. A fired token skips
-        // every remaining morsel; the caller re-checks the token and
-        // discards the garbage round.
+    let (tasks, splits) = carve(&mut *keys, &mut *oids, offs, target, split_oversized);
+    let mut counts = MorselCounts {
+        dispatched: tasks.len() as u64,
+        split: splits.len() as u64,
+        ..MorselCounts::default()
+    };
+    let batches = deal(tasks, n, threads);
+    drive(batches, workers.iter_mut(), |worker, task| {
+        // Fault injection and cancellation run once per task: reaction
+        // latency is bounded by one task. A fired token skips every
+        // remaining task; the caller re-checks the token and discards the
+        // garbage round.
         if mcs_faults::fault_point!(mcs_faults::points::SIMD_WORKER_PANIC) {
             panic!("injected fault: {}", mcs_faults::points::SIMD_WORKER_PANIC);
         }
@@ -217,7 +267,6 @@ fn sort_morsels<K: SortableKey>(
             Task::Slice(k, o) => K::sort_pairs_with_scratch(k, o, cfg, worker),
         }
     })?;
-    let mut counts = queue.counts();
     if splits.is_empty() || cfg.cancel.check().is_err() {
         return Ok(counts);
     }
@@ -229,15 +278,15 @@ fn sort_morsels<K: SortableKey>(
         let len = runs[runs.len() - 1].end;
         take_rows(&mut kt, start - at);
         take_rows(&mut ot, start - at);
-        merges.push((take_rows(&mut kt, len), take_rows(&mut ot, len), &runs[..]));
+        let merge = (take_rows(&mut kt, len), take_rows(&mut ot, len), &runs[..]);
+        merges.push((*start, merge));
         at = start + len;
     }
-    let mut queue = MorselQueue::new(threads.min(merges.len()));
-    queue.seed_partitioned(merges);
-    drive(&queue, workers.iter_mut(), |worker, (k, o, runs)| {
+    counts.dispatched += merges.len() as u64;
+    let batches = deal(merges, n, threads);
+    drive(batches, workers.iter_mut(), |worker, (k, o, runs)| {
         merge_split(k, o, runs, cfg, worker)
     })?;
-    counts.add(queue.counts());
     Ok(counts)
 }
 
@@ -267,31 +316,44 @@ fn merge_split<K: SortableKey>(
     oids.copy_from_slice(&out_o);
 }
 
-/// Run every morsel of `queue` on one scoped thread per worker queue,
-/// worker `w` owning the `w`-th of `states`: it pops (or steals) morsels
-/// until the queue is dry, handing each to `run` with its state. A
-/// panicking worker is reported as the lowest such index.
+/// Deal `tasks` — each with its first row, in row order, over `rows`
+/// rows — to `workers` owners: worker `w` gets the contiguous run of
+/// tasks whose first row falls in `[w·rows/workers, (w+1)·rows/workers)`.
+fn deal<T>(tasks: Vec<(usize, T)>, rows: usize, workers: usize) -> Vec<Vec<T>> {
+    let mut batches: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
+    for (first, task) in tasks {
+        batches[(first * workers / rows.max(1)).min(workers - 1)].push(task);
+    }
+    batches
+}
+
+/// Run batch `w` of `batches` on a scoped thread as worker `w`, owning
+/// the `w`-th of `states`: its tasks in order, each handed to `run` with
+/// the state. An empty batch spawns no thread. A panicking worker is
+/// reported as the lowest such index.
 fn drive<T: Send, W: Send>(
-    queue: &MorselQueue<T>,
+    batches: Vec<Vec<T>>,
     states: impl IntoIterator<Item = W>,
     run: impl Fn(&mut W, T) + Sync,
 ) -> Result<(), WorkerPanic> {
     let run = &run;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = states
+        let handles: Vec<_> = batches
             .into_iter()
-            .take(queue.workers())
+            .zip(states)
             .enumerate()
-            .map(|(w, mut state)| {
-                scope.spawn(move || {
-                    while let Some((task, _stolen)) = queue.pop(w) {
+            .filter(|(_, (batch, _))| !batch.is_empty())
+            .map(|(w, (batch, mut state))| {
+                let handle = scope.spawn(move || {
+                    for task in batch {
                         run(&mut state, task);
                     }
-                })
+                });
+                (w, handle)
             })
             .collect();
         let mut joined = Ok(());
-        for (worker, h) in handles.into_iter().enumerate() {
+        for (worker, h) in handles {
             if h.join().is_err() && joined.is_ok() {
                 joined = Err(WorkerPanic { worker });
             }
@@ -300,18 +362,17 @@ fn drive<T: Send, W: Send>(
     })
 }
 
-/// Parallel iteration over row-range morsels of `rows`, used by the
-/// massage kernel and the executor's gather and boundary scans:
-/// `f(start, chunk)` runs once per morsel with the morsel's own
-/// sub-slice `chunk = rows[start..start + chunk.len()]`. The morsels tile
-/// `rows` and are seeded range-partitioned and work-stolen like the
-/// sorts. Inputs shorter than [`PARALLEL_CUTOFF_ROWS`] run as one serial
-/// call `f(0, rows)`. A pass that writes no rows (a scan) tiles a
-/// zero-sized slice, e.g. `&mut vec![(); n]`, which allocates nothing.
+/// Parallel iteration over `threads` equal row ranges of `rows`, used by
+/// the massage kernel and the executor's gather and boundary scans:
+/// worker `w` runs `f(start, chunk)` once on its own sub-slice
+/// `chunk = rows[start..start + chunk.len()]`, `start = w·n/threads`.
+/// Inputs shorter than [`PARALLEL_CUTOFF_ROWS`] run as one serial call
+/// `f(0, rows)`. A pass that writes no rows (a scan) tiles a zero-sized
+/// slice, e.g. `&mut vec![(); n]`, which allocates nothing.
 ///
-/// Returns the per-morsel results in row order, and the scheduler
+/// Returns the per-range results in row order, and the scheduler
 /// counters (all zero on the serial path). With `R = ()` the result
-/// vector allocates nothing either. A panicking morsel panics the caller.
+/// vector allocates nothing either. A panicking worker panics the caller.
 pub fn for_each_chunk<T: Send, R: Default + Send>(
     rows: &mut [T],
     threads: usize,
@@ -322,24 +383,30 @@ pub fn for_each_chunk<T: Send, R: Default + Send>(
     if threads == 1 || n < PARALLEL_CUTOFF_ROWS {
         return (vec![f(0, rows)], MorselCounts::default());
     }
-    let target = n.div_ceil(threads * MORSELS_PER_WORKER).max(1);
     let mut results: Vec<R> = Vec::new();
-    results.resize_with(n.div_ceil(target), R::default);
-    let mut queue = MorselQueue::new(threads);
-    queue.seed_partitioned(
-        rows.chunks_mut(target)
-            .zip(results.iter_mut())
-            .enumerate()
-            .map(|(i, (chunk, slot))| (i * target, chunk, slot))
-            .collect(),
-    );
-    if let Err(p) = drive(&queue, 0..threads, |_, (start, chunk, slot)| {
+    results.resize_with(threads, R::default);
+    let mut rest = rows;
+    let batches = results
+        .iter_mut()
+        .enumerate()
+        .map(|(w, slot)| {
+            let start = w * n / threads;
+            vec![(
+                start,
+                take_rows(&mut rest, (w + 1) * n / threads - start),
+                slot,
+            )]
+        })
+        .collect();
+    if let Err(p) = drive(batches, 0..threads, |_, (start, chunk, slot)| {
         *slot = f(start, chunk)
     }) {
         panic!("{p}");
     }
-    let counts = queue.counts();
-    drop(queue);
+    let counts = MorselCounts {
+        dispatched: threads as u64,
+        ..MorselCounts::default()
+    };
     (results, counts)
 }
 
@@ -388,7 +455,7 @@ mod tests {
     #[test]
     fn parallel_flat_sort_matches_serial() {
         // One whole-relation group: the merge-sort splits it into slices
-        // and finisher-merges them; `Auto` sorts it as one morsel.
+        // and merges them after the join; `Auto` sorts it as one task.
         let n = 50_000;
         let mut state = 12345u64;
         let orig: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
@@ -561,39 +628,82 @@ mod tests {
     }
 
     #[test]
-    fn skewed_groups_eventually_steal() {
-        // Steals are scheduling-dependent (a worker must go dry while
-        // another still holds queued morsels), so retry a handful of
-        // times; byte-identical output is asserted on *every* attempt.
-        let n = 50_000usize;
-        let big = 47_500u32; // 95% of rows in one group
-        let mut state = 31337u64;
-        let keys0: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
-        let mut offsets = vec![0u32, big];
-        let mut at = big;
-        while (at as usize) < n {
-            at = (at + 50).min(n as u32);
-            offsets.push(at);
-        }
+    fn each_worker_runs_the_tasks_of_its_row_range() {
+        // Small spans, one giant group (rows 5000..30000), then small
+        // spans. Keys are distinct, so oids are byte-comparable too.
+        let n = 40_000usize;
+        let (giant, giant_end) = (5_000usize, 30_000usize);
+        let mut offsets: Vec<u32> = (0..=50).map(|i| 100 * i).collect();
+        offsets.push(giant_end as u32);
+        offsets.extend((1..=100).map(|i| 30_000 + 100 * i));
         let groups = GroupBounds::from_offsets(offsets);
-        let cfg = SortConfig::default();
+        let keys0: Vec<u32> = (0..n as u32)
+            .map(|i| i.wrapping_mul(0x9E37_79B1) ^ 0x5555)
+            .collect();
+        let run = |threads: usize, cfg: &SortConfig| {
+            let mut keys = keys0.clone();
+            let mut oids: Vec<u32> = (0..n as u32).collect();
+            let s = sort_parallel(&mut keys, &mut oids, &groups, threads, cfg)
+                .expect("no injected faults");
+            (keys, oids, s)
+        };
+        // The carving of `sort_in_ranges`: first rows, and split groups.
+        let carved = |threads: usize, split: bool| {
+            let target = n.div_ceil(threads * TASKS_PER_WORKER);
+            let (mut keys, mut oids) = (keys0.clone(), vec![0u32; n]);
+            let (tasks, splits) = carve(&mut keys, &mut oids, &groups.offsets, target, split);
+            let firsts: Vec<usize> = tasks.iter().map(|(first, _)| *first).collect();
+            (firsts, splits.len())
+        };
+        let (serial_auto, serial_merge) = (run(1, &SortConfig::default()), run(1, &merge_sort()));
 
-        let mut k1 = keys0.clone();
-        let mut o1: Vec<u32> = (0..n as u32).collect();
-        sort_serial(&mut k1, &mut o1, &groups, &cfg);
-
-        let mut saw_steal = false;
-        for _ in 0..50 {
-            let mut k2 = keys0.clone();
-            let mut o2: Vec<u32> = (0..n as u32).collect();
-            let s = sort_parallel(&mut k2, &mut o2, &groups, 4, &cfg).expect("no injected faults");
-            assert_eq!(k1, k2, "steal schedule must not change the keys");
-            if s.morsels.stolen > 0 {
-                saw_steal = true;
-                break;
+        for threads in [2usize, 4, 8] {
+            let (firsts, _) = carved(threads, false);
+            let range = |w: usize| w * n / threads..(w + 1) * n / threads;
+            let ids = firsts.iter().enumerate().map(|(id, &first)| (first, id));
+            let mut logs = vec![Vec::new(); threads];
+            drive(
+                deal(ids.collect(), n, threads),
+                logs.iter_mut(),
+                |log, id| log.push(id),
+            )
+            .expect("no panic");
+            // Every task runs exactly once, in row order across workers,
+            // on the worker whose row range holds its first row.
+            assert_eq!(logs.concat(), (0..firsts.len()).collect::<Vec<_>>());
+            for (w, log) in logs.iter().enumerate() {
+                assert!(log.iter().all(|&id| range(w).contains(&firsts[id])));
             }
+            // Under `Auto` the giant group lies inside one span task; that
+            // task's worker runs only the tasks its row range holds.
+            let holder = firsts.partition_point(|&first| first <= giant) - 1;
+            assert!(firsts[holder + 1] >= giant_end, "t{threads}: {firsts:?}");
+            let w = firsts[holder] * threads / n;
+            let held: Vec<usize> = (0..firsts.len())
+                .filter(|&id| range(w).contains(&firsts[id]))
+                .collect();
+            assert_eq!(logs[w], held, "t{threads}");
+
+            let (keys, oids, s) = run(threads, &SortConfig::default());
+            assert_eq!((keys, oids), (serial_auto.0.clone(), serial_auto.1.clone()));
+            assert_eq!(s.morsels.dispatched, firsts.len() as u64, "t{threads}");
+            assert_eq!((s.morsels.split, s.morsels.stolen), (0, 0), "t{threads}");
+
+            // The merge-sort still splits the giant group, and its tasks
+            // plus one merge per split group are what it dispatches.
+            let (firsts, splits) = carved(threads, true);
+            let (keys, oids, s) = run(threads, &merge_sort());
+            assert_eq!(keys, serial_merge.0, "t{threads}");
+            assert_eq!(oids, serial_merge.1, "t{threads}");
+            assert!(s.morsels.split >= 1, "t{threads}");
+            assert_eq!(s.morsels.split, splits as u64, "t{threads}");
+            assert_eq!(
+                s.morsels.dispatched,
+                (firsts.len() + splits) as u64,
+                "t{threads}"
+            );
+            assert_eq!(s.morsels.stolen, 0, "t{threads}");
         }
-        assert!(saw_steal, "no steal observed across 50 skewed runs");
     }
 
     #[test]
@@ -652,6 +762,7 @@ mod tests {
         assert_eq!(rows, (0..n).collect::<Vec<_>>());
         // Results come back in row order, tiling `0..n`.
         assert_eq!(sums.len() as u64, counts.dispatched);
+        assert_eq!(counts.dispatched, 4, "one range per worker");
         let mut at = 0;
         for (start, len) in sums {
             assert_eq!(start, at);

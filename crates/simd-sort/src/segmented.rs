@@ -107,9 +107,9 @@ pub struct SegmentedSortStats {
     /// and split-group merges, summed across invocations
     /// ([`crate::ovc`]).
     pub merge: MergeCounters,
-    /// Work-stealing scheduler counters of the parallel path (all zero on
-    /// the serial path and below the parallel cutoff).
-    pub morsels: mcs_morsel::MorselCounts,
+    /// Scheduler counters of the parallel path (all zero on the serial
+    /// path and below the parallel cutoff).
+    pub morsels: crate::MorselCounts,
 }
 
 /// Sort `(keys, oids)` within each group of an offsets window

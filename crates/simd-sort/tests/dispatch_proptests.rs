@@ -5,8 +5,9 @@
 //! and the keys equal what `SortKernel::MergeSort` produces.
 
 use mcs_simd_sort::{
-    kernel_for, sort_pairs_with, Key, SizeKernel, SortConfig, SortKernel, SortScratch, SortableKey,
-    INSERTION_MAX_ROWS, PACKED_MAX_ROWS,
+    kernel_for, sort_pairs_in_groups, sort_pairs_with, GroupBounds, Key, SizeKernel, SortConfig,
+    SortKernel, SortScratch, SortableKey, WorkerScratch, INSERTION_MAX_ROWS, PACKED_MAX_ROWS,
+    PARALLEL_CUTOFF_ROWS,
 };
 use mcs_test_support::{check, Rng};
 
@@ -183,5 +184,85 @@ fn warm_scratch_is_equivalent_and_packed_share_is_bounded() {
         let radix_side = 5000 * (4 + 4);
         let packed_side = 2 * PACKED_MAX_ROWS * 8;
         assert!(scratch.bytes() <= 2 * radix_side + packed_side);
+    });
+}
+
+/// Groups of every kernel class with heavy ties, ascending but gapped
+/// oids, sorted by `sort_pairs_in_groups` under `Auto` on `threads`
+/// workers: each group comes out sorted, and equal keys keep their input
+/// (ascending-oid) order.
+fn ties_keep_input_order<K: SortableKey>(rng: &mut Rng, threads: usize) {
+    let mut offsets = vec![0u32];
+    let mut keys: Vec<K> = Vec::new();
+    let class_lens = [
+        2..=INSERTION_MAX_ROWS,
+        INSERTION_MAX_ROWS + 1..=PACKED_MAX_ROWS,
+        PACKED_MAX_ROWS + 1..=2000,
+    ];
+    // A few groups of each class, then one radix group that puts the
+    // total over the parallel cutoff.
+    let mut lens: Vec<usize> = (0..12)
+        .map(|i| rng.gen_range(class_lens[i % 3].clone()))
+        .collect();
+    rng.shuffle(&mut lens);
+    lens.push(PARALLEL_CUTOFF_ROWS);
+    for len in lens {
+        // A few distinct values per group: tight (ties on the 64-bit
+        // packed kernel's top bits too) or spread over the whole bank.
+        let ndv = rng.gen_range(1..=6usize);
+        let values: Vec<u64> = if rng.gen_bool(0.5) {
+            (0..ndv).map(|_| rng.gen::<u64>() & 0xFF).collect()
+        } else {
+            (0..ndv).map(|_| rng.gen()).collect()
+        };
+        keys.extend((0..len).map(|_| K::from_u64(*rng.choose(&values))));
+        offsets.push(keys.len() as u32);
+    }
+    let mut oid = 0u32;
+    let oids0: Vec<u32> = (0..keys.len())
+        .map(|_| {
+            oid += 1 + rng.gen_range(0..3u32);
+            oid
+        })
+        .collect();
+    let groups = GroupBounds::from_offsets(offsets);
+    let (orig, mut oids) = (keys.clone(), oids0.clone());
+    sort_pairs_in_groups(
+        &mut keys,
+        &mut oids,
+        &groups,
+        threads,
+        &SortConfig::default(),
+        &mut WorkerScratch::new(),
+    )
+    .expect("no injected faults");
+    for g in groups.iter() {
+        let (k, o) = (&keys[g.clone()], &oids[g.clone()]);
+        for i in 1..k.len() {
+            assert!(k[i - 1] <= k[i], "t{threads}: group {g:?} not sorted");
+            if k[i - 1] == k[i] {
+                assert!(o[i - 1] < o[i], "t{threads}: group {g:?} reordered a tie");
+            }
+        }
+        let mut got = o.to_vec();
+        got.sort_unstable();
+        assert_eq!(got, oids0[g.clone()], "t{threads}: group {g:?} oids");
+        for (&key, &oid) in k.iter().zip(o) {
+            let row = oids0.binary_search(&oid).expect("known oid");
+            assert_eq!(key, orig[row], "t{threads}: oid {oid} names another key");
+        }
+    }
+}
+
+/// `Auto` is stable: the executor canonicalizes ties only under
+/// `MergeSort`, whose sorting networks are not.
+#[test]
+fn auto_keeps_equal_keys_in_input_order() {
+    check("auto_keeps_equal_keys_in_input_order", 8, |rng| {
+        for threads in [1, 4] {
+            ties_keep_input_order::<u16>(rng, threads);
+            ties_keep_input_order::<u32>(rng, threads);
+            ties_keep_input_order::<u64>(rng, threads);
+        }
     });
 }

@@ -36,8 +36,9 @@ fn injected_worker_panic_is_caught() {
         let mut oids: Vec<u32> = (0..n as u32).collect();
         let err = sort(&mut keys, &mut oids);
         std::panic::set_hook(prev);
-        // Which worker pops the poisoned morsel first is a scheduling
-        // race; any worker index is a valid report.
+        // Every worker reaches the fault point with its first task, and
+        // which one gets there first is a race: any worker index is a
+        // valid report.
         let e = err.expect_err("armed fault must surface as WorkerPanic");
         assert!(e.worker < 4);
     });

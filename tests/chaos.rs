@@ -303,11 +303,11 @@ fn mid_round_fault_does_not_poison_the_session_arena() {
     );
 }
 
-/// The morsel-loop panic contract at the executor level, below the
+/// The worker panic contract at the executor level, below the
 /// degradation ladder: `simd.worker.panic` armed `Once` fires on the
-/// first morsel some worker pops, mid-round. The sort must surface a
+/// first task some worker starts, mid-round. The sort must surface a
 /// clean typed `WorkerPanicked` (never abort or hang — the sibling
-/// workers drain the queue and join), the shared arena must come back
+/// workers finish their own ranges and join), the shared arena must come back
 /// unpoisoned, and the disarmed rerun on that same arena must be
 /// byte-identical to a fresh-buffer run.
 #[test]

@@ -879,7 +879,14 @@ fn execute(
     timings.mcs_stats = out.stats.clone();
     timings.plan = ran_plan;
     timings.sort_instance = Some(inst);
-    let final_oids: Vec<u32> = out.oids.iter().map(|&p| oids[p as usize]).collect();
+    // The sort ran over `oids`, so its output indexes them: compose in
+    // place. Unfiltered, `oids` is the identity and there is nothing to do.
+    let mut final_oids = out.oids;
+    if !query.filters.is_empty() {
+        for p in &mut final_oids {
+            *p = oids[*p as usize];
+        }
+    }
 
     // SELECT: one pass per column, straight from its base codes.
     let t = Instant::now();
@@ -903,7 +910,10 @@ fn execute(
             let part_keys: Vec<&CodeVec> = cols.keys[..np].iter().map(|(c, _)| c.codes()).collect();
             let parts = partition_bounds(&out.groups, &final_oids, &part_keys);
             result.push(("rank".to_string(), rank_over(&parts, &out.groups)));
-            let attrs = [("partitions", parts.num_groups()), ("rows", out.oids.len())];
+            let attrs = [
+                ("partitions", parts.num_groups()),
+                ("rows", final_oids.len()),
+            ];
             Some(("engine.window.rank", attrs))
         }
         Shape::Grouped => {
@@ -1012,6 +1022,29 @@ mod tests {
         t.add_column(Column::from_u64s("ship_date", 3, [5u64, 2, 5, 1, 3, 3]));
         t.add_column(Column::from_u64s("price", 8, [40u64, 30, 10, 20, 50, 60]));
         t
+    }
+
+    #[test]
+    fn filtered_and_unfiltered_order_by_match_the_reference() {
+        // Unfiltered, the sort's oids are final as they come; filtered,
+        // they index the qualifying rows and are composed through them.
+        let t = small_table();
+        let mut q = Query::named("q");
+        q.order_by = vec![
+            OrderKey::asc("nation"),
+            OrderKey::desc("ship_date"),
+            OrderKey::asc("price"),
+        ];
+        q.select = vec!["price".into(), "nation".into(), "ship_date".into()];
+        let cheap = Filter {
+            column: "price".into(),
+            predicate: Predicate::Lt(45),
+        };
+        for filters in [vec![], vec![cheap]] {
+            q.filters = filters;
+            let got = run_query(&t, &q, &EngineConfig::default()).unwrap();
+            assert_eq!(got.columns, crate::reference::naive_execute(&t, &q));
+        }
     }
 
     // Old panic site: the filter scan's `expect_column`.

@@ -7,10 +7,12 @@
 //! By default ([`SortKernel::Auto`]) every sort is dispatched on its
 //! length alone ([`kernel_for`]): insertion sort up to
 //! [`INSERTION_MAX_ROWS`] rows, a comparison sort on packed `key‖oid`
-//! words up to [`PACKED_MAX_ROWS`], a scratch-backed LSD radix sort
-//! ([`radix`]) above. [`sort_pairs_in_groups`] runs that dispatch once per
-//! tied group of a multi-column round, serially or on workers that each
-//! own one contiguous row range of the round ([`parallel`]).
+//! words up to [`PACKED_MAX_ROWS`], a scratch-backed radix sort
+//! ([`radix`]: MSD partition past [`MSD_MIN_ROWS`], LSD in cache) above.
+//! [`sort_pairs_in_groups`] runs that dispatch once per tied group of a
+//! multi-column round, serially or on workers that each own one
+//! contiguous row range of the round, range-partitioning any oversized
+//! group between them ([`parallel`]).
 //!
 //! The paper's own `SIMD-Sort` stays reachable as
 //! [`SortKernel::MergeSort`] for the figure bins and the cost-model
@@ -67,7 +69,7 @@ pub use multiway::{multiway_merge, multiway_pass, LoserTree, MergeHead, MergeSou
 pub use ovc::{ovc_encode, MergeCounters};
 pub use parallel::{for_each_chunk, sort_pairs_in_groups, MorselCounts, WorkerPanic};
 pub use phase::PhaseTimes;
-pub use radix::radix_sort_pairs;
+pub use radix::{radix_sort_pairs, MSD_MIN_ROWS};
 pub use scalar::{insertion_sort_pairs, sort_pairs_packed, sort_pairs_scalar};
 pub use scratch::{MergeScratch, SortScratch, WorkerScratch};
 pub use segmented::{group_boundaries, GroupBounds, SegmentedSortStats};

@@ -5,33 +5,42 @@
 //! paper's thread-per-core execution) owns one contiguous, row-balanced
 //! range of the round and runs only the work inside it, so workers never
 //! coordinate. The segmented sort carves its rows into tasks — whole-group
-//! spans plus, under the merge-sort, slices of oversized groups — each
-//! owning its own disjoint `&mut` rows of the caller's slices, and worker
-//! `w` runs the contiguous run of tasks whose first row falls in
-//! `[w·n/T, (w+1)·n/T)`. Once every worker has joined, a second pass over
-//! the same workers merges each split group, dealt by the same rule.
-//! [`for_each_chunk`] gives worker `w` the `w`-th of `T` equal row
-//! ranges. A flat sort is the one-group case ([`GroupBounds::whole`]).
-//! Which worker runs what is a function of the input alone, and so is the
-//! output.
+//! spans plus the slices of oversized groups — each owning its own
+//! disjoint `&mut` rows of the caller's slices, and worker `w` runs the
+//! contiguous run of tasks whose first row falls in `[w·n/T, (w+1)·n/T)`.
+//! An oversized group is divided across the workers, and a second pass
+//! over the same workers finishes it after the join: under
+//! [`SortKernel::Auto`] its slices are the worker ranges' shares, stably
+//! partitioned on the group's top live byte (MPSM-style range
+//! partitioning), and worker `w` then gathers and sorts the `w`-th
+//! row-balanced range of buckets; under [`SortKernel::MergeSort`] its
+//! slices are sorted whole and merged. [`for_each_chunk`] gives worker
+//! `w` the `w`-th of `T` equal row ranges. A flat sort is the one-group
+//! case ([`GroupBounds::whole`]). Which worker runs what is a function of
+//! the input alone, and so is the output.
 //!
-//! Worker panics are caught at the scope boundary and surfaced as a typed
-//! [`WorkerPanic`] carrying the worker index, so a dying worker can be
-//! degraded around (the caller's buffers may hold partially sorted data
-//! and must be treated as garbage) instead of aborting the process.
+//! The first worker with a batch runs it on the calling thread (worker 0,
+//! unless its range is empty). Worker panics are caught (at the scope
+//! boundary, or around that inline batch) and surfaced as a
+//! typed [`WorkerPanic`] carrying the worker index, so a dying worker can
+//! be degraded around (the caller's buffers may hold partially sorted
+//! data and must be treated as garbage) instead of aborting the process.
 //! `CancelToken` polls and the `simd.worker.panic` fault point both run
 //! once per task, bounding reaction latency to one task.
 
 use crate::multiway::multiway_merge;
+use crate::radix::{partition, partition_shift, radix_sort_pairs, BUCKETS};
 use crate::scratch::{SortScratch, WorkerScratch};
 use crate::segmented::{group_stats, sort_groups_by_offsets, GroupBounds, SegmentedSortStats};
 use crate::sort::{SortConfig, SortKernel, SortableKey, PARALLEL_CUTOFF_ROWS};
 use core::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 /// Sort tasks carved per worker: a span closes once it holds
 /// `n / (threads · 4)` rows. A worker sorts every task that starts in its
 /// range, so the rows it sorts overrun its share by less than one span —
-/// a quarter of that share — or by one oversized group.
+/// a quarter of that share — or by one oversized group's slice.
 const TASKS_PER_WORKER: usize = 4;
 
 /// Split boundaries inside an oversized group are aligned down to this
@@ -44,16 +53,16 @@ const SPLIT_ALIGN: usize = 64;
 /// and below [`PARALLEL_CUTOFF_ROWS`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MorselCounts {
-    /// Tasks run: sort spans and slices, split-group merges and
-    /// [`for_each_chunk`] ranges. A function of the input, the kernel and
-    /// the thread count.
+    /// Tasks run: sort spans, oversized groups' slices and their
+    /// post-join merges or bucket ranges, and [`for_each_chunk`] ranges.
+    /// A function of the input, the kernel and the thread count.
     pub dispatched: u64,
     /// Always 0: every worker owns a fixed range, so no task changes
     /// worker. Kept because the benchmark's trace (`spine/src/trace.rs`)
     /// still reads it.
     pub stolen: u64,
-    /// Oversized groups split into slices (only under
-    /// [`SortKernel::MergeSort`]).
+    /// Oversized groups divided across workers: sliced and merged under
+    /// [`SortKernel::MergeSort`], partitioned under [`SortKernel::Auto`].
     pub split: u64,
 }
 
@@ -96,12 +105,46 @@ enum Task<'a, K> {
     /// A contiguous span of whole groups with its window of the round's
     /// offsets; sorted group-by-group.
     Span(&'a mut [K], &'a mut [u32], &'a [u32]),
-    /// One slice of an oversized (split) group.
+    /// One slice of an oversized (split) group: under the merge-sort,
+    /// sorted whole; under `Auto`, a [`Share`] once it has its rows of
+    /// the shared buffer.
     Slice(&'a mut [K], &'a mut [u32]),
+    /// One worker range's share of an oversized group under `Auto`.
+    Share(Share<'a, K>),
 }
 
-/// A split group: its first row, and its slice runs relative to it.
-type Split = (usize, Vec<Range<usize>>);
+/// One worker range's share of a partitioned group: its rows of the
+/// caller's slices, stably scattered by the digit at `shift` into the
+/// same rows of the shared buffer, with its bucket counts in `counts`.
+struct Share<'a, K> {
+    keys: &'a [K],
+    oids: &'a [u32],
+    to: (&'a mut [K], &'a mut [u32]),
+    shift: u32,
+    counts: &'a mut [u32; BUCKETS],
+}
+
+/// One worker's range of a partitioned group's buckets: gathered from
+/// every share of the group (in worker order) into the worker's rows of
+/// the caller's slices, then sorted bucket by bucket.
+struct BucketRange<'a, K> {
+    keys: &'a mut [K],
+    oids: &'a mut [u32],
+    buckets: Range<usize>,
+    /// The group's rows of the shared buffer.
+    from: (&'a [K], &'a [u32]),
+    /// The group's shares, relative to its first row, and their counts.
+    shares: &'a [Range<usize>],
+    counts: &'a [[u32; BUCKETS]],
+}
+
+/// A group divided across workers: its first row, its slices relative to
+/// it, and (under `Auto`) the shift of the digit it is partitioned on.
+struct Split {
+    start: usize,
+    runs: Vec<Range<usize>>,
+    shift: u32,
+}
 
 /// Split `len` rows into `parts` near-equal runs, boundaries aligned down
 /// to [`SPLIT_ALIGN`] (collapsed boundaries are dropped, so tiny inputs
@@ -121,11 +164,31 @@ fn split_runs(len: usize, parts: usize) -> Vec<Range<usize>> {
     runs
 }
 
+/// The shares of rows `start..start + len` that fall in each of the
+/// `threads` worker ranges of an `n`-row round, relative to `start`, in
+/// worker order; empty shares are dropped.
+fn worker_runs(start: usize, len: usize, n: usize, threads: usize) -> Vec<Range<usize>> {
+    let clamp = |row: usize| row.clamp(start, start + len) - start;
+    (0..threads)
+        .map(|w| clamp(w * n / threads)..clamp((w + 1) * n / threads))
+        .filter(|r| !r.is_empty())
+        .collect()
+}
+
 /// Split the first `len` rows off `rows`, leaving it the rest.
 fn take_rows<'a, T>(rows: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     let (head, tail) = core::mem::take(rows).split_at_mut(len);
     *rows = tail;
     head
+}
+
+/// [`take_rows`] on a key slice and an oid slice in lockstep.
+fn take_pairs<'a, K>(
+    keys: &mut &'a mut [K],
+    oids: &mut &'a mut [u32],
+    len: usize,
+) -> (&'a mut [K], &'a mut [u32]) {
+    (take_rows(keys, len), take_rows(oids, len))
 }
 
 /// Sort `(keys, oids)` within each group independently, each group by
@@ -140,15 +203,19 @@ fn take_rows<'a, T>(rows: &mut &'a mut [T], len: usize) -> &'a mut [T] {
 /// split-group merges allocate; the kernels still do not).
 ///
 /// Scheduling: whole groups are packed into contiguous spans of roughly
-/// `n / (threads · 4)` rows. Under [`SortKernel::MergeSort`] any single
-/// group at least twice that size is split at 64-row-aligned boundaries
-/// into slices, sorted independently, and merged after the join; under
-/// [`SortKernel::Auto`] it stays one span (the merge would cost more than
-/// the split saves). Worker `w` runs the tasks whose first row falls in
-/// `[w·n/T, (w+1)·n/T)`, and the split-group merges are dealt the same
-/// way. Group-level stats are counted once per *group* from the offsets,
-/// so they match the serial path; kernel times and merge counters are
-/// what the run credited to the worker scratches.
+/// `n / (threads · 4)` rows, and any single group at least twice that
+/// size is divided across the workers. Under [`SortKernel::Auto`] each
+/// worker range's share of it is stably partitioned on the group's top
+/// live byte into the scratch's shared buffer; after the join, worker `w`
+/// gathers the `w`-th row-balanced range of buckets back and radix-sorts
+/// each bucket, so the group comes out exactly as the serial (stable)
+/// radix sort leaves it, with no merge. Under [`SortKernel::MergeSort`]
+/// the group is split at 64-row-aligned boundaries into slices, sorted
+/// independently, and merged after the join. Worker `w` runs the tasks
+/// whose first row falls in `[w·n/T, (w+1)·n/T)`, and the split-group
+/// merges are dealt the same way. Group-level stats are counted once per
+/// *group* from the offsets, so they match the serial path; kernel times
+/// and merge counters are what the run credited to the worker scratches.
 ///
 /// Worker panics are caught and returned as a [`WorkerPanic`] carrying
 /// the worker index; the slices are then in an unspecified state.
@@ -172,8 +239,7 @@ pub fn sort_pairs_in_groups<K: SortableKey>(
         if scratch.workers.len() < threads {
             scratch.workers.resize_with(threads, Default::default);
         }
-        let workers = &mut scratch.workers[..threads];
-        stats.morsels = sort_in_ranges(keys, oids, offs, cfg, workers)?;
+        stats.morsels = sort_in_ranges(keys, oids, offs, cfg, threads, scratch)?;
     }
     let (phases, merge) = scratch.credited();
     stats.phases = phases.since(before.0);
@@ -183,111 +249,327 @@ pub fn sort_pairs_in_groups<K: SortableKey>(
 
 /// Carve the groups of `offs` into tasks in row order, each with its
 /// first row and its rows taken off the untaken tail of `(keys, oids)`:
-/// contiguous spans of whole groups of roughly `target` rows, and — when
-/// `split_oversized` — slices of every group of at least `2 · target`
-/// rows. Returns the tasks and the split groups.
+/// contiguous spans of whole groups of roughly `target` rows, and the
+/// slices of every group of at least `2 · target` rows that `divide`
+/// (given its first row and keys) splits. Returns the tasks and the
+/// splits.
 fn carve<'a, K>(
     keys: &'a mut [K],
     oids: &'a mut [u32],
     offs: &'a [u32],
     target: usize,
-    split_oversized: bool,
+    mut divide: impl FnMut(usize, &[K]) -> Option<Split>,
 ) -> (Vec<(usize, Task<'a, K>)>, Vec<Split>) {
     let mut splits: Vec<Split> = Vec::new();
     let mut tasks = Vec::new();
     let (mut kt, mut ot) = (keys, oids);
-    let mut take = |len: usize| (take_rows(&mut kt, len), take_rows(&mut ot, len));
     let num_groups = offs.len() - 1;
     let mut span_start = 0usize;
     for g in 0..num_groups {
-        let (first, len) = (offs[span_start] as usize, (offs[g + 1] - offs[g]) as usize);
-        if split_oversized && len >= 2 * target {
+        let first = offs[span_start] as usize;
+        let (start, end) = (offs[g] as usize, offs[g + 1] as usize);
+        let split = if end - start >= 2 * target {
+            divide(start, &kt[start - first..end - first])
+        } else {
+            None
+        };
+        if let Some(split) = split {
             if span_start < g {
-                let (k, o) = take(offs[g] as usize - first);
+                let (k, o) = take_pairs(&mut kt, &mut ot, start - first);
                 tasks.push((first, Task::Span(k, o, &offs[span_start..=g])));
             }
-            let runs = split_runs(len, len.div_ceil(target));
-            for r in &runs {
-                let (k, o) = take(r.len());
-                tasks.push((offs[g] as usize + r.start, Task::Slice(k, o)));
+            for r in &split.runs {
+                let (k, o) = take_pairs(&mut kt, &mut ot, r.len());
+                tasks.push((start + r.start, Task::Slice(k, o)));
             }
-            splits.push((offs[g] as usize, runs));
+            splits.push(split);
             span_start = g + 1;
-        } else if offs[g + 1] as usize - first >= target {
-            let (k, o) = take(offs[g + 1] as usize - first);
+        } else if end - first >= target {
+            let (k, o) = take_pairs(&mut kt, &mut ot, end - first);
             tasks.push((first, Task::Span(k, o, &offs[span_start..=g + 1])));
             span_start = g + 1;
         }
     }
     if span_start < num_groups {
         let first = offs[span_start] as usize;
-        let (k, o) = take(offs[num_groups] as usize - first);
+        let (k, o) = take_pairs(&mut kt, &mut ot, offs[num_groups] as usize - first);
         tasks.push((first, Task::Span(k, o, &offs[span_start..])));
     }
     (tasks, splits)
 }
 
+/// How [`sort_in_ranges`] divides an oversized group of an `n`-row round
+/// on `threads` workers with span target `target`, given its first row
+/// and keys: under `Auto` into the worker ranges' shares, partitioned on
+/// the group's top live byte (a group of equal keys is sorted already and
+/// stays in a span); under the merge-sort into `target`-row slices.
+fn divider<K: SortableKey>(
+    kernel: SortKernel,
+    n: usize,
+    threads: usize,
+    target: usize,
+) -> impl Fn(usize, &[K]) -> Option<Split> {
+    move |start, group| {
+        let (runs, shift) = match kernel {
+            SortKernel::Auto => (
+                worker_runs(start, group.len(), n, threads),
+                partition_shift(group)?,
+            ),
+            SortKernel::MergeSort => (split_runs(group.len(), group.len().div_ceil(target)), 0),
+        };
+        Some(Split { start, runs, shift })
+    }
+}
+
 /// The parallel path of [`sort_pairs_in_groups`]: each worker sorts the
-/// span and slice tasks of its row range, then, after the join, merges
-/// the split groups of its row range.
+/// span tasks and the slices (merge-sort) or partitions the shares
+/// (`Auto`) of its row range, then, after the join, finishes the divided
+/// groups: merged by row range, or gathered and sorted by bucket range.
 fn sort_in_ranges<K: SortableKey>(
     keys: &mut [K],
     oids: &mut [u32],
     offs: &[u32],
     cfg: &SortConfig,
-    workers: &mut [SortScratch],
+    threads: usize,
+    scratch: &mut WorkerScratch,
 ) -> Result<MorselCounts, WorkerPanic> {
-    let (n, threads) = (keys.len(), workers.len());
-    // Only the merge-sort splits: its slices end in a loser-tree merge
-    // anyway. Under `Auto` the split-group merge alone costs about as
-    // much as radix-sorting the whole group on one worker, so a big group
-    // stays one span.
+    let n = keys.len();
     let target = n.div_ceil(threads * TASKS_PER_WORKER).max(1);
-    let split_oversized = cfg.kernel == SortKernel::MergeSort;
-    let (tasks, splits) = carve(&mut *keys, &mut *oids, offs, target, split_oversized);
+    let partitioned = cfg.kernel == SortKernel::Auto;
+    let divide = divider(cfg.kernel, n, threads, target);
+    let (mut tasks, splits) = carve(&mut *keys, &mut *oids, offs, target, divide);
     let mut counts = MorselCounts {
         dispatched: tasks.len() as u64,
         split: splits.len() as u64,
         ..MorselCounts::default()
     };
-    let batches = deal(tasks, n, threads);
-    drive(batches, workers.iter_mut(), |worker, task| {
-        // Fault injection and cancellation run once per task: reaction
-        // latency is bounded by one task. A fired token skips every
-        // remaining task; the caller re-checks the token and discards the
-        // garbage round.
-        if mcs_faults::fault_point!(mcs_faults::points::SIMD_WORKER_PANIC) {
-            panic!("injected fault: {}", mcs_faults::points::SIMD_WORKER_PANIC);
+    let WorkerScratch {
+        workers,
+        shared,
+        counts: share_counts,
+    } = scratch;
+    let workers = &mut workers[..threads];
+    let (shared_k, shared_o) = (&mut K::bufs(&mut shared.keys).0, &mut shared.oids.0);
+    if partitioned && !splits.is_empty() {
+        let shares = splits.iter().map(|s| s.runs.len()).sum();
+        if share_counts.len() < shares {
+            share_counts.resize(shares, [0; BUCKETS]);
         }
-        if cfg.cancel.check().is_err() {
-            return;
+        if shared_k.len() < n {
+            shared_k.resize(n, K::default());
         }
-        match task {
-            Task::Span(k, o, window) => sort_groups_by_offsets(k, o, window, cfg, worker),
-            Task::Slice(k, o) => K::sort_pairs_with_scratch(k, o, cfg, worker),
+        if shared_o.len() < n {
+            shared_o.resize(n, 0);
         }
-    })?;
+        let shifts = splits.iter().flat_map(|s| s.runs.iter().map(|_| s.shift));
+        let shared = (&mut shared_k[..n], &mut shared_o[..n]);
+        attach_shares(&mut tasks, shared, share_counts, shifts);
+    }
+
+    let by_row = |&(first, _): &(usize, _)| row_owner(first, n, threads);
+    drive(
+        &mut tasks,
+        by_row,
+        workers.iter_mut(),
+        |worker, (_, task)| {
+            if !task_may_start(cfg) {
+                return;
+            }
+            match task {
+                Task::Span(k, o, window) => sort_groups_by_offsets(k, o, window, cfg, worker),
+                Task::Slice(k, o) => K::sort_pairs_with_scratch(k, o, cfg, worker),
+                Task::Share(s) => {
+                    let t0 = Instant::now();
+                    partition(s.keys, s.oids, s.to.0, s.to.1, s.shift, s.counts);
+                    worker.phases.radix_ns += t0.elapsed().as_nanos() as u64;
+                }
+            }
+        },
+    )?;
+    // A skipped share left its counts stale: stop before reading them.
     if splits.is_empty() || cfg.cancel.check().is_err() {
+        return Ok(counts);
+    }
+
+    if partitioned {
+        let from = (&shared_k[..n], &shared_o[..n]);
+        let mut ranges = bucket_ranges(keys, oids, &splits, from, share_counts, threads);
+        counts.dispatched += ranges.len() as u64;
+        let by_worker = |&(w, _): &(usize, _)| w;
+        drive(
+            &mut ranges,
+            by_worker,
+            workers.iter_mut(),
+            |worker, (_, range)| {
+                if task_may_start(cfg) {
+                    gather_and_sort(range, cfg, worker)
+                }
+            },
+        )?;
         return Ok(counts);
     }
 
     // Every slice is sorted: merge each split group back into group order.
     let mut merges = Vec::with_capacity(splits.len());
     let (mut kt, mut ot, mut at) = (keys, oids, 0usize);
-    for (start, runs) in &splits {
+    for Split { start, runs, .. } in &splits {
         let len = runs[runs.len() - 1].end;
-        take_rows(&mut kt, start - at);
-        take_rows(&mut ot, start - at);
-        let merge = (take_rows(&mut kt, len), take_rows(&mut ot, len), &runs[..]);
-        merges.push((*start, merge));
+        take_pairs(&mut kt, &mut ot, start - at);
+        let (k, o) = take_pairs(&mut kt, &mut ot, len);
+        merges.push((*start, (k, o, &runs[..])));
         at = start + len;
     }
     counts.dispatched += merges.len() as u64;
-    let batches = deal(merges, n, threads);
-    drive(batches, workers.iter_mut(), |worker, (k, o, runs)| {
-        merge_split(k, o, runs, cfg, worker)
-    })?;
+    let by_row = |&(first, _): &(usize, _)| row_owner(first, n, threads);
+    drive(
+        &mut merges,
+        by_row,
+        workers.iter_mut(),
+        |worker, (_, (k, o, runs))| merge_split(k, o, runs, cfg, worker),
+    )?;
     Ok(counts)
+}
+
+/// Fault injection and cancellation, once as a worker starts a sort or
+/// partition task, so reaction latency is bounded by one task. `false`
+/// once the token has fired: the task is skipped, and so is every later
+/// one; the caller re-checks the token and discards the garbage round.
+fn task_may_start(cfg: &SortConfig) -> bool {
+    if mcs_faults::fault_point!(mcs_faults::points::SIMD_WORKER_PANIC) {
+        panic!("injected fault: {}", mcs_faults::points::SIMD_WORKER_PANIC);
+    }
+    cfg.cancel.check().is_ok()
+}
+
+/// Turn every [`Task::Slice`] of `tasks` (in row order) into a
+/// [`Task::Share`]: its rows of the round-long `shared` buffer, the next
+/// of `counts`, and the next of `shifts`.
+fn attach_shares<'a, K>(
+    tasks: &mut [(usize, Task<'a, K>)],
+    shared: (&'a mut [K], &'a mut [u32]),
+    counts: &'a mut [[u32; BUCKETS]],
+    mut shifts: impl Iterator<Item = u32>,
+) {
+    let ((mut kt, mut ot), mut at) = (shared, 0usize);
+    let mut counts = counts.iter_mut();
+    for (first, task) in tasks {
+        let Task::Slice(keys, oids) = task else {
+            continue;
+        };
+        let (keys, oids) = (core::mem::take(keys), core::mem::take(oids));
+        take_pairs(&mut kt, &mut ot, *first - at);
+        at = *first + keys.len();
+        *task = Task::Share(Share {
+            to: take_pairs(&mut kt, &mut ot, keys.len()),
+            keys,
+            oids,
+            shift: shifts.next().expect("one shift per share"),
+            counts: counts.next().expect("one count row per share"),
+        });
+    }
+}
+
+/// Deal every partitioned group's buckets to the workers: worker `w` gets
+/// the buckets whose middle row falls in the `w`-th of `threads` equal
+/// shares of the group's rows (so each range is contiguous and within
+/// half a bucket of balanced), with those rows of `(keys, oids)`. The
+/// ranges come back with their worker, ordered by worker and then row.
+fn bucket_ranges<'a, K>(
+    keys: &'a mut [K],
+    oids: &'a mut [u32],
+    splits: &'a [Split],
+    from: (&'a [K], &'a [u32]),
+    counts: &'a [[u32; BUCKETS]],
+    threads: usize,
+) -> Vec<(usize, BucketRange<'a, K>)> {
+    let mut ranges = Vec::with_capacity(splits.len() * threads);
+    let (mut kt, mut ot, mut at) = (keys, oids, 0usize);
+    let mut share_counts = counts;
+    for split in splits {
+        let (counts, rest) = share_counts.split_at(split.runs.len());
+        share_counts = rest;
+        let len = split.runs[split.runs.len() - 1].end;
+        let mut total = [0u32; BUCKETS];
+        for c in counts {
+            for (t, &x) in total.iter_mut().zip(c) {
+                *t += x;
+            }
+        }
+        take_pairs(&mut kt, &mut ot, split.start - at);
+        at = split.start + len;
+        let from = (&from.0[split.start..at], &from.1[split.start..at]);
+        // The worker whose share of the group holds the middle row of the
+        // bucket of `count` rows that starts at the group's row `row`:
+        // monotone along the buckets, so every worker's are contiguous.
+        let owner = |row: usize, count: u32| {
+            ((2 * row + count as usize) * threads / (2 * len)).min(threads - 1)
+        };
+        let (mut first, mut first_row, mut row) = (0, 0, 0);
+        for (b, &count) in total.iter().enumerate() {
+            let w = owner(row, count);
+            row += count as usize;
+            if total.get(b + 1).map(|&next| owner(row, next)) == Some(w) {
+                continue;
+            }
+            let (k, o) = take_pairs(&mut kt, &mut ot, row - first_row);
+            if row > first_row {
+                let range = BucketRange {
+                    keys: k,
+                    oids: o,
+                    buckets: first..b + 1,
+                    from,
+                    shares: &split.runs,
+                    counts,
+                };
+                ranges.push((w, range));
+            }
+            (first, first_row) = (b + 1, row);
+        }
+    }
+    // Row order within each worker: the ranges are disjoint slices.
+    ranges.sort_unstable_by_key(|(w, r)| (*w, r.keys.as_ptr() as usize));
+    ranges
+}
+
+/// Gather a worker's bucket range from every share of its group (share
+/// by share, so each bucket keeps the group's row order), then
+/// radix-sort each bucket in place: the stable sort the serial path runs
+/// on the whole group, restricted to rows that share the partition
+/// digit.
+fn gather_and_sort<K: SortableKey>(
+    r: &mut BucketRange<'_, K>,
+    cfg: &SortConfig,
+    worker: &mut SortScratch,
+) {
+    let t0 = Instant::now();
+    // Each bucket's next write row in the worker's rows.
+    let mut cursors = [0u32; BUCKETS];
+    let mut acc = 0u32;
+    for b in r.buckets.clone() {
+        cursors[b] = acc;
+        acc += r.counts.iter().map(|c| c[b]).sum::<u32>();
+    }
+    for (share, counts) in r.shares.iter().zip(r.counts) {
+        let mut at = share.start + counts[..r.buckets.start].iter().sum::<u32>() as usize;
+        for b in r.buckets.clone() {
+            let (to, len) = (cursors[b] as usize, counts[b] as usize);
+            r.keys[to..to + len].copy_from_slice(&r.from.0[at..at + len]);
+            r.oids[to..to + len].copy_from_slice(&r.from.1[at..at + len]);
+            cursors[b] += counts[b];
+            at += len;
+        }
+    }
+    worker.phases.radix_ns += t0.elapsed().as_nanos() as u64;
+    // `cursors[b]` is now bucket `b`'s end.
+    let mut start = 0;
+    for b in r.buckets.clone() {
+        let end = cursors[b] as usize;
+        if end - start > 1 {
+            let (k, o) = (&mut r.keys[start..end], &mut r.oids[start..end]);
+            radix_sort_pairs(k, o, worker, &cfg.cancel);
+        }
+        start = end;
+    }
 }
 
 /// Merge the sorted slices `runs` of one split group back into group
@@ -316,50 +598,54 @@ fn merge_split<K: SortableKey>(
     oids.copy_from_slice(&out_o);
 }
 
-/// Deal `tasks` — each with its first row, in row order, over `rows`
-/// rows — to `workers` owners: worker `w` gets the contiguous run of
-/// tasks whose first row falls in `[w·rows/workers, (w+1)·rows/workers)`.
-fn deal<T>(tasks: Vec<(usize, T)>, rows: usize, workers: usize) -> Vec<Vec<T>> {
-    let mut batches: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
-    for (first, task) in tasks {
-        batches[(first * workers / rows.max(1)).min(workers - 1)].push(task);
-    }
-    batches
+/// The worker whose row range `[w·rows/workers, (w+1)·rows/workers)`
+/// holds `row`.
+fn row_owner(row: usize, rows: usize, workers: usize) -> usize {
+    ((row + 1) * workers - 1) / rows.max(1)
 }
 
-/// Run batch `w` of `batches` on a scoped thread as worker `w`, owning
-/// the `w`-th of `states`: its tasks in order, each handed to `run` with
-/// the state. An empty batch spawns no thread. A panicking worker is
-/// reported as the lowest such index.
+/// Run `tasks` on the workers: worker `w` runs the contiguous run of
+/// tasks that `owner` gives it — non-decreasing along `tasks`, below the
+/// number of `states` — in order, each handed to `run` with the `w`-th of
+/// `states`. The first worker with a task runs on the calling thread,
+/// every other one on a scoped thread; a worker without a task spawns
+/// none. A panicking worker is reported as the lowest such index.
 fn drive<T: Send, W: Send>(
-    batches: Vec<Vec<T>>,
+    tasks: &mut [T],
+    owner: impl Fn(&T) -> usize,
     states: impl IntoIterator<Item = W>,
-    run: impl Fn(&mut W, T) + Sync,
+    run: impl Fn(&mut W, &mut T) + Sync,
 ) -> Result<(), WorkerPanic> {
-    let run = &run;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = batches
-            .into_iter()
-            .zip(states)
-            .enumerate()
-            .filter(|(_, (batch, _))| !batch.is_empty())
-            .map(|(w, (batch, mut state))| {
-                let handle = scope.spawn(move || {
-                    for task in batch {
-                        run(&mut state, task);
-                    }
-                });
-                (w, handle)
-            })
+    let work = |mut state: W, batch: &mut [T]| {
+        for task in batch {
+            run(&mut state, task);
+        }
+    };
+    let work = &work;
+    let mut rest = tasks;
+    let mut jobs = states.into_iter().enumerate().filter_map(|(w, state)| {
+        let len = rest.iter().take_while(|t| owner(t) == w).count();
+        (len > 0).then(|| (w, take_rows(&mut rest, len), state))
+    });
+    let inline = jobs.next();
+    let joined = std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .map(|(w, batch, state)| (w, scope.spawn(move || work(state, batch))))
             .collect();
-        let mut joined = Ok(());
+        let mut joined = match inline {
+            Some((worker, batch, state)) => catch_unwind(AssertUnwindSafe(|| work(state, batch)))
+                .map_err(|_| WorkerPanic { worker }),
+            None => Ok(()),
+        };
         for (worker, h) in handles {
             if h.join().is_err() && joined.is_ok() {
                 joined = Err(WorkerPanic { worker });
             }
         }
         joined
-    })
+    });
+    debug_assert!(joined.is_err() || rest.is_empty(), "a task has no worker");
+    joined
 }
 
 /// Parallel iteration over `threads` equal row ranges of `rows`, used by
@@ -373,6 +659,10 @@ fn drive<T: Send, W: Send>(
 /// Returns the per-range results in row order, and the scheduler
 /// counters (all zero on the serial path). With `R = ()` the result
 /// vector allocates nothing either. A panicking worker panics the caller.
+// Inlined so a serial call compiles the caller's loop in place: without
+// the hint the threads = 1 massage steps of `analytic_mix` ran ~2.5×
+// slower (3.6 → 8.7 ms per op on the 2-core VM).
+#[inline]
 pub fn for_each_chunk<T: Send, R: Default + Send>(
     rows: &mut [T],
     threads: usize,
@@ -386,21 +676,22 @@ pub fn for_each_chunk<T: Send, R: Default + Send>(
     let mut results: Vec<R> = Vec::new();
     results.resize_with(threads, R::default);
     let mut rest = rows;
-    let batches = results
+    let mut chunks: Vec<_> = results
         .iter_mut()
         .enumerate()
         .map(|(w, slot)| {
             let start = w * n / threads;
-            vec![(
-                start,
-                take_rows(&mut rest, (w + 1) * n / threads - start),
-                slot,
-            )]
+            let chunk = take_rows(&mut rest, (w + 1) * n / threads - start);
+            (w, start, chunk, slot)
         })
         .collect();
-    if let Err(p) = drive(batches, 0..threads, |_, (start, chunk, slot)| {
-        *slot = f(start, chunk)
-    }) {
+    let by_worker = |&(w, ..): &(usize, usize, &mut [T], &mut R)| w;
+    if let Err(p) = drive(
+        &mut chunks,
+        by_worker,
+        0..threads,
+        |_, (_, start, chunk, slot)| **slot = f(*start, chunk),
+    ) {
         panic!("{p}");
     }
     let counts = MorselCounts {
@@ -455,7 +746,7 @@ mod tests {
     #[test]
     fn parallel_flat_sort_matches_serial() {
         // One whole-relation group: the merge-sort splits it into slices
-        // and merges them after the join; `Auto` sorts it as one task.
+        // and merges them after the join; `Auto` partitions it.
         let n = 50_000;
         let mut state = 12345u64;
         let orig: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
@@ -475,8 +766,16 @@ mod tests {
             for i in 0..n as usize {
                 assert_eq!(keys[i], orig[oids[i] as usize]);
             }
+            // `Auto` partitions the group across the workers and never
+            // merges.
             let (auto_keys, _, s) = run(&SortConfig::default());
-            assert_eq!(s.morsels.split, 0, "Auto never splits (t{threads})");
+            assert_eq!(s.morsels.split, u64::from(threads > 1), "t{threads}");
+            assert_eq!(s.merge.comparisons, 0, "t{threads}");
+            assert_eq!(
+                run(&SortConfig::default()).2.morsels,
+                s.morsels,
+                "t{threads}"
+            );
             assert_eq!(auto_keys, keys);
         }
     }
@@ -546,12 +845,19 @@ mod tests {
             assert_eq!(k2[i], keys0[o2[i] as usize]);
         }
 
-        // `Auto` sorts the giant group whole, to the same keys.
-        let mut k3 = keys0.clone();
-        let mut o3: Vec<u32> = (0..n as u32).collect();
-        let s3 = sort_parallel(&mut k3, &mut o3, &groups, 4, &SortConfig::default())
-            .expect("no injected faults");
-        assert_eq!(s3.morsels.split, 0, "Auto must not split");
+        // `Auto` partitions the giant group across the workers, never
+        // merges, and sorts it to the same keys.
+        let auto = || {
+            let mut k3 = keys0.clone();
+            let mut o3: Vec<u32> = (0..n as u32).collect();
+            let s3 = sort_parallel(&mut k3, &mut o3, &groups, 4, &SortConfig::default())
+                .expect("no injected faults");
+            (k3, s3)
+        };
+        let (k3, s3) = auto();
+        assert!(s3.morsels.split >= 1, "Auto must partition the giant group");
+        assert_eq!(s3.merge.comparisons, 0, "Auto never merges");
+        assert_eq!(auto().1.morsels.dispatched, s3.morsels.dispatched);
         assert_eq!(k3, k1);
     }
 
@@ -648,25 +954,25 @@ mod tests {
             (keys, oids, s)
         };
         // The carving of `sort_in_ranges`: first rows, and split groups.
-        let carved = |threads: usize, split: bool| {
+        let carved = |threads: usize, kernel: SortKernel| {
             let target = n.div_ceil(threads * TASKS_PER_WORKER);
             let (mut keys, mut oids) = (keys0.clone(), vec![0u32; n]);
-            let (tasks, splits) = carve(&mut keys, &mut oids, &groups.offsets, target, split);
+            let divide = divider(kernel, n, threads, target);
+            let (tasks, splits) = carve(&mut keys, &mut oids, &groups.offsets, target, divide);
             let firsts: Vec<usize> = tasks.iter().map(|(first, _)| *first).collect();
             (firsts, splits.len())
         };
         let (serial_auto, serial_merge) = (run(1, &SortConfig::default()), run(1, &merge_sort()));
 
         for threads in [2usize, 4, 8] {
-            let (firsts, _) = carved(threads, false);
+            let (firsts, splits) = carved(threads, SortKernel::Auto);
             let range = |w: usize| w * n / threads..(w + 1) * n / threads;
-            let ids = firsts.iter().enumerate().map(|(id, &first)| (first, id));
+            let mut ids: Vec<(usize, usize)> = firsts.iter().copied().zip(0..).collect();
             let mut logs = vec![Vec::new(); threads];
-            drive(
-                deal(ids.collect(), n, threads),
-                logs.iter_mut(),
-                |log, id| log.push(id),
-            )
+            let by_row = |&(first, _): &(usize, usize)| row_owner(first, n, threads);
+            drive(&mut ids, by_row, logs.iter_mut(), |log, &mut (_, id)| {
+                log.push(id)
+            })
             .expect("no panic");
             // Every task runs exactly once, in row order across workers,
             // on the worker whose row range holds its first row.
@@ -674,24 +980,34 @@ mod tests {
             for (w, log) in logs.iter().enumerate() {
                 assert!(log.iter().all(|&id| range(w).contains(&firsts[id])));
             }
-            // Under `Auto` the giant group lies inside one span task; that
-            // task's worker runs only the tasks its row range holds.
-            let holder = firsts.partition_point(|&first| first <= giant) - 1;
-            assert!(firsts[holder + 1] >= giant_end, "t{threads}: {firsts:?}");
-            let w = firsts[holder] * threads / n;
-            let held: Vec<usize> = (0..firsts.len())
-                .filter(|&id| range(w).contains(&firsts[id]))
+            // Under `Auto` the giant group is divided into the shares of
+            // the worker ranges it overlaps, each run by that worker.
+            let giant_rows = giant..giant_end;
+            let shares: Vec<usize> = firsts
+                .iter()
+                .copied()
+                .filter(|f| giant_rows.contains(f))
                 .collect();
-            assert_eq!(logs[w], held, "t{threads}");
+            let starts = (1..threads).map(|w| range(w).start);
+            let inside = starts.filter(|&r| giant < r && r < giant_end);
+            assert_eq!(
+                shares,
+                [giant].into_iter().chain(inside).collect::<Vec<_>>()
+            );
+            assert_eq!(splits, 1, "t{threads}");
 
             let (keys, oids, s) = run(threads, &SortConfig::default());
             assert_eq!((keys, oids), (serial_auto.0.clone(), serial_auto.1.clone()));
-            assert_eq!(s.morsels.dispatched, firsts.len() as u64, "t{threads}");
-            assert_eq!((s.morsels.split, s.morsels.stolen), (0, 0), "t{threads}");
+            // Its tasks plus one bucket range per worker, and no merge.
+            let tasks = (firsts.len() + threads) as u64;
+            assert_eq!(s.morsels.dispatched, tasks, "t{threads}");
+            assert_eq!(run(threads, &SortConfig::default()).2.morsels, s.morsels);
+            assert_eq!((s.morsels.split, s.morsels.stolen), (1, 0), "t{threads}");
+            assert_eq!(s.merge.comparisons, 0, "t{threads}");
 
             // The merge-sort still splits the giant group, and its tasks
             // plus one merge per split group are what it dispatches.
-            let (firsts, splits) = carved(threads, true);
+            let (firsts, splits) = carved(threads, SortKernel::MergeSort);
             let (keys, oids, s) = run(threads, &merge_sort());
             assert_eq!(keys, serial_merge.0, "t{threads}");
             assert_eq!(oids, serial_merge.1, "t{threads}");

@@ -12,7 +12,7 @@
 /// Nanoseconds spent in each sort kernel, summed over every invocation
 /// covered by one reading: the merge-sort's three phases (the paper's
 /// Eq. 5 decomposition; zero unless [`crate::SortKernel::MergeSort`] ran),
-/// the LSD radix kernel, and the small-sort kernels.
+/// the radix kernel, and the small-sort kernels.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Phase (a): in-register sorting networks + transpose.
@@ -21,7 +21,8 @@ pub struct PhaseTimes {
     pub in_cache_merge_ns: u64,
     /// Phase (c): out-of-cache multiway merge passes.
     pub multiway_merge_ns: u64,
-    /// The LSD radix kernel (histogram + scatter passes + copy-back).
+    /// The radix kernel (histograms, scatter passes, copy-backs), and the
+    /// parallel sort's partition and gather of oversized groups.
     pub radix_ns: u64,
     /// The insertion and packed-word kernels, including the segmented
     /// loop's per-group dispatch. Only the segmented sort reports it.

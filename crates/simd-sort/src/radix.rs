@@ -1,21 +1,29 @@
-//! LSD radix sort for `(key, oid)` pairs — the kernel the paper names as
+//! Radix sort for `(key, oid)` pairs — the kernel the paper names as
 //! what code massaging should feed next (§7): "The performance of
 //! in-memory radix-sort depends on the size (number of bits) of the radix
 //! … Code massaging would allow a careful choice of the radix size when
 //! radix-sorting multiple columns."
 //!
-//! One read pass builds the histogram of every 8-bit digit on the stack;
-//! a digit whose histogram has a single occupied bucket is skipped. A
-//! massaged round of `w` bits therefore runs at most `⌈w/8⌉` scatter
-//! passes — the bits above `w` are zero in every key — without the width
-//! being passed in: bit-borrowing pays off for radix sort in passes just
-//! as bank narrowing does for the SIMD merge-sort in lanes.
+//! A range longer than [`MSD_MIN_ROWS`] is partitioned before it is
+//! counted: one read pass ORs every key's difference from the first, and
+//! one stable scatter on the 8 bits ending at the highest differing bit
+//! (`partition`) splits it into 256 buckets, each of which recurses. A
+//! range of at most [`MSD_MIN_ROWS`] rows fits the L2 cache and runs LSD:
+//! one read pass builds the histogram of every 8-bit digit below the
+//! partition's (all of them, unpartitioned) on the stack, and a digit
+//! whose histogram has a single occupied bucket is skipped. Either way a massaged round of `w` bits runs at most
+//! `⌈w/8⌉` scatter passes per row — the bits above `w` are zero in every
+//! key — without the width being passed in: bit-borrowing pays off for
+//! radix sort in passes just as bank narrowing does for the SIMD
+//! merge-sort in lanes.
 //!
-//! The scatter ping-pongs between the caller's slices and the first
-//! key/oid buffers of a [`SortScratch`], so a warm caller allocates nothing, and
-//! every completed pass leaves both sides holding a permutation of the
-//! input pairs: a cancellation between passes never loses or duplicates
-//! a row.
+//! The scatters ping-pong between the caller's slices and the first
+//! key/oid buffers of a [`SortScratch`], so a warm caller allocates
+//! nothing, and every completed pass leaves the side it wrote holding a
+//! permutation of its input pairs: a cancellation between passes never
+//! loses or duplicates a row. The parallel sort ([`crate::parallel`])
+//! divides an oversized group across its workers with the same
+//! `partition`.
 
 use crate::key::Key;
 use crate::scratch::SortScratch;
@@ -24,7 +32,14 @@ use std::time::Instant;
 
 /// Radix (digit) size in bits; 8 gives byte-wide counting passes.
 const DIGIT_BITS: u32 = 8;
-const BUCKETS: usize = 1 << DIGIT_BITS;
+/// Buckets of one digit.
+pub(crate) const BUCKETS: usize = 1 << DIGIT_BITS;
+
+/// Ranges longer than this are partitioned on their top live digit
+/// before they are counted; ranges up to it run LSD. 2^16 `(u32, u32)`
+/// pairs and their scratch side fill 1 MiB, where the crossover table
+/// (`results/kernel_probe.txt`) shows the LSD scatter falling out of L2.
+pub const MSD_MIN_ROWS: usize = 1 << 16;
 
 /// Scatter passes the kernel runs, at most, on keys of `width_bits` live
 /// bits: one per key byte that can hold more than one bucket.
@@ -33,15 +48,16 @@ pub fn passes_for_width(width_bits: u32) -> u32 {
     width_bits.div_ceil(DIGIT_BITS)
 }
 
+/// The 8-bit digit of `k` starting at bit `shift`.
 #[inline(always)]
-fn digit<K: Key>(k: K, d: usize) -> usize {
-    ((k.to_u64() >> (d as u32 * DIGIT_BITS)) & (BUCKETS as u64 - 1)) as usize
+fn digit<K: Key>(k: K, shift: u32) -> usize {
+    ((k.to_u64() >> shift) & (BUCKETS as u64 - 1)) as usize
 }
 
-/// Stable LSD radix sort of `(keys, oids)` ascending by key, at any
-/// length (no size dispatch — the kernel itself), using `scratch`'s first
-/// key buffer of `K`'s bank and first oid buffer (grown to `keys.len()`,
-/// never shrunk) as the other side of the ping-pong. `cancel` is polled
+/// Stable radix sort of `(keys, oids)` ascending by key, at any length
+/// (no size dispatch — the kernel itself), using `scratch`'s first key
+/// buffer of `K`'s bank and first oid buffer (grown to `keys.len()`,
+/// never shrunk) as the other side of every scatter. `cancel` is polled
 /// before every scatter pass; a fired token returns early with
 /// `keys`/`oids` holding the pairs in some intermediate order.
 #[inline]
@@ -52,52 +68,126 @@ pub fn radix_sort_pairs<K: Key>(
     cancel: &CancelToken,
 ) {
     let t0 = Instant::now();
-    let (kbuf, obuf) = (&mut K::bufs(&mut scratch.keys).0, &mut scratch.oids.0);
-    match K::BITS {
-        16 => radix_sort_digits::<K, 2>(keys, oids, kbuf, obuf, cancel),
-        32 => radix_sort_digits::<K, 4>(keys, oids, kbuf, obuf, cancel),
-        _ => radix_sort_digits::<K, 8>(keys, oids, kbuf, obuf, cancel),
+    assert_eq!(keys.len(), oids.len(), "keys/oids length mismatch");
+    let n = keys.len();
+    if n >= 2 {
+        // Bucket counts are `u32`: the executor caps inputs below
+        // `u32::MAX` rows (oids are `u32`), and a count never exceeds `n`.
+        assert!(n <= u32::MAX as usize, "radix sort input exceeds u32 rows");
+        let (kbuf, obuf) = (&mut K::bufs(&mut scratch.keys).0, &mut scratch.oids.0);
+        if kbuf.len() < n {
+            kbuf.resize(n, K::default());
+        }
+        if obuf.len() < n {
+            obuf.resize(n, 0);
+        }
+        let (kbuf, obuf) = (&mut kbuf[..n], &mut obuf[..n]);
+        let in_buf = sort_run(keys, oids, kbuf, obuf, K::BITS, cancel);
+        if in_buf {
+            keys.copy_from_slice(kbuf);
+            oids.copy_from_slice(obuf);
+        }
     }
     scratch.phases.radix_ns += t0.elapsed().as_nanos() as u64;
 }
 
-/// [`radix_sort_pairs`] over the `D = K::BITS / 8` digits of the key.
-fn radix_sort_digits<K: Key, const D: usize>(
-    keys: &mut [K],
-    oids: &mut [u32],
-    kbuf: &mut Vec<K>,
-    obuf: &mut Vec<u32>,
+/// Sort the pairs `(ak, ao)` ascending by key, with `(bk, bo)` of the
+/// same length as the other side of every scatter, given that the keys
+/// agree on every bit from `bits` up. Returns whether the sorted pairs
+/// ended in `b`. A fired `cancel` stops early, leaving a permutation of
+/// the input pairs on the returned side.
+fn sort_run<K: Key>(
+    ak: &mut [K],
+    ao: &mut [u32],
+    bk: &mut [K],
+    bo: &mut [u32],
+    bits: u32,
     cancel: &CancelToken,
-) {
-    debug_assert_eq!(D as u32 * DIGIT_BITS, K::BITS);
-    assert_eq!(keys.len(), oids.len(), "keys/oids length mismatch");
-    let n = keys.len();
-    if n < 2 {
-        return;
+) -> bool {
+    let n = ak.len();
+    if n <= MSD_MIN_ROWS {
+        // Only the digits below `bits` can hold more than one bucket.
+        // Counting just those matters in the many small buckets under a
+        // partition, whose top digits are constant; each count is a
+        // const-sized array the counting loop unrolls over.
+        return match bits.div_ceil(DIGIT_BITS) {
+            0 | 1 => lsd::<K, 1>(ak, ao, bk, bo, cancel),
+            2 => lsd::<K, 2>(ak, ao, bk, bo, cancel),
+            3 => lsd::<K, 3>(ak, ao, bk, bo, cancel),
+            4 => lsd::<K, 4>(ak, ao, bk, bo, cancel),
+            5 => lsd::<K, 5>(ak, ao, bk, bo, cancel),
+            6 => lsd::<K, 6>(ak, ao, bk, bo, cancel),
+            7 => lsd::<K, 7>(ak, ao, bk, bo, cancel),
+            _ => lsd::<K, 8>(ak, ao, bk, bo, cancel),
+        };
     }
-    // Bucket counts are `u32`: the executor caps inputs below `u32::MAX`
-    // rows (oids are `u32`), and a count never exceeds `n`.
-    assert!(n <= u32::MAX as usize, "radix sort input exceeds u32 rows");
+    let Some(shift) = partition_shift(ak) else {
+        return false; // every key is equal: already sorted
+    };
+    if cancel.check().is_err() {
+        return false;
+    }
+    let mut counts = [0u32; BUCKETS];
+    partition(ak, ao, bk, bo, shift, &mut counts);
 
+    // Every bucket now lies in `b`: sort each with `a` as its other side,
+    // then bring them all to the side most rows landed on.
+    let mut in_a = [false; BUCKETS];
+    let (mut at, mut rows_in_a) = (0, 0);
+    for (&c, landed) in counts.iter().zip(&mut in_a) {
+        let r = at..at + c as usize;
+        at = r.end;
+        let (k, o) = (&mut ak[r.clone()], &mut ao[r.clone()]);
+        *landed = sort_run(&mut bk[r.clone()], &mut bo[r], k, o, shift, cancel);
+        rows_in_a += if *landed { c as usize } else { 0 };
+    }
+    let to_a = 2 * rows_in_a > n;
+    at = 0;
+    for (&c, &landed) in counts.iter().zip(&in_a) {
+        let r = at..at + c as usize;
+        at = r.end;
+        if landed != to_a {
+            if to_a {
+                ak[r.clone()].copy_from_slice(&bk[r.clone()]);
+                ao[r.clone()].copy_from_slice(&bo[r]);
+            } else {
+                bk[r.clone()].copy_from_slice(&ak[r.clone()]);
+                bo[r.clone()].copy_from_slice(&ao[r]);
+            }
+        }
+    }
+    !to_a
+}
+
+/// [`sort_run`] on a range that fits the cache, over its low `D` digits:
+/// one LSD pass per digit whose histogram has more than one occupied
+/// bucket.
+fn lsd<K: Key, const D: usize>(
+    ak: &mut [K],
+    ao: &mut [u32],
+    bk: &mut [K],
+    bo: &mut [u32],
+    cancel: &CancelToken,
+) -> bool {
+    let n = ak.len();
+    if n < 2 {
+        return false;
+    }
+    // Equal lengths, visible to the compiler: the scatter loops run
+    // ~5 % faster on small ranges for it.
+    let (ao, bk, bo) = (&mut ao[..n], &mut bk[..n], &mut bo[..n]);
     let mut hist = [[0u32; BUCKETS]; D];
-    for &k in keys.iter() {
+    for &k in ak.iter() {
         for (d, h) in hist.iter_mut().enumerate() {
-            h[digit(k, d)] += 1;
+            h[digit(k, d as u32 * DIGIT_BITS)] += 1;
         }
     }
 
-    if kbuf.len() < n {
-        kbuf.resize(n, K::default());
-    }
-    if obuf.len() < n {
-        obuf.resize(n, 0);
-    }
-    let (kbuf, obuf) = (&mut kbuf[..n], &mut obuf[..n]);
-
-    let mut in_caller = true;
+    let mut in_b = false;
     for (d, h) in hist.iter_mut().enumerate() {
+        let shift = d as u32 * DIGIT_BITS;
         // Every key shares this digit: the pass would be the identity.
-        if h[digit(keys[0], d)] as usize == n {
+        if h[digit(ak[0], shift)] as usize == n {
             continue;
         }
         if cancel.check().is_err() {
@@ -110,21 +200,51 @@ fn radix_sort_digits<K: Key, const D: usize>(
             *c = acc;
             acc += count;
         }
-        if in_caller {
-            scatter(keys, oids, kbuf, obuf, h, d);
+        if in_b {
+            scatter(bk, bo, ak, ao, h, shift);
         } else {
-            scatter(kbuf, obuf, keys, oids, h, d);
+            scatter(ak, ao, bk, bo, h, shift);
         }
-        in_caller = !in_caller;
+        in_b = !in_b;
     }
-    if !in_caller {
-        keys.copy_from_slice(kbuf);
-        oids.copy_from_slice(obuf);
-    }
+    in_b
 }
 
-/// One stable counting-sort pass on digit `d`: `cursors` holds each
-/// bucket's next write position.
+/// The shift of `keys`' partition digit: the 8 bits ending at the
+/// highest bit on which the keys differ (bits 0..8 if that is below bit
+/// 8). `None` when every key is equal.
+pub(crate) fn partition_shift<K: Key>(keys: &[K]) -> Option<u32> {
+    let first = keys.first()?.to_u64();
+    let diff = keys.iter().fold(0, |acc, k| acc | (k.to_u64() ^ first));
+    (diff != 0).then(|| (u64::BITS - diff.leading_zeros()).saturating_sub(DIGIT_BITS))
+}
+
+/// Stably scatter `(sk, so)` into `(dk, dov)` by the digit at `shift`,
+/// bucket after bucket in digit order; `counts` receives each bucket's
+/// row count.
+pub(crate) fn partition<K: Key>(
+    sk: &[K],
+    so: &[u32],
+    dk: &mut [K],
+    dov: &mut [u32],
+    shift: u32,
+    counts: &mut [u32; BUCKETS],
+) {
+    counts.fill(0);
+    for &k in sk {
+        counts[digit(k, shift)] += 1;
+    }
+    let mut cursors = [0u32; BUCKETS];
+    let mut acc = 0u32;
+    for (cursor, &count) in cursors.iter_mut().zip(counts.iter()) {
+        *cursor = acc;
+        acc += count;
+    }
+    scatter(sk, so, dk, dov, &mut cursors, shift);
+}
+
+/// One stable counting-sort pass on the digit at `shift`: `cursors`
+/// holds each bucket's next write position.
 #[inline(always)]
 fn scatter<K: Key>(
     sk: &[K],
@@ -132,10 +252,10 @@ fn scatter<K: Key>(
     dk: &mut [K],
     dov: &mut [u32],
     cursors: &mut [u32; BUCKETS],
-    d: usize,
+    shift: u32,
 ) {
     for (&k, &o) in sk.iter().zip(so) {
-        let c = &mut cursors[digit(k, d)];
+        let c = &mut cursors[digit(k, shift)];
         let at = *c as usize;
         *c += 1;
         dk[at] = k;
@@ -273,11 +393,12 @@ mod tests {
     #[test]
     fn token_fired_between_passes_leaves_a_permutation() {
         // Deadlines swept across the sort's own duration: some expire
-        // before the first pass, some between passes, the late ones not
-        // at all. Wherever the token fires, the slices must hold the
-        // input pairs, each key still next to its oid — and be sorted
-        // whenever the token did not fire.
-        let n = 1usize << 16;
+        // before the first pass, some between passes — past
+        // `MSD_MIN_ROWS`, between the partition and its buckets' passes —
+        // the late ones not at all. Wherever the token fires, the slices
+        // must hold the input pairs, each key still next to its oid — and
+        // be sorted whenever the token did not fire.
+        let n = 1usize << 18;
         let mut state = 11u64;
         let orig: Vec<u64> = (0..n).map(|_| xorshift(&mut state)).collect();
         let oids0: Vec<u32> = (0..n as u32).collect();

@@ -16,7 +16,8 @@
 //! [`SortScratch`] holds one buffer pair per key bank (`u16`/`u32`/`u64`)
 //! so a single instance serves every round of a multi-column sort
 //! regardless of the plan's bank choices. [`WorkerScratch`] holds one per
-//! worker of the parallel segmented sort.
+//! worker of the parallel segmented sort, plus the buffer its workers
+//! partition oversized groups into.
 //!
 //! The scratch also carries what its kernels report: each kernel credits
 //! its time to the scratch's [`PhaseTimes`], each loser tree its matches
@@ -31,6 +32,7 @@
 
 use crate::ovc::MergeCounters;
 use crate::phase::PhaseTimes;
+use crate::radix::BUCKETS;
 use core::ops::Range;
 
 /// The padded ping-pong key buffer pairs, one per bank. A key type
@@ -172,11 +174,19 @@ impl TreeNodes {
 }
 
 /// Scratch for the parallel segmented sort: one [`SortScratch`] per
-/// worker.
+/// worker, plus what the workers share when they partition an oversized
+/// group between them.
 #[derive(Debug, Default)]
 pub struct WorkerScratch {
     /// One sort scratch per worker; the serial path uses the first.
     pub(crate) workers: Vec<SortScratch>,
+    /// The buffer oversized groups are partitioned into: its first key
+    /// buffer of the round's bank and its first oid buffer, grown to the
+    /// round's length. Each worker's own buffers then only grow to the
+    /// largest bucket it sorts.
+    pub(crate) shared: SortScratch,
+    /// Bucket counts of each worker range's share of a partitioned group.
+    pub(crate) counts: Vec<[u32; BUCKETS]>,
 }
 
 impl WorkerScratch {
@@ -185,9 +195,11 @@ impl WorkerScratch {
         Self::default()
     }
 
-    /// Total bytes currently held across all workers.
+    /// Total bytes currently held across all workers and shared buffers.
     pub fn bytes(&self) -> usize {
-        self.workers.iter().map(SortScratch::bytes).sum()
+        self.workers.iter().map(SortScratch::bytes).sum::<usize>()
+            + self.shared.bytes()
+            + self.counts.capacity() * core::mem::size_of::<[u32; BUCKETS]>()
     }
 
     /// The serial-path scratch (also worker 0 of the parallel path).

@@ -60,7 +60,7 @@ pub enum SizeKernel {
     Insertion,
     /// [`crate::sort_pairs_packed`].
     Packed,
-    /// The scratch-backed LSD radix sort ([`crate::radix`]).
+    /// The scratch-backed radix sort ([`crate::radix`]).
     Radix,
 }
 
@@ -82,7 +82,7 @@ pub fn kernel_for(n: usize) -> SizeKernel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SortKernel {
     /// Size-driven dispatch ([`kernel_for`]): insertion → packed-word →
-    /// LSD radix. The fastest kernel at every length on every machine
+    /// radix. The fastest kernel at every length on every machine
     /// measured, hence the default.
     #[default]
     Auto,

@@ -2,8 +2,7 @@
 //! group length — the crossover table the two dispatch constants
 //! (`INSERTION_MAX_ROWS`, `PACKED_MAX_ROWS`) are read from, and the check
 //! that the shipped dispatch (`auto`) is at parity or better with the
-//! standard library's pdqsort on packed pairs (ROADMAP item 2's exit
-//! criterion). Not a paper figure.
+//! standard library's pdqsort on packed pairs. Not a paper figure.
 //!
 //! Each cell sorts the same `N` random pairs as `N / len` groups of `len`
 //! rows through one warm scratch, so a row of the table is what one round
@@ -178,9 +177,9 @@ fn main() {
             .map(|c| c.3)
     };
 
-    // ROADMAP item 2 exit criterion: the shipped dispatch at parity or
-    // better with pdqsort on packed pairs, whole-input sorts of 2^20..2^22
-    // rows, in every bank.
+    // Kernel parity: the shipped dispatch at parity or better with
+    // pdqsort on packed pairs, whole-input sorts of 2^20..2^22 rows, in
+    // every bank.
     println!();
     for bank in ["u16", "u32", "u64"] {
         for shift in (20..=22).filter(|s| *s <= max_shift) {

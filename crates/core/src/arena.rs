@@ -227,7 +227,7 @@ fn zero_filled<T: Copy + Default>(mut v: Vec<T>, n: usize) -> Vec<T> {
 /// Estimated resident bytes of executing `plan` over `n` rows in memory:
 /// what the [`ExecArena`]'s internal lease sizes (round-key buffers, gather spares, the
 /// three u32 oid/offset buffers) plus one worker's segmented-sort scratch
-/// (ping-pong key/oid/code pairs in the plan's widest bank). Linear and
+/// (ping-pong key/oid pairs in the plan's widest bank). Linear and
 /// monotone in `n`, so the out-of-core path can both test a budget
 /// (`footprint(n) > budget`?) and invert it into a chunk row count.
 /// An estimate, not an exact high-water mark: the documented slack is
@@ -258,8 +258,8 @@ pub fn lease_footprint_bytes(plan: &MassagePlan, n: usize) -> usize {
     // oids + group offsets + spare offsets.
     total += 3 * (n + 1) * core::mem::size_of::<u32>();
     // Segmented-sort scratch: ping-pong keys in the widest bank plus the
-    // oid and OVC-code pairs (4 bytes each, two buffers each).
-    total += n * 2 * widest + n * 16;
+    // oid pair (4 bytes each, two buffers).
+    total += n * 2 * widest + n * 8;
     total
 }
 

@@ -168,8 +168,8 @@ pub struct RoundStats {
     /// radix, small sorts), summed over this round's sort invocations.
     pub phases: PhaseTimes,
     /// Loser-tree comparison counters of this round's out-of-cache merge
-    /// passes: total matches and the subset short-circuited by
-    /// offset-value codes (always counted, independent of features).
+    /// passes and split-group merges (always counted, independent of
+    /// features).
     pub merge: MergeCounters,
     /// Parallel scheduler counters summed over this round's phases
     /// (lookup gather + segmented sort + boundary scan); all zero at
@@ -716,7 +716,6 @@ fn record_round_spans(k: usize, round: &crate::plan::Round, rs: &RoundStats, sca
         vec![
             ("round", k.into()),
             ("comparisons", rs.merge.comparisons.into()),
-            ("ovc_hits", rs.merge.ovc_hits.into()),
         ],
     );
     if scanned {

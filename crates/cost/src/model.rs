@@ -27,9 +27,8 @@ pub struct BankConstants {
     /// `C^b_in-cache-merge` (Eq. 7, per-pass form): one binary in-cache
     /// merge pass per code.
     pub c_in_cache_merge: f64,
-    /// `C^b_out-of-cache-merge` (Eq. 8): one out-of-cache pass per code,
-    /// offset-value codes included — the executor always carries them
-    /// through the loser tree, and calibration measures it that way.
+    /// `C^b_out-of-cache-merge` (Eq. 8): one out-of-cache loser-tree pass
+    /// per code.
     pub c_out_of_cache_merge: f64,
     /// Packed-word kernel: per code per `log2 n` of its group.
     pub c_packed: f64,
@@ -78,8 +77,10 @@ impl CostConstants {
     /// exception: their least-squares fit is ill-conditioned on this
     /// machine, so they stay at hand-measured ballparks that keep the
     /// paper's plan rankings (Figures 3 and 4); the out-of-cache ones
-    /// are the uncoded 15 / 15 / 20 ballparks × 0.85, the share offset-value
-    /// codes leave of a loser-tree pass (exact in `f64`).
+    /// are 15 / 15 / 20 ballparks × 0.85, a factor from a time when the
+    /// loser tree carried offset-value codes. It was never measured, and
+    /// it stays until the constants are refit (ROADMAP item 10) so that
+    /// no plan moves before then.
     pub fn defaults() -> CostConstants {
         CostConstants {
             c_cache: 8.9,

@@ -192,12 +192,11 @@ impl ExplainReport {
         // predicted I/O time is a model constant — only it redacts.
         if self.spilled.runs > 0 {
             out.push_str(&format!(
-                "spill: {} runs, {} bytes (predicted I/O {}), merge comparisons {} ({} resolved by offset-value code)\n",
+                "spill: {} runs, {} bytes (predicted I/O {}), merge comparisons {}\n",
                 self.spilled.runs,
                 self.spilled.bytes,
                 t(self.predicted_spill_ns),
                 self.spilled.merge_comparisons,
-                self.spilled.merge_ovc_hits,
             ));
         }
         out.push_str(&format!(
@@ -276,10 +275,7 @@ impl ExplainReport {
             // the counts depend on which groups crossed the cache
             // threshold, which the redacted golden must not pin down).
             if rs.merge.comparisons > 0 && !redact {
-                out.push_str(&format!(
-                    "   merge comparisons {} ({} resolved by offset-value code)\n",
-                    rs.merge.comparisons, rs.merge.ovc_hits
-                ));
+                out.push_str(&format!("   merge comparisons {}\n", rs.merge.comparisons));
             }
             if pc.scan > 0.0 || rs.scan_ns > 0 {
                 out.push_str(&row(

@@ -684,7 +684,6 @@ fn sort_once(
                 timings.spilled.runs += spill.runs;
                 timings.spilled.bytes += spill.bytes;
                 timings.spilled.merge_comparisons += spill.merge_comparisons;
-                timings.spilled.merge_ovc_hits += spill.merge_ovc_hits;
                 return Ok(out);
             }
             Err(SortError::Spill(msg)) => {

@@ -7,16 +7,13 @@
 //! massaged SIMD sort (leasing buffers from the caller's
 //! [`mcs_core::ExecArena`]), the sorted chunks are spilled to disk as
 //! self-describing little-endian run files, and the runs are k-way
-//! merged back through the streaming offset-value-coded loser tree of
-//! [`mcs_simd_sort::LoserTree`] behind bounded read-ahead buffers —
-//! so merge comparisons stay code-resolved out-of-core (Do & Graefe,
-//! *Robust and Efficient Sorting with Offset-Value Coding*).
+//! merged back through the streaming loser tree of
+//! [`mcs_simd_sort::LoserTree`] behind bounded read-ahead buffers.
 //!
 //! Run files store each row's direction-adjusted sort key packed into
-//! `⌈W/64⌉` big-endian-ordered words plus its global oid; offset-value
-//! codes are **not** stored — they are rebuilt for free while streaming
-//! a run back, coding each head against its run predecessor (the run's
-//! first element against the all-zero key). See `DESIGN.md` §13.
+//! `⌈W/64⌉` big-endian-ordered words plus its global oid. The tree
+//! compares each head's first word itself and asks the run cursors for
+//! the remaining words only when first words tie. See `DESIGN.md` §13.
 //!
 //! The external path produces output **byte-identical** to the
 //! in-memory path: the core executor emits ties in row order (its `Auto`
@@ -24,7 +21,7 @@
 //! are contiguous row ranges, and the merge tree breaks key ties
 //! toward the lower run index, so ties drain in global row order either
 //! way. `tests/differential_oracle.rs` asserts this across the full
-//! plan/bank/thread/direction/OVC matrix.
+//! plan/bank/thread/direction matrix.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -12,9 +12,7 @@
 //!               word first), then the u32 LE oid
 //! ```
 //!
-//! Entries are written in sorted order; offset-value codes are not
-//! stored (they are a function of adjacent keys and are rebuilt against
-//! the run predecessor while streaming the file back). The header is
+//! Entries are written in sorted order. The header is
 //! validated on open — wrong magic, unsupported version, inconsistent
 //! shape, or a count that disagrees with the file length each return a
 //! distinct [`RunFileError`] instead of panicking; a file that shrinks

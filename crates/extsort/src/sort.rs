@@ -1,5 +1,5 @@
 //! The external multi-column sort: budgeted chunks → spilled runs →
-//! streaming offset-value-coded k-way merge.
+//! streaming k-way loser-tree merge.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -10,7 +10,7 @@ use mcs_core::{
     lease_footprint_bytes, multi_column_sort_with, width_mask, ExecArena, ExecConfig, ExecStats,
     GroupBounds, MassagePlan, MultiColumnSortOutput, SortError, SortSpec, CHECK_INTERVAL,
 };
-use mcs_simd_sort::{ovc_encode, LoserTree, MergeHead, MergeScratch, MergeSource};
+use mcs_simd_sort::{LoserTree, MergeHead, MergeScratch, MergeSource};
 use mcs_telemetry as telemetry;
 
 use crate::runfile::{RunFileError, RunFileReader, RunFileWriter};
@@ -25,7 +25,8 @@ pub struct SpillStats {
     pub bytes: u64,
     /// Loser-tree matches played by the final streaming merge.
     pub merge_comparisons: u64,
-    /// Merge matches decided by offset-value codes alone.
+    /// Always 0: the merge carries no offset-value codes. Kept so that
+    /// readers of the stats still build.
     pub merge_ovc_hits: u64,
 }
 
@@ -163,12 +164,9 @@ impl RunCursor {
     }
 }
 
-/// The merge's [`MergeSource`] over all spilled runs. Offset-value
-/// codes are rebuilt here, at run-boundary granularity: each head is
-/// coded against its run predecessor's first word, the first element of
-/// a run against the all-zero key — exactly the invariant the loser
-/// tree's common-base argument needs, with zero bytes of code storage
-/// in the run files.
+/// The merge's [`MergeSource`] over all spilled runs: each head's first
+/// key word goes to the tree, the rest stays in its cursor for
+/// [`MergeSource::cmp_tails`].
 struct RunsSource {
     cursors: Vec<RunCursor>,
 }
@@ -182,21 +180,15 @@ impl RunsSource {
 
 impl MergeSource for RunsSource {
     type Error = RunFileError;
-    const CODED: bool = true;
 
     fn next(&mut self, run: usize) -> Result<Option<MergeHead>, RunFileError> {
         let c = &mut self.cursors[run];
         // The head we are about to replace is the element being popped.
-        let prev_w0 = c.words[0];
         c.emitted.copy_from_slice(&c.words);
-        match c.reader.read_entry(&mut c.words)? {
-            Some(oid) => Ok(Some(MergeHead {
-                word0: c.words[0],
-                code: ovc_encode(c.words[0], prev_w0),
-                oid,
-            })),
-            None => Ok(None),
-        }
+        Ok(c.reader.read_entry(&mut c.words)?.map(|oid| MergeHead {
+            word0: c.words[0],
+            oid,
+        }))
     }
 
     fn cmp_tails(&self, a: usize, b: usize) -> core::cmp::Ordering {
@@ -234,7 +226,7 @@ fn accumulate(acc: &mut ExecStats, s: &ExecStats) {
 
 /// Sort `inputs` under `plan` within `budget_bytes` of resident memory:
 /// chunk → in-memory sort (through `arena`) → spill run file → streaming
-/// OVC merge. Output is byte-identical to
+/// loser-tree merge. Output is byte-identical to
 /// [`multi_column_sort_with`] — same oids, and the same group offsets
 /// when `cfg.want_final_groups` is set (when it is not, the external
 /// path returns the trivial single group where the in-memory path
@@ -347,10 +339,7 @@ pub fn external_multi_column_sort_with(
         }
         if cfg.want_final_groups {
             let cur = merger.source().emitted(run);
-            // The popped code is relative to the previous output: a
-            // nonzero code proves a new key (first words differ); a zero
-            // code only proves equal first words, so compare the rest.
-            if !oids.is_empty() && (head.code != 0 || cur != prev.as_slice()) {
+            if !oids.is_empty() && cur != prev.as_slice() {
                 offsets.push(oids.len() as u32);
             }
             prev.copy_from_slice(cur);
@@ -362,7 +351,6 @@ pub fn external_multi_column_sort_with(
     drop(merger);
     let counters = scratch.counters();
     spill.merge_comparisons = counters.comparisons;
-    spill.merge_ovc_hits = counters.ovc_hits;
     telemetry::record_span(
         "mcs.extsort.merge",
         tm.elapsed().as_nanos() as u64,
@@ -370,7 +358,6 @@ pub fn external_multi_column_sort_with(
             ("runs", runs.into()),
             ("rows", n.into()),
             ("comparisons", counters.comparisons.into()),
-            ("ovc_hits", counters.ovc_hits.into()),
         ],
     );
 

@@ -53,7 +53,6 @@ pub mod kernel;
 mod key;
 pub mod multiway;
 pub mod network;
-pub mod ovc;
 pub mod parallel;
 pub mod phase;
 pub mod portable;
@@ -65,8 +64,9 @@ mod sort;
 
 pub use key::{Bank, Key};
 pub use mcs_cancel::{CancelCause, CancelToken, CHECK_INTERVAL};
-pub use multiway::{multiway_merge, multiway_pass, LoserTree, MergeHead, MergeSource};
-pub use ovc::{ovc_encode, MergeCounters};
+pub use multiway::{
+    multiway_merge, multiway_pass, LoserTree, MergeCounters, MergeHead, MergeSource,
+};
 pub use parallel::{for_each_chunk, sort_pairs_in_groups, MorselCounts, WorkerPanic};
 pub use phase::PhaseTimes;
 pub use radix::{radix_sort_pairs, MSD_MIN_ROWS};

@@ -6,61 +6,57 @@
 //! merges groups of up to `F` adjacent runs with a classic loser tree.
 //!
 //! There is one tree, [`LoserTree`], generic over where its run heads
-//! come from ([`MergeSource`]): index ranges of in-memory slices, with or
-//! without offset-value codes ([`multiway_merge`] / [`multiway_pass`]),
-//! or spilled run files (`mcs-extsort`). Its node arrays live in a
-//! caller-provided [`MergeScratch`] so repeated passes (and repeated
-//! sorts) reuse the same memory.
+//! come from ([`MergeSource`]): index ranges of in-memory slices
+//! ([`multiway_merge`] / [`multiway_pass`]) or spilled run files
+//! (`mcs-extsort`). Its node arrays live in a caller-provided
+//! [`MergeScratch`] so repeated passes (and repeated sorts) reuse the
+//! same memory.
 //!
-//! # Offset-value coding
-//!
-//! A source with [`MergeSource::CODED`] set delivers a per-element
-//! offset-value code ([`crate::ovc`]) alongside every `(key, oid)` pair:
-//! the code of an element is taken relative to its predecessor in its
-//! run. Inside the tree every match compares the two head codes first and
-//! touches the full keys only on a code tie; a plain key comparison is
-//! the degenerate case — every match a code tie — so for an uncoded
-//! source the code branch and every code load and store compile away.
-//! Deciding by codes is sound because every match
-//! the tree plays is between two elements coded against a *common base*:
-//!
-//! * during the initial tree rebuild both comparands are
-//!   subtree winners still carrying their run-head codes, all of which
-//!   are relative to the virtual all-zero key (run heads are coded
-//!   against zero, and winners' codes are never rewritten);
-//! * during a `pop` replay, every stored loser on the
-//!   popped winner's leaf-to-root path was last beaten by that winner —
-//!   the just-output element — and the refilled head's code is relative
-//!   to its run predecessor, which is the same element.
-//!
-//! When the codes differ they decide the order outright *and* the
-//! loser's stored code is already correct relative to the match winner
-//! (first-difference positions against a common base compose). Only on
-//! a code tie is the full comparison played and the loser's code
-//! recomputed against the winner — the invariant Do & Graefe's paper
-//! centers on. A corollary: the code each popped winner carries is
-//! relative to the previous output, so the merged output's code array
-//! is produced for free and stays valid for the next merge pass.
+//! Every match compares the two heads' most significant 64-bit words,
+//! which the tree holds in its node arrays; only heads that tie on that
+//! word reach the source's [`MergeSource::cmp_tails`]. The tree carries
+//! no offset-value codes: a code over that same word cannot decide a
+//! match the word compare does not (DESIGN.md §12).
 
 use crate::key::Key;
-use crate::ovc::{ovc_encode, MergeCounters};
 use crate::scratch::{MergeScratch, TreeNodes};
 use core::cmp::Ordering;
 use core::convert::Infallible;
 use core::ops::Range;
 use mcs_cancel::{CancelToken, CHECK_INTERVAL};
 
+/// Comparison counters of multiway merging.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MergeCounters {
+    /// Loser-tree matches played between two live runs.
+    pub comparisons: u64,
+    /// Always 0: the tree carries no offset-value codes, so no match is
+    /// decided by one. Kept so that readers of the counters still build.
+    pub ovc_hits: u64,
+}
+
+impl MergeCounters {
+    /// Element-wise sum (used when merging per-thread stats).
+    pub fn add(&mut self, other: MergeCounters) {
+        self.comparisons += other.comparisons;
+    }
+
+    /// Element-wise difference from an `earlier` reading of the same
+    /// (only growing) counters: what was credited in between.
+    pub(crate) fn since(self, earlier: MergeCounters) -> MergeCounters {
+        MergeCounters {
+            comparisons: self.comparisons - earlier.comparisons,
+            ovc_hits: 0,
+        }
+    }
+}
+
 /// One element delivered by a [`MergeSource`]: the most significant
-/// 64-bit word of its (possibly multi-word) sort key, its offset-value
-/// code relative to the run predecessor's first word (run heads coded
-/// against zero), and the payload oid.
+/// 64-bit word of its (possibly multi-word) sort key and the payload oid.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeHead {
     /// Most significant `u64` word of the element's sort key.
     pub word0: u64,
-    /// `ovc_encode(word0, predecessor word0)`; `0` at the run head.
-    /// Ignored (and popped as `0`) unless [`MergeSource::CODED`].
-    pub code: u32,
     /// Payload object id.
     pub oid: u32,
 }
@@ -70,26 +66,18 @@ pub struct MergeHead {
 /// buffers.
 ///
 /// Keys may be wider than 64 bits: the tree only sees each head's most
-/// significant word (and its offset-value code over that word); whenever
-/// two heads tie on it, the tree asks the source to compare the rest of
-/// the keys via [`MergeSource::cmp_tails`]. Such a source must keep each
-/// run's current head resident until the next [`MergeSource::next`] call
-/// for that run.
+/// significant word; whenever two heads tie on it, the tree asks the
+/// source to compare the rest of the keys via [`MergeSource::cmp_tails`].
+/// Such a source must keep each run's current head resident until the
+/// next [`MergeSource::next`] call for that run.
 pub trait MergeSource {
     /// The error [`MergeSource::next`] can fail with, surfaced through
     /// [`LoserTree::pop`]; [`Infallible`] for in-memory sources.
     type Error;
 
-    /// Whether [`MergeHead::code`] carries offset-value codes. When
-    /// `false` the tree never reads or maintains codes: every match is a
-    /// plain key comparison.
-    const CODED: bool;
-
     /// Advance run `run` to its next element and return it, or `None`
     /// when the run is exhausted. Elements must come back in
-    /// non-decreasing key order, with codes (if [`MergeSource::CODED`])
-    /// relative to the previous element of the same run (the head
-    /// against the all-zero key).
+    /// non-decreasing key order.
     fn next(&mut self, run: usize) -> Result<Option<MergeHead>, Self::Error>;
 
     /// Compare what the current heads of runs `a` and `b` hold beyond
@@ -108,19 +96,6 @@ pub trait MergeSource {
 /// Head keys are held widened to `u64` in the scratch (order-preserving
 /// for unsigned codes), which lets one scratch serve every bank.
 ///
-/// With a coded source every match follows the protocol described in the
-/// module docs: codes decide a match when they differ (the loser's stored
-/// code stays valid unchanged), a code tie plays the full keys and
-/// recomputes the loser's code relative to the winner, and equal keys
-/// assign the higher-run-index loser code 0. The code each popped element
-/// carries is relative to the previous output, keeping codes valid for
-/// the next merge pass. For multi-word keys, codes and the widened heads
-/// cover only each key's most significant word, so
-/// `ovc_encode(loser word0, winner word0)` may legitimately return 0 for
-/// distinct keys that agree on their first word. That is sound because a
-/// 0 code only ever short-circuits a match into the full-key comparison,
-/// never away from it.
-///
 /// Dropping the tree — drained, abandoned on cancellation, or unwound by
 /// a source error — credits the matches it played to the counters of the
 /// [`MergeScratch`] it borrows ([`MergeScratch::counters`]), exactly once.
@@ -132,9 +107,8 @@ pub struct LoserTree<'a, S: MergeSource> {
     tree: &'a mut [u32],
     /// Temporary winner array used by the full rebuild.
     winner: &'a mut [u32],
-    /// `(first key word, valid)`, code and payload oid of each run's head.
+    /// `(first key word, valid)` and payload oid of each run's head.
     heads: &'a mut [(u64, bool)],
-    head_codes: &'a mut [u32],
     head_oids: &'a mut [u32],
     /// Number of leaves (padded to a power of two).
     m: usize,
@@ -164,7 +138,6 @@ impl<'a, S: MergeSource> LoserTree<'a, S> {
             tree: &mut n.tree,
             winner: &mut n.winner,
             heads: &mut n.heads,
-            head_codes: &mut n.head_codes,
             head_oids: &mut n.head_oids,
             m,
             played: MergeCounters::default(),
@@ -189,62 +162,32 @@ impl<'a, S: MergeSource> LoserTree<'a, S> {
     fn set_head(&mut self, run: usize, head: Option<MergeHead>) {
         let h = head.unwrap_or_default();
         self.heads[run] = (h.word0, head.is_some());
-        if S::CODED {
-            self.head_codes[run] = h.code;
-        }
         self.head_oids[run] = h.oid;
     }
 
     /// `a` beats `b` if it has a head and it is strictly smaller, or equal
-    /// with a lower run index. With a coded source the match is decided by
-    /// the head codes when they differ, and the *loser's* stored code is
-    /// updated so it is relative to the winner. `rebuild` relies on this
-    /// update too: its comparands are subtree winners still coded against
-    /// the common all-zero base, so the same protocol applies.
+    /// with a lower run index.
     ///
     /// The lower-run-index tie-break is a documented invariant, not a
     /// convenience: callers pass runs in buffer order, so it makes the
     /// merge stable by run (equal keys drain in run order — see the
-    /// `merge_is_stable_by_run_order` regression test), and the code
-    /// protocol's correctness depends on it — a tied loser is assigned
-    /// code 0, "equal to its base", which is only true relative to the
-    /// element actually declared the winner, and the code-update
-    /// protocol needs `beats` to be a strict deterministic total order
-    /// over live heads. Do not weaken it to an arbitrary choice.
+    /// `merge_is_stable_by_run_order` regression test). The spill merge's
+    /// byte-identity with the in-memory sort rests on it. Do not weaken
+    /// it to an arbitrary choice.
     // Forced inline (with `set_head` and the slice source's `next`): left
-    // to the inliner, the codes-off merge ran 10 % behind the plain tree
-    // it replaced; forced, it is level with it.
+    // to the inliner, the merge ran 10 % slower.
     #[inline(always)]
     fn beats(&mut self, a: u32, b: u32) -> bool {
         match (self.heads[a as usize], self.heads[b as usize]) {
             ((wa, true), (wb, true)) => {
                 self.played.comparisons += 1;
-                if S::CODED {
-                    let (ca, cb) = (self.head_codes[a as usize], self.head_codes[b as usize]);
-                    if ca != cb {
-                        // Codes over a common base order the keys, and the
-                        // loser's code relative to the winner is unchanged
-                        // (same first-difference position and word).
-                        self.played.ovc_hits += 1;
-                        return ca < cb;
-                    }
-                }
-                // Code tie (or no codes): play the full keys; on equal
-                // keys the lower run index wins.
-                let a_wins = wa < wb
+                wa < wb
                     || (wa == wb
                         && match self.src.cmp_tails(a as usize, b as usize) {
                             Ordering::Less => true,
                             Ordering::Greater => false,
                             Ordering::Equal => a < b,
-                        });
-                if S::CODED {
-                    // Recode the loser against its new base, the winner: 0
-                    // when their first words agree.
-                    let (loser, lw, ww) = if a_wins { (b, wb, wa) } else { (a, wa, wb) };
-                    self.head_codes[loser as usize] = ovc_encode(lw, ww);
-                }
-                a_wins
+                        })
             }
             ((_, true), (_, false)) => true,
             ((_, false), _) => false,
@@ -266,10 +209,8 @@ impl<'a, S: MergeSource> LoserTree<'a, S> {
         self.tree[0] = self.winner[1];
     }
 
-    /// Pop the smallest element as `(run, head)` — the head's code
-    /// relative to the previous output's first word (0 means the first
-    /// words are equal; the full keys may still differ past word 0).
-    /// Returns `Ok(None)` when every run has drained.
+    /// Pop the smallest element as `(run, head)`. Returns `Ok(None)` when
+    /// every run has drained.
     #[inline]
     pub fn pop(&mut self) -> Result<Option<(usize, MergeHead)>, S::Error> {
         let w = self.tree[0] as usize;
@@ -279,16 +220,11 @@ impl<'a, S: MergeSource> LoserTree<'a, S> {
         }
         let out = MergeHead {
             word0,
-            code: if S::CODED { self.head_codes[w] } else { 0 },
             oid: self.head_oids[w],
         };
-        // The refill is coded relative to its run predecessor — the
-        // element being popped.
         let head = self.src.next(w)?;
         self.set_head(w, head);
-        // Replay matches from leaf w to the root. Every stored loser on
-        // this path was last beaten by the element just popped, so all
-        // comparands share it as their code base.
+        // Replay matches from leaf w to the root.
         let mut winner = w as u32;
         let mut node = (self.m + w) >> 1;
         while node >= 1 {
@@ -310,22 +246,17 @@ impl<S: MergeSource> Drop for LoserTree<'_, S> {
     }
 }
 
-/// Index ranges of `(keys, oids[, codes])` slices as merge runs, read
-/// through per-run cursors.
-struct SliceRuns<'a, K, const CODED: bool> {
+/// Index ranges of `(keys, oids)` slices as merge runs, read through
+/// per-run cursors.
+struct SliceRuns<'a, K> {
     keys: &'a [K],
     oids: &'a [u32],
-    /// Per-element codes, parallel to `keys` (relative to each element's
-    /// run predecessor; run heads are coded against zero). Empty unless
-    /// `CODED`.
-    codes: &'a [u32],
     /// `(cursor, end)` per run.
     cursors: &'a mut [(usize, usize)],
 }
 
-impl<K: Key, const CODED: bool> MergeSource for SliceRuns<'_, K, CODED> {
+impl<K: Key> MergeSource for SliceRuns<'_, K> {
     type Error = Infallible;
-    const CODED: bool = CODED;
 
     #[inline(always)]
     fn next(&mut self, run: usize) -> Result<Option<MergeHead>, Infallible> {
@@ -336,7 +267,6 @@ impl<K: Key, const CODED: bool> MergeSource for SliceRuns<'_, K, CODED> {
         self.cursors[run].0 = cur + 1;
         Ok(Some(MergeHead {
             word0: self.keys[cur].to_u64(),
-            code: if CODED { self.codes[cur] } else { 0 },
             oid: self.oids[cur],
         }))
     }
@@ -349,71 +279,30 @@ fn infallible<T>(r: Result<T, Infallible>) -> T {
     }
 }
 
-/// Drain a tree over `src` into the destination slices (`dc` is empty
-/// unless the source is coded).
-fn drain<K: Key, S: MergeSource<Error = Infallible>>(
-    src: S,
-    num_runs: usize,
-    scratch: (&mut TreeNodes, &mut MergeCounters),
-    (dk, dov, dc): (&mut [K], &mut [u32], &mut [u32]),
-    cancel: &CancelToken,
-) {
-    let mut lt = infallible(LoserTree::over(src, num_runs, scratch.0, scratch.1));
-    for i in 0..dk.len() {
-        if i % CHECK_INTERVAL == 0 && cancel.check().is_err() {
-            return;
-        }
-        let (_, h) = infallible(lt.pop()).expect("loser tree drained early");
-        dk[i] = K::from_u64(h.word0);
-        dov[i] = h.oid;
-        if S::CODED {
-            dc[i] = h.code;
-        }
-    }
-    debug_assert!(infallible(lt.pop()).is_none());
-}
-
 /// Merge `runs` (disjoint, individually sorted index ranges of the `src`
-/// slices) into the `dst` slices starting at `dst_at`.
-///
-/// `src` is `(keys, oids, codes)` and `dst` its writable counterpart;
-/// both `codes` are `Some` or both `None`. With codes, `src.2` holds each
-/// element's offset-value code relative to its run predecessor (run heads
-/// coded against zero), matches are decided by code compares where
-/// possible, and `dst.2` receives the merged output's codes (each
-/// relative to the previous output element, the head of the merged run
-/// against zero) — valid input for the next merge pass.
+/// `(keys, oids)` slices) into the `dst` slices starting at `dst_at`.
 ///
 /// `cancel` is polled every [`CHECK_INTERVAL`] pops. A fired token stops
 /// the merge mid-stream, leaving the tail of the destination range
 /// unwritten — the caller must observe the token and discard the buffer.
 /// Comparison counters are credited either way.
 pub fn multiway_merge<K: Key>(
-    src: (&[K], &[u32], Option<&[u32]>),
-    dst: (&mut [K], &mut [u32], Option<&mut [u32]>),
+    src: (&[K], &[u32]),
+    dst: (&mut [K], &mut [u32]),
     runs: &[Range<usize>],
     dst_at: usize,
     scratch: &mut MergeScratch,
     cancel: &CancelToken,
 ) {
     debug_assert!(!runs.is_empty());
-    let (keys, oids, codes) = src;
-    assert_eq!(
-        codes.is_some(),
-        dst.2.is_some(),
-        "codes on one side of the merge only"
-    );
+    let (keys, oids) = src;
     let total: usize = runs.iter().map(|r| r.len()).sum();
     let window = dst_at..dst_at + total;
     let dk = &mut dst.0[window.clone()];
-    let dov = &mut dst.1[window.clone()];
-    let dc = dst.2.map(|c| &mut c[window]);
+    let dov = &mut dst.1[window];
     if let [r] = runs {
         dk.copy_from_slice(&keys[r.clone()]);
         dov.copy_from_slice(&oids[r.clone()]);
-        if let (Some(sc), Some(dc)) = (codes, dc) {
-            dc.copy_from_slice(&sc[r.clone()]);
-        }
         return;
     }
     let MergeScratch {
@@ -423,46 +312,34 @@ pub fn multiway_merge<K: Key>(
     } = scratch;
     cursors.clear();
     cursors.extend(runs.iter().map(|r| (r.start, r.end)));
-    match (codes, dc) {
-        (Some(codes), Some(dc)) => drain(
-            SliceRuns::<K, true> {
-                keys,
-                oids,
-                codes,
-                cursors,
-            },
-            runs.len(),
-            (nodes, counters),
-            (dk, dov, dc),
-            cancel,
-        ),
-        _ => drain(
-            SliceRuns::<K, false> {
-                keys,
-                oids,
-                codes: &[],
-                cursors,
-            },
-            runs.len(),
-            (nodes, counters),
-            (dk, dov, &mut []),
-            cancel,
-        ),
+    let src = SliceRuns {
+        keys,
+        oids,
+        cursors,
+    };
+    let mut lt = infallible(LoserTree::over(src, runs.len(), nodes, counters));
+    for i in 0..total {
+        if i % CHECK_INTERVAL == 0 && cancel.check().is_err() {
+            return;
+        }
+        let (_, h) = infallible(lt.pop()).expect("loser tree drained early");
+        dk[i] = K::from_u64(h.word0);
+        dov[i] = h.oid;
     }
+    debug_assert!(infallible(lt.pop()).is_none());
 }
 
 /// One `F`-way pass over the whole buffer: merges consecutive groups of
 /// up to `fanout` runs of length `run` from `src` into `dst` (bundled as
-/// for [`multiway_merge`], whose codes ride through the pass when
-/// present). Returns the new run length (`run * fanout`).
+/// for [`multiway_merge`]). Returns the new run length (`run * fanout`).
 ///
 /// `cancel` is polled between merge groups and, through the merge, every
 /// [`CHECK_INTERVAL`] pops inside each group. A fired token abandons the
 /// rest of the pass; the caller must observe the token and discard the
 /// destination buffer. The nominal new run length is returned either way.
 pub fn multiway_pass<K: Key>(
-    src: (&[K], &[u32], Option<&[u32]>),
-    dst: (&mut [K], &mut [u32], Option<&mut [u32]>),
+    src: (&[K], &[u32]),
+    dst: (&mut [K], &mut [u32]),
     run: usize,
     fanout: usize,
     runs_buf: &mut Vec<Range<usize>>,
@@ -471,7 +348,7 @@ pub fn multiway_pass<K: Key>(
 ) -> usize {
     let n = src.0.len();
     debug_assert!(fanout >= 2);
-    let (dk, dov, mut dc) = dst;
+    let (dk, dov) = dst;
     let group = run * fanout;
     let mut start = 0usize;
     while start < n {
@@ -481,8 +358,7 @@ pub fn multiway_pass<K: Key>(
         let end = (start + group).min(n);
         runs_buf.clear();
         runs_buf.extend((start..end).step_by(run).map(|s| s..(s + run).min(end)));
-        let dst = (&mut *dk, &mut *dov, dc.as_deref_mut());
-        multiway_merge(src, dst, runs_buf, start, scratch, cancel);
+        multiway_merge(src, (&mut *dk, &mut *dov), runs_buf, start, scratch, cancel);
         start = end;
     }
     group
@@ -491,10 +367,9 @@ pub fn multiway_pass<K: Key>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ovc;
 
-    /// Codes-off merge through a fresh scratch; returns the matches the
-    /// merge credited to it.
+    /// Merge through a fresh scratch; returns the matches the merge
+    /// credited to it.
     fn merge<K: Key>(
         k: &[K],
         o: &[u32],
@@ -504,8 +379,8 @@ mod tests {
     ) -> MergeCounters {
         let mut scratch = MergeScratch::new();
         multiway_merge(
-            (k, o, None),
-            (dk, dlo, None),
+            (k, o),
+            (dk, dlo),
             runs,
             0,
             &mut scratch,
@@ -514,7 +389,7 @@ mod tests {
         scratch.counters()
     }
 
-    /// Codes-off pass through a fresh scratch.
+    /// One pass through a fresh scratch.
     fn pass<K: Key>(
         k: &[K],
         o: &[u32],
@@ -523,17 +398,9 @@ mod tests {
         run: usize,
         f: usize,
     ) -> usize {
-        let (src, dst) = ((k, o, None), (dk, dlo, None));
         let (mut runs, mut scratch) = (Vec::new(), MergeScratch::new());
-        multiway_pass(
-            src,
-            dst,
-            run,
-            f,
-            &mut runs,
-            &mut scratch,
-            &CancelToken::none(),
-        )
+        let none = CancelToken::none();
+        multiway_pass((k, o), (dk, dlo), run, f, &mut runs, &mut scratch, &none)
     }
 
     #[test]
@@ -602,146 +469,7 @@ mod tests {
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
     }
 
-    #[test]
-    fn codes_on_and_off_merge_alike_and_on_emits_valid_codes() {
-        let mut state = 0x5EED_1234u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for &(count, domain) in &[(2usize, 1u64 << 20), (7, 8), (16, 1 << 30), (5, 2)] {
-            // Adjacent sorted runs of uneven lengths (some empty).
-            let mut keys: Vec<u64> = Vec::new();
-            let mut runs: Vec<Range<usize>> = Vec::new();
-            for _ in 0..count {
-                let len = (next() % 150) as usize;
-                let start = keys.len();
-                let mut run: Vec<u64> = (0..len).map(|_| next() % domain).collect();
-                run.sort_unstable();
-                keys.extend_from_slice(&run);
-                runs.push(start..keys.len());
-            }
-            let n = keys.len();
-            let oids: Vec<u32> = (0..n as u32).collect();
-            let mut codes = vec![0u32; n];
-            for r in &runs {
-                if !r.is_empty() {
-                    ovc::derive_codes(&keys[r.clone()], r.len(), &mut codes[r.clone()]);
-                }
-            }
-
-            let (mut pk, mut po) = (vec![0u64; n], vec![0u32; n]);
-            let plain = merge(&keys, &oids, &mut pk, &mut po, &runs);
-
-            let (mut ok, mut oo, mut oc) = (vec![0u64; n], vec![0u32; n], vec![0u32; n]);
-            let mut scratch = MergeScratch::new();
-            multiway_merge(
-                (&keys, &oids, Some(&codes)),
-                (&mut ok, &mut oo, Some(&mut oc)),
-                &runs,
-                0,
-                &mut scratch,
-                &CancelToken::none(),
-            );
-            let with_ovc = scratch.counters();
-
-            // Byte-identical output (the run-index tie-break holds with
-            // and without codes, so even duplicate payload order must
-            // agree).
-            assert_eq!(ok, pk);
-            assert_eq!(oo, po);
-
-            // The output codes are exactly the codes of the merged run:
-            // each relative to the previous output, the head to zero.
-            let mut want_c = vec![0u32; n];
-            ovc::derive_codes(&ok, n.max(1), &mut want_c);
-            assert_eq!(oc, want_c, "output codes invalid (count={count})");
-
-            // Same matches played; some decided by codes alone (unless
-            // the tiny domain made every match a full-key tie-break).
-            assert_eq!(with_ovc.comparisons, plain.comparisons);
-            assert_eq!(plain.ovc_hits, 0);
-            if domain > 2 && n > 8 {
-                assert!(with_ovc.ovc_hits > 0, "no OVC hits at domain {domain}");
-            }
-        }
-    }
-
-    #[test]
-    fn ovc_pass_converges_like_plain_pass() {
-        // Repeated OVC passes (codes ping-ponging with the keys) must
-        // converge to the same fully sorted buffer as the plain passes.
-        let mut state = 0xFACE_FEEDu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let n = 2500usize;
-        let run0 = 48usize;
-        let fanout = 3usize;
-        let mut keys: Vec<u64> = (0..n).map(|_| next() % (1 << 22)).collect();
-        let mut oids: Vec<u32> = (0..n as u32).collect();
-        {
-            // Sort fixed-length runs, keeping (key, oid) pairs together.
-            let mut idx: Vec<u32> = (0..n as u32).collect();
-            let src = keys.clone();
-            for chunk in idx.chunks_mut(run0) {
-                chunk.sort_unstable_by_key(|&o| src[o as usize]);
-            }
-            for (i, &o) in idx.iter().enumerate() {
-                keys[i] = src[o as usize];
-                oids[i] = o;
-            }
-        }
-        let (mut pk, mut po) = (keys.clone(), oids.clone());
-        let (mut pbk, mut pbo) = (vec![0u64; n], vec![0u32; n]);
-        let mut run = run0;
-        let mut in_src = true;
-        while run < n {
-            run = if in_src {
-                pass(&pk, &po, &mut pbk, &mut pbo, run, fanout)
-            } else {
-                pass(&pbk, &pbo, &mut pk, &mut po, run, fanout)
-            };
-            in_src = !in_src;
-        }
-        let (want_k, want_o) = if in_src { (pk, po) } else { (pbk, pbo) };
-
-        let mut ca = vec![0u32; n];
-        let mut cb = vec![0u32; n];
-        ovc::derive_codes(&keys, run0, &mut ca);
-        let (mut bk, mut bo) = (vec![0u64; n], vec![0u32; n]);
-        let mut runs_buf = Vec::new();
-        let mut merge = MergeScratch::new();
-        let mut run = run0;
-        let mut in_src = true;
-        while run < n {
-            let (src, dst) = if in_src {
-                ((&keys, &oids, &ca), (&mut bk, &mut bo, &mut cb))
-            } else {
-                ((&bk, &bo, &cb), (&mut keys, &mut oids, &mut ca))
-            };
-            run = multiway_pass(
-                (src.0, src.1, Some(src.2)),
-                (dst.0, dst.1, Some(dst.2)),
-                run,
-                fanout,
-                &mut runs_buf,
-                &mut merge,
-                &CancelToken::none(),
-            );
-            in_src = !in_src;
-        }
-        let (got_k, got_o) = if in_src { (keys, oids) } else { (bk, bo) };
-        assert_eq!(got_k, want_k);
-        assert_eq!(got_o, want_o);
-    }
-
-    /// In-memory coded [`MergeSource`] over multi-word keys, for tests: each
+    /// In-memory [`MergeSource`] over multi-word keys, for tests: each
     /// run is a sorted `Vec` of `(key words, oid)`.
     struct VecSource {
         runs: Vec<Vec<(Vec<u64>, u32)>>,
@@ -757,22 +485,15 @@ mod tests {
 
     impl MergeSource for VecSource {
         type Error = ();
-        const CODED: bool = true;
 
         fn next(&mut self, run: usize) -> Result<Option<MergeHead>, ()> {
             let i = self.pos[run];
             let Some((words, oid)) = self.runs[run].get(i) else {
                 return Ok(None);
             };
-            let prev_w0 = if i == 0 {
-                0
-            } else {
-                self.runs[run][i - 1].0[0]
-            };
             self.pos[run] += 1;
             Ok(Some(MergeHead {
                 word0: words[0],
-                code: ovc_encode(words[0], prev_w0),
                 oid: *oid,
             }))
         }
@@ -840,7 +561,7 @@ mod tests {
     #[test]
     fn streamed_source_orders_multi_word_keys() {
         // Two-word keys engineered to collide on word 0, so ordering
-        // depends on the full-key comparisons behind the code ties.
+        // depends on the tail comparisons behind the word-0 ties.
         let mut state = 0xBEEF_BEEFu64;
         let mut next = move || {
             state ^= state << 13;
@@ -880,10 +601,7 @@ mod tests {
         assert_eq!(got, want_oids);
         let c = scratch.counters();
         assert!(c.comparisons >= 200 - 4);
-        assert!(
-            c.ovc_hits < c.comparisons,
-            "word-0 collisions force full compares"
-        );
+        assert_eq!(c.ovc_hits, 0);
     }
 
     /// A source whose two run heads load fine and whose first refill
@@ -894,14 +612,12 @@ mod tests {
 
     impl MergeSource for Failing {
         type Error = &'static str;
-        const CODED: bool = true;
 
         fn next(&mut self, _run: usize) -> Result<Option<MergeHead>, &'static str> {
             self.calls += 1;
             if self.calls <= 2 {
                 Ok(Some(MergeHead {
                     word0: self.calls as u64,
-                    code: ovc_encode(self.calls as u64, 0),
                     oid: self.calls as u32,
                 }))
             } else {
@@ -974,7 +690,7 @@ mod tests {
         let (mut dk, mut dlo) = (vec![0u32; 4], vec![0u32; 4]);
         let token = CancelToken::new();
         token.cancel();
-        let (src, dst) = ((&k[..], &o[..], None), (&mut dk[..], &mut dlo[..], None));
+        let (src, dst) = ((&k[..], &o[..]), (&mut dk[..], &mut dlo[..]));
         multiway_merge(src, dst, &[0..2, 2..4], 0, &mut scratch, &token);
         assert_eq!(credited(&scratch).comparisons, 1);
         assert_eq!(credited(&scratch), MergeCounters::default());
@@ -991,14 +707,7 @@ mod tests {
         let mut dk = vec![0u32; 10];
         let mut dlo = vec![0u32; 10];
         let runs = [0..3, 3..6, 6..8, 8..10];
-        multiway_merge(
-            (&k, &o, None),
-            (&mut dk, &mut dlo, None),
-            &runs,
-            0,
-            &mut scratch,
-            &none,
-        );
+        multiway_merge((&k, &o), (&mut dk, &mut dlo), &runs, 0, &mut scratch, &none);
         assert_eq!(dk, vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
 
         let k2: Vec<u32> = vec![9, 1];
@@ -1007,8 +716,8 @@ mod tests {
         let mut dlo2 = vec![0u32; 2];
         let runs = [0..1, 1..2];
         multiway_merge(
-            (&k2, &o2, None),
-            (&mut dk2, &mut dlo2, None),
+            (&k2, &o2),
+            (&mut dk2, &mut dlo2),
             &runs,
             0,
             &mut scratch,

@@ -584,8 +584,8 @@ fn merge_split<K: SortableKey>(
     let mut out_k = vec![K::default(); keys.len()];
     let mut out_o = vec![0u32; keys.len()];
     multiway_merge(
-        (keys, oids, None),
-        (&mut out_k, &mut out_o, None),
+        (keys, oids),
+        (&mut out_k, &mut out_o),
         runs,
         0,
         &mut worker.merge,

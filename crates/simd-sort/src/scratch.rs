@@ -30,7 +30,7 @@
 //! injected fault) leaves garbage behind, which is fine — the next call
 //! resizes and overwrites.
 
-use crate::ovc::MergeCounters;
+use crate::multiway::MergeCounters;
 use crate::phase::PhaseTimes;
 use crate::radix::BUCKETS;
 use core::ops::Range;
@@ -60,9 +60,6 @@ pub struct SortScratch {
     pub(crate) keys: KeyBufs,
     /// Padded ping-pong oid buffers (shared by all banks).
     pub(crate) oids: (Vec<u32>, Vec<u32>),
-    /// Ping-pong offset-value-code buffers for the out-of-cache merge
-    /// (shared by all banks; codes are computed over widened keys).
-    pub(crate) codes: (Vec<u32>, Vec<u32>),
     /// Run list reused by each out-of-cache merge pass.
     pub(crate) runs: Vec<Range<usize>>,
     /// Loser-tree node arrays.
@@ -92,7 +89,6 @@ impl SortScratch {
             + pair(&self.keys.k32)
             + pair(&self.keys.k64)
             + pair(&self.oids)
-            + pair(&self.codes)
             + self.runs.capacity() * core::mem::size_of::<Range<usize>>()
             + self.merge.bytes()
             + self.packed.capacity() * core::mem::size_of::<u64>()
@@ -127,9 +123,6 @@ pub(crate) struct TreeNodes {
     pub(crate) winner: Vec<u32>,
     /// `(first key word of the head, valid)`.
     pub(crate) heads: Vec<(u64, bool)>,
-    /// Offset-value code of each head, relative to the last element the
-    /// tree output (only maintained for sources that deliver codes).
-    pub(crate) head_codes: Vec<u32>,
     /// Payload oid of each head.
     pub(crate) head_oids: Vec<u32>,
 }
@@ -151,10 +144,7 @@ impl MergeScratch {
     pub fn bytes(&self) -> usize {
         let n = &self.nodes;
         self.cursors.capacity() * core::mem::size_of::<(usize, usize)>()
-            + (n.tree.capacity()
-                + n.winner.capacity()
-                + n.head_codes.capacity()
-                + n.head_oids.capacity())
+            + (n.tree.capacity() + n.winner.capacity() + n.head_oids.capacity())
                 * core::mem::size_of::<u32>()
             + n.heads.capacity() * core::mem::size_of::<(u64, bool)>()
     }
@@ -162,13 +152,12 @@ impl MergeScratch {
 
 impl TreeNodes {
     /// Size the node arrays for `m` (power-of-two padded) run slots, every
-    /// slot an exhausted run (whose code and oid are never read).
+    /// slot an exhausted run (whose oid is never read).
     pub(crate) fn prepare(&mut self, m: usize) {
         self.tree.resize(m, 0);
         self.winner.resize(2 * m, 0);
         self.heads.clear();
         self.heads.resize(m, (0, false));
-        self.head_codes.resize(m, 0);
         self.head_oids.resize(m, 0);
     }
 }

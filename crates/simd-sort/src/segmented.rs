@@ -8,7 +8,7 @@
 //! the Figure 4 time hill.
 
 use crate::key::Key;
-use crate::ovc::MergeCounters;
+use crate::multiway::MergeCounters;
 use crate::phase::PhaseTimes;
 use crate::scratch::SortScratch;
 use crate::sort::{SortConfig, SortableKey};
@@ -105,7 +105,7 @@ pub struct SegmentedSortStats {
     pub phases: PhaseTimes,
     /// Loser-tree comparison counters of the out-of-cache merge passes
     /// and split-group merges, summed across invocations
-    /// ([`crate::ovc`]).
+    /// ([`crate::multiway`]).
     pub merge: MergeCounters,
     /// Scheduler counters of the parallel path (all zero on the serial
     /// path and below the parallel cutoff).

@@ -7,7 +7,6 @@
 use crate::kernel::{merge_pass, phase1_block_sort, Kernel};
 use crate::key::{sealed::Sealed as _, Key};
 use crate::multiway::multiway_pass;
-use crate::ovc;
 use crate::radix;
 use crate::scalar;
 use crate::scratch::SortScratch;
@@ -177,7 +176,6 @@ unsafe fn mergesort_generic<Kn: Kernel>(
     let block = l * l;
     let (ka, kb) = <Kn::K>::bufs(&mut scratch.keys);
     let (oa, ob) = &mut scratch.oids;
-    let (ca, cb) = &mut scratch.codes;
     let (runs_buf, merge) = (&mut scratch.runs, &mut scratch.merge);
 
     // Pad to a whole number of in-register blocks with MAX_KEY sentinels.
@@ -202,8 +200,8 @@ unsafe fn mergesort_generic<Kn: Kernel>(
 
     // Every pass from here on reads `src` and writes `dst`, then the two
     // trade places.
-    let mut src = (ka, oa, ca);
-    let mut dst = (kb, ob, cb);
+    let mut src = (ka, oa);
+    let mut dst = (kb, ob);
 
     // Phase (b): binary SIMD bitonic merging while runs fit in cache.
     let in_cache_run = cfg.in_cache_run::<Kn::K>(l);
@@ -219,21 +217,13 @@ unsafe fn mergesort_generic<Kn: Kernel>(
         run *= 2;
     }
 
-    // Phase (c): F-way out-of-cache loser-tree merge passes with
-    // offset-value codes riding along.
+    // Phase (c): F-way out-of-cache loser-tree merge passes.
     let t2 = Instant::now();
-    if run < padded {
-        // Derive the initial codes in one linear pass over the phase-(b)
-        // output; later passes produce their output codes as they merge.
-        src.2.resize(padded, 0);
-        dst.2.resize(padded, 0);
-        ovc::derive_codes(src.0, run, src.2);
-    }
     let cancel = &cfg.cancel;
     while run < padded {
         run = multiway_pass(
-            (src.0, src.1, Some(&src.2[..])),
-            (dst.0, dst.1, Some(&mut dst.2[..])),
+            (src.0, src.1),
+            (dst.0, dst.1),
             run,
             MERGE_FANOUT,
             runs_buf,

@@ -12,18 +12,16 @@
 use core::ops::Range;
 
 use mcs_simd_sort::{
-    group_boundaries, multiway_merge, multiway_pass, ovc_encode, radix_sort_pairs, CancelToken,
-    Key, MergeScratch, SortScratch,
+    group_boundaries, multiway_merge, multiway_pass, radix_sort_pairs, CancelToken, Key,
+    MergeScratch, SortScratch,
 };
 use mcs_test_support::{check, Rng};
 
-/// Codes-off merge of `runs` into `dst` from offset 0, through a fresh
-/// scratch.
+/// Merge `runs` into `dst` from offset 0, through a fresh scratch.
 fn merge<K: Key>(k: &[K], o: &[u32], dk: &mut [K], dlo: &mut [u32], runs: &[Range<usize>]) {
-    let (src, dst) = ((k, o, None), (dk, dlo, None));
     multiway_merge(
-        src,
-        dst,
+        (k, o),
+        (dk, dlo),
         runs,
         0,
         &mut MergeScratch::new(),
@@ -113,9 +111,7 @@ fn multiway_merge_pre_sorted() {
 /// run* — equal keys drain in run order. `gen_runs` assigns oids as
 /// buffer positions, so stability means equal keys carry strictly
 /// ascending oids in the output. Duplicate-heavy inputs make ties the
-/// common case, and the merge must tie-break identically with codes on
-/// (the code-update protocol assumes the loser of an equal-key match is
-/// the higher run index).
+/// common case.
 #[test]
 fn merge_is_stable_by_run_order() {
     fn assert_run_stable(dst_k: &[u32], dst_o: &[u32]) {
@@ -140,27 +136,6 @@ fn merge_is_stable_by_run_order() {
             merge(&keys, &oids, &mut dst_k, &mut dst_o, &runs);
             verify_merge(&keys, &dst_k, &dst_o);
             assert_run_stable(&dst_k, &dst_o);
-
-            // With codes on, the same tie-break decisions and stream.
-            let mut codes = vec![0u32; n];
-            for r in &runs {
-                for i in r.clone() {
-                    let base = if i == r.start { 0 } else { keys[i - 1] };
-                    codes[i] = ovc_encode(keys[i] as u64, base as u64);
-                }
-            }
-            let (mut ok, mut oo, mut oc) = (vec![0u32; n], vec![0u32; n], vec![0u32; n]);
-            let mut scratch = MergeScratch::new();
-            multiway_merge(
-                (&keys, &oids, Some(&codes)),
-                (&mut ok, &mut oo, Some(&mut oc)),
-                &runs,
-                0,
-                &mut scratch,
-                &CancelToken::none(),
-            );
-            assert_eq!(ok, dst_k, "OVC merge reordered keys");
-            assert_eq!(oo, dst_o, "OVC merge broke run-order stability");
         }
     });
 }
@@ -211,15 +186,9 @@ fn multiway_pass_matches_full_sort() {
         let mut in_orig = true;
         while run < n {
             let (src, dst) = if in_orig {
-                (
-                    (&keys[..], &oids[..], None),
-                    (&mut buf_k[..], &mut buf_o[..], None),
-                )
+                ((&keys[..], &oids[..]), (&mut buf_k[..], &mut buf_o[..]))
             } else {
-                (
-                    (&buf_k[..], &buf_o[..], None),
-                    (&mut keys[..], &mut oids[..], None),
-                )
+                ((&buf_k[..], &buf_o[..]), (&mut keys[..], &mut oids[..]))
             };
             let none = CancelToken::none();
             run = multiway_pass(src, dst, run, fanout, &mut runs_buf, &mut scratch, &none);

@@ -214,17 +214,16 @@ fn orderby_and_post_sort_survive_round_faults() {
     }
 }
 
-/// Offset-value coding rides the same degradation ladder. With the
-/// in-cache threshold shrunk so the big first-round sort runs real
-/// out-of-cache merge passes (the only place the codes act), round
-/// faults must leave results oracle-correct — the fallback rungs never
-/// see the codes, and the clean path's code-first comparisons must not
-/// change a single row.
+/// The merge-sort's out-of-cache loser tree rides the same degradation
+/// ladder. With the in-cache threshold shrunk so the big first-round
+/// sort runs real out-of-cache merge passes, round faults must leave
+/// results oracle-correct, and the clean merge path must not change a
+/// single row.
 #[test]
-fn ovc_merge_path_survives_round_faults() {
+fn merge_sort_out_of_cache_path_survives_round_faults() {
     let _serial = serial();
     let t = chaos_table(8192);
-    let mut q = Query::named("chaos_ovc_orderby");
+    let mut q = Query::named("chaos_merge_orderby");
     q.order_by = vec![OrderKey::asc("ship_date"), OrderKey::asc("price")];
     q.select = vec!["ship_date".into(), "price".into(), "nation".into()];
 

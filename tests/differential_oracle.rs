@@ -203,7 +203,7 @@ fn run_and_check_kernel(
 
     // Spill axis: the same problem under memory budgets of 1/4 and 1/16
     // of the sort's in-memory footprint runs the out-of-core path
-    // (chunk → run files → streaming OVC merge) and must be
+    // (chunk → run files → streaming loser-tree merge) and must be
     // byte-identical to the in-memory output — oids *and* group bounds.
     // Tiny inputs whose chunk still fits the budget delegate in-memory,
     // which is exactly the production dispatch and equally checked.
@@ -445,13 +445,12 @@ fn tiny_budget_forces_at_least_four_spilled_runs() {
     assert_eq!(got.groups.offsets, want.groups.offsets, "spilled groups");
 }
 
-/// Offset-value codes at work inside the engine: a merge-sort ORDER BY
-/// with the in-cache threshold shrunk to 4 KiB runs real out-of-cache
-/// loser-tree passes, so it must count merge matches *and* matches the
-/// codes decided without a full-key compare — and still order every row
-/// exactly as the size-driven dispatch does.
+/// The loser tree at work inside the engine: a merge-sort ORDER BY with
+/// the in-cache threshold shrunk to 4 KiB runs real out-of-cache
+/// loser-tree passes, so it must count merge matches — and still order
+/// every row exactly as the size-driven dispatch does.
 #[test]
-fn merge_sort_out_of_cache_passes_resolve_on_codes() {
+fn merge_sort_out_of_cache_passes_match_auto() {
     let mut rng = Rng::seed_from_u64(0x0FC);
     let specs = [
         mcs_test_support::ColumnSpec {
@@ -484,9 +483,7 @@ fn merge_sort_out_of_cache_passes_resolve_on_codes() {
         .iter()
         .map(|r| r.merge.comparisons)
         .sum();
-    let ovc_hits: u64 = merged.stats.rounds.iter().map(|r| r.merge.ovc_hits).sum();
     assert!(comparisons > 0, "no out-of-cache merge pass ran");
-    assert!(ovc_hits > 0, "no merge match was decided by its code");
     assert_eq!(merged.oids, auto.oids);
 }
 

@@ -117,6 +117,63 @@ fn spilling_sort_keeps_arena_peak_within_budget() {
     }
 }
 
+/// The footprint model prices what the in-memory sort really holds: for
+/// a warm serial sort in each bank, over one- and two-round plans, the
+/// arena's byte peak stays at or below `lease_footprint_bytes`. (The
+/// model used to charge a pair of 4-byte code buffers no kernel
+/// allocates.)
+#[test]
+fn warm_serial_sort_peak_stays_within_the_footprint_estimate() {
+    let n = 100_000;
+    let mut rng = Rng::seed_from_u64(0xF00715);
+    for w in [12u32, 24, 48] {
+        // One round of width w, and two: a tie-heavy leading column so
+        // the second round sorts real groups.
+        let one = vec![CodeVec::from_u64s(
+            w,
+            (0..n)
+                .map(|_| rng.gen_range(0..1u64 << w))
+                .collect::<Vec<_>>(),
+        )];
+        let two = vec![
+            CodeVec::from_u64s(w, (0..n).map(|_| rng.gen_range(0..64)).collect::<Vec<_>>()),
+            CodeVec::from_u64s(
+                w,
+                (0..n)
+                    .map(|_| rng.gen_range(0..1u64 << w))
+                    .collect::<Vec<_>>(),
+            ),
+        ];
+        for cols in [one, two] {
+            let refs: Vec<&CodeVec> = cols.iter().collect();
+            let specs: Vec<SortSpec> = cols
+                .iter()
+                .map(|_| SortSpec {
+                    width: w,
+                    descending: false,
+                })
+                .collect();
+            let plan = MassagePlan::column_at_a_time(&specs);
+            let cfg = ExecConfig {
+                threads: 1,
+                want_final_groups: true,
+                ..ExecConfig::default()
+            };
+            let mut arena = ExecArena::new();
+            for _ in 0..2 {
+                multi_column_sort_with(&refs, &specs, &plan, &cfg, &mut arena).expect("sort");
+            }
+            let peak = arena.stats().bytes_peak as usize;
+            let estimate = lease_footprint_bytes(&plan, n);
+            assert!(
+                peak <= estimate,
+                "width {w}, {} rounds: arena peak {peak} bytes exceeds the estimate {estimate}",
+                plan.num_rounds()
+            );
+        }
+    }
+}
+
 fn sales_db(rows: usize) -> Database {
     let mut t = Table::new("sales");
     t.add_column(Column::from_u64s(

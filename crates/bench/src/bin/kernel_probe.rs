@@ -6,7 +6,10 @@
 //!
 //! Each cell sorts the same `N` random pairs as `N / len` groups of `len`
 //! rows through one warm scratch, so a row of the table is what one round
-//! of a multi-column sort with groups of that size pays per row.
+//! of a multi-column sort with groups of that size pays per row. A cell
+//! reports the median and the min–max of its runs; the variants of a cell
+//! take turns within each run, so a change in host speed moves them
+//! together and shows as spread rather than as a false crossover.
 //!
 //! * `MCS_PROBE_MIN_SHIFT` / `MCS_PROBE_MAX_SHIFT` — group lengths
 //!   `2^min ..= 2^max` (default 1 ..= 22; `N = 2^max`), plus the
@@ -14,20 +17,20 @@
 //! * `MCS_PROBE_SMOKE=1` — after the table, fail unless `auto` is within
 //!   10 % of `mergesort` (or faster) at every probed length in every bank,
 //!   and within 10 % of `scalar pdq` (or faster) at every probed length
-//!   from 2^17 rows, where the radix kernel partitions before it counts.
+//!   from 2^17 rows, where the radix kernel partitions before it counts
+//!   (each variant's best run against the other's).
 
 use std::time::Instant;
 
 use mcs_bench::{env_usize, print_table};
 use mcs_simd_sort::{
     insertion_sort_pairs, radix_sort_pairs, sort_pairs_in_groups, sort_pairs_packed,
-    sort_pairs_scalar, CancelToken, GroupBounds, Key, SortConfig, SortKernel, SortScratch,
-    SortableKey, WorkerScratch,
+    sort_pairs_scalar, CancelToken, GroupBounds, SortConfig, SortKernel, SortScratch, SortableKey,
+    WorkerScratch,
 };
 
-/// Timed repetitions per cell; the fastest is reported (the probe asks
-/// what a kernel can do, not how noisy the machine is).
-const REPS: usize = 3;
+/// Timed repetitions per cell, after one untimed warm-up run.
+const REPS: usize = 5;
 
 fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state << 13;
@@ -36,29 +39,33 @@ fn xorshift(state: &mut u64) -> u64 {
     *state
 }
 
-/// Fastest of [`REPS`] runs of `sort` over a fresh copy of the pairs,
-/// in million elements per second.
-fn melem_per_s<K: Key>(keys: &[K], mut sort: impl FnMut(&mut [K], &mut [u32])) -> f64 {
-    let n = keys.len();
-    let oids: Vec<u32> = (0..n as u32).collect();
-    let (mut k, mut o) = (keys.to_vec(), oids.clone());
-    let mut best = f64::INFINITY;
-    for _ in 0..=REPS {
-        k.copy_from_slice(keys);
-        o.copy_from_slice(&oids);
-        let t = Instant::now();
-        sort(&mut k, &mut o);
-        best = best.min(t.elapsed().as_secs_f64());
-        std::hint::black_box(&k[0]);
-    }
-    n as f64 / best / 1e6
+/// One table cell: a variant's throughput at one bank and group length,
+/// in million elements per second over [`REPS`] runs.
+struct Cell {
+    bank: &'static str,
+    len: usize,
+    variant: &'static str,
+    median: f64,
+    min: f64,
+    best: f64,
 }
 
-/// One table cell: `(bank, group length, variant, Melem/s)`.
-type Cell = (String, usize, &'static str, f64);
+/// Run `sort` on every group of `groups`.
+fn per_group<K>(
+    k: &mut [K],
+    o: &mut [u32],
+    groups: &GroupBounds,
+    mut sort: impl FnMut(&mut [K], &mut [u32]),
+) {
+    for r in groups.iter() {
+        sort(&mut k[r.clone()], &mut o[r]);
+    }
+}
 
-/// One bank's rows of the table.
-fn probe_bank<K: SortableKey>(bank: &str, keys: &[K], lens: &[usize], out: &mut Vec<Cell>) {
+/// One bank's rows of the table. Within a repetition every variant of a
+/// cell runs once, in turn, each on a fresh copy of the pairs, so a swing
+/// in host speed lands on all of them alike rather than on one.
+fn probe_bank<K: SortableKey>(bank: &'static str, keys: &[K], lens: &[usize], out: &mut Vec<Cell>) {
     let n = keys.len();
     let auto = SortConfig::default();
     let merge = SortConfig {
@@ -71,60 +78,76 @@ fn probe_bank<K: SortableKey>(bank: &str, keys: &[K], lens: &[usize], out: &mut 
     };
     let (mut workers, mut scratch) = (WorkerScratch::new(), SortScratch::new());
     let serial = "the serial path spawns no worker";
+    let oids: Vec<u32> = (0..n as u32).collect();
+    let (mut k, mut o) = (keys.to_vec(), oids.clone());
     for &len in lens {
         // Whole groups only: the tail that does not fill one stays a
         // run of singletons, which no kernel touches.
         let mut offsets: Vec<u32> = (0..=n / len).map(|g| (g * len) as u32).collect();
         offsets.extend((n / len * len + 1..=n).map(|i| i as u32));
         let groups = GroupBounds::from_offsets(offsets);
-        let mut cell =
-            |variant: &'static str, v: f64| out.push((bank.to_string(), len, variant, v));
 
-        for (variant, cfg) in [("mergesort", &merge), ("auto", &auto)] {
-            let v = melem_per_s(keys, |k, o| {
-                sort_pairs_in_groups(k, o, &groups, 1, cfg, &mut workers).expect(serial);
-            });
-            cell(variant, v);
-        }
-        // The portable merge-sort only where the SIMD one is the subject.
-        if len >= 1 << 16 {
-            let v = melem_per_s(keys, |k, o| {
-                sort_pairs_in_groups(k, o, &groups, 1, &portable, &mut workers).expect(serial);
-            });
-            cell("mergesort portable", v);
-        }
-        let v = melem_per_s(keys, |k, o| {
-            for r in groups.iter() {
-                let (k, o) = (&mut k[r.clone()], &mut o[r]);
-                radix_sort_pairs(k, o, &mut scratch, &CancelToken::none());
-            }
-        });
-        cell("radix", v);
-        // The comparison kernels only where they are candidates: packed
+        // The portable merge-sort and pdqsort only where the SIMD
+        // merge-sort and the radix kernel are the subject; the
+        // comparison kernels only where they are candidates: packed
         // through 2^12 rows, quadratic insertion through 2^7.
+        let mut variants = vec!["mergesort", "auto"];
+        if len >= 1 << 16 {
+            variants.push("mergesort portable");
+        }
+        variants.push("radix");
         if len <= 1 << 12 {
-            let v = melem_per_s(keys, |k, o| {
-                for r in groups.iter() {
-                    sort_pairs_packed(&mut k[r.clone()], &mut o[r], &mut scratch);
-                }
-            });
-            cell("packed", v);
+            variants.push("packed");
         }
         if len <= 1 << 7 {
-            let v = melem_per_s(keys, |k, o| {
-                for r in groups.iter() {
-                    insertion_sort_pairs(&mut k[r.clone()], &mut o[r]);
-                }
-            });
-            cell("insertion", v);
+            variants.push("insertion");
         }
         if len >= 1 << 16 {
-            let v = melem_per_s(keys, |k, o| {
-                for r in groups.iter() {
-                    sort_pairs_scalar(&mut k[r.clone()], &mut o[r]);
+            variants.push("scalar pdq");
+        }
+        let mut secs = vec![Vec::with_capacity(REPS); variants.len()];
+        for rep in 0..=REPS {
+            for (variant, secs) in variants.iter().zip(&mut secs) {
+                k.copy_from_slice(keys);
+                o.copy_from_slice(&oids);
+                let t = Instant::now();
+                match *variant {
+                    "radix" => per_group(&mut k, &mut o, &groups, |k, o| {
+                        radix_sort_pairs(k, o, &mut scratch, &CancelToken::none())
+                    }),
+                    "packed" => per_group(&mut k, &mut o, &groups, |k, o| {
+                        sort_pairs_packed(k, o, &mut scratch)
+                    }),
+                    "insertion" => per_group(&mut k, &mut o, &groups, insertion_sort_pairs),
+                    "scalar pdq" => per_group(&mut k, &mut o, &groups, sort_pairs_scalar),
+                    segmented => {
+                        let cfg = match segmented {
+                            "mergesort" => &merge,
+                            "auto" => &auto,
+                            _ => &portable,
+                        };
+                        sort_pairs_in_groups(&mut k, &mut o, &groups, 1, cfg, &mut workers)
+                            .expect(serial);
+                    }
                 }
+                let dt = t.elapsed().as_secs_f64();
+                std::hint::black_box(&k[0]);
+                if rep > 0 {
+                    secs.push(dt);
+                }
+            }
+        }
+        for (variant, mut secs) in variants.into_iter().zip(secs) {
+            secs.sort_by(f64::total_cmp);
+            let rate = |s: f64| n as f64 / s / 1e6;
+            out.push(Cell {
+                bank,
+                len,
+                variant,
+                median: rate(secs[REPS / 2]),
+                min: rate(secs[REPS - 1]),
+                best: rate(secs[0]),
             });
-            cell("scalar pdq", v);
         }
     }
 }
@@ -154,70 +177,81 @@ fn main() {
 
     println!("Kernel crossover table: N = 2^{max_shift} random pairs as N/len groups of len rows");
     println!(
-        "(best of {REPS} warm runs; avx2 available: {})\n",
+        "(Melem/s: median and min-max of {REPS} warm runs, every variant of a cell once per \
+         run in turn; avx2 available: {})\n",
         mcs_simd_sort::avx2_available()
     );
     let rows: Vec<Vec<String>> = cells
         .iter()
-        .map(|(bank, len, variant, v)| {
-            let len = if len.is_power_of_two() {
-                format!("2^{}", len.trailing_zeros())
+        .map(|c| {
+            let len = if c.len.is_power_of_two() {
+                format!("2^{}", c.len.trailing_zeros())
             } else {
-                len.to_string()
+                c.len.to_string()
             };
-            vec![bank.clone(), len, variant.to_string(), format!("{v:.1}")]
+            vec![
+                c.bank.to_string(),
+                len,
+                c.variant.to_string(),
+                format!("{:.1}", c.median),
+                format!("{:.1}-{:.1}", c.min, c.best),
+            ]
         })
         .collect();
-    print_table(&["bank", "len", "variant", "Melem/s"], &rows);
+    print_table(&["bank", "len", "variant", "Melem/s", "min-max"], &rows);
 
-    let get = |bank: &str, len: usize, variant: &str| -> Option<f64> {
+    let get = |bank: &str, len: usize, variant: &str| -> Option<&Cell> {
         cells
             .iter()
-            .find(|(b, l, v, _)| b == bank && *l == len && *v == variant)
-            .map(|c| c.3)
+            .find(|c| c.bank == bank && c.len == len && c.variant == variant)
     };
 
     // Kernel parity: the shipped dispatch at parity or better with
     // pdqsort on packed pairs, whole-input sorts of 2^20..2^22 rows, in
-    // every bank.
+    // every bank, by medians.
     println!();
     for bank in ["u16", "u32", "u64"] {
         for shift in (20..=22).filter(|s| *s <= max_shift) {
             let len = 1usize << shift;
             if let (Some(a), Some(p)) = (get(bank, len, "auto"), get(bank, len, "scalar pdq")) {
                 println!(
-                    "{bank} 2^{shift}: auto {a:.1} vs scalar pdq {p:.1} Melem/s -> auto >= pdq: {}",
-                    a >= p
+                    "{bank} 2^{shift}: auto {:.1} vs scalar pdq {:.1} Melem/s (medians) -> \
+                     auto >= pdq: {}",
+                    a.median,
+                    p.median,
+                    a.median >= p.median
                 );
             }
         }
     }
 
+    // The smoke gates on each variant's best run, as a crossover probe
+    // asks what a kernel can do rather than how noisy the host is.
     if smoke {
         let mut slow = Vec::new();
-        for (bank, len, variant, a) in &cells {
-            if *variant != "auto" {
-                continue;
-            }
+        for a in cells.iter().filter(|c| c.variant == "auto") {
             let mut rivals = vec!["mergesort"];
-            if *len >= 1 << 17 {
+            if a.len >= 1 << 17 {
                 rivals.push("scalar pdq");
             }
             for rival in rivals {
-                let r = get(bank, *len, rival).unwrap_or(0.0);
-                if *a < 0.9 * r {
-                    slow.push(format!("{bank} {len}: auto {a:.1} < 0.9 x {rival} {r:.1}"));
+                let r = get(a.bank, a.len, rival).map_or(0.0, |c| c.best);
+                if a.best < 0.9 * r {
+                    slow.push(format!(
+                        "{} {}: auto {:.1} < 0.9 x {rival} {r:.1}",
+                        a.bank, a.len, a.best
+                    ));
                 }
             }
         }
         assert!(
             slow.is_empty(),
-            "auto slower than a rival by more than 10%:\n{}",
+            "auto slower than a rival by more than 10% (best runs):\n{}",
             slow.join("\n")
         );
         println!(
             "\nsmoke: auto within 10% of mergesort at every probed length, \
-             and of scalar pdq from 2^17 rows, or faster"
+             and of scalar pdq from 2^17 rows, or faster (best runs)"
         );
     }
 }

@@ -122,11 +122,7 @@ impl ByteSliceColumn {
     /// Gather many codes into a [`CodeVec`] (the `ByteSlice-Lookup`
     /// operator).
     pub fn gather(&self, oids: &[u32]) -> CodeVec {
-        let mut out = CodeVec::zeroed(self.width, 0);
-        for &o in oids {
-            out.push(self.lookup(o), self.width);
-        }
-        out
+        CodeVec::from_u64s(self.width, oids.iter().map(|&o| self.lookup(o)))
     }
 
     /// Decode the full column.

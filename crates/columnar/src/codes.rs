@@ -40,31 +40,21 @@ impl CodeVec {
     }
 
     /// Build from `u64` values, storing them at the physical width for
-    /// `width` bits. Values must fit in `width` bits.
+    /// `width` bits. Values must fit in `width` bits. The vector is sized
+    /// from the iterator's size hint, so an exact-size source fills one
+    /// allocation.
     pub fn from_u64s(width: u32, vals: impl IntoIterator<Item = u64>) -> CodeVec {
-        let mut cv = CodeVec::zeroed(width, 0);
-        debug_assert!(
-            width == 64 || {
-                true // per-value check happens in push
-            }
-        );
-        for v in vals {
-            cv.push(v, width);
-        }
-        cv
-    }
-
-    /// Append a code.
-    pub fn push(&mut self, v: u64, width: u32) {
-        debug_assert!(
-            width == 64 || v < (1u64 << width),
-            "value {v} does not fit in {width} bits"
-        );
-        match self {
-            CodeVec::U8(x) => x.push(v as u8),
-            CodeVec::U16(x) => x.push(v as u16),
-            CodeVec::U32(x) => x.push(v as u32),
-            CodeVec::U64(x) => x.push(v),
+        let vals = vals.into_iter().inspect(|&v| {
+            debug_assert!(
+                width == 64 || v < (1u64 << width),
+                "value {v} does not fit in {width} bits"
+            )
+        });
+        match size_of_width(width) {
+            1 => CodeVec::U8(vals.map(|v| v as u8).collect()),
+            2 => CodeVec::U16(vals.map(|v| v as u16).collect()),
+            4 => CodeVec::U32(vals.map(|v| v as u32).collect()),
+            _ => CodeVec::U64(vals.collect()),
         }
     }
 

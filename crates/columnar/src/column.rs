@@ -1,7 +1,12 @@
 //! Encoded columns and their statistics.
 
+use std::sync::OnceLock;
+
 use crate::byteslice::ByteSliceColumn;
 use crate::codes::CodeVec;
+
+/// Buckets of [`ColumnStats::histogram`].
+const BUCKETS: usize = 16;
 
 /// Per-column statistics used by the cost model's group-cardinality
 /// estimators (§4: "basic statistics about the data such as … the value
@@ -22,71 +27,96 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Compute statistics in one pass (plus a sort for exact NDV).
+    /// Compute statistics with no sort and no division in the common
+    /// case: one pass for min, max and the histogram, a second for the
+    /// exact NDV.
+    ///
+    /// The NDV is counted in a dense bit set over `[min, max]` whenever
+    /// that range holds at most `64 · rows` values, so the set is never
+    /// larger than a copy of the codes; a sparser column sorts and
+    /// dedups a copy instead. Either way the count is exact.
     pub fn compute(codes: &CodeVec, width: u32) -> ColumnStats {
-        let rows = codes.len();
-        let buckets = 16usize;
-        let mut histogram = vec![0u64; buckets];
-        let domain = if width >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
-        };
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        let mut all: Vec<u64> = Vec::with_capacity(rows);
-        for v in codes.iter_u64() {
-            min = min.min(v);
-            max = max.max(v);
-            let b = if domain == 0 {
-                0
-            } else {
-                ((v as u128 * buckets as u128) / (domain as u128 + 1)) as usize
-            };
-            histogram[b.min(buckets - 1)] += 1;
-            all.push(v);
-        }
-        all.sort_unstable();
-        all.dedup();
-        let ndv = all.len();
-        if rows == 0 {
-            min = 0;
-        }
-        ColumnStats {
-            rows,
-            ndv,
-            min,
-            max,
-            histogram,
+        match codes {
+            CodeVec::U8(x) => stats_of(x, width),
+            CodeVec::U16(x) => stats_of(x, width),
+            CodeVec::U32(x) => stats_of(x, width),
+            CodeVec::U64(x) => stats_of(x, width),
         }
     }
 }
 
-/// An encoded column: fixed-width codes plus ByteSlice storage and stats.
+fn stats_of<T: Copy + Into<u64>>(codes: &[T], width: u32) -> ColumnStats {
+    // Bucket `v · 16 / 2^width`: the domain is a power of two, so the
+    // division is exactly the shift `(v << 4) >> width`, split so that
+    // no bit of a `width`-bit code leaves the word.
+    let width = width.min(64);
+    let (up, down) = (4u32.saturating_sub(width), width.saturating_sub(4));
+    let mut histogram = [0u64; BUCKETS];
+    let (mut min, mut max) = (u64::MAX, 0u64);
+    for &v in codes {
+        let v = v.into();
+        min = min.min(v);
+        max = max.max(v);
+        histogram[((v << up) >> down).min(BUCKETS as u64 - 1) as usize] += 1;
+    }
+    let rows = codes.len();
+    if rows == 0 {
+        min = 0;
+    }
+    let span = u128::from(max - min) + 1;
+    let ndv = if span <= 64 * rows as u128 {
+        let mut seen = vec![0u64; (span as usize).div_ceil(64)];
+        for &v in codes {
+            let d = v.into() - min;
+            seen[(d >> 6) as usize] |= 1 << (d & 63);
+        }
+        seen.iter().map(|w| w.count_ones() as usize).sum()
+    } else {
+        let mut all: Vec<u64> = codes.iter().map(|&v| v.into()).collect();
+        all.sort_unstable();
+        all.dedup();
+        all.len()
+    };
+    ColumnStats {
+        rows,
+        ndv,
+        min,
+        max,
+        histogram: histogram.to_vec(),
+    }
+}
+
+/// An encoded column: fixed-width codes, plus the statistics and the
+/// ByteSlice layout derived from them, each built on first read.
 ///
 /// The ByteSlice representation serves scans; the plain [`CodeVec`] serves
 /// lookups and sorting (the paper's prototype keeps both, its Figure 11
-/// storage manager).
+/// storage manager). A column nothing scans never builds the ByteSlice
+/// layout, and one nothing plans over never computes its statistics — a
+/// stage-1 result handed to stage 2 pays only for what stage 2 reads.
 #[derive(Debug, Clone)]
 pub struct Column {
     name: String,
     width: u32,
     codes: CodeVec,
-    byteslice: ByteSliceColumn,
-    stats: ColumnStats,
+    byteslice: OnceLock<ByteSliceColumn>,
+    stats: OnceLock<ColumnStats>,
 }
 
 impl Column {
-    /// Build a column from codes.
+    /// Build a column from codes. Derived layouts and statistics are
+    /// computed when first read.
     pub fn new(name: impl Into<String>, width: u32, codes: CodeVec) -> Column {
-        let stats = ColumnStats::compute(&codes, width);
-        let byteslice = ByteSliceColumn::from_codes(&codes, width);
+        assert!(
+            (1..=64).contains(&width),
+            "code width must be in 1..=64, got {width}"
+        );
         Column {
             name: name.into(),
             width,
             codes,
-            byteslice,
-            stats,
+            byteslice: OnceLock::new(),
+            stats: OnceLock::new(),
         }
     }
 
@@ -124,14 +154,16 @@ impl Column {
         &self.codes
     }
 
-    /// The ByteSlice storage (for scans).
+    /// The ByteSlice storage (for scans), built on first read.
     pub fn byteslice(&self) -> &ByteSliceColumn {
-        &self.byteslice
+        self.byteslice
+            .get_or_init(|| ByteSliceColumn::from_codes(&self.codes, self.width))
     }
 
-    /// Column statistics.
+    /// Column statistics, computed on first read.
     pub fn stats(&self) -> &ColumnStats {
-        &self.stats
+        self.stats
+            .get_or_init(|| ColumnStats::compute(&self.codes, self.width))
     }
 
     /// Read code `i`.

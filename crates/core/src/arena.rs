@@ -20,8 +20,9 @@
 //! and [`ArenaStats`] tracks the byte high-water mark plus how many
 //! executions grew the arena vs. ran entirely from existing capacity.
 
-use mcs_simd_sort::{Bank, GroupBounds, WorkerScratch};
+use mcs_simd_sort::{Bank, GroupBounds, SortKernel, WorkerScratch};
 
+use crate::executor::ExecConfig;
 use crate::massage::RoundKeys;
 use crate::plan::MassagePlan;
 
@@ -224,15 +225,17 @@ fn zero_filled<T: Copy + Default>(mut v: Vec<T>, n: usize) -> Vec<T> {
     v
 }
 
-/// Estimated resident bytes of executing `plan` over `n` rows in memory:
-/// what the [`ExecArena`]'s internal lease sizes (round-key buffers, gather spares, the
-/// three u32 oid/offset buffers) plus one worker's segmented-sort scratch
-/// (ping-pong key/oid pairs in the plan's widest bank). Linear and
-/// monotone in `n`, so the out-of-core path can both test a budget
+/// Estimated resident bytes of executing `plan` over `n` rows in memory
+/// under `cfg`: what the [`ExecArena`]'s internal lease sizes (round-key
+/// buffers, gather spares, the three u32 oid/offset buffers) plus the
+/// segmented sort's scratch, in key/oid buffer pairs of the plan's widest
+/// bank that `cfg`'s kernel and thread count can grow to `n` rows. Linear
+/// and monotone in `n`, so the out-of-core path can both test a budget
 /// (`footprint(n) > budget`?) and invert it into a chunk row count.
-/// An estimate, not an exact high-water mark: the documented slack is
-/// asserted by `tests/memory_budget.rs`.
-pub fn lease_footprint_bytes(plan: &MassagePlan, n: usize) -> usize {
+/// An estimate, not an exact high-water mark: that it bounds the peak
+/// for both kernels, serial and parallel, is asserted by
+/// `tests/memory_budget.rs`.
+pub fn lease_footprint_bytes(plan: &MassagePlan, n: usize, cfg: &ExecConfig) -> usize {
     let bank_bytes = |b: Bank| b.bits() as usize / 8;
     let mut total = 0usize;
     let mut widest = 0usize;
@@ -257,11 +260,24 @@ pub fn lease_footprint_bytes(plan: &MassagePlan, n: usize) -> usize {
     }
     // oids + group offsets + spare offsets.
     total += 3 * (n + 1) * core::mem::size_of::<u32>();
-    // Segmented-sort scratch: ping-pong keys in the widest bank plus the
-    // oid pair (4 bytes each, two buffers).
-    total += n * 2 * widest + n * 8;
+    // Sort scratch. The merge-sort ping-pongs between two pairs, each
+    // worker's padded to whole in-register blocks. The radix kernel
+    // scatters into one pair; at threads > 1 it also partitions an
+    // oversized group into the shared pair, and the workers then sort
+    // disjoint rows, so their own pairs add up to one pair of `n` rows.
+    let (pairs, pad) = match cfg.sort.kernel {
+        SortKernel::MergeSort => (2, cfg.threads.max(1) * MERGE_BLOCK_ROWS),
+        SortKernel::Auto if cfg.threads > 1 => (2, 0),
+        SortKernel::Auto => (1, 0),
+    };
+    total += pairs * (n + pad) * (widest + core::mem::size_of::<u32>());
     total
 }
+
+/// The merge-sort's largest in-register block, in rows (16 lanes × 16
+/// registers in the 16-bit bank); it pads its input to a whole number of
+/// blocks.
+const MERGE_BLOCK_ROWS: usize = 256;
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]

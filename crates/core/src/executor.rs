@@ -148,7 +148,9 @@ impl Default for ExecConfig {
 /// Per-round telemetry (Figure 4b's `N_sort`, `N_group`, `N̄_code`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RoundStats {
-    /// ns spent permuting this round's keys by the incoming oid order.
+    /// ns spent permuting this round's keys by the incoming oid order;
+    /// for round 1 of an identity plan, materializing the round keys
+    /// (which is not massage: `P_0` has no massage phase).
     pub lookup_ns: u64,
     /// ns spent in the segmented SIMD sort.
     pub sort_ns: u64,
@@ -450,9 +452,9 @@ fn sort_impl(
 
     // Step 1: massage (Figure 2b step 1), emitted straight into the
     // leased bank-native round buffers. Identity plans on ascending
-    // columns still materialize round keys, but we charge that to lookup
-    // semantics of round 1 rather than massage, matching the paper's P_0
-    // (which has no massage phase).
+    // columns still materialize round keys; that time is charged to
+    // round 1's lookup (below) rather than to massage, matching the
+    // paper's P_0, which has no massage phase.
     mcs_faults::delay_point(mcs_faults::points::EXEC_DELAY_MASSAGE);
     let tm = Instant::now();
     let (prog, massage_morsels) = massage_into(
@@ -496,6 +498,11 @@ fn sort_impl(
     };
     if let (Some(p), Some(b)) = (cfg.alloc_probe, before) {
         stats.round_loop_allocs = Some(p() - b);
+    }
+    if prog.is_identity() {
+        if let Some(first) = stats.rounds.first_mut() {
+            first.lookup_ns += massage_elapsed;
+        }
     }
 
     // Deferred per-round telemetry: span emission allocates attribute
@@ -1001,6 +1008,25 @@ mod tests {
             .expect("valid sort instance");
         assert!(out2.stats.massage_ns > 0);
         verify_sorted(&inputs, &specs, &out2, true);
+    }
+
+    #[test]
+    fn identity_plan_charges_key_materialization_to_round_one_lookup() {
+        // Round 1 reads its keys in row order, so only materializing them
+        // can put time into its lookup: at 2^16 rows that is measurable.
+        let n = 1usize << 16;
+        let mut state = 0x1D_u64;
+        let vals: Vec<u64> = (0..n).map(|_| xorshift(&mut state) & 0xFFF).collect();
+        let a = col(12, &vals);
+        let b = col(20, &vals.iter().map(|v| v * 97).collect::<Vec<_>>());
+        let inputs = vec![&a, &b];
+        let specs = vec![SortSpec::asc(12), SortSpec::asc(20)];
+        let p0 = MassagePlan::column_at_a_time(&specs);
+        let out = multi_column_sort(&inputs, &specs, &p0, &ExecConfig::default())
+            .expect("valid sort instance");
+        assert_eq!(out.stats.massage_ns, 0, "P0 ascending pays no massage");
+        assert!(out.stats.rounds[0].lookup_ns > 0);
+        verify_sorted(&inputs, &specs, &out, true);
     }
 
     #[test]

@@ -967,8 +967,8 @@ fn sort_grouped(
         let vals = &result[i].1;
         let width = mcs_columnar::width_for_max(vals.iter().copied().max().unwrap_or(0));
         let codes = CodeVec::from_u64s(width, vals.iter().copied());
-        // The grouped table is small; fresh exact NDVs let the planner
-        // choose between P0 and a massaged plan.
+        // Exact NDVs let the planner choose between P0 and a massaged
+        // plan; counting them is one pass over the grouped rows.
         let ndv = ColumnStats::compute(&codes, width).ndv;
         stats.push(KeyColumnStats::uniform(width, ndv as f64));
         specs.push(SortSpec {

@@ -47,9 +47,11 @@ fn key_words(specs: &[SortSpec]) -> usize {
 /// at least 1 so pathological budgets degrade to tiny runs instead of
 /// failing. This only sizes chunks: whether to spill at all is
 /// [`external_multi_column_sort_with`]'s footprint test.
-pub fn chunk_rows_for_budget(plan: &MassagePlan, budget_bytes: usize) -> usize {
+pub fn chunk_rows_for_budget(plan: &MassagePlan, cfg: &ExecConfig, budget_bytes: usize) -> usize {
     const PROBE: usize = 4096;
-    let per_row = lease_footprint_bytes(plan, PROBE).div_ceil(PROBE).max(1);
+    let per_row = lease_footprint_bytes(plan, PROBE, cfg)
+        .div_ceil(PROBE)
+        .max(1);
     (budget_bytes / per_row).max(1)
 }
 
@@ -234,7 +236,7 @@ fn accumulate(acc: &mut ExecStats, s: &ExecStats) {
 /// request final groups).
 ///
 /// This is the one owner of the spill decision: when the in-memory
-/// sort's leased footprint ([`lease_footprint_bytes`]`(plan, n)`) fits
+/// sort's leased footprint ([`lease_footprint_bytes`]`(plan, n, cfg)`) fits
 /// the budget, it delegates to the in-memory sort and reports zero
 /// spilled runs; otherwise it spills in chunks of
 /// [`chunk_rows_for_budget`] rows.
@@ -247,11 +249,11 @@ pub fn external_multi_column_sort_with(
     budget_bytes: usize,
 ) -> Result<(MultiColumnSortOutput, SpillStats), SortError> {
     let n = inputs.first().map_or(0, |c| c.len());
-    if lease_footprint_bytes(plan, n) <= budget_bytes {
+    if lease_footprint_bytes(plan, n, cfg) <= budget_bytes {
         let out = multi_column_sort_with(inputs, specs, plan, cfg, arena)?;
         return Ok((out, SpillStats::default()));
     }
-    let chunk_rows = chunk_rows_for_budget(plan, budget_bytes);
+    let chunk_rows = chunk_rows_for_budget(plan, cfg, budget_bytes);
 
     let total_t = Instant::now();
     let kw = key_words(specs);
@@ -430,7 +432,7 @@ mod tests {
         let want = multi_column_sort_with(&inputs, &sp, &plan, &cfg, &mut arena).unwrap();
 
         // A budget forcing several runs.
-        let budget = lease_footprint_bytes(&plan, n) / 8;
+        let budget = lease_footprint_bytes(&plan, n, &cfg) / 8;
         let mut arena2 = ExecArena::new();
         let (got, spill) =
             external_multi_column_sort_with(&inputs, &sp, &plan, &cfg, &mut arena2, budget)
@@ -463,8 +465,8 @@ mod tests {
                     CodeVec::from_u64s(12, (0..600u64).map(|i| i * 37 % 1000).collect::<Vec<_>>());
                 let sp = specs(&[(12, false)]);
                 let plan = MassagePlan::column_at_a_time(&sp);
-                let budget = lease_footprint_bytes(&plan, 600) / 8;
                 let cfg = ExecConfig::default();
+                let budget = lease_footprint_bytes(&plan, 600, &cfg) / 8;
                 let mut arena = ExecArena::new();
                 external_multi_column_sort_with(&[&c0], &sp, &plan, &cfg, &mut arena, budget)
                     .unwrap()

@@ -207,7 +207,7 @@ fn run_and_check_kernel(
     // byte-identical to the in-memory output — oids *and* group bounds.
     // Tiny inputs whose chunk still fits the budget delegate in-memory,
     // which is exactly the production dispatch and equally checked.
-    let footprint = mcs_core::lease_footprint_bytes(plan, p.num_rows());
+    let footprint = mcs_core::lease_footprint_bytes(plan, p.num_rows(), &cfg);
     for div in [4usize, 16] {
         let spilled = ARENA
             .with(|a| {
@@ -428,7 +428,7 @@ fn tiny_budget_forces_at_least_four_spilled_runs() {
     };
     let want = multi_column_sort(&refs, &sspecs, &plan, &cfg).expect("in-memory sort");
 
-    let budget = mcs_core::lease_footprint_bytes(&plan, p.num_rows()) / 8;
+    let budget = mcs_core::lease_footprint_bytes(&plan, p.num_rows(), &cfg) / 8;
     let mut arena = ExecArena::new();
     let (got, spill) = mcs_extsort::external_multi_column_sort_with(
         &refs, &sspecs, &plan, &cfg, &mut arena, budget,

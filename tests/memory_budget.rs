@@ -22,7 +22,8 @@
 
 use mcs_columnar::CodeVec;
 use mcs_core::{
-    lease_footprint_bytes, multi_column_sort_with, ExecArena, ExecConfig, MassagePlan, SortSpec,
+    lease_footprint_bytes, multi_column_sort_with, ExecArena, ExecConfig, MassagePlan, SortConfig,
+    SortKernel, SortSpec,
 };
 use mcs_engine::{Column, Database, EngineConfig, OrderKey, PlannerMode, Query, Session, Table};
 use mcs_extsort::external_multi_column_sort_with;
@@ -82,7 +83,7 @@ fn spilling_sort_keeps_arena_peak_within_budget() {
             multi_column_sort_with(&refs, &specs, &plan, &cfg, &mut arena).expect("in-memory")
         };
 
-        let footprint = lease_footprint_bytes(&plan, n);
+        let footprint = lease_footprint_bytes(&plan, n, &cfg);
         for div in [4usize, 8, 16] {
             let budget = footprint / div;
             let mut arena = ExecArena::new();
@@ -118,10 +119,11 @@ fn spilling_sort_keeps_arena_peak_within_budget() {
 }
 
 /// The footprint model prices what the in-memory sort really holds: for
-/// a warm serial sort in each bank, over one- and two-round plans, the
-/// arena's byte peak stays at or below `lease_footprint_bytes`. (The
-/// model used to charge a pair of 4-byte code buffers no kernel
-/// allocates.)
+/// a warm sort in each bank, over one- and two-round plans, under both
+/// kernels and at one and two threads, the arena's byte peak stays at or
+/// below `lease_footprint_bytes`. (The model used to charge a pair of
+/// 4-byte code buffers no kernel allocates, and the merge-sort's second
+/// key/oid pair to the radix kernel too.)
 #[test]
 fn warm_serial_sort_peak_stays_within_the_footprint_estimate() {
     let n = 100_000;
@@ -154,22 +156,32 @@ fn warm_serial_sort_peak_stays_within_the_footprint_estimate() {
                 })
                 .collect();
             let plan = MassagePlan::column_at_a_time(&specs);
-            let cfg = ExecConfig {
-                threads: 1,
-                want_final_groups: true,
-                ..ExecConfig::default()
-            };
-            let mut arena = ExecArena::new();
-            for _ in 0..2 {
-                multi_column_sort_with(&refs, &specs, &plan, &cfg, &mut arena).expect("sort");
+            for kernel in [SortKernel::Auto, SortKernel::MergeSort] {
+                for threads in [1, 2] {
+                    let cfg = ExecConfig {
+                        sort: SortConfig {
+                            kernel,
+                            ..SortConfig::default()
+                        },
+                        threads,
+                        want_final_groups: true,
+                        ..ExecConfig::default()
+                    };
+                    let mut arena = ExecArena::new();
+                    for _ in 0..2 {
+                        multi_column_sort_with(&refs, &specs, &plan, &cfg, &mut arena)
+                            .expect("sort");
+                    }
+                    let peak = arena.stats().bytes_peak as usize;
+                    let estimate = lease_footprint_bytes(&plan, n, &cfg);
+                    assert!(
+                        peak <= estimate,
+                        "width {w}, {} rounds, {kernel:?}, threads {threads}: arena peak \
+                         {peak} bytes exceeds the estimate {estimate}",
+                        plan.num_rounds()
+                    );
+                }
             }
-            let peak = arena.stats().bytes_peak as usize;
-            let estimate = lease_footprint_bytes(&plan, n);
-            assert!(
-                peak <= estimate,
-                "width {w}, {} rounds: arena peak {peak} bytes exceeds the estimate {estimate}",
-                plan.num_rounds()
-            );
         }
     }
 }
@@ -305,7 +317,7 @@ fn spill_decision_is_the_footprint_test_on_both_paths() {
     let cfg = ExecConfig::default();
     let want = multi_column_sort_with(&cols, &specs, &plan, &cfg, &mut ExecArena::new()).unwrap();
 
-    let footprint = lease_footprint_bytes(&plan, n);
+    let footprint = lease_footprint_bytes(&plan, n, &cfg);
     for budget in [footprint, footprint - 1] {
         let (out, spill) = external_multi_column_sort_with(
             &cols,

@@ -6,7 +6,7 @@
 //! ([`CancelToken::with_deadline`]), checked by the long loops of every
 //! execution phase — massage, the per-round lookup/sort/scan loop, the
 //! segmented-sort group loop, the multiway merge pop loops, and the
-//! external sort's chunk/spill/merge loops.
+//! budgeted sort's partition and bucket loops.
 //!
 //! ## Design
 //!

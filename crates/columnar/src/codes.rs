@@ -115,18 +115,6 @@ impl CodeVec {
         }
     }
 
-    /// Copy the contiguous row range `range` into a new vector of the
-    /// same physical type (the out-of-core sort materializes its chunks
-    /// this way — one `memcpy` per column, no oid indirection).
-    pub fn slice(&self, range: core::ops::Range<usize>) -> CodeVec {
-        match self {
-            CodeVec::U8(x) => CodeVec::U8(x[range].to_vec()),
-            CodeVec::U16(x) => CodeVec::U16(x[range].to_vec()),
-            CodeVec::U32(x) => CodeVec::U32(x[range].to_vec()),
-            CodeVec::U64(x) => CodeVec::U64(x[range].to_vec()),
-        }
-    }
-
     /// Gather `codes[oids[i]]` into a new vector of the same physical type
     /// (the column-store *lookup* operator, cost `T_lookup`, Eq. 3).
     pub fn gather(&self, oids: &[u32]) -> CodeVec {

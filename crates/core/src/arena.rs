@@ -177,6 +177,16 @@ impl ExecArena {
         lease
     }
 
+    /// Grow the buffers a lease for `plan` over `n` rows takes, without
+    /// running a sort. A caller about to run many sorts of at most `n`
+    /// rows (the buckets of a budgeted sort) sizes the arena once: left
+    /// to `Vec`'s amortized doubling, a sort slightly larger than the one
+    /// before could leave the arena holding twice what `n` rows need.
+    pub fn reserve(&mut self, plan: &MassagePlan, n: usize) {
+        let lease = self.lease(plan, n);
+        self.restore(lease);
+    }
+
     /// Move a lease's buffers back and account the execution.
     ///
     /// Safe after a failed execution too: contents are garbage but every
@@ -230,8 +240,8 @@ fn zero_filled<T: Copy + Default>(mut v: Vec<T>, n: usize) -> Vec<T> {
 /// buffers, gather spares, the three u32 oid/offset buffers) plus the
 /// segmented sort's scratch, in key/oid buffer pairs of the plan's widest
 /// bank that `cfg`'s kernel and thread count can grow to `n` rows. Linear
-/// and monotone in `n`, so the out-of-core path can both test a budget
-/// (`footprint(n) > budget`?) and invert it into a chunk row count.
+/// and monotone in `n`, so the budgeted path can both test a budget
+/// (`footprint(n) > budget`?) and invert it into a bucket row count.
 /// An estimate, not an exact high-water mark: that it bounds the peak
 /// for both kernels, serial and parallel, is asserted by
 /// `tests/memory_budget.rs`.

@@ -50,17 +50,10 @@ pub enum SortError {
     /// A fault-injection point fired (chaos testing only; carries the
     /// fault-point name from [`mcs_faults::points`]).
     Injected(&'static str),
-    /// Spilling sorted runs to disk (or reading them back during the
-    /// external merge) failed. Raised only by the out-of-core path of
-    /// `mcs-extsort`; the engine's degradation ladder retries the sort
-    /// fully in memory. `io::Error` is not `Eq`/`Clone`, so the message
-    /// is carried as text.
-    Spill(String),
     /// The query's [`CancelToken`](mcs_cancel::CancelToken) fired —
     /// manual cancel or an elapsed deadline — while the sort was running.
-    /// The arena was restored and all spilled run files deleted;
-    /// deliberately *not* recoverable by the degradation ladder (a
-    /// cancelled query must never re-run its work).
+    /// The arena was restored; deliberately *not* recoverable by the
+    /// degradation ladder (a cancelled query must never re-run its work).
     Cancelled(CancelCause),
 }
 
@@ -79,7 +72,6 @@ impl core::fmt::Display for SortError {
                 write!(f, "sort worker panicked in round {round}, chunk {worker}")
             }
             SortError::Injected(name) => write!(f, "injected fault: {name}"),
-            SortError::Spill(msg) => write!(f, "run spill failed: {msg}"),
             SortError::Cancelled(cause) => write!(f, "sort {cause}"),
         }
     }
@@ -125,11 +117,12 @@ pub struct ExecConfig {
     pub alloc_probe: Option<fn() -> u64>,
     /// Resident-memory budget for one sort, in bytes. `None` (the
     /// default) keeps today's in-memory path unchanged. When set, callers
-    /// that support spilling (the engine, via `mcs-extsort`) switch to
-    /// the out-of-core chunk/spill/merge path whenever the leased
-    /// footprint ([`crate::lease_footprint_bytes`]) would exceed the
-    /// budget. The core executor itself never spills: the field lives
-    /// here so one `ExecConfig` describes the whole execution contract.
+    /// that support a budget (the engine, via `mcs-extsort`) partition
+    /// the rows by key range and sort one budget-sized bucket at a time
+    /// whenever the leased footprint ([`crate::lease_footprint_bytes`])
+    /// would exceed the budget. The core executor itself never
+    /// partitions: the field lives here so one `ExecConfig` describes the
+    /// whole execution contract.
     pub memory_budget_bytes: Option<usize>,
 }
 
@@ -416,14 +409,15 @@ pub fn multi_column_sort_with(
     sort_impl(inputs, specs, plan, cfg, arena, true)
 }
 
-fn sort_impl(
+/// The checks every sort entry point makes before it reads a column:
+/// one spec per column, at least one column, a plan that covers the
+/// concatenated key, and an oid space that holds every row. Returns the
+/// row count.
+pub fn check_inputs(
     inputs: &[&CodeVec],
     specs: &[SortSpec],
     plan: &MassagePlan,
-    cfg: &ExecConfig,
-    arena: &mut ExecArena,
-    external_arena: bool,
-) -> Result<MultiColumnSortOutput, SortError> {
+) -> Result<usize, SortError> {
     if inputs.len() != specs.len() {
         return Err(SortError::ColumnCountMismatch {
             inputs: inputs.len(),
@@ -439,6 +433,18 @@ fn sort_impl(
     if n >= u32::MAX as usize {
         return Err(SortError::TooManyRows(n));
     }
+    Ok(n)
+}
+
+fn sort_impl(
+    inputs: &[&CodeVec],
+    specs: &[SortSpec],
+    plan: &MassagePlan,
+    cfg: &ExecConfig,
+    arena: &mut ExecArena,
+    external_arena: bool,
+) -> Result<MultiColumnSortOutput, SortError> {
+    let n = check_inputs(inputs, specs, plan)?;
 
     // Entry check: an already-fired token (e.g. an expired deadline)
     // returns before any phase runs — no lease is taken, nothing to undo.
@@ -648,10 +654,10 @@ fn run_rounds(cfg: &ExecConfig, lease: &mut Lease, stats: &mut ExecStats) -> Res
     // with each group's oids ascending (round 1 with the identity), so
     // `Auto` already emits rows equal on the full key in row order. The
     // merge-sort's sorting networks are not stable: its ties come out in
-    // an order that varies with the plan, the thread count, and
-    // (out-of-core) the chunking. Restoring row order within each tie
+    // an order that varies with the plan, the thread count, and (under
+    // a memory budget) the bucketing. Restoring row order within each tie
     // group makes every execution strategy — any valid plan, any thread
-    // count, the scalar fallback, and the external spill path — emit
+    // count, the scalar fallback, and the budgeted bucket sort — emit
     // byte-identical output, which is what the differential oracle
     // asserts. Allocation free: `sort_unstable` on `u32` sub-slices sorts
     // in place.

@@ -52,8 +52,8 @@ mod plan;
 
 pub use arena::{lease_footprint_bytes, ArenaStats, ExecArena};
 pub use executor::{
-    multi_column_sort, multi_column_sort_with, tuple_cmp, verify_sorted, ExecConfig, ExecStats,
-    MultiColumnSortOutput, RoundStats, SortError,
+    check_inputs, multi_column_sort, multi_column_sort_with, tuple_cmp, verify_sorted, ExecConfig,
+    ExecStats, MultiColumnSortOutput, RoundStats, SortError,
 };
 pub use massage::{massage, massage_into, width_mask, FipStep, MassageProgram, RoundKeys};
 pub use plan::{MassagePlan, PlanError, Round, SortSpec};

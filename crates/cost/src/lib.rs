@@ -46,5 +46,4 @@ pub use linalg::{least_squares, least_squares_nonneg, solve};
 pub use machine::MachineSpec;
 pub use model::{
     BankConstants, CostBreakdown, CostConstants, CostModel, PlanCost, RoundCost, SortInstance,
-    SPILL_BYTE_NS,
 };

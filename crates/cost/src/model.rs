@@ -238,17 +238,6 @@ impl PlanCost {
     }
 }
 
-/// Nanoseconds charged per byte moved through the spill path of the
-/// out-of-core sort. Every spilled byte is written once (run files) and
-/// read back once (the streaming merge), so the external path adds
-/// `2 · spilled_bytes · SPILL_BYTE_NS` on top of the in-memory plan cost
-/// — see [`CostModel::t_spill`]. Pinned at roughly 1 GB/s of effective
-/// sequential spill bandwidth rather than calibrated: the constant is
-/// plan-independent (every plan spills the same packed keys), so it
-/// never perturbs plan *ranking*, only the absolute estimate EXPLAIN
-/// reports for budgeted queries.
-pub const SPILL_BYTE_NS: f64 = 1.0;
-
 /// The calibrated cost model.
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -273,16 +262,6 @@ impl CostModel {
             machine: MachineSpec::detect(),
             kernel: SortKernel::Auto,
         }
-    }
-
-    /// Predicted time (ns) the out-of-core path spends moving
-    /// `spilled_bytes` of run files to disk and back: one sequential
-    /// write plus one sequential read at [`SPILL_BYTE_NS`] per byte.
-    /// Additive on top of the plan's in-memory cost and identical for
-    /// every plan, so it leaves plan ranking untouched.
-    #[inline]
-    pub fn t_spill(&self, spilled_bytes: u64) -> f64 {
-        2.0 * spilled_bytes as f64 * SPILL_BYTE_NS
     }
 
     /// `T_lookup` (Eq. 3): `N` random accesses into a `width`-bit column.
@@ -623,21 +602,6 @@ mod tests {
         assert!((round - 50.0 * one).abs() < 1e-6);
         // No sortable groups: free.
         assert_eq!(m.t_sort_round(&est(0.0, 0.0), Bank::B16, 8), 0.0);
-    }
-
-    #[test]
-    fn spill_term_is_linear_and_plan_independent() {
-        let m = CostModel::with_defaults();
-        assert_eq!(m.t_spill(0), 0.0);
-        // One write + one read per byte.
-        assert!((m.t_spill(1_000) - 2_000.0 * SPILL_BYTE_NS).abs() < 1e-9);
-        assert!((m.t_spill(2_000) - 2.0 * m.t_spill(1_000)).abs() < 1e-9);
-        // The term ignores the model's plan-sensitive knobs entirely.
-        let merge = CostModel {
-            kernel: SortKernel::MergeSort,
-            ..CostModel::with_defaults()
-        };
-        assert_eq!(m.t_spill(4_096), merge.t_spill(4_096));
     }
 
     #[test]

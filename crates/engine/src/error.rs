@@ -53,9 +53,9 @@ pub enum EngineError {
         bits: u32,
     },
     /// The query's deadline passed — at admission, at a phase boundary,
-    /// or inside a long loop. The session arena was restored and all
-    /// spilled run files deleted; the query performed no further work
-    /// (the degradation ladder never re-runs past-deadline work).
+    /// or inside a long loop. The session arena was restored; the query
+    /// performed no further work (the degradation ladder never re-runs
+    /// past-deadline work).
     DeadlineExceeded,
     /// The query's [`CancelToken`](mcs_core::CancelToken) was fired
     /// manually. Same unwind guarantees as
@@ -169,9 +169,6 @@ pub enum DegradeReason {
     /// The chosen massage plan failed validation against the key width;
     /// fell back to `P_0`.
     InvalidPlan,
-    /// The out-of-core sort's spill I/O failed (run file write or read);
-    /// re-ran the sort fully in memory under the same plan.
-    SpillFailed,
     /// The chosen plan's execution failed (e.g. a worker panic); re-ran
     /// under `P_0`.
     ExecFailed,
@@ -188,7 +185,6 @@ impl DegradeReason {
             DegradeReason::NonFiniteCost => "non_finite_cost",
             DegradeReason::DeadlineStarved => "deadline_starved",
             DegradeReason::InvalidPlan => "invalid_plan",
-            DegradeReason::SpillFailed => "spill_failed",
             DegradeReason::ExecFailed => "exec_failed",
             DegradeReason::ScalarFallback => "scalar_fallback",
         }
@@ -255,7 +251,6 @@ mod tests {
             DegradeReason::NonFiniteCost,
             DegradeReason::DeadlineStarved,
             DegradeReason::InvalidPlan,
-            DegradeReason::SpillFailed,
             DegradeReason::ExecFailed,
             DegradeReason::ScalarFallback,
         ];

@@ -36,12 +36,12 @@ pub struct ExplainReport {
     /// search ran; see
     /// [`QueryTimings::plan_cached`](crate::QueryTimings::plan_cached)).
     pub plan_cached: bool,
-    /// What the out-of-core sort path spilled (all-zero when the sort ran
-    /// fully in memory — then no spill line renders).
+    /// What the budgeted sort path did (all-zero when the sort ran fully
+    /// in memory — then no budget line renders).
     pub spilled: SpillStats,
-    /// Predicted spill I/O time, [`CostModel::t_spill`] over
-    /// [`SpillStats::bytes`].
-    pub predicted_spill_ns: f64,
+    /// Rows per bucket of the budgeted sort
+    /// ([`QueryTimings::bucket_rows`]).
+    pub bucket_rows: usize,
     /// Wall-clock the query spent queued in the admission gate before
     /// executing ([`QueryTimings::queue_ns`]; zero when admission was
     /// unbounded — then no `queued:` line renders).
@@ -69,7 +69,7 @@ impl ExplainReport {
             degradations: Vec::new(),
             plan_cached: false,
             spilled: SpillStats::default(),
-            predicted_spill_ns: 0.0,
+            bucket_rows: 0,
             queue_ns: 0,
         }
     }
@@ -92,7 +92,7 @@ impl ExplainReport {
             .collect();
         rep.plan_cached = timings.plan_cached();
         rep.spilled = timings.spilled;
-        rep.predicted_spill_ns = model.t_spill(timings.spilled.bytes);
+        rep.bucket_rows = timings.bucket_rows;
         rep.queue_ns = timings.queue_ns;
         Some(rep)
     }
@@ -185,18 +185,14 @@ impl ExplainReport {
         if !self.degradations.is_empty() {
             out.push_str(&format!("degraded: {}\n", self.degradations.join(" -> ")));
         }
-        // Budgeted executions that actually spilled report the out-of-core
-        // path; in-memory executions render no line, keeping every
-        // pre-budget golden snapshot stable. Runs, bytes and merge
-        // counters are deterministic for a fixed instance and budget; the
-        // predicted I/O time is a model constant — only it redacts.
+        // Budgeted executions that partitioned report their buckets;
+        // in-memory executions render no line, keeping every pre-budget
+        // golden snapshot stable. Both numbers are deterministic for a
+        // fixed instance and budget.
         if self.spilled.runs > 0 {
             out.push_str(&format!(
-                "spill: {} runs, {} bytes (predicted I/O {}), merge comparisons {}\n",
-                self.spilled.runs,
-                self.spilled.bytes,
-                t(self.predicted_spill_ns),
-                self.spilled.merge_comparisons,
+                "budget: {} buckets of ≤ {} rows\n",
+                self.spilled.runs, self.bucket_rows,
             ));
         }
         out.push_str(&format!(

@@ -34,7 +34,7 @@ use mcs_core::{
     MultiColumnSortOutput, SortError, SortKernel, SortSpec,
 };
 use mcs_cost::{CostModel, KeyColumnStats, SortInstance};
-use mcs_extsort::{external_multi_column_sort_with, SpillStats};
+use mcs_extsort::{chunk_rows_for_budget, external_multi_column_sort_with, SpillStats};
 use mcs_planner::{roga, PlanFingerprint, RogaOptions, SearchError};
 use mcs_telemetry as telemetry;
 
@@ -140,9 +140,10 @@ impl EngineConfigBuilder {
     /// Cap the multi-column sort's resident memory at `bytes`: queries
     /// whose leased sort footprint
     /// ([`mcs_core::lease_footprint_bytes`]) would exceed the budget run
-    /// through the out-of-core path of `mcs-extsort` (chunk → spill →
-    /// streaming merge) instead of the in-memory executor, with
-    /// byte-identical results. Unset (the default) never spills.
+    /// through the budgeted path of `mcs-extsort` (range-partition the
+    /// rows in memory, then sort one budget-sized bucket at a time)
+    /// instead of the in-memory executor, with byte-identical results.
+    /// Unset (the default) never partitions.
     pub fn memory_budget(mut self, bytes: usize) -> Self {
         self.cfg.exec.memory_budget_bytes = Some(bytes);
         self
@@ -205,10 +206,15 @@ pub struct QueryTimings {
     /// renders only when this is non-zero, so tail latency can be
     /// attributed to queueing vs executing.
     pub queue_ns: u64,
-    /// What the out-of-core sort path spilled (all-zero when every sort
-    /// ran in memory — the case whenever
-    /// [`ExecConfig::memory_budget_bytes`] is unset).
+    /// What the budgeted sort path did (all-zero when every sort ran
+    /// in memory — the case whenever
+    /// [`ExecConfig::memory_budget_bytes`] is unset): `runs` counts the
+    /// buckets sorted.
     pub spilled: SpillStats,
+    /// Rows per bucket of the budgeted sort
+    /// ([`mcs_extsort::chunk_rows_for_budget`]); 0 when no sort was
+    /// partitioned.
+    pub bucket_rows: usize,
 }
 
 impl QueryTimings {
@@ -655,21 +661,14 @@ fn pick_plan(
 fn sort_error_recoverable(e: &SortError) -> bool {
     matches!(
         e,
-        SortError::InvalidPlan(_)
-            | SortError::WorkerPanicked { .. }
-            | SortError::Injected(_)
-            | SortError::Spill(_)
+        SortError::InvalidPlan(_) | SortError::WorkerPanicked { .. } | SortError::Injected(_)
     )
 }
 
 /// One sort attempt under one plan. With a memory budget set the sort
-/// goes through `mcs-extsort`, which owns the spill decision (it sorts in
-/// memory when the plan's leased footprint fits the budget, and spills
-/// otherwise), recording what spilled in `timings`. A spill I/O failure
-/// is the mildest rung of the ladder — the in-memory sort is still
-/// perfectly executable, so it reruns here under the *same* plan
-/// (recorded as [`DegradeReason::SpillFailed`]) before the caller ever
-/// considers `P_0`.
+/// goes through `mcs-extsort`, which owns the partition decision (it
+/// sorts in memory when the plan's leased footprint fits the budget, and
+/// range-partitions otherwise), recording its buckets in `timings`.
 fn sort_once(
     pcols: &[&CodeVec],
     pspecs: &[SortSpec],
@@ -678,25 +677,16 @@ fn sort_once(
     arena: &mut ExecArena,
     timings: &mut QueryTimings,
 ) -> Result<MultiColumnSortOutput, SortError> {
-    if let Some(budget) = exec.memory_budget_bytes {
-        match external_multi_column_sort_with(pcols, pspecs, plan, exec, arena, budget) {
-            Ok((out, spill)) => {
-                timings.spilled.runs += spill.runs;
-                timings.spilled.bytes += spill.bytes;
-                timings.spilled.merge_comparisons += spill.merge_comparisons;
-                return Ok(out);
-            }
-            Err(SortError::Spill(msg)) => {
-                record_degradation(timings, DegradeReason::SpillFailed, &msg);
-                // Deadline-aware ladder: a fired token skips the
-                // in-memory retry below — a timed-out query must never
-                // double the work it already spent.
-                exec.sort.cancel.check()?;
-            }
-            Err(e) => return Err(e),
-        }
+    let Some(budget) = exec.memory_budget_bytes else {
+        return multi_column_sort_with(pcols, pspecs, plan, exec, arena);
+    };
+    let (out, spill) = external_multi_column_sort_with(pcols, pspecs, plan, exec, arena, budget)?;
+    if spill.runs > 0 {
+        timings.spilled.runs += spill.runs;
+        let rows = chunk_rows_for_budget(plan, exec, budget);
+        timings.bucket_rows = timings.bucket_rows.max(rows);
     }
-    multi_column_sort_with(pcols, pspecs, plan, exec, arena)
+    Ok(out)
 }
 
 /// Execute the sort under `plan`, degrading to `P_0` and then to the
@@ -1171,8 +1161,8 @@ mod tests {
     }
 
     // A plain ORDER BY reads no grouping, so its last round skips the
-    // boundary scan (and a spilled sort merges without tracking group
-    // boundaries) — with the same oids as the sort that builds them.
+    // boundary scan (and so does every bucket of a budgeted sort) — with
+    // the same oids as the sort that builds them.
     #[test]
     fn order_by_skips_the_final_boundary_scan() {
         let n = 3000u64;

@@ -321,7 +321,8 @@ fn random_window(rng: &mut mcs_test_support::Rng, t: &Table) -> Query {
 }
 
 /// Generated queries of every shape agree with the naive reference
-/// under column-at-a-time, ROGA, four threads and a spilling budget.
+/// under column-at-a-time, ROGA, four threads and a binding memory
+/// budget.
 /// Replay one case with `MCS_TEST_SEED=<seed>`.
 #[test]
 fn generated_queries_match_reference() {

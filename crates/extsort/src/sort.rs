@@ -1,51 +1,41 @@
-//! The external multi-column sort: budgeted chunks → spilled runs →
-//! streaming k-way loser-tree merge.
+//! The budgeted multi-column sort: an MSD range partition of the output
+//! oids on the direction-adjusted key, then one in-memory sort per
+//! budget-sized bucket.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::ops::Range;
 use std::time::Instant;
 
 use mcs_columnar::CodeVec;
 use mcs_core::{
-    lease_footprint_bytes, multi_column_sort_with, width_mask, ExecArena, ExecConfig, ExecStats,
-    GroupBounds, MassagePlan, MultiColumnSortOutput, SortError, SortSpec, CHECK_INTERVAL,
+    check_inputs, lease_footprint_bytes, multi_column_sort_with, width_mask, CancelToken,
+    ExecArena, ExecConfig, ExecStats, GroupBounds, MassagePlan, MultiColumnSortOutput, SortError,
+    SortSpec, CHECK_INTERVAL,
 };
-use mcs_simd_sort::{LoserTree, MergeHead, MergeScratch, MergeSource};
 use mcs_telemetry as telemetry;
 
-use crate::runfile::{RunFileError, RunFileReader, RunFileWriter};
-
-/// What the external path spilled, for `QueryTimings` / EXPLAIN and the
+/// What the budgeted path did, for `QueryTimings` / EXPLAIN and the
 /// benchmark's `spill_sort` workload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillStats {
-    /// Sorted runs written to disk (0 = the in-memory path ran).
+    /// Buckets sorted one at a time under the budget (0 = the in-memory
+    /// path ran).
     pub runs: u64,
-    /// Total run-file bytes written.
-    pub bytes: u64,
-    /// Loser-tree matches played by the final streaming merge.
-    pub merge_comparisons: u64,
-    /// Always 0: the merge carries no offset-value codes. Kept so that
+    /// Always 0: the partition writes nothing to disk. Kept so that
     /// readers of the stats still build.
+    pub bytes: u64,
+    /// Always 0: buckets are key ranges, so nothing is merged. Kept so
+    /// that readers of the stats still build.
+    pub merge_comparisons: u64,
+    /// Always 0: nothing is merged, so no offset-value code decides a
+    /// match. Kept so that readers of the stats still build.
     pub merge_ovc_hits: u64,
 }
 
-/// Bytes of one run-file entry for `specs`: the packed `⌈W/64⌉`-word
-/// direction-adjusted key plus the u32 oid.
-pub fn run_entry_bytes(specs: &[SortSpec]) -> usize {
-    key_words(specs) * 8 + 4
-}
-
-fn key_words(specs: &[SortSpec]) -> usize {
-    let total: u32 = specs.iter().map(|s| s.width).sum();
-    (total as usize).div_ceil(64).max(1)
-}
-
-/// Rows per chunk so that one chunk's in-memory sort stays within
+/// Rows per bucket so that one bucket's in-memory sort stays within
 /// `budget_bytes` of leased footprint. Derived from
 /// [`lease_footprint_bytes`], which is linear in the row count; always
-/// at least 1 so pathological budgets degrade to tiny runs instead of
-/// failing. This only sizes chunks: whether to spill at all is
+/// at least 1 so pathological budgets degrade to tiny buckets instead of
+/// failing. This only sizes buckets: whether to partition at all is
 /// [`external_multi_column_sort_with`]'s footprint test.
 pub fn chunk_rows_for_budget(plan: &MassagePlan, cfg: &ExecConfig, budget_bytes: usize) -> usize {
     const PROBE: usize = 4096;
@@ -55,152 +45,110 @@ pub fn chunk_rows_for_budget(plan: &MassagePlan, cfg: &ExecConfig, budget_bytes:
     (budget_bytes / per_row).max(1)
 }
 
-/// Number of [`SpillDir`]s currently alive in this process.
-static LIVE_SPILL_DIRS: AtomicU64 = AtomicU64::new(0);
-
-/// How many spill directories (each holding one external sort's run
-/// files) are currently alive in this process. Every exit path of
-/// [`external_multi_column_sort_with`] — success, I/O error, injected
-/// fault, or cancellation — drops its RAII `SpillDir` guard, so this
-/// returns to its prior value after every call; the leak tests pin that.
-pub fn live_spill_dirs() -> u64 {
-    LIVE_SPILL_DIRS.load(AtomicOrdering::SeqCst)
+/// One column's share of a key digit: the direction-adjusted code's bits
+/// `[rshift, rshift + len)` (kept by `mask`), placed at digit bit
+/// `lshift`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Part {
+    col: usize,
+    xor: u64,
+    rshift: u32,
+    mask: u64,
+    lshift: u32,
 }
 
-/// Self-cleaning spill directory under the OS temp dir: an RAII guard
-/// over every run file of one external sort. `Drop` removes the whole
-/// directory, so any unwind — merge error, injected fault, cancellation
-/// mid-spill — deletes every spilled file without per-file bookkeeping.
-struct SpillDir {
-    path: PathBuf,
+/// One byte of the key that `specs` concatenate, most significant column
+/// first, each code complemented when DESC — so digit order is `ORDER BY`
+/// order. A byte spans at most eight columns (each is at least one bit
+/// wide).
+#[derive(Debug, Clone, Copy)]
+struct Digit {
+    parts: [Part; 8],
+    len: usize,
 }
 
-impl SpillDir {
-    fn create() -> Result<SpillDir, SortError> {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "mcs-extsort-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, AtomicOrdering::Relaxed)
-        ));
-        std::fs::create_dir_all(&path)
-            .map_err(|e| SortError::Spill(format!("create spill dir: {e}")))?;
-        LIVE_SPILL_DIRS.fetch_add(1, AtomicOrdering::SeqCst);
-        Ok(SpillDir { path })
-    }
-}
-
-impl Drop for SpillDir {
-    fn drop(&mut self) {
-        // Best effort: a leaked temp dir must not mask the real error.
-        let _ = std::fs::remove_dir_all(&self.path);
-        LIVE_SPILL_DIRS.fetch_sub(1, AtomicOrdering::SeqCst);
-    }
-}
-
-/// Per-column bit offsets of the packed key (from the least significant
-/// end), most significant column first — column `j` occupies bits
-/// `[shift_j, shift_j + width_j)`.
-fn column_shifts(specs: &[SortSpec]) -> Vec<u32> {
-    let total: u32 = specs.iter().map(|s| s.width).sum();
-    let mut acc = total;
-    specs
-        .iter()
-        .map(|s| {
-            acc -= s.width;
-            acc
-        })
-        .collect()
-}
-
-/// Pack row `row`'s direction-adjusted codes into `words` (most
-/// significant word first, right-aligned) so that lexicographic word
-/// comparison equals the `ORDER BY` tuple comparison.
-fn pack_row(words: &mut [u64], cols: &[&CodeVec], specs: &[SortSpec], shifts: &[u32], row: usize) {
-    for w in words.iter_mut() {
-        *w = 0;
-    }
-    let kw = words.len();
-    for ((c, s), &sh) in cols.iter().zip(specs).zip(shifts) {
-        let mut v = c.get(row);
-        if s.descending {
-            v ^= width_mask(s.width);
+impl Digit {
+    /// Digit `level` (0 = the key's most significant byte; the last one
+    /// may hold fewer than 8 bits), or `None` once the key has no bits
+    /// left.
+    fn at(specs: &[SortSpec], level: u32) -> Option<Digit> {
+        let total: u32 = specs.iter().map(|s| s.width).sum();
+        let hi = total.checked_sub(8 * level).filter(|&h| h > 0)?;
+        let lo = hi.saturating_sub(8);
+        let mut digit = Digit {
+            parts: [Part::default(); 8],
+            len: 0,
+        };
+        // Column `col` holds key bits `[end - width, end)`.
+        let mut end = total;
+        for (col, s) in specs.iter().enumerate() {
+            let start = end - s.width;
+            let (a, b) = (lo.max(start), hi.min(end));
+            if a < b {
+                digit.parts[digit.len] = Part {
+                    col,
+                    xor: if s.descending { width_mask(s.width) } else { 0 },
+                    rshift: a - start,
+                    mask: (1u64 << (b - a)) - 1,
+                    lshift: a - lo,
+                };
+                digit.len += 1;
+            }
+            end = start;
         }
-        let lo = (sh / 64) as usize;
-        let b = sh % 64;
-        words[kw - 1 - lo] |= v << b;
-        if b != 0 && b + s.width > 64 {
-            words[kw - 2 - lo] |= v >> (64 - b);
-        }
+        Some(digit)
     }
-}
 
-fn spill_err(e: RunFileError) -> SortError {
-    SortError::Spill(e.to_string())
-}
-
-/// One spilled run behind a bounded read-ahead buffer, streaming heads
-/// for the merge. `words` holds the live head; `emitted` the element
-/// most recently surrendered to the tree (the merge's group-boundary
-/// scan reads it after each pop).
-struct RunCursor {
-    reader: RunFileReader,
-    words: Vec<u64>,
-    emitted: Vec<u64>,
-}
-
-impl RunCursor {
-    fn open(capacity: usize, path: &Path, kw: usize) -> Result<RunCursor, RunFileError> {
-        let reader = RunFileReader::with_capacity(capacity, path)?;
-        if reader.header.key_words != kw {
-            return Err(RunFileError::BadShape {
-                key_words: reader.header.key_words as u16,
-                entry_bytes: reader.header.entry_bytes() as u32,
-            });
-        }
-        Ok(RunCursor {
-            reader,
-            words: vec![0; kw],
-            emitted: vec![0; kw],
+    #[inline]
+    fn of(&self, cols: &[&CodeVec], row: usize) -> usize {
+        self.parts[..self.len].iter().fold(0, |d, p| {
+            d | ((((cols[p.col].get(row) ^ p.xor) >> p.rshift) & p.mask) << p.lshift) as usize
         })
     }
 }
 
-/// The merge's [`MergeSource`] over all spilled runs: each head's first
-/// key word goes to the tree, the rest stays in its cursor for
-/// [`MergeSource::cmp_tails`].
-struct RunsSource {
-    cursors: Vec<RunCursor>,
+/// Stable counting scatter of `rows` into `dst` by `digit`. Returns the
+/// end offset (within `dst`) of each digit's range, or `None` when every
+/// row has the same digit: then the scatter would copy `rows` as they
+/// are, and `dst` is left untouched (the caller passes `dst` already
+/// holding `rows`).
+fn scatter(
+    digit: &Digit,
+    cols: &[&CodeVec],
+    rows: impl Iterator<Item = usize> + Clone,
+    dst: &mut [u32],
+    cancel: &CancelToken,
+) -> Result<Option<[usize; 256]>, SortError> {
+    let mut next = [0usize; 256];
+    for (i, row) in rows.clone().enumerate() {
+        if i % CHECK_INTERVAL == 0 {
+            cancel.check()?;
+        }
+        next[digit.of(cols, row)] += 1;
+    }
+    if next.contains(&dst.len()) {
+        return Ok(None);
+    }
+    let mut acc = 0;
+    for slot in next.iter_mut() {
+        let count = *slot;
+        *slot = acc;
+        acc += count;
+    }
+    for (i, row) in rows.enumerate() {
+        if i % CHECK_INTERVAL == 0 {
+            cancel.check()?;
+        }
+        let d = digit.of(cols, row);
+        dst[next[d]] = row as u32;
+        next[d] += 1;
+    }
+    Ok(Some(next))
 }
 
-impl RunsSource {
-    /// The element run `run` most recently surrendered to the tree.
-    fn emitted(&self, run: usize) -> &[u64] {
-        &self.cursors[run].emitted
-    }
-}
-
-impl MergeSource for RunsSource {
-    type Error = RunFileError;
-
-    fn next(&mut self, run: usize) -> Result<Option<MergeHead>, RunFileError> {
-        let c = &mut self.cursors[run];
-        // The head we are about to replace is the element being popped.
-        c.emitted.copy_from_slice(&c.words);
-        Ok(c.reader.read_entry(&mut c.words)?.map(|oid| MergeHead {
-            word0: c.words[0],
-            oid,
-        }))
-    }
-
-    fn cmp_tails(&self, a: usize, b: usize) -> core::cmp::Ordering {
-        self.cursors[a].words[1..].cmp(&self.cursors[b].words[1..])
-    }
-}
-
-/// Element-wise accumulation of per-chunk executor stats (ns and
+/// Element-wise accumulation of per-bucket executor stats (ns and
 /// counters sum; `max_group` takes the max; the probe sums only while
-/// every chunk reported).
+/// every bucket reported).
 fn accumulate(acc: &mut ExecStats, s: &ExecStats) {
     acc.massage_ns += s.massage_ns;
     acc.total_ns += s.total_ns;
@@ -226,20 +174,149 @@ fn accumulate(acc: &mut ExecStats, s: &ExecStats) {
     };
 }
 
-/// Sort `inputs` under `plan` within `budget_bytes` of resident memory:
-/// chunk → in-memory sort (through `arena`) → spill run file → streaming
-/// loser-tree merge. Output is byte-identical to
+/// The state of one budgeted sort. `oids` is the output, partitioned in
+/// place: every range handed to [`Partition::split`] holds its rows in
+/// ascending order, all sharing the key digits above its level.
+struct Partition<'a> {
+    inputs: &'a [&'a CodeVec],
+    specs: &'a [SortSpec],
+    plan: &'a MassagePlan,
+    /// The caller's config without the budget (a bucket fits by
+    /// construction).
+    cfg: ExecConfig,
+    arena: &'a mut ExecArena,
+    bucket_rows: usize,
+    oids: Vec<u32>,
+    /// Final group offsets, when the caller wants them.
+    offsets: Vec<u32>,
+    /// The oids of the range being split or sorted: one buffer, reused.
+    copy: Vec<u32>,
+    stats: ExecStats,
+    buckets: u64,
+    partition_ns: u64,
+}
+
+impl Partition<'_> {
+    /// Partition `range` on digit `level` and sort it bucket by bucket,
+    /// in key order. Adjacent digits share a bucket while it holds at
+    /// most `bucket_rows` rows; a digit with more recurses on the next
+    /// byte.
+    fn split(&mut self, range: Range<usize>, mut level: u32) -> Result<(), SortError> {
+        // A digit every row shares orders nothing: read the next one.
+        let ends = loop {
+            let Some(digit) = Digit::at(self.specs, level) else {
+                // Past the key's last bit: every row of the range ties,
+                // and the range already holds them in row order.
+                return self.emit_group(range);
+            };
+            let t = Instant::now();
+            let dst = &mut self.oids[range.clone()];
+            let ends = if level == 0 {
+                // The top level reads rows in order (`oids` starts as
+                // the identity); deeper ones read a copy of their range
+                // and scatter it back in place.
+                let rows = range.clone();
+                scatter(&digit, self.inputs, rows, dst, &self.cfg.sort.cancel)?
+            } else {
+                self.copy.clear();
+                self.copy.extend_from_slice(dst);
+                let rows = self.copy.iter().map(|&o| o as usize);
+                scatter(&digit, self.inputs, rows, dst, &self.cfg.sort.cancel)?
+            };
+            self.partition_ns += t.elapsed().as_nanos() as u64;
+            match ends {
+                Some(ends) => break ends,
+                None => level += 1,
+            }
+        };
+
+        let (mut bucket, mut start) = (range.start, range.start);
+        for end in ends.map(|e| range.start + e) {
+            if end - start > self.bucket_rows {
+                self.sort_bucket(bucket..start)?;
+                self.split(start..end, level + 1)?;
+                bucket = end;
+            } else if end - bucket > self.bucket_rows {
+                self.sort_bucket(bucket..start)?;
+                bucket = start;
+            }
+            start = end;
+        }
+        self.sort_bucket(bucket..range.end)
+    }
+
+    /// Sort the rows of `range` (one key range) in memory and put them
+    /// back in place in sorted order.
+    fn sort_bucket(&mut self, range: Range<usize>) -> Result<(), SortError> {
+        if range.len() <= 1 {
+            return self.emit_group(range);
+        }
+        self.enter_bucket()?;
+        let t = Instant::now();
+        self.copy.clear();
+        self.copy.extend_from_slice(&self.oids[range.clone()]);
+        let cols: Vec<CodeVec> = self.inputs.iter().map(|c| c.gather(&self.copy)).collect();
+        let refs: Vec<&CodeVec> = cols.iter().collect();
+        let out = multi_column_sort_with(&refs, self.specs, self.plan, &self.cfg, self.arena)?;
+        // The bucket's rows are ascending, so its local ties (emitted in
+        // local row order) stay in global row order.
+        for (dst, &local) in self.oids[range.clone()].iter_mut().zip(&out.oids) {
+            *dst = self.copy[local as usize];
+        }
+        if self.cfg.want_final_groups {
+            let base = range.start as u32;
+            self.offsets
+                .extend(out.groups.offsets[1..].iter().map(|&o| base + o));
+        }
+        accumulate(&mut self.stats, &out.stats);
+        telemetry::record_span(
+            "mcs.extsort.bucket_sort",
+            t.elapsed().as_nanos() as u64,
+            vec![
+                ("bucket", self.buckets.into()),
+                ("rows", range.len().into()),
+            ],
+        );
+        Ok(())
+    }
+
+    /// `range` as one tie group, left in row order.
+    fn emit_group(&mut self, range: Range<usize>) -> Result<(), SortError> {
+        if range.is_empty() {
+            return Ok(());
+        }
+        self.enter_bucket()?;
+        if self.cfg.want_final_groups {
+            self.offsets.push(range.end as u32);
+        }
+        Ok(())
+    }
+
+    fn enter_bucket(&mut self) -> Result<(), SortError> {
+        mcs_faults::delay_point(mcs_faults::points::EXEC_DELAY_SPILL);
+        self.cfg.sort.cancel.check()?;
+        self.buckets += 1;
+        Ok(())
+    }
+}
+
+/// Sort `inputs` under `plan` within `budget_bytes` of working memory:
+/// range-partition the oids on the key, one byte per level, then sort
+/// each bucket of at most [`chunk_rows_for_budget`] rows in memory
+/// (through `arena`). Output is byte-identical to
 /// [`multi_column_sort_with`] — same oids, and the same group offsets
-/// when `cfg.want_final_groups` is set (when it is not, the external
+/// when `cfg.want_final_groups` is set (when it is not, the budgeted
 /// path returns the trivial single group where the in-memory path
 /// returns its pre-final refinement; callers that consume groups must
 /// request final groups).
 ///
-/// This is the one owner of the spill decision: when the in-memory
-/// sort's leased footprint ([`lease_footprint_bytes`]`(plan, n, cfg)`) fits
-/// the budget, it delegates to the in-memory sort and reports zero
-/// spilled runs; otherwise it spills in chunks of
-/// [`chunk_rows_for_budget`] rows.
+/// This is the one owner of the partition decision: when the in-memory
+/// sort's leased footprint ([`lease_footprint_bytes`]`(plan, n, cfg)`)
+/// fits the budget, it delegates to the in-memory sort and reports zero
+/// buckets; otherwise it partitions.
+///
+/// Outside the budget sit the `n`-oid output and one oid buffer the
+/// size of the range being split or sorted (DESIGN.md §13).
 pub fn external_multi_column_sort_with(
     inputs: &[&CodeVec],
     specs: &[SortSpec],
@@ -253,126 +330,53 @@ pub fn external_multi_column_sort_with(
         let out = multi_column_sort_with(inputs, specs, plan, cfg, arena)?;
         return Ok((out, SpillStats::default()));
     }
-    let chunk_rows = chunk_rows_for_budget(plan, cfg, budget_bytes);
+    check_inputs(inputs, specs, plan)?;
+    cfg.sort.cancel.check()?;
 
     let total_t = Instant::now();
-    let kw = key_words(specs);
-    let shifts = column_shifts(specs);
-    let dir = SpillDir::create()?;
-
-    // Chunk configs run without final groups (the merge derives the
-    // global grouping) and without a budget (each chunk fits by
-    // construction).
-    let mut chunk_cfg = cfg.clone();
-    chunk_cfg.want_final_groups = false;
-    chunk_cfg.memory_budget_bytes = None;
-
-    let mut spill = SpillStats::default();
-    let mut stats = ExecStats {
-        round_loop_allocs: Some(0),
-        ..ExecStats::default()
+    let mut bucket_cfg = cfg.clone();
+    bucket_cfg.memory_budget_bytes = None;
+    let bucket_rows = chunk_rows_for_budget(plan, cfg, budget_bytes);
+    arena.reserve(plan, bucket_rows.min(n));
+    let mut p = Partition {
+        inputs,
+        specs,
+        plan,
+        cfg: bucket_cfg,
+        arena,
+        bucket_rows,
+        oids: (0..n as u32).collect(),
+        offsets: vec![0],
+        copy: Vec::new(),
+        stats: ExecStats {
+            round_loop_allocs: Some(0),
+            ..ExecStats::default()
+        },
+        buckets: 0,
+        partition_ns: 0,
     };
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut words = vec![0u64; kw];
-
-    let mut start = 0usize;
-    while start < n {
-        // Chunk boundary: the chunk sort below polls the token itself
-        // (its cancellation unwinds here through `?`, dropping `dir`).
-        cfg.sort.cancel.check()?;
-        let end = (start + chunk_rows).min(n);
-        let chunk_idx = files.len();
-
-        let tc = Instant::now();
-        let chunk_cols: Vec<CodeVec> = inputs.iter().map(|c| c.slice(start..end)).collect();
-        let refs: Vec<&CodeVec> = chunk_cols.iter().collect();
-        let out = multi_column_sort_with(&refs, specs, plan, &chunk_cfg, arena)?;
-        telemetry::record_span(
-            "mcs.extsort.chunk_sort",
-            tc.elapsed().as_nanos() as u64,
-            vec![("chunk", chunk_idx.into()), ("rows", (end - start).into())],
-        );
-        accumulate(&mut stats, &out.stats);
-
-        mcs_faults::delay_point(mcs_faults::points::EXEC_DELAY_SPILL);
-        let tw = Instant::now();
-        let path = dir.path.join(format!("run-{chunk_idx}.mcsrun"));
-        let mut w = RunFileWriter::create(&path, kw, (end - start) as u64).map_err(spill_err)?;
-        for (i, &local) in out.oids.iter().enumerate() {
-            if i % CHECK_INTERVAL == 0 {
-                cfg.sort.cancel.check()?;
-            }
-            pack_row(&mut words, &refs, specs, &shifts, local as usize);
-            w.write_entry(&words, start as u32 + local)
-                .map_err(spill_err)?;
-        }
-        let bytes = w.finish().map_err(spill_err)?;
-        telemetry::record_span(
-            "mcs.extsort.spill_write",
-            tw.elapsed().as_nanos() as u64,
-            vec![("run", chunk_idx.into()), ("bytes", bytes.into())],
-        );
-        spill.runs += 1;
-        spill.bytes += bytes;
-        files.push(path);
-        start = end;
-    }
-
-    // Streaming merge: every run behind an equal share of the budget as
-    // read-ahead (clamped to something sensible either way).
-    mcs_faults::delay_point(mcs_faults::points::EXEC_DELAY_MERGE);
-    cfg.sort.cancel.check()?;
-    let tm = Instant::now();
-    let per_run = (budget_bytes / files.len().max(1)).clamp(4096, 1 << 20);
-    let mut cursors = Vec::with_capacity(files.len());
-    for p in &files {
-        cursors.push(RunCursor::open(per_run, p, kw).map_err(spill_err)?);
-    }
-    let mut scratch = MergeScratch::new();
-    let runs = files.len();
-    let mut merger =
-        LoserTree::new(RunsSource { cursors }, runs, &mut scratch).map_err(spill_err)?;
-    let mut oids: Vec<u32> = Vec::with_capacity(n);
-    let mut offsets: Vec<u32> = vec![0];
-    let mut prev = vec![0u64; kw];
-    while let Some((run, head)) = merger.pop().map_err(spill_err)? {
-        if oids.len().is_multiple_of(CHECK_INTERVAL) {
-            cfg.sort.cancel.check()?;
-        }
-        if cfg.want_final_groups {
-            let cur = merger.source().emitted(run);
-            if !oids.is_empty() && cur != prev.as_slice() {
-                offsets.push(oids.len() as u32);
-            }
-            prev.copy_from_slice(cur);
-        }
-        oids.push(head.oid);
-    }
-    offsets.push(n as u32);
-    // The tree credits its matches to `scratch` when it goes away.
-    drop(merger);
-    let counters = scratch.counters();
-    spill.merge_comparisons = counters.comparisons;
+    p.split(0..n, 0)?;
     telemetry::record_span(
-        "mcs.extsort.merge",
-        tm.elapsed().as_nanos() as u64,
-        vec![
-            ("runs", runs.into()),
-            ("rows", n.into()),
-            ("comparisons", counters.comparisons.into()),
-        ],
+        "mcs.extsort.partition",
+        p.partition_ns,
+        vec![("buckets", p.buckets.into()), ("rows", n.into())],
     );
 
-    let groups = if cfg.want_final_groups {
-        GroupBounds::from_offsets(offsets)
+    let groups = if cfg.want_final_groups && n > 0 {
+        GroupBounds::from_offsets(p.offsets)
     } else {
         GroupBounds::whole(n)
     };
-    stats.arena = arena.stats();
+    let mut stats = p.stats;
+    stats.arena = p.arena.stats();
     stats.total_ns = total_t.elapsed().as_nanos() as u64;
+    let spill = SpillStats {
+        runs: p.buckets,
+        ..SpillStats::default()
+    };
     Ok((
         MultiColumnSortOutput {
-            oids,
+            oids: p.oids,
             groups,
             stats,
         },
@@ -396,29 +400,32 @@ mod tests {
     }
 
     #[test]
-    fn packed_rows_order_like_tuples() {
-        // 3 columns, 70 bits total -> 2 words; DESC in the middle.
-        let sp = specs(&[(30, false), (20, true), (20, false)]);
-        let shifts = column_shifts(&sp);
-        assert_eq!(shifts, vec![40, 20, 0]);
-        let c0 = CodeVec::from_u64s(30, [5u64, 5, 5, 9]);
-        let c1 = CodeVec::from_u64s(20, [7u64, 8, 7, 1]);
-        let c2 = CodeVec::from_u64s(20, [3u64, 0, 4, 2]);
+    fn digits_read_the_key_a_byte_at_a_time() {
+        // 3 + 5 + 20 = 28 bits, DESC in the middle: digit 0 is the 3-bit
+        // column, the complemented 5-bit one, and digit 1 onward the
+        // 20-bit column; digit 3 holds its last 4 bits; digit 4 is past
+        // the end.
+        let sp = specs(&[(3, false), (5, true), (20, false)]);
+        let c0 = CodeVec::from_u64s(3, [0b101u64]);
+        let c1 = CodeVec::from_u64s(5, [0b00110u64]);
+        let c2 = CodeVec::from_u64s(20, [0xABCDEu64]);
         let cols: Vec<&CodeVec> = vec![&c0, &c1, &c2];
-        let mut packed: Vec<Vec<u64>> = Vec::new();
-        for row in 0..4 {
-            let mut w = vec![0u64; 2];
-            pack_row(&mut w, &cols, &sp, &shifts, row);
-            packed.push(w);
+        let key: u64 = (0b101 << 25) | (0b11001 << 20) | 0xABCDE;
+        for level in 0..4u32 {
+            let lo = 28i32 - 8 * (level as i32 + 1);
+            let want = if lo >= 0 {
+                (key >> lo) & 0xFF
+            } else {
+                key & ((1 << (8 + lo)) - 1)
+            };
+            let d = Digit::at(&sp, level).unwrap();
+            assert_eq!(d.of(&cols, 0) as u64, want, "level {level}");
         }
-        // Tuple order with DESC col 1: (5,8,0) < (5,7,3) < (5,7,4) < (9,1,2).
-        let mut idx = [0usize, 1, 2, 3];
-        idx.sort_by(|&a, &b| packed[a].cmp(&packed[b]));
-        assert_eq!(idx, [1, 0, 2, 3]);
+        assert!(Digit::at(&sp, 4).is_none());
     }
 
     #[test]
-    fn external_matches_in_memory_byte_for_byte() {
+    fn partitioned_sort_matches_in_memory_byte_for_byte() {
         let mut rng = mcs_test_support::Rng::seed_from_u64(0xE47);
         let n = 500usize;
         let c0 = CodeVec::from_u64s(9, (0..n).map(|_| rng.gen_range(0..12)).collect::<Vec<_>>());
@@ -431,57 +438,20 @@ mod tests {
         let mut arena = ExecArena::new();
         let want = multi_column_sort_with(&inputs, &sp, &plan, &cfg, &mut arena).unwrap();
 
-        // A budget forcing several runs.
+        // A budget forcing several buckets.
         let budget = lease_footprint_bytes(&plan, n, &cfg) / 8;
         let mut arena2 = ExecArena::new();
         let (got, spill) =
             external_multi_column_sort_with(&inputs, &sp, &plan, &cfg, &mut arena2, budget)
                 .unwrap();
-        assert!(spill.runs >= 4, "expected >= 4 runs, got {}", spill.runs);
-        assert!(spill.bytes > 0);
-        assert!(spill.merge_comparisons > 0);
+        assert!(spill.runs >= 4, "expected >= 4 buckets, got {}", spill.runs);
+        assert_eq!((spill.bytes, spill.merge_comparisons), (0, 0));
         assert_eq!(got.oids, want.oids);
         assert_eq!(got.groups.offsets, want.groups.offsets);
     }
 
     #[test]
-    fn spill_counters_ignore_earlier_sorts_on_the_thread() {
-        // The merge counts its own matches (through its own scratch), so
-        // a merge-sort that just ran on the same thread cannot leak into
-        // them.
-        let spill_on_thread = |merge_sort_first: bool| {
-            std::thread::spawn(move || {
-                if merge_sort_first {
-                    let mut keys: Vec<u32> = (0..20_000u32).map(|i| i.wrapping_mul(7919)).collect();
-                    let mut oids: Vec<u32> = (0..20_000).collect();
-                    let cfg = mcs_simd_sort::SortConfig {
-                        kernel: mcs_simd_sort::SortKernel::MergeSort,
-                        in_cache_bytes: 4096,
-                        ..Default::default()
-                    };
-                    mcs_simd_sort::sort_pairs_with(&mut keys, &mut oids, &cfg);
-                }
-                let c0 =
-                    CodeVec::from_u64s(12, (0..600u64).map(|i| i * 37 % 1000).collect::<Vec<_>>());
-                let sp = specs(&[(12, false)]);
-                let plan = MassagePlan::column_at_a_time(&sp);
-                let cfg = ExecConfig::default();
-                let budget = lease_footprint_bytes(&plan, 600, &cfg) / 8;
-                let mut arena = ExecArena::new();
-                external_multi_column_sort_with(&[&c0], &sp, &plan, &cfg, &mut arena, budget)
-                    .unwrap()
-                    .1
-            })
-            .join()
-            .unwrap()
-        };
-        let fresh = spill_on_thread(false);
-        assert!(fresh.runs >= 4 && fresh.merge_comparisons > 0);
-        assert_eq!(spill_on_thread(true), fresh);
-    }
-
-    #[test]
-    fn unbounded_budget_never_spills() {
+    fn unbounded_budget_never_partitions() {
         let c0 = CodeVec::from_u64s(10, [3u64, 1, 2, 1]);
         let inputs: Vec<&CodeVec> = vec![&c0];
         let sp = specs(&[(10, false)]);
@@ -498,5 +468,25 @@ mod tests {
         .unwrap();
         assert_eq!(spill, SpillStats::default());
         assert_eq!(out.oids, vec![1, 3, 2, 0]);
+    }
+
+    #[test]
+    fn malformed_inputs_are_typed_errors_under_a_budget() {
+        let c0 = CodeVec::from_u64s(10, [3u64, 1, 2, 1]);
+        let sp = specs(&[(10, false), (4, false)]);
+        let plan = MassagePlan::column_at_a_time(&sp);
+        let err = external_multi_column_sort_with(
+            &[&c0],
+            &sp,
+            &plan,
+            &ExecConfig::default(),
+            &mut ExecArena::new(),
+            1,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, SortError::ColumnCountMismatch { .. }),
+            "{err}"
+        );
     }
 }

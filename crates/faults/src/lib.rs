@@ -68,19 +68,13 @@ pub mod points {
     pub const CORE_ROUND_SORT: &str = "core.round.sort";
     /// A parallel-sort worker thread panics after being spawned.
     pub const SIMD_WORKER_PANIC: &str = "simd.worker.panic";
-    /// Writing a sorted run file to spill storage fails.
-    pub const EXTSORT_SPILL_WRITE: &str = "extsort.spill.write";
-    /// Reading a spilled run back during the external merge fails.
-    pub const EXTSORT_SPILL_READ: &str = "extsort.spill.read";
     /// Latency injected before the massage phase (see [`delay_point`]).
     ///
     /// [`delay_point`]: crate::delay_point
     pub const EXEC_DELAY_MASSAGE: &str = "exec.delay.massage";
     /// Latency injected at the top of each executor round.
     pub const EXEC_DELAY_ROUND: &str = "exec.delay.round";
-    /// Latency injected before the external sort's streaming merge.
-    pub const EXEC_DELAY_MERGE: &str = "exec.delay.merge";
-    /// Latency injected before each spilled-run write.
+    /// Latency injected before each bucket of the budgeted sort.
     pub const EXEC_DELAY_SPILL: &str = "exec.delay.spill";
 
     /// Every registered fault point.
@@ -90,11 +84,8 @@ pub mod points {
         COST_NAN,
         CORE_ROUND_SORT,
         SIMD_WORKER_PANIC,
-        EXTSORT_SPILL_WRITE,
-        EXTSORT_SPILL_READ,
         EXEC_DELAY_MASSAGE,
         EXEC_DELAY_ROUND,
-        EXEC_DELAY_MERGE,
         EXEC_DELAY_SPILL,
     ];
 }
@@ -486,7 +477,7 @@ mod tests {
 
     #[test]
     fn registry_lists_every_point() {
-        assert_eq!(points::ALL.len(), 11);
+        assert_eq!(points::ALL.len(), 8);
         let mut sorted = points::ALL.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
@@ -507,15 +498,15 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn armed_delay_point_sleeps_and_with_armed_resets_delay() {
-        with_armed(&[(points::EXEC_DELAY_MERGE, FireMode::Always)], || {
+        with_armed(&[(points::EXEC_DELAY_SPILL, FireMode::Always)], || {
             set_delay_micros(20_000);
             let t = std::time::Instant::now();
-            delay_point(points::EXEC_DELAY_MERGE);
+            delay_point(points::EXEC_DELAY_SPILL);
             assert!(
                 t.elapsed() >= std::time::Duration::from_millis(15),
                 "armed delay point must stretch the phase"
             );
-            assert!(fired(points::EXEC_DELAY_MERGE) > 0);
+            assert!(fired(points::EXEC_DELAY_SPILL) > 0);
         });
         assert_eq!(delay_micros(), 0, "disarm_all resets the delay");
     }

@@ -24,7 +24,7 @@
 //! 2. **in-cache merging** — streaming binary bitonic merge networks until
 //!    runs reach half the L2 cache;
 //! 3. **out-of-cache merging** — `F`-way loser-tree merge passes
-//!    ([`multiway`]; the same tree merges split groups and spilled runs).
+//!    ([`multiway`]; the same tree merges split groups).
 //!
 //! Keys occupy `b`-bit lanes; the 32-bit oid payload travels in parallel
 //! registers, so narrower banks really do get proportionally more data
@@ -64,9 +64,7 @@ mod sort;
 
 pub use key::{Bank, Key};
 pub use mcs_cancel::{CancelCause, CancelToken, CHECK_INTERVAL};
-pub use multiway::{
-    multiway_merge, multiway_pass, LoserTree, MergeCounters, MergeHead, MergeSource,
-};
+pub use multiway::{multiway_merge, multiway_pass, MergeCounters};
 pub use parallel::{for_each_chunk, sort_pairs_in_groups, MorselCounts, WorkerPanic};
 pub use phase::PhaseTimes;
 pub use radix::{radix_sort_pairs, MSD_MIN_ROWS};

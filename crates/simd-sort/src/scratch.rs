@@ -97,15 +97,14 @@ impl SortScratch {
 }
 
 /// Reusable working memory of the loser-tree multiway merge: the
-/// tree's node arrays plus the slice sources' run cursors.
+/// tree's node arrays plus its run cursors.
 ///
 /// Head keys are stored widened to `u64` (zero-extension is
 /// order-preserving for unsigned codes), so one instance serves every
 /// key bank.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
-    /// `(cursor, end)` per run of a slice merge (unused by sources that
-    /// keep their own position, e.g. spilled run files).
+    /// `(cursor, end)` per run of a merge.
     pub(crate) cursors: Vec<(usize, usize)>,
     /// The tree proper.
     pub(crate) nodes: TreeNodes,
@@ -133,9 +132,8 @@ impl MergeScratch {
         Self::default()
     }
 
-    /// The matches played by every [`crate::LoserTree`] built over this
-    /// scratch so far, each credited when its tree was dropped (drained
-    /// or abandoned).
+    /// The matches played by every merge over this scratch so far, each
+    /// credited when its loser tree was dropped (drained or abandoned).
     pub fn counters(&self) -> MergeCounters {
         self.counters
     }

@@ -1,5 +1,5 @@
 //! The sort entry point: the size-driven kernel dispatch
-//! ([`kernel_for`]) every round, morsel and spilled chunk goes through,
+//! ([`kernel_for`]) every round, morsel and budgeted bucket goes through,
 //! and the merge-sort assembly (padding, the three phases, runtime
 //! dispatch between the AVX2 and portable kernels) it keeps reachable as
 //! [`SortKernel::MergeSort`].
@@ -302,7 +302,8 @@ pub trait SortableKey: Key {
     /// allocation-free once warm. oid values must be `< u32::MAX`.
     ///
     /// This is the one place a kernel is chosen: serial rounds, morsel
-    /// spans and chunks, and spilled chunks all sort through it.
+    /// spans and chunks, and the buckets of a budgeted sort all sort
+    /// through it.
     fn sort_pairs_with_scratch(
         keys: &mut [Self],
         oids: &mut [u32],

@@ -18,7 +18,6 @@
 use std::time::{Duration, Instant};
 
 use codemassage::engine::reference::{assert_same_rows, naive_execute};
-use codemassage::extsort::live_spill_dirs;
 use codemassage::faults::{fired, points, set_delay_micros, with_armed, FireMode};
 use codemassage::prelude::*;
 use codemassage::telemetry;
@@ -362,8 +361,8 @@ fn mid_morsel_worker_panic_is_typed_and_leaves_the_arena_clean() {
 }
 
 /// A memory budget small enough that the chaos queries' sort footprint
-/// exceeds it, forcing the out-of-core path (and with it the
-/// `extsort.spill.*` fault points) to run.
+/// exceeds it, forcing the budgeted bucket sort (and with it the
+/// `exec.delay.spill` point) to run.
 fn budgeted_cfg() -> EngineConfig {
     EngineConfig::builder()
         .threads(2)
@@ -371,102 +370,8 @@ fn budgeted_cfg() -> EngineConfig {
         .build()
 }
 
-/// Spill fault A: every run-file *write* fails. The external sort
-/// reports a typed spill error, the engine records the `spill_failed`
-/// rung and reruns the same plan fully in memory — no abort, no wrong
-/// answer, and nothing counted as spilled.
-#[test]
-fn spill_write_fault_degrades_to_in_memory() {
-    let _serial = serial();
-    let t = chaos_table(8192);
-    let q = groupby_query();
-    let cfg = budgeted_cfg();
-
-    // Sanity: disarmed, the budget really does take the external path.
-    let clean = run_query(&t, &q, &cfg).expect("budgeted run");
-    assert!(clean.timings.spilled.runs >= 2, "budget never spilled");
-    assert!(clean.timings.degradations.is_empty());
-
-    telemetry::reset();
-    with_armed(&[(points::EXTSORT_SPILL_WRITE, FireMode::Always)], || {
-        let r = run_query(&t, &q, &cfg).expect("spill failure must not fail the query");
-        assert!(
-            fired(points::EXTSORT_SPILL_WRITE) > 0,
-            "fault never traversed"
-        );
-        assert_eq!(r.timings.degradations, vec![DegradeReason::SpillFailed]);
-        assert_eq!(r.timings.spilled.runs, 0, "a failed spill spills nothing");
-        assert_same_rows(&r.columns, &naive_execute(&t, &q));
-        if telemetry::is_enabled() {
-            let snap = telemetry::take_all();
-            let counted = snap
-                .counters
-                .iter()
-                .find(|(n, _)| *n == "engine.degraded")
-                .map_or(0, |&(_, v)| v);
-            assert_eq!(counted, 1, "one rung, one count");
-            // The rung's marker span carries the stable reason label.
-            assert!(
-                snap.spans.iter().any(|s| s.name == "engine.degraded"
-                    && s.attrs.iter().any(|(k, v)| *k == "reason"
-                        && *v == telemetry::AttrValue::Str("spill_failed".into()))),
-                "no spill_failed-labelled degradation span"
-            );
-        }
-    });
-}
-
-/// Spill fault B: run files write fine, but a *read* fails mid-merge.
-/// Same contract — `spill_failed` rung, in-memory rerun, correct rows.
-#[test]
-fn spill_read_fault_degrades_to_in_memory() {
-    let _serial = serial();
-    let t = chaos_table(8192);
-    let q = groupby_query();
-    let cfg = budgeted_cfg();
-    with_armed(&[(points::EXTSORT_SPILL_READ, FireMode::Nth(100))], || {
-        let rungs = run_and_check(&t, &q, &cfg);
-        assert!(
-            fired(points::EXTSORT_SPILL_READ) > 0,
-            "fault never traversed"
-        );
-        assert_eq!(rungs, vec![DegradeReason::SpillFailed]);
-    });
-}
-
-/// Spill faults under probabilistic firing: whether or not the coin
-/// lands on a spill I/O call, the query must answer correctly, and any
-/// rung taken must be the spill one.
-#[test]
-fn probabilistic_spill_faults_stay_correct() {
-    let _serial = serial();
-    let t = chaos_table(8192);
-    let q = groupby_query();
-    let cfg = budgeted_cfg();
-    for point in [points::EXTSORT_SPILL_WRITE, points::EXTSORT_SPILL_READ] {
-        for seed in [1u64, 2, 3] {
-            with_armed(
-                &[(
-                    point,
-                    FireMode::Probability {
-                        millionths: 300_000,
-                        seed,
-                    },
-                )],
-                || {
-                    let rungs = run_and_check(&t, &q, &cfg);
-                    assert!(
-                        rungs.iter().all(|r| *r == DegradeReason::SpillFailed),
-                        "{point}: unexpected rungs {rungs:?}"
-                    );
-                },
-            );
-        }
-    }
-}
-
 /// Sweep: every registered fault point, in several deterministic firing
-/// patterns, across query shapes — in memory and under a spill-forcing
+/// patterns, across query shapes — in memory and under a partition-forcing
 /// memory budget. No process abort, and always either a correct answer
 /// or (never, for these faults) a typed error.
 #[test]
@@ -491,10 +396,9 @@ fn chaos_sweep_never_aborts_and_stays_correct() {
             },
         ] {
             for q in &queries {
-                // The budgeted config routes the sort out-of-core, so the
-                // spill fault points actually traverse — and every *other*
-                // fault also has to compose with the external path (chunk
-                // sorts fail inside it, the ladder still recovers).
+                // The budgeted config routes the sort through the bucket
+                // partition, so every fault also has to compose with it
+                // (bucket sorts fail inside it, the ladder still recovers).
                 for cfg in [EngineConfig::builder().threads(2).build(), budgeted_cfg()] {
                     with_armed(&[(point, mode)], || {
                         let r = run_query(&t, q, &cfg)
@@ -514,14 +418,14 @@ fn chaos_sweep_never_aborts_and_stays_correct() {
 // ---------------------------------------------------------------------------
 //
 // The `exec.delay.*` fault points inject latency *inside* a chosen phase
-// (massage, per-round loop, merge, spill write), so a deadline shorter
+// (massage, per-round loop, each bucket of a budgeted sort), so a deadline shorter
 // than the injected delay deterministically expires while that phase is
 // running. The contract under test, per phase:
 //
 // * the query fails with the typed `DeadlineExceeded` / `Cancelled`
 //   error — never a wrapped `Sort(..)`;
-// * the error unwinds without leaking spill directories or poisoning
-//   the session arena: the same session then answers the same prepared
+// * the error unwinds without poisoning the session arena: the same
+//   session then answers the same prepared
 //   query byte-identically to a pre-fault clean run;
 // * once the deadline has fired, the degradation ladder takes no
 //   further rungs — a timed-out query never doubles its work.
@@ -576,11 +480,10 @@ fn deadline_fires_inside_every_phase_without_poisoning_the_session() {
     let q = groupby_query();
     let want = naive_execute(&t, &q);
 
-    let cases: [(&str, &str, bool); 4] = [
+    let cases: [(&str, &str, bool); 3] = [
         (points::EXEC_DELAY_MASSAGE, "massage", false),
         (points::EXEC_DELAY_ROUND, "round", false),
-        (points::EXEC_DELAY_MERGE, "merge", true),
-        (points::EXEC_DELAY_SPILL, "spill", true),
+        (points::EXEC_DELAY_SPILL, "bucket", true),
     ];
     for (point, phase, budgeted) in cases {
         let cfg = if budgeted {
@@ -609,11 +512,6 @@ fn deadline_fires_inside_every_phase_without_poisoning_the_session() {
                  fired inside the phase under test"
             );
         });
-        assert_eq!(
-            live_spill_dirs(),
-            0,
-            "{phase}: cancellation leaked a spill directory"
-        );
 
         // Same session, same prepared query: the abandoned run restored
         // its arena lease, so the rerun is clean and byte-identical.
@@ -625,62 +523,6 @@ fn deadline_fires_inside_every_phase_without_poisoning_the_session() {
         );
         assert_eq!(after.columns, clean.columns, "{phase}: rerun differs");
     }
-}
-
-/// Ladder interaction: a spill failure normally degrades to an in-memory
-/// rerun (see `spill_write_fault_degrades_to_in_memory`) — but when the
-/// deadline has already expired by the time the spill fails, the retry
-/// is skipped. The injected delay expires the deadline *during* the
-/// spill phase, and the spill-write fault then fails the external sort;
-/// the typed error (instead of that test's `Ok`) is the proof the
-/// in-memory retry never ran.
-#[test]
-fn expired_deadline_skips_the_spill_failed_retry() {
-    let _serial = serial();
-    let t = chaos_table(8192);
-    let mut db = Database::new();
-    db.register(t.clone());
-    let session = Session::new(&db, budgeted_cfg());
-    let q = groupby_query();
-
-    telemetry::reset();
-    with_armed(
-        &[
-            (points::EXEC_DELAY_SPILL, FireMode::Always),
-            (points::EXTSORT_SPILL_WRITE, FireMode::Always),
-        ],
-        || {
-            set_delay_micros(DELAY_US);
-            let opts = QueryOptions::default().with_timeout(HEADROOM);
-            let err = session
-                .query("sales", &q, opts)
-                .expect_err("no retry once the deadline has passed");
-            assert!(matches!(err, EngineError::DeadlineExceeded), "{err}");
-            assert!(
-                fired(points::EXTSORT_SPILL_WRITE) > 0,
-                "spill failure never reached"
-            );
-        },
-    );
-    assert_eq!(live_spill_dirs(), 0, "failed spill leaked its directory");
-    if telemetry::is_enabled() {
-        let snap = telemetry::take_all();
-        let count = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map_or(0, |&(_, v)| v)
-        };
-        assert_eq!(count("engine.degraded"), 1, "the spill rung is recorded");
-        assert_eq!(count("engine.deadline_exceeded"), 1, "outcome counted");
-    }
-
-    // Disarmed, the same session answers the same query via a real spill.
-    let r = session
-        .query("sales", &q, QueryOptions::default())
-        .expect("disarmed rerun");
-    assert!(r.timings.spilled.runs >= 2, "budget no longer spills");
-    assert_same_rows(&r.columns, &naive_execute(&t, &q));
 }
 
 /// A cancelled query never enters the degradation ladder: with every
@@ -777,61 +619,4 @@ fn manual_cancel_wins_over_a_pending_deadline() {
         .query("sales", &q, QueryOptions::default())
         .expect("session reusable");
     assert_same_rows(&r.columns, &naive_execute(&t, &q));
-}
-
-/// Spill-file hygiene across every exit path: a clean spilling run, a
-/// fault-failed spill, and a deadline abandoned mid-merge must all leave
-/// zero live spill directories *and* zero `mcs-extsort-<pid>-*` entries
-/// on disk (the RAII guard, not just the happy path, deletes them).
-#[test]
-fn no_spill_files_survive_any_exit_path() {
-    let _serial = serial();
-    fn on_disk_spill_dirs() -> usize {
-        let prefix = format!("mcs-extsort-{}-", std::process::id());
-        std::fs::read_dir(std::env::temp_dir())
-            .map(|rd| {
-                rd.filter_map(Result::ok)
-                    .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    let t = chaos_table(8192);
-    let mut db = Database::new();
-    db.register(t.clone());
-    let session = Session::new(&db, budgeted_cfg());
-    let q = groupby_query();
-    let before = on_disk_spill_dirs();
-
-    // Happy path: the run spills and cleans up after itself.
-    let r = session
-        .query("sales", &q, QueryOptions::default())
-        .expect("budgeted run");
-    assert!(r.timings.spilled.runs >= 2, "budget never spilled");
-    assert_eq!(live_spill_dirs(), 0);
-    assert_eq!(on_disk_spill_dirs(), before, "clean run left files");
-
-    // Failed spill read mid-merge: degrades to in-memory, still clean.
-    with_armed(&[(points::EXTSORT_SPILL_READ, FireMode::Nth(100))], || {
-        let r = session
-            .query("sales", &q, QueryOptions::default())
-            .expect("ladder recovers");
-        assert_eq!(r.timings.degradations, vec![DegradeReason::SpillFailed]);
-    });
-    assert_eq!(live_spill_dirs(), 0);
-    assert_eq!(on_disk_spill_dirs(), before, "failed spill left files");
-
-    // Deadline mid-merge: the run files were already fully written when
-    // the error unwound, and the guard still removed them.
-    with_armed(&[(points::EXEC_DELAY_MERGE, FireMode::Always)], || {
-        set_delay_micros(DELAY_US);
-        let opts = QueryOptions::default().with_timeout(HEADROOM);
-        let err = session
-            .query("sales", &q, opts)
-            .expect_err("deadline mid-merge");
-        assert!(matches!(err, EngineError::DeadlineExceeded), "{err}");
-    });
-    assert_eq!(live_spill_dirs(), 0);
-    assert_eq!(on_disk_spill_dirs(), before, "abandoned merge left files");
 }

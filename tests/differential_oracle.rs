@@ -202,11 +202,12 @@ fn run_and_check_kernel(
     );
 
     // Spill axis: the same problem under memory budgets of 1/4 and 1/16
-    // of the sort's in-memory footprint runs the out-of-core path
-    // (chunk → run files → streaming loser-tree merge) and must be
+    // of the sort's in-memory footprint runs the budgeted path (range-
+    // partition the oids, sort each bucket in memory) and must be
     // byte-identical to the in-memory output — oids *and* group bounds.
-    // Tiny inputs whose chunk still fits the budget delegate in-memory,
-    // which is exactly the production dispatch and equally checked.
+    // Tiny inputs whose footprint still fits the budget delegate
+    // in-memory, which is exactly the production dispatch and equally
+    // checked.
     let footprint = mcs_core::lease_footprint_bytes(plan, p.num_rows(), &cfg);
     for div in [4usize, 16] {
         let spilled = ARENA
@@ -398,14 +399,14 @@ fn random_problems_every_shape_and_distribution() {
     });
 }
 
-/// The out-of-core dispatch under a budget tiny enough to force several
-/// spilled runs — the cell CI's spill step pins down. Byte-identity with
+/// The budgeted dispatch under a budget tiny enough to force several
+/// buckets — the cell CI's tiny-budget step pins down. Byte-identity with
 /// the in-memory path is re-checked here on a larger instance than the
-/// matrix uses, and the run count is asserted so a silently widening
-/// chunk heuristic (which would quietly stop exercising the merge)
+/// matrix uses, and the bucket count is asserted so a silently widening
+/// bucket heuristic (which would quietly stop exercising the partition)
 /// fails loudly.
 #[test]
-fn tiny_budget_forces_at_least_four_spilled_runs() {
+fn tiny_budget_forces_at_least_four_buckets() {
     let mut rng = Rng::seed_from_u64(0x5B11);
     let specs = [
         mcs_test_support::ColumnSpec {
@@ -436,13 +437,11 @@ fn tiny_budget_forces_at_least_four_spilled_runs() {
     .expect("external sort");
     assert!(
         spill.runs >= 4,
-        "budget {budget} spilled only {} runs",
+        "budget {budget} made only {} buckets",
         spill.runs
     );
-    assert!(spill.bytes > 0);
-    assert!(spill.merge_comparisons > 0);
-    assert_eq!(got.oids, want.oids, "spilled oid order");
-    assert_eq!(got.groups.offsets, want.groups.offsets, "spilled groups");
+    assert_eq!(got.oids, want.oids, "budgeted oid order");
+    assert_eq!(got.groups.offsets, want.groups.offsets, "budgeted groups");
 }
 
 /// The loser tree at work inside the engine: a merge-sort ORDER BY with

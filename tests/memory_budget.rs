@@ -1,16 +1,17 @@
-//! Memory-budget enforcement tests for the out-of-core sort.
+//! Memory-budget enforcement tests for the budgeted (bucketed) sort.
 //!
 //! The budget contract has two sides:
 //!
-//! * **Bounded peak.** When `memory_budget_bytes` forces the external
+//! * **Bounded peak.** When `memory_budget_bytes` forces the budgeted
 //!   path, the sort's resident working memory — measured as the
-//!   execution arena's `bytes_peak`, which holds every buffer the chunk
+//!   execution arena's `bytes_peak`, which holds every buffer the bucket
 //!   sorts lease — stays within the budget times a small, documented
 //!   slack constant, across row counts, key shapes, and budget sizes.
-//! * **One spill decision.** `external_multi_column_sort_with` spills
-//!   exactly when the plan's leased footprint exceeds the budget, and the
-//!   engine defers to it, so a direct call and an engine query agree on
-//!   spill or no spill at every budget — the boundary included.
+//! * **One partition decision.** `external_multi_column_sort_with`
+//!   partitions exactly when the plan's leased footprint exceeds the
+//!   budget, and the engine defers to it, so a direct call and an engine
+//!   query agree on the bucket count at every budget — the boundary
+//!   included.
 //! * **Zero overhead when unset.** With no budget (the default), the
 //!   dispatch must not so much as allocate: a warm prepared query's
 //!   round loop reports *exactly* zero heap allocations, same as before
@@ -34,14 +35,14 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Allowed overshoot of the arena's byte peak relative to the budget.
 ///
-/// The chunk-row count is derived from a per-row footprint estimated at
+/// The bucket-row bound is derived from a per-row footprint estimated at
 /// a fixed 4096-row probe, so three error terms separate the peak from
 /// the budget itself: per-row ceiling rounding at the probe, the
 /// footprint's constant terms (three group-offset buffers reserve
-/// `n + 1` entries), and bank-granularity rounding of the final short
-/// chunk. All are small and bounded; 1.5× plus one page of absolute
-/// grace covers them with room while still failing loudly if chunking
-/// ever stops respecting the budget.
+/// `n + 1` entries), and bank-granularity rounding of a short bucket.
+/// All are small and bounded; 1.5× plus one page of absolute grace
+/// covers them with room while still failing loudly if bucketing ever
+/// stops respecting the budget.
 const BUDGET_SLACK_NUM: usize = 3;
 const BUDGET_SLACK_DEN: usize = 2;
 const BUDGET_GRACE_BYTES: usize = 4096;
@@ -56,7 +57,7 @@ fn gen_cols(rng: &mut Rng, n: usize, widths: &[u32]) -> Vec<CodeVec> {
         .collect()
 }
 
-/// Sweep shapes × budgets: the external sort must stay byte-identical to
+/// Sweep shapes × budgets: the budgeted sort must stay byte-identical to
 /// the in-memory sort while its arena peak honours the budget.
 #[test]
 fn spilling_sort_keeps_arena_peak_within_budget() {
@@ -89,10 +90,10 @@ fn spilling_sort_keeps_arena_peak_within_budget() {
             let mut arena = ExecArena::new();
             let (out, spill) =
                 external_multi_column_sort_with(&refs, &specs, &plan, &cfg, &mut arena, budget)
-                    .expect("external sort");
+                    .expect("budgeted sort");
             assert!(
                 spill.runs >= div as u64 / 2,
-                "n={n} widths={widths:?} div={div}: only {} runs spilled",
+                "n={n} widths={widths:?} div={div}: only {} buckets",
                 spill.runs
             );
             assert_eq!(out.oids, want.oids, "n={n} widths={widths:?} div={div}");
@@ -246,8 +247,8 @@ fn unbinding_budget_keeps_warm_round_loop_allocation_free() {
     }
 }
 
-/// A binding budget on the engine path spills, stays correct against the
-/// unbudgeted result, and reports the spill in the timings.
+/// A binding budget on the engine path partitions, stays correct against
+/// the unbudgeted result, and reports its buckets in the timings.
 #[test]
 fn binding_budget_on_the_engine_path_spills_and_reports() {
     let db = sales_db(8192);
@@ -262,36 +263,40 @@ fn binding_budget_on_the_engine_path_spills_and_reports() {
         .memory_budget(32 * 1024)
         .build();
     let r = mcs_engine::run_query(t, &q, &cfg).unwrap();
-    assert!(r.timings.spilled.runs >= 2, "{:?}", r.timings.spilled);
-    assert!(r.timings.spilled.bytes > 0);
-    assert!(r.timings.spilled.merge_comparisons > 0);
-    assert!(r.timings.degradations.is_empty(), "spilling is not a rung");
+    let buckets = r.timings.spilled.runs;
+    assert!(buckets >= 2, "{:?}", r.timings.spilled);
+    assert!(r.timings.bucket_rows > 0 && r.timings.bucket_rows < 8192);
+    assert!(
+        r.timings.degradations.is_empty(),
+        "partitioning is not a rung"
+    );
     assert_eq!(r.columns, want.columns, "budgeted result differs");
 
-    // The spill surfaces in EXPLAIN — and only when something spilled.
+    // The buckets surface in EXPLAIN — and only when the sort partitioned.
     let model = mcs_cost::CostModel::with_defaults();
     let rep = mcs_engine::ExplainReport::from_timings("budgeted", &r.timings, &model)
         .expect("sort ran")
         .render();
-    assert!(rep.contains("spill:"), "no spill line in EXPLAIN:\n{rep}");
-    assert!(
-        rep.contains(&format!("{} runs", r.timings.spilled.runs)),
-        "spill line missing run count:\n{rep}"
+    let line = format!(
+        "budget: {buckets} buckets of ≤ {} rows",
+        r.timings.bucket_rows
     );
+    assert!(rep.contains(&line), "no `{line}` line in EXPLAIN:\n{rep}");
     let clean = mcs_engine::ExplainReport::from_timings("plain", &want.timings, &model)
         .expect("sort ran")
         .render();
     assert!(
-        !clean.contains("spill:"),
-        "in-memory EXPLAIN grew a spill line:\n{clean}"
+        !clean.contains("budget:"),
+        "in-memory EXPLAIN grew a budget line:\n{clean}"
     );
 }
 
-/// The spill predicate at its boundary: at `budget == footprint` the
-/// in-memory sort fits and nothing spills; one byte less and the same
-/// multi-round plan spills several runs. Both results are byte-identical
-/// to the in-memory sort, and the engine running that plan under the same
-/// budget reports exactly the direct call's run count.
+/// The partition predicate at its boundary: at `budget == footprint` the
+/// in-memory sort fits and nothing partitions; one byte less and the
+/// same multi-round plan sorts several buckets. Both results are
+/// byte-identical to the in-memory sort, and the engine running that
+/// plan under the same budget reports exactly the direct call's bucket
+/// count.
 #[test]
 fn spill_decision_is_the_footprint_test_on_both_paths() {
     let n = 8192;
@@ -329,9 +334,9 @@ fn spill_decision_is_the_footprint_test_on_both_paths() {
         )
         .unwrap();
         if budget == footprint {
-            assert_eq!(spill.runs, 0, "the sort fits its footprint: no spill");
+            assert_eq!(spill.runs, 0, "the sort fits its footprint: no buckets");
         } else {
-            assert!(spill.runs >= 2, "one byte short: {} runs", spill.runs);
+            assert!(spill.runs >= 2, "one byte short: {} buckets", spill.runs);
         }
         assert_eq!(out.oids, want.oids, "budget {budget}");
         assert_eq!(out.groups.offsets, want.groups.offsets, "budget {budget}");

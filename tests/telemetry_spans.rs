@@ -352,11 +352,8 @@ fn fault_point_registry_is_pinned() {
             "cost.eval.nan",
             "core.round.sort",
             "simd.worker.panic",
-            "extsort.spill.write",
-            "extsort.spill.read",
             "exec.delay.massage",
             "exec.delay.round",
-            "exec.delay.merge",
             "exec.delay.spill",
         ]
     );
@@ -367,7 +364,6 @@ fn fault_point_registry_is_pinned() {
     assert_eq!(points::SIMD_WORKER_PANIC, "simd.worker.panic");
     assert_eq!(points::EXEC_DELAY_MASSAGE, "exec.delay.massage");
     assert_eq!(points::EXEC_DELAY_ROUND, "exec.delay.round");
-    assert_eq!(points::EXEC_DELAY_MERGE, "exec.delay.merge");
     assert_eq!(points::EXEC_DELAY_SPILL, "exec.delay.spill");
 }
 

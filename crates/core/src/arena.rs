@@ -20,7 +20,7 @@
 //! and [`ArenaStats`] tracks the byte high-water mark plus how many
 //! executions grew the arena vs. ran entirely from existing capacity.
 
-use mcs_simd_sort::{Bank, GroupBounds, SortKernel, WorkerScratch};
+use mcs_simd_sort::{runs_serially, Bank, GroupBounds, SortKernel, WorkerScratch};
 
 use crate::executor::ExecConfig;
 use crate::massage::RoundKeys;
@@ -177,13 +177,22 @@ impl ExecArena {
         lease
     }
 
-    /// Grow the buffers a lease for `plan` over `n` rows takes, without
-    /// running a sort. A caller about to run many sorts of at most `n`
-    /// rows (the buckets of a budgeted sort) sizes the arena once: left
-    /// to `Vec`'s amortized doubling, a sort slightly larger than the one
-    /// before could leave the arena holding twice what `n` rows need.
-    pub fn reserve(&mut self, plan: &MassagePlan, n: usize) {
-        let lease = self.lease(plan, n);
+    /// Grow the buffers a sort of `plan` over `n` rows under `cfg` takes,
+    /// without running one. A caller about to run many sorts of at most
+    /// `n` rows (the buckets of a budgeted sort) sizes the arena once:
+    /// left to `Vec`'s amortized doubling, a sort slightly larger than the
+    /// one before could leave the arena holding twice what `n` rows need.
+    /// Besides the lease buffers, that covers the serial radix kernel's
+    /// scatter pair, which round 1 fills with all `n` rows.
+    pub fn reserve(&mut self, plan: &MassagePlan, n: usize, cfg: &ExecConfig) {
+        let mut lease = self.lease(plan, n);
+        if let (SortKernel::Auto, true, Some(first)) = (
+            cfg.sort.kernel,
+            runs_serially(cfg.threads, n),
+            plan.rounds.first(),
+        ) {
+            lease.workers.reserve_radix(first.bank, n);
+        }
         self.restore(lease);
     }
 

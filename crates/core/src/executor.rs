@@ -11,13 +11,13 @@ use std::time::Instant;
 use mcs_cancel::CancelCause;
 use mcs_columnar::CodeVec;
 use mcs_simd_sort::{
-    for_each_chunk, sort_pairs_in_groups, GroupBounds, MergeCounters, MorselCounts, PhaseTimes,
-    SegmentedSortStats, SortConfig, SortKernel, WorkerPanic, WorkerScratch, PARALLEL_CUTOFF_ROWS,
+    for_each_chunk, runs_serially, sort_pairs_in_groups, GroupBounds, MergeCounters, MorselCounts,
+    PhaseTimes, SegmentedSortStats, SortConfig, SortKernel, WorkerPanic, WorkerScratch,
 };
 use mcs_telemetry as telemetry;
 
 use crate::arena::{ArenaStats, ExecArena, Lease};
-use crate::massage::{massage_into, width_mask, RoundKeys};
+use crate::massage::{massage_rows_into, width_mask, RoundKeys};
 use crate::plan::{MassagePlan, PlanError, SortSpec};
 
 /// Why a [`multi_column_sort`] invocation was rejected before running.
@@ -35,6 +35,22 @@ pub enum SortError {
     },
     /// No sort columns were given.
     NoColumns,
+    /// An input column holds a different number of rows than the first.
+    ColumnLengthMismatch {
+        /// Index of the offending column.
+        column: usize,
+        /// Its row count.
+        len: usize,
+        /// The first column's row count.
+        expected: usize,
+    },
+    /// A row id in the caller's row list lies past the columns' rows.
+    RowOutOfRange {
+        /// The largest row id given.
+        row: u32,
+        /// The columns' row count.
+        rows: usize,
+    },
     /// The row count does not fit the u32 oid space
     /// (`u32::MAX` is reserved as the padding sentinel).
     TooManyRows(usize),
@@ -65,6 +81,17 @@ impl core::fmt::Display for SortError {
                 write!(f, "{inputs} input columns but {specs} sort specs")
             }
             SortError::NoColumns => write!(f, "need at least one sort column"),
+            SortError::ColumnLengthMismatch {
+                column,
+                len,
+                expected,
+            } => write!(
+                f,
+                "input column {column} holds {len} rows, the first holds {expected}"
+            ),
+            SortError::RowOutOfRange { row, rows } => {
+                write!(f, "row id {row} lies past the columns' {rows} rows")
+            }
             SortError::TooManyRows(n) => {
                 write!(f, "{n} rows exceed the u32 oid space")
             }
@@ -255,7 +282,7 @@ fn gather_into_morsels<T: Copy + Default + Send + Sync>(
 ) -> MorselCounts {
     debug_assert_eq!(src.len(), oids.len());
     let n = oids.len();
-    if threads <= 1 || n < PARALLEL_CUTOFF_ROWS {
+    if runs_serially(threads, n) {
         gather_into(src, oids, dst);
         return MorselCounts::default();
     }
@@ -350,7 +377,7 @@ fn refine_groups_into(
     spare: &mut Vec<u32>,
     threads: usize,
 ) -> MorselCounts {
-    let counts = if threads <= 1 || keys.len() < PARALLEL_CUTOFF_ROWS {
+    let counts = if runs_serially(threads, keys.len()) {
         match keys {
             RoundKeys::B16(v) => groups.refine_into(v, spare),
             RoundKeys::B32(v) => groups.refine_into(v, spare),
@@ -386,7 +413,7 @@ pub fn multi_column_sort(
     cfg: &ExecConfig,
 ) -> Result<MultiColumnSortOutput, SortError> {
     let mut arena = ExecArena::new();
-    sort_impl(inputs, specs, plan, cfg, &mut arena, false)
+    sort_impl(inputs, None, specs, plan, cfg, &mut arena, false)
 }
 
 /// Like [`multi_column_sort`], but drawing all working memory — round-key
@@ -406,15 +433,34 @@ pub fn multi_column_sort_with(
     cfg: &ExecConfig,
     arena: &mut ExecArena,
 ) -> Result<MultiColumnSortOutput, SortError> {
-    sort_impl(inputs, specs, plan, cfg, arena, true)
+    multi_column_sort_rows(inputs, None, specs, plan, cfg, arena)
+}
+
+/// Like [`multi_column_sort_with`], but sorting only the rows `rows`
+/// lists (every row, in order, when `None`) where they lie: each key
+/// column is read through the list, and nothing is gathered into a copy.
+///
+/// The output's oids are row ids of `inputs` — a permutation of `rows` —
+/// and rows that tie on every key keep their order in `rows`.
+pub fn multi_column_sort_rows(
+    inputs: &[&CodeVec],
+    rows: Option<&[u32]>,
+    specs: &[SortSpec],
+    plan: &MassagePlan,
+    cfg: &ExecConfig,
+    arena: &mut ExecArena,
+) -> Result<MultiColumnSortOutput, SortError> {
+    sort_impl(inputs, rows, specs, plan, cfg, arena, true)
 }
 
 /// The checks every sort entry point makes before it reads a column:
 /// one spec per column, at least one column, a plan that covers the
-/// concatenated key, and an oid space that holds every row. Returns the
-/// row count.
+/// concatenated key, columns of one length, a row list inside them, and
+/// an oid space that holds every sorted row. Returns the number of rows
+/// to sort.
 pub fn check_inputs(
     inputs: &[&CodeVec],
+    rows: Option<&[u32]>,
     specs: &[SortSpec],
     plan: &MassagePlan,
 ) -> Result<usize, SortError> {
@@ -424,12 +470,31 @@ pub fn check_inputs(
             specs: specs.len(),
         });
     }
-    if inputs.is_empty() {
+    let Some(first) = inputs.first() else {
         return Err(SortError::NoColumns);
-    }
+    };
     let total_width: u32 = specs.iter().map(|s| s.width).sum();
     plan.validate(total_width)?;
-    let n = inputs[0].len();
+    let expected = first.len();
+    if let Some((column, c)) = inputs.iter().enumerate().find(|(_, c)| c.len() != expected) {
+        return Err(SortError::ColumnLengthMismatch {
+            column,
+            len: c.len(),
+            expected,
+        });
+    }
+    let n = match rows {
+        None => expected,
+        Some(rows) => {
+            if let Some(&row) = rows.iter().max().filter(|&&r| r as usize >= expected) {
+                return Err(SortError::RowOutOfRange {
+                    row,
+                    rows: expected,
+                });
+            }
+            rows.len()
+        }
+    };
     if n >= u32::MAX as usize {
         return Err(SortError::TooManyRows(n));
     }
@@ -438,13 +503,14 @@ pub fn check_inputs(
 
 fn sort_impl(
     inputs: &[&CodeVec],
+    rows: Option<&[u32]>,
     specs: &[SortSpec],
     plan: &MassagePlan,
     cfg: &ExecConfig,
     arena: &mut ExecArena,
     external_arena: bool,
 ) -> Result<MultiColumnSortOutput, SortError> {
-    let n = check_inputs(inputs, specs, plan)?;
+    let n = check_inputs(inputs, rows, specs, plan)?;
 
     // Entry check: an already-fired token (e.g. an expired deadline)
     // returns before any phase runs — no lease is taken, nothing to undo.
@@ -463,8 +529,9 @@ fn sort_impl(
     // paper's P_0, which has no massage phase.
     mcs_faults::delay_point(mcs_faults::points::EXEC_DELAY_MASSAGE);
     let tm = Instant::now();
-    let (prog, massage_morsels) = massage_into(
+    let (prog, massage_morsels) = massage_rows_into(
         inputs,
+        rows,
         specs,
         plan,
         cfg.threads,
@@ -536,9 +603,16 @@ fn sort_impl(
         }
     }
 
-    // Clone the outputs out of the lease, then restore the arena — on
-    // the error path too, so a failed round never poisons it.
-    let out_data = result.map(|()| (lease.oids.clone(), lease.groups.clone()));
+    // Copy the outputs out of the lease — positions in `rows` composed
+    // into the row ids they name — then restore the arena, on the error
+    // path too, so a failed round never poisons it.
+    let out_data = result.map(|()| {
+        let oids = match rows {
+            None => lease.oids.clone(),
+            Some(rows) => lease.oids.iter().map(|&p| rows[p as usize]).collect(),
+        };
+        (oids, lease.groups.clone())
+    });
     arena.restore(lease);
     if external_arena {
         stats.arena = arena.stats();
@@ -1071,6 +1145,26 @@ mod tests {
         // No columns at all.
         let err = multi_column_sort(&[], &[], &p0, &cfg).unwrap_err();
         assert_eq!(err, SortError::NoColumns);
+
+        // Columns of unequal length.
+        let short = col(17, &[30, 10]);
+        let err = multi_column_sort(&[&a, &short], &specs, &p0, &cfg).unwrap_err();
+        assert_eq!(
+            err,
+            SortError::ColumnLengthMismatch {
+                column: 1,
+                len: 2,
+                expected: 3
+            }
+        );
+        assert!(err.to_string().contains("holds 2 rows"));
+
+        // A row id past the columns.
+        let mut arena = ExecArena::new();
+        let err = multi_column_sort_rows(&inputs, Some(&[2, 3]), &specs, &p0, &cfg, &mut arena)
+            .unwrap_err();
+        assert_eq!(err, SortError::RowOutOfRange { row: 3, rows: 3 });
+        assert!(err.to_string().contains("row id 3"));
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //!   lookup/segmented-SIMD-sort/scan, with per-phase telemetry;
 //! * [`ExecArena`] / [`multi_column_sort_with`] — the reusable execution
 //!   arena: repeated sorts run their round loop with zero heap
-//!   allocations once the arena is warm.
+//!   allocations once the arena is warm;
+//! * [`multi_column_sort_rows`] — the same sort over a caller's row list
+//!   (a filter's oids, a bucket of the budgeted sort), reading each key
+//!   column through the list and returning base row ids.
 //!
 //! ```
 //! use mcs_columnar::CodeVec;
@@ -52,8 +55,8 @@ mod plan;
 
 pub use arena::{lease_footprint_bytes, ArenaStats, ExecArena};
 pub use executor::{
-    check_inputs, multi_column_sort, multi_column_sort_with, tuple_cmp, verify_sorted, ExecConfig,
-    ExecStats, MultiColumnSortOutput, RoundStats, SortError,
+    check_inputs, multi_column_sort, multi_column_sort_rows, multi_column_sort_with, tuple_cmp,
+    verify_sorted, ExecConfig, ExecStats, MultiColumnSortOutput, RoundStats, SortError,
 };
 pub use massage::{massage, massage_into, width_mask, FipStep, MassageProgram, RoundKeys};
 pub use plan::{MassagePlan, PlanError, Round, SortSpec};

@@ -5,14 +5,16 @@
 //! maximal bit segment that lies in exactly one (input column, output
 //! round) pair becomes one [`FipStep`] — shift right, mask, OR, shift
 //! left — and the number of steps equals the paper's
-//! `I_FIP = |prefix(in) ∪ prefix(out)|`. Execution is one sequential,
-//! branch-free pass per step, massaging all rows of that segment;
-//! `DESC` columns are complemented on the fly (Figure 5's extra step).
+//! `I_FIP = |prefix(in) ∪ prefix(out)|`. Execution is one pass per
+//! input column: each sorted row's code is read once — in order, or
+//! through the caller's row list where it lies — and every step of the
+//! column runs over it in branch-free loops; `DESC` columns are
+//! complemented on the fly (Figure 5's extra step).
 
 use crate::plan::{MassagePlan, SortSpec};
 use mcs_cancel::CancelToken;
 use mcs_columnar::CodeVec;
-use mcs_simd_sort::{for_each_chunk, Bank, Key, MorselCounts};
+use mcs_simd_sort::{for_each_worker, runs_serially, Bank, Key, MorselCounts};
 
 /// One shift/mask/or/shift step: move `len` bits of input column
 /// `in_col` into output round `out_col`.
@@ -121,29 +123,156 @@ pub fn width_mask(w: u32) -> u64 {
     }
 }
 
-/// Run one FIP step with a bank-native destination: OR the step's bit
-/// segment of every row directly into `dst` in the bank's physical type.
-///
-/// `bits << out_shift` always fits the bank because the round width is
-/// bounded by the bank width (enforced by plan validation), so the
-/// narrowing `K::from_u64` is lossless. Returns the step's morsel
-/// scheduler counters (zero on the serial path).
-fn execute_step_into<K: Key>(
-    src: &CodeVec,
-    step: &FipStep,
-    comp_mask: u64,
-    dst: &mut [K],
-    threads: usize,
-) -> MorselCounts {
-    let seg_mask = width_mask(step.len);
-    let (_, counts) = for_each_chunk(dst, threads, |start, chunk| {
-        for (r, d) in (start..).zip(chunk) {
-            let code = src.get(r) ^ comp_mask;
-            let bits = (code >> step.in_shift) & seg_mask;
-            *d = K::from_u64(d.to_u64() | (bits << step.out_shift));
+/// Rows massaged per block: a block of one column's codes is read once
+/// — through the row list, where there is one — into a stack buffer that
+/// every step of the column then reads.
+const BLOCK_ROWS: usize = 256;
+
+/// Massage the rows `start..start + len` of the sort into `outs`, which
+/// hold just those rows of every round (`len` is their length): one pass
+/// per key column, reading each of its codes once and ORing every step
+/// of the column into its round. `cancel` is polled before each column.
+fn massage_range<D: RoundDst>(
+    inputs: &[&CodeVec],
+    rows: Option<&[u32]>,
+    prog: &MassageProgram,
+    start: usize,
+    outs: &mut [D],
+    cancel: &CancelToken,
+) {
+    let len = outs.first_mut().map_or(0, |o| o.rows().len());
+    let mut codes = [0u64; BLOCK_ROWS];
+    for steps in prog.steps.chunk_by(|a, b| a.in_col == b.in_col) {
+        if cancel.check().is_err() {
+            return;
         }
-    });
-    counts
+        let col = steps[0].in_col;
+        let spec = prog.specs[col];
+        let comp_mask = if spec.descending {
+            width_mask(spec.width)
+        } else {
+            0
+        };
+        for lo in (0..len).step_by(BLOCK_ROWS) {
+            let hi = (lo + BLOCK_ROWS).min(len);
+            let block = &mut codes[..hi - lo];
+            read_codes(inputs[col], rows, start + lo, comp_mask, block);
+            for step in steps {
+                match outs[step.out_col].rows() {
+                    RoundRows::B16(dst) => or_segment(block, step, &mut dst[lo..hi]),
+                    RoundRows::B32(dst) => or_segment(block, step, &mut dst[lo..hi]),
+                    RoundRows::B64(dst) => or_segment(block, step, &mut dst[lo..hi]),
+                }
+            }
+        }
+    }
+}
+
+/// Read the codes of sorted rows `from..from + out.len()` — source row
+/// `rows[i]`, or row `i` when `rows` is `None` — complemented by
+/// `comp_mask`, into `out`.
+fn read_codes(src: &CodeVec, rows: Option<&[u32]>, from: usize, comp_mask: u64, out: &mut [u64]) {
+    #[inline]
+    fn read<C: Copy + Into<u64>>(
+        codes: &[C],
+        rows: Option<&[u32]>,
+        from: usize,
+        comp_mask: u64,
+        out: &mut [u64],
+    ) {
+        match rows {
+            None => {
+                for (o, &c) in out.iter_mut().zip(&codes[from..]) {
+                    *o = c.into() ^ comp_mask;
+                }
+            }
+            Some(rows) => {
+                for (o, &r) in out.iter_mut().zip(&rows[from..]) {
+                    *o = codes[r as usize].into() ^ comp_mask;
+                }
+            }
+        }
+    }
+    match src {
+        CodeVec::U8(c) => read(c, rows, from, comp_mask, out),
+        CodeVec::U16(c) => read(c, rows, from, comp_mask, out),
+        CodeVec::U32(c) => read(c, rows, from, comp_mask, out),
+        CodeVec::U64(c) => read(c, rows, from, comp_mask, out),
+    }
+}
+
+/// The step loop: OR the step's bit segment of `codes[i]` into `dst[i]`
+/// in the bank's physical type. `bits << out_shift` always fits the bank
+/// because the round width is bounded by the bank width (enforced by
+/// plan validation), so the narrowing `K::from_u64` is lossless.
+#[inline]
+fn or_segment<K: Key>(codes: &[u64], step: &FipStep, dst: &mut [K]) {
+    let seg_mask = width_mask(step.len);
+    for (d, &code) in dst.iter_mut().zip(codes) {
+        let bits = (code >> step.in_shift) & seg_mask;
+        *d = K::from_u64(d.to_u64() | (bits << step.out_shift));
+    }
+}
+
+/// Some rows of one round's keys, in the bank's physical type.
+enum RoundRows<'a> {
+    B16(&'a mut [u16]),
+    B32(&'a mut [u32]),
+    B64(&'a mut [u64]),
+}
+
+impl<'a> RoundRows<'a> {
+    fn len(&self) -> usize {
+        match self {
+            RoundRows::B16(v) => v.len(),
+            RoundRows::B32(v) => v.len(),
+            RoundRows::B64(v) => v.len(),
+        }
+    }
+
+    /// The first `mid` rows and the rest.
+    fn split_at(self, mid: usize) -> (RoundRows<'a>, RoundRows<'a>) {
+        match self {
+            RoundRows::B16(v) => {
+                let (a, b) = v.split_at_mut(mid);
+                (RoundRows::B16(a), RoundRows::B16(b))
+            }
+            RoundRows::B32(v) => {
+                let (a, b) = v.split_at_mut(mid);
+                (RoundRows::B32(a), RoundRows::B32(b))
+            }
+            RoundRows::B64(v) => {
+                let (a, b) = v.split_at_mut(mid);
+                (RoundRows::B64(a), RoundRows::B64(b))
+            }
+        }
+    }
+}
+
+/// A round's destination for [`massage_range`]: all of its keys on the
+/// serial path, one worker's rows of them on the parallel one.
+trait RoundDst {
+    fn rows(&mut self) -> RoundRows<'_>;
+}
+
+impl RoundDst for RoundKeys {
+    fn rows(&mut self) -> RoundRows<'_> {
+        match self {
+            RoundKeys::B16(v) => RoundRows::B16(v),
+            RoundKeys::B32(v) => RoundRows::B32(v),
+            RoundKeys::B64(v) => RoundRows::B64(v),
+        }
+    }
+}
+
+impl RoundDst for RoundRows<'_> {
+    fn rows(&mut self) -> RoundRows<'_> {
+        match self {
+            RoundRows::B16(v) => RoundRows::B16(v),
+            RoundRows::B32(v) => RoundRows::B32(v),
+            RoundRows::B64(v) => RoundRows::B64(v),
+        }
+    }
 }
 
 /// Round keys in their bank's physical type, ready for the SIMD sort.
@@ -200,12 +329,12 @@ impl RoundKeys {
 /// its bit segment straight into the destination bank type, so no
 /// intermediate wide `u64` vectors are materialized.
 ///
-/// `cancel` is polled before every FIP step (each is one full O(n) pass
-/// over a column segment). A fired token abandons the remaining steps,
-/// leaving partially massaged round buffers — the caller must observe the
-/// token and discard them. The compiled program (for `I_FIP` accounting)
-/// is returned either way, along with the morsel scheduler counters
-/// summed over the executed steps (all zero when the steps ran serially).
+/// `cancel` is polled before each column's pass (one O(n) read of the
+/// column that emits all of its FIP steps). A fired token abandons the
+/// remaining columns, leaving partially massaged round buffers — the
+/// caller must observe the token and discard them. The compiled program
+/// (for `I_FIP` accounting) is returned either way, along with the
+/// morsel scheduler counters (all zero when massage ran serially).
 pub fn massage_into(
     inputs: &[&CodeVec],
     specs: &[SortSpec],
@@ -214,35 +343,56 @@ pub fn massage_into(
     outs: &mut [RoundKeys],
     cancel: &CancelToken,
 ) -> (MassageProgram, MorselCounts) {
+    massage_rows_into(inputs, None, specs, plan, threads, outs, cancel)
+}
+
+/// [`massage_into`] over the sorted rows `rows` lists: output row `i` is
+/// input row `rows[i]`, each column read through the list where it lies,
+/// or input row `i` when `rows` is `None`. The list must lie inside the
+/// columns ([`crate::check_inputs`] makes sure of it), and `outs` is as
+/// long as the list.
+pub(crate) fn massage_rows_into(
+    inputs: &[&CodeVec],
+    rows: Option<&[u32]>,
+    specs: &[SortSpec],
+    plan: &MassagePlan,
+    threads: usize,
+    outs: &mut [RoundKeys],
+    cancel: &CancelToken,
+) -> (MassageProgram, MorselCounts) {
     assert_eq!(inputs.len(), specs.len());
-    let n = inputs.first().map_or(0, |c| c.len());
+    let len = inputs.first().map_or(0, |c| c.len());
     for c in inputs {
-        assert_eq!(c.len(), n, "input column length mismatch");
+        assert_eq!(c.len(), len, "input column length mismatch");
     }
+    let n = rows.map_or(len, <[u32]>::len);
     assert_eq!(outs.len(), plan.rounds.len(), "one output buffer per round");
     for (out, round) in outs.iter().zip(&plan.rounds) {
         assert_eq!(out.bank(), round.bank, "output buffer bank mismatch");
         assert_eq!(out.len(), n, "output buffer length mismatch");
     }
     let prog = MassageProgram::compile(specs, plan);
-    let mut morsels = MorselCounts::default();
-    for step in &prog.steps {
-        if cancel.check().is_err() {
-            break;
-        }
-        let src = inputs[step.in_col];
-        let spec = prog.specs[step.in_col];
-        let comp_mask = if spec.descending {
-            width_mask(spec.width)
-        } else {
-            0
-        };
-        morsels.add(match &mut outs[step.out_col] {
-            RoundKeys::B16(dst) => execute_step_into::<u16>(src, step, comp_mask, dst, threads),
-            RoundKeys::B32(dst) => execute_step_into::<u32>(src, step, comp_mask, dst, threads),
-            RoundKeys::B64(dst) => execute_step_into::<u64>(src, step, comp_mask, dst, threads),
-        });
+    if runs_serially(threads, n) {
+        massage_range(inputs, rows, &prog, 0, outs, cancel);
+        return (prog, MorselCounts::default());
     }
+    // Worker `w` massages the rows `w·n/threads..(w+1)·n/threads` of
+    // every round.
+    let mut parts: Vec<(usize, Vec<RoundRows<'_>>)> = (0..threads)
+        .map(|w| (w * n / threads, Vec::with_capacity(outs.len())))
+        .collect();
+    for out in outs.iter_mut() {
+        let mut rest = out.rows();
+        for (w, (start, part)) in parts.iter_mut().enumerate() {
+            let (head, tail) = rest.split_at((w + 1) * n / threads - *start);
+            part.push(head);
+            rest = tail;
+        }
+        debug_assert_eq!(rest.len(), 0);
+    }
+    let morsels = for_each_worker(&mut parts, |(start, part)| {
+        massage_range(inputs, rows, &prog, *start, part, cancel)
+    });
     (prog, morsels)
 }
 
@@ -417,6 +567,37 @@ mod tests {
         let (a, _) = massage(&[&c1, &c2], &sp, &plan, 1);
         let (b, _) = massage(&[&c1, &c2], &sp, &plan, 4);
         assert_eq!(a, b);
+
+        // Through a row list (every third row, backwards), serially and in
+        // parallel: row `i` of each round is row `list[i]` of the above.
+        let list: Vec<u32> = (0..n as u32).rev().step_by(3).collect();
+        for threads in [1, 4] {
+            let mut outs: Vec<RoundKeys> = plan
+                .rounds
+                .iter()
+                .map(|r| match r.bank {
+                    Bank::B16 => RoundKeys::B16(vec![0; list.len()]),
+                    Bank::B32 => RoundKeys::B32(vec![0; list.len()]),
+                    Bank::B64 => RoundKeys::B64(vec![0; list.len()]),
+                })
+                .collect();
+            let inputs = [&c1, &c2];
+            let cancel = CancelToken::none();
+            massage_rows_into(
+                &inputs,
+                Some(&list),
+                &sp,
+                &plan,
+                threads,
+                &mut outs,
+                &cancel,
+            );
+            for (got, want) in outs.iter().zip(&a) {
+                for (i, &r) in list.iter().enumerate() {
+                    assert_eq!(got.get(i), want.get(r as usize), "t{threads} row {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! This is the execution structure of the paper's prototype (§6 and the
 //! Figure 11 reference architecture): filters run as fast scans on the
-//! WideTable, sorting columns are gathered via lookups, the optimizer
-//! (ROGA, or column-at-a-time when massaging is off) picks a plan, and
-//! the multi-column sort executor produces the order and grouping the
-//! aggregates or window ranks consume.
+//! WideTable, the optimizer (ROGA, or column-at-a-time when massaging is
+//! off) picks a plan, and the multi-column sort executor — reading the
+//! sorting columns through the scan's oid list — produces the order and
+//! grouping the aggregates or window ranks consume.
 //!
 //! ## Degradation ladder
 //!
@@ -14,9 +14,9 @@
 //! ladder, each rung recorded in [`QueryTimings::degradations`] and the
 //! `engine.degraded` telemetry counter:
 //!
-//! 1. plan search fails / cost estimate non-finite / deadline starves /
-//!    chosen plan invalid → run column-at-a-time `P_0`, which is valid
-//!    for any instance by the paper's Lemma 1;
+//! 1. plan search fails / cost estimate non-finite / deadline starves →
+//!    run column-at-a-time `P_0`, which is valid for any instance by the
+//!    paper's Lemma 1; so does a plan the executor rejects as invalid;
 //! 2. the sort execution itself fails (e.g. a worker-thread panic) →
 //!    re-run under `P_0`;
 //! 3. the `P_0` sort fails too → scalar comparator sort over the raw key
@@ -25,16 +25,15 @@
 //! Only input conditions no plan can fix ([`EngineError`]) surface as
 //! errors from [`run_query`].
 
-use std::borrow::Cow;
 use std::time::Instant;
 
 use mcs_columnar::{BitVec, CodeVec, Column, ColumnStats, Table};
 use mcs_core::{
-    multi_column_sort_with, tuple_cmp, ExecArena, ExecConfig, ExecStats, GroupBounds, MassagePlan,
-    MultiColumnSortOutput, SortError, SortKernel, SortSpec,
+    tuple_cmp, ExecArena, ExecConfig, ExecStats, GroupBounds, MassagePlan, MultiColumnSortOutput,
+    SortError, SortKernel, SortSpec,
 };
 use mcs_cost::{CostModel, KeyColumnStats, SortInstance};
-use mcs_extsort::{chunk_rows_for_budget, external_multi_column_sort_with, SpillStats};
+use mcs_extsort::{budgeted_sort_rows, chunk_rows_for_budget, SpillStats};
 use mcs_planner::{roga, PlanFingerprint, RogaOptions, SearchError};
 use mcs_telemetry as telemetry;
 
@@ -170,11 +169,12 @@ impl EngineConfigBuilder {
 pub struct QueryTimings {
     /// Filter scans (ByteSlice, early-stopping).
     pub filter_scan_ns: u64,
-    /// Lookups gathering sort-key and aggregate columns.
+    /// SELECT: the projected columns read through the sort's final oids
+    /// (key lookups happen inside the sort, in [`mcs_ns`](Self::mcs_ns)).
     pub gather_ns: u64,
     /// Plan search (ROGA).
     pub plan_search_ns: u64,
-    /// Multi-column sorting (massage + all rounds).
+    /// Multi-column sorting (massage, reading keys through the oids, + all rounds).
     pub mcs_ns: u64,
     /// Second-stage multi-column sort over grouped results
     /// (ORDER BY over aggregates, as in TPC-H Q13).
@@ -579,16 +579,9 @@ fn pick_plan(
     let identity: Vec<usize> = (0..inst.specs.len()).collect();
     let searched = match &cfg.planner {
         PlannerMode::ColumnAtATime => Ok(None),
-        PlannerMode::Fixed(p) => {
-            // Experiments may hand the engine arbitrary plans; an invalid
-            // one degrades to P0 rather than reaching the executor.
-            if let Err(e) = p.validate(inst.total_width()) {
-                record_degradation(timings, DegradeReason::InvalidPlan, &e.to_string());
-                Ok(None)
-            } else {
-                Ok(Some((p.clone(), identity.clone(), f64::NAN, false)))
-            }
-        }
+        // Experiments may hand the engine arbitrary plans; the executor
+        // validates them, and the ladder degrades an invalid one to P0.
+        PlannerMode::Fixed(p) => Ok(Some((p.clone(), identity.clone(), f64::NAN, false))),
         PlannerMode::Roga { rho } => roga(
             inst,
             &cfg.model,
@@ -665,23 +658,20 @@ fn sort_error_recoverable(e: &SortError) -> bool {
     )
 }
 
-/// One sort attempt under one plan. With a memory budget set the sort
-/// goes through `mcs-extsort`, which owns the partition decision (it
-/// sorts in memory when the plan's leased footprint fits the budget, and
-/// range-partitions otherwise), recording its buckets in `timings`.
+/// One sort attempt under one plan, of the rows `rows` lists (all rows
+/// when `None`), through `mcs-extsort`, which owns the partition
+/// decision; its buckets are recorded in `timings`.
 fn sort_once(
     pcols: &[&CodeVec],
+    rows: Option<&[u32]>,
     pspecs: &[SortSpec],
     plan: &MassagePlan,
     exec: &ExecConfig,
     arena: &mut ExecArena,
     timings: &mut QueryTimings,
 ) -> Result<MultiColumnSortOutput, SortError> {
-    let Some(budget) = exec.memory_budget_bytes else {
-        return multi_column_sort_with(pcols, pspecs, plan, exec, arena);
-    };
-    let (out, spill) = external_multi_column_sort_with(pcols, pspecs, plan, exec, arena, budget)?;
-    if spill.runs > 0 {
+    let (out, spill) = budgeted_sort_rows(pcols, rows, pspecs, plan, exec, arena)?;
+    if let Some(budget) = exec.memory_budget_bytes.filter(|_| spill.runs > 0) {
         timings.spilled.runs += spill.runs;
         let rows = chunk_rows_for_budget(plan, exec, budget);
         timings.bucket_rows = timings.bucket_rows.max(rows);
@@ -690,30 +680,22 @@ fn sort_once(
 }
 
 /// Execute the sort under `plan`, degrading to `P_0` and then to the
-/// scalar comparator sort (rungs 2 and 3 of the ladder). Returns the
-/// output and the plan that actually ran (`None` = scalar fallback).
+/// scalar comparator sort (rungs 2 and 3 of the ladder; an invalid plan
+/// takes rung 1's `P_0`). Returns the output and the plan that actually
+/// ran (`None` = scalar fallback).
 fn sort_with_ladder(
     pcols: &[&CodeVec],
+    rows: Option<&[u32]>,
     pspecs: &[SortSpec],
     plan: MassagePlan,
     exec: &ExecConfig,
     timings: &mut QueryTimings,
     arena: &mut ExecArena,
 ) -> Result<(MultiColumnSortOutput, Option<MassagePlan>), EngineError> {
-    let total: u32 = pspecs.iter().map(|s| s.width).sum();
-    // Belt and braces: a plan that fails validation degrades here even if
-    // the planner produced it.
-    let plan = match plan.validate(total) {
-        Ok(()) => plan,
-        Err(e) => {
-            record_degradation(timings, DegradeReason::InvalidPlan, &e.to_string());
-            MassagePlan::column_at_a_time(pspecs)
-        }
-    };
     // Every rung draws from the same arena — the executor restores it on
     // failure, so rung N+1 reuses rung N's buffers rather than starting
     // cold.
-    let first = sort_once(pcols, pspecs, &plan, exec, arena, timings);
+    let first = sort_once(pcols, rows, pspecs, &plan, exec, arena, timings);
     let err = match first {
         Ok(out) => return Ok((out, Some(plan))),
         Err(e) => e,
@@ -723,7 +705,11 @@ fn sort_with_ladder(
         // `DeadlineExceeded`/`Cancelled`, not wrapped inside `Sort`.
         return Err(err.into());
     }
-    record_degradation(timings, DegradeReason::ExecFailed, &err.to_string());
+    let reason = match err {
+        SortError::InvalidPlan(_) => DegradeReason::InvalidPlan,
+        _ => DegradeReason::ExecFailed,
+    };
+    record_degradation(timings, reason, &err.to_string());
 
     // Deadline-aware ladder: every rung below re-runs the sort from
     // scratch, so once the token has fired the ladder stops — a timeout
@@ -736,7 +722,7 @@ fn sort_with_ladder(
     // input, identical outcome).
     let p0 = MassagePlan::column_at_a_time(pspecs);
     if plan != p0 {
-        match sort_once(pcols, pspecs, &p0, exec, arena, timings) {
+        match sort_once(pcols, rows, pspecs, &p0, exec, arena, timings) {
             Ok(out) => return Ok((out, Some(p0))),
             Err(e) if sort_error_recoverable(&e) => {
                 record_degradation(timings, DegradeReason::ScalarFallback, &e.to_string());
@@ -757,20 +743,23 @@ fn sort_with_ladder(
     }
 
     // Rung 3: scalar comparator sort — no SIMD, no massage, no threads.
-    Ok((scalar_fallback_sort(pcols, pspecs, exec), None))
+    Ok((scalar_fallback_sort(pcols, rows, pspecs, exec), None))
 }
 
-/// The bottom of the ladder: a stable scalar sort by the §3 tuple
-/// comparator over the raw key columns, grouping built from tie runs.
-/// Slow, but free of every machinery the ladder is escaping.
+/// The bottom of the ladder: a stable scalar sort of `rows` (all rows
+/// when `None`) by the §3 tuple comparator over the raw key columns,
+/// grouping built from tie runs. Slow, but free of every machinery the
+/// ladder is escaping.
 fn scalar_fallback_sort(
     pcols: &[&CodeVec],
+    rows: Option<&[u32]>,
     pspecs: &[SortSpec],
     exec: &ExecConfig,
 ) -> MultiColumnSortOutput {
     let t0 = Instant::now();
-    let n = pcols.first().map_or(0, |c| c.len());
-    let mut oids: Vec<u32> = (0..n as u32).collect();
+    let all = pcols.first().map_or(0, |c| c.len()) as u32;
+    let mut oids: Vec<u32> = rows.map_or_else(|| (0..all).collect(), <[u32]>::to_vec);
+    let n = oids.len();
     oids.sort_by(|&a, &b| tuple_cmp(pcols, pspecs, a, b));
     let groups = if exec.want_final_groups {
         let mut offsets: Vec<u32> = vec![0];
@@ -799,14 +788,15 @@ fn scalar_fallback_sort(
     }
 }
 
-/// Sort `cols` (described by `inst`) under `picked` — the plan and
-/// column order [`pick_plan`] chose — down the degradation ladder. The
-/// executor builds the final grouping exactly when
-/// `inst.want_final_groups` says the query reads it. Returns the output,
+/// Sort `rows` (all rows when `None`) of `cols` (described by `inst`)
+/// under `picked` — the plan and column order [`pick_plan`] chose —
+/// down the degradation ladder. The executor builds the final grouping
+/// exactly when `inst.want_final_groups` says the query reads it. Returns the output,
 /// the plan that ran, and `inst` in planner column order (what EXPLAIN
 /// prices).
 fn sort_planned(
     cols: &[&CodeVec],
+    rows: Option<&[u32]>,
     inst: &SortInstance,
     (plan, order): (MassagePlan, Vec<usize>),
     cfg: &EngineConfig,
@@ -819,7 +809,7 @@ fn sort_planned(
         want_final_groups: inst.want_final_groups,
         ..cfg.exec.clone()
     };
-    let (out, ran_plan) = sort_with_ladder(&pcols, &inst.specs, plan, &exec, timings, arena)?;
+    let (out, ran_plan) = sort_with_ladder(&pcols, rows, &inst.specs, plan, &exec, timings, arena)?;
     Ok((out, ran_plan, inst))
 }
 
@@ -847,35 +837,17 @@ fn execute(
     }
     let inst = cols.sort_instance(oids.len())?;
 
-    // The sort-key columns restricted to `oids`: borrowed as they are when
-    // no filter ran (then `oids` is the identity and a gather would copy).
-    let t = Instant::now();
-    let keys: Vec<Cow<'_, CodeVec>> = cols
-        .keys
-        .iter()
-        .map(|(c, _)| match query.filters.is_empty() {
-            true => Cow::Borrowed(c.codes()),
-            false => Cow::Owned(c.gather(oids)),
-        })
-        .collect();
-    timings.gather_ns += t.elapsed().as_nanos() as u64;
-
+    // The sort reads the base key columns through `oids`, which ascend: as
+    // long as the columns, they are every row, and the sort takes no list.
     let picked = pick_plan(&inst, query.order_free(), cfg, timings, cache)?;
     let t = Instant::now();
-    let refs: Vec<&CodeVec> = keys.iter().map(|c| &**c).collect();
-    let (out, ran_plan, inst) = sort_planned(&refs, &inst, picked, cfg, timings, arena)?;
+    let keys: Vec<&CodeVec> = cols.keys.iter().map(|(c, _)| c.codes()).collect();
+    let rows = (oids.len() < keys[0].len()).then_some(oids);
+    let (out, ran_plan, inst) = sort_planned(&keys, rows, &inst, picked, cfg, timings, arena)?;
     timings.mcs_ns += t.elapsed().as_nanos() as u64;
     timings.mcs_stats = out.stats.clone();
     timings.plan = ran_plan;
     timings.sort_instance = Some(inst);
-    // The sort ran over `oids`, so its output indexes them: compose in
-    // place. Unfiltered, `oids` is the identity and there is nothing to do.
-    let mut final_oids = out.oids;
-    if !query.filters.is_empty() {
-        for p in &mut final_oids {
-            *p = oids[*p as usize];
-        }
-    }
 
     // SELECT: one pass per column, straight from its base codes.
     let t = Instant::now();
@@ -884,7 +856,7 @@ fn execute(
         .iter()
         .zip(&cols.select)
         .map(|(name, c)| {
-            let vals = final_oids.iter().map(|&o| c.get(o as usize)).collect();
+            let vals = out.oids.iter().map(|&o| c.get(o as usize)).collect();
             (name.clone(), vals)
         })
         .collect();
@@ -897,24 +869,18 @@ fn execute(
             // The final groups are the ties on (partition keys, window
             // order), so they carry the ranks; partitions only coarsen them.
             let part_keys: Vec<&CodeVec> = cols.keys[..np].iter().map(|(c, _)| c.codes()).collect();
-            let parts = partition_bounds(&out.groups, &final_oids, &part_keys);
+            let parts = partition_bounds(&out.groups, &out.oids, &part_keys);
             result.push(("rank".to_string(), rank_over(&parts, &out.groups)));
-            let attrs = [
-                ("partitions", parts.num_groups()),
-                ("rows", final_oids.len()),
-            ];
+            let attrs = [("partitions", parts.num_groups()), ("rows", out.oids.len())];
             Some(("engine.window.rank", attrs))
         }
         Shape::Grouped => {
             // Group keys from each group's first row, then the aggregates.
             for (name, (c, _)) in query.group_by.iter().zip(&cols.keys) {
-                let vals = out
-                    .groups
-                    .iter()
-                    .map(|r| c.get(final_oids[r.start] as usize));
+                let vals = out.groups.iter().map(|r| c.get(out.oids[r.start] as usize));
                 result.push((name.clone(), vals.collect()));
             }
-            let aggs = aggregate_groups(&query.aggregates, &cols.aggs, &out.groups, &final_oids);
+            let aggs = aggregate_groups(&query.aggregates, &cols.aggs, &out.groups, &out.oids);
             result.extend(aggs);
             let attrs = [
                 ("groups", out.groups.num_groups()),
@@ -975,7 +941,7 @@ fn sort_grouped(
     };
     let picked = pick_plan(&inst, false, cfg, timings, cache)?;
     let refs: Vec<&CodeVec> = keys.iter().collect();
-    let (sorted, _, _) = sort_planned(&refs, &inst, picked, cfg, timings, arena)?;
+    let (sorted, _, _) = sort_planned(&refs, None, &inst, picked, cfg, timings, arena)?;
     for (_, vals) in result.iter_mut() {
         *vals = sorted.oids.iter().map(|&p| vals[p as usize]).collect();
     }
@@ -1015,8 +981,8 @@ mod tests {
 
     #[test]
     fn filtered_and_unfiltered_order_by_match_the_reference() {
-        // Unfiltered, the sort's oids are final as they come; filtered,
-        // they index the qualifying rows and are composed through them.
+        // Unfiltered, the sort reads every row; filtered, it reads the
+        // qualifying rows through their oids. Both return base row ids.
         let t = small_table();
         let mut q = Query::named("q");
         q.order_by = vec![
@@ -1192,6 +1158,7 @@ mod tests {
             let mut timings = QueryTimings::default();
             let grouped = sort_once(
                 &cols,
+                None,
                 &inst.specs,
                 plan,
                 &exec,
@@ -1241,9 +1208,9 @@ mod tests {
         assert_eq!(err, EngineError::WindowKeyTooWide { bits: 80 });
     }
 
-    // Old panic site: `multi_column_sort(...).expect(...)` in run_mcs. An
-    // invalid fixed plan now degrades to P0 instead of reaching the
-    // executor, and the rung is recorded.
+    // Old panic site: `multi_column_sort(...).expect(...)` in run_mcs. The
+    // executor rejects an invalid fixed plan with a typed error, the
+    // ladder degrades to P0, and the rung is recorded.
     #[test]
     fn invalid_fixed_plan_degrades_to_p0() {
         let t = small_table();
@@ -1317,7 +1284,7 @@ mod tests {
             want_final_groups: true,
             ..ExecConfig::default()
         };
-        let out = scalar_fallback_sort(&[&a, &b], &specs, &exec);
+        let out = scalar_fallback_sort(&[&a, &b], None, &specs, &exec);
         assert_eq!(out.oids, vec![3, 1, 5, 4, 0, 2]);
         // Groups = ties on (a, b): all distinct here.
         assert_eq!(out.groups.num_groups(), 6);
@@ -1327,7 +1294,7 @@ mod tests {
             ..ExecConfig::default()
         };
         assert_eq!(
-            scalar_fallback_sort(&[&a, &b], &specs, &exec2)
+            scalar_fallback_sort(&[&a, &b], None, &specs, &exec2)
                 .groups
                 .num_groups(),
             1

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use mcs_columnar::CodeVec;
 use mcs_core::{
-    check_inputs, lease_footprint_bytes, multi_column_sort_with, width_mask, CancelToken,
+    check_inputs, lease_footprint_bytes, multi_column_sort_rows, width_mask, CancelToken,
     ExecArena, ExecConfig, ExecStats, GroupBounds, MassagePlan, MultiColumnSortOutput, SortError,
     SortSpec, CHECK_INTERVAL,
 };
@@ -176,9 +176,11 @@ fn accumulate(acc: &mut ExecStats, s: &ExecStats) {
 
 /// The state of one budgeted sort. `oids` is the output, partitioned in
 /// place: every range handed to [`Partition::split`] holds its rows in
-/// ascending order, all sharing the key digits above its level.
+/// the caller's order, all sharing the key digits above its level.
 struct Partition<'a> {
     inputs: &'a [&'a CodeVec],
+    /// The caller's row list (`None`: every row, in order).
+    rows: Option<&'a [u32]>,
     specs: &'a [SortSpec],
     plan: &'a MassagePlan,
     /// The caller's config without the budget (a bucket fits by
@@ -189,7 +191,7 @@ struct Partition<'a> {
     oids: Vec<u32>,
     /// Final group offsets, when the caller wants them.
     offsets: Vec<u32>,
-    /// The oids of the range being split or sorted: one buffer, reused.
+    /// The oids of the range being split: one buffer, reused.
     copy: Vec<u32>,
     stats: ExecStats,
     buckets: u64,
@@ -211,17 +213,22 @@ impl Partition<'_> {
             };
             let t = Instant::now();
             let dst = &mut self.oids[range.clone()];
-            let ends = if level == 0 {
-                // The top level reads rows in order (`oids` starts as
-                // the identity); deeper ones read a copy of their range
-                // and scatter it back in place.
-                let rows = range.clone();
-                scatter(&digit, self.inputs, rows, dst, &self.cfg.sort.cancel)?
-            } else {
-                self.copy.clear();
-                self.copy.extend_from_slice(dst);
-                let rows = self.copy.iter().map(|&o| o as usize);
-                scatter(&digit, self.inputs, rows, dst, &self.cfg.sort.cancel)?
+            let cancel = &self.cfg.sort.cancel;
+            // The top level reads the caller's rows where they lie (`oids`
+            // starts as them); deeper ones read a copy of their range and
+            // scatter it back in place.
+            let ends = match (level, self.rows) {
+                (0, None) => scatter(&digit, self.inputs, range.clone(), dst, cancel)?,
+                (0, Some(list)) => {
+                    let rows = list.iter().map(|&r| r as usize);
+                    scatter(&digit, self.inputs, rows, dst, cancel)?
+                }
+                _ => {
+                    self.copy.clear();
+                    self.copy.extend_from_slice(dst);
+                    let rows = self.copy.iter().map(|&o| o as usize);
+                    scatter(&digit, self.inputs, rows, dst, cancel)?
+                }
             };
             self.partition_ns += t.elapsed().as_nanos() as u64;
             match ends {
@@ -245,24 +252,19 @@ impl Partition<'_> {
         self.sort_bucket(bucket..range.end)
     }
 
-    /// Sort the rows of `range` (one key range) in memory and put them
-    /// back in place in sorted order.
+    /// Sort the rows of `range` (one key range) in memory, reading the
+    /// key columns through its oids, and put them back in sorted order.
     fn sort_bucket(&mut self, range: Range<usize>) -> Result<(), SortError> {
         if range.len() <= 1 {
             return self.emit_group(range);
         }
         self.enter_bucket()?;
         let t = Instant::now();
-        self.copy.clear();
-        self.copy.extend_from_slice(&self.oids[range.clone()]);
-        let cols: Vec<CodeVec> = self.inputs.iter().map(|c| c.gather(&self.copy)).collect();
-        let refs: Vec<&CodeVec> = cols.iter().collect();
-        let out = multi_column_sort_with(&refs, self.specs, self.plan, &self.cfg, self.arena)?;
-        // The bucket's rows are ascending, so its local ties (emitted in
-        // local row order) stay in global row order.
-        for (dst, &local) in self.oids[range.clone()].iter_mut().zip(&out.oids) {
-            *dst = self.copy[local as usize];
-        }
+        let (inputs, specs, plan) = (self.inputs, self.specs, self.plan);
+        let rows = Some(&self.oids[range.clone()]);
+        let out = multi_column_sort_rows(inputs, rows, specs, plan, &self.cfg, self.arena)?;
+        // Ties keep their order in the bucket, which is the caller's.
+        self.oids[range.clone()].copy_from_slice(&out.oids);
         if self.cfg.want_final_groups {
             let base = range.start as u32;
             self.offsets
@@ -280,7 +282,7 @@ impl Partition<'_> {
         Ok(())
     }
 
-    /// `range` as one tie group, left in row order.
+    /// `range` as one tie group, left in the order of the caller's rows.
     fn emit_group(&mut self, range: Range<usize>) -> Result<(), SortError> {
         if range.is_empty() {
             return Ok(());
@@ -300,52 +302,55 @@ impl Partition<'_> {
     }
 }
 
-/// Sort `inputs` under `plan` within `budget_bytes` of working memory:
-/// range-partition the oids on the key, one byte per level, then sort
+/// Sort the rows `rows` lists (all rows when `None`) of `inputs` under
+/// `plan` within `cfg.memory_budget_bytes` of working memory:
+/// range-partition the rows on the key, one byte per level, then sort
 /// each bucket of at most [`chunk_rows_for_budget`] rows in memory
 /// (through `arena`). Output is byte-identical to
-/// [`multi_column_sort_with`] — same oids, and the same group offsets
+/// [`multi_column_sort_rows`] — same oids, and the same group offsets
 /// when `cfg.want_final_groups` is set (when it is not, the budgeted
 /// path returns the trivial single group where the in-memory path
 /// returns its pre-final refinement; callers that consume groups must
 /// request final groups).
 ///
-/// This is the one owner of the partition decision: when the in-memory
-/// sort's leased footprint ([`lease_footprint_bytes`]`(plan, n, cfg)`)
-/// fits the budget, it delegates to the in-memory sort and reports zero
-/// buckets; otherwise it partitions.
+/// This is the one owner of the partition decision: with no budget, or
+/// when the in-memory sort's leased footprint
+/// ([`lease_footprint_bytes`]`(plan, n, cfg)`) fits it, it sorts in
+/// memory and reports zero buckets; otherwise it partitions.
 ///
-/// Outside the budget sit the `n`-oid output and one oid buffer the
-/// size of the range being split or sorted (DESIGN.md §13).
-pub fn external_multi_column_sort_with(
+/// Outside the budget sit the output oids and one oid buffer the size
+/// of the range being split (DESIGN.md §13).
+pub fn budgeted_sort_rows(
     inputs: &[&CodeVec],
+    rows: Option<&[u32]>,
     specs: &[SortSpec],
     plan: &MassagePlan,
     cfg: &ExecConfig,
     arena: &mut ExecArena,
-    budget_bytes: usize,
 ) -> Result<(MultiColumnSortOutput, SpillStats), SortError> {
-    let n = inputs.first().map_or(0, |c| c.len());
-    if lease_footprint_bytes(plan, n, cfg) <= budget_bytes {
-        let out = multi_column_sort_with(inputs, specs, plan, cfg, arena)?;
+    let n = rows.map_or_else(|| inputs.first().map_or(0, |c| c.len()), <[u32]>::len);
+    let budget = cfg.memory_budget_bytes;
+    let Some(budget_bytes) = budget.filter(|&b| lease_footprint_bytes(plan, n, cfg) > b) else {
+        let out = multi_column_sort_rows(inputs, rows, specs, plan, cfg, arena)?;
         return Ok((out, SpillStats::default()));
-    }
-    check_inputs(inputs, specs, plan)?;
+    };
+    check_inputs(inputs, rows, specs, plan)?;
     cfg.sort.cancel.check()?;
 
     let total_t = Instant::now();
     let mut bucket_cfg = cfg.clone();
     bucket_cfg.memory_budget_bytes = None;
     let bucket_rows = chunk_rows_for_budget(plan, cfg, budget_bytes);
-    arena.reserve(plan, bucket_rows.min(n));
+    arena.reserve(plan, bucket_rows.min(n), &bucket_cfg);
     let mut p = Partition {
         inputs,
+        rows,
         specs,
         plan,
         cfg: bucket_cfg,
         arena,
         bucket_rows,
-        oids: (0..n as u32).collect(),
+        oids: rows.map_or_else(|| (0..n as u32).collect(), <[u32]>::to_vec),
         offsets: vec![0],
         copy: Vec::new(),
         stats: ExecStats {
@@ -384,10 +389,25 @@ pub fn external_multi_column_sort_with(
     ))
 }
 
+/// [`budgeted_sort_rows`] over every row, within `budget_bytes`.
+pub fn external_multi_column_sort_with(
+    inputs: &[&CodeVec],
+    specs: &[SortSpec],
+    plan: &MassagePlan,
+    cfg: &ExecConfig,
+    arena: &mut ExecArena,
+    budget_bytes: usize,
+) -> Result<(MultiColumnSortOutput, SpillStats), SortError> {
+    let mut cfg = cfg.clone();
+    cfg.memory_budget_bytes = Some(budget_bytes);
+    budgeted_sort_rows(inputs, None, specs, plan, &cfg, arena)
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use mcs_core::multi_column_sort_with;
 
     fn specs(widths: &[(u32, bool)]) -> Vec<SortSpec> {
         widths
@@ -475,18 +495,28 @@ mod tests {
         let c0 = CodeVec::from_u64s(10, [3u64, 1, 2, 1]);
         let sp = specs(&[(10, false), (4, false)]);
         let plan = MassagePlan::column_at_a_time(&sp);
-        let err = external_multi_column_sort_with(
-            &[&c0],
-            &sp,
-            &plan,
-            &ExecConfig::default(),
-            &mut ExecArena::new(),
-            1,
-        )
-        .unwrap_err();
+        let cfg = ExecConfig {
+            memory_budget_bytes: Some(1),
+            ..ExecConfig::default()
+        };
+        let sort = |cols: &[&CodeVec], rows: Option<&[u32]>| {
+            budgeted_sort_rows(cols, rows, &sp, &plan, &cfg, &mut ExecArena::new()).unwrap_err()
+        };
+        let err = sort(&[&c0], None);
         assert!(
             matches!(err, SortError::ColumnCountMismatch { .. }),
             "{err}"
         );
+        let short = CodeVec::from_u64s(4, [1u64, 2]);
+        let c1 = CodeVec::from_u64s(4, [1u64; 4]);
+        let err = sort(&[&c0, &short], None);
+        let want = SortError::ColumnLengthMismatch {
+            column: 1,
+            len: 2,
+            expected: 4,
+        };
+        assert_eq!(err, want);
+        let err = sort(&[&c0, &c1], Some(&[0, 4, 1]));
+        assert_eq!(err, SortError::RowOutOfRange { row: 4, rows: 4 });
     }
 }

@@ -65,14 +65,16 @@ mod sort;
 pub use key::{Bank, Key};
 pub use mcs_cancel::{CancelCause, CancelToken, CHECK_INTERVAL};
 pub use multiway::{multiway_merge, multiway_pass, MergeCounters};
-pub use parallel::{for_each_chunk, sort_pairs_in_groups, MorselCounts, WorkerPanic};
+pub use parallel::{
+    for_each_chunk, for_each_worker, sort_pairs_in_groups, MorselCounts, WorkerPanic,
+};
 pub use phase::PhaseTimes;
 pub use radix::{radix_sort_pairs, MSD_MIN_ROWS};
 pub use scalar::{insertion_sort_pairs, sort_pairs_packed, sort_pairs_scalar};
 pub use scratch::{MergeScratch, SortScratch, WorkerScratch};
 pub use segmented::{group_boundaries, GroupBounds, SegmentedSortStats};
 pub use sort::{
-    avx2_available, kernel_for, SizeKernel, SortConfig, SortKernel, SortableKey,
+    avx2_available, kernel_for, runs_serially, SizeKernel, SortConfig, SortKernel, SortableKey,
     INSERTION_MAX_ROWS, MERGE_FANOUT, MERGE_SORT_INSERTION_MAX_ROWS, PACKED_MAX_ROWS,
     PARALLEL_CUTOFF_ROWS,
 };

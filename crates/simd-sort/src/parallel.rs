@@ -32,7 +32,7 @@ use crate::multiway::multiway_merge;
 use crate::radix::{partition, partition_shift, radix_sort_pairs, BUCKETS};
 use crate::scratch::{SortScratch, WorkerScratch};
 use crate::segmented::{group_stats, sort_groups_by_offsets, GroupBounds, SegmentedSortStats};
-use crate::sort::{SortConfig, SortKernel, SortableKey, PARALLEL_CUTOFF_ROWS};
+use crate::sort::{runs_serially, SortConfig, SortKernel, SortableKey};
 use core::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -50,7 +50,7 @@ const TASKS_PER_WORKER: usize = 4;
 const SPLIT_ALIGN: usize = 64;
 
 /// Scheduler counters of the parallel path (all zero on the serial path
-/// and below [`PARALLEL_CUTOFF_ROWS`]).
+/// and below [`PARALLEL_CUTOFF_ROWS`](crate::PARALLEL_CUTOFF_ROWS)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MorselCounts {
     /// Tasks run: sort spans, oversized groups' slices and their
@@ -196,7 +196,7 @@ fn take_pairs<'a, K>(
 /// length, on up to `threads` workers, drawing every worker's sort-kernel
 /// buffers from `scratch`.
 ///
-/// At `threads == 1`, or below [`PARALLEL_CUTOFF_ROWS`], the groups are
+/// When the sort [runs serially](crate::runs_serially), the groups are
 /// sorted one after another on the calling thread — allocation-free once
 /// the scratch is warm, and never an `Err`. Otherwise each worker sorts
 /// the tasks of its own row range (thread spawning, task lists and
@@ -233,7 +233,7 @@ pub fn sort_pairs_in_groups<K: SortableKey>(
     let offs = &groups.offsets;
     let before = scratch.credited();
     let mut stats = group_stats(offs);
-    if threads == 1 || keys.len() < PARALLEL_CUTOFF_ROWS {
+    if runs_serially(threads, keys.len()) {
         sort_groups_by_offsets(keys, oids, offs, cfg, scratch.serial());
     } else {
         if scratch.workers.len() < threads {
@@ -649,10 +649,10 @@ fn drive<T: Send, W: Send>(
 }
 
 /// Parallel iteration over `threads` equal row ranges of `rows`, used by
-/// the massage kernel and the executor's gather and boundary scans:
-/// worker `w` runs `f(start, chunk)` once on its own sub-slice
+/// the executor's gather and boundary scans: worker `w` runs
+/// `f(start, chunk)` once on its own sub-slice
 /// `chunk = rows[start..start + chunk.len()]`, `start = w·n/threads`.
-/// Inputs shorter than [`PARALLEL_CUTOFF_ROWS`] run as one serial call
+/// An input that [runs serially](crate::runs_serially) is one call
 /// `f(0, rows)`. A pass that writes no rows (a scan) tiles a zero-sized
 /// slice, e.g. `&mut vec![(); n]`, which allocates nothing.
 ///
@@ -660,8 +660,9 @@ fn drive<T: Send, W: Send>(
 /// counters (all zero on the serial path). With `R = ()` the result
 /// vector allocates nothing either. A panicking worker panics the caller.
 // Inlined so a serial call compiles the caller's loop in place: without
-// the hint the threads = 1 massage steps of `analytic_mix` ran ~2.5×
-// slower (3.6 → 8.7 ms per op on the 2-core VM).
+// the hint the threads = 1 massage steps of `analytic_mix`, when they
+// still ran through here, were ~2.5× slower (3.6 → 8.7 ms per op on a
+// 2-core VM).
 #[inline]
 pub fn for_each_chunk<T: Send, R: Default + Send>(
     rows: &mut [T],
@@ -670,7 +671,7 @@ pub fn for_each_chunk<T: Send, R: Default + Send>(
 ) -> (Vec<R>, MorselCounts) {
     let threads = threads.max(1);
     let n = rows.len();
-    if threads == 1 || n < PARALLEL_CUTOFF_ROWS {
+    if runs_serially(threads, n) {
         return (vec![f(0, rows)], MorselCounts::default());
     }
     let mut results: Vec<R> = Vec::new();
@@ -682,29 +683,37 @@ pub fn for_each_chunk<T: Send, R: Default + Send>(
         .map(|(w, slot)| {
             let start = w * n / threads;
             let chunk = take_rows(&mut rest, (w + 1) * n / threads - start);
-            (w, start, chunk, slot)
+            (start, chunk, slot)
         })
         .collect();
-    let by_worker = |&(w, ..): &(usize, usize, &mut [T], &mut R)| w;
-    if let Err(p) = drive(
-        &mut chunks,
-        by_worker,
-        0..threads,
-        |_, (_, start, chunk, slot)| **slot = f(*start, chunk),
-    ) {
+    let counts = for_each_worker(&mut chunks, |(start, chunk, slot)| {
+        **slot = f(*start, chunk)
+    });
+    (results, counts)
+}
+
+/// Run `f` once on each of `parts`, part `w` on worker `w` — the first
+/// on the calling thread, every other one on a scoped thread — for a
+/// pass whose caller has split the work itself (e.g. the same row range
+/// of several buffers, which [`for_each_chunk`] cannot hand out). A
+/// panicking worker panics the caller. Returns the scheduler counters.
+pub fn for_each_worker<T: Send>(parts: &mut [T], f: impl Fn(&mut T) + Sync) -> MorselCounts {
+    let workers = parts.len();
+    let mut tasks: Vec<(usize, &mut T)> = parts.iter_mut().enumerate().collect();
+    if let Err(p) = drive(&mut tasks, |&(w, _)| w, 0..workers, |_, (_, part)| f(part)) {
         panic!("{p}");
     }
-    let counts = MorselCounts {
-        dispatched: threads as u64,
+    MorselCounts {
+        dispatched: workers as u64,
         ..MorselCounts::default()
-    };
-    (results, counts)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::MergeCounters;
+    use crate::PARALLEL_CUTOFF_ROWS;
 
     /// The serial path through a fresh scratch.
     fn sort_serial<K: SortableKey>(

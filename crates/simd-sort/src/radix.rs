@@ -74,14 +74,7 @@ pub fn radix_sort_pairs<K: Key>(
         // Bucket counts are `u32`: the executor caps inputs below
         // `u32::MAX` rows (oids are `u32`), and a count never exceeds `n`.
         assert!(n <= u32::MAX as usize, "radix sort input exceeds u32 rows");
-        let (kbuf, obuf) = (&mut K::bufs(&mut scratch.keys).0, &mut scratch.oids.0);
-        if kbuf.len() < n {
-            kbuf.resize(n, K::default());
-        }
-        if obuf.len() < n {
-            obuf.resize(n, 0);
-        }
-        let (kbuf, obuf) = (&mut kbuf[..n], &mut obuf[..n]);
+        let (kbuf, obuf) = scratch.radix_pair::<K>(n);
         let in_buf = sort_run(keys, oids, kbuf, obuf, K::BITS, cancel);
         if in_buf {
             keys.copy_from_slice(kbuf);

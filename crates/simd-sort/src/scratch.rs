@@ -30,6 +30,7 @@
 //! injected fault) leaves garbage behind, which is fine — the next call
 //! resizes and overwrites.
 
+use crate::key::{Bank, Key};
 use crate::multiway::MergeCounters;
 use crate::phase::PhaseTimes;
 use crate::radix::BUCKETS;
@@ -78,6 +79,20 @@ impl SortScratch {
     /// An empty scratch; nothing is allocated until first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The radix kernel's scatter pair — the first key buffer of `K`'s
+    /// bank and the first oid buffer — as `n`-row slices, grown to `n`
+    /// rows first (never shrunk).
+    pub(crate) fn radix_pair<K: Key>(&mut self, n: usize) -> (&mut [K], &mut [u32]) {
+        let (kbuf, obuf) = (&mut K::bufs(&mut self.keys).0, &mut self.oids.0);
+        if kbuf.len() < n {
+            kbuf.resize(n, K::default());
+        }
+        if obuf.len() < n {
+            obuf.resize(n, 0);
+        }
+        (&mut kbuf[..n], &mut obuf[..n])
     }
 
     /// Total bytes currently held across all buffers.
@@ -187,6 +202,20 @@ impl WorkerScratch {
         self.workers.iter().map(SortScratch::bytes).sum::<usize>()
             + self.shared.bytes()
             + self.counts.capacity() * core::mem::size_of::<[u32; BUCKETS]>()
+    }
+
+    /// Grow the serial path's radix scatter pair to `n` rows of `bank`,
+    /// as the radix kernel does when it first sorts a group of `n` rows.
+    /// A caller about to run many sorts of at most `n` rows sizes it once
+    /// here: left to the kernel, a group slightly larger than the one
+    /// before doubles it.
+    pub fn reserve_radix(&mut self, bank: Bank, n: usize) {
+        let s = self.serial();
+        match bank {
+            Bank::B16 => drop(s.radix_pair::<u16>(n)),
+            Bank::B32 => drop(s.radix_pair::<u32>(n)),
+            Bank::B64 => drop(s.radix_pair::<u64>(n)),
+        }
     }
 
     /// The serial-path scratch (also worker 0 of the parallel path).

@@ -21,6 +21,14 @@ use std::time::Instant;
 /// roughly where spawn cost amortizes).
 pub const PARALLEL_CUTOFF_ROWS: usize = 4096;
 
+/// Whether a phase over `n` rows at `threads` runs serially: one thread,
+/// or fewer than [`PARALLEL_CUTOFF_ROWS`] rows. Every phase that decides
+/// between its serial and parallel path asks this.
+#[inline]
+pub fn runs_serially(threads: usize, n: usize) -> bool {
+    threads <= 1 || n < PARALLEL_CUTOFF_ROWS
+}
+
 /// Under [`SortKernel::MergeSort`], inputs up to this length use
 /// insertion sort instead of the full SIMD pipeline, whose padding and
 /// per-invocation overhead dominate there. ([`SortKernel::Auto`]

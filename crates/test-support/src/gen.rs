@@ -139,6 +139,18 @@ pub fn gen_problem(rng: &mut Rng, n: usize, specs: &[ColumnSpec], dist: Dist) ->
     }
 }
 
+/// A random list of distinct row ids below `n`, as a sort over a row
+/// subset takes it: each row kept with one random probability, then, when
+/// `shuffled`, put in random order (a filter's output is ascending).
+pub fn gen_row_list(rng: &mut Rng, n: usize, shuffled: bool) -> Vec<u32> {
+    let keep = rng.gen_range(0..=100u32) as f64 / 100.0;
+    let mut rows: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(keep)).collect();
+    if shuffled {
+        rng.shuffle(&mut rows);
+    }
+    rows
+}
+
 /// Degenerate problems every harness should cover: n=0, n=1, and a
 /// width-1 column with ties.
 pub fn degenerate_problems(rng: &mut Rng) -> Vec<(&'static str, SortProblem)> {

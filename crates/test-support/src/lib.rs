@@ -35,7 +35,9 @@ pub mod prop;
 pub mod rng;
 
 pub use alloc_counter::{allocation_count, thread_allocation_count, CountingAlloc};
-pub use gen::{degenerate_problems, gen_codes, gen_problem, random_specs, ColumnSpec, Dist};
+pub use gen::{
+    degenerate_problems, gen_codes, gen_problem, gen_row_list, random_specs, ColumnSpec, Dist,
+};
 pub use oracle::{
     assert_matches_reference, reference_aggregates, reference_rank, reference_sort,
     GroupAggregates, Reference, SortProblem,

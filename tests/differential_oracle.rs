@@ -18,13 +18,13 @@ use std::collections::BTreeSet;
 
 use mcs_columnar::CodeVec;
 use mcs_core::{
-    multi_column_sort, multi_column_sort_with, Bank, ExecArena, ExecConfig, MassagePlan, Round,
-    SortConfig, SortKernel, SortSpec,
+    multi_column_sort, multi_column_sort_rows, multi_column_sort_with, Bank, ExecArena, ExecConfig,
+    MassagePlan, Round, SortConfig, SortKernel, SortSpec,
 };
 use mcs_engine::rank_over;
 use mcs_test_support::{
-    check, degenerate_problems, gen_problem, random_specs, reference_aggregates, reference_rank,
-    reference_sort, Dist, Reference, Rng, SortProblem,
+    check, degenerate_problems, gen_problem, gen_row_list, random_specs, reference_aggregates,
+    reference_rank, reference_sort, Dist, Reference, Rng, SortProblem,
 };
 
 /// The four plan shapes of §4: column-at-a-time (identity), merged
@@ -395,6 +395,87 @@ fn random_problems_every_shape_and_distribution() {
             let threads = *rng.choose(&[1usize, 4]);
             let label = format!("random/{shape:?}/t{threads}/{dist:?}/n{n}");
             run_and_check(&label, &p, &reference, &plan, threads);
+        }
+    });
+}
+
+/// The row-subset axis: sorting a row list where it lies
+/// (`multi_column_sort_rows`) must return exactly what gathering the key
+/// columns by the list, sorting the copy and composing its positions
+/// back through the list returns — oids and group offsets, byte for
+/// byte. Lists are ascending (as a filter produces them) and shuffled;
+/// every case runs every expressible plan shape under both kernels, at
+/// threads 1 and 2, with and without final groups.
+#[test]
+fn row_subsets_match_gather_then_sort() {
+    check("row_subsets_match_gather_then_sort", 24, |rng| {
+        let specs = random_specs(rng, 4, 90);
+        // Now and then past the parallel cutoff, so that two threads
+        // split the massage, the lookups and the sort.
+        let n = if rng.gen_bool(0.2) {
+            rng.gen_range(8_000..12_000usize)
+        } else {
+            rng.gen_range(0..500usize)
+        };
+        let dist = *rng.choose(&Dist::ALL);
+        let p = gen_problem(rng, n, &specs, dist);
+        let cols = code_vecs(&p);
+        let refs: Vec<&CodeVec> = cols.iter().collect();
+        let sort_specs = sort_specs(&p);
+        for shuffled in [false, true] {
+            let rows = gen_row_list(rng, n, shuffled);
+            let gathered: Vec<CodeVec> = cols.iter().map(|c| c.gather(&rows)).collect();
+            let gathered: Vec<&CodeVec> = gathered.iter().collect();
+            for shape in SHAPES {
+                let Some(round_widths) = shape_widths(shape, &p.widths) else {
+                    continue;
+                };
+                let plan = MassagePlan::from_widths(&round_widths);
+                for kernel in KERNELS {
+                    for threads in [1, 2] {
+                        for want_final_groups in [true, false] {
+                            let cfg = ExecConfig {
+                                sort: SortConfig {
+                                    kernel,
+                                    ..SortConfig::default()
+                                },
+                                threads,
+                                want_final_groups,
+                                ..ExecConfig::default()
+                            };
+                            let label = format!(
+                                "rows/{shape:?}/{kernel:?}/t{threads}/groups={want_final_groups}/\
+                                 shuffled={shuffled}/{dist:?}/n{n}/m{}",
+                                rows.len()
+                            );
+                            let local = multi_column_sort_with(
+                                &gathered,
+                                &sort_specs,
+                                &plan,
+                                &cfg,
+                                &mut ExecArena::new(),
+                            )
+                            .expect("sort of the gathered copy");
+                            let want: Vec<u32> =
+                                local.oids.iter().map(|&p| rows[p as usize]).collect();
+                            let got = multi_column_sort_rows(
+                                &refs,
+                                Some(&rows),
+                                &sort_specs,
+                                &plan,
+                                &cfg,
+                                &mut ExecArena::new(),
+                            )
+                            .expect("sort through the row list");
+                            assert_eq!(got.oids, want, "[{label}] oids");
+                            assert_eq!(
+                                got.groups.offsets, local.groups.offsets,
+                                "[{label}] group bounds"
+                            );
+                        }
+                    }
+                }
+            }
         }
     });
 }

@@ -27,7 +27,7 @@ use mcs_core::{
     SortKernel, SortSpec,
 };
 use mcs_engine::{Column, Database, EngineConfig, OrderKey, PlannerMode, Query, Session, Table};
-use mcs_extsort::external_multi_column_sort_with;
+use mcs_extsort::{chunk_rows_for_budget, external_multi_column_sort_with};
 use mcs_test_support::{thread_allocation_count, CountingAlloc, Rng};
 
 #[global_allocator]
@@ -184,6 +184,53 @@ fn warm_serial_sort_peak_stays_within_the_footprint_estimate() {
                 }
             }
         }
+    }
+}
+
+/// A budgeted serial `Auto` sort holds no more than one sort of a full
+/// bucket does on a fresh arena: the arena is sized for a full bucket
+/// before the first one sorts — the radix kernel's scatter pair too — so
+/// buckets of creeping size never double a buffer.
+#[test]
+fn budgeted_serial_sort_peaks_at_one_full_bucket() {
+    // One 16-bit key whose top byte holds 129–299 rows per value: every
+    // bucket is a run of whole byte values (no value outgrows a bucket),
+    // so every bucket is past the packed-word crossover and radix-sorted,
+    // and bucket sizes vary.
+    let mut rng = Rng::seed_from_u64(0x5EED_B0C7);
+    let mut vals: Vec<u64> = Vec::new();
+    for top in 0..256u64 {
+        for _ in 0..rng.gen_range(129..300u32) {
+            vals.push(top << 8 | rng.gen_range(0..256u64));
+        }
+    }
+    rng.shuffle(&mut vals);
+    let n = vals.len();
+    let col = CodeVec::from_u64s(16, vals.iter().copied());
+    let specs = [SortSpec::asc(16)];
+    let plan = MassagePlan::column_at_a_time(&specs);
+    let cfg = ExecConfig::default();
+    for div in [16usize, 64] {
+        let budget = lease_footprint_bytes(&plan, n, &cfg) / div;
+        let bucket_rows = chunk_rows_for_budget(&plan, &cfg, budget);
+        assert!(
+            bucket_rows >= 300,
+            "div {div}: a byte value outgrows a bucket"
+        );
+        let mut arena = ExecArena::new();
+        let (_, spill) =
+            external_multi_column_sort_with(&[&col], &specs, &plan, &cfg, &mut arena, budget)
+                .expect("budgeted sort");
+        assert!(spill.runs > 1, "div {div}: {} buckets", spill.runs);
+
+        let bucket = CodeVec::from_u64s(16, vals[..bucket_rows].iter().copied());
+        let mut fresh = ExecArena::new();
+        multi_column_sort_with(&[&bucket], &specs, &plan, &cfg, &mut fresh).expect("one bucket");
+        let (peak, one) = (arena.stats().bytes_peak, fresh.stats().bytes_peak);
+        assert!(
+            peak <= one,
+            "div {div}: budgeted peak {peak} bytes over one full bucket's {one}"
+        );
     }
 }
 

@@ -17,7 +17,7 @@ use mcs_simd_sort::{
 use mcs_telemetry as telemetry;
 
 use crate::arena::{ArenaStats, ExecArena, Lease};
-use crate::massage::{massage_rows_into, width_mask, RoundKeys};
+use crate::massage::{decode_column, decode_column_into, massage_rows_into, width_mask, RoundKeys};
 use crate::plan::{MassagePlan, PlanError, SortSpec};
 
 /// Why a [`multi_column_sort`] invocation was rejected before running.
@@ -136,6 +136,13 @@ pub struct ExecConfig {
     /// Whether the final grouping (ties on all keys) must be produced —
     /// needed by GROUP BY / PARTITION BY, skippable for pure ORDER BY.
     pub want_final_groups: bool,
+    /// The sort columns whose codes the caller wants back in output
+    /// order, as a bit set: bit `c` names `inputs[c]` (a column past the
+    /// 64th cannot be named). The executor decodes each named column from
+    /// the sorted round keys into [`MultiColumnSortOutput::keys`], so a
+    /// SELECT of a sort key reads nothing through the oids. 0 (the
+    /// default) names none.
+    pub want_keys: u64,
     /// Optional heap-allocation counter probe (e.g. the count of
     /// allocations on the current thread). When set, the executor samples
     /// it immediately before and after the round loop and reports the
@@ -159,9 +166,34 @@ impl Default for ExecConfig {
             sort: SortConfig::default(),
             threads: 1,
             want_final_groups: true,
+            want_keys: 0,
             alloc_probe: None,
             memory_budget_bytes: None,
         }
+    }
+}
+
+impl ExecConfig {
+    /// Whether [`want_keys`](Self::want_keys) names sort column `col`.
+    pub fn wants_key(&self, col: usize) -> bool {
+        col < 64 && (self.want_keys >> col) & 1 == 1
+    }
+
+    /// The [`MultiColumnSortOutput::keys`] layout for `cols` sort
+    /// columns: `column(c)` for each column [`want_keys`](Self::want_keys)
+    /// names, an empty vector for the others, and no vector at all when
+    /// it names none.
+    pub fn wanted_keys(
+        &self,
+        cols: usize,
+        mut column: impl FnMut(usize) -> Vec<u64>,
+    ) -> Vec<Vec<u64>> {
+        let mut keys = Vec::new();
+        for c in (0..cols).filter(|&c| self.wants_key(c)) {
+            keys.resize_with(cols, Vec::new);
+            keys[c] = column(c);
+        }
+        keys
     }
 }
 
@@ -204,6 +236,11 @@ pub struct RoundStats {
 pub struct ExecStats {
     /// ns spent massaging (0 for identity plans on all-ASC columns).
     pub massage_ns: u64,
+    /// ns spent decoding the key columns [`ExecConfig::want_keys`] names
+    /// from the sorted round keys (0 when it names none). Part of
+    /// [`total_ns`](Self::total_ns), but SELECT work, not sorting: the
+    /// engine charges it to its gather time.
+    pub decode_ns: u64,
     /// Per-round statistics.
     pub rounds: Vec<RoundStats>,
     /// End-to-end ns.
@@ -257,6 +294,10 @@ pub struct MultiColumnSortOutput {
     /// Grouping by ties on all sort keys (trivial single group if
     /// `want_final_groups` was false).
     pub groups: GroupBounds,
+    /// The sort columns [`ExecConfig::want_keys`] names, in output order:
+    /// `keys[c][p]` is the code of `inputs[c]` at row `oids[p]`. A column
+    /// not named is empty, and so is `keys` when no column is named.
+    pub keys: Vec<Vec<u64>>,
     /// Telemetry.
     pub stats: ExecStats,
 }
@@ -413,7 +454,7 @@ pub fn multi_column_sort(
     cfg: &ExecConfig,
 ) -> Result<MultiColumnSortOutput, SortError> {
     let mut arena = ExecArena::new();
-    sort_impl(inputs, None, specs, plan, cfg, &mut arena, false)
+    sort_impl(inputs, None, specs, plan, cfg, &mut arena, KeysOut::Fresh)
 }
 
 /// Like [`multi_column_sort`], but drawing all working memory — round-key
@@ -450,7 +491,72 @@ pub fn multi_column_sort_rows(
     cfg: &ExecConfig,
     arena: &mut ExecArena,
 ) -> Result<MultiColumnSortOutput, SortError> {
-    sort_impl(inputs, rows, specs, plan, cfg, arena, true)
+    let out = sort_impl(inputs, rows, specs, plan, cfg, arena, KeysOut::Fresh);
+    with_arena_stats(out, arena)
+}
+
+/// Caller-owned key columns for [`multi_column_sort_rows_into`]: one per
+/// sort column, and each column that [`ExecConfig::want_keys`] names at
+/// least `at` plus the sorted row count long.
+#[derive(Debug)]
+pub struct KeyColumnsAt<'a> {
+    /// One vector per sort column.
+    pub cols: &'a mut [Vec<u64>],
+    /// The first row the sort writes.
+    pub at: usize,
+}
+
+/// Like [`multi_column_sort_rows`], but writing the key columns
+/// [`ExecConfig::want_keys`] names into rows `at..at + n` of the caller's
+/// columns instead of returning them (the output's `keys` is empty): a
+/// budgeted sort decodes each bucket into its range of the result.
+///
+/// Panics when a named column is too short.
+pub fn multi_column_sort_rows_into(
+    inputs: &[&CodeVec],
+    rows: Option<&[u32]>,
+    specs: &[SortSpec],
+    plan: &MassagePlan,
+    cfg: &ExecConfig,
+    arena: &mut ExecArena,
+    keys: KeyColumnsAt<'_>,
+) -> Result<MultiColumnSortOutput, SortError> {
+    let out = sort_impl(inputs, rows, specs, plan, cfg, arena, KeysOut::At(keys));
+    with_arena_stats(out, arena)
+}
+
+/// Where an execution puts the key columns [`ExecConfig::want_keys`]
+/// names.
+enum KeysOut<'a> {
+    /// Fresh vectors, in [`MultiColumnSortOutput::keys`].
+    Fresh,
+    /// The caller's columns.
+    At(KeyColumnsAt<'a>),
+}
+
+/// Stamp the caller's arena counters into a finished execution's stats,
+/// and surface their growth since the last execution to telemetry — on
+/// the error path too.
+fn with_arena_stats(
+    out: Result<MultiColumnSortOutput, SortError>,
+    arena: &mut ExecArena,
+) -> Result<MultiColumnSortOutput, SortError> {
+    if telemetry::is_enabled() {
+        let (grows, reuses, peak_growth) = arena.take_counter_deltas();
+        for (name, delta) in [
+            ("exec.arena.grow", grows),
+            ("exec.arena.reuse", reuses),
+            ("exec.arena.bytes_peak", peak_growth),
+        ] {
+            if delta > 0 {
+                telemetry::counter_add(name, delta);
+            }
+        }
+    }
+    out.map(|mut out| {
+        out.stats.arena = arena.stats();
+        out
+    })
 }
 
 /// The checks every sort entry point makes before it reads a column:
@@ -508,7 +614,7 @@ fn sort_impl(
     plan: &MassagePlan,
     cfg: &ExecConfig,
     arena: &mut ExecArena,
-    external_arena: bool,
+    keys_out: KeysOut<'_>,
 ) -> Result<MultiColumnSortOutput, SortError> {
     let n = check_inputs(inputs, rows, specs, plan)?;
 
@@ -604,37 +710,44 @@ fn sort_impl(
     }
 
     // Copy the outputs out of the lease — positions in `rows` composed
-    // into the row ids they name — then restore the arena, on the error
-    // path too, so a failed round never poisons it.
+    // into the row ids they name, and the named key columns decoded from
+    // the round keys — then restore the arena, on the error path too, so
+    // a failed round never poisons it.
+    //
+    // The decode is exact (Lemma 1): massaging only moves bits between
+    // rounds, and round `k`'s buffer stays right position by position to
+    // the end. It was sorted together with the oids; every later round
+    // permutes only within groups equal on rounds ≤ k; a later round's
+    // lookup swaps with its bank's spare, never with round `k`'s buffer;
+    // and `canonicalize_ties` permutes only full-key ties.
     let out_data = result.map(|()| {
         let oids = match rows {
             None => lease.oids.clone(),
             Some(rows) => lease.oids.iter().map(|&p| rows[p as usize]).collect(),
         };
-        (oids, lease.groups.clone())
+        let td = Instant::now();
+        let keys = match keys_out {
+            KeysOut::Fresh => {
+                cfg.wanted_keys(inputs.len(), |c| decode_column(&lease.rounds, &prog, c))
+            }
+            KeysOut::At(KeyColumnsAt { cols, at }) => {
+                for c in (0..inputs.len()).filter(|&c| cfg.wants_key(c)) {
+                    decode_column_into(&lease.rounds, &prog, c, &mut cols[c][at..at + n]);
+                }
+                Vec::new()
+            }
+        };
+        stats.decode_ns = td.elapsed().as_nanos() as u64;
+        (oids, lease.groups.clone(), keys)
     });
     arena.restore(lease);
-    if external_arena {
-        stats.arena = arena.stats();
-        if telemetry::is_enabled() {
-            let (grows, reuses, peak_growth) = arena.take_counter_deltas();
-            for (name, delta) in [
-                ("exec.arena.grow", grows),
-                ("exec.arena.reuse", reuses),
-                ("exec.arena.bytes_peak", peak_growth),
-            ] {
-                if delta > 0 {
-                    telemetry::counter_add(name, delta);
-                }
-            }
-        }
-    }
 
-    let (oids, groups) = out_data?;
+    let (oids, groups, keys) = out_data?;
     stats.total_ns = t0.elapsed().as_nanos() as u64;
     Ok(MultiColumnSortOutput {
         oids,
         groups,
+        keys,
         stats,
     })
 }

@@ -25,7 +25,9 @@
 //!   allocations once the arena is warm;
 //! * [`multi_column_sort_rows`] — the same sort over a caller's row list
 //!   (a filter's oids, a bucket of the budgeted sort), reading each key
-//!   column through the list and returning base row ids.
+//!   column through the list and returning base row ids;
+//! * [`ExecConfig::want_keys`] — sort columns read back in output order
+//!   from the sorted round keys (the inverse FIP), not through the oids.
 //!
 //! ```
 //! use mcs_columnar::CodeVec;
@@ -55,8 +57,9 @@ mod plan;
 
 pub use arena::{lease_footprint_bytes, ArenaStats, ExecArena};
 pub use executor::{
-    check_inputs, multi_column_sort, multi_column_sort_rows, multi_column_sort_with, tuple_cmp,
-    verify_sorted, ExecConfig, ExecStats, MultiColumnSortOutput, RoundStats, SortError,
+    check_inputs, multi_column_sort, multi_column_sort_rows, multi_column_sort_rows_into,
+    multi_column_sort_with, tuple_cmp, verify_sorted, ExecConfig, ExecStats, KeyColumnsAt,
+    MultiColumnSortOutput, RoundStats, SortError,
 };
 pub use massage::{massage, massage_into, width_mask, FipStep, MassageProgram, RoundKeys};
 pub use plan::{MassagePlan, PlanError, Round, SortSpec};

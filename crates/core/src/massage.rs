@@ -100,6 +100,14 @@ impl MassageProgram {
         self.steps.len()
     }
 
+    /// The steps that read input column `col` (steps run in global-bit
+    /// order, so each column's are adjacent).
+    pub fn column_steps(&self, col: usize) -> &[FipStep] {
+        let lo = self.steps.partition_point(|s| s.in_col < col);
+        let hi = self.steps.partition_point(|s| s.in_col <= col);
+        &self.steps[lo..hi]
+    }
+
     /// Whether the program is a pure per-column identity (no bits cross a
     /// boundary and no column is complemented) — i.e. massaging is a
     /// no-op apart from materializing the round keys.
@@ -425,6 +433,97 @@ pub fn massage(
     (keys, prog)
 }
 
+/// The inverse of one [`FipStep`]: the step's bit segment of a round
+/// key, complemented back when its column descends, at the segment's
+/// place in the column's code.
+#[derive(Debug, Clone, Copy)]
+struct Unstep {
+    out_shift: u32,
+    mask: u64,
+    flip: u64,
+    in_shift: u32,
+}
+
+impl Unstep {
+    fn new(step: &FipStep, descending: bool) -> Unstep {
+        let mask = width_mask(step.len);
+        Unstep {
+            out_shift: step.out_shift,
+            mask,
+            flip: if descending { mask } else { 0 },
+            in_shift: step.in_shift,
+        }
+    }
+
+    #[inline]
+    fn bits(self, key: u64) -> u64 {
+        (((key >> self.out_shift) & self.mask) ^ self.flip) << self.in_shift
+    }
+
+    /// `dst[i] = bits(src[i])` when `assign`, else `dst[i] |= bits(src[i])`,
+    /// in one loop over the round's bank type.
+    fn apply(self, src: &RoundKeys, assign: bool, dst: &mut [u64]) {
+        #[inline]
+        fn run<K: Key>(u: Unstep, src: &[K], assign: bool, dst: &mut [u64]) {
+            if assign {
+                for (d, &k) in dst.iter_mut().zip(src) {
+                    *d = u.bits(k.to_u64());
+                }
+            } else {
+                for (d, &k) in dst.iter_mut().zip(src) {
+                    *d |= u.bits(k.to_u64());
+                }
+            }
+        }
+        match src {
+            RoundKeys::B16(v) => run(self, v, assign, dst),
+            RoundKeys::B32(v) => run(self, v, assign, dst),
+            RoundKeys::B64(v) => run(self, v, assign, dst),
+        }
+    }
+}
+
+/// Input column `col`'s codes, read back out of `rounds` (the round keys
+/// `prog` massaged, sorted or not): the inverse FIP, one loop per step
+/// (Lemma 1 — massaging only moves bits, so every bit of the column is
+/// in exactly one round). The first step's loop collects the vector, so
+/// nothing is zeroed first.
+pub(crate) fn decode_column(rounds: &[RoundKeys], prog: &MassageProgram, col: usize) -> Vec<u64> {
+    let n = rounds.first().map_or(0, RoundKeys::len);
+    let descending = prog.specs[col].descending;
+    let Some((first, rest)) = prog.column_steps(col).split_first() else {
+        return vec![0; n];
+    };
+    let u = Unstep::new(first, descending);
+    let mut out: Vec<u64> = match &rounds[first.out_col] {
+        RoundKeys::B16(v) => v.iter().map(|&k| u.bits(k.into())).collect(),
+        RoundKeys::B32(v) => v.iter().map(|&k| u.bits(k.into())).collect(),
+        RoundKeys::B64(v) => v.iter().map(|&k| u.bits(k)).collect(),
+    };
+    for step in rest {
+        Unstep::new(step, descending).apply(&rounds[step.out_col], false, &mut out);
+    }
+    out
+}
+
+/// [`decode_column`] into `dst`, which is as long as the rounds: the
+/// first step writes, the others OR in.
+pub(crate) fn decode_column_into(
+    rounds: &[RoundKeys],
+    prog: &MassageProgram,
+    col: usize,
+    dst: &mut [u64],
+) {
+    let descending = prog.specs[col].descending;
+    let steps = prog.column_steps(col);
+    if steps.is_empty() {
+        dst.fill(0);
+    }
+    for (k, step) in steps.iter().enumerate() {
+        Unstep::new(step, descending).apply(&rounds[step.out_col], k == 0, dst);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,6 +695,67 @@ mod tests {
                 for (i, &r) in list.iter().enumerate() {
                     assert_eq!(got.get(i), want.get(r as usize), "t{threads} row {i}");
                 }
+            }
+        }
+    }
+
+    /// Lemma 1 read backwards: massaging only moves bits, so decoding
+    /// each column from the round keys returns its input codes exactly —
+    /// for any widths 1–64, either direction, and any valid plan: splits,
+    /// stitches and borrows alike, each round in any bank that holds it.
+    #[test]
+    fn decoding_massaged_rounds_returns_the_input_codes() {
+        let mut rng = mcs_test_support::Rng::seed_from_u64(0x1E_3A1);
+        for case in 0..300 {
+            let cols = rng.gen_range(1..=4usize);
+            let sp: Vec<SortSpec> = (0..cols)
+                .map(|_| SortSpec {
+                    width: rng.gen_range(1..=64u32),
+                    descending: rng.gen_bool(0.5),
+                })
+                .collect();
+            let total: u32 = sp.iter().map(|s| s.width).sum();
+            // A random composition of the key into rounds of 1–64 bits.
+            let mut widths = Vec::new();
+            let mut left = total;
+            while left > 0 {
+                let w = rng.gen_range(1..=left.min(64));
+                widths.push(w);
+                left -= w;
+            }
+            let plan = MassagePlan::new(
+                widths
+                    .iter()
+                    .map(|&width| {
+                        let fits: Vec<Bank> =
+                            Bank::ALL.into_iter().filter(|b| b.holds(width)).collect();
+                        crate::plan::Round {
+                            width,
+                            bank: *rng.choose(&fits),
+                        }
+                    })
+                    .collect(),
+            );
+            assert!(plan.validate(total).is_ok(), "a composition of the key");
+            let n = rng.gen_range(0..200usize);
+            let codes: Vec<CodeVec> = sp
+                .iter()
+                .map(|s| {
+                    let vals: Vec<u64> = (0..n)
+                        .map(|_| rng.next_u64() & width_mask(s.width))
+                        .collect();
+                    CodeVec::from_u64s(s.width, vals)
+                })
+                .collect();
+            let inputs: Vec<&CodeVec> = codes.iter().collect();
+            let (rounds, prog) = massage(&inputs, &sp, &plan, 1);
+            for (c, col) in codes.iter().enumerate() {
+                let want: Vec<u64> = (0..n).map(|r| col.get(r)).collect();
+                let label = format!("case {case}: specs {sp:?} rounds {widths:?} col {c}");
+                assert_eq!(decode_column(&rounds, &prog, c), want, "{label}");
+                let mut into = vec![u64::MAX; n];
+                decode_column_into(&rounds, &prog, c, &mut into);
+                assert_eq!(into, want, "{label} (into)");
             }
         }
     }

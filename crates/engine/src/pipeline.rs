@@ -169,12 +169,16 @@ impl EngineConfigBuilder {
 pub struct QueryTimings {
     /// Filter scans (ByteSlice, early-stopping).
     pub filter_scan_ns: u64,
-    /// SELECT: the projected columns read through the sort's final oids
-    /// (key lookups happen inside the sort, in [`mcs_ns`](Self::mcs_ns)).
+    /// SELECT: the projected columns in output order. A column that is
+    /// also a sort key is decoded from the sorted round keys
+    /// ([`ExecStats::decode_ns`], taken out of [`mcs_ns`](Self::mcs_ns));
+    /// any other is read through the sort's final oids. Key lookups
+    /// inside the sort stay in `mcs_ns`.
     pub gather_ns: u64,
     /// Plan search (ROGA).
     pub plan_search_ns: u64,
-    /// Multi-column sorting (massage, reading keys through the oids, + all rounds).
+    /// Multi-column sorting (massage, reading keys through the oids, + all
+    /// rounds), without the SELECT decode.
     pub mcs_ns: u64,
     /// Second-stage multi-column sort over grouped results
     /// (ORDER BY over aggregates, as in TPC-H Q13).
@@ -777,39 +781,59 @@ fn scalar_fallback_sort(
     } else {
         GroupBounds::whole(n)
     };
+    // The key columns asked for, read through the oids: this rung has no
+    // round keys to decode them from.
+    let td = Instant::now();
+    let keys = exec.wanted_keys(pcols.len(), |c| {
+        oids.iter().map(|&o| pcols[c].get(o as usize)).collect()
+    });
     let stats = ExecStats {
+        decode_ns: td.elapsed().as_nanos() as u64,
         total_ns: t0.elapsed().as_nanos() as u64,
         ..ExecStats::default()
     };
     MultiColumnSortOutput {
         oids,
         groups,
+        keys,
         stats,
     }
 }
 
 /// Sort `rows` (all rows when `None`) of `cols` (described by `inst`)
 /// under `picked` — the plan and column order [`pick_plan`] chose —
-/// down the degradation ladder. The executor builds the final grouping
-/// exactly when `inst.want_final_groups` says the query reads it. Returns the output,
-/// the plan that ran, and `inst` in planner column order (what EXPLAIN
-/// prices).
+/// down the degradation ladder, with `exec`'s settings. The executor
+/// builds the final grouping exactly when `inst.want_final_groups` says
+/// the query reads it, and decodes the key columns `exec.want_keys`
+/// names (bit `i` names `cols[i]`) into the output's `keys`, in the order
+/// of `cols`. Returns the output, the plan that ran, and `inst` in
+/// planner column order (what EXPLAIN prices).
 fn sort_planned(
     cols: &[&CodeVec],
     rows: Option<&[u32]>,
     inst: &SortInstance,
-    (plan, order): (MassagePlan, Vec<usize>),
-    cfg: &EngineConfig,
+    (plan, mut order): (MassagePlan, Vec<usize>),
+    mut exec: ExecConfig,
     timings: &mut QueryTimings,
     arena: &mut ExecArena,
 ) -> Result<(MultiColumnSortOutput, Option<MassagePlan>, SortInstance), EngineError> {
     let pcols: Vec<&CodeVec> = order.iter().map(|&i| cols[i]).collect();
     let inst = mcs_planner::permute_instance(inst, &order);
-    let exec = ExecConfig {
-        want_final_groups: inst.want_final_groups,
-        ..cfg.exec.clone()
-    };
-    let (out, ran_plan) = sort_with_ladder(&pcols, rows, &inst.specs, plan, &exec, timings, arena)?;
+    exec.want_final_groups = inst.want_final_groups;
+    exec.want_keys = (0..order.len().min(64))
+        .filter(|&j| exec.wants_key(order[j]))
+        .fold(0, |bits, j| bits | 1 << j);
+    let (mut out, ran_plan) =
+        sort_with_ladder(&pcols, rows, &inst.specs, plan, &exec, timings, arena)?;
+    // Decoded columns come back in planner order: swap each into the
+    // place of the column it is.
+    if !out.keys.is_empty() {
+        for i in 0..order.len() {
+            let j = order[i..].iter().position(|&c| c == i).map_or(i, |p| i + p);
+            out.keys.swap(i, j);
+            order.swap(i, j);
+        }
+    }
     Ok((out, ran_plan, inst))
 }
 
@@ -817,7 +841,9 @@ fn sort_planned(
 /// the query's keys once, then read each output straight from its base
 /// column through the sort's final oids — and, for GROUP BY and
 /// PARTITION BY, through the sort's final tie groups (Figure 2, steps
-/// 4–5). No column is gathered into a copy and no tie is found twice.
+/// 4–5) — except a SELECT of a sort key, which the sort decodes from its
+/// sorted round keys. No column is gathered into a copy and no tie is
+/// found twice.
 fn execute(
     query: &Query,
     cols: &Columns<'_>,
@@ -840,23 +866,48 @@ fn execute(
     // The sort reads the base key columns through `oids`, which ascend: as
     // long as the columns, they are every row, and the sort takes no list.
     let picked = pick_plan(&inst, query.order_free(), cfg, timings, cache)?;
+    // A SELECT of a sort key comes back from the sort itself, decoded
+    // from the sorted round keys; the sort charges that decode to
+    // `decode_ns`, which is SELECT time, not sorting.
+    let key_index = |c: &CodeVec| {
+        cols.keys
+            .iter()
+            .position(|(k, _)| std::ptr::eq(k.codes(), c))
+    };
+    let want_keys = cols
+        .select
+        .iter()
+        .filter_map(|c| key_index(c).filter(|&i| i < 64))
+        .fold(0, |bits, i| bits | 1 << i);
+    let exec = ExecConfig {
+        want_keys,
+        ..cfg.exec.clone()
+    };
     let t = Instant::now();
     let keys: Vec<&CodeVec> = cols.keys.iter().map(|(c, _)| c.codes()).collect();
     let rows = (oids.len() < keys[0].len()).then_some(oids);
-    let (out, ran_plan, inst) = sort_planned(&keys, rows, &inst, picked, cfg, timings, arena)?;
-    timings.mcs_ns += t.elapsed().as_nanos() as u64;
+    let (mut out, ran_plan, inst) = sort_planned(&keys, rows, &inst, picked, exec, timings, arena)?;
+    let decode_ns = out.stats.decode_ns;
+    timings.mcs_ns += (t.elapsed().as_nanos() as u64).saturating_sub(decode_ns);
+    timings.gather_ns += decode_ns;
     timings.mcs_stats = out.stats.clone();
     timings.plan = ran_plan;
     timings.sort_instance = Some(inst);
 
-    // SELECT: one pass per column, straight from its base codes.
+    // SELECT: each key column as the sort decoded it, every other column
+    // in one pass straight from its base codes.
     let t = Instant::now();
+    let n = out.oids.len();
     let mut result: Vec<(String, Vec<u64>)> = query
         .select
         .iter()
         .zip(&cols.select)
         .map(|(name, c)| {
-            let vals = out.oids.iter().map(|&o| c.get(o as usize)).collect();
+            let decoded = key_index(c).and_then(|i| out.keys.get_mut(i));
+            let vals = match decoded.filter(|v| v.len() == n) {
+                Some(v) => std::mem::take(v),
+                None => out.oids.iter().map(|&o| c.get(o as usize)).collect(),
+            };
             (name.clone(), vals)
         })
         .collect();
@@ -941,7 +992,11 @@ fn sort_grouped(
     };
     let picked = pick_plan(&inst, false, cfg, timings, cache)?;
     let refs: Vec<&CodeVec> = keys.iter().collect();
-    let (sorted, _, _) = sort_planned(&refs, None, &inst, picked, cfg, timings, arena)?;
+    let exec = ExecConfig {
+        want_keys: 0,
+        ..cfg.exec.clone()
+    };
+    let (sorted, _, _) = sort_planned(&refs, None, &inst, picked, exec, timings, arena)?;
     for (_, vals) in result.iter_mut() {
         *vals = sorted.oids.iter().map(|&p| vals[p as usize]).collect();
     }

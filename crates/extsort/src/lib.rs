@@ -8,7 +8,9 @@
 //! [`chunk_rows_for_budget`] rows. Each bucket is sorted in memory by
 //! the existing massaged SIMD sort, which reads the key columns through
 //! the bucket's oids and leases buffers from the caller's
-//! [`mcs_core::ExecArena`]. A byte that holds more rows than a bucket
+//! [`mcs_core::ExecArena`]; the key columns the caller names
+//! (`ExecConfig::want_keys`) are decoded bucket by bucket into their
+//! range of the result. A byte that holds more rows than a bucket
 //! recurses on the next byte; one that runs past the key's last bit is a
 //! single tie group.
 //!

@@ -7,9 +7,9 @@ use std::time::Instant;
 
 use mcs_columnar::CodeVec;
 use mcs_core::{
-    check_inputs, lease_footprint_bytes, multi_column_sort_rows, width_mask, CancelToken,
-    ExecArena, ExecConfig, ExecStats, GroupBounds, MassagePlan, MultiColumnSortOutput, SortError,
-    SortSpec, CHECK_INTERVAL,
+    check_inputs, lease_footprint_bytes, multi_column_sort_rows, multi_column_sort_rows_into,
+    width_mask, CancelToken, ExecArena, ExecConfig, ExecStats, GroupBounds, KeyColumnsAt,
+    MassagePlan, MultiColumnSortOutput, SortError, SortSpec, CHECK_INTERVAL,
 };
 use mcs_telemetry as telemetry;
 
@@ -57,6 +57,45 @@ struct Part {
     lshift: u32,
 }
 
+impl Part {
+    #[inline]
+    fn bits(&self, code: u64) -> u8 {
+        ((((code ^ self.xor) >> self.rshift) & self.mask) << self.lshift) as u8
+    }
+
+    /// `out[i] = bits(code i)` when `first`, else `out[i] |= bits(code i)`.
+    #[inline]
+    fn put(&self, codes: impl Iterator<Item = u64>, first: bool, out: &mut [u8]) {
+        if first {
+            for (o, c) in out.iter_mut().zip(codes) {
+                *o = self.bits(c);
+            }
+        } else {
+            for (o, c) in out.iter_mut().zip(codes) {
+                *o |= self.bits(c);
+            }
+        }
+    }
+}
+
+/// The rows a digit pass reads: `start..start + len`, or a list.
+#[derive(Debug, Clone, Copy)]
+enum Rows<'a> {
+    Span(usize),
+    List(&'a [u32]),
+}
+
+impl Rows<'_> {
+    /// Row `i` of the pass.
+    #[inline]
+    fn row(self, i: usize) -> u32 {
+        match self {
+            Rows::Span(start) => (start + i) as u32,
+            Rows::List(list) => list[i],
+        }
+    }
+}
+
 /// One byte of the key that `specs` concatenate, most significant column
 /// first, each code complemented when DESC — so digit order is `ORDER BY`
 /// order. A byte spans at most eight columns (each is at least one bit
@@ -99,32 +138,53 @@ impl Digit {
         Some(digit)
     }
 
-    #[inline]
-    fn of(&self, cols: &[&CodeVec], row: usize) -> usize {
-        self.parts[..self.len].iter().fold(0, |d, p| {
-            d | ((((cols[p.col].get(row) ^ p.xor) >> p.rshift) & p.mask) << p.lshift) as usize
-        })
+    /// The digit of each row of `rows` into `out` (one byte per row): one
+    /// pass per part, each in its column's code type.
+    fn fill(&self, cols: &[&CodeVec], rows: Rows<'_>, out: &mut [u8]) {
+        #[inline]
+        fn pass<C: Copy + Into<u64>>(
+            p: &Part,
+            codes: &[C],
+            rows: Rows<'_>,
+            first: bool,
+            out: &mut [u8],
+        ) {
+            match rows {
+                Rows::Span(start) => {
+                    let span = &codes[start..start + out.len()];
+                    p.put(span.iter().map(|&c| c.into()), first, out);
+                }
+                Rows::List(list) => {
+                    let codes = list.iter().map(|&r| codes[r as usize].into());
+                    p.put(codes, first, out);
+                }
+            }
+        }
+        for (k, p) in self.parts[..self.len].iter().enumerate() {
+            match cols[p.col] {
+                CodeVec::U8(c) => pass(p, c, rows, k == 0, out),
+                CodeVec::U16(c) => pass(p, c, rows, k == 0, out),
+                CodeVec::U32(c) => pass(p, c, rows, k == 0, out),
+                CodeVec::U64(c) => pass(p, c, rows, k == 0, out),
+            }
+        }
     }
 }
 
-/// Stable counting scatter of `rows` into `dst` by `digit`. Returns the
-/// end offset (within `dst`) of each digit's range, or `None` when every
-/// row has the same digit: then the scatter would copy `rows` as they
-/// are, and `dst` is left untouched (the caller passes `dst` already
-/// holding `rows`).
+/// Stable counting scatter of `rows` into `dst` by their `digits` (one
+/// byte per row). Returns the end offset (within `dst`) of each digit's
+/// range, or `None` when every row has the same digit: then the scatter
+/// would copy `rows` as they are, and `dst` is left untouched (the caller
+/// passes `dst` already holding `rows`).
 fn scatter(
-    digit: &Digit,
-    cols: &[&CodeVec],
-    rows: impl Iterator<Item = usize> + Clone,
+    digits: &[u8],
+    rows: Rows<'_>,
     dst: &mut [u32],
     cancel: &CancelToken,
 ) -> Result<Option<[usize; 256]>, SortError> {
     let mut next = [0usize; 256];
-    for (i, row) in rows.clone().enumerate() {
-        if i % CHECK_INTERVAL == 0 {
-            cancel.check()?;
-        }
-        next[digit.of(cols, row)] += 1;
+    for &d in digits {
+        next[d as usize] += 1;
     }
     if next.contains(&dst.len()) {
         return Ok(None);
@@ -135,13 +195,13 @@ fn scatter(
         *slot = acc;
         acc += count;
     }
-    for (i, row) in rows.enumerate() {
+    for (i, &d) in digits.iter().enumerate() {
         if i % CHECK_INTERVAL == 0 {
             cancel.check()?;
         }
-        let d = digit.of(cols, row);
-        dst[next[d]] = row as u32;
-        next[d] += 1;
+        let slot = &mut next[d as usize];
+        dst[*slot] = rows.row(i);
+        *slot += 1;
     }
     Ok(Some(next))
 }
@@ -151,6 +211,7 @@ fn scatter(
 /// every bucket reported).
 fn accumulate(acc: &mut ExecStats, s: &ExecStats) {
     acc.massage_ns += s.massage_ns;
+    acc.decode_ns += s.decode_ns;
     acc.total_ns += s.total_ns;
     if acc.rounds.len() < s.rounds.len() {
         acc.rounds
@@ -191,8 +252,13 @@ struct Partition<'a> {
     oids: Vec<u32>,
     /// Final group offsets, when the caller wants them.
     offsets: Vec<u32>,
+    /// The key columns `cfg.want_keys` names, in output order (the others
+    /// stay empty; no column at all when it names none).
+    keys: Vec<Vec<u64>>,
     /// The oids of the range being split: one buffer, reused.
     copy: Vec<u32>,
+    /// The digit of each row of the range being split: one buffer, reused.
+    digits: Vec<u8>,
     stats: ExecStats,
     buckets: u64,
     partition_ns: u64,
@@ -211,25 +277,24 @@ impl Partition<'_> {
                 // and the range already holds them in row order.
                 return self.emit_group(range);
             };
+            self.cfg.sort.cancel.check()?;
             let t = Instant::now();
             let dst = &mut self.oids[range.clone()];
-            let cancel = &self.cfg.sort.cancel;
             // The top level reads the caller's rows where they lie (`oids`
             // starts as them); deeper ones read a copy of their range and
             // scatter it back in place.
-            let ends = match (level, self.rows) {
-                (0, None) => scatter(&digit, self.inputs, range.clone(), dst, cancel)?,
-                (0, Some(list)) => {
-                    let rows = list.iter().map(|&r| r as usize);
-                    scatter(&digit, self.inputs, rows, dst, cancel)?
-                }
+            let rows = match (level, self.rows) {
+                (0, None) => Rows::Span(range.start),
+                (0, Some(list)) => Rows::List(list),
                 _ => {
                     self.copy.clear();
                     self.copy.extend_from_slice(dst);
-                    let rows = self.copy.iter().map(|&o| o as usize);
-                    scatter(&digit, self.inputs, rows, dst, cancel)?
+                    Rows::List(&self.copy)
                 }
             };
+            let digits = &mut self.digits[..range.len()];
+            digit.fill(self.inputs, rows, digits);
+            let ends = scatter(digits, rows, dst, &self.cfg.sort.cancel)?;
             self.partition_ns += t.elapsed().as_nanos() as u64;
             match ends {
                 Some(ends) => break ends,
@@ -253,7 +318,8 @@ impl Partition<'_> {
     }
 
     /// Sort the rows of `range` (one key range) in memory, reading the
-    /// key columns through its oids, and put them back in sorted order.
+    /// key columns through its oids, and put them back in sorted order —
+    /// the named key columns decoded straight into their range.
     fn sort_bucket(&mut self, range: Range<usize>) -> Result<(), SortError> {
         if range.len() <= 1 {
             return self.emit_group(range);
@@ -262,7 +328,12 @@ impl Partition<'_> {
         let t = Instant::now();
         let (inputs, specs, plan) = (self.inputs, self.specs, self.plan);
         let rows = Some(&self.oids[range.clone()]);
-        let out = multi_column_sort_rows(inputs, rows, specs, plan, &self.cfg, self.arena)?;
+        let keys = KeyColumnsAt {
+            cols: &mut self.keys,
+            at: range.start,
+        };
+        let out =
+            multi_column_sort_rows_into(inputs, rows, specs, plan, &self.cfg, self.arena, keys)?;
         // Ties keep their order in the bucket, which is the caller's.
         self.oids[range.clone()].copy_from_slice(&out.oids);
         if self.cfg.want_final_groups {
@@ -282,7 +353,8 @@ impl Partition<'_> {
         Ok(())
     }
 
-    /// `range` as one tie group, left in the order of the caller's rows.
+    /// `range` as one tie group, left in the order of the caller's rows;
+    /// its named key columns repeat the codes of its first row.
     fn emit_group(&mut self, range: Range<usize>) -> Result<(), SortError> {
         if range.is_empty() {
             return Ok(());
@@ -290,6 +362,12 @@ impl Partition<'_> {
         self.enter_bucket()?;
         if self.cfg.want_final_groups {
             self.offsets.push(range.end as u32);
+        }
+        let row = self.oids[range.start] as usize;
+        for (c, col) in self.keys.iter_mut().enumerate() {
+            if self.cfg.wants_key(c) {
+                col[range.clone()].fill(self.inputs[c].get(row));
+            }
         }
         Ok(())
     }
@@ -307,19 +385,21 @@ impl Partition<'_> {
 /// range-partition the rows on the key, one byte per level, then sort
 /// each bucket of at most [`chunk_rows_for_budget`] rows in memory
 /// (through `arena`). Output is byte-identical to
-/// [`multi_column_sort_rows`] — same oids, and the same group offsets
-/// when `cfg.want_final_groups` is set (when it is not, the budgeted
-/// path returns the trivial single group where the in-memory path
-/// returns its pre-final refinement; callers that consume groups must
-/// request final groups).
+/// [`multi_column_sort_rows`] — same oids, the same key columns for
+/// `cfg.want_keys`, and the same group offsets when
+/// `cfg.want_final_groups` is set (when it is not, the budgeted path
+/// returns the trivial single group where the in-memory path returns its
+/// pre-final refinement; callers that consume groups must request final
+/// groups).
 ///
 /// This is the one owner of the partition decision: with no budget, or
 /// when the in-memory sort's leased footprint
 /// ([`lease_footprint_bytes`]`(plan, n, cfg)`) fits it, it sorts in
 /// memory and reports zero buckets; otherwise it partitions.
 ///
-/// Outside the budget sit the output oids and one oid buffer the size
-/// of the range being split (DESIGN.md §13).
+/// Outside the budget sit the output oids and key columns, one oid
+/// buffer the size of the range being split, and one digit byte per row
+/// (DESIGN.md §13).
 pub fn budgeted_sort_rows(
     inputs: &[&CodeVec],
     rows: Option<&[u32]>,
@@ -352,7 +432,9 @@ pub fn budgeted_sort_rows(
         bucket_rows,
         oids: rows.map_or_else(|| (0..n as u32).collect(), <[u32]>::to_vec),
         offsets: vec![0],
+        keys: cfg.wanted_keys(inputs.len(), |_| vec![0; n]),
         copy: Vec::new(),
+        digits: vec![0; n],
         stats: ExecStats {
             round_loop_allocs: Some(0),
             ..ExecStats::default()
@@ -383,6 +465,7 @@ pub fn budgeted_sort_rows(
         MultiColumnSortOutput {
             oids: p.oids,
             groups,
+            keys: p.keys,
             stats,
         },
         spill,
@@ -439,7 +522,9 @@ mod tests {
                 key & ((1 << (8 + lo)) - 1)
             };
             let d = Digit::at(&sp, level).unwrap();
-            assert_eq!(d.of(&cols, 0) as u64, want, "level {level}");
+            let mut got = [0u8];
+            d.fill(&cols, Rows::Span(0), &mut got);
+            assert_eq!(got[0] as u64, want, "level {level}");
         }
         assert!(Digit::at(&sp, 4).is_none());
     }

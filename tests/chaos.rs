@@ -213,6 +213,55 @@ fn orderby_and_post_sort_survive_round_faults() {
     }
 }
 
+/// SELECT of sort keys down the ladder: the massaged sort decodes them
+/// from its sorted round keys, the `P_0` retry decodes them from its
+/// own, and the scalar sort reads them through its oids. A round fault
+/// that fires once sends a stitched plan to `P_0`; one that always fires
+/// reaches the scalar rung. ORDER BY (filtered or not) and RANK, with a
+/// DESC key, must equal the naive reference byte for byte.
+#[test]
+fn selected_key_columns_survive_the_p0_and_scalar_rungs() {
+    let _serial = serial();
+    let t = chaos_table(4096);
+    let mut ob = Query::named("chaos_select_keys");
+    ob.order_by = vec![OrderKey::desc("nation"), OrderKey::asc("ship_date")];
+    ob.select = vec!["ship_date".into(), "price".into(), "nation".into()];
+    let mut filtered = ob.clone();
+    filtered.filters = vec![Filter {
+        column: "price".into(),
+        predicate: Predicate::Lt(500),
+    }];
+    let mut rank = Query::named("chaos_select_keys_rank");
+    rank.partition_by = vec!["nation".into()];
+    rank.window_order = vec![OrderKey::desc("ship_date")];
+    rank.select = vec!["nation".into(), "ship_date".into(), "price".into()];
+    // nation (10 bits) and ship_date (17 bits) stitched into one round.
+    let cfg = EngineConfig::builder()
+        .planner(PlannerMode::Fixed(MassagePlan::from_widths(&[27])))
+        .build();
+    for q in [&ob, &filtered, &rank] {
+        let want = naive_execute(&t, q);
+        let clean = run_query(&t, q, &cfg).expect("clean run");
+        assert!(clean.timings.degradations.is_empty(), "query {}", q.name);
+        assert_eq!(clean.columns, want, "query {} clean", q.name);
+        for (mode, rung) in [
+            (FireMode::Once, DegradeReason::ExecFailed),
+            (FireMode::Always, DegradeReason::ScalarFallback),
+        ] {
+            let r = with_armed(&[(points::CORE_ROUND_SORT, mode)], || {
+                run_query(&t, q, &cfg).expect("recoverable fault must not fail the query")
+            });
+            assert_eq!(
+                r.timings.degradations.last(),
+                Some(&rung),
+                "query {}",
+                q.name
+            );
+            assert_eq!(r.columns, want, "query {} under {mode:?}", q.name);
+        }
+    }
+}
+
 /// The merge-sort's out-of-cache loser tree rides the same degradation
 /// ladder. With the in-cache threshold shrunk so the big first-round
 /// sort runs real out-of-cache merge passes, round faults must leave

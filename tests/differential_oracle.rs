@@ -480,6 +480,123 @@ fn row_subsets_match_gather_then_sort() {
     });
 }
 
+/// The SELECT axis: the key columns a sort decodes from its sorted
+/// round keys ([`ExecConfig::want_keys`]) must equal the base columns
+/// read through the output oids, byte for byte, and naming columns must
+/// change neither the oids nor the groups. Every case runs every
+/// expressible plan shape under both kernels, at threads 1, 2 and 4,
+/// over every row, an ascending and a shuffled row list, with and
+/// without final groups, in memory and under a binding budget (the
+/// budgeted sort decodes bucket by bucket into its range of the result).
+#[test]
+fn decoded_key_columns_match_the_columns_read_through_the_oids() {
+    check(
+        "decoded_key_columns_match_the_columns_read_through_the_oids",
+        16,
+        |rng| {
+            let specs = random_specs(rng, 4, 90);
+            // Now and then past the parallel cutoff, so that the sort
+            // splits its phases across workers.
+            let n = if rng.gen_bool(0.1) {
+                rng.gen_range(5_000..8_000usize)
+            } else {
+                rng.gen_range(0..400usize)
+            };
+            let dist = *rng.choose(&Dist::ALL);
+            let p = gen_problem(rng, n, &specs, dist);
+            let cols = code_vecs(&p);
+            let refs: Vec<&CodeVec> = cols.iter().collect();
+            let sort_specs = sort_specs(&p);
+            // Any non-empty set of the key columns.
+            let want_keys = rng.gen_range(1..1u64 << refs.len());
+            let lists = [
+                None,
+                Some(gen_row_list(rng, n, false)),
+                Some(gen_row_list(rng, n, true)),
+            ];
+            for rows in &lists {
+                let rows = rows.as_deref();
+                for shape in SHAPES {
+                    let Some(round_widths) = shape_widths(shape, &p.widths) else {
+                        continue;
+                    };
+                    let plan = MassagePlan::from_widths(&round_widths);
+                    for kernel in KERNELS {
+                        for threads in [1, 2, 4] {
+                            for want_final_groups in [true, false] {
+                                let plain = ExecConfig {
+                                    sort: SortConfig {
+                                        kernel,
+                                        ..SortConfig::default()
+                                    },
+                                    threads,
+                                    want_final_groups,
+                                    ..ExecConfig::default()
+                                };
+                                let label = format!(
+                                    "keys/{shape:?}/{kernel:?}/t{threads}/groups={want_final_groups}/\
+                                     rows={:?}/{dist:?}/n{n}/want={want_keys:b}",
+                                    rows.map(<[u32]>::len)
+                                );
+                                let base = multi_column_sort_rows(
+                                    &refs,
+                                    rows,
+                                    &sort_specs,
+                                    &plan,
+                                    &plain,
+                                    &mut ExecArena::new(),
+                                )
+                                .expect("sort without named keys");
+                                assert!(base.keys.is_empty(), "[{label}] nothing named");
+                                let footprint =
+                                    mcs_core::lease_footprint_bytes(&plan, base.oids.len(), &plain);
+                                for budget in [None, Some((footprint / 4).max(1))] {
+                                    let cfg = ExecConfig {
+                                        want_keys,
+                                        memory_budget_bytes: budget,
+                                        ..plain.clone()
+                                    };
+                                    let label = format!("{label}/budget={budget:?}");
+                                    let (out, _) = mcs_extsort::budgeted_sort_rows(
+                                        &refs,
+                                        rows,
+                                        &sort_specs,
+                                        &plan,
+                                        &cfg,
+                                        &mut ExecArena::new(),
+                                    )
+                                    .expect("sort with named keys");
+                                    assert_eq!(out.oids, base.oids, "[{label}] oids");
+                                    if want_final_groups {
+                                        assert_eq!(
+                                            out.groups.offsets, base.groups.offsets,
+                                            "[{label}] group bounds"
+                                        );
+                                    }
+                                    assert_eq!(out.keys.len(), refs.len(), "[{label}] columns");
+                                    for (c, col) in refs.iter().enumerate() {
+                                        let got = &out.keys[c];
+                                        if cfg.wants_key(c) {
+                                            let want: Vec<u64> = out
+                                                .oids
+                                                .iter()
+                                                .map(|&o| col.get(o as usize))
+                                                .collect();
+                                            assert_eq!(got, &want, "[{label}] key column {c}");
+                                        } else {
+                                            assert!(got.is_empty(), "[{label}] unnamed column {c}");
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        },
+    );
+}
+
 /// The budgeted dispatch under a budget tiny enough to force several
 /// buckets — the cell CI's tiny-budget step pins down. Byte-identity with
 /// the in-memory path is re-checked here on a larger instance than the

@@ -11,7 +11,9 @@
 //!   the cost model predicts for the shipped one.
 
 use mcs_bench::{explain_enabled, ms, paper_exec, print_table, rows, seed, time};
-use mcs_core::{massage, multi_column_sort, ExecConfig, MassagePlan, RoundKeys, SortKernel};
+use mcs_core::{
+    massage, multi_column_sort, ExecArena, ExecConfig, MassagePlan, RoundKeys, SortKernel,
+};
 use mcs_cost::CostModel;
 use mcs_engine::ExplainReport;
 use mcs_simd_sort::{
@@ -81,8 +83,10 @@ fn main() {
     let executor_ms = |plan: &MassagePlan, cfg: &ExecConfig| {
         let cols = m.column_refs();
         // Second of two runs: the first pays the page faults.
-        let _ = multi_column_sort(&cols, &m.specs, plan, cfg).expect("valid plan");
-        let out = multi_column_sort(&cols, &m.specs, plan, cfg).expect("valid plan");
+        let _ = multi_column_sort(&cols, None, &m.specs, plan, cfg, &mut ExecArena::new())
+            .expect("valid plan");
+        let out = multi_column_sort(&cols, None, &m.specs, plan, cfg, &mut ExecArena::new())
+            .expect("valid plan");
         if explain_enabled() && cfg.sort.kernel == model.kernel {
             let rep = ExplainReport::from_parts("ex3", &inst, plan, &out.stats, &model);
             println!("\n{}", rep.render());

@@ -9,7 +9,7 @@
 //! queries.
 
 use mcs_bench::{cost_model, ms, print_table, rows, seed, time};
-use mcs_core::multi_column_sort;
+use mcs_core::{multi_column_sort, ExecArena};
 use mcs_planner::{
     measure_all_plans, measure_plan, rank_by_time, roga, ExhaustiveOptions, RogaOptions,
 };
@@ -83,8 +83,9 @@ fn main() {
                 },
             )
             .expect("non-empty sort key");
+            let exec = mcs_bench::paper_exec();
             let (_, sort_d) = time(|| {
-                multi_column_sort(&refs, &specs, &r.plan, &mcs_bench::paper_exec())
+                multi_column_sort(&refs, None, &specs, &r.plan, &exec, &mut ExecArena::new())
                     .expect("valid sort instance")
             });
             let rank = measured

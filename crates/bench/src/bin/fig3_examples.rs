@@ -10,7 +10,7 @@
 //!   rounds.
 
 use mcs_bench::{ms, print_table, rows, seed, time};
-use mcs_core::multi_column_sort;
+use mcs_core::{multi_column_sort, ExecArena};
 use mcs_workloads::{ex1, ex2, ex4, MicroInstance};
 
 fn run(m: &MicroInstance) {
@@ -19,8 +19,10 @@ fn run(m: &MicroInstance) {
     let cfg = mcs_bench::paper_exec();
     let mut out_rows = Vec::new();
     for (name, plan) in &m.plans {
-        let (res, d) =
-            time(|| multi_column_sort(&refs, &m.specs, plan, &cfg).expect("valid sort instance"));
+        let (res, d) = time(|| {
+            multi_column_sort(&refs, None, &m.specs, plan, &cfg, &mut ExecArena::new())
+                .expect("valid sort instance")
+        });
         let s = &res.stats;
         out_rows.push(vec![
             name.clone(),

@@ -9,7 +9,7 @@
 //!   `N_group`, and the average sortable-group size.
 
 use mcs_bench::{ms, print_table, rows, seed, time};
-use mcs_core::multi_column_sort;
+use mcs_core::{multi_column_sort, ExecArena};
 use mcs_workloads::ex3;
 
 fn main() {
@@ -22,8 +22,10 @@ fn main() {
 
     let mut out_rows = Vec::new();
     for (name, plan) in &m.plans {
-        let (res, d) =
-            time(|| multi_column_sort(&refs, &m.specs, plan, &cfg).expect("valid sort instance"));
+        let (res, d) = time(|| {
+            multi_column_sort(&refs, None, &m.specs, plan, &cfg, &mut ExecArena::new())
+                .expect("valid sort instance")
+        });
         let st = &res.stats;
         let r2 = st.rounds.get(1);
         let n_sort = r2.map_or(0, |r| r.invocations);

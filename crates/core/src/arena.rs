@@ -44,7 +44,7 @@ impl ArenaStats {
     }
 }
 
-/// Reusable execution memory for [`crate::multi_column_sort_with`].
+/// Reusable execution memory for [`crate::multi_column_sort`].
 ///
 /// One arena serves any sequence of sort instances (any row count, any
 /// plan, any bank mix); buffers grow monotonically to the high-water
@@ -60,6 +60,8 @@ pub struct ExecArena {
     pool64: Vec<Vec<u64>>,
     /// Pooled u32 buffers (oids, group offsets).
     pool_u32: Vec<Vec<u32>>,
+    /// The lease's list of round buffers, kept empty between leases.
+    rounds: Vec<RoundKeys>,
     /// Merge-sort scratch: chunk spans plus per-worker key/oid/merge
     /// buffers (one worker when executing serially).
     workers: WorkerScratch,
@@ -128,7 +130,7 @@ impl ExecArena {
     /// growth happens here, before the round loop runs.
     pub(crate) fn lease(&mut self, plan: &MassagePlan, n: usize) -> Lease {
         let mut lease = Lease {
-            rounds: Vec::with_capacity(plan.rounds.len()),
+            rounds: core::mem::take(&mut self.rounds),
             spare16: take_pooled(&mut self.pool16),
             spare32: take_pooled(&mut self.pool32),
             spare64: take_pooled(&mut self.pool64),
@@ -139,6 +141,7 @@ impl ExecArena {
             spare_offsets: take_pooled(&mut self.pool_u32),
             workers: core::mem::take(&mut self.workers),
         };
+        lease.rounds.reserve(plan.rounds.len());
         for round in &plan.rounds {
             lease.rounds.push(match round.bank {
                 Bank::B16 => RoundKeys::B16(zero_filled(take_pooled(&mut self.pool16), n)),
@@ -184,7 +187,7 @@ impl ExecArena {
     /// one before could leave the arena holding twice what `n` rows need.
     /// Besides the lease buffers, that covers the serial radix kernel's
     /// scatter pair, which round 1 fills with all `n` rows.
-    pub fn reserve(&mut self, plan: &MassagePlan, n: usize, cfg: &ExecConfig) {
+    pub(crate) fn reserve(&mut self, plan: &MassagePlan, n: usize, cfg: &ExecConfig) {
         let mut lease = self.lease(plan, n);
         if let (SortKernel::Auto, true, Some(first)) = (
             cfg.sort.kernel,
@@ -200,8 +203,8 @@ impl ExecArena {
     ///
     /// Safe after a failed execution too: contents are garbage but every
     /// later lease overwrites what it reads.
-    pub(crate) fn restore(&mut self, lease: Lease) {
-        for keys in lease.rounds {
+    pub(crate) fn restore(&mut self, mut lease: Lease) {
+        for keys in lease.rounds.drain(..) {
             match keys {
                 RoundKeys::B16(v) => self.pool16.push(v),
                 RoundKeys::B32(v) => self.pool32.push(v),
@@ -215,6 +218,7 @@ impl ExecArena {
         self.pool_u32.push(lease.groups.offsets);
         self.pool_u32.push(lease.spare_offsets);
         self.workers = lease.workers;
+        self.rounds = lease.rounds;
 
         let bytes = self.bytes() as u64;
         if bytes > self.stats.bytes_peak {

@@ -1,43 +1,51 @@
-//! The budgeted multi-column sort: an MSD range partition of the output
-//! oids on the direction-adjusted key, then one in-memory sort per
-//! budget-sized bucket.
+//! The budgeted path of [`crate::multi_column_sort`]: when a caller
+//! sets a working-memory budget smaller than the sort's leased footprint
+//! ([`crate::lease_footprint_bytes`]), the output oids are
+//! range-partitioned on the direction-adjusted key, one byte per level
+//! read straight from the input columns, into buckets of at most
+//! [`chunk_rows_for_budget`] rows. Each bucket is sorted in memory by the
+//! massaged SIMD sort, which reads the key columns through the bucket's
+//! oids, leases buffers from the caller's [`ExecArena`] and writes its
+//! oids, group offsets and named key columns straight into the bucket's
+//! range of the output. A byte that holds more rows than a bucket
+//! recurses on the next byte; one that runs past the key's last bit is a
+//! single tie group.
+//!
+//! The inputs are resident columns, so nothing goes to disk and nothing
+//! is merged: buckets are disjoint key ranges in key order. See
+//! `DESIGN.md` §13.
+//!
+//! The output is **byte-identical** to the in-memory sort's: the first
+//! level scatters the caller's rows stably, so every bucket holds its
+//! rows in the caller's order; bucket edges are group edges; and the
+//! executor emits ties in the order of its row list (its `Auto` kernels
+//! are stable; under `MergeSort` it canonicalizes them).
+//! `tests/differential_oracle.rs` and `tests/partition_proptests.rs`
+//! assert this across the plan/bank/thread/direction matrix.
 
 use std::ops::Range;
 use std::time::Instant;
 
+use mcs_cancel::{CancelToken, CHECK_INTERVAL};
 use mcs_columnar::CodeVec;
-use mcs_core::{
-    check_inputs, lease_footprint_bytes, multi_column_sort_rows, multi_column_sort_rows_into,
-    width_mask, CancelToken, ExecArena, ExecConfig, ExecStats, GroupBounds, KeyColumnsAt,
-    MassagePlan, MultiColumnSortOutput, SortError, SortSpec, CHECK_INTERVAL,
-};
 use mcs_telemetry as telemetry;
 
-/// What the budgeted path did, for `QueryTimings` / EXPLAIN and the
-/// benchmark's `spill_sort` workload.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpillStats {
-    /// Buckets sorted one at a time under the budget (0 = the in-memory
-    /// path ran).
-    pub runs: u64,
-    /// Always 0: the partition writes nothing to disk. Kept so that
-    /// readers of the stats still build.
-    pub bytes: u64,
-    /// Always 0: buckets are key ranges, so nothing is merged. Kept so
-    /// that readers of the stats still build.
-    pub merge_comparisons: u64,
-    /// Always 0: nothing is merged, so no offset-value code decides a
-    /// match. Kept so that readers of the stats still build.
-    pub merge_ovc_hits: u64,
-}
+use crate::arena::{lease_footprint_bytes, ExecArena};
+use crate::executor::{push_groups, ExecConfig, Job, MultiColumnSortOutput, SortError};
+use crate::massage::width_mask;
+use crate::plan::{MassagePlan, SortSpec};
 
 /// Rows per bucket so that one bucket's in-memory sort stays within
 /// `budget_bytes` of leased footprint. Derived from
 /// [`lease_footprint_bytes`], which is linear in the row count; always
 /// at least 1 so pathological budgets degrade to tiny buckets instead of
-/// failing. This only sizes buckets: whether to partition at all is
-/// [`external_multi_column_sort_with`]'s footprint test.
-pub fn chunk_rows_for_budget(plan: &MassagePlan, cfg: &ExecConfig, budget_bytes: usize) -> usize {
+/// failing. This only sizes buckets: whether to partition at all is the
+/// sort door's footprint test.
+pub(crate) fn chunk_rows_for_budget(
+    plan: &MassagePlan,
+    cfg: &ExecConfig,
+    budget_bytes: usize,
+) -> usize {
     const PROBE: usize = 4096;
     let per_row = lease_footprint_bytes(plan, PROBE, cfg)
         .div_ceil(PROBE)
@@ -206,61 +214,20 @@ fn scatter(
     Ok(Some(next))
 }
 
-/// Element-wise accumulation of per-bucket executor stats (ns and
-/// counters sum; `max_group` takes the max; the probe sums only while
-/// every bucket reported).
-fn accumulate(acc: &mut ExecStats, s: &ExecStats) {
-    acc.massage_ns += s.massage_ns;
-    acc.decode_ns += s.decode_ns;
-    acc.total_ns += s.total_ns;
-    if acc.rounds.len() < s.rounds.len() {
-        acc.rounds
-            .resize(s.rounds.len(), mcs_core::RoundStats::default());
-    }
-    for (a, r) in acc.rounds.iter_mut().zip(&s.rounds) {
-        a.lookup_ns += r.lookup_ns;
-        a.sort_ns += r.sort_ns;
-        a.scan_ns += r.scan_ns;
-        a.invocations += r.invocations;
-        a.codes_sorted += r.codes_sorted;
-        a.groups_in += r.groups_in;
-        a.groups_out += r.groups_out;
-        a.max_group = a.max_group.max(r.max_group);
-        a.phases.add(r.phases);
-        a.merge.add(r.merge);
-    }
-    acc.round_loop_allocs = match (acc.round_loop_allocs, s.round_loop_allocs) {
-        (Some(x), Some(y)) => Some(x + y),
-        _ => None,
-    };
-}
-
-/// The state of one budgeted sort. `oids` is the output, partitioned in
-/// place: every range handed to [`Partition::split`] holds its rows in
-/// the caller's order, all sharing the key digits above its level.
+/// The state of one budgeted sort. `out.oids` is partitioned in place:
+/// every range handed to [`Partition::split`] holds its rows in the
+/// caller's order, all sharing the key digits above its level.
 struct Partition<'a> {
-    inputs: &'a [&'a CodeVec],
+    job: &'a Job<'a>,
     /// The caller's row list (`None`: every row, in order).
     rows: Option<&'a [u32]>,
-    specs: &'a [SortSpec],
-    plan: &'a MassagePlan,
-    /// The caller's config without the budget (a bucket fits by
-    /// construction).
-    cfg: ExecConfig,
     arena: &'a mut ExecArena,
+    out: &'a mut MultiColumnSortOutput,
     bucket_rows: usize,
-    oids: Vec<u32>,
-    /// Final group offsets, when the caller wants them.
-    offsets: Vec<u32>,
-    /// The key columns `cfg.want_keys` names, in output order (the others
-    /// stay empty; no column at all when it names none).
-    keys: Vec<Vec<u64>>,
-    /// The oids of the range being split: one buffer, reused.
+    /// The oids of the range being split or sorted: one buffer, reused.
     copy: Vec<u32>,
     /// The digit of each row of the range being split: one buffer, reused.
     digits: Vec<u8>,
-    stats: ExecStats,
-    buckets: u64,
     partition_ns: u64,
 }
 
@@ -270,19 +237,21 @@ impl Partition<'_> {
     /// most `bucket_rows` rows; a digit with more recurses on the next
     /// byte.
     fn split(&mut self, range: Range<usize>, mut level: u32) -> Result<(), SortError> {
+        let job = self.job;
+        let cancel = &job.cfg.sort.cancel;
         // A digit every row shares orders nothing: read the next one.
         let ends = loop {
-            let Some(digit) = Digit::at(self.specs, level) else {
+            let Some(digit) = Digit::at(job.specs, level) else {
                 // Past the key's last bit: every row of the range ties,
                 // and the range already holds them in row order.
                 return self.emit_group(range);
             };
-            self.cfg.sort.cancel.check()?;
+            cancel.check()?;
             let t = Instant::now();
-            let dst = &mut self.oids[range.clone()];
-            // The top level reads the caller's rows where they lie (`oids`
-            // starts as them); deeper ones read a copy of their range and
-            // scatter it back in place.
+            let dst = &mut self.out.oids[range.clone()];
+            // The top level reads the caller's rows where they lie (the
+            // output starts as them); deeper ones read a copy of their
+            // range and scatter it back in place.
             let rows = match (level, self.rows) {
                 (0, None) => Rows::Span(range.start),
                 (0, Some(list)) => Rows::List(list),
@@ -293,8 +262,8 @@ impl Partition<'_> {
                 }
             };
             let digits = &mut self.digits[..range.len()];
-            digit.fill(self.inputs, rows, digits);
-            let ends = scatter(digits, rows, dst, &self.cfg.sort.cancel)?;
+            digit.fill(job.inputs, rows, digits);
+            let ends = scatter(digits, rows, dst, cancel)?;
             self.partition_ns += t.elapsed().as_nanos() as u64;
             match ends {
                 Some(ends) => break ends,
@@ -318,35 +287,24 @@ impl Partition<'_> {
     }
 
     /// Sort the rows of `range` (one key range) in memory, reading the
-    /// key columns through its oids, and put them back in sorted order —
-    /// the named key columns decoded straight into their range.
+    /// key columns through its oids, and write them back over the range
+    /// in sorted order — the named key columns decoded straight into it.
     fn sort_bucket(&mut self, range: Range<usize>) -> Result<(), SortError> {
         if range.len() <= 1 {
             return self.emit_group(range);
         }
         self.enter_bucket()?;
         let t = Instant::now();
-        let (inputs, specs, plan) = (self.inputs, self.specs, self.plan);
-        let rows = Some(&self.oids[range.clone()]);
-        let keys = KeyColumnsAt {
-            cols: &mut self.keys,
-            at: range.start,
-        };
-        let out =
-            multi_column_sort_rows_into(inputs, rows, specs, plan, &self.cfg, self.arena, keys)?;
         // Ties keep their order in the bucket, which is the caller's.
-        self.oids[range.clone()].copy_from_slice(&out.oids);
-        if self.cfg.want_final_groups {
-            let base = range.start as u32;
-            self.offsets
-                .extend(out.groups.offsets[1..].iter().map(|&o| base + o));
-        }
-        accumulate(&mut self.stats, &out.stats);
+        self.copy.clear();
+        self.copy.extend_from_slice(&self.out.oids[range.clone()]);
+        self.job
+            .sort_into(Some(&self.copy), self.arena, self.out, range.start)?;
         telemetry::record_span(
-            "mcs.extsort.bucket_sort",
+            "mcs.budget.bucket_sort",
             t.elapsed().as_nanos() as u64,
             vec![
-                ("bucket", self.buckets.into()),
+                ("bucket", self.out.stats.buckets.into()),
                 ("rows", range.len().into()),
             ],
         );
@@ -360,13 +318,15 @@ impl Partition<'_> {
             return Ok(());
         }
         self.enter_bucket()?;
-        if self.cfg.want_final_groups {
-            self.offsets.push(range.end as u32);
+        let Job { inputs, cfg, .. } = self.job;
+        if cfg.want_final_groups {
+            let len = range.len() as u32;
+            push_groups(&mut self.out.groups.offsets, range.start, &[0, len]);
         }
-        let row = self.oids[range.start] as usize;
-        for (c, col) in self.keys.iter_mut().enumerate() {
-            if self.cfg.wants_key(c) {
-                col[range.clone()].fill(self.inputs[c].get(row));
+        let row = self.out.oids[range.start] as usize;
+        for (c, col) in self.out.keys.iter_mut().enumerate() {
+            if cfg.wants_key(c) {
+                col[range.clone()].fill(inputs[c].get(row));
             }
         }
         Ok(())
@@ -374,123 +334,59 @@ impl Partition<'_> {
 
     fn enter_bucket(&mut self) -> Result<(), SortError> {
         mcs_faults::delay_point(mcs_faults::points::EXEC_DELAY_SPILL);
-        self.cfg.sort.cancel.check()?;
-        self.buckets += 1;
+        self.job.cfg.sort.cancel.check()?;
+        self.out.stats.buckets += 1;
         Ok(())
     }
 }
 
-/// Sort the rows `rows` lists (all rows when `None`) of `inputs` under
-/// `plan` within `cfg.memory_budget_bytes` of working memory:
-/// range-partition the rows on the key, one byte per level, then sort
-/// each bucket of at most [`chunk_rows_for_budget`] rows in memory
-/// (through `arena`). Output is byte-identical to
-/// [`multi_column_sort_rows`] — same oids, the same key columns for
-/// `cfg.want_keys`, and the same group offsets when
-/// `cfg.want_final_groups` is set (when it is not, the budgeted path
-/// returns the trivial single group where the in-memory path returns its
-/// pre-final refinement; callers that consume groups must request final
-/// groups).
-///
-/// This is the one owner of the partition decision: with no budget, or
-/// when the in-memory sort's leased footprint
-/// ([`lease_footprint_bytes`]`(plan, n, cfg)`) fits it, it sorts in
-/// memory and reports zero buckets; otherwise it partitions.
+/// Sort the rows `rows` lists (every row when `None`) of `job` within
+/// `budget_bytes` of working memory into `out`, whose oids and named key
+/// columns are as long as the sort: range-partition the rows on the key,
+/// one byte per level, then sort each bucket of at most
+/// [`chunk_rows_for_budget`] rows in memory (through `arena`).
 ///
 /// Outside the budget sit the output oids and key columns, one oid
 /// buffer the size of the range being split, and one digit byte per row
 /// (DESIGN.md §13).
-pub fn budgeted_sort_rows(
-    inputs: &[&CodeVec],
+pub(crate) fn sort(
+    job: &Job<'_>,
     rows: Option<&[u32]>,
-    specs: &[SortSpec],
-    plan: &MassagePlan,
-    cfg: &ExecConfig,
+    budget_bytes: usize,
     arena: &mut ExecArena,
-) -> Result<(MultiColumnSortOutput, SpillStats), SortError> {
-    let n = rows.map_or_else(|| inputs.first().map_or(0, |c| c.len()), <[u32]>::len);
-    let budget = cfg.memory_budget_bytes;
-    let Some(budget_bytes) = budget.filter(|&b| lease_footprint_bytes(plan, n, cfg) > b) else {
-        let out = multi_column_sort_rows(inputs, rows, specs, plan, cfg, arena)?;
-        return Ok((out, SpillStats::default()));
-    };
-    check_inputs(inputs, rows, specs, plan)?;
-    cfg.sort.cancel.check()?;
-
-    let total_t = Instant::now();
-    let mut bucket_cfg = cfg.clone();
-    bucket_cfg.memory_budget_bytes = None;
-    let bucket_rows = chunk_rows_for_budget(plan, cfg, budget_bytes);
-    arena.reserve(plan, bucket_rows.min(n), &bucket_cfg);
+    out: &mut MultiColumnSortOutput,
+) -> Result<(), SortError> {
+    let n = out.oids.len();
+    for (i, o) in out.oids.iter_mut().enumerate() {
+        *o = rows.map_or(i as u32, |rows| rows[i]);
+    }
+    let bucket_rows = chunk_rows_for_budget(job.plan, job.cfg, budget_bytes);
+    out.stats.bucket_rows = bucket_rows;
+    arena.reserve(job.plan, bucket_rows.min(n), job.cfg);
     let mut p = Partition {
-        inputs,
+        job,
         rows,
-        specs,
-        plan,
-        cfg: bucket_cfg,
         arena,
+        out,
         bucket_rows,
-        oids: rows.map_or_else(|| (0..n as u32).collect(), <[u32]>::to_vec),
-        offsets: vec![0],
-        keys: cfg.wanted_keys(inputs.len(), |_| vec![0; n]),
         copy: Vec::new(),
         digits: vec![0; n],
-        stats: ExecStats {
-            round_loop_allocs: Some(0),
-            ..ExecStats::default()
-        },
-        buckets: 0,
         partition_ns: 0,
     };
     p.split(0..n, 0)?;
     telemetry::record_span(
-        "mcs.extsort.partition",
+        "mcs.budget.partition",
         p.partition_ns,
-        vec![("buckets", p.buckets.into()), ("rows", n.into())],
+        vec![("buckets", p.out.stats.buckets.into()), ("rows", n.into())],
     );
-
-    let groups = if cfg.want_final_groups && n > 0 {
-        GroupBounds::from_offsets(p.offsets)
-    } else {
-        GroupBounds::whole(n)
-    };
-    let mut stats = p.stats;
-    stats.arena = p.arena.stats();
-    stats.total_ns = total_t.elapsed().as_nanos() as u64;
-    let spill = SpillStats {
-        runs: p.buckets,
-        ..SpillStats::default()
-    };
-    Ok((
-        MultiColumnSortOutput {
-            oids: p.oids,
-            groups,
-            keys: p.keys,
-            stats,
-        },
-        spill,
-    ))
-}
-
-/// [`budgeted_sort_rows`] over every row, within `budget_bytes`.
-pub fn external_multi_column_sort_with(
-    inputs: &[&CodeVec],
-    specs: &[SortSpec],
-    plan: &MassagePlan,
-    cfg: &ExecConfig,
-    arena: &mut ExecArena,
-    budget_bytes: usize,
-) -> Result<(MultiColumnSortOutput, SpillStats), SortError> {
-    let mut cfg = cfg.clone();
-    cfg.memory_budget_bytes = Some(budget_bytes);
-    budgeted_sort_rows(inputs, None, specs, plan, &cfg, arena)
+    Ok(())
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use mcs_core::multi_column_sort_with;
+    use crate::{multi_column_sort, ExecStats};
 
     fn specs(widths: &[(u32, bool)]) -> Vec<SortSpec> {
         widths
@@ -539,39 +435,78 @@ mod tests {
         let sp = specs(&[(9, false), (33, true)]);
         let plan = MassagePlan::column_at_a_time(&sp);
         let cfg = ExecConfig::default();
-
-        let mut arena = ExecArena::new();
-        let want = multi_column_sort_with(&inputs, &sp, &plan, &cfg, &mut arena).unwrap();
+        let want =
+            multi_column_sort(&inputs, None, &sp, &plan, &cfg, &mut ExecArena::new()).unwrap();
 
         // A budget forcing several buckets.
-        let budget = lease_footprint_bytes(&plan, n, &cfg) / 8;
-        let mut arena2 = ExecArena::new();
-        let (got, spill) =
-            external_multi_column_sort_with(&inputs, &sp, &plan, &cfg, &mut arena2, budget)
-                .unwrap();
-        assert!(spill.runs >= 4, "expected >= 4 buckets, got {}", spill.runs);
-        assert_eq!((spill.bytes, spill.merge_comparisons), (0, 0));
+        let budgeted = ExecConfig {
+            memory_budget_bytes: Some(lease_footprint_bytes(&plan, n, &cfg) / 8),
+            ..ExecConfig::default()
+        };
+        let got =
+            multi_column_sort(&inputs, None, &sp, &plan, &budgeted, &mut ExecArena::new()).unwrap();
+        let buckets = got.stats.buckets;
+        assert!(buckets >= 4, "expected >= 4 buckets, got {buckets}");
         assert_eq!(got.oids, want.oids);
         assert_eq!(got.groups.offsets, want.groups.offsets);
     }
 
     #[test]
+    fn the_door_partitions_only_under_a_binding_budget() {
+        let mut rng = mcs_test_support::Rng::seed_from_u64(0xD00B);
+        let n = 3_000usize;
+        let c0 = CodeVec::from_u64s(7, (0..n).map(|_| rng.gen_range(0..90)).collect::<Vec<_>>());
+        let c1 = CodeVec::from_u64s(
+            21,
+            (0..n).map(|_| rng.gen_range(0..500)).collect::<Vec<_>>(),
+        );
+        let inputs: Vec<&CodeVec> = vec![&c0, &c1];
+        let sp = specs(&[(7, true), (21, false)]);
+        let plan = MassagePlan::from_widths(&[10, 18]);
+        let footprint = lease_footprint_bytes(&plan, n, &ExecConfig::default());
+        let mut runs = Vec::new();
+        for budget in [None, Some(footprint), Some(footprint / 8)] {
+            let cfg = ExecConfig {
+                want_keys: 0b11,
+                memory_budget_bytes: budget,
+                ..ExecConfig::default()
+            };
+            let out =
+                multi_column_sort(&inputs, None, &sp, &plan, &cfg, &mut ExecArena::new()).unwrap();
+            runs.push(out);
+        }
+        let [none, fits, binds] = &runs[..] else {
+            unreachable!()
+        };
+        for fit in [none, fits] {
+            assert_eq!((fit.stats.buckets, fit.stats.bucket_rows), (0, 0));
+        }
+        assert!(binds.stats.buckets >= 2, "{} buckets", binds.stats.buckets);
+        assert!((1..n).contains(&binds.stats.bucket_rows));
+        for out in [fits, binds] {
+            assert_eq!(out.oids, none.oids);
+            assert_eq!(out.groups.offsets, none.groups.offsets);
+            assert_eq!(out.keys, none.keys);
+        }
+        assert_eq!(none.keys[1].len(), n);
+    }
+
+    #[test]
     fn unbounded_budget_never_partitions() {
         let c0 = CodeVec::from_u64s(10, [3u64, 1, 2, 1]);
-        let inputs: Vec<&CodeVec> = vec![&c0];
         let sp = specs(&[(10, false)]);
         let plan = MassagePlan::column_at_a_time(&sp);
-        let mut arena = ExecArena::new();
-        let (out, spill) = external_multi_column_sort_with(
-            &inputs,
-            &sp,
-            &plan,
-            &ExecConfig::default(),
-            &mut arena,
-            usize::MAX,
-        )
-        .unwrap();
-        assert_eq!(spill, SpillStats::default());
+        let cfg = ExecConfig {
+            memory_budget_bytes: Some(usize::MAX),
+            ..ExecConfig::default()
+        };
+        let out = multi_column_sort(&[&c0], None, &sp, &plan, &cfg, &mut ExecArena::new()).unwrap();
+        let ExecStats {
+            buckets,
+            bucket_rows,
+            ..
+        } = out.stats;
+        assert_eq!((buckets, bucket_rows), (0, 0));
         assert_eq!(out.oids, vec![1, 3, 2, 0]);
     }
 
@@ -585,7 +520,7 @@ mod tests {
             ..ExecConfig::default()
         };
         let sort = |cols: &[&CodeVec], rows: Option<&[u32]>| {
-            budgeted_sort_rows(cols, rows, &sp, &plan, &cfg, &mut ExecArena::new()).unwrap_err()
+            multi_column_sort(cols, rows, &sp, &plan, &cfg, &mut ExecArena::new()).unwrap_err()
         };
         let err = sort(&[&c0], None);
         assert!(

@@ -16,8 +16,10 @@ use mcs_simd_sort::{
 };
 use mcs_telemetry as telemetry;
 
-use crate::arena::{ArenaStats, ExecArena, Lease};
-use crate::massage::{decode_column, decode_column_into, massage_rows_into, width_mask, RoundKeys};
+use crate::arena::{lease_footprint_bytes, ArenaStats, ExecArena, Lease};
+use crate::massage::{
+    decode_column_into, massage_rows_into, width_mask, MassageProgram, RoundKeys,
+};
 use crate::plan::{MassagePlan, PlanError, SortSpec};
 
 /// Why a [`multi_column_sort`] invocation was rejected before running.
@@ -150,13 +152,10 @@ pub struct ExecConfig {
     /// budget the [`ExecArena`] is designed to drive to zero when warm.
     pub alloc_probe: Option<fn() -> u64>,
     /// Resident-memory budget for one sort, in bytes. `None` (the
-    /// default) keeps today's in-memory path unchanged. When set, callers
-    /// that support a budget (the engine, via `mcs-extsort`) partition
-    /// the rows by key range and sort one budget-sized bucket at a time
-    /// whenever the leased footprint ([`crate::lease_footprint_bytes`])
-    /// would exceed the budget. The core executor itself never
-    /// partitions: the field lives here so one `ExecConfig` describes the
-    /// whole execution contract.
+    /// default) always sorts in memory. When set and the leased footprint
+    /// ([`crate::lease_footprint_bytes`]) would exceed it,
+    /// [`multi_column_sort`] partitions the rows by key range and sorts
+    /// one budget-sized bucket at a time, with byte-identical output.
     pub memory_budget_bytes: Option<usize>,
 }
 
@@ -231,6 +230,24 @@ pub struct RoundStats {
     pub morsels: MorselCounts,
 }
 
+impl RoundStats {
+    /// Add another execution's stats of the same round (ns and counters
+    /// sum; `max_group` takes the max).
+    fn add(&mut self, r: &RoundStats) {
+        self.lookup_ns += r.lookup_ns;
+        self.sort_ns += r.sort_ns;
+        self.scan_ns += r.scan_ns;
+        self.invocations += r.invocations;
+        self.codes_sorted += r.codes_sorted;
+        self.groups_in += r.groups_in;
+        self.groups_out += r.groups_out;
+        self.max_group = self.max_group.max(r.max_group);
+        self.phases.add(r.phases);
+        self.merge.add(r.merge);
+        self.morsels.add(r.morsels);
+    }
+}
+
 /// Whole-execution telemetry.
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
@@ -245,16 +262,22 @@ pub struct ExecStats {
     pub rounds: Vec<RoundStats>,
     /// End-to-end ns.
     pub total_ns: u64,
-    /// Heap allocations observed across the round loop, when
-    /// [`ExecConfig::alloc_probe`] was set (`Some(0)` on a warm
-    /// [`ExecArena`] with `threads == 1`).
+    /// Heap allocations observed across the round loop (summed over the
+    /// buckets of a budgeted sort), when [`ExecConfig::alloc_probe`] was
+    /// set (`Some(0)` on a warm [`ExecArena`] with `threads == 1`).
     pub round_loop_allocs: Option<u64>,
-    /// Reuse counters of the [`ExecArena`] that served this execution;
-    /// default (all-zero) for arena-less [`multi_column_sort`] calls.
+    /// Reuse counters of the [`ExecArena`] that served this execution.
     pub arena: ArenaStats,
     /// Parallel scheduler counters of the massage phase (the round
     /// phases report theirs in [`RoundStats::morsels`]).
     pub massage_morsels: MorselCounts,
+    /// Buckets the memory budget split the sort into, each sorted in
+    /// memory in turn (a key range too small to sort counts as one); 0
+    /// when the sort ran in memory whole.
+    pub buckets: u64,
+    /// The most rows a bucket may hold under the budget; 0 when no
+    /// partition ran.
+    pub bucket_rows: usize,
 }
 
 impl ExecStats {
@@ -291,7 +314,7 @@ pub struct MultiColumnSortOutput {
     /// `oids[p]`; this is the "ordered list of object identifiers" whose
     /// validity Lemma 1 guarantees.
     pub oids: Vec<u32>,
-    /// Grouping by ties on all sort keys (trivial single group if
+    /// Grouping by ties on all sort keys (the trivial single group if
     /// `want_final_groups` was false).
     pub groups: GroupBounds,
     /// The sort columns [`ExecConfig::want_keys`] names, in output order:
@@ -436,30 +459,18 @@ fn refine_groups_into(
     counts
 }
 
-/// Execute a multi-column sort of `inputs` (one column per [`SortSpec`])
-/// under `plan`.
+/// Sort the rows `rows` lists of `inputs` (one column per [`SortSpec`];
+/// every row, in order, when `rows` is `None`) under `plan`, drawing all
+/// working memory from `arena`. This is the one sort entry point.
 ///
-/// Returns the permutation of object identifiers and (optionally) the
-/// final grouping. The permutation satisfies the `ORDER BY` comparator
-/// `t_a ≺ t_b` of §3 for every pair of consecutive output positions; by
-/// Lemma 1 this holds for *any* valid massage plan.
-///
-/// Fails with a [`SortError`] (instead of running or panicking) when the
-/// plan does not cover the concatenated key width or the inputs are
-/// malformed.
-pub fn multi_column_sort(
-    inputs: &[&CodeVec],
-    specs: &[SortSpec],
-    plan: &MassagePlan,
-    cfg: &ExecConfig,
-) -> Result<MultiColumnSortOutput, SortError> {
-    let mut arena = ExecArena::new();
-    sort_impl(inputs, None, specs, plan, cfg, &mut arena, KeysOut::Fresh)
-}
-
-/// Like [`multi_column_sort`], but drawing all working memory — round-key
-/// buffers, gather spares, the oid permutation, group offsets, and the
-/// sort-kernel scratch — from `arena`.
+/// Returns the permutation of object identifiers, the final grouping
+/// when `cfg.want_final_groups` asks for it, and the key columns
+/// `cfg.want_keys` names. The oids are row ids of `inputs`, a
+/// permutation of `rows`; they satisfy the `ORDER BY` comparator
+/// `t_a ≺ t_b` of §3 for every pair of consecutive output positions, and
+/// by Lemma 1 this holds for *any* valid massage plan. Rows that tie on
+/// every key keep their order in `rows`. Each key column is read through
+/// the list where it lies, and nothing is gathered into a copy.
 ///
 /// The arena grows monotonically to the high-water mark of the
 /// executions it has served, so repeated calls (a session replaying a
@@ -467,23 +478,18 @@ pub fn multi_column_sort(
 /// `cfg.threads == 1`. The arena is restored on every exit path,
 /// including injected faults and worker panics, so a failed execution
 /// never poisons it. [`ExecStats::arena`] carries its reuse counters.
-pub fn multi_column_sort_with(
-    inputs: &[&CodeVec],
-    specs: &[SortSpec],
-    plan: &MassagePlan,
-    cfg: &ExecConfig,
-    arena: &mut ExecArena,
-) -> Result<MultiColumnSortOutput, SortError> {
-    multi_column_sort_rows(inputs, None, specs, plan, cfg, arena)
-}
-
-/// Like [`multi_column_sort_with`], but sorting only the rows `rows`
-/// lists (every row, in order, when `None`) where they lie: each key
-/// column is read through the list, and nothing is gathered into a copy.
 ///
-/// The output's oids are row ids of `inputs` — a permutation of `rows` —
-/// and rows that tie on every key keep their order in `rows`.
-pub fn multi_column_sort_rows(
+/// When `cfg.memory_budget_bytes` is set and the in-memory sort's leased
+/// footprint ([`crate::lease_footprint_bytes`]) exceeds it, the rows are
+/// range-partitioned on the key, one byte per level, into buckets that
+/// each fit the budget, and the buckets are sorted in memory one at a
+/// time ([`ExecStats::buckets`], [`ExecStats::bucket_rows`]). The output
+/// is byte-identical to the in-memory sort's.
+///
+/// Fails with a [`SortError`] (instead of running or panicking) when the
+/// plan does not cover the concatenated key width, when the inputs are
+/// malformed, or when `cfg.sort.cancel` fires.
+pub fn multi_column_sort(
     inputs: &[&CodeVec],
     rows: Option<&[u32]>,
     specs: &[SortSpec],
@@ -491,80 +497,75 @@ pub fn multi_column_sort_rows(
     cfg: &ExecConfig,
     arena: &mut ExecArena,
 ) -> Result<MultiColumnSortOutput, SortError> {
-    let out = sort_impl(inputs, rows, specs, plan, cfg, arena, KeysOut::Fresh);
-    with_arena_stats(out, arena)
-}
+    let n = check_inputs(inputs, rows, specs, plan)?;
 
-/// Caller-owned key columns for [`multi_column_sort_rows_into`]: one per
-/// sort column, and each column that [`ExecConfig::want_keys`] names at
-/// least `at` plus the sorted row count long.
-#[derive(Debug)]
-pub struct KeyColumnsAt<'a> {
-    /// One vector per sort column.
-    pub cols: &'a mut [Vec<u64>],
-    /// The first row the sort writes.
-    pub at: usize,
-}
+    // Entry check: an already-fired token (e.g. an expired deadline)
+    // returns before any phase runs — no lease is taken, nothing to undo.
+    cfg.sort.cancel.check()?;
 
-/// Like [`multi_column_sort_rows`], but writing the key columns
-/// [`ExecConfig::want_keys`] names into rows `at..at + n` of the caller's
-/// columns instead of returning them (the output's `keys` is empty): a
-/// budgeted sort decodes each bucket into its range of the result.
-///
-/// Panics when a named column is too short.
-pub fn multi_column_sort_rows_into(
-    inputs: &[&CodeVec],
-    rows: Option<&[u32]>,
-    specs: &[SortSpec],
-    plan: &MassagePlan,
-    cfg: &ExecConfig,
-    arena: &mut ExecArena,
-    keys: KeyColumnsAt<'_>,
-) -> Result<MultiColumnSortOutput, SortError> {
-    let out = sort_impl(inputs, rows, specs, plan, cfg, arena, KeysOut::At(keys));
-    with_arena_stats(out, arena)
-}
-
-/// Where an execution puts the key columns [`ExecConfig::want_keys`]
-/// names.
-enum KeysOut<'a> {
-    /// Fresh vectors, in [`MultiColumnSortOutput::keys`].
-    Fresh,
-    /// The caller's columns.
-    At(KeyColumnsAt<'a>),
-}
-
-/// Stamp the caller's arena counters into a finished execution's stats,
-/// and surface their growth since the last execution to telemetry — on
-/// the error path too.
-fn with_arena_stats(
-    out: Result<MultiColumnSortOutput, SortError>,
-    arena: &mut ExecArena,
-) -> Result<MultiColumnSortOutput, SortError> {
+    let t0 = Instant::now();
+    let job = Job {
+        inputs,
+        specs,
+        plan,
+        cfg,
+        prog: MassageProgram::compile(specs, plan),
+    };
+    let mut out = MultiColumnSortOutput {
+        oids: vec![0; n],
+        groups: GroupBounds {
+            offsets: Vec::new(),
+        },
+        keys: cfg.wanted_keys(inputs.len(), |_| vec![0; n]),
+        stats: ExecStats {
+            rounds: Vec::with_capacity(plan.rounds.len()),
+            round_loop_allocs: cfg.alloc_probe.map(|_| 0),
+            ..ExecStats::default()
+        },
+    };
+    let budget = cfg
+        .memory_budget_bytes
+        .filter(|&b| lease_footprint_bytes(plan, n, cfg) > b);
+    let result = match budget {
+        None => job.sort_into(rows, arena, &mut out, 0),
+        Some(budget_bytes) => crate::budget::sort(&job, rows, budget_bytes, arena, &mut out),
+    };
     if telemetry::is_enabled() {
-        let (grows, reuses, peak_growth) = arena.take_counter_deltas();
-        for (name, delta) in [
-            ("exec.arena.grow", grows),
-            ("exec.arena.reuse", reuses),
-            ("exec.arena.bytes_peak", peak_growth),
-        ] {
-            if delta > 0 {
-                telemetry::counter_add(name, delta);
-            }
+        record_spans(&job, n, &out.stats, result.is_ok());
+        record_arena_counters(arena);
+    }
+    result?;
+
+    // No rows, no offsets written: an empty partition emits no bucket.
+    if !cfg.want_final_groups || n == 0 {
+        out.groups = GroupBounds::whole(n);
+    }
+    out.stats.arena = arena.stats();
+    out.stats.total_ns = t0.elapsed().as_nanos() as u64;
+    Ok(out)
+}
+
+/// Surface the arena's counter growth since the last execution to
+/// telemetry — on the error path too.
+fn record_arena_counters(arena: &mut ExecArena) {
+    let (grows, reuses, peak_growth) = arena.take_counter_deltas();
+    for (name, delta) in [
+        ("exec.arena.grow", grows),
+        ("exec.arena.reuse", reuses),
+        ("exec.arena.bytes_peak", peak_growth),
+    ] {
+        if delta > 0 {
+            telemetry::counter_add(name, delta);
         }
     }
-    out.map(|mut out| {
-        out.stats.arena = arena.stats();
-        out
-    })
 }
 
-/// The checks every sort entry point makes before it reads a column:
-/// one spec per column, at least one column, a plan that covers the
-/// concatenated key, columns of one length, a row list inside them, and
-/// an oid space that holds every sorted row. Returns the number of rows
-/// to sort.
-pub fn check_inputs(
+/// The checks the sort door makes once per call, before it reads a
+/// column: one spec per column, at least one column, a plan that covers
+/// the concatenated key, columns of one length, a row list inside them,
+/// and an oid space that holds every sorted row. Returns the number of
+/// rows to sort.
+fn check_inputs(
     inputs: &[&CodeVec],
     rows: Option<&[u32]>,
     specs: &[SortSpec],
@@ -607,149 +608,167 @@ pub fn check_inputs(
     Ok(n)
 }
 
-fn sort_impl(
-    inputs: &[&CodeVec],
-    rows: Option<&[u32]>,
-    specs: &[SortSpec],
-    plan: &MassagePlan,
-    cfg: &ExecConfig,
-    arena: &mut ExecArena,
-    keys_out: KeysOut<'_>,
-) -> Result<MultiColumnSortOutput, SortError> {
-    let n = check_inputs(inputs, rows, specs, plan)?;
+/// One checked call of the sort door: what every in-memory execution
+/// under it reads — the whole sort, or each bucket of a budgeted one.
+pub(crate) struct Job<'a> {
+    pub inputs: &'a [&'a CodeVec],
+    pub specs: &'a [SortSpec],
+    pub plan: &'a MassagePlan,
+    pub cfg: &'a ExecConfig,
+    /// The massage program of `specs` and `plan`, compiled once per call.
+    pub prog: MassageProgram,
+}
 
-    // Entry check: an already-fired token (e.g. an expired deadline)
-    // returns before any phase runs — no lease is taken, nothing to undo.
-    cfg.sort.cancel.check()?;
+impl Job<'_> {
+    /// Sort the rows `rows` lists (every row when `None`) in memory and
+    /// write them into rows `at..` of `out`: their oids, their group
+    /// offsets (rebased) when final groups are wanted, and the key columns
+    /// [`ExecConfig::want_keys`] names. The execution's stats add to
+    /// `out.stats`.
+    pub(crate) fn sort_into(
+        &self,
+        rows: Option<&[u32]>,
+        arena: &mut ExecArena,
+        out: &mut MultiColumnSortOutput,
+        at: usize,
+    ) -> Result<(), SortError> {
+        let Job {
+            inputs,
+            plan,
+            cfg,
+            prog,
+            ..
+        } = self;
+        let n = rows.map_or_else(|| inputs[0].len(), <[u32]>::len);
+        let stats = &mut out.stats;
+        let mut lease = arena.lease(plan, n);
 
-    let t0 = Instant::now();
-    let mut stats = ExecStats::default();
-    stats.rounds.reserve_exact(plan.rounds.len());
-
-    let mut lease = arena.lease(plan, n);
-
-    // Step 1: massage (Figure 2b step 1), emitted straight into the
-    // leased bank-native round buffers. Identity plans on ascending
-    // columns still materialize round keys; that time is charged to
-    // round 1's lookup (below) rather than to massage, matching the
-    // paper's P_0, which has no massage phase.
-    mcs_faults::delay_point(mcs_faults::points::EXEC_DELAY_MASSAGE);
-    let tm = Instant::now();
-    let (prog, massage_morsels) = massage_rows_into(
-        inputs,
-        rows,
-        specs,
-        plan,
-        cfg.threads,
-        &mut lease.rounds,
-        &cfg.sort.cancel,
-    );
-    stats.massage_morsels = massage_morsels;
-    let massage_elapsed = tm.elapsed().as_nanos() as u64;
-    stats.massage_ns = if prog.is_identity() {
-        0
-    } else {
-        massage_elapsed
-    };
-    if telemetry::is_enabled() {
-        telemetry::record_span(
-            "mcs.massage",
-            stats.massage_ns,
-            vec![
-                ("rows", n.into()),
-                ("rounds", plan.rounds.len().into()),
-                ("identity", prog.is_identity().into()),
-                ("plan", plan.notation().into()),
-            ],
+        // Step 1: massage (Figure 2b step 1), emitted straight into the
+        // leased bank-native round buffers. Identity plans on ascending
+        // columns still materialize round keys; that time is charged to
+        // round 1's lookup (below) rather than to massage, matching the
+        // paper's P_0, which has no massage phase.
+        mcs_faults::delay_point(mcs_faults::points::EXEC_DELAY_MASSAGE);
+        let tm = Instant::now();
+        let massage_morsels = massage_rows_into(
+            inputs,
+            rows,
+            prog,
+            plan,
+            cfg.threads,
+            &mut lease.rounds,
+            &cfg.sort.cancel,
         );
-    }
+        stats.massage_morsels.add(massage_morsels);
+        let massage_elapsed = tm.elapsed().as_nanos() as u64;
+        if !prog.is_identity() {
+            stats.massage_ns += massage_elapsed;
+        }
 
-    // The round loop proper, bracketed by the allocation probe: on a warm
-    // arena with `threads == 1` this window performs zero heap
-    // allocations (telemetry emission is deferred below for that reason).
-    let before = cfg.alloc_probe.map(|p| p());
-    // Phase boundary: a token fired during massage left partially
-    // massaged round buffers — skip the rounds and unwind through the
-    // arena restore below.
-    let result = match cfg.sort.cancel.check() {
-        Err(cause) => Err(SortError::Cancelled(cause)),
-        Ok(()) => run_rounds(cfg, &mut lease, &mut stats),
-    };
-    if let (Some(p), Some(b)) = (cfg.alloc_probe, before) {
-        stats.round_loop_allocs = Some(p() - b);
-    }
-    if prog.is_identity() {
-        if let Some(first) = stats.rounds.first_mut() {
-            first.lookup_ns += massage_elapsed;
-        }
-    }
-
-    // Deferred per-round telemetry: span emission allocates attribute
-    // vectors, so it happens outside the audited loop, replayed from the
-    // accumulated RoundStats. Rounds completed before a failure still
-    // get their spans; the whole-sort counters only count successes.
-    if telemetry::is_enabled() {
-        let last = plan.rounds.len() - 1;
-        for (k, rs) in stats.rounds.iter().enumerate() {
-            record_round_spans(k, &plan.rounds[k], rs, k < last || cfg.want_final_groups);
-            telemetry::histogram_record("mcs.round.max_group", rs.max_group as u64);
-        }
-        if result.is_ok() {
-            telemetry::counter_add("mcs.sorts", 1);
-            telemetry::counter_add("mcs.rounds", stats.rounds.len() as u64);
-        }
-        let m = stats.morsel_counts();
-        for (name, delta) in [
-            ("exec.morsel.dispatched", m.dispatched),
-            ("exec.morsel.split", m.split),
-        ] {
-            if delta > 0 {
-                telemetry::counter_add(name, delta);
-            }
-        }
-    }
-
-    // Copy the outputs out of the lease — positions in `rows` composed
-    // into the row ids they name, and the named key columns decoded from
-    // the round keys — then restore the arena, on the error path too, so
-    // a failed round never poisons it.
-    //
-    // The decode is exact (Lemma 1): massaging only moves bits between
-    // rounds, and round `k`'s buffer stays right position by position to
-    // the end. It was sorted together with the oids; every later round
-    // permutes only within groups equal on rounds ≤ k; a later round's
-    // lookup swaps with its bank's spare, never with round `k`'s buffer;
-    // and `canonicalize_ties` permutes only full-key ties.
-    let out_data = result.map(|()| {
-        let oids = match rows {
-            None => lease.oids.clone(),
-            Some(rows) => lease.oids.iter().map(|&p| rows[p as usize]).collect(),
+        // The round loop proper, bracketed by the allocation probe: on a
+        // warm arena with `threads == 1` this window performs zero heap
+        // allocations (telemetry emission is deferred to the door for
+        // that reason).
+        let before = cfg.alloc_probe.map(|p| p());
+        // Phase boundary: a token fired during massage left partially
+        // massaged round buffers — skip the rounds and unwind through the
+        // arena restore below.
+        let result = match cfg.sort.cancel.check() {
+            Err(cause) => Err(SortError::Cancelled(cause)),
+            Ok(()) => run_rounds(cfg, &mut lease, stats),
         };
-        let td = Instant::now();
-        let keys = match keys_out {
-            KeysOut::Fresh => {
-                cfg.wanted_keys(inputs.len(), |c| decode_column(&lease.rounds, &prog, c))
+        if let (Some(p), Some(b)) = (cfg.alloc_probe, before) {
+            *stats.round_loop_allocs.get_or_insert(0) += p() - b;
+        }
+        if prog.is_identity() {
+            if let Some(first) = stats.rounds.first_mut() {
+                first.lookup_ns += massage_elapsed;
             }
-            KeysOut::At(KeyColumnsAt { cols, at }) => {
-                for c in (0..inputs.len()).filter(|&c| cfg.wants_key(c)) {
-                    decode_column_into(&lease.rounds, &prog, c, &mut cols[c][at..at + n]);
+        }
+
+        // Write the outputs out of the lease — positions in `rows`
+        // composed into the row ids they name, and the named key columns
+        // decoded from the round keys — then restore the arena, on the
+        // error path too, so a failed round never poisons it.
+        //
+        // The decode is exact (Lemma 1): massaging only moves bits between
+        // rounds, and round `k`'s buffer stays right position by position
+        // to the end. It was sorted together with the oids; every later
+        // round permutes only within groups equal on rounds ≤ k; a later
+        // round's lookup swaps with its bank's spare, never with round
+        // `k`'s buffer; and `canonicalize_ties` permutes only full-key
+        // ties.
+        let written = result.map(|()| {
+            let oids = &mut out.oids[at..at + n];
+            match rows {
+                None => oids.copy_from_slice(&lease.oids),
+                Some(rows) => {
+                    for (o, &p) in oids.iter_mut().zip(&lease.oids) {
+                        *o = rows[p as usize];
+                    }
                 }
-                Vec::new()
             }
-        };
-        stats.decode_ns = td.elapsed().as_nanos() as u64;
-        (oids, lease.groups.clone(), keys)
-    });
-    arena.restore(lease);
+            if cfg.want_final_groups {
+                push_groups(&mut out.groups.offsets, at, &lease.groups.offsets);
+            }
+            let td = Instant::now();
+            for c in (0..inputs.len()).filter(|&c| cfg.wants_key(c)) {
+                decode_column_into(&lease.rounds, prog, c, &mut out.keys[c][at..at + n]);
+            }
+            out.stats.decode_ns += td.elapsed().as_nanos() as u64;
+        });
+        arena.restore(lease);
+        written
+    }
+}
 
-    let (oids, groups, keys) = out_data?;
-    stats.total_ns = t0.elapsed().as_nanos() as u64;
-    Ok(MultiColumnSortOutput {
-        oids,
-        groups,
-        keys,
-        stats,
-    })
+/// Append the group offsets of the rows starting at output row `at`
+/// (`offsets`, relative to `at`) to the output's `ends`. Their first
+/// offset is the last one already there, unless these rows open the
+/// output.
+pub(crate) fn push_groups(ends: &mut Vec<u32>, at: usize, offsets: &[u32]) {
+    let skip = usize::from(!ends.is_empty());
+    ends.extend(offsets[skip..].iter().map(|&o| at as u32 + o));
+}
+
+/// The per-sort telemetry, emitted by the door once the sort is done:
+/// span emission allocates attribute vectors, so none happens inside the
+/// audited round loop. The massage span and the per-round spans replay
+/// the stats summed over every execution of the call (one, or one per
+/// bucket). Rounds completed before a failure still get their spans; the
+/// whole-sort counters only count successes.
+fn record_spans(job: &Job<'_>, n: usize, stats: &ExecStats, ok: bool) {
+    let Job {
+        plan, cfg, prog, ..
+    } = job;
+    telemetry::record_span(
+        "mcs.massage",
+        stats.massage_ns,
+        vec![
+            ("rows", n.into()),
+            ("rounds", plan.rounds.len().into()),
+            ("identity", prog.is_identity().into()),
+            ("plan", plan.notation().into()),
+        ],
+    );
+    let last = plan.rounds.len() - 1;
+    for (k, rs) in stats.rounds.iter().enumerate() {
+        record_round_spans(k, &plan.rounds[k], rs, k < last || cfg.want_final_groups);
+        telemetry::histogram_record("mcs.round.max_group", rs.max_group as u64);
+    }
+    if ok {
+        telemetry::counter_add("mcs.sorts", 1);
+        telemetry::counter_add("mcs.rounds", stats.rounds.len() as u64);
+    }
+    let m = stats.morsel_counts();
+    for (name, delta) in [
+        ("exec.morsel.dispatched", m.dispatched),
+        ("exec.morsel.split", m.split),
+    ] {
+        if delta > 0 {
+            telemetry::counter_add(name, delta);
+        }
+    }
 }
 
 /// The per-round pipeline (Figure 2a): lookup-permute → segmented SIMD
@@ -834,7 +853,11 @@ fn run_rounds(cfg: &ExecConfig, lease: &mut Lease, stats: &mut ExecStats) -> Res
             rs.scan_ns = tc.elapsed().as_nanos() as u64;
         }
         rs.groups_out = groups.num_groups();
-        stats.rounds.push(rs);
+        // The buckets of a budgeted sort add up, round by round.
+        match stats.rounds.get_mut(k) {
+            Some(sum) => sum.add(&rs),
+            None => stats.rounds.push(rs),
+        }
     }
 
     // Tie order: every `Auto` kernel is stable, and every round enters
@@ -1002,6 +1025,16 @@ mod tests {
         CodeVec::from_u64s(width, vals.iter().copied())
     }
 
+    /// The door over every row, on a fresh arena.
+    fn sort(
+        inputs: &[&CodeVec],
+        specs: &[SortSpec],
+        plan: &MassagePlan,
+        cfg: &ExecConfig,
+    ) -> Result<MultiColumnSortOutput, SortError> {
+        multi_column_sort(inputs, None, specs, plan, cfg, &mut ExecArena::new())
+    }
+
     /// Deterministic xorshift so parity tests need no external RNG.
     fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;
@@ -1085,8 +1118,8 @@ mod tests {
             MassagePlan::from_widths(&[27]),       // Figure 2b (stitched)
             MassagePlan::from_widths(&[11, 16]),   // bit borrowing
         ] {
-            let out = multi_column_sort(&inputs, &specs, &plan, &ExecConfig::default())
-                .expect("valid sort instance");
+            let out =
+                sort(&inputs, &specs, &plan, &ExecConfig::default()).expect("valid sort instance");
             verify_sorted(&inputs, &specs, &out, true);
             // Groups: (0,301)x2, (1,501)x2, (1,1201).
             assert_eq!(out.groups.num_groups(), 3, "plan {plan}");
@@ -1112,8 +1145,8 @@ mod tests {
 
         // Reference final grouping from P0.
         let p0 = MassagePlan::column_at_a_time(&specs);
-        let ref_out = multi_column_sort(&inputs, &specs, &p0, &ExecConfig::default())
-            .expect("valid sort instance");
+        let ref_out =
+            sort(&inputs, &specs, &p0, &ExecConfig::default()).expect("valid sort instance");
         verify_sorted(&inputs, &specs, &ref_out, true);
 
         // All compositions of 11 into <= 4 parts (plus the 11-part one).
@@ -1134,8 +1167,8 @@ mod tests {
         }
         for widths in plans {
             let plan = MassagePlan::from_widths(&widths);
-            let out = multi_column_sort(&inputs, &specs, &plan, &ExecConfig::default())
-                .expect("valid sort instance");
+            let out =
+                sort(&inputs, &specs, &plan, &ExecConfig::default()).expect("valid sort instance");
             verify_sorted(&inputs, &specs, &out, true);
             // Lemma 1: identical grouping structure regardless of plan.
             assert_eq!(
@@ -1155,14 +1188,13 @@ mod tests {
         // Stitched plan must complement B first; expected output order is
         // the input order (x, y, z) per the paper.
         let plan = MassagePlan::from_widths(&[6]);
-        let out = multi_column_sort(&inputs, &specs, &plan, &ExecConfig::default())
-            .expect("valid sort instance");
+        let out =
+            sort(&inputs, &specs, &plan, &ExecConfig::default()).expect("valid sort instance");
         assert_eq!(out.oids, vec![0, 1, 2]);
         // And the wrong (no-complement) order would have been 1,0,2: check
         // the column-at-a-time plan agrees with the stitched one.
         let p0 = MassagePlan::column_at_a_time(&specs);
-        let out0 = multi_column_sort(&inputs, &specs, &p0, &ExecConfig::default())
-            .expect("valid sort instance");
+        let out0 = sort(&inputs, &specs, &p0, &ExecConfig::default()).expect("valid sort instance");
         assert_eq!(out0.oids, out.oids);
     }
 
@@ -1184,8 +1216,7 @@ mod tests {
         let inputs = vec![&a, &b];
         let specs = vec![SortSpec::asc(13), SortSpec::asc(17)];
         let p0 = MassagePlan::column_at_a_time(&specs);
-        let out = multi_column_sort(&inputs, &specs, &p0, &ExecConfig::default())
-            .expect("valid sort instance");
+        let out = sort(&inputs, &specs, &p0, &ExecConfig::default()).expect("valid sort instance");
         assert_eq!(out.stats.rounds.len(), 2);
         assert_eq!(out.stats.massage_ns, 0, "P0 ascending pays no massage");
         // Round 1 radix-sorts all 5,000 rows as one group; phase times are
@@ -1197,8 +1228,7 @@ mod tests {
         assert!(r2.invocations <= r2.groups_in);
         // Massaged plan records massage time.
         let p = MassagePlan::from_widths(&[16, 14]);
-        let out2 = multi_column_sort(&inputs, &specs, &p, &ExecConfig::default())
-            .expect("valid sort instance");
+        let out2 = sort(&inputs, &specs, &p, &ExecConfig::default()).expect("valid sort instance");
         assert!(out2.stats.massage_ns > 0);
         verify_sorted(&inputs, &specs, &out2, true);
     }
@@ -1215,8 +1245,7 @@ mod tests {
         let inputs = vec![&a, &b];
         let specs = vec![SortSpec::asc(12), SortSpec::asc(20)];
         let p0 = MassagePlan::column_at_a_time(&specs);
-        let out = multi_column_sort(&inputs, &specs, &p0, &ExecConfig::default())
-            .expect("valid sort instance");
+        let out = sort(&inputs, &specs, &p0, &ExecConfig::default()).expect("valid sort instance");
         assert_eq!(out.stats.massage_ns, 0, "P0 ascending pays no massage");
         assert!(out.stats.rounds[0].lookup_ns > 0);
         verify_sorted(&inputs, &specs, &out, true);
@@ -1232,7 +1261,7 @@ mod tests {
 
         // Plan covers 30 bits but the key is 27: width mismatch.
         let short = MassagePlan::from_widths(&[15, 15]);
-        let err = multi_column_sort(&inputs, &specs, &short, &cfg).unwrap_err();
+        let err = sort(&inputs, &specs, &short, &cfg).unwrap_err();
         assert_eq!(
             err,
             SortError::InvalidPlan(crate::plan::PlanError::WidthMismatch {
@@ -1246,7 +1275,7 @@ mod tests {
 
         // One spec too few.
         let p0 = MassagePlan::column_at_a_time(&specs);
-        let err = multi_column_sort(&inputs, &specs[..1], &p0, &cfg).unwrap_err();
+        let err = sort(&inputs, &specs[..1], &p0, &cfg).unwrap_err();
         assert_eq!(
             err,
             SortError::ColumnCountMismatch {
@@ -1256,12 +1285,12 @@ mod tests {
         );
 
         // No columns at all.
-        let err = multi_column_sort(&[], &[], &p0, &cfg).unwrap_err();
+        let err = sort(&[], &[], &p0, &cfg).unwrap_err();
         assert_eq!(err, SortError::NoColumns);
 
         // Columns of unequal length.
         let short = col(17, &[30, 10]);
-        let err = multi_column_sort(&[&a, &short], &specs, &p0, &cfg).unwrap_err();
+        let err = sort(&[&a, &short], &specs, &p0, &cfg).unwrap_err();
         assert_eq!(
             err,
             SortError::ColumnLengthMismatch {
@@ -1274,8 +1303,8 @@ mod tests {
 
         // A row id past the columns.
         let mut arena = ExecArena::new();
-        let err = multi_column_sort_rows(&inputs, Some(&[2, 3]), &specs, &p0, &cfg, &mut arena)
-            .unwrap_err();
+        let err =
+            multi_column_sort(&inputs, Some(&[2, 3]), &specs, &p0, &cfg, &mut arena).unwrap_err();
         assert_eq!(err, SortError::RowOutOfRange { row: 3, rows: 3 });
         assert!(err.to_string().contains("row id 3"));
     }
@@ -1286,8 +1315,7 @@ mod tests {
         let inputs = vec![&a];
         let specs = vec![SortSpec::asc(12)];
         let p0 = MassagePlan::column_at_a_time(&specs);
-        let out = multi_column_sort(&inputs, &specs, &p0, &ExecConfig::default())
-            .expect("valid sort instance");
+        let out = sort(&inputs, &specs, &p0, &ExecConfig::default()).expect("valid sort instance");
         assert_eq!(out.oids, vec![0]);
         assert_eq!(out.groups.num_groups(), 1);
     }
@@ -1315,8 +1343,8 @@ mod tests {
             MassagePlan::from_widths(&[32, 32, 26]),
             MassagePlan::from_widths(&[64, 26]),
         ] {
-            let out = multi_column_sort(&inputs, &specs, &plan, &ExecConfig::default())
-                .expect("valid sort instance");
+            let out =
+                sort(&inputs, &specs, &plan, &ExecConfig::default()).expect("valid sort instance");
             verify_sorted(&inputs, &specs, &out, true);
         }
     }
@@ -1346,10 +1374,9 @@ mod tests {
             MassagePlan::from_widths(&[16, 14]),
             MassagePlan::from_widths(&[30]),
         ] {
-            let fresh =
-                multi_column_sort(&inputs, &specs, &plan, &cfg).expect("valid sort instance");
+            let fresh = sort(&inputs, &specs, &plan, &cfg).expect("valid sort instance");
             for _ in 0..2 {
-                let warm = multi_column_sort_with(&inputs, &specs, &plan, &cfg, &mut arena)
+                let warm = multi_column_sort(&inputs, None, &specs, &plan, &cfg, &mut arena)
                     .expect("valid sort instance");
                 assert_eq!(warm.oids, fresh.oids, "plan {plan}");
                 assert_eq!(warm.groups.offsets, fresh.groups.offsets, "plan {plan}");
@@ -1361,15 +1388,15 @@ mod tests {
         assert!(stats.reuses >= 3, "repeat executions must reuse: {stats:?}");
         assert!(stats.bytes_peak > 0);
 
-        // The arena-less entry point reports default arena stats.
-        let plainest = multi_column_sort(
+        // A fresh arena reports its one grow.
+        let plainest = sort(
             &inputs,
             &specs,
             &MassagePlan::column_at_a_time(&specs),
             &cfg,
         )
         .expect("valid sort instance");
-        assert!(plainest.stats.arena.is_empty());
+        assert_eq!(plainest.stats.arena.grows, 1);
     }
 
     #[test]
@@ -1389,10 +1416,10 @@ mod tests {
             alloc_probe: Some(probe),
             ..ExecConfig::default()
         };
-        let out = multi_column_sort(&inputs, &specs, &plan, &cfg).expect("valid sort instance");
+        let out = sort(&inputs, &specs, &plan, &cfg).expect("valid sort instance");
         assert_eq!(out.stats.round_loop_allocs, Some(3));
-        let no_probe = multi_column_sort(&inputs, &specs, &plan, &ExecConfig::default())
-            .expect("valid sort instance");
+        let no_probe =
+            sort(&inputs, &specs, &plan, &ExecConfig::default()).expect("valid sort instance");
         assert_eq!(no_probe.stats.round_loop_allocs, None);
     }
 
@@ -1412,9 +1439,8 @@ mod tests {
         let inputs = vec![&a, &b];
         let specs = vec![SortSpec::asc(11), SortSpec::asc(21)];
         let plan = MassagePlan::from_widths(&[16, 16]);
-        let s1 = multi_column_sort(&inputs, &specs, &plan, &ExecConfig::default())
-            .expect("valid sort instance");
-        let s4 = multi_column_sort(
+        let s1 = sort(&inputs, &specs, &plan, &ExecConfig::default()).expect("valid sort instance");
+        let s4 = sort(
             &inputs,
             &specs,
             &plan,

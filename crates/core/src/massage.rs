@@ -351,24 +351,26 @@ pub fn massage_into(
     outs: &mut [RoundKeys],
     cancel: &CancelToken,
 ) -> (MassageProgram, MorselCounts) {
-    massage_rows_into(inputs, None, specs, plan, threads, outs, cancel)
+    let prog = MassageProgram::compile(specs, plan);
+    let morsels = massage_rows_into(inputs, None, &prog, plan, threads, outs, cancel);
+    (prog, morsels)
 }
 
-/// [`massage_into`] over the sorted rows `rows` lists: output row `i` is
-/// input row `rows[i]`, each column read through the list where it lies,
-/// or input row `i` when `rows` is `None`. The list must lie inside the
-/// columns ([`crate::check_inputs`] makes sure of it), and `outs` is as
-/// long as the list.
+/// [`massage_into`] of `prog` (compiled from `plan`) over the sorted rows
+/// `rows` lists: output row `i` is input row `rows[i]`, each column read
+/// through the list where it lies, or input row `i` when `rows` is
+/// `None`. The list must lie inside the columns (the sort door checks it
+/// once per call), and `outs` is as long as the list.
 pub(crate) fn massage_rows_into(
     inputs: &[&CodeVec],
     rows: Option<&[u32]>,
-    specs: &[SortSpec],
+    prog: &MassageProgram,
     plan: &MassagePlan,
     threads: usize,
     outs: &mut [RoundKeys],
     cancel: &CancelToken,
-) -> (MassageProgram, MorselCounts) {
-    assert_eq!(inputs.len(), specs.len());
+) -> MorselCounts {
+    assert_eq!(inputs.len(), prog.specs.len());
     let len = inputs.first().map_or(0, |c| c.len());
     for c in inputs {
         assert_eq!(c.len(), len, "input column length mismatch");
@@ -379,10 +381,9 @@ pub(crate) fn massage_rows_into(
         assert_eq!(out.bank(), round.bank, "output buffer bank mismatch");
         assert_eq!(out.len(), n, "output buffer length mismatch");
     }
-    let prog = MassageProgram::compile(specs, plan);
     if runs_serially(threads, n) {
-        massage_range(inputs, rows, &prog, 0, outs, cancel);
-        return (prog, MorselCounts::default());
+        massage_range(inputs, rows, prog, 0, outs, cancel);
+        return MorselCounts::default();
     }
     // Worker `w` massages the rows `w·n/threads..(w+1)·n/threads` of
     // every round.
@@ -398,10 +399,9 @@ pub(crate) fn massage_rows_into(
         }
         debug_assert_eq!(rest.len(), 0);
     }
-    let morsels = for_each_worker(&mut parts, |(start, part)| {
-        massage_range(inputs, rows, &prog, *start, part, cancel)
-    });
-    (prog, morsels)
+    for_each_worker(&mut parts, |(start, part)| {
+        massage_range(inputs, rows, prog, *start, part, cancel)
+    })
 }
 
 /// Massage `inputs` according to `plan`, returning bank-typed keys per
@@ -484,29 +484,9 @@ impl Unstep {
 }
 
 /// Input column `col`'s codes, read back out of `rounds` (the round keys
-/// `prog` massaged, sorted or not): the inverse FIP, one loop per step
-/// (Lemma 1 — massaging only moves bits, so every bit of the column is
-/// in exactly one round). The first step's loop collects the vector, so
-/// nothing is zeroed first.
-pub(crate) fn decode_column(rounds: &[RoundKeys], prog: &MassageProgram, col: usize) -> Vec<u64> {
-    let n = rounds.first().map_or(0, RoundKeys::len);
-    let descending = prog.specs[col].descending;
-    let Some((first, rest)) = prog.column_steps(col).split_first() else {
-        return vec![0; n];
-    };
-    let u = Unstep::new(first, descending);
-    let mut out: Vec<u64> = match &rounds[first.out_col] {
-        RoundKeys::B16(v) => v.iter().map(|&k| u.bits(k.into())).collect(),
-        RoundKeys::B32(v) => v.iter().map(|&k| u.bits(k.into())).collect(),
-        RoundKeys::B64(v) => v.iter().map(|&k| u.bits(k)).collect(),
-    };
-    for step in rest {
-        Unstep::new(step, descending).apply(&rounds[step.out_col], false, &mut out);
-    }
-    out
-}
-
-/// [`decode_column`] into `dst`, which is as long as the rounds: the
+/// `prog` massaged, sorted or not) into `dst`, which is as long as the
+/// rounds: the inverse FIP, one loop per step (Lemma 1 — massaging only
+/// moves bits, so every bit of the column is in exactly one round). The
 /// first step writes, the others OR in.
 pub(crate) fn decode_column_into(
     rounds: &[RoundKeys],
@@ -685,7 +665,7 @@ mod tests {
             massage_rows_into(
                 &inputs,
                 Some(&list),
-                &sp,
+                &MassageProgram::compile(&sp, &plan),
                 &plan,
                 threads,
                 &mut outs,
@@ -752,10 +732,9 @@ mod tests {
             for (c, col) in codes.iter().enumerate() {
                 let want: Vec<u64> = (0..n).map(|r| col.get(r)).collect();
                 let label = format!("case {case}: specs {sp:?} rounds {widths:?} col {c}");
-                assert_eq!(decode_column(&rounds, &prog, c), want, "{label}");
                 let mut into = vec![u64::MAX; n];
                 decode_column_into(&rounds, &prog, c, &mut into);
-                assert_eq!(into, want, "{label} (into)");
+                assert_eq!(into, want, "{label}");
             }
         }
     }

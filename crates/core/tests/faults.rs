@@ -5,7 +5,9 @@
 //! `cargo test -p mcs-core --features mcs-faults/enabled --test faults`.
 
 use mcs_columnar::CodeVec;
-use mcs_core::{multi_column_sort, verify_sorted, ExecConfig, MassagePlan, SortError, SortSpec};
+use mcs_core::{
+    multi_column_sort, verify_sorted, ExecArena, ExecConfig, MassagePlan, SortError, SortSpec,
+};
 use mcs_faults::{points, with_armed, FireMode};
 
 #[test]
@@ -19,11 +21,13 @@ fn injected_round_failure_and_worker_panic_become_typed_errors() {
     let inputs = vec![&a, &b];
     let specs = vec![SortSpec::asc(11), SortSpec::asc(21)];
     let plan = MassagePlan::column_at_a_time(&specs);
+    let sort = |cfg: &ExecConfig| {
+        multi_column_sort(&inputs, None, &specs, &plan, cfg, &mut ExecArena::new())
+    };
 
     // Round-sort fault on the second round.
     with_armed(&[(points::CORE_ROUND_SORT, FireMode::Nth(2))], || {
-        let err =
-            multi_column_sort(&inputs, &specs, &plan, &ExecConfig::default()).map(|out| out.oids);
+        let err = sort(&ExecConfig::default()).map(|out| out.oids);
         assert_eq!(err, Err(SortError::Injected(points::CORE_ROUND_SORT)));
     });
 
@@ -31,15 +35,10 @@ fn injected_round_failure_and_worker_panic_become_typed_errors() {
     with_armed(&[(points::SIMD_WORKER_PANIC, FireMode::Once)], || {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let err = multi_column_sort(
-            &inputs,
-            &specs,
-            &plan,
-            &ExecConfig {
-                threads: 4,
-                ..ExecConfig::default()
-            },
-        );
+        let err = sort(&ExecConfig {
+            threads: 4,
+            ..ExecConfig::default()
+        });
         std::panic::set_hook(prev);
         match err {
             Err(SortError::WorkerPanicked { round: 0, .. }) => {}
@@ -48,7 +47,6 @@ fn injected_round_failure_and_worker_panic_become_typed_errors() {
     });
 
     // Disarmed: the identical call succeeds again.
-    let out =
-        multi_column_sort(&inputs, &specs, &plan, &ExecConfig::default()).expect("no faults armed");
+    let out = sort(&ExecConfig::default()).expect("no faults armed");
     verify_sorted(&inputs, &specs, &out, true);
 }

@@ -4,7 +4,9 @@
 //! cross-checked against the scalar reference oracle.
 
 use mcs_columnar::CodeVec;
-use mcs_core::{multi_column_sort, verify_sorted, Bank, ExecConfig, MassagePlan, Round, SortSpec};
+use mcs_core::{
+    multi_column_sort, verify_sorted, Bank, ExecArena, ExecConfig, MassagePlan, Round, SortSpec,
+};
 use mcs_test_support::oracle::{assert_matches_reference, reference_sort, SortProblem};
 use mcs_test_support::{check, Rng};
 
@@ -73,7 +75,8 @@ fn lemma1_any_partition_sorts_correctly() {
         let reference = reference_sort(&problem);
 
         let p0 = MassagePlan::column_at_a_time(&specs);
-        let ref_out = multi_column_sort(&inputs, &specs, &p0, &cfg).expect("valid sort instance");
+        let ref_out = multi_column_sort(&inputs, None, &specs, &p0, &cfg, &mut ExecArena::new())
+            .expect("valid sort instance");
         verify_sorted(&inputs, &specs, &ref_out, true);
         assert_matches_reference(
             "P0",
@@ -87,7 +90,8 @@ fn lemma1_any_partition_sorts_correctly() {
         for _ in 0..3 {
             let widths = random_partition(rng, total);
             let plan = MassagePlan::from_widths(&widths);
-            let out = multi_column_sort(&inputs, &specs, &plan, &cfg).expect("valid sort instance");
+            let out = multi_column_sort(&inputs, None, &specs, &plan, &cfg, &mut ExecArena::new())
+                .expect("valid sort instance");
             verify_sorted(&inputs, &specs, &out, true);
             // Lemma 1: the grouping (tie structure) is plan-invariant, and
             // the oracle agrees on order and groups.
@@ -124,7 +128,8 @@ fn oversized_banks_are_still_correct() {
                 bank: Bank::B32,
             },
         ]);
-        let out = multi_column_sort(&inputs, &specs, &plan, &ExecConfig::default())
+        let cfg = ExecConfig::default();
+        let out = multi_column_sort(&inputs, None, &specs, &plan, &cfg, &mut ExecArena::new())
             .expect("valid sort instance");
         verify_sorted(&inputs, &specs, &out, true);
         let problem = problem_of(&cols, &specs);

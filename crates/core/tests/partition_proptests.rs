@@ -1,33 +1,30 @@
 //! Property tests for the budgeted sort's range partition
-//! ([`mcs_extsort::external_multi_column_sort_with`]).
+//! ([`mcs_core::multi_column_sort`] under
+//! [`ExecConfig::memory_budget_bytes`]).
 //!
 //! Under every budget from one byte short of the in-memory footprint
-//! down to a single row, the budgeted sort must return exactly what
-//! [`mcs_core::multi_column_sort_with`] returns: the same oids, and the
-//! same group offsets when final groups are requested (the trivial
-//! single group when they are not). The shapes aim at the partition's
-//! edges: one top digit holding > 90 % of the rows (so a digit
-//! recurses), all-equal keys (so digits run out and a whole range is one
-//! tie group), keys wider than 64 bits, runs of 1- and 3-bit columns (so
-//! one digit spans several columns), and DESC columns throughout. Each
-//! runs under both kernels, at one and two threads.
+//! down to a single row, the budgeted sort must return exactly what the
+//! unbudgeted sort returns: the same oids, and the same group offsets
+//! (the trivial single group on both paths when final groups are not
+//! requested). The shapes aim at the partition's edges: one top digit
+//! holding > 90 % of the rows (so a digit recurses), all-equal keys (so
+//! digits run out and a whole range is one tie group), keys wider than
+//! 64 bits, runs of 1- and 3-bit columns (so one digit spans several
+//! columns), and DESC columns throughout. Each runs under both kernels,
+//! at one and two threads.
 //!
 //! Where the footprint model says a bucket fits the budget, the arena's
 //! byte peak must also stay within `tests/memory_budget.rs`'s bound.
 //!
 //! The same shapes sort random row lists — ascending, as a filter
-//! produces them, and shuffled — through
-//! [`mcs_extsort::budgeted_sort_rows`] at the same budgets, byte-identical
-//! to gathering the key columns by the list, sorting the copy in memory
-//! and composing its positions back through the list.
+//! produces them, and shuffled — at the same budgets, byte-identical to
+//! gathering the key columns by the list, sorting the copy in memory and
+//! composing its positions back through the list.
 
 use mcs_columnar::CodeVec;
 use mcs_core::{
-    lease_footprint_bytes, multi_column_sort_with, ExecArena, ExecConfig, MassagePlan, SortConfig,
+    lease_footprint_bytes, multi_column_sort, ExecArena, ExecConfig, MassagePlan, SortConfig,
     SortKernel, SortSpec,
-};
-use mcs_extsort::{
-    budgeted_sort_rows, chunk_rows_for_budget, external_multi_column_sort_with, SpillStats,
 };
 use mcs_test_support::{check, gen_row_list, Rng};
 
@@ -105,7 +102,7 @@ fn gen_plan(rng: &mut Rng, specs: &[SortSpec]) -> MassagePlan {
 /// byte.
 fn budgets(plan: &MassagePlan, n: usize, cfg: &ExecConfig) -> [usize; 6] {
     let footprint = lease_footprint_bytes(plan, n, cfg);
-    // The per-row cost `chunk_rows_for_budget` divides by.
+    // The per-row cost the bucket bound divides the budget by.
     let one_row = lease_footprint_bytes(plan, 4096, cfg).div_ceil(4096);
     [
         footprint - 1,
@@ -149,7 +146,7 @@ fn budgeted_sort_is_byte_identical_to_the_in_memory_sort() {
         let plan = gen_plan(rng, &specs);
 
         for cfg in configs() {
-            let want = multi_column_sort_with(&refs, &specs, &plan, &cfg, &mut ExecArena::new())
+            let want = multi_column_sort(&refs, None, &specs, &plan, &cfg, &mut ExecArena::new())
                 .expect("in-memory sort");
             let footprint = lease_footprint_bytes(&plan, n, &cfg);
             for budget in budgets(&plan, n, &cfg) {
@@ -161,22 +158,24 @@ fn budgeted_sort_is_byte_identical_to_the_in_memory_sort() {
                     cfg.want_final_groups
                 );
                 let mut arena = ExecArena::new();
-                let (got, spill) =
-                    external_multi_column_sort_with(&refs, &specs, &plan, &cfg, &mut arena, budget)
-                        .expect("budgeted sort");
+                let budgeted = ExecConfig {
+                    memory_budget_bytes: Some(budget),
+                    ..cfg.clone()
+                };
+                let got = multi_column_sort(&refs, None, &specs, &plan, &budgeted, &mut arena)
+                    .expect("budgeted sort");
                 assert_eq!(got.oids, want.oids, "{label}: oids");
-                if cfg.want_final_groups {
-                    assert_eq!(got.groups.offsets, want.groups.offsets, "{label}: groups");
-                } else {
+                assert_eq!(got.groups.offsets, want.groups.offsets, "{label}: groups");
+                if !cfg.want_final_groups {
                     assert_eq!(got.groups.offsets, vec![0, n as u32], "{label}: groups");
                 }
-                assert_eq!((spill.bytes, spill.merge_comparisons), (0, 0), "{label}");
-                assert!(spill.runs as usize <= n, "{label}: {} buckets", spill.runs);
+                let buckets = got.stats.buckets;
+                assert!(buckets as usize <= n, "{label}: {buckets} buckets");
                 if n > 0 && footprint > budget {
-                    assert!(spill.runs > 0, "{label}: over budget, yet no bucket");
+                    assert!(buckets > 0, "{label}: over budget, yet no bucket");
                 }
 
-                let bucket_rows = chunk_rows_for_budget(&plan, &cfg, budget);
+                let bucket_rows = got.stats.bucket_rows;
                 if lease_footprint_bytes(&plan, bucket_rows, &cfg) <= budget {
                     let peak = arena.stats().bytes_peak as usize;
                     assert!(
@@ -210,7 +209,7 @@ fn budgeted_row_lists_match_gather_then_sort() {
             let gathered: Vec<&CodeVec> = gathered.iter().collect();
             for cfg in configs() {
                 let local =
-                    multi_column_sort_with(&gathered, &specs, &plan, &cfg, &mut ExecArena::new())
+                    multi_column_sort(&gathered, None, &specs, &plan, &cfg, &mut ExecArena::new())
                         .expect("sort of the gathered copy");
                 let want: Vec<u32> = local.oids.iter().map(|&p| rows[p as usize]).collect();
                 for budget in budgets(&plan, m, &cfg) {
@@ -226,7 +225,7 @@ fn budgeted_row_lists_match_gather_then_sort() {
                         memory_budget_bytes: Some(budget),
                         ..cfg.clone()
                     };
-                    let (got, spill) = budgeted_sort_rows(
+                    let got = multi_column_sort(
                         &refs,
                         Some(&rows),
                         &specs,
@@ -236,15 +235,9 @@ fn budgeted_row_lists_match_gather_then_sort() {
                     )
                     .expect("budgeted sort of the row list");
                     assert_eq!(got.oids, want, "{label}: oids");
-                    if cfg.want_final_groups {
-                        assert_eq!(got.groups.offsets, local.groups.offsets, "{label}: groups");
-                    } else if spill.runs > 0 {
-                        assert_eq!(got.groups.offsets, vec![0, m as u32], "{label}: groups");
-                    } else {
-                        assert_eq!(got.groups.offsets, local.groups.offsets, "{label}: groups");
-                    }
+                    assert_eq!(got.groups.offsets, local.groups.offsets, "{label}: groups");
                     if m > 0 && lease_footprint_bytes(&plan, m, &cfg) > budget {
-                        assert!(spill.runs > 0, "{label}: over budget, yet no bucket");
+                        assert!(got.stats.buckets > 0, "{label}: over budget, yet no bucket");
                     }
                 }
             }
@@ -267,9 +260,10 @@ fn unbounded_budgets_sort_row_lists_in_memory() {
         };
         for (rows, want) in [(None, [1, 3, 2, 0]), (Some(list), [3, 1, 2, 0])] {
             let mut arena = ExecArena::new();
-            let (out, spill) = budgeted_sort_rows(&[&c0], rows, &sp, &plan, &cfg, &mut arena)
+            let out = multi_column_sort(&[&c0], rows, &sp, &plan, &cfg, &mut arena)
                 .expect("valid inputs");
-            assert_eq!(spill, SpillStats::default(), "{budget:?} {rows:?}");
+            let partition = (out.stats.buckets, out.stats.bucket_rows);
+            assert_eq!(partition, (0, 0), "{budget:?} {rows:?}");
             assert_eq!(out.oids, want, "{budget:?} {rows:?}");
         }
     }

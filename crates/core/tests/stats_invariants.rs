@@ -2,7 +2,15 @@
 //! paper's cost model reasons about (`N_sort`, `N_group`, `N̄_code`).
 
 use mcs_columnar::CodeVec;
-use mcs_core::{multi_column_sort, ExecConfig, MassagePlan, SortSpec};
+use mcs_core::{
+    multi_column_sort, ExecArena, ExecConfig, MassagePlan, MultiColumnSortOutput, SortSpec,
+};
+
+/// The sort of every row, on a fresh arena.
+fn sort(inputs: &[&CodeVec], specs: &[SortSpec], plan: &MassagePlan) -> MultiColumnSortOutput {
+    let cfg = ExecConfig::default();
+    multi_column_sort(inputs, None, specs, plan, &cfg, &mut ExecArena::new()).expect("valid sort")
+}
 
 fn cols(n: usize, w1: u32, w2: u32, ndv1: u64, ndv2: u64) -> (CodeVec, CodeVec) {
     let mut s = 0xACEu64;
@@ -26,8 +34,7 @@ fn round2_invocations_counted_like_the_model() {
     let inputs = vec![&a, &b];
     let specs = vec![SortSpec::asc(10), SortSpec::asc(17)];
     let p0 = MassagePlan::column_at_a_time(&specs);
-    let out = multi_column_sort(&inputs, &specs, &p0, &ExecConfig::default())
-        .expect("valid sort instance");
+    let out = sort(&inputs, &specs, &p0);
 
     let r1 = &out.stats.rounds[0];
     let r2 = &out.stats.rounds[1];
@@ -61,8 +68,7 @@ fn more_first_round_bits_never_decrease_groups() {
     let mut prev_groups = 0usize;
     for shift in 0..=8u32 {
         let plan = MassagePlan::from_widths(&[17 + shift, 33 - shift]);
-        let out = multi_column_sort(&inputs, &specs, &plan, &ExecConfig::default())
-            .expect("valid sort instance");
+        let out = sort(&inputs, &specs, &plan);
         let g = out.stats.rounds[0].groups_out;
         assert!(
             g >= prev_groups,
@@ -83,8 +89,7 @@ fn singleton_groups_skip_sorting() {
     let inputs = vec![&a, &b];
     let specs = vec![SortSpec::asc(13), SortSpec::asc(17)];
     let p0 = MassagePlan::column_at_a_time(&specs);
-    let out = multi_column_sort(&inputs, &specs, &p0, &ExecConfig::default())
-        .expect("valid sort instance");
+    let out = sort(&inputs, &specs, &p0);
     assert_eq!(out.stats.rounds[1].invocations, 0);
     assert_eq!(out.stats.rounds[1].codes_sorted, 0);
     assert_eq!(out.groups.num_groups(), n);

@@ -9,10 +9,9 @@
 
 use mcs_core::{ExecStats, MassagePlan, RoundStats, SortKernel};
 use mcs_cost::{CostModel, PlanCost, SortInstance};
-use mcs_extsort::SpillStats;
 use mcs_simd_sort::{kernel_for, radix::passes_for_width, SizeKernel};
 
-use crate::pipeline::QueryTimings;
+use crate::pipeline::{QueryTimings, SpillStats};
 
 /// A predicted-vs-measured account of one executed multi-column sort.
 #[derive(Debug, Clone)]
@@ -51,7 +50,7 @@ pub struct ExplainReport {
 impl ExplainReport {
     /// Build a report from a sort instance, the plan that ran on it, and
     /// the executor's measured stats — the path for callers that invoke
-    /// `multi_column_sort` directly (bench bins, examples).
+    /// `mcs_core::multi_column_sort` directly (bench bins, examples).
     pub fn from_parts(
         query: impl Into<String>,
         inst: &SortInstance,
@@ -153,12 +152,10 @@ impl ExplainReport {
                 t(self.queue_ns as f64)
             ));
         }
-        // Arena-backed executions (every engine query) report buffer
-        // reuse; core's arena-less `multi_column_sort` leaves
-        // `measured.arena` empty and renders no line, keeping the
-        // pre-arena golden snapshots stable. Grow/
-        // reuse counts are deterministic; the byte peak is not, so it
-        // redacts like a timing.
+        // Every sort reports the reuse of the arena that served it; stats
+        // without arena counters render no line. Grow/reuse counts are
+        // deterministic; the byte peak is not, so it redacts like a
+        // timing.
         if !self.measured.arena.is_empty() {
             let peak = if redact {
                 "###".to_string()
@@ -332,7 +329,7 @@ fn fmt_ns(ns: f64) -> String {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use mcs_core::{multi_column_sort, ExecConfig};
+    use mcs_core::{multi_column_sort, ArenaStats, ExecArena, ExecConfig};
 
     #[test]
     fn report_lines_up_rounds() {
@@ -341,8 +338,16 @@ mod tests {
         let b = mcs_columnar::CodeVec::from_u64s(15, (0..n).map(|i| (i as u64 * 101) % 32768));
         let inst = SortInstance::uniform(n, &[(9, 512.0), (15, 16384.0)]);
         let plan = inst.p0();
-        let out = multi_column_sort(&[&a, &b], &inst.specs, &plan, &ExecConfig::default())
-            .expect("valid sort instance");
+        let cfg = ExecConfig::default();
+        let out = multi_column_sort(
+            &[&a, &b],
+            None,
+            &inst.specs,
+            &plan,
+            &cfg,
+            &mut ExecArena::new(),
+        )
+        .expect("valid sort instance");
         let model = CostModel::with_defaults();
         let rep = ExplainReport::from_parts("unit", &inst, &plan, &out.stats, &model);
         assert_eq!(rep.predicted.rounds.len(), rep.measured.rounds.len());
@@ -395,20 +400,20 @@ mod tests {
     }
 
     #[test]
-    fn arena_less_sorts_render_no_arena_line() {
+    fn stats_without_arena_counters_render_no_arena_line() {
         let n = 1024usize;
         let a = mcs_columnar::CodeVec::from_u64s(9, (0..n).map(|i| (i as u64 * 37) % 512));
         let inst = SortInstance::uniform(n, &[(9, 512.0)]);
         let plan = inst.p0();
-        let out = multi_column_sort(&[&a], &inst.specs, &plan, &ExecConfig::default())
+        let cfg = ExecConfig::default();
+        let out = multi_column_sort(&[&a], None, &inst.specs, &plan, &cfg, &mut ExecArena::new())
             .expect("valid sort instance");
-        let rep = ExplainReport::from_parts(
-            "unit",
-            &inst,
-            &plan,
-            &out.stats,
-            &CostModel::with_defaults(),
-        );
+        let stats = ExecStats {
+            arena: ArenaStats::default(),
+            ..out.stats
+        };
+        let rep =
+            ExplainReport::from_parts("unit", &inst, &plan, &stats, &CostModel::with_defaults());
         assert!(!rep.render().contains("arena:"));
         assert!(!rep.render_redacted().contains("arena:"));
     }
@@ -419,7 +424,8 @@ mod tests {
         let a = mcs_columnar::CodeVec::from_u64s(9, (0..n).map(|i| (i as u64 * 37) % 512));
         let inst = SortInstance::uniform(n, &[(9, 512.0)]);
         let plan = inst.p0();
-        let out = multi_column_sort(&[&a], &inst.specs, &plan, &ExecConfig::default())
+        let cfg = ExecConfig::default();
+        let out = multi_column_sort(&[&a], None, &inst.specs, &plan, &cfg, &mut ExecArena::new())
             .expect("valid sort instance");
         let mut rep = ExplainReport::from_parts(
             "unit",
@@ -445,8 +451,10 @@ mod tests {
         let plan = inst.p0();
         let model = CostModel::with_defaults();
 
-        let serial = multi_column_sort(&[&a], &inst.specs, &plan, &ExecConfig::default())
-            .expect("valid sort instance");
+        let serial_cfg = ExecConfig::default();
+        let sort =
+            |cfg| multi_column_sort(&[&a], None, &inst.specs, &plan, cfg, &mut ExecArena::new());
+        let serial = sort(&serial_cfg).expect("valid sort instance");
         let rep = ExplainReport::from_parts("unit", &inst, &plan, &serial.stats, &model);
         assert!(!rep.render().contains("morsels:"), "serial, no line");
 
@@ -454,7 +462,7 @@ mod tests {
             threads: 4,
             ..ExecConfig::default()
         };
-        let par = multi_column_sort(&[&a], &inst.specs, &plan, &cfg).expect("valid sort instance");
+        let par = sort(&cfg).expect("valid sort instance");
         assert_eq!(par.oids, serial.oids, "thread count must not leak");
         let rep = ExplainReport::from_parts("unit", &inst, &plan, &par.stats, &model);
         let text = rep.render();

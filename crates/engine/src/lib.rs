@@ -52,7 +52,7 @@ pub use error::{DegradeReason, EngineError};
 pub use explain::ExplainReport;
 pub use pipeline::{
     result_to_table, run_query, EngineConfig, EngineConfigBuilder, PlannerMode, QueryResult,
-    QueryTimings,
+    QueryTimings, SpillStats,
 };
 pub use query::{Agg, AggKind, Filter, OrderKey, Query};
 pub use session::{
@@ -68,4 +68,3 @@ pub use mcs_core::{
     lease_footprint_bytes, ArenaStats, CancelCause, CancelToken, ExecArena, ExecConfig,
     MassagePlan, SortSpec, CHECK_INTERVAL,
 };
-pub use mcs_extsort::SpillStats;

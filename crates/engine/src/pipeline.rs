@@ -29,11 +29,10 @@ use std::time::Instant;
 
 use mcs_columnar::{BitVec, CodeVec, Column, ColumnStats, Table};
 use mcs_core::{
-    tuple_cmp, ExecArena, ExecConfig, ExecStats, GroupBounds, MassagePlan, MultiColumnSortOutput,
-    SortError, SortKernel, SortSpec,
+    multi_column_sort, tuple_cmp, ExecArena, ExecConfig, ExecStats, GroupBounds, MassagePlan,
+    MultiColumnSortOutput, SortError, SortKernel, SortSpec,
 };
 use mcs_cost::{CostModel, KeyColumnStats, SortInstance};
-use mcs_extsort::{budgeted_sort_rows, chunk_rows_for_budget, SpillStats};
 use mcs_planner::{roga, PlanFingerprint, RogaOptions, SearchError};
 use mcs_telemetry as telemetry;
 
@@ -136,13 +135,12 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Cap the multi-column sort's resident memory at `bytes`: queries
-    /// whose leased sort footprint
-    /// ([`mcs_core::lease_footprint_bytes`]) would exceed the budget run
-    /// through the budgeted path of `mcs-extsort` (range-partition the
-    /// rows in memory, then sort one budget-sized bucket at a time)
-    /// instead of the in-memory executor, with byte-identical results.
-    /// Unset (the default) never partitions.
+    /// Cap the multi-column sort's resident memory at `bytes`
+    /// ([`ExecConfig::memory_budget_bytes`]): a sort whose leased
+    /// footprint ([`mcs_core::lease_footprint_bytes`]) would exceed the
+    /// budget is range-partitioned in memory by the core sort, which then
+    /// sorts one budget-sized bucket at a time, with byte-identical
+    /// results. Unset (the default) never partitions.
     pub fn memory_budget(mut self, bytes: usize) -> Self {
         self.cfg.exec.memory_budget_bytes = Some(bytes);
         self
@@ -210,15 +208,31 @@ pub struct QueryTimings {
     /// renders only when this is non-zero, so tail latency can be
     /// attributed to queueing vs executing.
     pub queue_ns: u64,
-    /// What the budgeted sort path did (all-zero when every sort ran
-    /// in memory — the case whenever
-    /// [`ExecConfig::memory_budget_bytes`] is unset): `runs` counts the
-    /// buckets sorted.
+    /// What the budgeted sort did (all-zero when every sort ran in
+    /// memory — the case whenever [`ExecConfig::memory_budget_bytes`] is
+    /// unset): `runs` sums [`ExecStats::buckets`] over the query's sorts.
     pub spilled: SpillStats,
-    /// Rows per bucket of the budgeted sort
-    /// ([`mcs_extsort::chunk_rows_for_budget`]); 0 when no sort was
-    /// partitioned.
+    /// The largest [`ExecStats::bucket_rows`] of the query's sorts; 0
+    /// when no sort was partitioned.
     pub bucket_rows: usize,
+}
+
+/// The bucket count of a query's budgeted sorts, in the shape the
+/// benchmark under `spine/` reads: `runs` counts buckets, and the other
+/// three fields are always 0 (nothing goes to disk and nothing is
+/// merged). Compatibility only: it goes when the benchmark reads
+/// [`ExecStats::buckets`] (ROADMAP item 3(c)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpillStats {
+    /// Buckets sorted one at a time under the budget, summed over the
+    /// query's sorts (0 = every sort ran in memory whole).
+    pub runs: u64,
+    /// Always 0.
+    pub bytes: u64,
+    /// Always 0.
+    pub merge_comparisons: u64,
+    /// Always 0.
+    pub merge_ovc_hits: u64,
 }
 
 impl QueryTimings {
@@ -663,7 +677,7 @@ fn sort_error_recoverable(e: &SortError) -> bool {
 }
 
 /// One sort attempt under one plan, of the rows `rows` lists (all rows
-/// when `None`), through `mcs-extsort`, which owns the partition
+/// when `None`): one call of the core sort, which owns the partition
 /// decision; its buckets are recorded in `timings`.
 fn sort_once(
     pcols: &[&CodeVec],
@@ -674,12 +688,9 @@ fn sort_once(
     arena: &mut ExecArena,
     timings: &mut QueryTimings,
 ) -> Result<MultiColumnSortOutput, SortError> {
-    let (out, spill) = budgeted_sort_rows(pcols, rows, pspecs, plan, exec, arena)?;
-    if let Some(budget) = exec.memory_budget_bytes.filter(|_| spill.runs > 0) {
-        timings.spilled.runs += spill.runs;
-        let rows = chunk_rows_for_budget(plan, exec, budget);
-        timings.bucket_rows = timings.bucket_rows.max(rows);
-    }
+    let out = multi_column_sort(pcols, rows, pspecs, plan, exec, arena)?;
+    timings.spilled.runs += out.stats.buckets;
+    timings.bucket_rows = timings.bucket_rows.max(out.stats.bucket_rows);
     Ok(out)
 }
 

@@ -469,8 +469,8 @@ impl<'db> Session<'db> {
         let mut arena = self.take_arena();
         let result = if token.is_live() || threads != self.cfg.exec.threads {
             // The token and thread grant travel inside the exec config,
-            // which every layer (executor, segmented sort, merge,
-            // extsort) already threads.
+            // which every layer (executor, budgeted partition, segmented
+            // sort, merge) already threads.
             let mut cfg = self.cfg.clone();
             cfg.exec.sort.cancel = token;
             cfg.exec.threads = threads;

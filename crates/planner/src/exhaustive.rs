@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use mcs_columnar::CodeVec;
-use mcs_core::{multi_column_sort, ExecConfig, MassagePlan, SortError, SortSpec};
+use mcs_core::{multi_column_sort, ExecArena, ExecConfig, MassagePlan, SortError, SortSpec};
 
 use crate::space::enumerate_compositions;
 
@@ -104,7 +104,7 @@ pub fn measure_plan(
     let mut best = u64::MAX;
     for _ in 0..opts.repeats.max(1) {
         let t = Instant::now();
-        let r = multi_column_sort(inputs, specs, plan, &opts.exec)?;
+        let r = multi_column_sort(inputs, None, specs, plan, &opts.exec, &mut ExecArena::new())?;
         let ns = t.elapsed().as_nanos() as u64;
         std::hint::black_box(&r.oids);
         best = best.min(ns);

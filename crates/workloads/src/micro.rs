@@ -150,7 +150,7 @@ pub fn ex4(rows: usize, seed: u64) -> MicroInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_core::{multi_column_sort, verify_sorted, ExecConfig};
+    use mcs_core::{multi_column_sort, verify_sorted, ExecArena, ExecConfig};
 
     #[test]
     fn paper_ndv_rule() {
@@ -178,11 +178,13 @@ mod tests {
 
     #[test]
     fn all_examples_sort_correctly_under_all_plans() {
+        let cfg = ExecConfig::default();
         for m in [ex1(500, 2), ex2(500, 3), ex4(500, 4)] {
             let refs = m.column_refs();
             for (name, plan) in &m.plans {
-                let out = multi_column_sort(&refs, &m.specs, plan, &ExecConfig::default())
-                    .expect("valid sort instance");
+                let out =
+                    multi_column_sort(&refs, None, &m.specs, plan, &cfg, &mut ExecArena::new())
+                        .expect("valid sort instance");
                 verify_sorted(&refs, &m.specs, &out, true);
                 let _ = name;
             }

@@ -1,7 +1,7 @@
 //! Tests for the suite plumbing: sort-instance extraction matches what
 //! the engine pipeline would sort, and multi-stage timing combination.
 
-use mcs_core::{multi_column_sort, verify_sorted, ExecConfig};
+use mcs_core::{multi_column_sort, verify_sorted, ExecArena, ExecConfig};
 use mcs_engine::EngineConfig;
 use mcs_workloads::suite::extract_sort_instance;
 use mcs_workloads::{run_bench_query, tpch, TpchParams};
@@ -28,7 +28,8 @@ fn extracted_instance_matches_query_shape() {
 
     // The extracted columns sort correctly under P0.
     let refs: Vec<&mcs_columnar::CodeVec> = cols.iter().collect();
-    let out = multi_column_sort(&refs, &specs, &inst.p0(), &ExecConfig::default())
+    let (p0, cfg) = (inst.p0(), ExecConfig::default());
+    let out = multi_column_sort(&refs, None, &specs, &p0, &cfg, &mut ExecArena::new())
         .expect("valid sort instance");
     verify_sorted(&refs, &specs, &out, true);
 }

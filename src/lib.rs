@@ -54,10 +54,8 @@
 pub use mcs_cancel as cancel;
 pub use mcs_client as client;
 pub use mcs_columnar as columnar;
-pub use mcs_core as core;
 pub use mcs_cost as cost;
 pub use mcs_engine as engine;
-pub use mcs_extsort as extsort;
 pub use mcs_faults as faults;
 pub use mcs_planner as planner;
 pub use mcs_server as server;
@@ -69,7 +67,9 @@ pub use mcs_workloads as workloads;
 pub mod prelude {
     pub use mcs_cancel::{CancelCause, CancelToken};
     pub use mcs_columnar::{widen, Column, Dictionary, DimensionJoin, Predicate, Table};
-    pub use mcs_core::{multi_column_sort, Bank, ExecConfig, MassagePlan, Round, SortSpec};
+    pub use mcs_core::{
+        multi_column_sort, Bank, ExecArena, ExecConfig, MassagePlan, Round, SortSpec,
+    };
     pub use mcs_cost::{calibrate, CalibrationOptions, CostModel, MachineSpec, SortInstance};
     pub use mcs_engine::{
         result_to_table, run_query, Agg, AggKind, Database, DegradeReason, EngineConfig,
@@ -78,4 +78,55 @@ pub mod prelude {
     };
     pub use mcs_planner::{roga, rrs, RogaOptions, RrsOptions, SearchError};
     pub use mcs_simd_sort::{sort_pairs, sort_pairs_with, SortConfig, SortKernel};
+}
+
+// Compatibility block for the benchmark under `spine/`, which is built
+// unchanged outside benchmark changes and still calls two former sort
+// entry points. Delete it, and `mcs_engine::SpillStats`, once spine calls
+// `core::multi_column_sort` and reads `ExecStats::buckets` (ROADMAP 3(c)).
+
+/// The multi-column sort ([`mcs_core`]), plus one former entry point.
+pub mod core {
+    pub use mcs_core::*;
+
+    /// [`multi_column_sort`] over every row.
+    pub fn multi_column_sort_with(
+        inputs: &[&mcs_columnar::CodeVec],
+        specs: &[SortSpec],
+        plan: &MassagePlan,
+        cfg: &ExecConfig,
+        arena: &mut ExecArena,
+    ) -> Result<MultiColumnSortOutput, SortError> {
+        multi_column_sort(inputs, None, specs, plan, cfg, arena)
+    }
+}
+
+/// The former budgeted-sort crate: the budget is now
+/// [`core::ExecConfig::memory_budget_bytes`].
+pub mod extsort {
+    use crate::core::*;
+
+    /// [`multi_column_sort`] over every row within `budget_bytes`.
+    pub fn external_multi_column_sort_with(
+        inputs: &[&mcs_columnar::CodeVec],
+        specs: &[SortSpec],
+        plan: &MassagePlan,
+        cfg: &ExecConfig,
+        arena: &mut ExecArena,
+        budget_bytes: usize,
+    ) -> Result<(MultiColumnSortOutput, mcs_engine::SpillStats), SortError> {
+        let cfg = ExecConfig {
+            memory_budget_bytes: Some(budget_bytes),
+            ..cfg.clone()
+        };
+        let out = multi_column_sort(inputs, None, specs, plan, &cfg, arena)?;
+        let runs = out.stats.buckets;
+        Ok((
+            out,
+            mcs_engine::SpillStats {
+                runs,
+                ..Default::default()
+            },
+        ))
+    }
 }

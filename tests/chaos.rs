@@ -360,7 +360,7 @@ fn mid_round_fault_does_not_poison_the_session_arena() {
 #[test]
 fn mid_morsel_worker_panic_is_typed_and_leaves_the_arena_clean() {
     let _serial = serial();
-    use codemassage::core::{multi_column_sort_with, ExecArena, SortError};
+    use codemassage::core::SortError;
     use mcs_columnar::CodeVec;
 
     let n = 30_000usize;
@@ -380,13 +380,14 @@ fn mid_morsel_worker_panic_is_typed_and_leaves_the_arena_clean() {
         want_final_groups: true,
         ..ExecConfig::default()
     };
-    let clean = multi_column_sort(&refs, &specs, &plan, &cfg).expect("clean run");
+    let clean = multi_column_sort(&refs, None, &specs, &plan, &cfg, &mut ExecArena::new())
+        .expect("clean run");
 
     let mut arena = ExecArena::new();
     with_armed(&[(points::SIMD_WORKER_PANIC, FireMode::Once)], || {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let err = multi_column_sort_with(&refs, &specs, &plan, &cfg, &mut arena)
+        let err = multi_column_sort(&refs, None, &specs, &plan, &cfg, &mut arena)
             .expect_err("armed worker panic must fail the sort");
         std::panic::set_hook(prev);
         assert!(
@@ -400,7 +401,7 @@ fn mid_morsel_worker_panic_is_typed_and_leaves_the_arena_clean() {
     });
 
     // Disarmed rerun on the arena the panic unwound through.
-    let after = multi_column_sort_with(&refs, &specs, &plan, &cfg, &mut arena)
+    let after = multi_column_sort(&refs, None, &specs, &plan, &cfg, &mut arena)
         .expect("arena survived the panic");
     assert_eq!(after.oids, clean.oids, "post-panic rerun oids");
     assert_eq!(

@@ -11,7 +11,9 @@
 //! kernels with the model's `kernel` mirroring the executor's.
 
 use mcs_columnar::CodeVec;
-use mcs_core::{multi_column_sort, ExecConfig, MassagePlan, SortConfig, SortKernel, SortSpec};
+use mcs_core::{
+    multi_column_sort, ExecArena, ExecConfig, MassagePlan, SortConfig, SortKernel, SortSpec,
+};
 use mcs_cost::{
     calibrate, CalibrationOptions, CostModel, KeyColumnStats, MachineSpec, SortInstance,
 };
@@ -96,8 +98,10 @@ fn check_plan_under(
         ..ExecConfig::default()
     };
     // Warm one run (page faults, frequency ramp), measure the second.
-    let _ = multi_column_sort(&refs, &specs, plan, &cfg).expect("valid sort instance");
-    let out = multi_column_sort(&refs, &specs, plan, &cfg).expect("valid sort instance");
+    let _ = multi_column_sort(&refs, None, &specs, plan, &cfg, &mut ExecArena::new())
+        .expect("valid sort instance");
+    let out = multi_column_sort(&refs, None, &specs, plan, &cfg, &mut ExecArena::new())
+        .expect("valid sort instance");
 
     let predicted = model.t_mcs_rounds(&inst, plan);
     assert_eq!(

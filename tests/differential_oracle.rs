@@ -18,8 +18,8 @@ use std::collections::BTreeSet;
 
 use mcs_columnar::CodeVec;
 use mcs_core::{
-    multi_column_sort, multi_column_sort_rows, multi_column_sort_with, Bank, ExecArena, ExecConfig,
-    MassagePlan, Round, SortConfig, SortKernel, SortSpec,
+    multi_column_sort, Bank, ExecArena, ExecConfig, MassagePlan, MultiColumnSortOutput as Output,
+    Round, SortConfig, SortKernel, SortSpec,
 };
 use mcs_engine::rank_over;
 use mcs_test_support::{
@@ -105,6 +105,11 @@ fn sort_specs(p: &SortProblem) -> Vec<SortSpec> {
         .collect()
 }
 
+/// The sort of every row, on a fresh arena.
+fn sort(refs: &[&CodeVec], specs: &[SortSpec], plan: &MassagePlan, cfg: &ExecConfig) -> Output {
+    multi_column_sort(refs, None, specs, plan, cfg, &mut ExecArena::new()).expect("valid sort")
+}
+
 /// Both sort families: the size-driven dispatch and the SIMD merge-sort.
 const KERNELS: [SortKernel; 2] = [SortKernel::Auto, SortKernel::MergeSort];
 
@@ -150,7 +155,7 @@ fn run_and_check_kernel(
         want_final_groups: true,
         ..ExecConfig::default()
     };
-    let out = multi_column_sort(&refs, &specs, plan, &cfg).expect("valid sort instance");
+    let out = sort(&refs, &specs, plan, &cfg);
     mcs_test_support::assert_matches_reference(
         label,
         p,
@@ -166,9 +171,10 @@ fn run_and_check_kernel(
     thread_local! {
         static ARENA: RefCell<ExecArena> = RefCell::new(ExecArena::new());
     }
-    let arena_out = ARENA
-        .with(|a| multi_column_sort_with(&refs, &specs, plan, &cfg, &mut a.borrow_mut()))
-        .expect("valid sort instance (arena path)");
+    let on_arena = |cfg: &ExecConfig| {
+        ARENA.with(|a| multi_column_sort(&refs, None, &specs, plan, cfg, &mut a.borrow_mut()))
+    };
+    let arena_out = on_arena(&cfg).expect("valid sort instance (arena path)");
     assert_eq!(arena_out.oids, out.oids, "[{label}] arena path oids");
     assert_eq!(
         arena_out.groups.offsets, out.groups.offsets,
@@ -185,16 +191,12 @@ fn run_and_check_kernel(
         c.sort.cancel.cancel();
         c
     };
-    let err = ARENA
-        .with(|a| multi_column_sort_with(&refs, &specs, plan, &cancelled_cfg, &mut a.borrow_mut()))
-        .expect_err("a fired token must cancel the sort");
+    let err = on_arena(&cancelled_cfg).expect_err("a fired token must cancel the sort");
     assert!(
         matches!(err, mcs_core::SortError::Cancelled(_)),
         "[{label}] wrong cancellation error: {err:?}"
     );
-    let retry = ARENA
-        .with(|a| multi_column_sort_with(&refs, &specs, plan, &cfg, &mut a.borrow_mut()))
-        .expect("retry after a cancelled run");
+    let retry = on_arena(&cfg).expect("retry after a cancelled run");
     assert_eq!(retry.oids, out.oids, "[{label}] cancel-then-retry oids");
     assert_eq!(
         retry.groups.offsets, out.groups.offsets,
@@ -210,24 +212,17 @@ fn run_and_check_kernel(
     // checked.
     let footprint = mcs_core::lease_footprint_bytes(plan, p.num_rows(), &cfg);
     for div in [4usize, 16] {
-        let spilled = ARENA
-            .with(|a| {
-                mcs_extsort::external_multi_column_sort_with(
-                    &refs,
-                    &specs,
-                    plan,
-                    &cfg,
-                    &mut a.borrow_mut(),
-                    (footprint / div).max(1),
-                )
-            })
-            .expect("valid sort instance (external path)");
+        let budgeted = ExecConfig {
+            memory_budget_bytes: Some((footprint / div).max(1)),
+            ..cfg.clone()
+        };
+        let spilled = on_arena(&budgeted).expect("valid sort instance (budgeted path)");
         assert_eq!(
-            spilled.0.oids, out.oids,
+            spilled.oids, out.oids,
             "[{label}] spill(1/{div}) changed the oid order"
         );
         assert_eq!(
-            spilled.0.groups.offsets, out.groups.offsets,
+            spilled.groups.offsets, out.groups.offsets,
             "[{label}] spill(1/{div}) changed the group bounds"
         );
     }
@@ -400,7 +395,8 @@ fn random_problems_every_shape_and_distribution() {
 }
 
 /// The row-subset axis: sorting a row list where it lies
-/// (`multi_column_sort_rows`) must return exactly what gathering the key
+/// (`multi_column_sort` with a row list) must return exactly what
+/// gathering the key
 /// columns by the list, sorting the copy and composing its positions
 /// back through the list returns — oids and group offsets, byte for
 /// byte. Lists are ascending (as a filter produces them) and shuffled;
@@ -448,8 +444,9 @@ fn row_subsets_match_gather_then_sort() {
                                  shuffled={shuffled}/{dist:?}/n{n}/m{}",
                                 rows.len()
                             );
-                            let local = multi_column_sort_with(
+                            let local = multi_column_sort(
                                 &gathered,
+                                None,
                                 &sort_specs,
                                 &plan,
                                 &cfg,
@@ -458,7 +455,7 @@ fn row_subsets_match_gather_then_sort() {
                             .expect("sort of the gathered copy");
                             let want: Vec<u32> =
                                 local.oids.iter().map(|&p| rows[p as usize]).collect();
-                            let got = multi_column_sort_rows(
+                            let got = multi_column_sort(
                                 &refs,
                                 Some(&rows),
                                 &sort_specs,
@@ -538,7 +535,7 @@ fn decoded_key_columns_match_the_columns_read_through_the_oids() {
                                      rows={:?}/{dist:?}/n{n}/want={want_keys:b}",
                                     rows.map(<[u32]>::len)
                                 );
-                                let base = multi_column_sort_rows(
+                                let base = multi_column_sort(
                                     &refs,
                                     rows,
                                     &sort_specs,
@@ -557,7 +554,7 @@ fn decoded_key_columns_match_the_columns_read_through_the_oids() {
                                         ..plain.clone()
                                     };
                                     let label = format!("{label}/budget={budget:?}");
-                                    let (out, _) = mcs_extsort::budgeted_sort_rows(
+                                    let out = multi_column_sort(
                                         &refs,
                                         rows,
                                         &sort_specs,
@@ -567,12 +564,10 @@ fn decoded_key_columns_match_the_columns_read_through_the_oids() {
                                     )
                                     .expect("sort with named keys");
                                     assert_eq!(out.oids, base.oids, "[{label}] oids");
-                                    if want_final_groups {
-                                        assert_eq!(
-                                            out.groups.offsets, base.groups.offsets,
-                                            "[{label}] group bounds"
-                                        );
-                                    }
+                                    assert_eq!(
+                                        out.groups.offsets, base.groups.offsets,
+                                        "[{label}] group bounds"
+                                    );
                                     assert_eq!(out.keys.len(), refs.len(), "[{label}] columns");
                                     for (c, col) in refs.iter().enumerate() {
                                         let got = &out.keys[c];
@@ -625,19 +620,16 @@ fn tiny_budget_forces_at_least_four_buckets() {
         want_final_groups: true,
         ..ExecConfig::default()
     };
-    let want = multi_column_sort(&refs, &sspecs, &plan, &cfg).expect("in-memory sort");
+    let want = sort(&refs, &sspecs, &plan, &cfg);
 
     let budget = mcs_core::lease_footprint_bytes(&plan, p.num_rows(), &cfg) / 8;
-    let mut arena = ExecArena::new();
-    let (got, spill) = mcs_extsort::external_multi_column_sort_with(
-        &refs, &sspecs, &plan, &cfg, &mut arena, budget,
-    )
-    .expect("external sort");
-    assert!(
-        spill.runs >= 4,
-        "budget {budget} made only {} buckets",
-        spill.runs
-    );
+    let budgeted = ExecConfig {
+        memory_budget_bytes: Some(budget),
+        ..cfg
+    };
+    let got = sort(&refs, &sspecs, &plan, &budgeted);
+    let buckets = got.stats.buckets;
+    assert!(buckets >= 4, "budget {budget} made only {buckets} buckets");
     assert_eq!(got.oids, want.oids, "budgeted oid order");
     assert_eq!(got.groups.offsets, want.groups.offsets, "budgeted groups");
 }
@@ -664,7 +656,7 @@ fn merge_sort_out_of_cache_passes_match_auto() {
     let refs: Vec<&CodeVec> = cols.iter().collect();
     let sspecs = sort_specs(&p);
     let plan = MassagePlan::column_at_a_time(&sspecs);
-    let auto = multi_column_sort(&refs, &sspecs, &plan, &ExecConfig::default()).expect("Auto");
+    let auto = sort(&refs, &sspecs, &plan, &ExecConfig::default());
     let cfg = ExecConfig {
         sort: SortConfig {
             kernel: SortKernel::MergeSort,
@@ -673,7 +665,7 @@ fn merge_sort_out_of_cache_passes_match_auto() {
         },
         ..ExecConfig::default()
     };
-    let merged = multi_column_sort(&refs, &sspecs, &plan, &cfg).expect("MergeSort");
+    let merged = sort(&refs, &sspecs, &plan, &cfg);
     let comparisons: u64 = merged
         .stats
         .rounds
@@ -716,7 +708,7 @@ fn deadline_swept_across_radix_rounds_never_publishes_garbage() {
     };
     let mut arena = ExecArena::new();
     let t = std::time::Instant::now();
-    let want = multi_column_sort_with(&refs, &sspecs, &plan, &cfg, &mut arena).expect("no token");
+    let want = multi_column_sort(&refs, None, &sspecs, &plan, &cfg, &mut arena).expect("no token");
     let whole = t.elapsed();
     assert!(
         want.stats
@@ -730,7 +722,7 @@ fn deadline_swept_across_radix_rounds_never_publishes_garbage() {
     for step in 0..=16u32 {
         let mut timed = cfg.clone();
         timed.sort.cancel = mcs_core::CancelToken::with_timeout(whole * step / 16);
-        match multi_column_sort_with(&refs, &sspecs, &plan, &timed, &mut arena) {
+        match multi_column_sort(&refs, None, &sspecs, &plan, &timed, &mut arena) {
             Ok(out) => {
                 assert_eq!(out.oids, want.oids, "step {step}: completed run differs");
                 assert_eq!(out.groups.offsets, want.groups.offsets, "step {step}");
@@ -738,7 +730,7 @@ fn deadline_swept_across_radix_rounds_never_publishes_garbage() {
             Err(mcs_core::SortError::Cancelled(_)) => cancelled += 1,
             Err(e) => panic!("step {step}: wrong error {e:?}"),
         }
-        let retry = multi_column_sort_with(&refs, &sspecs, &plan, &cfg, &mut arena)
+        let retry = multi_column_sort(&refs, None, &sspecs, &plan, &cfg, &mut arena)
             .expect("retry on the same arena");
         assert_eq!(retry.oids, want.oids, "step {step}: retry oids");
         assert_eq!(
@@ -796,7 +788,7 @@ fn skewed_group_distribution_stays_byte_identical() {
                 want_final_groups: true,
                 ..ExecConfig::default()
             };
-            multi_column_sort(&refs, &specs, &plan, &cfg).expect("valid sort instance")
+            sort(&refs, &specs, &plan, &cfg)
         };
         let serial = run(1);
         assert!(

@@ -5,7 +5,7 @@ use codemassage::workloads::{
     airline, ex1, ex2, ex3, ex4, run_bench_query, run_bench_query_naive, tpcds, tpch,
     AirlineParams, TpcdsParams, TpchParams,
 };
-use mcs_core::{multi_column_sort, verify_sorted};
+use mcs_core::{multi_column_sort, verify_sorted, ExecArena};
 use mcs_engine::reference::assert_same_rows;
 
 /// Every benchmark query of every workload returns identical row
@@ -51,10 +51,11 @@ fn all_workloads_all_queries_three_way_agreement() {
 #[test]
 fn micro_examples_and_planner() {
     let model = CostModel::with_defaults();
+    let cfg = ExecConfig::default();
     for m in [ex1(800, 1), ex2(800, 2), ex3(400, 3), ex4(800, 4)] {
         let refs = m.column_refs();
         for (_, plan) in &m.plans {
-            let out = multi_column_sort(&refs, &m.specs, plan, &ExecConfig::default())
+            let out = multi_column_sort(&refs, None, &m.specs, plan, &cfg, &mut ExecArena::new())
                 .expect("valid sort instance");
             verify_sorted(&refs, &m.specs, &out, true);
         }

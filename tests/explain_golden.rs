@@ -1,7 +1,8 @@
 //! Golden snapshot of the redacted EXPLAIN rendering: a fixed instance
 //! under a fixed plan must produce byte-identical output across runs and
-//! machines. Wall-clock cells are redacted; everything else — layout,
-//! plan notation, widths, banks, per-round kernel, group flow, invocation counts — is
+//! machines. Wall-clock cells and the arena's byte peak are redacted;
+//! everything else — layout, plan notation, arena grow/reuse counts,
+//! widths, banks, per-round kernel, group flow, invocation counts — is
 //! deterministic and pinned here. Update the snapshot deliberately when
 //! the report format changes.
 
@@ -12,6 +13,7 @@ use codemassage::prelude::*;
 const GOLDEN: &str = "\
 EXPLAIN mcs: golden
 plan {R1: 24/[32], R2: 6/[16]}  rows 4096  predicted T_mcs ###  measured ###
+arena: peak ### bytes, grows 1, reuses 0
 phase                  width  bank  predicted   measured  pred/act
 massage                    -     -        ###        ###       ###
 R1 sort radix×3           24  [32]        ###        ###       ###
@@ -36,7 +38,8 @@ fn redacted_explain_is_byte_stable() {
     let inst = SortInstance::uniform(n, &[(9, 512.0), (15, 16384.0), (6, 64.0)]);
     let plan = MassagePlan::from_widths(&[24, 6]);
     let refs: Vec<&CodeVec> = vec![&a, &b, &c];
-    let out = multi_column_sort(&refs, &inst.specs, &plan, &ExecConfig::default())
+    let cfg = ExecConfig::default();
+    let out = multi_column_sort(&refs, None, &inst.specs, &plan, &cfg, &mut ExecArena::new())
         .expect("plan covers the 30-bit key");
 
     let model = CostModel::with_defaults();

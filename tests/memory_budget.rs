@@ -7,11 +7,10 @@
 //!   execution arena's `bytes_peak`, which holds every buffer the bucket
 //!   sorts lease — stays within the budget times a small, documented
 //!   slack constant, across row counts, key shapes, and budget sizes.
-//! * **One partition decision.** `external_multi_column_sort_with`
-//!   partitions exactly when the plan's leased footprint exceeds the
-//!   budget, and the engine defers to it, so a direct call and an engine
-//!   query agree on the bucket count at every budget — the boundary
-//!   included.
+//! * **One partition decision.** `multi_column_sort` partitions exactly
+//!   when the plan's leased footprint exceeds the budget, and the engine
+//!   defers to it, so a direct call and an engine query agree on the
+//!   bucket count at every budget — the boundary included.
 //! * **Zero overhead when unset.** With no budget (the default), the
 //!   dispatch must not so much as allocate: a warm prepared query's
 //!   round loop reports *exactly* zero heap allocations, same as before
@@ -23,11 +22,10 @@
 
 use mcs_columnar::CodeVec;
 use mcs_core::{
-    lease_footprint_bytes, multi_column_sort_with, ExecArena, ExecConfig, MassagePlan, SortConfig,
+    lease_footprint_bytes, multi_column_sort, ExecArena, ExecConfig, MassagePlan, SortConfig,
     SortKernel, SortSpec,
 };
 use mcs_engine::{Column, Database, EngineConfig, OrderKey, PlannerMode, Query, Session, Table};
-use mcs_extsort::{chunk_rows_for_budget, external_multi_column_sort_with};
 use mcs_test_support::{thread_allocation_count, CountingAlloc, Rng};
 
 #[global_allocator]
@@ -46,6 +44,14 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const BUDGET_SLACK_NUM: usize = 3;
 const BUDGET_SLACK_DEN: usize = 2;
 const BUDGET_GRACE_BYTES: usize = 4096;
+
+/// `cfg` within `budget` bytes.
+fn budgeted(cfg: &ExecConfig, budget: usize) -> ExecConfig {
+    ExecConfig {
+        memory_budget_bytes: Some(budget),
+        ..cfg.clone()
+    }
+}
 
 fn gen_cols(rng: &mut Rng, n: usize, widths: &[u32]) -> Vec<CodeVec> {
     widths
@@ -81,20 +87,20 @@ fn spilling_sort_keeps_arena_peak_within_budget() {
         };
         let want = {
             let mut arena = ExecArena::new();
-            multi_column_sort_with(&refs, &specs, &plan, &cfg, &mut arena).expect("in-memory")
+            multi_column_sort(&refs, None, &specs, &plan, &cfg, &mut arena).expect("in-memory")
         };
 
         let footprint = lease_footprint_bytes(&plan, n, &cfg);
         for div in [4usize, 8, 16] {
             let budget = footprint / div;
             let mut arena = ExecArena::new();
-            let (out, spill) =
-                external_multi_column_sort_with(&refs, &specs, &plan, &cfg, &mut arena, budget)
-                    .expect("budgeted sort");
+            let capped = budgeted(&cfg, budget);
+            let out = multi_column_sort(&refs, None, &specs, &plan, &capped, &mut arena)
+                .expect("budgeted sort");
             assert!(
-                spill.runs >= div as u64 / 2,
+                out.stats.buckets >= div as u64 / 2,
                 "n={n} widths={widths:?} div={div}: only {} buckets",
-                spill.runs
+                out.stats.buckets
             );
             assert_eq!(out.oids, want.oids, "n={n} widths={widths:?} div={div}");
             assert_eq!(
@@ -170,7 +176,7 @@ fn warm_serial_sort_peak_stays_within_the_footprint_estimate() {
                     };
                     let mut arena = ExecArena::new();
                     for _ in 0..2 {
-                        multi_column_sort_with(&refs, &specs, &plan, &cfg, &mut arena)
+                        multi_column_sort(&refs, None, &specs, &plan, &cfg, &mut arena)
                             .expect("sort");
                     }
                     let peak = arena.stats().bytes_peak as usize;
@@ -212,20 +218,24 @@ fn budgeted_serial_sort_peaks_at_one_full_bucket() {
     let cfg = ExecConfig::default();
     for div in [16usize, 64] {
         let budget = lease_footprint_bytes(&plan, n, &cfg) / div;
-        let bucket_rows = chunk_rows_for_budget(&plan, &cfg, budget);
+        let mut arena = ExecArena::new();
+        let capped = budgeted(&cfg, budget);
+        let out = multi_column_sort(&[&col], None, &specs, &plan, &capped, &mut arena)
+            .expect("budgeted sort");
+        let bucket_rows = out.stats.bucket_rows;
         assert!(
             bucket_rows >= 300,
             "div {div}: a byte value outgrows a bucket"
         );
-        let mut arena = ExecArena::new();
-        let (_, spill) =
-            external_multi_column_sort_with(&[&col], &specs, &plan, &cfg, &mut arena, budget)
-                .expect("budgeted sort");
-        assert!(spill.runs > 1, "div {div}: {} buckets", spill.runs);
+        assert!(
+            out.stats.buckets > 1,
+            "div {div}: {} buckets",
+            out.stats.buckets
+        );
 
         let bucket = CodeVec::from_u64s(16, vals[..bucket_rows].iter().copied());
         let mut fresh = ExecArena::new();
-        multi_column_sort_with(&[&bucket], &specs, &plan, &cfg, &mut fresh).expect("one bucket");
+        multi_column_sort(&[&bucket], None, &specs, &plan, &cfg, &mut fresh).expect("one bucket");
         let (peak, one) = (arena.stats().bytes_peak, fresh.stats().bytes_peak);
         assert!(
             peak <= one,
@@ -367,23 +377,18 @@ fn spill_decision_is_the_footprint_test_on_both_paths() {
     let plan = MassagePlan::column_at_a_time(&specs);
     assert_eq!(plan.num_rounds(), 2);
     let cfg = ExecConfig::default();
-    let want = multi_column_sort_with(&cols, &specs, &plan, &cfg, &mut ExecArena::new()).unwrap();
+    let want = multi_column_sort(&cols, None, &specs, &plan, &cfg, &mut ExecArena::new()).unwrap();
 
     let footprint = lease_footprint_bytes(&plan, n, &cfg);
     for budget in [footprint, footprint - 1] {
-        let (out, spill) = external_multi_column_sort_with(
-            &cols,
-            &specs,
-            &plan,
-            &cfg,
-            &mut ExecArena::new(),
-            budget,
-        )
-        .unwrap();
+        let capped = budgeted(&cfg, budget);
+        let out =
+            multi_column_sort(&cols, None, &specs, &plan, &capped, &mut ExecArena::new()).unwrap();
+        let buckets = out.stats.buckets;
         if budget == footprint {
-            assert_eq!(spill.runs, 0, "the sort fits its footprint: no buckets");
+            assert_eq!(buckets, 0, "the sort fits its footprint: no buckets");
         } else {
-            assert!(spill.runs >= 2, "one byte short: {} buckets", spill.runs);
+            assert!(buckets >= 2, "one byte short: {buckets} buckets");
         }
         assert_eq!(out.oids, want.oids, "budget {budget}");
         assert_eq!(out.groups.offsets, want.groups.offsets, "budget {budget}");
@@ -395,6 +400,6 @@ fn spill_decision_is_the_footprint_test_on_both_paths() {
             .build();
         let r = mcs_engine::run_query(t, &q, &engine).unwrap();
         assert_eq!(r.timings.plan.as_ref(), Some(&plan));
-        assert_eq!(r.timings.spilled.runs, spill.runs, "budget {budget}");
+        assert_eq!(r.timings.spilled.runs, buckets, "budget {budget}");
     }
 }

@@ -194,7 +194,8 @@ fn malformed_plans_are_rejected_by_validation() {
         width: 9,
         bank: Bank::B16,
     }]);
-    let err = multi_column_sort(&[&col], &specs, &bad, &ExecConfig::default());
+    let cfg = ExecConfig::default();
+    let err = multi_column_sort(&[&col], None, &specs, &bad, &cfg, &mut ExecArena::new());
     assert!(err.is_err(), "executor must reject invalid plans");
 }
 

@@ -5,9 +5,10 @@
 //! scaling. The development VM has **2 cores**, so threads 4 and 8 only
 //! oversubscribe them; the harness exercises the parallel path (each
 //! worker massages, gathers, sorts and scans its own contiguous row
-//! range, including the merge-sort's split-group slice sorts and
-//! post-join merges) and reports throughput in million tuples per
-//! second. Spine's `par_skew` is the end-to-end one.
+//! range; an oversized group is range-partitioned across the workers,
+//! whose buckets the merge-sort then sorts, with no merge after the
+//! join) and reports throughput in million tuples per second. Spine's
+//! `par_skew` is the end-to-end one.
 
 use mcs_bench::{cost_model, print_table, rows, seed, time};
 use mcs_core::ExecConfig;

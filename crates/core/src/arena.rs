@@ -284,16 +284,16 @@ pub fn lease_footprint_bytes(plan: &MassagePlan, n: usize, cfg: &ExecConfig) -> 
     // oids + group offsets + spare offsets.
     total += 3 * (n + 1) * core::mem::size_of::<u32>();
     // Sort scratch. The merge-sort ping-pongs between two pairs, each
-    // worker's padded to whole in-register blocks. The radix kernel
-    // scatters into one pair; at threads > 1 it also partitions an
-    // oversized group into the shared pair, and the workers then sort
-    // disjoint rows, so their own pairs add up to one pair of `n` rows.
+    // worker's padded to whole in-register blocks; the radix kernel
+    // scatters into one pair. The workers sort disjoint rows, so their
+    // own pairs add up to those of `n` rows. At threads > 1 an oversized
+    // group is also partitioned into the shared pair.
     let (pairs, pad) = match cfg.sort.kernel {
         SortKernel::MergeSort => (2, cfg.threads.max(1) * MERGE_BLOCK_ROWS),
-        SortKernel::Auto if cfg.threads > 1 => (2, 0),
         SortKernel::Auto => (1, 0),
     };
-    total += pairs * (n + pad) * (widest + core::mem::size_of::<u32>());
+    let shared = usize::from(cfg.threads > 1);
+    total += (pairs * (n + pad) + shared * n) * (widest + core::mem::size_of::<u32>());
     total
 }
 

@@ -294,21 +294,11 @@ impl Partition<'_> {
             return self.emit_group(range);
         }
         self.enter_bucket()?;
-        let t = Instant::now();
         // Ties keep their order in the bucket, which is the caller's.
         self.copy.clear();
         self.copy.extend_from_slice(&self.out.oids[range.clone()]);
         self.job
-            .sort_into(Some(&self.copy), self.arena, self.out, range.start)?;
-        telemetry::record_span(
-            "mcs.budget.bucket_sort",
-            t.elapsed().as_nanos() as u64,
-            vec![
-                ("bucket", self.out.stats.buckets.into()),
-                ("rows", range.len().into()),
-            ],
-        );
-        Ok(())
+            .sort_into(Some(&self.copy), self.arena, self.out, range.start)
     }
 
     /// `range` as one tie group, left in the order of the caller's rows;

@@ -203,7 +203,9 @@ pub struct RoundStats {
     /// for round 1 of an identity plan, materializing the round keys
     /// (which is not massage: `P_0` has no massage phase).
     pub lookup_ns: u64,
-    /// ns spent in the segmented SIMD sort.
+    /// ns spent in the segmented SIMD sort; in the last round under
+    /// [`SortKernel::MergeSort`], also in putting full-key ties back in
+    /// row order.
     pub sort_ns: u64,
     /// ns spent scanning for refined group boundaries.
     pub scan_ns: u64,
@@ -221,8 +223,7 @@ pub struct RoundStats {
     /// radix, small sorts), summed over this round's sort invocations.
     pub phases: PhaseTimes,
     /// Loser-tree comparison counters of this round's out-of-cache merge
-    /// passes and split-group merges (always counted, independent of
-    /// features).
+    /// passes (always counted, independent of features).
     pub merge: MergeCounters,
     /// Parallel scheduler counters summed over this round's phases
     /// (lookup gather + segmented sort + boundary scan); all zero at
@@ -870,13 +871,16 @@ fn run_rounds(cfg: &ExecConfig, lease: &mut Lease, stats: &mut ExecStats) -> Res
     // count, the scalar fallback, and the budgeted bucket sort — emit
     // byte-identical output, which is what the differential oracle
     // asserts. Allocation free: `sort_unstable` on `u32` sub-slices sorts
-    // in place.
+    // in place. It finishes the last round's sort, so its time is that
+    // round's.
     if cfg.sort.kernel == SortKernel::MergeSort {
+        let tc = Instant::now();
         match &rounds[last] {
             RoundKeys::B16(v) => canonicalize_ties(v, oids, groups),
             RoundKeys::B32(v) => canonicalize_ties(v, oids, groups),
             RoundKeys::B64(v) => canonicalize_ties(v, oids, groups),
         }
+        stats.rounds[last].sort_ns += tc.elapsed().as_nanos() as u64;
     }
     Ok(())
 }

@@ -12,7 +12,7 @@
 //! [`sort_pairs_in_groups`] runs that dispatch once per tied group of a
 //! multi-column round, serially or on workers that each own one
 //! contiguous row range of the round, range-partitioning any oversized
-//! group between them ([`parallel`]).
+//! group between them under either kernel ([`parallel`]).
 //!
 //! The paper's own `SIMD-Sort` stays reachable as
 //! [`SortKernel::MergeSort`] for the figure bins and the cost-model
@@ -24,7 +24,7 @@
 //! 2. **in-cache merging** — streaming binary bitonic merge networks until
 //!    runs reach half the L2 cache;
 //! 3. **out-of-cache merging** — `F`-way loser-tree merge passes
-//!    ([`multiway`]; the same tree merges split groups).
+//!    ([`multiway`]).
 //!
 //! Keys occupy `b`-bit lanes; the 32-bit oid payload travels in parallel
 //! registers, so narrower banks really do get proportionally more data

@@ -5,19 +5,18 @@
 //! paper's thread-per-core execution) owns one contiguous, row-balanced
 //! range of the round and runs only the work inside it, so workers never
 //! coordinate. The segmented sort carves its rows into tasks — whole-group
-//! spans plus the slices of oversized groups — each owning its own
+//! spans plus the shares of oversized groups — each owning its own
 //! disjoint `&mut` rows of the caller's slices, and worker `w` runs the
 //! contiguous run of tasks whose first row falls in `[w·n/T, (w+1)·n/T)`.
-//! An oversized group is divided across the workers, and a second pass
-//! over the same workers finishes it after the join: under
-//! [`SortKernel::Auto`] its slices are the worker ranges' shares, stably
-//! partitioned on the group's top live byte (MPSM-style range
-//! partitioning), and worker `w` then gathers and sorts the `w`-th
-//! row-balanced range of buckets; under [`SortKernel::MergeSort`] its
-//! slices are sorted whole and merged. [`for_each_chunk`] gives worker
-//! `w` the `w`-th of `T` equal row ranges. A flat sort is the one-group
-//! case ([`GroupBounds::whole`]). Which worker runs what is a function of
-//! the input alone, and so is the output.
+//! An oversized group is divided across the workers by range
+//! partitioning (MPSM-style), under either kernel: each worker range's
+//! share of it is stably partitioned on the group's top live byte, and
+//! after the join worker `w` gathers the `w`-th row-balanced range of
+//! buckets and sorts each bucket by the kernel the serial loop picks for
+//! its length. Nothing merges. [`for_each_chunk`] gives worker `w` the
+//! `w`-th of `T` equal row ranges. A flat sort is the one-group case
+//! ([`GroupBounds::whole`]). Which worker runs what is a function of the
+//! input alone, and so is the output.
 //!
 //! The first worker with a batch runs it on the calling thread (worker 0,
 //! unless its range is empty). Worker panics are caught (at the scope
@@ -28,11 +27,11 @@
 //! `CancelToken` polls and the `simd.worker.panic` fault point both run
 //! once per task, bounding reaction latency to one task.
 
-use crate::multiway::multiway_merge;
-use crate::radix::{partition, partition_shift, radix_sort_pairs, BUCKETS};
+use crate::key::Key;
+use crate::radix::{partition, partition_shift, BUCKETS};
 use crate::scratch::{SortScratch, WorkerScratch};
 use crate::segmented::{group_stats, sort_groups_by_offsets, GroupBounds, SegmentedSortStats};
-use crate::sort::{runs_serially, SortConfig, SortKernel, SortableKey};
+use crate::sort::{runs_serially, SortConfig, SortableKey};
 use core::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -40,29 +39,22 @@ use std::time::Instant;
 /// Sort tasks carved per worker: a span closes once it holds
 /// `n / (threads · 4)` rows. A worker sorts every task that starts in its
 /// range, so the rows it sorts overrun its share by less than one span —
-/// a quarter of that share — or by one oversized group's slice.
+/// a quarter of that share.
 const TASKS_PER_WORKER: usize = 4;
-
-/// Split boundaries inside an oversized group are aligned down to this
-/// many rows — the in-register kernel's largest block (`L·L` for the
-/// 8-lane banks) — so every slice but the last enters the sort at whole-
-/// block granularity.
-const SPLIT_ALIGN: usize = 64;
 
 /// Scheduler counters of the parallel path (all zero on the serial path
 /// and below [`PARALLEL_CUTOFF_ROWS`](crate::PARALLEL_CUTOFF_ROWS)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MorselCounts {
-    /// Tasks run: sort spans, oversized groups' slices and their
-    /// post-join merges or bucket ranges, and [`for_each_chunk`] ranges.
-    /// A function of the input, the kernel and the thread count.
+    /// Tasks run: sort spans, oversized groups' shares and their
+    /// post-join bucket ranges, and [`for_each_chunk`] ranges. A function
+    /// of the input and the thread count.
     pub dispatched: u64,
     /// Always 0: every worker owns a fixed range, so no task changes
     /// worker. Kept because the benchmark's trace (`spine/src/trace.rs`)
     /// still reads it.
     pub stolen: u64,
-    /// Oversized groups divided across workers: sliced and merged under
-    /// [`SortKernel::MergeSort`], partitioned under [`SortKernel::Auto`].
+    /// Oversized groups range-partitioned across the workers.
     pub split: u64,
 }
 
@@ -105,11 +97,7 @@ enum Task<'a, K> {
     /// A contiguous span of whole groups with its window of the round's
     /// offsets; sorted group-by-group.
     Span(&'a mut [K], &'a mut [u32], &'a [u32]),
-    /// One slice of an oversized (split) group: under the merge-sort,
-    /// sorted whole; under `Auto`, a [`Share`] once it has its rows of
-    /// the shared buffer.
-    Slice(&'a mut [K], &'a mut [u32]),
-    /// One worker range's share of an oversized group under `Auto`.
+    /// One worker range's share of an oversized group.
     Share(Share<'a, K>),
 }
 
@@ -138,30 +126,36 @@ struct BucketRange<'a, K> {
     counts: &'a [[u32; BUCKETS]],
 }
 
-/// A group divided across workers: its first row, its slices relative to
-/// it, and (under `Auto`) the shift of the digit it is partitioned on.
+/// A group divided across the workers: its rows, its shares relative to
+/// its first row, and the shift of the digit it is partitioned on.
 struct Split {
-    start: usize,
-    runs: Vec<Range<usize>>,
+    rows: Range<usize>,
+    shares: Vec<Range<usize>>,
     shift: u32,
 }
 
-/// Split `len` rows into `parts` near-equal runs, boundaries aligned down
-/// to [`SPLIT_ALIGN`] (collapsed boundaries are dropped, so tiny inputs
-/// may yield fewer runs).
-fn split_runs(len: usize, parts: usize) -> Vec<Range<usize>> {
-    let mut runs: Vec<Range<usize>> = Vec::with_capacity(parts);
-    let mut at = 0;
-    for p in 1..parts {
-        let mut cut = len * p / parts;
-        cut -= cut % SPLIT_ALIGN;
-        if cut > at {
-            runs.push(at..cut);
-            at = cut;
-        }
-    }
-    runs.push(at..len);
-    runs
+/// The groups of `offs` that [`sort_in_ranges`] divides across its
+/// `threads` workers: every group of at least `2 · target` rows whose keys
+/// are not all equal (a group of equal keys is sorted already and stays
+/// in a span), with the shares of it that fall in the workers' row ranges
+/// and the shift of its top live byte.
+fn oversized<K: Key>(keys: &[K], offs: &[u32], target: usize, threads: usize) -> Vec<Split> {
+    let n = keys.len();
+    offs.windows(2)
+        .filter_map(|w| {
+            let rows = w[0] as usize..w[1] as usize;
+            if rows.len() < 2 * target {
+                return None;
+            }
+            let shift = partition_shift(&keys[rows.clone()])?;
+            let shares = worker_runs(rows.start, rows.len(), n, threads);
+            Some(Split {
+                rows,
+                shares,
+                shift,
+            })
+        })
+        .collect()
 }
 
 /// The shares of rows `start..start + len` that fall in each of the
@@ -199,23 +193,22 @@ fn take_pairs<'a, K>(
 /// When the sort [runs serially](crate::runs_serially), the groups are
 /// sorted one after another on the calling thread — allocation-free once
 /// the scratch is warm, and never an `Err`. Otherwise each worker sorts
-/// the tasks of its own row range (thread spawning, task lists and
-/// split-group merges allocate; the kernels still do not).
+/// the tasks of its own row range (thread spawning and task lists
+/// allocate; the kernels still do not).
 ///
 /// Scheduling: whole groups are packed into contiguous spans of roughly
 /// `n / (threads · 4)` rows, and any single group at least twice that
-/// size is divided across the workers. Under [`SortKernel::Auto`] each
-/// worker range's share of it is stably partitioned on the group's top
-/// live byte into the scratch's shared buffer; after the join, worker `w`
-/// gathers the `w`-th row-balanced range of buckets back and radix-sorts
-/// each bucket, so the group comes out exactly as the serial (stable)
-/// radix sort leaves it, with no merge. Under [`SortKernel::MergeSort`]
-/// the group is split at 64-row-aligned boundaries into slices, sorted
-/// independently, and merged after the join. Worker `w` runs the tasks
-/// whose first row falls in `[w·n/T, (w+1)·n/T)`, and the split-group
-/// merges are dealt the same way. Group-level stats are counted once per
-/// *group* from the offsets, so they match the serial path; kernel times
-/// and merge counters are what the run credited to the worker scratches.
+/// size is divided across the workers: each worker range's share of it is
+/// stably partitioned on the group's top live byte into the scratch's
+/// shared buffer; after the join, worker `w` gathers the `w`-th
+/// row-balanced range of buckets back and sorts each bucket by the kernel
+/// picked for its length. Under [`SortKernel::Auto`](crate::SortKernel)
+/// every kernel is stable, so the group comes out exactly as the serial
+/// sort leaves it; the merge-sort's keys do too, and its ties are the
+/// caller's to order. Worker `w` runs the tasks whose first row falls in
+/// `[w·n/T, (w+1)·n/T)`. Group-level stats are counted once per *group*
+/// from the offsets, so they match the serial path; kernel times and merge
+/// counters are what the run credited to the worker scratches.
 ///
 /// Worker panics are caught and returned as a [`WorkerPanic`] carrying
 /// the worker index; the slices are then in an unspecified state.
@@ -249,40 +242,47 @@ pub fn sort_pairs_in_groups<K: SortableKey>(
 
 /// Carve the groups of `offs` into tasks in row order, each with its
 /// first row and its rows taken off the untaken tail of `(keys, oids)`:
-/// contiguous spans of whole groups of roughly `target` rows, and the
-/// slices of every group of at least `2 · target` rows that `divide`
-/// (given its first row and keys) splits. Returns the tasks and the
-/// splits.
+/// contiguous spans of whole groups of roughly `target` rows, and one
+/// share of every group of `splits` per worker range, with the same rows
+/// of `shared` to partition into and the next row of `counts`.
 fn carve<'a, K>(
     keys: &'a mut [K],
     oids: &'a mut [u32],
     offs: &'a [u32],
     target: usize,
-    mut divide: impl FnMut(usize, &[K]) -> Option<Split>,
-) -> (Vec<(usize, Task<'a, K>)>, Vec<Split>) {
-    let mut splits: Vec<Split> = Vec::new();
+    splits: &[Split],
+    shared: (&'a mut [K], &'a mut [u32]),
+    counts: &'a mut [[u32; BUCKETS]],
+) -> Vec<(usize, Task<'a, K>)> {
     let mut tasks = Vec::new();
     let (mut kt, mut ot) = (keys, oids);
+    // The untaken tail of `shared` starts at row `at`.
+    let ((mut st, mut so), mut at) = (shared, 0usize);
+    let mut counts = counts.iter_mut();
+    let mut splits = splits.iter().peekable();
     let num_groups = offs.len() - 1;
     let mut span_start = 0usize;
     for g in 0..num_groups {
         let first = offs[span_start] as usize;
         let (start, end) = (offs[g] as usize, offs[g + 1] as usize);
-        let split = if end - start >= 2 * target {
-            divide(start, &kt[start - first..end - first])
-        } else {
-            None
-        };
-        if let Some(split) = split {
+        if let Some(split) = splits.next_if(|s| s.rows == (start..end)) {
             if span_start < g {
                 let (k, o) = take_pairs(&mut kt, &mut ot, start - first);
                 tasks.push((first, Task::Span(k, o, &offs[span_start..=g])));
             }
-            for r in &split.runs {
-                let (k, o) = take_pairs(&mut kt, &mut ot, r.len());
-                tasks.push((start + r.start, Task::Slice(k, o)));
+            take_pairs(&mut st, &mut so, start - at);
+            for r in &split.shares {
+                let (keys, oids) = take_pairs(&mut kt, &mut ot, r.len());
+                let share = Share {
+                    keys,
+                    oids,
+                    to: take_pairs(&mut st, &mut so, r.len()),
+                    shift: split.shift,
+                    counts: counts.next().expect("one count row per share"),
+                };
+                tasks.push((start + r.start, Task::Share(share)));
             }
-            splits.push(split);
+            at = end;
             span_start = g + 1;
         } else if end - first >= target {
             let (k, o) = take_pairs(&mut kt, &mut ot, end - first);
@@ -295,36 +295,12 @@ fn carve<'a, K>(
         let (k, o) = take_pairs(&mut kt, &mut ot, offs[num_groups] as usize - first);
         tasks.push((first, Task::Span(k, o, &offs[span_start..])));
     }
-    (tasks, splits)
-}
-
-/// How [`sort_in_ranges`] divides an oversized group of an `n`-row round
-/// on `threads` workers with span target `target`, given its first row
-/// and keys: under `Auto` into the worker ranges' shares, partitioned on
-/// the group's top live byte (a group of equal keys is sorted already and
-/// stays in a span); under the merge-sort into `target`-row slices.
-fn divider<K: SortableKey>(
-    kernel: SortKernel,
-    n: usize,
-    threads: usize,
-    target: usize,
-) -> impl Fn(usize, &[K]) -> Option<Split> {
-    move |start, group| {
-        let (runs, shift) = match kernel {
-            SortKernel::Auto => (
-                worker_runs(start, group.len(), n, threads),
-                partition_shift(group)?,
-            ),
-            SortKernel::MergeSort => (split_runs(group.len(), group.len().div_ceil(target)), 0),
-        };
-        Some(Split { start, runs, shift })
-    }
+    tasks
 }
 
 /// The parallel path of [`sort_pairs_in_groups`]: each worker sorts the
-/// span tasks and the slices (merge-sort) or partitions the shares
-/// (`Auto`) of its row range, then, after the join, finishes the divided
-/// groups: merged by row range, or gathered and sorted by bucket range.
+/// span tasks and partitions the shares of its row range, then, after the
+/// join, gathers and sorts its range of every divided group's buckets.
 fn sort_in_ranges<K: SortableKey>(
     keys: &mut [K],
     oids: &mut [u32],
@@ -335,36 +311,26 @@ fn sort_in_ranges<K: SortableKey>(
 ) -> Result<MorselCounts, WorkerPanic> {
     let n = keys.len();
     let target = n.div_ceil(threads * TASKS_PER_WORKER).max(1);
-    let partitioned = cfg.kernel == SortKernel::Auto;
-    let divide = divider(cfg.kernel, n, threads, target);
-    let (mut tasks, splits) = carve(&mut *keys, &mut *oids, offs, target, divide);
-    let mut counts = MorselCounts {
-        dispatched: tasks.len() as u64,
-        split: splits.len() as u64,
-        ..MorselCounts::default()
-    };
+    let splits = oversized(keys, offs, target, threads);
     let WorkerScratch {
         workers,
         shared,
         counts: share_counts,
     } = scratch;
     let workers = &mut workers[..threads];
-    let (shared_k, shared_o) = (&mut K::bufs(&mut shared.keys).0, &mut shared.oids.0);
-    if partitioned && !splits.is_empty() {
-        let shares = splits.iter().map(|s| s.runs.len()).sum();
-        if share_counts.len() < shares {
-            share_counts.resize(shares, [0; BUCKETS]);
-        }
-        if shared_k.len() < n {
-            shared_k.resize(n, K::default());
-        }
-        if shared_o.len() < n {
-            shared_o.resize(n, 0);
-        }
-        let shifts = splits.iter().flat_map(|s| s.runs.iter().map(|_| s.shift));
-        let shared = (&mut shared_k[..n], &mut shared_o[..n]);
-        attach_shares(&mut tasks, shared, share_counts, shifts);
+    // Only a round that divides a group grows the shared pair.
+    let rows = if splits.is_empty() { 0 } else { n };
+    let shares = splits.iter().map(|s| s.shares.len()).sum();
+    if share_counts.len() < shares {
+        share_counts.resize(shares, [0; BUCKETS]);
     }
+    let to = shared.radix_pair::<K>(rows);
+    let mut tasks = carve(keys, oids, offs, target, &splits, to, share_counts);
+    let mut counts = MorselCounts {
+        dispatched: tasks.len() as u64,
+        split: splits.len() as u64,
+        ..MorselCounts::default()
+    };
 
     let by_row = |&(first, _): &(usize, _)| row_owner(first, n, threads);
     drive(
@@ -377,7 +343,6 @@ fn sort_in_ranges<K: SortableKey>(
             }
             match task {
                 Task::Span(k, o, window) => sort_groups_by_offsets(k, o, window, cfg, worker),
-                Task::Slice(k, o) => K::sort_pairs_with_scratch(k, o, cfg, worker),
                 Task::Share(s) => {
                     let t0 = Instant::now();
                     partition(s.keys, s.oids, s.to.0, s.to.1, s.shift, s.counts);
@@ -391,41 +356,20 @@ fn sort_in_ranges<K: SortableKey>(
         return Ok(counts);
     }
 
-    if partitioned {
-        let from = (&shared_k[..n], &shared_o[..n]);
-        let mut ranges = bucket_ranges(keys, oids, &splits, from, share_counts, threads);
-        counts.dispatched += ranges.len() as u64;
-        let by_worker = |&(w, _): &(usize, _)| w;
-        drive(
-            &mut ranges,
-            by_worker,
-            workers.iter_mut(),
-            |worker, (_, range)| {
-                if task_may_start(cfg) {
-                    gather_and_sort(range, cfg, worker)
-                }
-            },
-        )?;
-        return Ok(counts);
-    }
-
-    // Every slice is sorted: merge each split group back into group order.
-    let mut merges = Vec::with_capacity(splits.len());
-    let (mut kt, mut ot, mut at) = (keys, oids, 0usize);
-    for Split { start, runs, .. } in &splits {
-        let len = runs[runs.len() - 1].end;
-        take_pairs(&mut kt, &mut ot, start - at);
-        let (k, o) = take_pairs(&mut kt, &mut ot, len);
-        merges.push((*start, (k, o, &runs[..])));
-        at = start + len;
-    }
-    counts.dispatched += merges.len() as u64;
-    let by_row = |&(first, _): &(usize, _)| row_owner(first, n, threads);
+    let (from_k, from_o) = shared.radix_pair::<K>(n);
+    let from = (&*from_k, &*from_o);
+    let mut ranges = bucket_ranges(keys, oids, &splits, from, share_counts, threads);
+    counts.dispatched += ranges.len() as u64;
+    let by_worker = |&(w, _): &(usize, _)| w;
     drive(
-        &mut merges,
-        by_row,
+        &mut ranges,
+        by_worker,
         workers.iter_mut(),
-        |worker, (_, (k, o, runs))| merge_split(k, o, runs, cfg, worker),
+        |worker, (_, range)| {
+            if task_may_start(cfg) {
+                gather_and_sort(range, cfg, worker)
+            }
+        },
     )?;
     Ok(counts)
 }
@@ -439,34 +383,6 @@ fn task_may_start(cfg: &SortConfig) -> bool {
         panic!("injected fault: {}", mcs_faults::points::SIMD_WORKER_PANIC);
     }
     cfg.cancel.check().is_ok()
-}
-
-/// Turn every [`Task::Slice`] of `tasks` (in row order) into a
-/// [`Task::Share`]: its rows of the round-long `shared` buffer, the next
-/// of `counts`, and the next of `shifts`.
-fn attach_shares<'a, K>(
-    tasks: &mut [(usize, Task<'a, K>)],
-    shared: (&'a mut [K], &'a mut [u32]),
-    counts: &'a mut [[u32; BUCKETS]],
-    mut shifts: impl Iterator<Item = u32>,
-) {
-    let ((mut kt, mut ot), mut at) = (shared, 0usize);
-    let mut counts = counts.iter_mut();
-    for (first, task) in tasks {
-        let Task::Slice(keys, oids) = task else {
-            continue;
-        };
-        let (keys, oids) = (core::mem::take(keys), core::mem::take(oids));
-        take_pairs(&mut kt, &mut ot, *first - at);
-        at = *first + keys.len();
-        *task = Task::Share(Share {
-            to: take_pairs(&mut kt, &mut ot, keys.len()),
-            keys,
-            oids,
-            shift: shifts.next().expect("one shift per share"),
-            counts: counts.next().expect("one count row per share"),
-        });
-    }
 }
 
 /// Deal every partitioned group's buckets to the workers: worker `w` gets
@@ -486,18 +402,18 @@ fn bucket_ranges<'a, K>(
     let (mut kt, mut ot, mut at) = (keys, oids, 0usize);
     let mut share_counts = counts;
     for split in splits {
-        let (counts, rest) = share_counts.split_at(split.runs.len());
+        let (counts, rest) = share_counts.split_at(split.shares.len());
         share_counts = rest;
-        let len = split.runs[split.runs.len() - 1].end;
+        let len = split.rows.len();
         let mut total = [0u32; BUCKETS];
         for c in counts {
             for (t, &x) in total.iter_mut().zip(c) {
                 *t += x;
             }
         }
-        take_pairs(&mut kt, &mut ot, split.start - at);
-        at = split.start + len;
-        let from = (&from.0[split.start..at], &from.1[split.start..at]);
+        take_pairs(&mut kt, &mut ot, split.rows.start - at);
+        at = split.rows.end;
+        let from = (&from.0[split.rows.clone()], &from.1[split.rows.clone()]);
         // The worker whose share of the group holds the middle row of the
         // bucket of `count` rows that starts at the group's row `row`:
         // monotone along the buckets, so every worker's are contiguous.
@@ -518,7 +434,7 @@ fn bucket_ranges<'a, K>(
                     oids: o,
                     buckets: first..b + 1,
                     from,
-                    shares: &split.runs,
+                    shares: &split.shares,
                     counts,
                 };
                 ranges.push((w, range));
@@ -532,70 +448,36 @@ fn bucket_ranges<'a, K>(
 }
 
 /// Gather a worker's bucket range from every share of its group (share
-/// by share, so each bucket keeps the group's row order), then
-/// radix-sort each bucket in place: the stable sort the serial path runs
-/// on the whole group, restricted to rows that share the partition
-/// digit.
+/// by share, so each bucket keeps the group's row order), then sort each
+/// bucket as a group of its own through the serial loop: the sort the
+/// serial path runs on the whole group, restricted to rows that share the
+/// partition digit.
 fn gather_and_sort<K: SortableKey>(
     r: &mut BucketRange<'_, K>,
     cfg: &SortConfig,
     worker: &mut SortScratch,
 ) {
     let t0 = Instant::now();
-    // Each bucket's next write row in the worker's rows.
-    let mut cursors = [0u32; BUCKETS];
-    let mut acc = 0u32;
-    for b in r.buckets.clone() {
-        cursors[b] = acc;
-        acc += r.counts.iter().map(|c| c[b]).sum::<u32>();
+    // The buckets' offsets in the worker's rows, and each one's next
+    // write row.
+    let buckets = r.buckets.len();
+    let mut offs = [0u32; BUCKETS + 1];
+    for (i, b) in r.buckets.clone().enumerate() {
+        offs[i + 1] = offs[i] + r.counts.iter().map(|c| c[b]).sum::<u32>();
     }
+    let mut cursors = offs;
     for (share, counts) in r.shares.iter().zip(r.counts) {
         let mut at = share.start + counts[..r.buckets.start].iter().sum::<u32>() as usize;
-        for b in r.buckets.clone() {
-            let (to, len) = (cursors[b] as usize, counts[b] as usize);
+        for (cursor, &len) in cursors.iter_mut().zip(&counts[r.buckets.clone()]) {
+            let (to, len) = (*cursor as usize, len as usize);
             r.keys[to..to + len].copy_from_slice(&r.from.0[at..at + len]);
             r.oids[to..to + len].copy_from_slice(&r.from.1[at..at + len]);
-            cursors[b] += counts[b];
+            *cursor += len as u32;
             at += len;
         }
     }
     worker.phases.radix_ns += t0.elapsed().as_nanos() as u64;
-    // `cursors[b]` is now bucket `b`'s end.
-    let mut start = 0;
-    for b in r.buckets.clone() {
-        let end = cursors[b] as usize;
-        if end - start > 1 {
-            let (k, o) = (&mut r.keys[start..end], &mut r.oids[start..end]);
-            radix_sort_pairs(k, o, worker, &cfg.cancel);
-        }
-        start = end;
-    }
-}
-
-/// Merge the sorted slices `runs` of one split group back into group
-/// order, through the worker's merge scratch.
-fn merge_split<K: SortableKey>(
-    keys: &mut [K],
-    oids: &mut [u32],
-    runs: &[Range<usize>],
-    cfg: &SortConfig,
-    worker: &mut SortScratch,
-) {
-    let mut out_k = vec![K::default(); keys.len()];
-    let mut out_o = vec![0u32; keys.len()];
-    multiway_merge(
-        (keys, oids),
-        (&mut out_k, &mut out_o),
-        runs,
-        0,
-        &mut worker.merge,
-        &cfg.cancel,
-    );
-    if cfg.cancel.check().is_err() {
-        return; // round is garbage anyway; don't publish a partial merge
-    }
-    keys.copy_from_slice(&out_k);
-    oids.copy_from_slice(&out_o);
+    sort_groups_by_offsets(r.keys, r.oids, &offs[..=buckets], cfg, worker);
 }
 
 /// The worker whose row range `[w·rows/workers, (w+1)·rows/workers)`
@@ -712,8 +594,7 @@ pub fn for_each_worker<T: Send>(parts: &mut [T], f: impl Fn(&mut T) + Sync) -> M
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MergeCounters;
-    use crate::PARALLEL_CUTOFF_ROWS;
+    use crate::{MergeCounters, SortKernel, PARALLEL_CUTOFF_ROWS};
 
     /// The serial path through a fresh scratch.
     fn sort_serial<K: SortableKey>(
@@ -737,7 +618,7 @@ mod tests {
         sort_pairs_in_groups(keys, oids, groups, threads, cfg, &mut WorkerScratch::new())
     }
 
-    /// The one kernel that splits oversized groups.
+    /// The paper's merge-sort kernel.
     fn merge_sort() -> SortConfig {
         SortConfig {
             kernel: SortKernel::MergeSort,
@@ -752,10 +633,19 @@ mod tests {
         *state
     }
 
+    /// `n` distinct keys in scrambled order (an odd multiplier is a
+    /// bijection mod 2^32), so oids are byte-comparable across kernels'
+    /// tie orders.
+    fn distinct_keys(n: usize) -> Vec<u32> {
+        (0..n as u32)
+            .map(|i| i.wrapping_mul(0x9E37_79B1) ^ 0x5555)
+            .collect()
+    }
+
     #[test]
     fn parallel_flat_sort_matches_serial() {
-        // One whole-relation group: the merge-sort splits it into slices
-        // and merges them after the join; `Auto` partitions it.
+        // One whole-relation group: both kernels partition it across the
+        // workers.
         let n = 50_000;
         let mut state = 12345u64;
         let orig: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
@@ -775,8 +665,7 @@ mod tests {
             for i in 0..n as usize {
                 assert_eq!(keys[i], orig[oids[i] as usize]);
             }
-            // `Auto` partitions the group across the workers and never
-            // merges.
+            // `Auto` never merges.
             let (auto_keys, _, s) = run(&SortConfig::default());
             assert_eq!(s.morsels.split, u64::from(threads > 1), "t{threads}");
             assert_eq!(s.merge.comparisons, 0, "t{threads}");
@@ -821,12 +710,12 @@ mod tests {
     }
 
     #[test]
-    fn oversized_group_is_split_and_merged_correctly() {
-        // One group holding ~95% of the rows forces the split-slice path.
+    fn oversized_group_is_partitioned_under_both_kernels() {
+        // One group holding ~95% of the rows is partitioned across the
+        // workers and sorts to exactly what the serial path leaves.
         let n = 60_000usize;
         let big = 57_000u32;
-        let mut state = 4242u64;
-        let keys0: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
+        let keys0 = distinct_keys(n);
         let mut offsets = vec![0u32, big];
         let mut at = big;
         while (at as usize) < n {
@@ -834,75 +723,68 @@ mod tests {
             offsets.push(at);
         }
         let groups = GroupBounds::from_offsets(offsets);
-        let cfg = merge_sort();
 
-        let mut k1 = keys0.clone();
-        let mut o1: Vec<u32> = (0..n as u32).collect();
-        let s1 = sort_serial(&mut k1, &mut o1, &groups, &cfg);
-
-        let mut k2 = keys0.clone();
-        let mut o2: Vec<u32> = (0..n as u32).collect();
-        let s2 = sort_parallel(&mut k2, &mut o2, &groups, 4, &cfg).expect("no injected faults");
-
-        assert_eq!(k1, k2, "split+merge must equal the serial group sort");
-        assert_eq!(s1.invocations, s2.invocations);
-        assert_eq!(s1.codes_sorted, s2.codes_sorted);
-        assert_eq!(s1.max_group, s2.max_group);
-        assert!(s2.morsels.split >= 1, "the giant group must have split");
-        // oids form a permutation and point back at the original keys.
-        for i in 0..n {
-            assert_eq!(k2[i], keys0[o2[i] as usize]);
+        for cfg in [SortConfig::default(), merge_sort()] {
+            let kernel = cfg.kernel;
+            let mut k1 = keys0.clone();
+            let mut o1: Vec<u32> = (0..n as u32).collect();
+            let s1 = sort_serial(&mut k1, &mut o1, &groups, &cfg);
+            for threads in [2usize, 4, 8] {
+                let run = || {
+                    let mut k2 = keys0.clone();
+                    let mut o2: Vec<u32> = (0..n as u32).collect();
+                    let s2 = sort_parallel(&mut k2, &mut o2, &groups, threads, &cfg)
+                        .expect("no injected faults");
+                    (k2, o2, s2)
+                };
+                let (k2, o2, s2) = run();
+                let at = format!("{kernel:?}/t{threads}");
+                assert_eq!(k2, k1, "{at}: keys differ from the serial sort");
+                assert_eq!(o2, o1, "{at}: oids differ from the serial sort");
+                assert_eq!(s2.invocations, s1.invocations, "{at}");
+                assert_eq!(s2.codes_sorted, s1.codes_sorted, "{at}");
+                assert_eq!(s2.max_group, s1.max_group, "{at}");
+                assert_eq!(s2.morsels.split, 1, "{at}: the giant group is divided");
+                assert_eq!(run().2.morsels, s2.morsels, "{at}");
+                if kernel == SortKernel::Auto {
+                    assert_eq!(s2.merge.comparisons, 0, "{at}: Auto never merges");
+                }
+            }
         }
-
-        // `Auto` partitions the giant group across the workers, never
-        // merges, and sorts it to the same keys.
-        let auto = || {
-            let mut k3 = keys0.clone();
-            let mut o3: Vec<u32> = (0..n as u32).collect();
-            let s3 = sort_parallel(&mut k3, &mut o3, &groups, 4, &SortConfig::default())
-                .expect("no injected faults");
-            (k3, s3)
-        };
-        let (k3, s3) = auto();
-        assert!(s3.morsels.split >= 1, "Auto must partition the giant group");
-        assert_eq!(s3.merge.comparisons, 0, "Auto never merges");
-        assert_eq!(auto().1.morsels.dispatched, s3.morsels.dispatched);
-        assert_eq!(k3, k1);
     }
 
     #[test]
-    fn two_split_groups_merge_after_the_join() {
+    fn two_partitioned_groups_match_serial_under_both_kernels() {
         // Two oversized groups around and after runs of small ones: both
-        // split at every thread count, so the post-join pass merges
-        // several split groups. Keys are distinct (an odd multiplier is a
-        // bijection mod 2^32), so oids are byte-comparable too.
+        // are partitioned at every thread count, so the post-join pass
+        // deals the buckets of several groups.
         let n = 60_000usize;
-        let keys0: Vec<u32> = (0..n as u32)
-            .map(|i| i.wrapping_mul(0x9E37_79B1) ^ 0x5555)
-            .collect();
+        let keys0 = distinct_keys(n);
         let mut offsets = vec![0u32, 24_000];
         offsets.extend((1..=40).map(|i| 24_000 + 100 * i));
         offsets.push(56_000);
         offsets.extend((1..=40).map(|i| 56_000 + 100 * i));
         let groups = GroupBounds::from_offsets(offsets);
-        let cfg = merge_sort();
 
-        let mut k1 = keys0.clone();
-        let mut o1: Vec<u32> = (0..n as u32).collect();
-        let s1 = sort_serial(&mut k1, &mut o1, &groups, &cfg);
+        for cfg in [SortConfig::default(), merge_sort()] {
+            let kernel = cfg.kernel;
+            let mut k1 = keys0.clone();
+            let mut o1: Vec<u32> = (0..n as u32).collect();
+            let s1 = sort_serial(&mut k1, &mut o1, &groups, &cfg);
 
-        for threads in [2usize, 4, 8] {
-            let mut k2 = keys0.clone();
-            let mut o2: Vec<u32> = (0..n as u32).collect();
-            let s2 = sort_parallel(&mut k2, &mut o2, &groups, threads, &cfg)
-                .expect("no injected faults");
-            assert_eq!(k2, k1, "t{threads}");
-            assert_eq!(o2, o1, "t{threads}");
-            assert_eq!(s2.morsels.split, 2, "t{threads}");
-            assert_eq!(s2.invocations, s1.invocations, "t{threads}");
-            assert_eq!(s2.codes_sorted, s1.codes_sorted, "t{threads}");
-            assert_eq!(s2.max_group, s1.max_group, "t{threads}");
-            assert!(s2.merge.comparisons > 0, "t{threads}: merges credited");
+            for threads in [2usize, 4, 8] {
+                let mut k2 = keys0.clone();
+                let mut o2: Vec<u32> = (0..n as u32).collect();
+                let s2 = sort_parallel(&mut k2, &mut o2, &groups, threads, &cfg)
+                    .expect("no injected faults");
+                let at = format!("{kernel:?}/t{threads}");
+                assert_eq!(k2, k1, "{at}");
+                assert_eq!(o2, o1, "{at}");
+                assert_eq!(s2.morsels.split, 2, "{at}");
+                assert_eq!(s2.invocations, s1.invocations, "{at}");
+                assert_eq!(s2.codes_sorted, s1.codes_sorted, "{at}");
+                assert_eq!(s2.max_group, s1.max_group, "{at}");
+            }
         }
     }
 
@@ -910,10 +792,15 @@ mod tests {
     fn stats_are_per_call_on_a_shared_scratch() {
         // Kernel stats ride in the scratch: a MergeSort call's merge
         // counts and phase times must not leak into the next call's
-        // report on the same scratch, serially or in parallel.
+        // report on the same scratch, serially or in parallel. The keys'
+        // top byte takes two values, so at two threads each worker
+        // merge-sorts one bucket of half the rows, far past the 4 KiB
+        // in-cache threshold.
         let n = 50_000usize;
         let mut state = 2024u64;
-        let keys0: Vec<u32> = (0..n).map(|_| xorshift(&mut state) as u32).collect();
+        let keys0: Vec<u32> = (0..n)
+            .map(|_| xorshift(&mut state) as u32 & 0x8000_FFFF)
+            .collect();
         let whole = GroupBounds::whole(n);
         let small_cache = SortConfig {
             in_cache_bytes: 4096,
@@ -932,12 +819,9 @@ mod tests {
             assert!(merged.phases.in_register_ns > 0, "t{threads}");
             let auto = run(&SortConfig::default());
             assert_eq!(auto.merge, MergeCounters::default(), "t{threads}");
+            // No merge-sort phase: only the radix and small kernels ran.
             let p = auto.phases;
-            assert_eq!(
-                (p.in_register_ns, p.in_cache_merge_ns, p.multiway_merge_ns),
-                (0, 0, 0),
-                "t{threads}"
-            );
+            assert_eq!(p.total_ns(), p.radix_ns + p.small_sort_ns, "t{threads}");
             assert!(p.radix_ns > 0, "t{threads}");
         }
     }
@@ -952,9 +836,7 @@ mod tests {
         offsets.push(giant_end as u32);
         offsets.extend((1..=100).map(|i| 30_000 + 100 * i));
         let groups = GroupBounds::from_offsets(offsets);
-        let keys0: Vec<u32> = (0..n as u32)
-            .map(|i| i.wrapping_mul(0x9E37_79B1) ^ 0x5555)
-            .collect();
+        let keys0 = distinct_keys(n);
         let run = |threads: usize, cfg: &SortConfig| {
             let mut keys = keys0.clone();
             let mut oids: Vec<u32> = (0..n as u32).collect();
@@ -962,19 +844,22 @@ mod tests {
                 .expect("no injected faults");
             (keys, oids, s)
         };
-        // The carving of `sort_in_ranges`: first rows, and split groups.
-        let carved = |threads: usize, kernel: SortKernel| {
+        // The carving of `sort_in_ranges`: first rows, and divided groups.
+        let carved = |threads: usize| {
             let target = n.div_ceil(threads * TASKS_PER_WORKER);
             let (mut keys, mut oids) = (keys0.clone(), vec![0u32; n]);
-            let divide = divider(kernel, n, threads, target);
-            let (tasks, splits) = carve(&mut keys, &mut oids, &groups.offsets, target, divide);
+            let splits = oversized(&keys, &groups.offsets, target, threads);
+            let (mut to_k, mut to_o) = (vec![0u32; n], vec![0u32; n]);
+            let mut counts = vec![[0u32; BUCKETS]; threads];
+            let to = (&mut to_k[..], &mut to_o[..]);
+            let offs = &groups.offsets;
+            let tasks = carve(&mut keys, &mut oids, offs, target, &splits, to, &mut counts);
             let firsts: Vec<usize> = tasks.iter().map(|(first, _)| *first).collect();
             (firsts, splits.len())
         };
-        let (serial_auto, serial_merge) = (run(1, &SortConfig::default()), run(1, &merge_sort()));
 
         for threads in [2usize, 4, 8] {
-            let (firsts, splits) = carved(threads, SortKernel::Auto);
+            let (firsts, splits) = carved(threads);
             let range = |w: usize| w * n / threads..(w + 1) * n / threads;
             let mut ids: Vec<(usize, usize)> = firsts.iter().copied().zip(0..).collect();
             let mut logs = vec![Vec::new(); threads];
@@ -989,8 +874,8 @@ mod tests {
             for (w, log) in logs.iter().enumerate() {
                 assert!(log.iter().all(|&id| range(w).contains(&firsts[id])));
             }
-            // Under `Auto` the giant group is divided into the shares of
-            // the worker ranges it overlaps, each run by that worker.
+            // The giant group is divided into the shares of the worker
+            // ranges it overlaps, each run by that worker.
             let giant_rows = giant..giant_end;
             let shares: Vec<usize> = firsts
                 .iter()
@@ -1005,29 +890,20 @@ mod tests {
             );
             assert_eq!(splits, 1, "t{threads}");
 
-            let (keys, oids, s) = run(threads, &SortConfig::default());
-            assert_eq!((keys, oids), (serial_auto.0.clone(), serial_auto.1.clone()));
-            // Its tasks plus one bucket range per worker, and no merge.
-            let tasks = (firsts.len() + threads) as u64;
-            assert_eq!(s.morsels.dispatched, tasks, "t{threads}");
-            assert_eq!(run(threads, &SortConfig::default()).2.morsels, s.morsels);
-            assert_eq!((s.morsels.split, s.morsels.stolen), (1, 0), "t{threads}");
-            assert_eq!(s.merge.comparisons, 0, "t{threads}");
-
-            // The merge-sort still splits the giant group, and its tasks
-            // plus one merge per split group are what it dispatches.
-            let (firsts, splits) = carved(threads, SortKernel::MergeSort);
-            let (keys, oids, s) = run(threads, &merge_sort());
-            assert_eq!(keys, serial_merge.0, "t{threads}");
-            assert_eq!(oids, serial_merge.1, "t{threads}");
-            assert!(s.morsels.split >= 1, "t{threads}");
-            assert_eq!(s.morsels.split, splits as u64, "t{threads}");
-            assert_eq!(
-                s.morsels.dispatched,
-                (firsts.len() + splits) as u64,
-                "t{threads}"
-            );
-            assert_eq!(s.morsels.stolen, 0, "t{threads}");
+            // Under both kernels: its tasks plus one bucket range per
+            // worker, the same on every run, and no merge (the ~100-row
+            // buckets never reach the merge-sort's loser tree).
+            for cfg in [SortConfig::default(), merge_sort()] {
+                let at = format!("{:?}/t{threads}", cfg.kernel);
+                let serial = run(1, &cfg);
+                let (keys, oids, s) = run(threads, &cfg);
+                assert_eq!((keys, oids), (serial.0, serial.1), "{at}");
+                let tasks = (firsts.len() + threads) as u64;
+                assert_eq!(s.morsels.dispatched, tasks, "{at}");
+                assert_eq!(run(threads, &cfg).2.morsels, s.morsels, "{at}");
+                assert_eq!((s.morsels.split, s.morsels.stolen), (1, 0), "{at}");
+                assert_eq!(s.merge.comparisons, 0, "{at}");
+            }
         }
     }
 
@@ -1052,26 +928,6 @@ mod tests {
             sort_serial(&mut k1, &mut o1, &groups, &SortConfig::default());
             assert_eq!(k, k1);
         }
-    }
-
-    #[test]
-    fn split_bounds_are_aligned_and_cover() {
-        // The runs tile `0..len` in order, each non-empty, with every
-        // internal cut on a `SPLIT_ALIGN` boundary.
-        fn assert_tiles(len: usize, parts: usize) {
-            let runs = split_runs(len, parts);
-            assert_eq!(runs.first().unwrap().start, 0);
-            assert_eq!(runs.last().unwrap().end, len);
-            assert!(runs.iter().all(|r| !r.is_empty()));
-            for w in runs.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-                assert_eq!(w[0].end % SPLIT_ALIGN, 0);
-            }
-        }
-        assert_tiles(10_000, 5);
-        assert_eq!(split_runs(10_000, 5).len(), 5);
-        // Tiny input: collapsed boundaries are dropped, never empty runs.
-        assert_tiles(70, 4);
     }
 
     #[test]

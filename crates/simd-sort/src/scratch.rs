@@ -83,7 +83,8 @@ impl SortScratch {
 
     /// The radix kernel's scatter pair — the first key buffer of `K`'s
     /// bank and the first oid buffer — as `n`-row slices, grown to `n`
-    /// rows first (never shrunk).
+    /// rows first (never shrunk). Of [`WorkerScratch`]'s shared scratch,
+    /// the pair oversized groups are partitioned into.
     pub(crate) fn radix_pair<K: Key>(&mut self, n: usize) -> (&mut [K], &mut [u32]) {
         let (kbuf, obuf) = (&mut K::bufs(&mut self.keys).0, &mut self.oids.0);
         if kbuf.len() < n {

@@ -103,9 +103,8 @@ pub struct SegmentedSortStats {
     /// Time spent in each sort kernel, summed across invocations (and,
     /// on the parallel path, across workers).
     pub phases: PhaseTimes,
-    /// Loser-tree comparison counters of the out-of-cache merge passes
-    /// and split-group merges, summed across invocations
-    /// ([`crate::multiway`]).
+    /// Loser-tree comparison counters of the merge-sort's out-of-cache
+    /// merge passes, summed across invocations ([`crate::multiway`]).
     pub merge: MergeCounters,
     /// Scheduler counters of the parallel path (all zero on the serial
     /// path and below the parallel cutoff).

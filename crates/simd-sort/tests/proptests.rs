@@ -128,7 +128,7 @@ fn segmented_sort_is_sorted_per_group() {
 fn parallel_matches_serial_order() {
     check("parallel_matches_serial_order", 64, |rng| {
         // Long enough that most cases clear the parallel cutoff, where the
-        // one whole-relation group is split into slices and finisher-merged.
+        // one whole-relation group is range-partitioned across the workers.
         let v: Vec<u32> = random_vec(rng, 12_000);
         let cfg = SortConfig::default();
         let mut k1 = v.clone();

@@ -742,13 +742,13 @@ fn deadline_swept_across_radix_rounds_never_publishes_garbage() {
 }
 
 /// The skew axis: one group holding >90% of the rows after round 1
-/// makes the per-worker row ranges maximally unbalanced in work — the
-/// worker whose range holds the giant group sorts it alone. Across
-/// threads {1, 2, 4, 8} the output must stay byte-identical to the
-/// serial run (and match the scalar reference); at threads >= 2 the
-/// merge-sort splits the giant group and `Auto` neither splits nor
-/// merges. Workers own fixed ranges, so no task changes worker
-/// (`stolen == 0`) and the dispatched count repeats run to run.
+/// would make the per-worker row ranges maximally unbalanced in work,
+/// were it not divided. Across threads {1, 2, 4, 8} the output must stay
+/// byte-identical to the serial run (and match the scalar reference); at
+/// threads >= 2 both kernels range-partition the giant group across the
+/// workers, and `Auto` never merges. Workers own fixed ranges, so no task
+/// changes worker (`stolen == 0`) and the dispatched count repeats run to
+/// run.
 #[test]
 fn skewed_group_distribution_stays_byte_identical() {
     let mut rng = Rng::seed_from_u64(0x53EA1);
@@ -820,9 +820,8 @@ fn skewed_group_distribution_stays_byte_identical() {
                     "skew/{kernel:?}/t{threads}: no tasks dispatched"
                 );
                 assert_eq!(m.stolen, 0, "skew/{kernel:?}/t{threads}: a task moved");
-                // Both kernels divide the giant group across the workers:
-                // the merge-sort slices and merges it, `Auto` partitions
-                // it and so never reaches the loser tree.
+                // Both kernels range-partition the giant group across the
+                // workers; `Auto` never reaches the loser tree.
                 assert!(m.split >= 1, "skew/{kernel:?}/t{threads}: no split");
                 if kernel == SortKernel::Auto {
                     let merged: u64 = out.stats.rounds.iter().map(|r| r.merge.comparisons).sum();

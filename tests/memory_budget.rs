@@ -193,6 +193,64 @@ fn warm_serial_sort_peak_stays_within_the_footprint_estimate() {
     }
 }
 
+/// The parallel merge-sort partitions an oversized group into the
+/// arena's shared pair, so a round whose one group holds over 90 % of
+/// the rows still peaks within `lease_footprint_bytes`, and sorts to the
+/// serial result.
+#[test]
+fn parallel_merge_sort_of_a_skewed_group_peaks_within_the_footprint() {
+    let n = 100_000;
+    let mut rng = Rng::seed_from_u64(0x5CE3ED);
+    let lead: Vec<u64> = (0..n)
+        .map(|_| {
+            if rng.gen_range(0..100u32) < 95 {
+                0
+            } else {
+                rng.gen_range(1..64)
+            }
+        })
+        .collect();
+    let cols = [
+        CodeVec::from_u64s(6, lead),
+        CodeVec::from_u64s(
+            24,
+            (0..n)
+                .map(|_| rng.gen_range(0..1u64 << 24))
+                .collect::<Vec<_>>(),
+        ),
+    ];
+    let refs: Vec<&CodeVec> = cols.iter().collect();
+    let specs = [SortSpec::asc(6), SortSpec::asc(24)];
+    let plan = MassagePlan::column_at_a_time(&specs);
+    let at = |threads| ExecConfig {
+        sort: SortConfig {
+            kernel: SortKernel::MergeSort,
+            ..SortConfig::default()
+        },
+        threads,
+        want_final_groups: true,
+        ..ExecConfig::default()
+    };
+    let serial = multi_column_sort(&refs, None, &specs, &plan, &at(1), &mut ExecArena::new())
+        .expect("serial sort");
+    let cfg = at(2);
+    let mut arena = ExecArena::new();
+    for _ in 0..2 {
+        let out = multi_column_sort(&refs, None, &specs, &plan, &cfg, &mut arena).expect("sort");
+        assert_eq!(out.oids, serial.oids);
+        assert_eq!(out.groups.offsets, serial.groups.offsets);
+        let last = out.stats.rounds.last().expect("two rounds");
+        assert!(last.max_group * 10 > n * 9, "max group {}", last.max_group);
+        assert!(out.stats.morsel_counts().split >= 1, "no group divided");
+    }
+    let peak = arena.stats().bytes_peak as usize;
+    let estimate = lease_footprint_bytes(&plan, n, &cfg);
+    assert!(
+        peak <= estimate,
+        "arena peak {peak} bytes exceeds the estimate {estimate}"
+    );
+}
+
 /// A budgeted serial `Auto` sort holds no more than one sort of a full
 /// bucket does on a fresh arena: the arena is sized for a full bucket
 /// before the first one sorts — the radix kernel's scatter pair too — so

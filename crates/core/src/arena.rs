@@ -14,7 +14,10 @@
 //! [`ExecArena::restore`] moves everything back — on success *and* on
 //! error. A mid-round failure (injected fault, worker panic) leaves
 //! garbage in the buffers, which is harmless: every execution fully
-//! overwrites what it reads, so the arena is never poisoned.
+//! overwrites what it reads, so the arena is never poisoned. For the same
+//! reason a lease sizes its buffers and clears none: massage assigns
+//! each round's keys before it ORs into them, and each lookup writes
+//! every row of its spare.
 //!
 //! Growth policy: buffers only ever grow (capacity is kept on shrink),
 //! and [`ArenaStats`] tracks the byte high-water mark plus how many
@@ -74,8 +77,8 @@ pub struct ExecArena {
 /// [`ExecArena::lease`] and moved back by [`ExecArena::restore`].
 #[derive(Debug)]
 pub(crate) struct Lease {
-    /// Massage destinations: one bank-native key vector per round,
-    /// zero-filled to the row count.
+    /// Massage destinations: one bank-native key vector per round, sized
+    /// to the row count and holding whatever it held before.
     pub rounds: Vec<RoundKeys>,
     /// Gather destination spares, one per bank (ping-ponged with the
     /// round buffer on every lookup).
@@ -84,6 +87,14 @@ pub(crate) struct Lease {
     pub spare32: Vec<u32>,
     /// 64-bit gather spare.
     pub spare64: Vec<u64>,
+    /// What every round refines in turn.
+    pub order: Order,
+}
+
+/// The oid order the rounds of one execution refine in turn, its groups,
+/// and the sort's scratch.
+#[derive(Debug)]
+pub(crate) struct Order {
     /// The oid permutation, initialized to `0..n`.
     pub oids: Vec<u32>,
     /// Current group bounds, initialized to one whole-relation group.
@@ -125,42 +136,40 @@ impl ExecArena {
 
     /// Move the execution buffers out, sized for `plan` over `n` rows.
     ///
-    /// Round-key buffers come back zero-filled (massage ORs bits in);
-    /// gather spares, oids and offsets are sized by their users. All
-    /// growth happens here, before the round loop runs.
+    /// Round-key buffers and the spares of the banks that gather come
+    /// back sized to `n`, not cleared (massage and the lookup write every
+    /// row before anything reads it); oids and group offsets come back
+    /// initialized. All growth happens here, before the round loop runs.
     pub(crate) fn lease(&mut self, plan: &MassagePlan, n: usize) -> Lease {
         let mut lease = Lease {
             rounds: core::mem::take(&mut self.rounds),
             spare16: take_pooled(&mut self.pool16),
             spare32: take_pooled(&mut self.pool32),
             spare64: take_pooled(&mut self.pool64),
-            oids: take_pooled(&mut self.pool_u32),
-            groups: GroupBounds {
-                offsets: take_pooled(&mut self.pool_u32),
+            order: Order {
+                oids: take_pooled(&mut self.pool_u32),
+                groups: GroupBounds {
+                    offsets: take_pooled(&mut self.pool_u32),
+                },
+                spare_offsets: take_pooled(&mut self.pool_u32),
+                workers: core::mem::take(&mut self.workers),
             },
-            spare_offsets: take_pooled(&mut self.pool_u32),
-            workers: core::mem::take(&mut self.workers),
         };
         lease.rounds.reserve(plan.rounds.len());
         for round in &plan.rounds {
             lease.rounds.push(match round.bank {
-                Bank::B16 => RoundKeys::B16(zero_filled(take_pooled(&mut self.pool16), n)),
-                Bank::B32 => RoundKeys::B32(zero_filled(take_pooled(&mut self.pool32), n)),
-                Bank::B64 => RoundKeys::B64(zero_filled(take_pooled(&mut self.pool64), n)),
+                Bank::B16 => RoundKeys::B16(sized(take_pooled(&mut self.pool16), n)),
+                Bank::B32 => RoundKeys::B32(sized(take_pooled(&mut self.pool32), n)),
+                Bank::B64 => RoundKeys::B64(sized(take_pooled(&mut self.pool64), n)),
             });
         }
-        // Pre-size the lookup spares for the banks that will gather
-        // (rounds after the first) and the refine destinations, so the
-        // round loop itself never grows anything. Spares come back full
-        // from the ping-pong and `reserve` counts from len: clear first.
-        lease.spare16.clear();
-        lease.spare32.clear();
-        lease.spare64.clear();
+        // Size the lookup spares of the banks that will gather (rounds
+        // after the first), so the round loop itself never grows anything.
         for round in plan.rounds.iter().skip(1) {
             match round.bank {
-                Bank::B16 => lease.spare16.reserve(n),
-                Bank::B32 => lease.spare32.reserve(n),
-                Bank::B64 => lease.spare64.reserve(n),
+                Bank::B16 => lease.spare16.resize(n, 0),
+                Bank::B32 => lease.spare32.resize(n, 0),
+                Bank::B64 => lease.spare64.resize(n, 0),
             }
         }
         // All three u32 buffers get the same n+1 reservation: they come
@@ -168,15 +177,15 @@ impl ExecArena {
         // offsets), and a uniform capacity keeps that rotation growth-free.
         // Clear before reserving — `reserve` counts from the current len,
         // and pooled buffers come back full.
-        lease.oids.clear();
-        lease.oids.reserve(n + 1);
-        lease.oids.extend(0..n as u32);
-        lease.groups.offsets.clear();
-        lease.groups.offsets.reserve(n + 1);
-        lease.groups.offsets.push(0);
-        lease.groups.offsets.push(n as u32);
-        lease.spare_offsets.clear();
-        lease.spare_offsets.reserve(n + 1);
+        lease.order.oids.clear();
+        lease.order.oids.reserve(n + 1);
+        lease.order.oids.extend(0..n as u32);
+        lease.order.groups.offsets.clear();
+        lease.order.groups.offsets.reserve(n + 1);
+        lease.order.groups.offsets.push(0);
+        lease.order.groups.offsets.push(n as u32);
+        lease.order.spare_offsets.clear();
+        lease.order.spare_offsets.reserve(n + 1);
         lease
     }
 
@@ -194,7 +203,7 @@ impl ExecArena {
             runs_serially(cfg.threads, n),
             plan.rounds.first(),
         ) {
-            lease.workers.reserve_radix(first.bank, n);
+            lease.order.workers.reserve_radix(first.bank, n);
         }
         self.restore(lease);
     }
@@ -214,10 +223,10 @@ impl ExecArena {
         self.pool16.push(lease.spare16);
         self.pool32.push(lease.spare32);
         self.pool64.push(lease.spare64);
-        self.pool_u32.push(lease.oids);
-        self.pool_u32.push(lease.groups.offsets);
-        self.pool_u32.push(lease.spare_offsets);
-        self.workers = lease.workers;
+        self.pool_u32.push(lease.order.oids);
+        self.pool_u32.push(lease.order.groups.offsets);
+        self.pool_u32.push(lease.order.spare_offsets);
+        self.workers = lease.order.workers;
         self.rounds = lease.rounds;
 
         let bytes = self.bytes() as u64;
@@ -242,8 +251,9 @@ impl ExecArena {
     }
 }
 
-fn zero_filled<T: Copy + Default>(mut v: Vec<T>, n: usize) -> Vec<T> {
-    v.clear();
+/// `v` at length `n`: rows it already holds keep their stale contents,
+/// and only growth past its length is written.
+fn sized<T: Copy + Default>(mut v: Vec<T>, n: usize) -> Vec<T> {
     v.resize(n, T::default());
     v
 }
@@ -313,7 +323,7 @@ mod tests {
         let plan = MassagePlan::from_widths(&[10, 20, 40]);
         let lease = arena.lease(&plan, 1000);
         assert_eq!(lease.rounds.len(), 3);
-        assert_eq!(lease.oids.len(), 1000);
+        assert_eq!(lease.order.oids.len(), 1000);
         assert!(matches!(lease.rounds[0], RoundKeys::B16(_)));
         assert!(matches!(lease.rounds[1], RoundKeys::B32(_)));
         assert!(matches!(lease.rounds[2], RoundKeys::B64(_)));

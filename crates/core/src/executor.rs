@@ -11,12 +11,12 @@ use std::time::Instant;
 use mcs_cancel::CancelCause;
 use mcs_columnar::CodeVec;
 use mcs_simd_sort::{
-    for_each_chunk, runs_serially, sort_pairs_in_groups, GroupBounds, MergeCounters, MorselCounts,
-    PhaseTimes, SegmentedSortStats, SortConfig, SortKernel, WorkerPanic, WorkerScratch,
+    for_each_chunk, sort_pairs_in_groups, GroupBounds, MergeCounters, MorselCounts, PhaseTimes,
+    SortConfig, SortKernel, SortableKey,
 };
 use mcs_telemetry as telemetry;
 
-use crate::arena::{lease_footprint_bytes, ArenaStats, ExecArena, Lease};
+use crate::arena::{lease_footprint_bytes, ArenaStats, ExecArena, Lease, Order};
 use crate::massage::{
     decode_column_into, massage_rows_into, width_mask, MassageProgram, RoundKeys,
 };
@@ -326,138 +326,22 @@ pub struct MultiColumnSortOutput {
     pub stats: ExecStats,
 }
 
-/// Permute `src` by `oids` into `dst` — allocation-free when `dst` has
-/// capacity (the arena ping-pongs `dst` with the round buffer, so after
-/// the first execution it always does).
-fn gather_into<T: Copy>(src: &[T], oids: &[u32], dst: &mut Vec<T>) {
-    debug_assert_eq!(src.len(), oids.len());
-    dst.clear();
-    dst.extend(oids.iter().map(|&o| src[o as usize]));
-}
-
-/// Parallel [`gather_into`]: each worker writes the disjoint slice of
-/// `dst` in its own row range. Falls back to the serial gather (and
-/// its exact allocation behavior) at `threads == 1` or below the
-/// parallel cutoff. Returns the scheduler counters.
-fn gather_into_morsels<T: Copy + Default + Send + Sync>(
+/// The lookup: row `i` of `dst` is row `oids[i]` of `src`. One body over
+/// a row range, which `threads` splits into equal ranges (serially, one
+/// range on the caller, allocation-free). Every row of `dst` is written,
+/// so it may hold anything on entry. Returns the scheduler counters.
+fn gather<T: Copy + Send + Sync>(
     src: &[T],
     oids: &[u32],
-    dst: &mut Vec<T>,
+    dst: &mut [T],
     threads: usize,
 ) -> MorselCounts {
-    debug_assert_eq!(src.len(), oids.len());
-    let n = oids.len();
-    if runs_serially(threads, n) {
-        gather_into(src, oids, dst);
-        return MorselCounts::default();
-    }
-    dst.clear();
-    dst.resize(n, T::default());
-    let (_, counts) = for_each_chunk(dst, threads, |start, chunk| {
-        for (d, &o) in chunk.iter_mut().zip(&oids[start..]) {
+    for_each_chunk(dst, threads, |start, rows| {
+        let oids = &oids[start..start + rows.len()];
+        for (d, &o) in rows.iter_mut().zip(oids) {
             *d = src[o as usize];
         }
-    });
-    counts
-}
-
-/// Parallel boundary scan: equivalent to [`GroupBounds::refine_into`]
-/// but with each worker scanning its own row range.
-///
-/// Position `i` (`0 < i < n`) is a refined boundary iff it is an existing
-/// group boundary or the sorted keys differ across it — a per-position
-/// predicate, so each worker scans its range independently (walking the
-/// overlapping window of `offsets` alongside) and the per-range boundary
-/// lists concatenate in row order. Produces offsets byte-identical to
-/// the serial scan. Returns the scheduler counters.
-fn refine_into_morsels<K: mcs_simd_sort::Key>(
-    keys: &[K],
-    offsets: &[u32],
-    out: &mut Vec<u32>,
-    threads: usize,
-) -> MorselCounts {
-    let n = keys.len();
-    // The scan writes no rows: its ranges tile a zero-sized slice.
-    let (parts, counts) = for_each_chunk(&mut vec![(); n], threads, |start, rows| {
-        let mut local: Vec<u32> = Vec::new();
-        let from = start.max(1);
-        // First offset >= `from`; duplicates (empty groups) are skipped
-        // in the walk below, matching the serial scan's dedup.
-        let mut p = offsets.partition_point(|&b| (b as usize) < from);
-        for i in from..start + rows.len() {
-            while p < offsets.len() && (offsets[p] as usize) < i {
-                p += 1;
-            }
-            if p < offsets.len() && offsets[p] as usize == i {
-                local.push(i as u32);
-                while p < offsets.len() && offsets[p] as usize == i {
-                    p += 1;
-                }
-            } else if keys[i] != keys[i - 1] {
-                local.push(i as u32);
-            }
-        }
-        local
-    });
-    out.clear();
-    out.push(0);
-    for local in &parts {
-        out.extend_from_slice(local);
-    }
-    if n > 0 {
-        out.push(n as u32);
-    } else {
-        out.push(0);
-    }
-    counts
-}
-
-fn sort_round(
-    keys: &mut RoundKeys,
-    oids: &mut [u32],
-    groups: &GroupBounds,
-    cfg: &ExecConfig,
-    scratch: &mut WorkerScratch,
-) -> Result<SegmentedSortStats, WorkerPanic> {
-    macro_rules! go {
-        ($v:expr) => {
-            sort_pairs_in_groups($v, oids, groups, cfg.threads, &cfg.sort, scratch)
-        };
-    }
-    match keys {
-        RoundKeys::B16(v) => go!(v),
-        RoundKeys::B32(v) => go!(v),
-        RoundKeys::B64(v) => go!(v),
-    }
-}
-
-/// Refine `groups` in place by the sorted `keys`, using `spare` as the
-/// write destination (swapped in afterwards). At `threads == 1` or below
-/// the parallel cutoff the serial (allocation-free on a warm `spare`)
-/// scan runs; otherwise the parallel scan. Returns the scheduler
-/// counters.
-fn refine_groups_into(
-    groups: &mut GroupBounds,
-    keys: &RoundKeys,
-    spare: &mut Vec<u32>,
-    threads: usize,
-) -> MorselCounts {
-    let counts = if runs_serially(threads, keys.len()) {
-        match keys {
-            RoundKeys::B16(v) => groups.refine_into(v, spare),
-            RoundKeys::B32(v) => groups.refine_into(v, spare),
-            RoundKeys::B64(v) => groups.refine_into(v, spare),
-        }
-        MorselCounts::default()
-    } else {
-        match keys {
-            RoundKeys::B16(v) => refine_into_morsels(v, &groups.offsets, spare, threads),
-            RoundKeys::B32(v) => refine_into_morsels(v, &groups.offsets, spare, threads),
-            RoundKeys::B64(v) => refine_into_morsels(v, &groups.offsets, spare, threads),
-        }
-    };
-    core::mem::swap(&mut groups.offsets, spare);
-    counts
+    })
 }
 
 /// Sort the rows `rows` lists of `inputs` (one column per [`SortSpec`];
@@ -702,15 +586,15 @@ impl Job<'_> {
         let written = result.map(|()| {
             let oids = &mut out.oids[at..at + n];
             match rows {
-                None => oids.copy_from_slice(&lease.oids),
+                None => oids.copy_from_slice(&lease.order.oids),
                 Some(rows) => {
-                    for (o, &p) in oids.iter_mut().zip(&lease.oids) {
+                    for (o, &p) in oids.iter_mut().zip(&lease.order.oids) {
                         *o = rows[p as usize];
                     }
                 }
             }
             if cfg.want_final_groups {
-                push_groups(&mut out.groups.offsets, at, &lease.groups.offsets);
+                push_groups(&mut out.groups.offsets, at, &lease.order.groups.offsets);
             }
             let td = Instant::now();
             for c in (0..inputs.len()).filter(|&c| cfg.wants_key(c)) {
@@ -781,57 +665,70 @@ fn run_rounds(cfg: &ExecConfig, lease: &mut Lease, stats: &mut ExecStats) -> Res
         spare16,
         spare32,
         spare64,
-        oids,
-        groups,
-        spare_offsets,
-        workers,
+        order,
     } = lease;
     let last = rounds.len() - 1;
-
     for (k, keys) in rounds.iter_mut().enumerate() {
+        let rs = match keys {
+            RoundKeys::B16(v) => order.round(cfg, k, k == last, v, spare16),
+            RoundKeys::B32(v) => order.round(cfg, k, k == last, v, spare32),
+            RoundKeys::B64(v) => order.round(cfg, k, k == last, v, spare64),
+        }?;
+        // The buckets of a budgeted sort add up, round by round.
+        match stats.rounds.get_mut(k) {
+            Some(sum) => sum.add(&rs),
+            None => stats.rounds.push(rs),
+        }
+    }
+    Ok(())
+}
+
+impl Order {
+    /// Round `k` on its keys in bank type `K`: the lookup permutes them by
+    /// the current order (Figure 2a step 2a) into the bank's `spare` and
+    /// swaps it in (round 1 is already in row order); the segmented sort
+    /// sorts them with the oids within each group (steps 1/3); the scan
+    /// refines the groups by them (step 2b), skipped after the last round
+    /// unless the caller needs the final grouping. The lookup and the scan
+    /// are each one body over a row range, which the thread count splits.
+    fn round<K: SortableKey>(
+        &mut self,
+        cfg: &ExecConfig,
+        k: usize,
+        last: bool,
+        keys: &mut Vec<K>,
+        spare: &mut Vec<K>,
+    ) -> Result<RoundStats, SortError> {
         // Round boundary: bail before permuting or sorting this round.
         mcs_faults::delay_point(mcs_faults::points::EXEC_DELAY_ROUND);
         cfg.sort.cancel.check()?;
         let mut rs = RoundStats {
-            groups_in: groups.num_groups(),
+            groups_in: self.groups.num_groups(),
             ..RoundStats::default()
         };
 
-        // Lookup: permute this round's keys by the current order
-        // (Figure 2a step 2a), ping-ponging with the bank's spare
-        // buffer. Round 1 is already in row order.
         if k > 0 {
             let tl = Instant::now();
-            match keys {
-                RoundKeys::B16(v) => {
-                    rs.morsels
-                        .add(gather_into_morsels(v, oids, spare16, cfg.threads));
-                    core::mem::swap(v, spare16);
-                }
-                RoundKeys::B32(v) => {
-                    rs.morsels
-                        .add(gather_into_morsels(v, oids, spare32, cfg.threads));
-                    core::mem::swap(v, spare32);
-                }
-                RoundKeys::B64(v) => {
-                    rs.morsels
-                        .add(gather_into_morsels(v, oids, spare64, cfg.threads));
-                    core::mem::swap(v, spare64);
-                }
-            }
+            rs.morsels.add(gather(keys, &self.oids, spare, cfg.threads));
+            core::mem::swap(keys, spare);
             rs.lookup_ns = tl.elapsed().as_nanos() as u64;
         }
 
-        // Segmented SIMD sort (steps 1/3).
         if mcs_faults::fault_point!(mcs_faults::points::CORE_ROUND_SORT) {
             return Err(SortError::Injected(mcs_faults::points::CORE_ROUND_SORT));
         }
         let ts = Instant::now();
-        let sstats = sort_round(keys, oids, groups, cfg, workers).map_err(|p| {
-            SortError::WorkerPanicked {
-                round: k,
-                worker: p.worker,
-            }
+        let sstats = sort_pairs_in_groups(
+            keys,
+            &mut self.oids,
+            &self.groups,
+            cfg.threads,
+            &cfg.sort,
+            &mut self.workers,
+        )
+        .map_err(|p| SortError::WorkerPanicked {
+            round: k,
+            worker: p.worker,
         })?;
         // A token fired inside the segmented sort made it exit early with
         // partially sorted keys; surface the cancellation before the scan
@@ -845,44 +742,36 @@ fn run_rounds(cfg: &ExecConfig, lease: &mut Lease, stats: &mut ExecStats) -> Res
         rs.merge = sstats.merge;
         rs.morsels.add(sstats.morsels);
 
-        // Scan for refined boundaries (step 2b); skipped after the last
-        // round unless the caller needs the final grouping.
-        if k < last || cfg.want_final_groups {
+        if !last || cfg.want_final_groups {
             let tc = Instant::now();
-            rs.morsels
-                .add(refine_groups_into(groups, keys, spare_offsets, cfg.threads));
+            let counts = self
+                .groups
+                .refine_into(keys, &mut self.spare_offsets, cfg.threads);
+            core::mem::swap(&mut self.groups.offsets, &mut self.spare_offsets);
+            rs.morsels.add(counts);
             rs.scan_ns = tc.elapsed().as_nanos() as u64;
         }
-        rs.groups_out = groups.num_groups();
-        // The buckets of a budgeted sort add up, round by round.
-        match stats.rounds.get_mut(k) {
-            Some(sum) => sum.add(&rs),
-            None => stats.rounds.push(rs),
-        }
-    }
+        rs.groups_out = self.groups.num_groups();
 
-    // Tie order: every `Auto` kernel is stable, and every round enters
-    // with each group's oids ascending (round 1 with the identity), so
-    // `Auto` already emits rows equal on the full key in row order. The
-    // merge-sort's sorting networks are not stable: its ties come out in
-    // an order that varies with the plan, the thread count, and (under
-    // a memory budget) the bucketing. Restoring row order within each tie
-    // group makes every execution strategy — any valid plan, any thread
-    // count, the scalar fallback, and the budgeted bucket sort — emit
-    // byte-identical output, which is what the differential oracle
-    // asserts. Allocation free: `sort_unstable` on `u32` sub-slices sorts
-    // in place. It finishes the last round's sort, so its time is that
-    // round's.
-    if cfg.sort.kernel == SortKernel::MergeSort {
-        let tc = Instant::now();
-        match &rounds[last] {
-            RoundKeys::B16(v) => canonicalize_ties(v, oids, groups),
-            RoundKeys::B32(v) => canonicalize_ties(v, oids, groups),
-            RoundKeys::B64(v) => canonicalize_ties(v, oids, groups),
+        // Tie order: every `Auto` kernel is stable, and every round enters
+        // with each group's oids ascending (round 1 with the identity), so
+        // `Auto` already emits rows equal on the full key in row order. The
+        // merge-sort's sorting networks are not stable: its ties come out
+        // in an order that varies with the plan, the thread count, and
+        // (under a memory budget) the bucketing. Restoring row order within
+        // each tie group makes every execution strategy — any valid plan,
+        // any thread count, the scalar fallback, and the budgeted bucket
+        // sort — emit byte-identical output, which is what the
+        // differential oracle asserts. Allocation free: `sort_unstable` on
+        // `u32` sub-slices sorts in place. It finishes the last round's
+        // sort, so its time is that round's.
+        if last && cfg.sort.kernel == SortKernel::MergeSort {
+            let tc = Instant::now();
+            canonicalize_ties(keys, &mut self.oids, &self.groups);
+            rs.sort_ns += tc.elapsed().as_nanos() as u64;
         }
-        stats.rounds[last].sort_ns += tc.elapsed().as_nanos() as u64;
+        Ok(rs)
     }
-    Ok(())
 }
 
 /// Sort oids ascending within every maximal run of equal last-round keys
@@ -1024,6 +913,7 @@ pub fn verify_sorted(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use mcs_simd_sort::{runs_serially, PARALLEL_CUTOFF_ROWS as CUTOFF};
 
     fn col(width: u32, vals: &[u64]) -> CodeVec {
         CodeVec::from_u64s(width, vals.iter().copied())
@@ -1047,64 +937,66 @@ mod tests {
         *state
     }
 
-    #[test]
-    fn morsel_refine_matches_serial_scan() {
-        // Sorted-within-groups keys with plenty of duplicates, so both
-        // existing boundaries and key-change boundaries are exercised.
-        let n = 20_000;
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut offsets = vec![0u32];
-        let mut pos = 0usize;
-        while pos < n {
-            pos = (pos + 1 + (xorshift(&mut state) as usize % 512)).min(n);
-            offsets.push(pos as u32);
-        }
-        let mut keys = vec![0u32; n];
-        for w in offsets.windows(2) {
-            let (s, e) = (w[0] as usize, w[1] as usize);
-            for k in keys[s..e].iter_mut() {
-                *k = (xorshift(&mut state) % 7) as u32;
-            }
-            keys[s..e].sort_unstable();
-        }
-        let groups = GroupBounds {
-            offsets: offsets.clone(),
-        };
-        let mut serial = Vec::new();
-        groups.refine_into(&keys, &mut serial);
-        for threads in [2, 4, 8] {
-            let mut par = Vec::new();
-            let counts = refine_into_morsels(&keys, &offsets, &mut par, threads);
-            assert_eq!(par, serial, "threads={threads}");
-            assert!(counts.dispatched > 0, "threads={threads}");
-        }
-        // Degenerate empty input still yields the [0, 0] sentinel pair.
-        let mut empty = Vec::new();
-        refine_into_morsels::<u32>(&[], &[0], &mut empty, 4);
-        assert_eq!(empty, vec![0, 0]);
+    /// Row counts around the parallel cutoff, where a row phase switches
+    /// from one range on the caller to one range per worker.
+    const EDGE_ROWS: [usize; 5] = [0, 1, CUTOFF - 1, CUTOFF, 20_000];
+
+    /// The ranges a row phase over `n` rows dispatches at `threads`.
+    fn ranges(n: usize, threads: usize) -> u64 {
+        u64::from(!runs_serially(threads, n)) * threads as u64
     }
 
     #[test]
-    fn morsel_gather_matches_serial_gather() {
-        let n = 10_000;
+    fn boundary_scan_matches_at_every_thread_count() {
+        let mut state = 0x9e3779b97f4a7c15u64;
+        for n in EDGE_ROWS {
+            // Groups of 1–512 rows, keys sorted inside each with plenty of
+            // duplicates, and empty groups: the first and last offsets and
+            // about every fifth other one repeated.
+            let (mut offsets, mut pos) = (vec![0u32, 0], 0);
+            while pos < n {
+                pos = (pos + 1 + xorshift(&mut state) as usize % 512).min(n);
+                offsets.push(pos as u32);
+                if xorshift(&mut state).is_multiple_of(5) || pos == n {
+                    offsets.push(pos as u32);
+                }
+            }
+            let mut keys: Vec<u32> = (0..n).map(|_| (xorshift(&mut state) % 7) as u32).collect();
+            for w in offsets.windows(2) {
+                keys[w[0] as usize..w[1] as usize].sort_unstable();
+            }
+            // By definition: 0, each group start or key change, then `n`.
+            let cut = |i: u32| offsets.contains(&i) || keys[i as usize] != keys[i as usize - 1];
+            let mut want = vec![0];
+            want.extend((1..n as u32).filter(|&i| cut(i)));
+            want.push(n as u32);
+            let groups = GroupBounds { offsets };
+            for threads in [1, 2, 4, 8] {
+                let at = format!("n={n} threads={threads}");
+                let mut got = vec![u32::MAX; 3];
+                let counts = groups.refine_into(&keys, &mut got, threads);
+                assert_eq!(got, want, "{at}");
+                assert_eq!(counts.dispatched, ranges(n, threads), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_gather_matches_at_every_thread_count() {
         let mut state = 0xdeadbeefcafef00du64;
-        let src: Vec<u64> = (0..n).map(|_| xorshift(&mut state)).collect();
-        let mut oids: Vec<u32> = (0..n as u32).collect();
-        // Deterministic shuffle via sort by hash.
-        oids.sort_by_key(|&o| {
-            let mut s = o as u64 + 1;
-            xorshift(&mut s)
-        });
-        let mut serial = Vec::new();
-        gather_into(&src, &oids, &mut serial);
-        for threads in [1, 2, 4] {
-            let mut par = Vec::new();
-            let counts = gather_into_morsels(&src, &oids, &mut par, threads);
-            assert_eq!(par, serial, "threads={threads}");
-            if threads == 1 {
-                assert!(counts.is_empty());
-            } else {
-                assert!(counts.dispatched > 0, "threads={threads}");
+        for n in EDGE_ROWS {
+            let src: Vec<u64> = (0..n).map(|_| xorshift(&mut state)).collect();
+            let mut oids: Vec<u32> = (0..n as u32).collect();
+            // Deterministic shuffle via sort by hash.
+            oids.sort_by_key(|&o| xorshift(&mut (o as u64 + 1)));
+            let want: Vec<u64> = oids.iter().map(|&o| src[o as usize]).collect();
+            for threads in [1, 2, 4, 8] {
+                let at = format!("n={n} threads={threads}");
+                // A stale destination: every row must be written.
+                let mut got: Vec<u64> = want.iter().map(|&v| !v).collect();
+                let counts = gather(&src, &oids, &mut got, threads);
+                assert_eq!(got, want, "{at}");
+                assert_eq!(counts.dispatched, ranges(n, threads), "{at}");
             }
         }
     }
@@ -1391,6 +1283,60 @@ mod tests {
         assert_eq!(stats.grows + stats.reuses, 6);
         assert!(stats.reuses >= 3, "repeat executions must reuse: {stats:?}");
         assert!(stats.bytes_peak > 0);
+
+        // Stale buffers: a lease sizes its buffers without clearing them.
+        // Fill every bank with all-ones keys over more rows (a 64-bit round
+        // among them), then sort smaller instances on the arena — DESC
+        // keys, a row list, two threads, a binding budget, the key columns
+        // decoded — each byte-identical to a fresh arena.
+        let ones: Vec<CodeVec> = [16, 32, 64]
+            .map(|w| col(w, &vec![width_mask(w); n + 4_000]))
+            .into();
+        let wide: Vec<SortSpec> = [16, 32, 64].map(SortSpec::asc).into();
+        let wide_plan = MassagePlan::column_at_a_time(&wide);
+        let mut runs = vec![(ones.iter().collect(), None, wide, wide_plan, cfg.clone())];
+        let list: Vec<u32> = (0..n as u32).rev().step_by(3).collect();
+        let mut in_b64 = MassagePlan::from_widths(&[13, 17]);
+        in_b64
+            .rounds
+            .iter_mut()
+            .for_each(|r| r.bank = mcs_simd_sort::Bank::B64);
+        for (desc, rows, threads, budget) in [
+            ([true, false], None, 1, false),
+            ([false, true], Some(&list[..]), 1, false),
+            ([true, true], None, 2, false),
+            ([true, false], Some(&list[..]), 2, false),
+            ([false, true], None, 1, true),
+        ] {
+            let spec = |width, descending| SortSpec { width, descending };
+            let specs = vec![spec(13, desc[0]), spec(17, desc[1])];
+            let p0 = MassagePlan::column_at_a_time(&specs);
+            for plan in [p0, MassagePlan::from_widths(&[16, 14]), in_b64.clone()] {
+                let quarter = lease_footprint_bytes(&plan, n, &ExecConfig::default()) / 4;
+                let cfg = ExecConfig {
+                    threads,
+                    want_keys: 0b11,
+                    memory_budget_bytes: budget.then_some(quarter),
+                    ..ExecConfig::default()
+                };
+                runs.push((inputs.clone(), rows, specs.clone(), plan, cfg));
+            }
+        }
+        for (inputs, rows, specs, plan, cfg) in &runs {
+            let label = format!("{plan} {specs:?} rows {:?} {cfg:?}", rows.map(<[u32]>::len));
+            let run = |arena: &mut ExecArena| {
+                multi_column_sort(inputs, *rows, specs, plan, cfg, arena)
+                    .expect("valid sort instance")
+            };
+            let (fresh, warm) = (run(&mut ExecArena::new()), run(&mut arena));
+            assert_eq!(warm.oids, fresh.oids, "{label}");
+            assert_eq!(warm.groups.offsets, fresh.groups.offsets, "{label}");
+            assert_eq!(warm.keys, fresh.keys, "{label}");
+            assert!(
+                warm.stats.buckets > 1 || cfg.memory_budget_bytes.is_none(),
+                "{label}"
+            );
+        }
 
         // A fresh arena reports its one grow.
         let plainest = sort(

@@ -73,7 +73,7 @@ pub use executor::{
     multi_column_sort, tuple_cmp, verify_sorted, ExecConfig, ExecStats, MultiColumnSortOutput,
     RoundStats, SortError,
 };
-pub use massage::{massage, massage_into, width_mask, FipStep, MassageProgram, RoundKeys};
+pub use massage::{massage, width_mask, FipStep, MassageProgram, RoundKeys};
 pub use plan::{MassagePlan, PlanError, Round, SortSpec};
 
 // Re-export the pieces callers need alongside plans.

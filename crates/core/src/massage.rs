@@ -9,9 +9,12 @@
 //! input column: each sorted row's code is read once — in order, or
 //! through the caller's row list where it lies — and every step of the
 //! column runs over it in branch-free loops; `DESC` columns are
-//! complemented on the fly (Figure 5's extra step).
+//! complemented on the fly (Figure 5's extra step). The first step into
+//! each round assigns and the later ones OR, so a round buffer needs no
+//! clearing first.
 
 use crate::plan::{MassagePlan, SortSpec};
+use core::ops::Range;
 use mcs_cancel::CancelToken;
 use mcs_columnar::CodeVec;
 use mcs_simd_sort::{for_each_worker, runs_serially, Bank, Key, MorselCounts};
@@ -30,6 +33,10 @@ pub struct FipStep {
     pub len: u32,
     /// Left-shift placing the bits in the destination code.
     pub out_shift: u32,
+    /// Whether this is the first step into its round (the one holding the
+    /// round's top bits): it assigns the destination, the later steps OR
+    /// into it.
+    pub assigns: bool,
 }
 
 /// A compiled massage program.
@@ -77,6 +84,7 @@ impl MassageProgram {
                 in_shift: in_widths[i] - in_off - len,
                 len,
                 out_shift: out_widths[j] - out_off - len,
+                assigns: out_off == 0,
             });
             pos = seg_end;
             if pos == in_end {
@@ -136,19 +144,19 @@ pub fn width_mask(w: u32) -> u64 {
 /// every step of the column then reads.
 const BLOCK_ROWS: usize = 256;
 
-/// Massage the rows `start..start + len` of the sort into `outs`, which
-/// hold just those rows of every round (`len` is their length): one pass
-/// per key column, reading each of its codes once and ORing every step
-/// of the column into its round. `cancel` is polled before each column.
+/// Massage the sorted rows `range` into `outs`, which hold just those
+/// rows of every round: one pass per key column, reading each of its
+/// codes once and placing every step of the column into its round.
+/// `cancel` is polled before each column.
 fn massage_range<D: RoundDst>(
     inputs: &[&CodeVec],
     rows: Option<&[u32]>,
     prog: &MassageProgram,
-    start: usize,
+    range: Range<usize>,
     outs: &mut [D],
     cancel: &CancelToken,
 ) {
-    let len = outs.first_mut().map_or(0, |o| o.rows().len());
+    let (start, len) = (range.start, range.len());
     let mut codes = [0u64; BLOCK_ROWS];
     for steps in prog.steps.chunk_by(|a, b| a.in_col == b.in_col) {
         if cancel.check().is_err() {
@@ -167,9 +175,9 @@ fn massage_range<D: RoundDst>(
             read_codes(inputs[col], rows, start + lo, comp_mask, block);
             for step in steps {
                 match outs[step.out_col].rows() {
-                    RoundRows::B16(dst) => or_segment(block, step, &mut dst[lo..hi]),
-                    RoundRows::B32(dst) => or_segment(block, step, &mut dst[lo..hi]),
-                    RoundRows::B64(dst) => or_segment(block, step, &mut dst[lo..hi]),
+                    RoundRows::B16(dst) => place_segment(block, step, &mut dst[lo..hi]),
+                    RoundRows::B32(dst) => place_segment(block, step, &mut dst[lo..hi]),
+                    RoundRows::B64(dst) => place_segment(block, step, &mut dst[lo..hi]),
                 }
             }
         }
@@ -209,16 +217,23 @@ fn read_codes(src: &CodeVec, rows: Option<&[u32]>, from: usize, comp_mask: u64, 
     }
 }
 
-/// The step loop: OR the step's bit segment of `codes[i]` into `dst[i]`
-/// in the bank's physical type. `bits << out_shift` always fits the bank
+/// The step loop: write the step's bit segment of `codes[i]` into
+/// `dst[i]` in the bank's physical type — assigned by the round's first
+/// step, ORed in by the others. `bits << out_shift` always fits the bank
 /// because the round width is bounded by the bank width (enforced by
 /// plan validation), so the narrowing `K::from_u64` is lossless.
 #[inline]
-fn or_segment<K: Key>(codes: &[u64], step: &FipStep, dst: &mut [K]) {
+fn place_segment<K: Key>(codes: &[u64], step: &FipStep, dst: &mut [K]) {
     let seg_mask = width_mask(step.len);
-    for (d, &code) in dst.iter_mut().zip(codes) {
-        let bits = (code >> step.in_shift) & seg_mask;
-        *d = K::from_u64(d.to_u64() | (bits << step.out_shift));
+    let bits = |code: u64| ((code >> step.in_shift) & seg_mask) << step.out_shift;
+    if step.assigns {
+        for (d, &code) in dst.iter_mut().zip(codes) {
+            *d = K::from_u64(bits(code));
+        }
+    } else {
+        for (d, &code) in dst.iter_mut().zip(codes) {
+            *d = K::from_u64(d.to_u64() | bits(code));
+        }
     }
 }
 
@@ -230,14 +245,6 @@ enum RoundRows<'a> {
 }
 
 impl<'a> RoundRows<'a> {
-    fn len(&self) -> usize {
-        match self {
-            RoundRows::B16(v) => v.len(),
-            RoundRows::B32(v) => v.len(),
-            RoundRows::B64(v) => v.len(),
-        }
-    }
-
     /// The first `mid` rows and the rest.
     fn split_at(self, mid: usize) -> (RoundRows<'a>, RoundRows<'a>) {
         match self {
@@ -328,39 +335,23 @@ impl RoundKeys {
     }
 }
 
-/// Massage `inputs` directly into caller-provided bank-native buffers —
-/// the allocation-free core of [`massage`], used by
-/// [`crate::ExecArena`]-backed execution.
+/// Massage the sorted rows `rows` lists into `outs` under `prog`
+/// (compiled from `plan`): output row `i` is input row `rows[i]`, each
+/// column read through the list where it lies, or input row `i` when
+/// `rows` is `None`. The list must lie inside the columns (the sort door
+/// checks it once per call).
 ///
-/// `outs` must hold one zero-filled [`RoundKeys`] per plan round, each
-/// of the round's bank and of the input row count; every FIP step ORs
-/// its bit segment straight into the destination bank type, so no
-/// intermediate wide `u64` vectors are materialized.
+/// `outs` holds one [`RoundKeys`] per plan round, each of the round's
+/// bank and as long as the list, whatever it holds on entry: every FIP
+/// step writes its bit segment straight into the destination bank type,
+/// the round's first step by assignment, so no intermediate wide `u64`
+/// vectors are materialized and nothing is cleared first.
 ///
 /// `cancel` is polled before each column's pass (one O(n) read of the
 /// column that emits all of its FIP steps). A fired token abandons the
 /// remaining columns, leaving partially massaged round buffers — the
-/// caller must observe the token and discard them. The compiled program
-/// (for `I_FIP` accounting) is returned either way, along with the
-/// morsel scheduler counters (all zero when massage ran serially).
-pub fn massage_into(
-    inputs: &[&CodeVec],
-    specs: &[SortSpec],
-    plan: &MassagePlan,
-    threads: usize,
-    outs: &mut [RoundKeys],
-    cancel: &CancelToken,
-) -> (MassageProgram, MorselCounts) {
-    let prog = MassageProgram::compile(specs, plan);
-    let morsels = massage_rows_into(inputs, None, &prog, plan, threads, outs, cancel);
-    (prog, morsels)
-}
-
-/// [`massage_into`] of `prog` (compiled from `plan`) over the sorted rows
-/// `rows` lists: output row `i` is input row `rows[i]`, each column read
-/// through the list where it lies, or input row `i` when `rows` is
-/// `None`. The list must lie inside the columns (the sort door checks it
-/// once per call), and `outs` is as long as the list.
+/// caller must observe the token and discard them. Returns the morsel
+/// scheduler counters (all zero when massage ran serially).
 pub(crate) fn massage_rows_into(
     inputs: &[&CodeVec],
     rows: Option<&[u32]>,
@@ -382,25 +373,29 @@ pub(crate) fn massage_rows_into(
         assert_eq!(out.len(), n, "output buffer length mismatch");
     }
     if runs_serially(threads, n) {
-        massage_range(inputs, rows, prog, 0, outs, cancel);
+        massage_range(inputs, rows, prog, 0..n, outs, cancel);
         return MorselCounts::default();
     }
     // Worker `w` massages the rows `w·n/threads..(w+1)·n/threads` of
     // every round.
-    let mut parts: Vec<(usize, Vec<RoundRows<'_>>)> = (0..threads)
-        .map(|w| (w * n / threads, Vec::with_capacity(outs.len())))
+    let mut parts: Vec<(Range<usize>, Vec<RoundRows<'_>>)> = (0..threads)
+        .map(|w| {
+            (
+                w * n / threads..(w + 1) * n / threads,
+                Vec::with_capacity(outs.len()),
+            )
+        })
         .collect();
     for out in outs.iter_mut() {
         let mut rest = out.rows();
-        for (w, (start, part)) in parts.iter_mut().enumerate() {
-            let (head, tail) = rest.split_at((w + 1) * n / threads - *start);
+        for (range, part) in parts.iter_mut() {
+            let (head, tail) = rest.split_at(range.len());
             part.push(head);
             rest = tail;
         }
-        debug_assert_eq!(rest.len(), 0);
     }
-    for_each_worker(&mut parts, |(start, part)| {
-        massage_range(inputs, rows, prog, *start, part, cancel)
+    for_each_worker(&mut parts, |(range, part)| {
+        massage_range(inputs, rows, prog, range.clone(), part, cancel)
     })
 }
 
@@ -422,9 +417,11 @@ pub fn massage(
             Bank::B64 => RoundKeys::B64(vec![0u64; n]),
         })
         .collect();
-    let (prog, _) = massage_into(
+    let prog = MassageProgram::compile(specs, plan);
+    massage_rows_into(
         inputs,
-        specs,
+        None,
+        &prog,
         plan,
         threads,
         &mut keys,
@@ -551,7 +548,8 @@ mod tests {
                 out_col: 0,
                 in_shift: 0,
                 len: 17,
-                out_shift: 1
+                out_shift: 1,
+                assigns: true
             }
         );
         // Step 2: top bit of col 1 -> bottom bit of round 0.
@@ -562,7 +560,8 @@ mod tests {
                 out_col: 0,
                 in_shift: 32,
                 len: 1,
-                out_shift: 0
+                out_shift: 0,
+                assigns: false
             }
         );
         // Step 3: low 32 bits of col 1 -> round 1.
@@ -573,7 +572,8 @@ mod tests {
                 out_col: 1,
                 in_shift: 0,
                 len: 32,
-                out_shift: 0
+                out_shift: 0,
+                assigns: true
             }
         );
     }
@@ -648,16 +648,17 @@ mod tests {
         assert_eq!(a, b);
 
         // Through a row list (every third row, backwards), serially and in
-        // parallel: row `i` of each round is row `list[i]` of the above.
+        // parallel, into buffers that hold stale all-ones keys: row `i` of
+        // each round is row `list[i]` of the above.
         let list: Vec<u32> = (0..n as u32).rev().step_by(3).collect();
         for threads in [1, 4] {
             let mut outs: Vec<RoundKeys> = plan
                 .rounds
                 .iter()
                 .map(|r| match r.bank {
-                    Bank::B16 => RoundKeys::B16(vec![0; list.len()]),
-                    Bank::B32 => RoundKeys::B32(vec![0; list.len()]),
-                    Bank::B64 => RoundKeys::B64(vec![0; list.len()]),
+                    Bank::B16 => RoundKeys::B16(vec![u16::MAX; list.len()]),
+                    Bank::B32 => RoundKeys::B32(vec![u32::MAX; list.len()]),
+                    Bank::B64 => RoundKeys::B64(vec![u64::MAX; list.len()]),
                 })
                 .collect();
             let inputs = [&c1, &c2];
@@ -768,12 +769,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "output buffer bank mismatch")]
-    fn massage_into_rejects_wrong_bank() {
+    fn massage_rows_into_rejects_wrong_bank() {
         let c1 = CodeVec::from_u64s(20, [1u64, 2, 3]);
         let sp = specs(&[20]);
         let plan = MassagePlan::from_widths(&[20]); // wants B32
+        let prog = MassageProgram::compile(&sp, &plan);
         let mut outs = vec![RoundKeys::B16(vec![0u16; 3])];
-        massage_into(&[&c1], &sp, &plan, 1, &mut outs, &CancelToken::none());
+        let cancel = CancelToken::none();
+        massage_rows_into(&[&c1], None, &prog, &plan, 1, &mut outs, &cancel);
     }
 
     #[test]

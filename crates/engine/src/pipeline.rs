@@ -333,9 +333,17 @@ pub(crate) fn run_pipeline(
     }
 
     let cols = Columns::resolve(table, query)?;
-    let oids = filter_oids(table, query, &cols, &mut timings);
-    let result = execute(query, &cols, cfg, &oids, &mut timings, cache, arena)
-        .map_err(|e| count_cancellation(e, query))?;
+    let oids = filter_oids(query, &cols, &mut timings);
+    let result = execute(
+        query,
+        &cols,
+        cfg,
+        oids.as_deref(),
+        &mut timings,
+        cache,
+        arena,
+    )
+    .map_err(|e| count_cancellation(e, query))?;
 
     timings.total_ns = t_total.elapsed().as_nanos() as u64;
     if telemetry::is_enabled() {
@@ -344,7 +352,10 @@ pub(crate) fn run_pipeline(
             timings.total_ns,
             vec![
                 ("query", query.name.clone().into()),
-                ("rows_in", oids.len().into()),
+                (
+                    "rows_in",
+                    oids.as_ref().map_or(table.rows(), Vec::len).into(),
+                ),
                 (
                     "rows_out",
                     result.first().map_or(0, |(_, v)| v.len()).into(),
@@ -507,14 +518,9 @@ impl<'t> Columns<'t> {
     }
 }
 
-/// Run `query`'s filters: ByteSlice scans, ANDed; no filters selects the
-/// whole table.
-fn filter_oids(
-    table: &Table,
-    query: &Query,
-    cols: &Columns<'_>,
-    timings: &mut QueryTimings,
-) -> Vec<u32> {
+/// Run `query`'s filters: ByteSlice scans, ANDed, into the ascending ids
+/// of the rows they keep; `None`, every row, when the query has none.
+fn filter_oids(query: &Query, cols: &Columns<'_>, timings: &mut QueryTimings) -> Option<Vec<u32>> {
     let t = Instant::now();
     let mut acc: Option<BitVec> = None;
     for (f, col) in query.filters.iter().zip(&cols.filters) {
@@ -527,10 +533,7 @@ fn filter_oids(
             }
         });
     }
-    let oids: Vec<u32> = match acc {
-        Some(a) => a.to_oids(),
-        None => (0..table.rows() as u32).collect(),
-    };
+    let oids = acc.map(|a| a.to_oids());
     timings.filter_scan_ns += t.elapsed().as_nanos() as u64;
     oids
 }
@@ -550,9 +553,9 @@ pub(crate) fn warm_plan(
     // column anywhere in the query, a too-wide window key), so no plan is
     // cached for a query every execute fails.
     let cols = Columns::resolve(table, query)?;
-    let oids = filter_oids(table, query, &cols, &mut timings);
-    let inst = cols.sort_instance(oids.len())?;
-    if oids.is_empty() {
+    let rows = filter_oids(query, &cols, &mut timings).map_or(table.rows(), |o| o.len());
+    let inst = cols.sort_instance(rows)?;
+    if rows == 0 {
         // Nothing qualifies: nothing worth planning.
         return Ok(());
     }
@@ -848,23 +851,25 @@ fn sort_planned(
     Ok((out, ran_plan, inst))
 }
 
-/// The one body behind every query shape: sort the qualifying `oids` by
-/// the query's keys once, then read each output straight from its base
-/// column through the sort's final oids — and, for GROUP BY and
-/// PARTITION BY, through the sort's final tie groups (Figure 2, steps
-/// 4–5) — except a SELECT of a sort key, which the sort decodes from its
-/// sorted round keys. No column is gathered into a copy and no tie is
-/// found twice.
+/// The one body behind every query shape: sort the qualifying `rows`
+/// (every row when `None`) by the query's keys once, then read each
+/// output straight from its base column through the sort's final oids —
+/// and, for GROUP BY and PARTITION BY, through the sort's final tie
+/// groups (Figure 2, steps 4–5) — except a SELECT of a sort key, which
+/// the sort decodes from its sorted round keys. No column is gathered
+/// into a copy and no tie is found twice.
 fn execute(
     query: &Query,
     cols: &Columns<'_>,
     cfg: &EngineConfig,
-    oids: &[u32],
+    rows: Option<&[u32]>,
     timings: &mut QueryTimings,
     cache: &PlanCache,
     arena: &mut ExecArena,
 ) -> Result<Vec<(String, Vec<u64>)>, EngineError> {
-    if cols.shape == Shape::Grouped && oids.is_empty() {
+    let keys: Vec<&CodeVec> = cols.keys.iter().map(|(c, _)| c.codes()).collect();
+    let n = rows.map_or(keys[0].len(), <[u32]>::len);
+    if cols.shape == Shape::Grouped && n == 0 {
         // No qualifying rows: zero groups, empty output columns.
         let names = query
             .group_by
@@ -872,10 +877,7 @@ fn execute(
             .chain(query.aggregates.iter().map(|a| &a.label));
         return Ok(names.map(|n| (n.clone(), Vec::new())).collect());
     }
-    let inst = cols.sort_instance(oids.len())?;
-
-    // The sort reads the base key columns through `oids`, which ascend: as
-    // long as the columns, they are every row, and the sort takes no list.
+    let inst = cols.sort_instance(n)?;
     let picked = pick_plan(&inst, query.order_free(), cfg, timings, cache)?;
     // A SELECT of a sort key comes back from the sort itself, decoded
     // from the sorted round keys; the sort charges that decode to
@@ -895,8 +897,6 @@ fn execute(
         ..cfg.exec.clone()
     };
     let t = Instant::now();
-    let keys: Vec<&CodeVec> = cols.keys.iter().map(|(c, _)| c.codes()).collect();
-    let rows = (oids.len() < keys[0].len()).then_some(oids);
     let (mut out, ran_plan, inst) = sort_planned(&keys, rows, &inst, picked, exec, timings, arena)?;
     let decode_ns = out.stats.decode_ns;
     timings.mcs_ns += (t.elapsed().as_nanos() as u64).saturating_sub(decode_ns);
@@ -908,7 +908,6 @@ fn execute(
     // SELECT: each key column as the sort decoded it, every other column
     // in one pass straight from its base codes.
     let t = Instant::now();
-    let n = out.oids.len();
     let mut result: Vec<(String, Vec<u64>)> = query
         .select
         .iter()

@@ -47,7 +47,8 @@ const TASKS_PER_WORKER: usize = 4;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MorselCounts {
     /// Tasks run: sort spans, oversized groups' shares and their
-    /// post-join bucket ranges, and [`for_each_chunk`] ranges. A function
+    /// post-join bucket ranges, and the row ranges of [`for_each_chunk`]
+    /// and [`for_each_worker`]. A function
     /// of the input and the thread count.
     pub dispatched: u64,
     /// Always 0: every worker owns a fixed range, so no task changes
@@ -531,53 +532,43 @@ fn drive<T: Send, W: Send>(
 }
 
 /// Parallel iteration over `threads` equal row ranges of `rows`, used by
-/// the executor's gather and boundary scans: worker `w` runs
-/// `f(start, chunk)` once on its own sub-slice
-/// `chunk = rows[start..start + chunk.len()]`, `start = w·n/threads`.
-/// An input that [runs serially](crate::runs_serially) is one call
-/// `f(0, rows)`. A pass that writes no rows (a scan) tiles a zero-sized
-/// slice, e.g. `&mut vec![(); n]`, which allocates nothing.
-///
-/// Returns the per-range results in row order, and the scheduler
-/// counters (all zero on the serial path). With `R = ()` the result
-/// vector allocates nothing either. A panicking worker panics the caller.
+/// the executor's lookup gather: worker `w` runs `f(start, chunk)` once
+/// on its own sub-slice `chunk = rows[start..start + chunk.len()]`,
+/// `start = w·n/threads`. An input that
+/// [runs serially](crate::runs_serially) is one call `f(0, rows)`, which
+/// allocates nothing. Returns the scheduler counters (all zero on the
+/// serial path). A panicking worker panics the caller.
 // Inlined so a serial call compiles the caller's loop in place: without
 // the hint the threads = 1 massage steps of `analytic_mix`, when they
 // still ran through here, were ~2.5× slower (3.6 → 8.7 ms per op on a
 // 2-core VM).
 #[inline]
-pub fn for_each_chunk<T: Send, R: Default + Send>(
+pub fn for_each_chunk<T: Send>(
     rows: &mut [T],
     threads: usize,
-    f: impl Fn(usize, &mut [T]) -> R + Sync,
-) -> (Vec<R>, MorselCounts) {
+    f: impl Fn(usize, &mut [T]) + Sync,
+) -> MorselCounts {
     let threads = threads.max(1);
     let n = rows.len();
     if runs_serially(threads, n) {
-        return (vec![f(0, rows)], MorselCounts::default());
+        f(0, rows);
+        return MorselCounts::default();
     }
-    let mut results: Vec<R> = Vec::new();
-    results.resize_with(threads, R::default);
     let mut rest = rows;
-    let mut chunks: Vec<_> = results
-        .iter_mut()
-        .enumerate()
-        .map(|(w, slot)| {
+    let mut chunks: Vec<_> = (0..threads)
+        .map(|w| {
             let start = w * n / threads;
-            let chunk = take_rows(&mut rest, (w + 1) * n / threads - start);
-            (start, chunk, slot)
+            (start, take_rows(&mut rest, (w + 1) * n / threads - start))
         })
         .collect();
-    let counts = for_each_worker(&mut chunks, |(start, chunk, slot)| {
-        **slot = f(*start, chunk)
-    });
-    (results, counts)
+    for_each_worker(&mut chunks, |(start, chunk)| f(*start, chunk))
 }
 
 /// Run `f` once on each of `parts`, part `w` on worker `w` — the first
 /// on the calling thread, every other one on a scoped thread — for a
-/// pass whose caller has split the work itself (e.g. the same row range
-/// of several buffers, which [`for_each_chunk`] cannot hand out). A
+/// pass whose caller has split the work itself (the same row range of
+/// several buffers, or a row range scanned into a list of the worker's
+/// own, which [`for_each_chunk`] cannot hand out). A
 /// panicking worker panics the caller. Returns the scheduler counters.
 pub fn for_each_worker<T: Send>(parts: &mut [T], f: impl Fn(&mut T) + Sync) -> MorselCounts {
     let workers = parts.len();
@@ -933,33 +924,26 @@ mod tests {
     #[test]
     fn for_each_chunk_covers_everything() {
         let n = 10_000usize;
-        let mut rows = vec![0usize; n];
-        let (sums, counts) = for_each_chunk(&mut rows, 4, |start, chunk| {
+        let mut rows = vec![usize::MAX; n];
+        let counts = for_each_chunk(&mut rows, 4, |start, chunk| {
             for (i, r) in (start..).zip(chunk.iter_mut()) {
+                assert_eq!(*r, usize::MAX, "row {i} handed out twice");
                 *r = i;
             }
-            (start, chunk.len())
         });
         assert_eq!(rows, (0..n).collect::<Vec<_>>());
-        // Results come back in row order, tiling `0..n`.
-        assert_eq!(sums.len() as u64, counts.dispatched);
         assert_eq!(counts.dispatched, 4, "one range per worker");
-        let mut at = 0;
-        for (start, len) in sums {
-            assert_eq!(start, at);
-            at += len;
-        }
-        assert_eq!(at, n);
     }
 
     #[test]
     fn for_each_chunk_serial_below_cutoff() {
         let mut rows = vec![(); 100];
-        let (calls, counts) = for_each_chunk(&mut rows, 8, |start, chunk| {
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let counts = for_each_chunk(&mut rows, 8, |start, chunk| {
             assert_eq!((start, chunk.len()), (0, 100));
-            1
+            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         });
-        assert_eq!(calls, vec![1]);
+        assert_eq!(calls.into_inner(), 1);
         assert_eq!(counts, MorselCounts::default());
     }
 

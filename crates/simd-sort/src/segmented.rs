@@ -9,9 +9,11 @@
 
 use crate::key::Key;
 use crate::multiway::MergeCounters;
+use crate::parallel::{for_each_worker, MorselCounts};
 use crate::phase::PhaseTimes;
 use crate::scratch::SortScratch;
-use crate::sort::{SortConfig, SortableKey};
+use crate::sort::{runs_serially, SortConfig, SortableKey};
+use core::ops::Range;
 use mcs_cancel::CHECK_INTERVAL;
 use std::time::Instant;
 
@@ -63,30 +65,80 @@ impl GroupBounds {
     /// consecutive keys differ (the paper's `T_scan` step, Eq. 9).
     pub fn refine_by<K: Key>(&self, keys: &[K]) -> GroupBounds {
         let mut offsets = Vec::with_capacity(self.offsets.len());
-        self.refine_into(keys, &mut offsets);
+        self.refine_into(keys, &mut offsets, 1);
         GroupBounds { offsets }
     }
 
     /// Like [`GroupBounds::refine_by`], but writing the refined offsets
     /// into `out` (cleared first) instead of allocating a new vector —
-    /// allocation-free when `out` already has enough capacity.
-    pub fn refine_into<K: Key>(&self, keys: &[K], out: &mut Vec<u32>) {
-        debug_assert_eq!(self.num_rows(), keys.len());
+    /// allocation-free when `out` already has enough capacity and the scan
+    /// [runs serially](crate::runs_serially). At more `threads`, worker
+    /// `w` scans the `w`-th of `threads` equal row ranges into a list of
+    /// its own, and the lists concatenate in row order. Returns the
+    /// scheduler counters (all zero on the serial path).
+    pub fn refine_into<K: Key>(
+        &self,
+        keys: &[K],
+        out: &mut Vec<u32>,
+        threads: usize,
+    ) -> MorselCounts {
+        let n = keys.len();
+        debug_assert_eq!(self.num_rows(), n);
         out.clear();
-        out.push(0u32);
-        for r in self.iter() {
-            for i in r.start + 1..r.end {
-                if keys[i] != keys[i - 1] {
-                    out.push(i as u32);
-                }
+        out.push(0);
+        let counts = if runs_serially(threads, n) {
+            scan_range(keys, &self.offsets, 0..n, out);
+            MorselCounts::default()
+        } else {
+            let mut parts: Vec<(Range<usize>, Vec<u32>)> = (0..threads)
+                .map(|w| (w * n / threads..(w + 1) * n / threads, Vec::new()))
+                .collect();
+            let counts = for_each_worker(&mut parts, |(rows, found)| {
+                scan_range(keys, &self.offsets, rows.clone(), found)
+            });
+            for (_, found) in &parts {
+                out.extend_from_slice(found);
             }
-            if r.end > 0 && *out.last().unwrap() != r.end as u32 {
-                out.push(r.end as u32);
+            counts
+        };
+        out.push(n as u32);
+        counts
+    }
+}
+
+/// The boundary scan over the sorted rows `rows`: append to `out` every
+/// position `i` in it (`0 < i < n`) that is an existing group boundary in
+/// `offsets` or across which the keys differ. A per-position predicate,
+/// so any split of `0..n` into ranges, scanned in row order, finds the
+/// same list; `offsets` may repeat a position (an empty group), which is
+/// found once.
+fn scan_range<K: Key>(keys: &[K], offsets: &[u32], rows: Range<usize>, out: &mut Vec<u32>) {
+    // Each `j` in `from..to` where the keys differ from the row before.
+    let changes = |from: usize, to: usize, out: &mut Vec<u32>| {
+        for (j, pair) in (from..).zip(keys[from - 1..to].windows(2)) {
+            if pair[0] != pair[1] {
+                out.push(j as u32);
             }
         }
-        if out.len() == 1 {
-            out.push(0);
+    };
+    // The existing boundaries inside the range are boundaries whatever
+    // the keys; between them, compare neighbours.
+    let mut i = rows.start.max(1);
+    let lo = offsets.partition_point(|&b| (b as usize) < i);
+    let hi = offsets
+        .partition_point(|&b| (b as usize) < rows.end)
+        .max(lo);
+    for &b in &offsets[lo..hi] {
+        let b = b as usize;
+        if b < i {
+            continue; // a repeat of the last boundary (an empty group)
         }
+        changes(i, b, out);
+        out.push(b as u32);
+        i = b + 1;
+    }
+    if i < rows.end {
+        changes(i, rows.end, out);
     }
 }
 
@@ -108,7 +160,7 @@ pub struct SegmentedSortStats {
     pub merge: MergeCounters,
     /// Scheduler counters of the parallel path (all zero on the serial
     /// path and below the parallel cutoff).
-    pub morsels: crate::MorselCounts,
+    pub morsels: MorselCounts,
 }
 
 /// Sort `(keys, oids)` within each group of an offsets window

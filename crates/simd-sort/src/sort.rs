@@ -14,8 +14,8 @@ use mcs_cancel::CancelToken;
 use std::time::Instant;
 
 /// Inputs shorter than this run serially even when the caller asks for
-/// multiple threads — the morsel-driven group sort and every
-/// [`crate::for_each_chunk`] phase (massage, gather, boundary scan) alike,
+/// multiple threads — the group sort and every row phase (massage,
+/// gather, boundary scan) alike,
 /// so the phases of one round always agree about "parallel". Below it,
 /// thread spawn + merge overhead exceeds the work itself (4096 rows is
 /// roughly where spawn cost amortizes).

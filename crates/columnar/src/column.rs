@@ -4,6 +4,7 @@ use std::sync::OnceLock;
 
 use crate::byteslice::ByteSliceColumn;
 use crate::codes::CodeVec;
+use crate::encoding::width_for_max;
 
 /// Buckets of [`ColumnStats::histogram`].
 const BUCKETS: usize = 16;
@@ -37,20 +38,34 @@ impl ColumnStats {
     /// dedups a copy instead. Either way the count is exact.
     pub fn compute(codes: &CodeVec, width: u32) -> ColumnStats {
         match codes {
-            CodeVec::U8(x) => stats_of(x, width),
-            CodeVec::U16(x) => stats_of(x, width),
-            CodeVec::U32(x) => stats_of(x, width),
-            CodeVec::U64(x) => stats_of(x, width),
+            CodeVec::U8(x) => stats_of(x, width).0,
+            CodeVec::U16(x) => stats_of(x, width).0,
+            CodeVec::U32(x) => stats_of(x, width).0,
+            CodeVec::U64(x) => stats_of(x, width).0,
         }
     }
 }
 
-fn stats_of<T: Copy + Into<u64>>(codes: &[T], width: u32) -> ColumnStats {
-    // Bucket `v · 16 / 2^width`: the domain is a power of two, so the
-    // division is exactly the shift `(v << 4) >> width`, split so that
-    // no bit of a `width`-bit code leaves the word.
+/// The histogram bucket of `v` in a `width`-bit domain is
+/// `(v << up) >> down`: the domain is a power of two, so the division
+/// `v · 16 / 2^width` is exactly that shift, split so that no bit of a
+/// `width`-bit code leaves the word.
+fn bucket_shifts(width: u32) -> (u32, u32) {
     let width = width.min(64);
-    let (up, down) = (4u32.saturating_sub(width), width.saturating_sub(4));
+    (4u32.saturating_sub(width), width.saturating_sub(4))
+}
+
+/// The distinct codes a statistics pass found, in the form its NDV count
+/// left them.
+enum Distinct {
+    /// Bit `d` is set when code `min + d` occurs.
+    Dense { min: u64, seen: Vec<u64> },
+    /// The sorted, de-duplicated codes.
+    Sparse(Vec<u64>),
+}
+
+fn stats_of<T: Copy + Into<u64>>(codes: &[T], width: u32) -> (ColumnStats, Distinct) {
+    let (up, down) = bucket_shifts(width);
     let mut histogram = [0u64; BUCKETS];
     let (mut min, mut max) = (u64::MAX, 0u64);
     for &v in codes {
@@ -64,35 +79,218 @@ fn stats_of<T: Copy + Into<u64>>(codes: &[T], width: u32) -> ColumnStats {
         min = 0;
     }
     let span = u128::from(max - min) + 1;
-    let ndv = if span <= 64 * rows as u128 {
+    let (ndv, distinct) = if span <= 64 * rows as u128 {
         let mut seen = vec![0u64; (span as usize).div_ceil(64)];
         for &v in codes {
             let d = v.into() - min;
             seen[(d >> 6) as usize] |= 1 << (d & 63);
         }
-        seen.iter().map(|w| w.count_ones() as usize).sum()
+        let ndv = seen.iter().map(|w| w.count_ones() as usize).sum();
+        (ndv, Distinct::Dense { min, seen })
     } else {
         let mut all: Vec<u64> = codes.iter().map(|&v| v.into()).collect();
         all.sort_unstable();
         all.dedup();
-        all.len()
+        (all.len(), Distinct::Sparse(all))
     };
-    ColumnStats {
+    let stats = ColumnStats {
         rows,
         ndv,
         min,
         max,
         histogram: histogram.to_vec(),
+    };
+    (stats, distinct)
+}
+
+/// The most distinct codes a rank layout is built for: its dictionary
+/// (at most 512 KiB of `u64`s) stays L2-resident for the decode.
+const MAX_RANK_NDV: usize = 1 << 16;
+
+/// A column's rank codes: each row's dense rank among the column's
+/// sorted distinct codes, at the width the NDV needs rather than the
+/// declared one. The map is order-preserving, so sorting the ranks
+/// orders (and groups) the rows exactly as sorting the codes does, in
+/// fewer bits; the dictionary maps a rank back to its code.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RankCodes {
+    width: u32,
+    codes: CodeVec,
+    dictionary: Vec<u64>,
+    stats: ColumnStats,
+}
+
+impl RankCodes {
+    /// Rank width in bits: `width_for_max(ndv − 1)`.
+    pub fn width(&self) -> u32 {
+        self.width
+    }
+
+    /// The rank of every row, in row order.
+    pub fn codes(&self) -> &CodeVec {
+        &self.codes
+    }
+
+    /// The sorted distinct codes: rank `r` is code `dictionary()[r]`.
+    pub fn dictionary(&self) -> &[u64] {
+        &self.dictionary
+    }
+
+    /// Statistics of the rank codes themselves (what the planner prices).
+    pub fn stats(&self) -> &ColumnStats {
+        &self.stats
+    }
+
+    /// Map ranks back to their codes, in place.
+    pub fn decode_in_place(&self, ranks: &mut [u64]) {
+        for v in ranks {
+            *v = self.dictionary[*v as usize];
+        }
     }
 }
 
-/// An encoded column: fixed-width codes, plus the statistics and the
-/// ByteSlice layout derived from them, each built on first read.
+/// Whether a column of declared `width` with `stats` gets a rank layout:
+/// its ranks are narrower than its codes, and its dictionary is small.
+fn rank_width(width: u32, stats: &ColumnStats) -> Option<u32> {
+    let ndv = stats.ndv;
+    let w = width_for_max(ndv.saturating_sub(1) as u64);
+    (ndv > 0 && ndv <= MAX_RANK_NDV && w < width).then_some(w)
+}
+
+/// Where each code's rank lies in the sorted dictionary: the codes'
+/// offsets from the minimum, cut into about `ndv` buckets by their high
+/// bits, each bucket the dictionary range it covers. A row's rank is a
+/// search within its bucket: typically one or two entries, and never
+/// more than a binary search over the whole dictionary, however the
+/// codes cluster.
+struct RankIndex<'d> {
+    dictionary: &'d [u64],
+    min: u64,
+    shift: u32,
+    /// `starts[b]`: the first rank whose code lies in bucket `b` or later.
+    starts: Vec<u32>,
+}
+
+impl<'d> RankIndex<'d> {
+    /// Index a sorted, non-empty, de-duplicated dictionary.
+    fn new(dictionary: &'d [u64]) -> RankIndex<'d> {
+        let (min, max) = (dictionary[0], dictionary[dictionary.len() - 1]);
+        let bucket_bits = width_for_max(dictionary.len() as u64);
+        let shift = width_for_max(max - min).saturating_sub(bucket_bits);
+        let buckets = ((max - min) >> shift) as usize + 1;
+        let mut starts = Vec::with_capacity(buckets + 1);
+        for (rank, &code) in dictionary.iter().enumerate() {
+            let bucket = ((code - min) >> shift) as usize;
+            starts.resize(bucket + 1, rank as u32);
+        }
+        starts.push(dictionary.len() as u32);
+        RankIndex {
+            dictionary,
+            min,
+            shift,
+            starts,
+        }
+    }
+
+    /// The rank of `code`, which must be in the dictionary.
+    fn rank(&self, code: u64) -> u64 {
+        let bucket = ((code - self.min) >> self.shift) as usize;
+        let (lo, hi) = (
+            self.starts[bucket] as usize,
+            self.starts[bucket + 1] as usize,
+        );
+        (lo + self.dictionary[lo..hi].partition_point(|&x| x < code)) as u64
+    }
+}
+
+fn stats_and_ranks<T: Copy + Into<u64>>(
+    codes: &[T],
+    width: u32,
+) -> (ColumnStats, Option<RankCodes>) {
+    let (stats, distinct) = stats_of(codes, width);
+    let ranks = rank_codes_of(codes, width, &stats, distinct);
+    (stats, ranks)
+}
+
+/// Build the rank layout from what the statistics pass left: on the
+/// dense path the bit set plus per-word prefix popcounts is the rank
+/// table and its set bits the dictionary; on the sparse path the sorted
+/// copy is the dictionary, searched per row.
+fn rank_codes_of<T: Copy + Into<u64>>(
+    codes: &[T],
+    width: u32,
+    stats: &ColumnStats,
+    distinct: Distinct,
+) -> Option<RankCodes> {
+    let width = rank_width(width, stats)?;
+    let (up, down) = bucket_shifts(width);
+    let mut histogram = [0u64; BUCKETS];
+    let mut count = |r: u64| {
+        histogram[((r << up) >> down).min(BUCKETS as u64 - 1) as usize] += 1;
+        r
+    };
+    let (dictionary, ranks) = match distinct {
+        Distinct::Dense { min, seen } => {
+            let mut before = 0u32;
+            let table: Vec<(u64, u32)> = seen
+                .iter()
+                .map(|&w| {
+                    let entry = (w, before);
+                    before += w.count_ones();
+                    entry
+                })
+                .collect();
+            let ranks = CodeVec::from_u64s(
+                width,
+                codes.iter().map(|&v| {
+                    let d = v.into() - min;
+                    let (word, before) = table[(d >> 6) as usize];
+                    let below = word & ((1u64 << (d & 63)) - 1);
+                    count(u64::from(before + below.count_ones()))
+                }),
+            );
+            let mut dictionary = Vec::with_capacity(stats.ndv);
+            for (i, &w) in seen.iter().enumerate() {
+                let mut w = w;
+                while w != 0 {
+                    dictionary.push(min + ((i as u64) << 6) + u64::from(w.trailing_zeros()));
+                    w &= w - 1;
+                }
+            }
+            (dictionary, ranks)
+        }
+        Distinct::Sparse(dictionary) => {
+            let index = RankIndex::new(&dictionary);
+            let ranks =
+                CodeVec::from_u64s(width, codes.iter().map(|&v| count(index.rank(v.into()))));
+            (dictionary, ranks)
+        }
+    };
+    let stats = ColumnStats {
+        rows: stats.rows,
+        ndv: stats.ndv,
+        min: 0,
+        max: stats.ndv as u64 - 1,
+        histogram: histogram.to_vec(),
+    };
+    Some(RankCodes {
+        width,
+        codes: ranks,
+        dictionary,
+        stats,
+    })
+}
+
+/// An encoded column: fixed-width codes, plus the statistics, the
+/// ByteSlice layout and the rank codes derived from them, each built on
+/// first read.
 ///
 /// The ByteSlice representation serves scans; the plain [`CodeVec`] serves
 /// lookups and sorting (the paper's prototype keeps both, its Figure 11
-/// storage manager). A column nothing scans never builds the ByteSlice
-/// layout, and one nothing plans over never computes its statistics — a
+/// storage manager); the rank codes, when the column has them, serve
+/// sorting in fewer bits. A column nothing scans never builds the
+/// ByteSlice layout, one nothing plans over never computes its
+/// statistics, and one nothing sorts never builds its rank codes — a
 /// stage-1 result handed to stage 2 pays only for what stage 2 reads.
 #[derive(Debug, Clone)]
 pub struct Column {
@@ -101,6 +299,7 @@ pub struct Column {
     codes: CodeVec,
     byteslice: OnceLock<ByteSliceColumn>,
     stats: OnceLock<ColumnStats>,
+    ranks: OnceLock<Option<RankCodes>>,
 }
 
 impl Column {
@@ -117,6 +316,7 @@ impl Column {
             codes,
             byteslice: OnceLock::new(),
             stats: OnceLock::new(),
+            ranks: OnceLock::new(),
         }
     }
 
@@ -164,6 +364,30 @@ impl Column {
     pub fn stats(&self) -> &ColumnStats {
         self.stats
             .get_or_init(|| ColumnStats::compute(&self.codes, self.width))
+    }
+
+    /// The rank layout, built on first read by the statistics pass
+    /// itself (which it also publishes as [`stats`](Self::stats)), or
+    /// `None` when the column does not get one: it has no rows, more than
+    /// 2^16 distinct codes, or ranks no narrower than its codes.
+    pub fn rank_codes(&self) -> Option<&RankCodes> {
+        self.ranks
+            .get_or_init(|| {
+                if let Some(stats) = self.stats.get() {
+                    rank_width(self.width, stats)?;
+                }
+                let (stats, ranks) = match &self.codes {
+                    CodeVec::U8(x) => stats_and_ranks(x, self.width),
+                    CodeVec::U16(x) => stats_and_ranks(x, self.width),
+                    CodeVec::U32(x) => stats_and_ranks(x, self.width),
+                    CodeVec::U64(x) => stats_and_ranks(x, self.width),
+                };
+                // A racing or earlier `stats()` read may have set them: the
+                // values are equal either way.
+                let _ = self.stats.set(stats);
+                ranks
+            })
+            .as_ref()
     }
 
     /// Read code `i`.

@@ -34,6 +34,6 @@ mod table;
 pub use bitvec::BitVec;
 pub use byteslice::{ByteSliceColumn, Predicate, ScanStats};
 pub use codes::{size_of_width, CodeVec};
-pub use column::{Column, ColumnStats};
+pub use column::{Column, ColumnStats, RankCodes};
 pub use encoding::{encode_date, encode_scaled, width_for_cardinality, width_for_max, Dictionary};
 pub use table::{widen, DimensionJoin, Table};

@@ -11,7 +11,7 @@ use mcs_core::{ExecStats, MassagePlan, RoundStats, SortKernel};
 use mcs_cost::{CostModel, PlanCost, SortInstance};
 use mcs_simd_sort::{kernel_for, radix::passes_for_width, SizeKernel};
 
-use crate::pipeline::{QueryTimings, SpillStats};
+use crate::pipeline::{KeyWidth, QueryTimings, SpillStats};
 
 /// A predicted-vs-measured account of one executed multi-column sort.
 #[derive(Debug, Clone)]
@@ -45,6 +45,10 @@ pub struct ExplainReport {
     /// executing ([`QueryTimings::queue_ns`]; zero when admission was
     /// unbounded — then no `queued:` line renders).
     pub queue_ns: u64,
+    /// Per sort key, its declared width and the width sorted
+    /// ([`QueryTimings::key_widths`]); the `keys:` line renders only when
+    /// some key was sorted at its rank width.
+    pub key_widths: Vec<KeyWidth>,
 }
 
 impl ExplainReport {
@@ -70,6 +74,7 @@ impl ExplainReport {
             spilled: SpillStats::default(),
             bucket_rows: 0,
             queue_ns: 0,
+            key_widths: Vec::new(),
         }
     }
 
@@ -93,6 +98,7 @@ impl ExplainReport {
         rep.spilled = timings.spilled;
         rep.bucket_rows = timings.bucket_rows;
         rep.queue_ns = timings.queue_ns;
+        rep.key_widths = timings.key_widths.clone();
         Some(rep)
     }
 
@@ -136,6 +142,11 @@ impl ExplainReport {
             t(self.predicted.total()),
             t(self.measured.total_ns as f64),
         ));
+        // Rank-coded keys name what was sorted; a sort of declared widths
+        // renders no line, keeping every earlier golden snapshot stable.
+        if let Some(line) = key_widths_line(&self.key_widths) {
+            out.push_str(&line);
+        }
         // Only annotate degraded / cache-served executions: happy-path
         // uncached reports stay byte-identical to the pre-ladder golden
         // snapshots.
@@ -295,6 +306,25 @@ impl ExplainReport {
     }
 }
 
+/// `keys: W 96→26 (c0 48→13, c1 48→13)`: the total declared and sorted
+/// key widths, then each rank-coded key; `None` when no key was.
+fn key_widths_line(keys: &[KeyWidth]) -> Option<String> {
+    let coded: Vec<String> = keys
+        .iter()
+        .filter(|k| k.sorted != k.declared)
+        .map(|k| format!("{} {}→{}", k.column, k.declared, k.sorted))
+        .collect();
+    if coded.is_empty() {
+        return None;
+    }
+    let declared: u32 = keys.iter().map(|k| k.declared).sum();
+    let sorted: u32 = keys.iter().map(|k| k.sorted).sum();
+    Some(format!(
+        "keys: W {declared}→{sorted} ({})\n",
+        coded.join(", ")
+    ))
+}
+
 /// Name the kernel a round's sort ran, the way the cost model prices it:
 /// by the round's mean sorted-group length (`radix×p` = `p` scatter
 /// passes, one per live key byte). Empty when the round sorted nothing.
@@ -397,6 +427,54 @@ mod tests {
         // The warm rerun reused capacity; the byte peak redacts away.
         assert!(warm_rep.render().contains("grows 1, reuses 1\n"));
         assert!(warm_rep.render_redacted().contains("arena: peak ### bytes"));
+    }
+
+    #[test]
+    fn keys_line_renders_only_for_rank_coded_keys() {
+        use crate::{run_query, EngineConfig, OrderKey, PlannerMode, Query};
+        let n = 4096u64;
+        let mut t = mcs_columnar::Table::new("t");
+        // 6 bits holding all 64 values: sorted at its declared width.
+        t.add_column(mcs_columnar::Column::from_u64s(
+            "k",
+            6,
+            (0..n).map(|i| (i * 37) % 64),
+        ));
+        // 40 bits holding 4 values, 6 bits holding 8: rank-coded.
+        t.add_column(mcs_columnar::Column::from_u64s(
+            "wide",
+            40,
+            (0..n).map(|i| (i % 4) << 30),
+        ));
+        t.add_column(mcs_columnar::Column::from_u64s(
+            "few",
+            6,
+            (0..n).map(|i| (i * 7) % 8 * 8),
+        ));
+        let model = CostModel::with_defaults();
+        let explain = |keys: &[&str], cfg: &EngineConfig| {
+            let mut q = Query::named("q");
+            q.order_by = keys.iter().map(|&k| OrderKey::asc(k)).collect();
+            q.select = vec!["k".into()];
+            let r = run_query(&t, &q, cfg).unwrap();
+            ExplainReport::from_timings("q", &r.timings, &model).unwrap()
+        };
+        let cfg = EngineConfig::default();
+        let plain = explain(&["k"], &cfg);
+        assert!(!plain.render().contains("keys:"));
+        assert!(!plain.render_redacted().contains("keys:"));
+
+        let coded = explain(&["wide", "k", "few"], &cfg);
+        let line = "keys: W 52→11 (wide 40→2, few 6→3)\n";
+        let text = coded.render_redacted();
+        assert_eq!(text.lines().nth(2), Some(line.trim_end()), "{text}");
+        assert!(coded.render().contains(line));
+        // A fixed plan is stated over declared widths: nothing is coded.
+        let fixed = PlannerMode::Fixed(MassagePlan::from_widths(&[40, 6, 6]));
+        let cfg = EngineConfig::builder().planner(fixed).build();
+        assert!(!explain(&["wide", "k", "few"], &cfg)
+            .render()
+            .contains("keys:"));
     }
 
     #[test]

@@ -51,8 +51,8 @@ pub use aggregate::aggregate_groups;
 pub use error::{DegradeReason, EngineError};
 pub use explain::ExplainReport;
 pub use pipeline::{
-    result_to_table, run_query, EngineConfig, EngineConfigBuilder, PlannerMode, QueryResult,
-    QueryTimings, SpillStats,
+    result_to_table, run_query, EngineConfig, EngineConfigBuilder, KeyWidth, PlannerMode,
+    QueryResult, QueryTimings, SpillStats,
 };
 pub use query::{Agg, AggKind, Filter, OrderKey, Query};
 pub use session::{

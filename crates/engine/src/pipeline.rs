@@ -27,7 +27,7 @@
 
 use std::time::Instant;
 
-use mcs_columnar::{BitVec, CodeVec, Column, ColumnStats, Table};
+use mcs_columnar::{BitVec, CodeVec, Column, ColumnStats, RankCodes, Table};
 use mcs_core::{
     multi_column_sort, tuple_cmp, ExecArena, ExecConfig, ExecStats, GroupBounds, MassagePlan,
     MultiColumnSortOutput, SortError, SortKernel, SortSpec,
@@ -215,6 +215,23 @@ pub struct QueryTimings {
     /// The largest [`ExecStats::bucket_rows`] of the query's sorts; 0
     /// when no sort was partitioned.
     pub bucket_rows: usize,
+    /// Per sort key of the query's (first) sort, in key order: its
+    /// declared width and the width it was sorted at, narrower when the
+    /// sort read the column's rank codes. Empty when no sort ran, and
+    /// when every key sorted at its declared width.
+    pub key_widths: Vec<KeyWidth>,
+}
+
+/// One sort key's declared width beside the width it was sorted at.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyWidth {
+    /// The key column.
+    pub column: String,
+    /// Its declared code width.
+    pub declared: u32,
+    /// The width sorted: the rank width when the sort read the column's
+    /// rank codes ([`Column::rank_codes`]), else `declared`.
+    pub sorted: u32,
 }
 
 /// The bucket count of a query's budgeted sorts, in the shape the
@@ -332,11 +349,11 @@ pub(crate) fn run_pipeline(
         return Err(count_cancellation(cause.into(), query));
     }
 
-    let cols = Columns::resolve(table, query)?;
+    let mut cols = Columns::resolve(table, query)?;
     let oids = filter_oids(query, &cols, &mut timings);
     let result = execute(
         query,
-        &cols,
+        &mut cols,
         cfg,
         oids.as_deref(),
         &mut timings,
@@ -398,6 +415,34 @@ enum Shape {
     Windowed(usize),
 }
 
+/// One sort key: its column, its direction, and what the sort reads of
+/// it — the column's rank codes when it has them, else its base codes.
+/// Only the sort reads the rank codes; every other reader of a key
+/// (GROUP BY output, RANK's partition bounds, aggregates, filters)
+/// reads the base codes.
+struct SortKey<'t> {
+    column: &'t Column,
+    descending: bool,
+    ranks: Option<&'t RankCodes>,
+}
+
+impl<'t> SortKey<'t> {
+    /// The codes the sort reads.
+    fn sorted_codes(&self) -> &'t CodeVec {
+        self.ranks.map_or(self.column.codes(), RankCodes::codes)
+    }
+
+    /// The width the sort reads them at.
+    fn sorted_width(&self) -> u32 {
+        self.ranks.map_or(self.column.width(), RankCodes::width)
+    }
+
+    /// The statistics of what the sort reads.
+    fn sorted_stats(&self) -> &'t ColumnStats {
+        self.ranks.map_or(self.column.stats(), RankCodes::stats)
+    }
+}
+
 /// Every column a query reads, looked up once before any work runs: a
 /// name the table lacks fails by existence, whatever rows the filter
 /// keeps.
@@ -405,8 +450,8 @@ struct Columns<'t> {
     shape: Shape,
     /// The WHERE columns, in `query.filters` order.
     filters: Vec<&'t Column>,
-    /// The sort keys ([`Query::sort_keys`]) and whether each descends.
-    keys: Vec<(&'t Column, bool)>,
+    /// The sort keys ([`Query::sort_keys`]).
+    keys: Vec<SortKey<'t>>,
     /// SELECT (a grouped query outputs its keys and aggregates instead).
     select: Vec<&'t CodeVec>,
     /// Per aggregate of a grouped query, the column it reads.
@@ -417,6 +462,14 @@ struct Columns<'t> {
 }
 
 impl<'t> Columns<'t> {
+    /// Resolve every column `query` names. Each sort key reads its base
+    /// codes until [`sort_instance`](Self::sort_instance) picks its input.
+    ///
+    /// A window query's order keys may total at most 64 declared bits —
+    /// a documented limit of the query surface, with a pinned wire error
+    /// code — so a wider one is rejected here, before any plan search
+    /// and before the layout choice: whether a query is accepted does
+    /// not depend on the data.
     fn resolve(table: &'t Table, query: &Query) -> Result<Columns<'t>, EngineError> {
         let keys = query.sort_keys();
         if keys.is_empty() {
@@ -441,7 +494,7 @@ impl<'t> Columns<'t> {
             _ => (&query.select[..], &[][..], &[][..]),
         };
         let outputs = query.group_by.iter().chain(aggs.iter().map(|a| &a.label));
-        Ok(Columns {
+        let cols = Columns {
             shape,
             filters: query
                 .filters
@@ -450,7 +503,13 @@ impl<'t> Columns<'t> {
                 .collect::<Result<_, _>>()?,
             keys: keys
                 .iter()
-                .map(|k| Ok((col(&k.column, "sort key")?, k.descending)))
+                .map(|k| {
+                    Ok(SortKey {
+                        column: col(&k.column, "sort key")?,
+                        descending: k.descending,
+                        ranks: None,
+                    })
+                })
                 .collect::<Result<_, EngineError>>()?,
             select: select
                 .iter()
@@ -474,47 +533,61 @@ impl<'t> Columns<'t> {
                     found.ok_or_else(|| unknown(&k.column, "ORDER BY over grouped result"))
                 })
                 .collect::<Result<_, _>>()?,
-        })
-    }
-
-    /// The planner's instance for the sort keys over `rows` qualifying
-    /// rows. It asks for the final grouping exactly when the query reads
-    /// it (GROUP BY, PARTITION BY): the one place that fact is set.
-    ///
-    /// A window query's order keys may total at most 64 bits — a
-    /// documented limit of the query surface, with a pinned wire error
-    /// code — so a wider one is rejected here, before any plan search.
-    fn sort_instance(&self, rows: usize) -> Result<SortInstance, EngineError> {
-        let specs: Vec<SortSpec> = self
-            .keys
-            .iter()
-            .map(|&(c, descending)| SortSpec {
-                width: c.width(),
-                descending,
-            })
-            .collect();
-        if let Shape::Windowed(np) = self.shape {
-            let bits: u32 = specs[np..].iter().map(|s| s.width).sum();
+        };
+        if let Shape::Windowed(np) = cols.shape {
+            let bits: u32 = cols.keys[np..].iter().map(|k| k.column.width()).sum();
             if bits > 64 {
                 return Err(EngineError::WindowKeyTooWide { bits });
             }
         }
-        let stats = self
-            .keys
-            .iter()
-            .map(|(c, _)| {
-                let mut s = KeyColumnStats::from_stats(c.width(), c.stats());
-                // Filtering can only reduce cardinality.
-                s.ndv = s.ndv.min(rows as f64).max(1.0);
-                s
-            })
-            .collect();
-        Ok(SortInstance {
+        Ok(cols)
+    }
+
+    /// Pick each sort key's input, once per query, and return the
+    /// planner's instance for the keys over `rows` qualifying rows at the
+    /// widths and statistics of what the sort reads. A key reads its
+    /// rank codes when its column has them (the first read builds them,
+    /// with the column's statistics), unless `planner` fixes a plan,
+    /// which is stated over declared widths. The instance asks for the
+    /// final grouping exactly when the query reads it (GROUP BY,
+    /// PARTITION BY): the one place that fact is set.
+    fn sort_instance(&mut self, rows: usize, planner: &PlannerMode) -> SortInstance {
+        let coded = !matches!(planner, PlannerMode::Fixed(_));
+        let mut specs = Vec::with_capacity(self.keys.len());
+        let mut stats = Vec::with_capacity(self.keys.len());
+        for k in &mut self.keys {
+            k.ranks = if coded { k.column.rank_codes() } else { None };
+            specs.push(SortSpec {
+                width: k.sorted_width(),
+                descending: k.descending,
+            });
+            let mut s = KeyColumnStats::from_stats(k.sorted_width(), k.sorted_stats());
+            // Filtering can only reduce cardinality.
+            s.ndv = s.ndv.min(rows as f64).max(1.0);
+            stats.push(s);
+        }
+        SortInstance {
             rows,
             specs,
             stats,
             want_final_groups: self.shape != Shape::Ordered,
-        })
+        }
+    }
+
+    /// Each key's declared width beside the width its sort reads; empty
+    /// (and allocation-free) when no key is rank-coded.
+    fn key_widths(&self) -> Vec<KeyWidth> {
+        if self.keys.iter().all(|k| k.ranks.is_none()) {
+            return Vec::new();
+        }
+        self.keys
+            .iter()
+            .map(|k| KeyWidth {
+                column: k.column.name().to_string(),
+                declared: k.column.width(),
+                sorted: k.sorted_width(),
+            })
+            .collect()
     }
 }
 
@@ -552,9 +625,9 @@ pub(crate) fn warm_plan(
     // Rejects what execution would reject before sorting (an unknown
     // column anywhere in the query, a too-wide window key), so no plan is
     // cached for a query every execute fails.
-    let cols = Columns::resolve(table, query)?;
+    let mut cols = Columns::resolve(table, query)?;
     let rows = filter_oids(query, &cols, &mut timings).map_or(table.rows(), |o| o.len());
-    let inst = cols.sort_instance(rows)?;
+    let inst = cols.sort_instance(rows, &cfg.planner);
     if rows == 0 {
         // Nothing qualifies: nothing worth planning.
         return Ok(());
@@ -860,15 +933,14 @@ fn sort_planned(
 /// into a copy and no tie is found twice.
 fn execute(
     query: &Query,
-    cols: &Columns<'_>,
+    cols: &mut Columns<'_>,
     cfg: &EngineConfig,
     rows: Option<&[u32]>,
     timings: &mut QueryTimings,
     cache: &PlanCache,
     arena: &mut ExecArena,
 ) -> Result<Vec<(String, Vec<u64>)>, EngineError> {
-    let keys: Vec<&CodeVec> = cols.keys.iter().map(|(c, _)| c.codes()).collect();
-    let n = rows.map_or(keys[0].len(), <[u32]>::len);
+    let n = rows.map_or(cols.keys[0].column.len(), <[u32]>::len);
     if cols.shape == Shape::Grouped && n == 0 {
         // No qualifying rows: zero groups, empty output columns.
         let names = query
@@ -877,7 +949,8 @@ fn execute(
             .chain(query.aggregates.iter().map(|a| &a.label));
         return Ok(names.map(|n| (n.clone(), Vec::new())).collect());
     }
-    let inst = cols.sort_instance(n)?;
+    let inst = cols.sort_instance(n, &cfg.planner);
+    let keys: Vec<&CodeVec> = cols.keys.iter().map(SortKey::sorted_codes).collect();
     let picked = pick_plan(&inst, query.order_free(), cfg, timings, cache)?;
     // A SELECT of a sort key comes back from the sort itself, decoded
     // from the sorted round keys; the sort charges that decode to
@@ -885,7 +958,7 @@ fn execute(
     let key_index = |c: &CodeVec| {
         cols.keys
             .iter()
-            .position(|(k, _)| std::ptr::eq(k.codes(), c))
+            .position(|k| std::ptr::eq(k.column.codes(), c))
     };
     let want_keys = cols
         .select
@@ -898,12 +971,22 @@ fn execute(
     };
     let t = Instant::now();
     let (mut out, ran_plan, inst) = sort_planned(&keys, rows, &inst, picked, exec, timings, arena)?;
+    // A rank-coded key comes back as ranks: map them to codes in place,
+    // as part of the decode.
+    let td = Instant::now();
+    for (k, vals) in cols.keys.iter().zip(&mut out.keys) {
+        if let Some(ranks) = k.ranks {
+            ranks.decode_in_place(vals);
+        }
+    }
+    out.stats.decode_ns += td.elapsed().as_nanos() as u64;
     let decode_ns = out.stats.decode_ns;
     timings.mcs_ns += (t.elapsed().as_nanos() as u64).saturating_sub(decode_ns);
     timings.gather_ns += decode_ns;
     timings.mcs_stats = out.stats.clone();
     timings.plan = ran_plan;
     timings.sort_instance = Some(inst);
+    timings.key_widths = cols.key_widths();
 
     // SELECT: each key column as the sort decoded it, every other column
     // in one pass straight from its base codes.
@@ -929,7 +1012,8 @@ fn execute(
         Shape::Windowed(np) => {
             // The final groups are the ties on (partition keys, window
             // order), so they carry the ranks; partitions only coarsen them.
-            let part_keys: Vec<&CodeVec> = cols.keys[..np].iter().map(|(c, _)| c.codes()).collect();
+            let part_keys: Vec<&CodeVec> =
+                cols.keys[..np].iter().map(|k| k.column.codes()).collect();
             let parts = partition_bounds(&out.groups, &out.oids, &part_keys);
             result.push(("rank".to_string(), rank_over(&parts, &out.groups)));
             let attrs = [("partitions", parts.num_groups()), ("rows", out.oids.len())];
@@ -937,8 +1021,11 @@ fn execute(
         }
         Shape::Grouped => {
             // Group keys from each group's first row, then the aggregates.
-            for (name, (c, _)) in query.group_by.iter().zip(&cols.keys) {
-                let vals = out.groups.iter().map(|r| c.get(out.oids[r.start] as usize));
+            for (name, k) in query.group_by.iter().zip(&cols.keys) {
+                let vals = out
+                    .groups
+                    .iter()
+                    .map(|r| k.column.get(out.oids[r.start] as usize));
                 result.push((name.clone(), vals.collect()));
             }
             let aggs = aggregate_groups(&query.aggregates, &cols.aggs, &out.groups, &out.oids);
@@ -1271,6 +1358,41 @@ mod tests {
         q.select = vec!["p".into()];
         let err = run_query(&t, &q, &EngineConfig::default()).unwrap_err();
         assert_eq!(err, EngineError::WindowKeyTooWide { bits: 80 });
+    }
+
+    // The limit is on declared widths: 40 + 40 bits are too wide even
+    // though both columns' rank codes are 2 bits, built or not yet built,
+    // under every planner mode, at execute and at prepare alike.
+    #[test]
+    fn window_key_limit_reads_declared_widths_not_rank_widths() {
+        let mut t = Table::new("wide");
+        t.add_column(Column::from_u64s("p", 2, [0u64, 1, 0, 1]));
+        t.add_column(Column::from_u64s("a", 40, [7u64 << 30, 5, 3, 1]));
+        t.add_column(Column::from_u64s("b", 40, [1u64, 2, 3, 4 << 30]));
+        let mut q = Query::named("w");
+        q.partition_by = vec!["p".into()];
+        q.window_order = vec![OrderKey::asc("a"), OrderKey::asc("b")];
+        q.select = vec!["a".into()];
+        let want = EngineError::WindowKeyTooWide { bits: 80 };
+        let fixed = PlannerMode::Fixed(MassagePlan::from_widths(&[2, 40, 40]));
+        for planner in [
+            PlannerMode::ColumnAtATime,
+            fixed,
+            PlannerMode::Roga { rho: None },
+        ] {
+            let cfg = EngineConfig::builder().planner(planner).build();
+            assert_eq!(run_query(&t, &q, &cfg).unwrap_err(), want);
+            let cache = PlanCache::new(4);
+            assert_eq!(warm_plan(&t, &q, &cfg, &cache).unwrap_err(), want);
+            let widths = ["a", "b"].map(|c| t.expect_column(c).rank_codes().map(|r| r.width()));
+            assert_eq!(widths, [Some(2), Some(2)]);
+        }
+        // 2 + 40 declared bits fit, and sort at their rank widths.
+        q.window_order = vec![OrderKey::desc("a")];
+        let r = run_query(&t, &q, &EngineConfig::default()).unwrap();
+        assert_eq!(r.columns, crate::reference::naive_execute(&t, &q));
+        let sorted: Vec<u32> = r.timings.key_widths.iter().map(|k| k.sorted).collect();
+        assert_eq!(sorted, [1, 2]);
     }
 
     // Old panic site: `multi_column_sort(...).expect(...)` in run_mcs. The

@@ -3,7 +3,10 @@
 
 use mcs_columnar::{Column, Predicate, Table};
 use mcs_engine::reference::{assert_same_order, assert_same_rows, naive_execute};
-use mcs_engine::{run_query, Agg, AggKind, EngineConfig, Filter, OrderKey, PlannerMode, Query};
+use mcs_engine::{
+    run_query, Agg, AggKind, EngineConfig, EngineError, Filter, MassagePlan, OrderKey, PlannerMode,
+    Query, QueryResult,
+};
 use mcs_test_support::Rng;
 
 fn test_table(rows: usize, seed: u64) -> Table {
@@ -287,9 +290,14 @@ fn random_group_by(rng: &mut mcs_test_support::Rng, t: &Table) -> Query {
         } else {
             random_columns(rng, t, 1).remove(0)
         };
+        // A sum over a column wider than 40 bits could overflow: take
+        // its minimum or maximum instead.
+        let wide = t.expect_column(&c).width() > 40;
         let kind = match rng.gen_range(0..6u32) {
             0 => AggKind::Count,
             1 => AggKind::CountDistinct(c),
+            2 if wide => AggKind::Min(c),
+            3 if wide => AggKind::Max(c),
             2 => AggKind::Sum(c),
             3 => AggKind::Avg(c),
             4 => AggKind::Min(c),
@@ -320,6 +328,20 @@ fn random_window(rng: &mut mcs_test_support::Rng, t: &Table) -> Query {
     q
 }
 
+/// Check `q`'s result under `cfg` against the naive reference: ORDER BY
+/// in order, everything else as a multiset of rows.
+fn assert_matches_naive(t: &Table, q: &Query, name: &str, cfg: &EngineConfig) -> QueryResult {
+    let want = naive_execute(t, q);
+    let got = run_query(t, q, cfg).unwrap_or_else(|e| panic!("[{name}] {q:?} failed: {e}"));
+    let ordered: Vec<String> = q.order_by.iter().map(|k| k.column.clone()).collect();
+    if q.partition_by.is_empty() && !ordered.is_empty() {
+        assert_same_order(&got.columns, &want, &ordered);
+    } else {
+        assert_same_rows(&got.columns, &want);
+    }
+    got
+}
+
 /// Generated queries of every shape agree with the naive reference
 /// under column-at-a-time, ROGA, four threads and a binding memory
 /// budget.
@@ -343,15 +365,110 @@ fn generated_queries_match_reference() {
             random_window(rng, &t),
         ];
         for q in &queries {
-            let want = naive_execute(&t, q);
             for (name, cfg) in &configs {
-                let got =
-                    run_query(&t, q, cfg).unwrap_or_else(|e| panic!("[{name}] {q:?} failed: {e}"));
-                let ordered: Vec<String> = q.order_by.iter().map(|k| k.column.clone()).collect();
-                if q.partition_by.is_empty() && !ordered.is_empty() {
-                    assert_same_order(&got.columns, &want, &ordered);
+                let _ = assert_matches_naive(&t, q, name, cfg);
+            }
+        }
+    });
+}
+
+/// A random table for the rank-code axis: 0–3,000 rows, 2–5 columns
+/// `c0..` of width 2–64, each holding 1–300 distinct values spread over
+/// its whole domain (its extremes among them half the time). Nearly
+/// every column a sort reads is rank-coded, through a dictionary that is
+/// far from the identity.
+fn rank_coded_table(rng: &mut mcs_test_support::Rng) -> Table {
+    let rows = if rng.gen_bool(0.1) {
+        rng.gen_range(0..8usize)
+    } else {
+        rng.gen_range(0..=3000usize)
+    };
+    let mut t = Table::new("ranked");
+    for c in 0..rng.gen_range(2..=5usize) {
+        let width = rng.gen_range(2..=64u32);
+        let mask = u64::MAX >> (64 - width);
+        let mut picks: Vec<u64> = (0..rng.gen_range(1..=300usize))
+            .map(|_| rng.gen::<u64>() & mask)
+            .collect();
+        if rng.gen_bool(0.5) {
+            picks.extend([0, mask]);
+        }
+        let vals: Vec<u64> = (0..rows).map(|_| *rng.choose(&picks)).collect();
+        t.add_column(Column::from_u64s(format!("c{c}"), width, vals));
+    }
+    t
+}
+
+/// Generated queries over rank-coded keys agree with the naive reference
+/// byte for byte — ORDER BY (mixed directions, filtered or not, SELECT of
+/// every key, so each key is decoded through its dictionary), GROUP BY
+/// (with ORDER BY over keys or labels: two-stage), PARTITION BY — under
+/// ROGA, column-at-a-time, four threads, a binding memory budget, and a
+/// fixed plan over the declared widths. Each key sorts at its rank width,
+/// except under the fixed plan, which sorts base codes. A window order
+/// wider than 64 declared bits is rejected whatever its rank widths.
+/// Replay one case with `MCS_TEST_SEED=<seed>`.
+#[test]
+fn rank_coded_queries_match_reference() {
+    let configs = [
+        ("roga", EngineConfig::default()),
+        ("no-massaging", EngineConfig::without_massaging()),
+        ("threads4", EngineConfig::builder().threads(4).build()),
+        (
+            "budget",
+            EngineConfig::builder().memory_budget(8 * 1024).build(),
+        ),
+    ];
+    mcs_test_support::prop::check("rank_coded_queries_match_reference", 64, |rng| {
+        let t = rank_coded_table(rng);
+        let queries = [
+            random_order_by(rng, &t),
+            random_group_by(rng, &t),
+            random_window(rng, &t),
+        ];
+        for q in &queries {
+            let keys = q.sort_keys();
+            let declared: Vec<u32> = keys
+                .iter()
+                .map(|k| t.expect_column(&k.column).width())
+                .collect();
+            let np = q.partition_by.len();
+            let window_bits: u32 = declared[np..].iter().sum();
+            let fixed = PlannerMode::Fixed(MassagePlan::from_widths(&declared));
+            let fixed = EngineConfig::builder().planner(fixed).build();
+            for (name, cfg) in configs.iter().chain([&("fixed-declared", fixed)]) {
+                if np > 0 && window_bits > 64 {
+                    let err = run_query(&t, q, cfg).unwrap_err();
+                    assert_eq!(err, EngineError::WindowKeyTooWide { bits: window_bits });
+                    continue;
+                }
+                let got = assert_matches_naive(&t, q, name, cfg);
+                if got.timings.sort_instance.is_none() {
+                    continue;
+                }
+                // Each key sorts at its rank width, or its declared one
+                // under the fixed plan, which runs as given.
+                let want: Vec<(u32, u32)> = keys
+                    .iter()
+                    .map(|k| {
+                        let col = t.expect_column(&k.column);
+                        let sorted = match (&cfg.planner, col.rank_codes()) {
+                            (PlannerMode::Fixed(_), _) | (_, None) => col.width(),
+                            (_, Some(ranks)) => ranks.width(),
+                        };
+                        (col.width(), sorted)
+                    })
+                    .collect();
+                let widths = &got.timings.key_widths;
+                if want.iter().all(|(declared, sorted)| declared == sorted) {
+                    assert!(widths.is_empty(), "[{name}] {widths:?}");
                 } else {
-                    assert_same_rows(&got.columns, &want);
+                    let got: Vec<(u32, u32)> =
+                        widths.iter().map(|w| (w.declared, w.sorted)).collect();
+                    assert_eq!(got, want, "[{name}]");
+                }
+                if let PlannerMode::Fixed(plan) = &cfg.planner {
+                    assert_eq!(got.timings.plan.as_ref(), Some(plan), "[{name}]");
                 }
             }
         }

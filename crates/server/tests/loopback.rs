@@ -100,6 +100,73 @@ fn loopback_results_are_byte_identical_to_in_process() {
     server.shutdown();
 }
 
+/// Sort keys whose few distinct values are spread over wide declared
+/// widths sort at their rank widths and are decoded through their
+/// dictionaries: served over TCP, every shape is byte-identical to the
+/// in-process session and agrees with the naive reference.
+#[test]
+fn rank_coded_keys_are_byte_identical_over_the_wire() {
+    use mcs_engine::reference::{assert_same_order, assert_same_rows, naive_execute};
+
+    let rows = 4096u64;
+    let mut t = Table::new("sales");
+    // 25 nations, 400 dates and 3,000 prices at 40, 33 and 48 bits.
+    t.add_column(Column::from_u64s(
+        "nation",
+        40,
+        (0..rows).map(|i| (i * 7 % 25) << 34),
+    ));
+    t.add_column(Column::from_u64s(
+        "ship_date",
+        33,
+        (0..rows).map(|i| (i * 131 % 400) * 0x0135_79BD),
+    ));
+    t.add_column(Column::from_u64s(
+        "price",
+        48,
+        (0..rows).map(|i| (i * 997 % 3000) << 36 | 0xFFF),
+    ));
+    let table = t.clone();
+    let mut db = Database::new();
+    db.register(t);
+    let db = Arc::new(db);
+    let server = Server::spawn(Arc::clone(&db), ServerConfig::default()).unwrap();
+    let oracle_session = Session::new(&db, EngineConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .set_receive_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+
+    let mut shapes = shapes();
+    // Select the keys too, so the ordered shape decodes them.
+    shapes[1].select = vec!["nation".into(), "price".into(), "ship_date".into()];
+    shapes[1].filters[0].predicate = Predicate::Ge(1 << 40);
+    for q in shapes {
+        let want = oracle_session
+            .query("sales", &q, QueryOptions::default())
+            .unwrap();
+        let widths = &want.timings.key_widths;
+        assert_eq!(widths.len(), q.sort_keys().len(), "{}", q.name);
+        assert!(widths.iter().all(|k| k.sorted < k.declared), "{widths:?}");
+        client.prepare("sales", &q).unwrap();
+        let got = client.query("sales", &q, QueryOptions::default()).unwrap();
+        assert_eq!(
+            got.columns, want.columns,
+            "{}: remote != in-process",
+            q.name
+        );
+        let reference = naive_execute(&table, &q);
+        if q.order_by.is_empty() {
+            assert_same_rows(&got.columns, &reference);
+        } else {
+            let keys: Vec<String> = q.order_by.iter().map(|k| k.column.clone()).collect();
+            assert_same_order(&got.columns, &reference, &keys);
+        }
+    }
+    client.close().unwrap();
+    server.shutdown();
+}
+
 /// A batch request returns per-item results in input order, each
 /// matching the oracle; an unknown table inside the batch fails that
 /// item alone with a typed error.

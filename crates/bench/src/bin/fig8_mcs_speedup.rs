@@ -3,8 +3,8 @@
 //!
 //! For each query, the multi-column sorting time (massage + all rounds,
 //! incl. post-aggregation sorts) is measured with massaging disabled
-//! (column-at-a-time) and enabled (ROGA-chosen plan); the bar is the
-//! ratio. Expected shape (paper): 1.8×–5.5× across the board.
+//! (column-at-a-time) and enabled (the plan the engine's exact search
+//! picks); the bar is the ratio. Expected shape (paper): 1.8×–5.5× across the board.
 //!
 //! The figure's subject is the paper's SIMD merge-sort, so both configs
 //! pin `SortKernel::MergeSort`. The `auto` column repeats the experiment
@@ -95,8 +95,9 @@ fn main() {
         &out,
     );
     println!(
-        "\nShape check: speedup ≥ 1 everywhere (ROGA falls back to P0),\n\
-         with the biggest wins on queries whose columns stitch into fewer\n\
-         or narrower-bank rounds (paper: 1.8x-5.5x)."
+        "\nShape check: the plan is the model's exact optimum, so a row below 1x\n\
+         is the model ranking plans wrong, not a search cut short; the biggest\n\
+         wins are on queries whose columns stitch into fewer or narrower-bank\n\
+         rounds (paper: 1.8x-5.5x)."
     );
 }

@@ -79,8 +79,8 @@ pub fn paper_exec() -> ExecConfig {
     }
 }
 
-/// Engine configs: (massaging ON via ROGA, massaging OFF), both running
-/// the sort kernel `model` prices.
+/// Engine configs: (massaging ON via the exact plan search, massaging
+/// OFF), both running the sort kernel `model` prices.
 pub fn engine_pair(model: &CostModel) -> (EngineConfig, EngineConfig) {
     let pair = |planner| {
         EngineConfig::builder()
@@ -90,7 +90,7 @@ pub fn engine_pair(model: &CostModel) -> (EngineConfig, EngineConfig) {
             .build()
     };
     (
-        pair(PlannerMode::Roga { rho: Some(0.001) }),
+        pair(PlannerMode::Roga { rho: None }),
         pair(PlannerMode::ColumnAtATime),
     )
 }

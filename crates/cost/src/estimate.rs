@@ -149,18 +149,21 @@ pub fn birthday_distinct(v: f64, m: f64) -> f64 {
 /// product of per-column contributions.
 pub fn possible_prefixes(cols: &[KeyColumnStats], bits: u32) -> f64 {
     let mut left = bits;
-    let mut d = 1.0f64;
-    for c in cols {
-        if left == 0 {
-            break;
-        }
-        let take = left.min(c.width);
-        d *= c.distinct_top_bits(take);
-        // Avoid overflow into inf for very wide keys.
-        d = d.min(1e18);
-        left -= take;
-    }
-    d
+    prefix_product(cols.iter().map_while(|c| {
+        (left > 0).then(|| {
+            let take = left.min(c.width);
+            left -= take;
+            c.distinct_top_bits(take)
+        })
+    }))
+}
+
+/// The product of per-column prefix counts, capped at 10^18 after every
+/// factor so a very wide key does not overflow into ∞: how
+/// [`possible_prefixes`] combines its columns, and how a search over
+/// column orders combines them in the order it visits them.
+pub fn prefix_product(factors: impl IntoIterator<Item = f64>) -> f64 {
+    factors.into_iter().fold(1.0, |d, f| (d * f).min(1e18))
 }
 
 /// Group structure expected after sorting the first `bits` of the key.
@@ -180,6 +183,14 @@ pub struct GroupEstimate {
 /// Poisson (balls-into-bins) estimate for `rows` tuples over the prefix
 /// cells of the first `bits` key bits.
 pub fn estimate_groups(cols: &[KeyColumnStats], rows: usize, bits: u32) -> GroupEstimate {
+    estimate_over_prefixes(rows, possible_prefixes(cols, bits))
+}
+
+/// Poisson (balls-into-bins) estimate for `rows` tuples over `d` possible
+/// prefix cells — [`estimate_groups`] once `d` is known. A plan search
+/// over column orders multiplies `d` out of per-column factors itself,
+/// since [`possible_prefixes`] is a product over columns.
+pub fn estimate_over_prefixes(rows: usize, d: f64) -> GroupEstimate {
     let n = rows as f64;
     if rows == 0 {
         return GroupEstimate {
@@ -189,7 +200,7 @@ pub fn estimate_groups(cols: &[KeyColumnStats], rows: usize, bits: u32) -> Group
             avg_sortable_size: 0.0,
         };
     }
-    let d = possible_prefixes(cols, bits).max(1.0);
+    let d = d.max(1.0);
     let lambda = n / d;
     let e = (-lambda).exp();
     let groups = (d * (1.0 - e)).clamp(1.0, n);

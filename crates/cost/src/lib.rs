@@ -40,7 +40,8 @@ mod model;
 
 pub use calibrate::{calibrate, CalibrationOptions};
 pub use estimate::{
-    birthday_distinct, estimate_groups, possible_prefixes, GroupEstimate, KeyColumnStats,
+    birthday_distinct, estimate_groups, estimate_over_prefixes, possible_prefixes, prefix_product,
+    GroupEstimate, KeyColumnStats,
 };
 pub use linalg::{least_squares, least_squares_nonneg, solve};
 pub use machine::MachineSpec;

@@ -3,7 +3,7 @@
 //! under a given massage plan.
 
 use mcs_columnar::size_of_width;
-use mcs_core::{Bank, MassagePlan, SortSpec};
+use mcs_core::{Bank, MassagePlan, Round, SortSpec};
 use mcs_simd_sort::radix::passes_for_width;
 use mcs_simd_sort::{kernel_for, SizeKernel, SortKernel, MERGE_FANOUT};
 
@@ -393,6 +393,50 @@ impl CostModel {
         self.t_sort_round(&est, bank, bank.bits())
     }
 
+    /// One round of a plan over `n` rows, the term [`Self::t_mcs_rounds`]
+    /// sums per round. The first round (`est` = `None`) sorts all rows in
+    /// one invocation; a later one looks its codes up and sorts within
+    /// the groups `est` expects from the bits before it. `scan`: whether
+    /// the round's boundary scan runs (on every round but a last one whose
+    /// grouping nobody reads). The exact plan search prices its edges with
+    /// this same function, so a path's length is the plan's `T_mcs`.
+    pub fn t_round(
+        &self,
+        n: usize,
+        est: Option<&GroupEstimate>,
+        round: Round,
+        scan: bool,
+    ) -> RoundCost {
+        let (lookup, sort, est_groups_in) = match est {
+            None => (
+                0.0,
+                self.t_sort_invocation(n as f64, round.bank, round.width),
+                1.0,
+            ),
+            Some(est) => (
+                self.t_lookup(n, round.width),
+                self.t_sort_round(est, round.bank, round.width),
+                est.groups,
+            ),
+        };
+        RoundCost {
+            width: round.width,
+            bank: round.bank,
+            lookup,
+            sort,
+            scan: if scan { self.t_scan(n) } else { 0.0 },
+            est_groups_in,
+        }
+    }
+
+    /// The class of a round width that [`Self::t_round`] prices alike in
+    /// the width's tight bank: its bytes `⌈w/8⌉`, which fix the bank, the
+    /// radix passes and the lookup's code size. A plan search prices one
+    /// width per class and start.
+    pub fn width_class(width: u32) -> u32 {
+        width.div_ceil(8)
+    }
+
     /// Full per-round `T_mcs` prediction of executing `plan` on `inst` —
     /// one [`RoundCost`] per round plus the massage term. This is the
     /// model's finest-grained output; [`Self::t_mcs_breakdown`] and
@@ -419,28 +463,11 @@ impl CostModel {
         let last = plan.rounds.len() - 1;
         let mut prefix_bits = 0u32;
         let mut rounds = Vec::with_capacity(plan.rounds.len());
-        for (k, round) in plan.rounds.iter().enumerate() {
-            let mut rc = RoundCost {
-                width: round.width,
-                bank: round.bank,
-                lookup: 0.0,
-                sort: 0.0,
-                scan: 0.0,
-                est_groups_in: 1.0,
-            };
-            if k == 0 {
-                rc.sort = self.t_sort_invocation(n as f64, round.bank, round.width);
-            } else {
-                rc.lookup = self.t_lookup(n, round.width);
-                let est = estimate_groups(&inst.stats, n, prefix_bits);
-                rc.est_groups_in = est.groups;
-                rc.sort = self.t_sort_round(&est, round.bank, round.width);
-            }
-            if k < last || inst.want_final_groups {
-                rc.scan = self.t_scan(n);
-            }
+        for (k, &round) in plan.rounds.iter().enumerate() {
+            let est = (k > 0).then(|| estimate_groups(&inst.stats, n, prefix_bits));
+            let scan = k < last || inst.want_final_groups;
+            rounds.push(self.t_round(n, est.as_ref(), round, scan));
             prefix_bits += round.width;
-            rounds.push(rc);
         }
         PlanCost { massage, rounds }
     }

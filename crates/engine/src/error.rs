@@ -158,14 +158,11 @@ impl From<SqlError> for EngineError {
 /// label), and annotated in EXPLAIN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeReason {
-    /// The plan search (ROGA) returned an error; fell back to `P_0`.
+    /// The plan search returned an error; fell back to `P_0`.
     PlanSearchFailed,
     /// The cost model produced a non-finite estimate for the chosen plan;
     /// its ranking is meaningless, fell back to `P_0`.
     NonFiniteCost,
-    /// The search deadline starved: timed out with zero plans costed;
-    /// ran `P_0` without an estimate.
-    DeadlineStarved,
     /// The chosen massage plan failed validation against the key width;
     /// fell back to `P_0`.
     InvalidPlan,
@@ -183,7 +180,6 @@ impl DegradeReason {
         match self {
             DegradeReason::PlanSearchFailed => "plan_search_failed",
             DegradeReason::NonFiniteCost => "non_finite_cost",
-            DegradeReason::DeadlineStarved => "deadline_starved",
             DegradeReason::InvalidPlan => "invalid_plan",
             DegradeReason::ExecFailed => "exec_failed",
             DegradeReason::ScalarFallback => "scalar_fallback",
@@ -249,7 +245,6 @@ mod tests {
         let all = [
             DegradeReason::PlanSearchFailed,
             DegradeReason::NonFiniteCost,
-            DegradeReason::DeadlineStarved,
             DegradeReason::InvalidPlan,
             DegradeReason::ExecFailed,
             DegradeReason::ScalarFallback,

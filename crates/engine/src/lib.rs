@@ -1,7 +1,7 @@
 //! # mcs-engine
 //!
 //! The query-execution engine of the SIGMOD'16 *Fast Multi-Column
-//! Sorting* reproduction: ByteSlice scans → lookups → (ROGA-planned)
+//! Sorting* reproduction: ByteSlice scans → lookups → (exactly planned)
 //! multi-column sort with code massaging → aggregation / window ranks,
 //! with per-phase timings matching the paper's Figure 1 / Figure 9
 //! breakdowns.

@@ -3,10 +3,11 @@
 //!
 //! This is the execution structure of the paper's prototype (§6 and the
 //! Figure 11 reference architecture): filters run as fast scans on the
-//! WideTable, the optimizer (ROGA, or column-at-a-time when massaging is
-//! off) picks a plan, and the multi-column sort executor — reading the
-//! sorting columns through the scan's oid list — produces the order and
-//! grouping the aggregates or window ranks consume.
+//! WideTable, the optimizer (the exact plan search, or column-at-a-time
+//! when massaging is off) picks a plan, and the multi-column sort
+//! executor — reading the sorting columns through the scan's oid list —
+//! produces the order and grouping the aggregates or window ranks
+//! consume.
 //!
 //! ## Degradation ladder
 //!
@@ -14,9 +15,9 @@
 //! ladder, each rung recorded in [`QueryTimings::degradations`] and the
 //! `engine.degraded` telemetry counter:
 //!
-//! 1. plan search fails / cost estimate non-finite / deadline starves →
-//!    run column-at-a-time `P_0`, which is valid for any instance by the
-//!    paper's Lemma 1; so does a plan the executor rejects as invalid;
+//! 1. plan search fails / cost estimate non-finite → run column-at-a-time
+//!    `P_0`, which is valid for any instance by the paper's Lemma 1; so
+//!    does a plan the executor rejects as invalid;
 //! 2. the sort execution itself fails (e.g. a worker-thread panic) →
 //!    re-run under `P_0`;
 //! 3. the `P_0` sort fails too → scalar comparator sort over the raw key
@@ -33,7 +34,7 @@ use mcs_core::{
     MultiColumnSortOutput, SortError, SortKernel, SortSpec,
 };
 use mcs_cost::{CostModel, KeyColumnStats, SortInstance};
-use mcs_planner::{roga, PlanFingerprint, RogaOptions, SearchError};
+use mcs_planner::{optimal, PlanFingerprint, SearchError};
 use mcs_telemetry as telemetry;
 
 use crate::aggregate::aggregate_groups;
@@ -47,9 +48,14 @@ use crate::window::{partition_bounds, rank_over};
 pub enum PlannerMode {
     /// Always column-at-a-time (`P_0`) — "code massaging disabled".
     ColumnAtATime,
-    /// ROGA (Algorithm 1) with time threshold `ρ`.
+    /// The model's cheapest plan, by the exact plan search
+    /// ([`mcs_planner::optimal`]), over every column order when the query
+    /// leaves the order free. The search needs no deadline and returns the
+    /// same plan on every run.
     Roga {
-        /// Fraction of the best plan's estimated time (None = no limit).
+        /// Unused by the engine: the search it names no longer has a
+        /// deadline. Kept so existing configurations build; renaming the
+        /// variant is ROADMAP item 3(c).
         rho: Option<f64>,
     },
     /// A fixed plan supplied by the caller (experiments).
@@ -173,7 +179,7 @@ pub struct QueryTimings {
     /// any other is read through the sort's final oids. Key lookups
     /// inside the sort stay in `mcs_ns`.
     pub gather_ns: u64,
-    /// Plan search (ROGA).
+    /// Plan search.
     pub plan_search_ns: u64,
     /// Multi-column sorting (massage, reading keys through the oids, + all
     /// rounds), without the SELECT decode.
@@ -643,12 +649,13 @@ pub(crate) fn warm_plan(
 /// cached plan with **no** search and **no** contribution to
 /// `plan_search_ns`; a miss searches as usual and, when the search
 /// succeeded cleanly (no degradation rung taken), publishes the result
-/// for the next equal-fingerprint query. Only the searched mode (ROGA)
-/// caches — fixed and column-at-a-time picks cost nothing.
+/// for the next equal-fingerprint query. Only the searched mode
+/// ([`PlannerMode::Roga`]) caches — fixed and column-at-a-time picks cost
+/// nothing.
 ///
-/// First rung of the degradation ladder: a failed search, a starved
-/// deadline, or a non-finite cost estimate falls back to `P_0` on the
-/// identity order (recording why) instead of failing the query. Only an
+/// First rung of the degradation ladder: a failed search or a non-finite
+/// cost estimate falls back to `P_0` on the identity order (recording
+/// why) instead of failing the query. Only an
 /// empty sort key — for which `P_0` is equally impossible — is an error.
 fn pick_plan(
     inst: &SortInstance,
@@ -675,23 +682,9 @@ fn pick_plan(
         PlannerMode::ColumnAtATime => Ok(None),
         // Experiments may hand the engine arbitrary plans; the executor
         // validates them, and the ladder degrades an invalid one to P0.
-        PlannerMode::Fixed(p) => Ok(Some((p.clone(), identity.clone(), f64::NAN, false))),
-        PlannerMode::Roga { rho } => roga(
-            inst,
-            &cfg.model,
-            &RogaOptions {
-                rho: *rho,
-                permute_columns: order_free,
-            },
-        )
-        .map(|r| {
-            Some((
-                r.plan,
-                r.column_order,
-                r.est_cost,
-                r.timed_out && r.plans_costed == 0,
-            ))
-        }),
+        PlannerMode::Fixed(p) => Ok(Some((p.clone(), identity.clone(), f64::NAN))),
+        PlannerMode::Roga { .. } => optimal(inst, &cfg.model, order_free)
+            .map(|r| Some((r.plan, r.column_order, r.est_cost))),
     };
 
     let picked = match searched {
@@ -704,29 +697,17 @@ fn pick_plan(
             (inst.p0(), identity)
         }
         Ok(None) => (inst.p0(), identity),
-        Ok(Some((plan, order, est_cost, starved))) => {
-            if starved {
-                // The deadline fired before anything was costed: the
-                // search result is P0-by-default with no usable estimate.
-                record_degradation(
-                    timings,
-                    DegradeReason::DeadlineStarved,
-                    "search deadline fired with zero plans costed",
-                );
-                (inst.p0(), identity)
-            } else if searched_mode && !est_cost.is_finite() {
-                // Cost-model breakdown (NaN/∞ estimates): the plan
-                // ranking is meaningless, so trust Lemma 1 over it.
-                record_degradation(
-                    timings,
-                    DegradeReason::NonFiniteCost,
-                    &format!("estimated cost {est_cost}"),
-                );
-                (inst.p0(), identity)
-            } else {
-                (plan, order)
-            }
+        Ok(Some((_, _, est_cost))) if searched_mode && !est_cost.is_finite() => {
+            // Cost-model breakdown (NaN/∞ estimates): the plan ranking is
+            // meaningless, so trust Lemma 1 over it.
+            record_degradation(
+                timings,
+                DegradeReason::NonFiniteCost,
+                &format!("estimated cost {est_cost}"),
+            );
+            (inst.p0(), identity)
         }
+        Ok(Some((plan, order, _))) => (plan, order),
     };
     timings.plan_search_ns += t.elapsed().as_nanos() as u64;
     // Publish only clean search results: a degraded pick (P0 stand-in) is

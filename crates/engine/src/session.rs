@@ -2,12 +2,12 @@
 //! plans live in a fingerprint-keyed [plan cache](PlanCacheStats), and
 //! concurrent query serving over `std::thread::scope`.
 //!
-//! The paper prices plan search (ROGA) as a per-query cost; under
+//! The paper prices plan search as a per-query cost; under
 //! repeated query shapes that cost is pure overhead after the first
 //! execution. A [`Session`] keeps one [`MassagePlan`] per distinct
 //! [`PlanFingerprint`] — sort-key widths and directions, bucketed row
 //! count, quantized column statistics — so [`Session::prepare`] pays for
-//! stats collection and ROGA once and every later
+//! stats collection and the plan search once and every later
 //! [`PreparedQuery::execute`] with an equal fingerprint skips the search
 //! entirely (`plan_search_ns == 0`,
 //! [`QueryTimings::plan_cached`](crate::QueryTimings::plan_cached)).
@@ -418,7 +418,7 @@ impl<'db> Session<'db> {
             })
     }
 
-    /// Plan `query` against `table` now — filters, statistics, ROGA —
+    /// Plan `query` against `table` now — filters, statistics, search —
     /// caching the chosen plan, and return a handle that executes
     /// without re-planning (for as long as the fingerprint still
     /// matches). A query every execution would reject before sorting

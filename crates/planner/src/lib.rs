@@ -2,6 +2,9 @@
 //!
 //! Plan search for code massaging (§5 of the SIGMOD'16 paper):
 //!
+//! * [`optimal`] — the engine's search: the model's cheapest plan, found
+//!   exactly as a shortest path over bit positions (over every column
+//!   order too, for GROUP BY / PARTITION BY), with no deadline;
 //! * [`roga`] — the paper's **ro**und-based **g**reedy **a**lgorithm
 //!   (Algorithm 1): round-count by round-count, valid bank combinations,
 //!   exhaustive width assignment for `k ≤ 2`, greedy `T_sort^{j+1}`-
@@ -14,13 +17,16 @@
 //!
 //! ```
 //! use mcs_cost::{CostModel, SortInstance};
-//! use mcs_planner::{roga, RogaOptions};
+//! use mcs_planner::{optimal, roga, RogaOptions};
 //!
 //! let inst = SortInstance::uniform(1 << 24, &[(17, 8192.0), (33, 8192.0)]);
 //! let model = CostModel::with_defaults();
 //! let found = roga(&inst, &model, &RogaOptions::default()).expect("non-empty sort key");
 //! // The search never does worse than column-at-a-time.
 //! assert!(found.est_cost <= model.t_mcs(&inst, &inst.p0()));
+//! // The exact search never does worse than ROGA.
+//! let best = optimal(&inst, &model, false).expect("non-empty sort key");
+//! assert!(best.est_cost <= found.est_cost);
 //! ```
 
 #![warn(missing_docs)]
@@ -32,6 +38,7 @@
 mod error;
 mod exhaustive;
 mod fingerprint;
+mod optimal;
 mod roga;
 mod rrs;
 pub mod space;
@@ -41,6 +48,7 @@ pub use exhaustive::{
     measure_all_plans, measure_plan, rank_by_time, rank_of, ExhaustiveOptions, MeasuredPlan,
 };
 pub use fingerprint::PlanFingerprint;
+pub use optimal::{optimal, MAX_ORDER_COLUMNS};
 pub use roga::{permute_instance, roga, RogaOptions, SearchResult};
 pub use rrs::{rrs, RrsOptions};
-pub use space::{bank_combos, enumerate_compositions, max_rounds, permutations, width_assignments};
+pub use space::{bank_combos, enumerate_compositions, max_rounds, next_order, width_assignments};

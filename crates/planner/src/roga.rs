@@ -16,7 +16,7 @@ use mcs_cost::{CostModel, SortInstance};
 use mcs_telemetry as telemetry;
 
 use crate::error::SearchError;
-use crate::space::{bank_combos, max_rounds, permutations, width_assignments};
+use crate::space::{bank_combos, max_rounds, next_order, width_assignments};
 
 /// Options of the plan search.
 #[derive(Debug, Clone)]
@@ -49,11 +49,13 @@ pub struct SearchResult {
     pub column_order: Vec<usize>,
     /// Estimated cost `T_mcs` of the chosen plan (ns).
     pub est_cost: f64,
-    /// Number of complete plans costed.
+    /// Number of complete plans costed ([`crate::optimal`]: rounds
+    /// priced).
     pub plans_costed: usize,
     /// Wall-clock time of the search.
     pub elapsed: std::time::Duration,
-    /// Whether the `ρ` deadline fired before the space was exhausted.
+    /// Whether the `ρ` deadline fired before the space was exhausted
+    /// (never, for [`crate::optimal`]).
     pub timed_out: bool,
 }
 
@@ -99,30 +101,34 @@ pub fn roga(
         });
     }
 
-    let orders: Vec<Vec<usize>> = if opts.permute_columns {
-        permutations(inst.specs.len())
-    } else {
-        vec![(0..inst.specs.len()).collect()]
-    };
-
     // Initialize the global optimum with P0 on the given order.
     let mut best_plan = inst.p0();
     let mut best_cost = model.t_mcs(inst, &best_plan);
-    let mut best_order: Vec<usize> = (0..inst.specs.len()).collect();
+    let mut order: Vec<usize> = (0..inst.specs.len()).collect();
+    let mut heap_state = vec![0; order.len()];
+    let mut best_order = order.clone();
     let mut plans_costed = 1usize;
     let mut timed_out = false;
+    let expired = |best_cost: f64| {
+        opts.rho
+            .is_some_and(|rho| start.elapsed().as_nanos() as f64 > rho * best_cost)
+    };
 
     let k_max = max_rounds(w, Bank::B16.bits());
 
-    'outer: for order in &orders {
-        let pinst = permute_instance(inst, order);
+    // Column orders are walked in place, one at a time, so the deadline is
+    // checked before each order costs anything.
+    'outer: loop {
+        if expired(best_cost) {
+            timed_out = true;
+            break;
+        }
+        let pinst = permute_instance(inst, &order);
         for k in 1..=k_max {
             for combo in bank_combos(w, k) {
-                if let Some(rho) = opts.rho {
-                    if start.elapsed().as_nanos() as f64 > rho * best_cost {
-                        timed_out = true;
-                        break 'outer;
-                    }
+                if expired(best_cost) {
+                    timed_out = true;
+                    break 'outer;
                 }
                 if k <= 2 {
                     // Exhaustive within the combo (paper's k=1,2 treatment).
@@ -139,7 +145,7 @@ pub fn roga(
                         if cost < best_cost {
                             best_cost = cost;
                             best_plan = plan;
-                            best_order = order.clone();
+                            best_order.clone_from(&order);
                         }
                     }
                 } else if let Some(plan) = greedy_assign(&pinst, model, w, &combo) {
@@ -148,10 +154,13 @@ pub fn roga(
                     if cost < best_cost {
                         best_cost = cost;
                         best_plan = plan;
-                        best_order = order.clone();
+                        best_order.clone_from(&order);
                     }
                 }
             }
+        }
+        if !opts.permute_columns || !next_order(&mut order, &mut heap_state) {
+            break;
         }
     }
 

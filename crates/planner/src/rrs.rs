@@ -17,7 +17,7 @@ use mcs_test_support::Rng;
 
 use crate::error::SearchError;
 use crate::roga::{permute_instance, SearchResult};
-use crate::space::{max_rounds, permutations};
+use crate::space::max_rounds;
 
 /// RRS tuning.
 #[derive(Debug, Clone)]
@@ -139,21 +139,18 @@ pub fn rrs(
     let mut rng = Rng::seed_from_u64(opts.seed);
     let k_max = max_rounds(total, 16);
 
-    let orders: Vec<Vec<usize>> = if opts.permute_columns {
-        permutations(inst.specs.len())
-    } else {
-        vec![(0..inst.specs.len()).collect()]
-    };
-
     let mut best_plan = inst.p0();
     let mut best_cost = model.t_mcs(inst, &best_plan);
-    let mut best_order: Vec<usize> = (0..inst.specs.len()).collect();
+    let mut order: Vec<usize> = (0..inst.specs.len()).collect();
+    let mut best_order = order.clone();
     let mut plans_costed = 1usize;
 
     'outer: while start.elapsed() < opts.budget {
         // Explore: random samples (random order when permuting).
-        let order = &orders[rng.gen_range(0..orders.len())];
-        let pinst = permute_instance(inst, order);
+        if opts.permute_columns {
+            rng.shuffle(&mut order);
+        }
+        let pinst = permute_instance(inst, &order);
         let mut center = random_plan(&mut rng, total, k_max);
         let mut center_cost = model.t_mcs(&pinst, &center);
         plans_costed += 1;
@@ -199,7 +196,7 @@ pub fn rrs(
         if center_cost < best_cost {
             best_cost = center_cost;
             best_plan = center;
-            best_order = order.clone();
+            best_order.clone_from(&order);
         }
     }
 

@@ -153,27 +153,24 @@ pub fn enumerate_compositions(total_width: u32, k_max: u32, limit: usize) -> Vec
     out
 }
 
-/// All permutations of `0..m` (GROUP BY / PARTITION BY explore column
-/// orders; `m ≤ 7` in TPC-H, so `m!` stays small).
-pub fn permutations(m: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut cur: Vec<usize> = (0..m).collect();
-    fn heap_rec(k: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if k <= 1 {
-            out.push(cur.clone());
-            return;
+/// Step `order` in place to its next arrangement, by Heap's algorithm:
+/// starting from any arrangement with `state` all zeros (one counter per
+/// position), successive calls visit each of the `m!` orders once and
+/// then return `false`. GROUP BY / PARTITION BY searches walk their
+/// column orders this way, one buffer for all of them.
+pub fn next_order(order: &mut [usize], state: &mut [usize]) -> bool {
+    for (i, count) in state.iter_mut().enumerate().skip(1) {
+        // Level `i` has `i + 1` arrangements of `order[..=i]`; after each
+        // it swaps its last slot with its counter's (even `i + 1`) or the
+        // first (odd) one.
+        order.swap(if i % 2 == 1 { *count } else { 0 }, i);
+        *count += 1;
+        if *count <= i {
+            return true;
         }
-        for i in 0..k {
-            heap_rec(k - 1, cur, out);
-            if k.is_multiple_of(2) {
-                cur.swap(i, k - 1);
-            } else {
-                cur.swap(0, k - 1);
-            }
-        }
+        *count = 0;
     }
-    heap_rec(m, &mut cur, &mut out);
-    out
+    false
 }
 
 #[cfg(test)]
@@ -249,13 +246,19 @@ mod tests {
     }
 
     #[test]
-    fn permutations_count() {
-        assert_eq!(permutations(1).len(), 1);
-        assert_eq!(permutations(3).len(), 6);
-        assert_eq!(permutations(4).len(), 24);
-        let mut p3 = permutations(3);
-        p3.sort();
-        p3.dedup();
-        assert_eq!(p3.len(), 6);
+    fn next_order_visits_every_order_once() {
+        for m in 0..=6usize {
+            let mut order: Vec<usize> = (0..m).collect();
+            let mut state = vec![0; m];
+            let mut seen = vec![order.clone()];
+            while next_order(&mut order, &mut state) {
+                seen.push(order.clone());
+            }
+            let count = seen.len();
+            seen.sort();
+            seen.dedup();
+            assert_eq!(seen.len(), count, "m={m}: an order repeats");
+            assert_eq!(count, (1..=m).product::<usize>(), "m={m}");
+        }
     }
 }

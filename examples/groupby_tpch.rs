@@ -1,6 +1,6 @@
 //! A realistic analytics scenario: TPC-H Q18 ("large volume customers")
 //! on a generated WideTable — the paper's widest GROUP BY — showing the
-//! full pipeline (ByteSlice scan, lookup, ROGA-planned multi-column sort,
+//! full pipeline (ByteSlice scan, lookup, exactly planned multi-column sort,
 //! aggregation) and the speedup over column-at-a-time.
 //!
 //! Run with `cargo run --release --example groupby_tpch`.

@@ -75,7 +75,7 @@ fn main() {
         assert!((1..r.rows).all(|i| (d[i - 1], p[i - 1]) <= (d[i], p[i])));
     }
 
-    // What does ROGA pick?
+    // What does the engine's plan search pick?
     let model = CostModel::with_defaults();
     let inst = SortInstance {
         rows: n,
@@ -86,9 +86,9 @@ fn main() {
         ],
         want_final_groups: false,
     };
-    let found = roga(&inst, &model, &RogaOptions::default()).expect("non-empty sort key");
+    let found = optimal(&inst, &model, false).expect("non-empty sort key");
     println!(
-        "\nROGA chooses {} (estimated {:.2} ms, searched {} plans in {:?})",
+        "\nThe exact search chooses {} (estimated {:.2} ms, {} rounds priced in {:?})",
         found.plan,
         found.est_cost / 1e6,
         found.plans_costed,

@@ -14,7 +14,7 @@
 //! | [`columnar`] | encoded columns, ByteSlice scans, WideTables |
 //! | [`core`] | massage plans, the FIP kernel, the multi-column sort executor |
 //! | [`cost`] | the calibrated, architecture-aware cost model (§4) |
-//! | [`planner`] | ROGA (Algorithm 1), RRS baseline, exhaustive `A_i` |
+//! | [`planner`] | the engine's exact plan search, ROGA (Algorithm 1), RRS baseline, exhaustive `A_i` |
 //! | [`engine`] | the query pipeline: scan → lookup → sort → aggregate/rank |
 //! | [`cancel`] | cooperative cancellation: tokens, deadlines, typed causes |
 //! | [`workloads`] | TPC-H (+skew), TPC-DS, airline DB1B, Ex1–Ex4 micro data |
@@ -76,7 +76,7 @@ pub mod prelude {
         EngineError, ExplainReport, Filter, OrderKey, PlanCacheStats, PlannerMode, PreparedQuery,
         Query, QueryOptions, QueryResult, Session,
     };
-    pub use mcs_planner::{roga, rrs, RogaOptions, RrsOptions, SearchError};
+    pub use mcs_planner::{optimal, roga, rrs, RogaOptions, RrsOptions, SearchError};
     pub use mcs_simd_sort::{sort_pairs, sort_pairs_with, SortConfig, SortKernel};
 }
 

@@ -121,7 +121,7 @@ fn three_column_query_emits_one_span_per_phase() {
         );
     }
     // Fixed plan => no planner search spans.
-    assert_eq!(counts.get("planner.roga"), None, "all: {counts:?}");
+    assert_eq!(counts.get("planner.optimal"), None, "all: {counts:?}");
 }
 
 #[test]
@@ -133,7 +133,7 @@ fn window_query_emits_rank_span_and_jsonl_roundtrip() {
     q.select = vec!["nation".into(), "price".into()];
     q.partition_by = vec!["nation".into()];
     q.window_order = vec![OrderKey::asc("ship_date")];
-    let cfg = EngineConfig::default(); // ROGA: planner spans expected
+    let cfg = EngineConfig::default(); // the exact search: planner spans expected
 
     telemetry::reset();
     let r = run_query(&t, &q, &cfg).unwrap();
@@ -146,7 +146,7 @@ fn window_query_emits_rank_span_and_jsonl_roundtrip() {
     assert_eq!(counts.get("engine.window.rank").copied(), Some(1));
     assert_eq!(counts.get("engine.query").copied(), Some(1));
     assert_eq!(
-        counts.get("planner.roga").copied(),
+        counts.get("planner.optimal").copied(),
         Some(1),
         "all: {counts:?}"
     );
@@ -247,12 +247,12 @@ fn session_plan_cache_counters_and_span() {
     // prepare missed once and searched; both concurrent executes hit.
     assert_eq!(counter("planner.cache.miss"), Some(1));
     assert_eq!(counter("planner.cache.hit"), Some(2));
-    let roga_spans = snap
+    let search_spans = snap
         .spans
         .iter()
-        .filter(|s| s.name == "planner.roga")
+        .filter(|s| s.name == "planner.optimal")
         .count();
-    assert_eq!(roga_spans, 1, "only the prepare searched");
+    assert_eq!(search_spans, 1, "only the prepare searched");
     assert_eq!(
         snap.spans
             .iter()

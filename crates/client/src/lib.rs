@@ -2,10 +2,10 @@
 //!
 //! A blocking client for the MCSQ wire protocol served by `mcs-server`.
 //! One [`Client`] wraps one TCP connection — and therefore one engine
-//! session (plan cache + arenas) on the server side.
+//! session (arenas and plan-search scratches) on the server side.
 //!
 //! The API mirrors the in-process `Session`: [`prepare`](Client::prepare)
-//! warms the server-side plan cache, [`query`](Client::query) executes
+//! checks a query's table and columns on the server, [`query`](Client::query) executes
 //! one query under per-request [`QueryOptions`], and
 //! [`batch`](Client::batch) runs several concurrently. Engine errors
 //! come back typed: a saturated server yields
@@ -147,8 +147,10 @@ impl Client {
         Ok(self.stream.set_read_timeout(timeout)?)
     }
 
-    /// Plan `query` against `table` on the server, warming this
-    /// connection's plan cache.
+    /// Check `query` against `table` on the server: the table exists and
+    /// every column the query names resolves, the checks every execution
+    /// makes first. Nothing is planned or cached; each execution plans
+    /// its own instance.
     pub fn prepare(&mut self, table: &str, query: &Query) -> Result<(), ClientError> {
         match self.roundtrip(&Request::Prepare {
             table: table.into(),

@@ -119,7 +119,7 @@ impl MassagePlan {
 
     /// The original column-at-a-time plan `P_0` for the given columns.
     pub fn column_at_a_time(specs: &[SortSpec]) -> MassagePlan {
-        MassagePlan::from_widths(&specs.iter().map(|s| s.width).collect::<Vec<_>>())
+        MassagePlan::new(specs.iter().map(|s| Round::tight(s.width)).collect())
     }
 
     /// Number of rounds `k`.
@@ -135,19 +135,6 @@ impl MassagePlan {
     /// Round widths.
     pub fn widths(&self) -> Vec<u32> {
         self.rounds.iter().map(|r| r.width).collect()
-    }
-
-    /// Prefix sums of round widths (`s'_1, s'_2, …` in the `I_FIP`
-    /// formula): excludes 0, includes `W`.
-    pub fn prefix_sums(&self) -> Vec<u32> {
-        let mut acc = 0;
-        self.rounds
-            .iter()
-            .map(|r| {
-                acc += r.width;
-                acc
-            })
-            .collect()
     }
 
     /// Check structural validity against a total key width.
@@ -177,41 +164,56 @@ impl MassagePlan {
 
     /// Whether this plan's boundaries equal the given column boundaries
     /// (i.e. it is `P_0` modulo bank choices).
-    pub fn is_column_aligned(&self, widths: &[u32]) -> bool {
-        self.widths() == widths
+    pub fn is_column_aligned<'a>(&self, widths: impl IntoIterator<Item = &'a u32>) -> bool {
+        self.rounds.iter().map(|r| &r.width).eq(widths)
     }
 
     /// `I_FIP`: invocations of the four-instruction massage program,
     /// `|{s_1, s_2, …} ∪ {s'_1, s'_2, …}|` over the input and output
-    /// prefix-sum sequences (§4, Eq. 4 context).
-    pub fn i_fip(&self, in_widths: &[u32]) -> usize {
-        let mut cuts: Vec<u32> = Vec::new();
-        let mut acc = 0;
-        for &w in in_widths {
-            acc += w;
-            cuts.push(acc);
+    /// prefix-sum sequences (§4, Eq. 4 context). Both sequences ascend,
+    /// so one merge counts their union without allocating.
+    pub fn i_fip<'a>(&self, in_widths: impl IntoIterator<Item = &'a u32>) -> usize {
+        let sums = |acc: &mut u32, w: &u32| {
+            *acc += *w;
+            Some(*acc)
+        };
+        let mut cuts_in = in_widths.into_iter().scan(0, sums).peekable();
+        let widths = self.rounds.iter().map(|r| &r.width);
+        let mut cuts_out = widths.scan(0, sums).peekable();
+        let (mut count, mut last) = (0, None);
+        loop {
+            let next = match (cuts_in.peek(), cuts_out.peek()) {
+                (Some(a), Some(b)) if a <= b => cuts_in.next(),
+                (_, Some(_)) => cuts_out.next(),
+                (Some(_), None) => cuts_in.next(),
+                (None, None) => return count,
+            };
+            if next != last {
+                count += 1;
+                last = next;
+            }
         }
-        cuts.extend(self.prefix_sums());
-        cuts.sort_unstable();
-        cuts.dedup();
-        cuts.len()
     }
 
-    /// Paper-style notation, e.g. `{R1: 18/[32], R2: 32/[32]}`.
+    /// Paper-style notation, e.g. `{R1: 18/[32], R2: 32/[32]}`, built in
+    /// one allocation.
     pub fn notation(&self) -> String {
-        let inner: Vec<String> = self
-            .rounds
-            .iter()
-            .enumerate()
-            .map(|(i, r)| format!("R{}: {}/{}", i + 1, r.width, r.bank))
-            .collect();
-        format!("{{{}}}", inner.join(", "))
+        use core::fmt::Write;
+        // `R12: 64/[64], ` is 14 bytes.
+        let mut s = String::with_capacity(2 + 14 * self.rounds.len());
+        let _ = write!(s, "{self}");
+        s
     }
 }
 
 impl core::fmt::Display for MassagePlan {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(&self.notation())
+        f.write_str("{")?;
+        for (i, r) in self.rounds.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}R{}: {}/{}", i + 1, r.width, r.bank)?;
+        }
+        f.write_str("}")
     }
 }
 
@@ -275,6 +277,16 @@ mod tests {
         // Identity plan: I_FIP = m.
         let p = MassagePlan::from_widths(&[17, 33]);
         assert_eq!(p.i_fip(&[17, 33]), 2);
+    }
+
+    #[test]
+    fn i_fip_counts_each_cut_once() {
+        // Cuts {3, 12} ∪ {5, 12}; zero-width inputs repeat a cut, and a
+        // repeated cut is one invocation.
+        let p = MassagePlan::from_widths(&[5, 7]);
+        assert_eq!(p.i_fip(&[3, 9]), 3);
+        assert_eq!(p.i_fip(&[0, 5, 0, 7]), 3);
+        assert_eq!(p.i_fip(&[12]), 2);
     }
 
     #[test]

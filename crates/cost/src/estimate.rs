@@ -46,39 +46,6 @@ impl KeyColumnStats {
         }
     }
 
-    /// Quantized signature of these statistics, for plan-cache
-    /// fingerprints (the planner crate's `PlanFingerprint`).
-    ///
-    /// The signature packs the code width, the NDV bucketed in
-    /// half-octave (√2×) steps, and a 16-bit histogram-occupancy mask
-    /// into one `u64`. It is deliberately *coarse*: two columns whose
-    /// statistics differ by less than a bucket produce the same
-    /// signature (so a cached plan keeps matching under small drift),
-    /// while NDV drift past ~√2× or a shift in which histogram regions
-    /// hold data changes the signature (so the cache entry silently
-    /// stops matching and a fresh plan search runs).
-    pub fn signature(&self) -> u64 {
-        // 0 → bucket 0; otherwise 1 + floor(2·log2(ndv)) ∈ [1, 129].
-        let ndv_bucket: u64 = if self.ndv < 1.0 {
-            0
-        } else {
-            1 + (2.0 * self.ndv.log2()).floor().clamp(0.0, 128.0) as u64
-        };
-        // Fold however many histogram buckets exist onto a 16-bit
-        // occupancy mask; no histogram → empty mask.
-        let mut mask: u64 = 0;
-        if let Some(h) = &self.histogram {
-            if !h.is_empty() {
-                for (i, &c) in h.iter().enumerate() {
-                    if c > 0 {
-                        mask |= 1 << (i * 16 / h.len());
-                    }
-                }
-            }
-        }
-        (self.width as u64) << 32 | ndv_bucket << 16 | mask
-    }
-
     /// Expected number of distinct values of the **top `p` bits** of this
     /// column (`0 ≤ p ≤ width`).
     ///
@@ -145,11 +112,11 @@ pub fn birthday_distinct(v: f64, m: f64) -> f64 {
 }
 
 /// Expected number of *possible* distinct prefixes for the first `bits`
-/// bits of the concatenated key over `cols` (independence assumed):
-/// product of per-column contributions.
-pub fn possible_prefixes(cols: &[KeyColumnStats], bits: u32) -> f64 {
+/// bits of the concatenated key over `cols`, in the order given
+/// (independence assumed): product of per-column contributions.
+pub fn possible_prefixes<'a>(cols: impl IntoIterator<Item = &'a KeyColumnStats>, bits: u32) -> f64 {
     let mut left = bits;
-    prefix_product(cols.iter().map_while(|c| {
+    prefix_product(cols.into_iter().map_while(|c| {
         (left > 0).then(|| {
             let take = left.min(c.width);
             left -= take;
@@ -181,8 +148,12 @@ pub struct GroupEstimate {
 }
 
 /// Poisson (balls-into-bins) estimate for `rows` tuples over the prefix
-/// cells of the first `bits` key bits.
-pub fn estimate_groups(cols: &[KeyColumnStats], rows: usize, bits: u32) -> GroupEstimate {
+/// cells of the first `bits` key bits of `cols`, in the order given.
+pub fn estimate_groups<'a>(
+    cols: impl IntoIterator<Item = &'a KeyColumnStats>,
+    rows: usize,
+    bits: u32,
+) -> GroupEstimate {
     estimate_over_prefixes(rows, possible_prefixes(cols, bits))
 }
 
@@ -303,78 +274,6 @@ mod tests {
         let e17 = estimate_groups(&cols, n, 17);
         assert!((e17.groups - 8192.0).abs() < 1.0);
         assert!(e17.avg_sortable_size > 2000.0);
-    }
-
-    #[test]
-    fn signature_is_stable_under_small_drift_and_changes_past_threshold() {
-        let base = KeyColumnStats::uniform(17, 900.0);
-        // Small drift within a half-octave bucket keeps the signature.
-        assert_eq!(
-            base.signature(),
-            KeyColumnStats::uniform(17, 950.0).signature()
-        );
-        assert_eq!(
-            base.signature(),
-            KeyColumnStats::uniform(17, 1000.0).signature()
-        );
-        // Large drift changes it.
-        assert_ne!(
-            base.signature(),
-            KeyColumnStats::uniform(17, 5000.0).signature()
-        );
-        assert_ne!(
-            base.signature(),
-            KeyColumnStats::uniform(17, 100.0).signature()
-        );
-        // Width is part of the signature.
-        assert_ne!(
-            base.signature(),
-            KeyColumnStats::uniform(18, 900.0).signature()
-        );
-        // Degenerate NDVs don't collide with real ones.
-        assert_ne!(
-            KeyColumnStats::uniform(8, 0.0).signature(),
-            KeyColumnStats::uniform(8, 1.0).signature()
-        );
-    }
-
-    #[test]
-    fn signature_tracks_histogram_occupancy() {
-        let mut h = vec![0u64; 16];
-        h[3] = 1000;
-        let lo = KeyColumnStats {
-            width: 16,
-            ndv: 500.0,
-            histogram: Some(h.clone()),
-        };
-        // Same shape, same signature.
-        let mut h2 = vec![0u64; 16];
-        h2[3] = 900; // counts differ, occupancy identical
-        let lo2 = KeyColumnStats {
-            width: 16,
-            ndv: 500.0,
-            histogram: Some(h2),
-        };
-        assert_eq!(lo.signature(), lo2.signature());
-        // Mass moving into a different region flips the mask.
-        let mut h3 = vec![0u64; 16];
-        h3[12] = 1000;
-        let hi = KeyColumnStats {
-            width: 16,
-            ndv: 500.0,
-            histogram: Some(h3),
-        };
-        assert_ne!(lo.signature(), hi.signature());
-        // Coarser/finer histograms fold onto the same 16-bit mask.
-        let mut h64 = vec![0u64; 64];
-        // Buckets 12..16 of 64 fold onto mask bit 3.
-        h64[12..16].fill(250);
-        let folded = KeyColumnStats {
-            width: 16,
-            ndv: 500.0,
-            histogram: Some(h64),
-        };
-        assert_eq!(lo.signature(), folded.signature());
     }
 
     #[test]

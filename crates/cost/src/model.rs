@@ -440,46 +440,91 @@ impl CostModel {
     /// Full per-round `T_mcs` prediction of executing `plan` on `inst` —
     /// one [`RoundCost`] per round plus the massage term. This is the
     /// model's finest-grained output; [`Self::t_mcs_breakdown`] and
-    /// [`Self::t_mcs`] are sums over it.
+    /// [`Self::t_mcs`] are sums over the same terms.
     pub fn t_mcs_rounds(&self, inst: &SortInstance, plan: &MassagePlan) -> PlanCost {
-        if mcs_faults::fault_point!(mcs_faults::points::COST_NAN) {
-            return PlanCost {
-                massage: f64::NAN,
-                rounds: Vec::new(),
-            };
+        let (massage, rounds) = self.priced(inst, None, plan);
+        PlanCost {
+            massage,
+            rounds: rounds.collect(),
         }
-        let n = inst.rows;
-        let in_widths: Vec<u32> = inst.specs.iter().map(|s| s.width).collect();
-
-        // Massage: free only for the identity (column-aligned, all-ASC).
-        let identity =
-            plan.is_column_aligned(&in_widths) && inst.specs.iter().all(|s| !s.descending);
-        let massage = if identity {
-            0.0
-        } else {
-            self.t_massage(n, plan.i_fip(&in_widths))
-        };
-
-        let last = plan.rounds.len() - 1;
-        let mut prefix_bits = 0u32;
-        let mut rounds = Vec::with_capacity(plan.rounds.len());
-        for (k, &round) in plan.rounds.iter().enumerate() {
-            let est = (k > 0).then(|| estimate_groups(&inst.stats, n, prefix_bits));
-            let scan = k < last || inst.want_final_groups;
-            rounds.push(self.t_round(n, est.as_ref(), round, scan));
-            prefix_bits += round.width;
-        }
-        PlanCost { massage, rounds }
     }
 
     /// Full `T_mcs` (ns) of executing `plan` on `inst`, with breakdown.
     pub fn t_mcs_breakdown(&self, inst: &SortInstance, plan: &MassagePlan) -> CostBreakdown {
-        self.t_mcs_rounds(inst, plan).breakdown()
+        self.breakdown(inst, None, plan)
     }
 
-    /// `T_mcs` (ns).
+    /// `T_mcs` (ns). Allocates nothing.
     pub fn t_mcs(&self, inst: &SortInstance, plan: &MassagePlan) -> f64 {
         self.t_mcs_breakdown(inst, plan).total()
+    }
+
+    /// `T_mcs` (ns) of `plan` over `inst`'s columns taken in `order`: the
+    /// cost on `inst` permuted to `order`, without building that
+    /// instance. Allocates nothing.
+    pub fn t_mcs_in_order(&self, inst: &SortInstance, order: &[usize], plan: &MassagePlan) -> f64 {
+        self.breakdown(inst, Some(order), plan).total()
+    }
+
+    fn breakdown(
+        &self,
+        inst: &SortInstance,
+        order: Option<&[usize]>,
+        plan: &MassagePlan,
+    ) -> CostBreakdown {
+        let (massage, rounds) = self.priced(inst, order, plan);
+        let mut b = CostBreakdown {
+            massage,
+            ..CostBreakdown::default()
+        };
+        for r in rounds {
+            b.lookup += r.lookup;
+            b.sort += r.sort;
+            b.scan += r.scan;
+        }
+        b
+    }
+
+    /// The massage term and the per-round terms of `plan` over `inst`'s
+    /// columns in `order` (their own order when `None`), priced lazily.
+    /// Under the `COST_NAN` fault the massage term is NaN and no round is
+    /// priced.
+    fn priced<'a>(
+        &'a self,
+        inst: &'a SortInstance,
+        order: Option<&'a [usize]>,
+        plan: &'a MassagePlan,
+    ) -> (f64, impl Iterator<Item = RoundCost> + 'a) {
+        let nan = mcs_faults::fault_point!(mcs_faults::points::COST_NAN);
+        let n = inst.rows;
+        let col = move |j: usize| order.map_or(j, |o| o[j]);
+        let columns = 0..inst.specs.len();
+        let in_widths = columns.clone().map(move |j| &inst.specs[col(j)].width);
+        let stats = move || columns.clone().map(move |j| &inst.stats[col(j)]);
+
+        // Massage: free only for the identity (column-aligned, all-ASC).
+        let identity =
+            plan.is_column_aligned(in_widths.clone()) && inst.specs.iter().all(|s| !s.descending);
+        let massage = if nan {
+            f64::NAN
+        } else if identity {
+            0.0
+        } else {
+            self.t_massage(n, plan.i_fip(in_widths))
+        };
+
+        let rounds = if nan { &[][..] } else { &plan.rounds[..] };
+        let last = plan.rounds.len().saturating_sub(1);
+        let priced = rounds
+            .iter()
+            .enumerate()
+            .scan(0u32, move |prefix_bits, (k, &round)| {
+                let est = (k > 0).then(|| estimate_groups(stats(), n, *prefix_bits));
+                let scan = k < last || inst.want_final_groups;
+                *prefix_bits += round.width;
+                Some(self.t_round(n, est.as_ref(), round, scan))
+            });
+        (massage, priced)
     }
 }
 

@@ -61,9 +61,11 @@ pub enum EngineError {
     /// manually. Same unwind guarantees as
     /// [`DeadlineExceeded`](EngineError::DeadlineExceeded).
     Cancelled,
-    /// The admission gate could not grant a permit within the query's
-    /// `queue_timeout`: the engine is saturated and sheds load instead
-    /// of queueing unboundedly. No execution state was created.
+    /// The query waited longer than its `queue_timeout` — for a server
+    /// admission permit, or behind earlier items of its worker in a
+    /// [`Session::run_concurrent`](crate::Session::run_concurrent)
+    /// batch: the engine is saturated and sheds load instead of queueing
+    /// unboundedly. No execution state was created.
     Overloaded {
         /// How long the caller waited before being shed, in nanoseconds.
         waited_ns: u64,

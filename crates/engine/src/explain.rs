@@ -31,19 +31,15 @@ pub struct ExplainReport {
     /// Degradation-ladder rungs taken while executing (stable snake_case
     /// labels; empty on the happy path).
     pub degradations: Vec<String>,
-    /// Whether every plan came from the session's plan cache (no plan
-    /// search ran; see
-    /// [`QueryTimings::plan_cached`](crate::QueryTimings::plan_cached)).
-    pub plan_cached: bool,
     /// What the budgeted sort path did (all-zero when the sort ran fully
     /// in memory — then no budget line renders).
     pub spilled: SpillStats,
     /// Rows per bucket of the budgeted sort
     /// ([`QueryTimings::bucket_rows`]).
     pub bucket_rows: usize,
-    /// Wall-clock the query spent queued in the admission gate before
-    /// executing ([`QueryTimings::queue_ns`]; zero when admission was
-    /// unbounded — then no `queued:` line renders).
+    /// Wall-clock the query spent queued before executing
+    /// ([`QueryTimings::queue_ns`]; zero outside a concurrent batch —
+    /// then no `queued:` line renders).
     pub queue_ns: u64,
     /// Per sort key, its declared width and the width sorted
     /// ([`QueryTimings::key_widths`]); the `keys:` line renders only when
@@ -70,7 +66,6 @@ impl ExplainReport {
             kernel: model.kernel,
             measured: measured.clone(),
             degradations: Vec::new(),
-            plan_cached: false,
             spilled: SpillStats::default(),
             bucket_rows: 0,
             queue_ns: 0,
@@ -94,7 +89,6 @@ impl ExplainReport {
             .iter()
             .map(|r| r.as_str().to_string())
             .collect();
-        rep.plan_cached = timings.plan_cached();
         rep.spilled = timings.spilled;
         rep.bucket_rows = timings.bucket_rows;
         rep.queue_ns = timings.queue_ns;
@@ -147,19 +141,13 @@ impl ExplainReport {
         if let Some(line) = key_widths_line(&self.key_widths) {
             out.push_str(&line);
         }
-        // Only annotate degraded / cache-served executions: happy-path
-        // uncached reports stay byte-identical to the pre-ladder golden
-        // snapshots.
-        if self.plan_cached {
-            out.push_str("plan: cached\n");
-        }
-        // Gate-queued executions attribute their wait; unqueued ones
+        // Queued executions attribute their wait; unqueued ones
         // (everything outside `run_concurrent`) render no line, keeping
-        // every pre-gate golden snapshot stable. The wait is wall-clock,
+        // every earlier golden snapshot stable. The wait is wall-clock,
         // so it redacts like a timing.
         if self.queue_ns > 0 {
             out.push_str(&format!(
-                "queued: {} in admission gate\n",
+                "queued: {} before executing\n",
                 t(self.queue_ns as f64)
             ));
         }
@@ -395,7 +383,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_plan_line_renders_only_for_cache_hits() {
+    fn arena_line_counts_grows_then_reuses() {
         use crate::{Database, EngineConfig, OrderKey, Query, QueryOptions, Session};
         let mut t = mcs_columnar::Table::new("t");
         t.add_column(mcs_columnar::Column::from_u64s(
@@ -413,17 +401,11 @@ mod tests {
 
         let cold = session.query("t", &q, QueryOptions::default()).unwrap();
         let cold_rep = ExplainReport::from_timings("q", &cold.timings, &model).unwrap();
-        assert!(!cold_rep.plan_cached);
-        assert!(!cold_rep.render().contains("plan: cached"));
         // Session executions run through the arena: the first one grew it.
         assert!(cold_rep.render().contains("bytes, grows 1, reuses 0\n"));
 
         let warm = session.query("t", &q, QueryOptions::default()).unwrap();
         let warm_rep = ExplainReport::from_timings("q", &warm.timings, &model).unwrap();
-        assert!(warm_rep.plan_cached);
-        assert!(warm_rep.render().contains("plan: cached\n"));
-        // The annotation survives redaction (it carries no timing).
-        assert!(warm_rep.render_redacted().contains("plan: cached\n"));
         // The warm rerun reused capacity; the byte peak redacts away.
         assert!(warm_rep.render().contains("grows 1, reuses 1\n"));
         assert!(warm_rep.render_redacted().contains("arena: peak ### bytes"));
@@ -512,13 +494,13 @@ mod tests {
             &out.stats,
             &CostModel::with_defaults(),
         );
-        assert!(!rep.render().contains("queued:"), "no gate, no line");
+        assert!(!rep.render().contains("queued:"), "no queue, no line");
         rep.queue_ns = 12_400;
-        assert!(rep.render().contains("queued: 12.4 us in admission gate\n"));
+        assert!(rep.render().contains("queued: 12.4 us before executing\n"));
         // The wait is wall-clock: it redacts, the line itself stays.
         assert!(rep
             .render_redacted()
-            .contains("queued: ### in admission gate\n"));
+            .contains("queued: ### before executing\n"));
     }
 
     #[test]

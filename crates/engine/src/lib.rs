@@ -21,7 +21,8 @@
 //! q.group_by = vec!["nation".into(), "ship_date".into()];
 //! q.aggregates = vec![Agg::new(AggKind::Sum("price".into()), "sum_price")];
 //!
-//! // A session plans each query shape once and caches the plan.
+//! // A session checks the query once; each execution plans its own
+//! // instance exactly.
 //! let session = Session::new(&db, EngineConfig::default());
 //! let prepared = session.prepare("sales", &q)?;
 //! let r = prepared.execute(&session)?;
@@ -56,8 +57,7 @@ pub use pipeline::{
 };
 pub use query::{Agg, AggKind, Filter, OrderKey, Query};
 pub use session::{
-    AdmissionGate, Database, GatePermit, PlanCacheStats, PreparedQuery, QueryOptions, Session,
-    WorkerPool, DEFAULT_PLAN_CACHE_CAPACITY,
+    AdmissionGate, Database, GatePermit, PreparedQuery, QueryOptions, Session, WorkerPool,
 };
 pub use sql::{parse_query, SqlError};
 pub use window::rank_over;

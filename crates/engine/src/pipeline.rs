@@ -34,13 +34,12 @@ use mcs_core::{
     MultiColumnSortOutput, SortError, SortKernel, SortSpec,
 };
 use mcs_cost::{CostModel, KeyColumnStats, SortInstance};
-use mcs_planner::{optimal, PlanFingerprint, SearchError};
+use mcs_planner::{optimal, permute_instance, SearchError, SearchScratch};
 use mcs_telemetry as telemetry;
 
 use crate::aggregate::aggregate_groups;
 use crate::error::{DegradeReason, EngineError};
 use crate::query::{AggKind, Query};
-use crate::session::PlanCache;
 use crate::window::{partition_bounds, rank_over};
 
 /// How the engine picks massage plans.
@@ -202,17 +201,18 @@ pub struct QueryTimings {
     /// Degradation-ladder rungs taken while executing, in order (empty on
     /// the happy path).
     pub degradations: Vec<DegradeReason>,
-    /// Plan-cache hits during this execution (a [`run_query`] runs
-    /// against an empty capacity-0 cache, so it only ever misses).
+    /// Always 0: every execution plans its own instance. Kept for the
+    /// benchmark under `spine/`, which reads it; it goes with ROADMAP
+    /// item 3(c).
     pub plan_cache_hits: u32,
-    /// Plan-cache misses during this execution.
+    /// Always 0, like [`plan_cache_hits`](Self::plan_cache_hits).
     pub plan_cache_misses: u32,
-    /// Wall-clock spent queued in the session's
-    /// [`AdmissionGate`](crate::AdmissionGate) before execution began.
-    /// Zero outside [`Session::run_concurrent`](crate::Session::run_concurrent),
-    /// the only path with a gate — the conditional EXPLAIN `queued:` line
-    /// renders only when this is non-zero, so tail latency can be
-    /// attributed to queueing vs executing.
+    /// Wall-clock from the start of the
+    /// [`Session::run_concurrent`](crate::Session::run_concurrent) batch
+    /// to the start of this execution; zero outside a batch, the only
+    /// path that queues. The conditional EXPLAIN `queued:` line renders
+    /// only when this is non-zero, so tail latency can be attributed to
+    /// queueing vs executing.
     pub queue_ns: u64,
     /// What the budgeted sort did (all-zero when every sort ran in
     /// memory — the case whenever [`ExecConfig::memory_budget_bytes`] is
@@ -256,15 +256,6 @@ pub struct SpillStats {
     pub merge_comparisons: u64,
     /// Always 0.
     pub merge_ovc_hits: u64,
-}
-
-impl QueryTimings {
-    /// Whether *every* plan this execution needed came from the session's
-    /// plan cache (so no plan search ran at all and
-    /// [`plan_search_ns`](QueryTimings::plan_search_ns) is zero).
-    pub fn plan_cached(&self) -> bool {
-        self.plan_cache_hits > 0 && self.plan_cache_misses == 0
-    }
 }
 
 /// A materialized query result.
@@ -322,27 +313,33 @@ fn record_degradation(timings: &mut QueryTimings, reason: DegradeReason, detail:
 ///
 /// This one-shot entry point is exactly a cold
 /// [`Session`](crate::Session) execution: the same pipeline over a fresh
-/// arena and a capacity-0 plan cache, so every query plans from scratch.
-/// A session keeps both across queries, skipping the search for repeated
-/// query shapes and reusing the arena's buffers.
+/// arena and a fresh plan-search scratch. A session pools both across
+/// queries, so a warm execution reuses their buffers.
 pub fn run_query(
     table: &Table,
     query: &Query,
     cfg: &EngineConfig,
 ) -> Result<QueryResult, EngineError> {
-    run_pipeline(table, query, cfg, &PlanCache::new(0), &mut ExecArena::new())
+    run_pipeline(table, query, cfg, &mut Workspace::default())
+}
+
+/// The working memory one execution borrows: the arena its sorts draw
+/// their buffers from and the scratch its plan searches work in.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    pub(crate) arena: ExecArena,
+    pub(crate) search: SearchScratch,
 }
 
 /// The pipeline body behind both [`run_query`] and
-/// [`Session::query`](crate::Session::query): plans through `cache`, draws
-/// the sort's working memory from `arena`, and counts a deadline or
-/// cancellation outcome under its telemetry counter.
+/// [`Session::query`](crate::Session::query): plans and sorts in `ws`,
+/// and counts a deadline or cancellation outcome under its telemetry
+/// counter.
 pub(crate) fn run_pipeline(
     table: &Table,
     query: &Query,
     cfg: &EngineConfig,
-    cache: &PlanCache,
-    arena: &mut ExecArena,
+    ws: &mut Workspace,
 ) -> Result<QueryResult, EngineError> {
     let t_total = Instant::now();
     let mut timings = QueryTimings::default();
@@ -357,16 +354,8 @@ pub(crate) fn run_pipeline(
 
     let mut cols = Columns::resolve(table, query)?;
     let oids = filter_oids(query, &cols, &mut timings);
-    let result = execute(
-        query,
-        &mut cols,
-        cfg,
-        oids.as_deref(),
-        &mut timings,
-        cache,
-        arena,
-    )
-    .map_err(|e| count_cancellation(e, query))?;
+    let result = execute(query, &mut cols, cfg, oids.as_deref(), &mut timings, ws)
+        .map_err(|e| count_cancellation(e, query))?;
 
     timings.total_ns = t_total.elapsed().as_nanos() as u64;
     if telemetry::is_enabled() {
@@ -617,41 +606,16 @@ fn filter_oids(query: &Query, cols: &Columns<'_>, timings: &mut QueryTimings) ->
     oids
 }
 
-/// Run the planning front half of `query` — column resolution, filters,
-/// statistics, plan search — populating `cache`, without executing the
-/// sort. This is [`Session::prepare`](crate::Session::prepare)'s engine
-/// half.
-pub(crate) fn warm_plan(
-    table: &Table,
-    query: &Query,
-    cfg: &EngineConfig,
-    cache: &PlanCache,
-) -> Result<(), EngineError> {
-    let mut timings = QueryTimings::default();
-    // Rejects what execution would reject before sorting (an unknown
-    // column anywhere in the query, a too-wide window key), so no plan is
-    // cached for a query every execute fails.
-    let mut cols = Columns::resolve(table, query)?;
-    let rows = filter_oids(query, &cols, &mut timings).map_or(table.rows(), |o| o.len());
-    let inst = cols.sort_instance(rows, &cfg.planner);
-    if rows == 0 {
-        // Nothing qualifies: nothing worth planning.
-        return Ok(());
-    }
-    let _ = pick_plan(&inst, query.order_free(), cfg, &mut timings, cache)?;
-    Ok(())
+/// The checks every execution of `query` on `table` makes before any
+/// work: every column it names resolves, and a window key fits one
+/// machine word. [`Session::prepare`](crate::Session::prepare) runs them.
+pub(crate) fn validate(table: &Table, query: &Query) -> Result<(), EngineError> {
+    Columns::resolve(table, query).map(drop)
 }
 
 /// Run the planner, returning the plan and the column order to apply,
-/// recording search time.
-///
-/// The plan cache is consulted first: a fingerprint hit returns the
-/// cached plan with **no** search and **no** contribution to
-/// `plan_search_ns`; a miss searches as usual and, when the search
-/// succeeded cleanly (no degradation rung taken), publishes the result
-/// for the next equal-fingerprint query. Only the searched mode
-/// ([`PlannerMode::Roga`]) caches — fixed and column-at-a-time picks cost
-/// nothing.
+/// recording search time. Only [`PlannerMode::Roga`] searches, in
+/// `scratch`; fixed and column-at-a-time picks cost nothing.
 ///
 /// First rung of the degradation ladder: a failed search or a non-finite
 /// cost estimate falls back to `P_0` on the identity order (recording
@@ -662,62 +626,35 @@ fn pick_plan(
     order_free: bool,
     cfg: &EngineConfig,
     timings: &mut QueryTimings,
-    cache: &PlanCache,
+    scratch: &mut SearchScratch,
 ) -> Result<(MassagePlan, Vec<usize>), EngineError> {
-    let searched_mode = matches!(cfg.planner, PlannerMode::Roga { .. });
-    let fp = searched_mode.then(|| PlanFingerprint::of(inst, order_free));
-    if let Some(f) = &fp {
-        if let Some(hit) = cache.lookup(f) {
-            timings.plan_cache_hits += 1;
-            return Ok(hit);
-        }
-        cache.note_miss();
-        timings.plan_cache_misses += 1;
-    }
-    let rungs_before = timings.degradations.len();
-
     let t = Instant::now();
-    let identity: Vec<usize> = (0..inst.specs.len()).collect();
-    let searched = match &cfg.planner {
-        PlannerMode::ColumnAtATime => Ok(None),
+    let identity = || (0..inst.specs.len()).collect::<Vec<usize>>();
+    let picked = match &cfg.planner {
+        PlannerMode::ColumnAtATime => (inst.p0(), identity()),
         // Experiments may hand the engine arbitrary plans; the executor
         // validates them, and the ladder degrades an invalid one to P0.
-        PlannerMode::Fixed(p) => Ok(Some((p.clone(), identity.clone(), f64::NAN))),
-        PlannerMode::Roga { .. } => optimal(inst, &cfg.model, order_free)
-            .map(|r| Some((r.plan, r.column_order, r.est_cost))),
-    };
-
-    let picked = match searched {
-        // Nothing can plan a zero-width key; P0 would be just as invalid.
-        Err(SearchError::EmptySortKey) => {
-            return Err(EngineError::PlanSearch(SearchError::EmptySortKey))
-        }
-        Err(e) => {
-            record_degradation(timings, DegradeReason::PlanSearchFailed, &e.to_string());
-            (inst.p0(), identity)
-        }
-        Ok(None) => (inst.p0(), identity),
-        Ok(Some((_, _, est_cost))) if searched_mode && !est_cost.is_finite() => {
+        PlannerMode::Fixed(p) => (p.clone(), identity()),
+        PlannerMode::Roga { .. } => match optimal(inst, &cfg.model, order_free, scratch) {
+            // Nothing can plan a zero-width key; P0 would be just as invalid.
+            Err(SearchError::EmptySortKey) => {
+                return Err(EngineError::PlanSearch(SearchError::EmptySortKey))
+            }
+            Err(e) => {
+                record_degradation(timings, DegradeReason::PlanSearchFailed, &e.to_string());
+                (inst.p0(), identity())
+            }
             // Cost-model breakdown (NaN/∞ estimates): the plan ranking is
             // meaningless, so trust Lemma 1 over it.
-            record_degradation(
-                timings,
-                DegradeReason::NonFiniteCost,
-                &format!("estimated cost {est_cost}"),
-            );
-            (inst.p0(), identity)
-        }
-        Ok(Some((plan, order, _))) => (plan, order),
+            Ok(r) if !r.est_cost.is_finite() => {
+                let detail = format!("estimated cost {}", r.est_cost);
+                record_degradation(timings, DegradeReason::NonFiniteCost, &detail);
+                (inst.p0(), identity())
+            }
+            Ok(r) => (r.plan, r.column_order),
+        },
     };
     timings.plan_search_ns += t.elapsed().as_nanos() as u64;
-    // Publish only clean search results: a degraded pick (P0 stand-in) is
-    // this query's problem, not a plan worth pinning for every future
-    // equal-fingerprint query — and never poisons the shared cache.
-    if let Some(f) = fp {
-        if timings.degradations.len() == rungs_before {
-            cache.insert(f, picked.0.clone(), picked.1.clone());
-        }
-    }
     Ok(picked)
 }
 
@@ -879,14 +816,18 @@ fn scalar_fallback_sort(
 fn sort_planned(
     cols: &[&CodeVec],
     rows: Option<&[u32]>,
-    inst: &SortInstance,
+    inst: SortInstance,
     (plan, mut order): (MassagePlan, Vec<usize>),
     mut exec: ExecConfig,
     timings: &mut QueryTimings,
     arena: &mut ExecArena,
 ) -> Result<(MultiColumnSortOutput, Option<MassagePlan>, SortInstance), EngineError> {
     let pcols: Vec<&CodeVec> = order.iter().map(|&i| cols[i]).collect();
-    let inst = mcs_planner::permute_instance(inst, &order);
+    let inst = if order.iter().enumerate().all(|(j, &i)| i == j) {
+        inst
+    } else {
+        permute_instance(&inst, &order)
+    };
     exec.want_final_groups = inst.want_final_groups;
     exec.want_keys = (0..order.len().min(64))
         .filter(|&j| exec.wants_key(order[j]))
@@ -918,8 +859,7 @@ fn execute(
     cfg: &EngineConfig,
     rows: Option<&[u32]>,
     timings: &mut QueryTimings,
-    cache: &PlanCache,
-    arena: &mut ExecArena,
+    ws: &mut Workspace,
 ) -> Result<Vec<(String, Vec<u64>)>, EngineError> {
     let n = rows.map_or(cols.keys[0].column.len(), <[u32]>::len);
     if cols.shape == Shape::Grouped && n == 0 {
@@ -932,7 +872,7 @@ fn execute(
     }
     let inst = cols.sort_instance(n, &cfg.planner);
     let keys: Vec<&CodeVec> = cols.keys.iter().map(SortKey::sorted_codes).collect();
-    let picked = pick_plan(&inst, query.order_free(), cfg, timings, cache)?;
+    let picked = pick_plan(&inst, query.order_free(), cfg, timings, &mut ws.search)?;
     // A SELECT of a sort key comes back from the sort itself, decoded
     // from the sorted round keys; the sort charges that decode to
     // `decode_ns`, which is SELECT time, not sorting.
@@ -951,7 +891,8 @@ fn execute(
         ..cfg.exec.clone()
     };
     let t = Instant::now();
-    let (mut out, ran_plan, inst) = sort_planned(&keys, rows, &inst, picked, exec, timings, arena)?;
+    let (mut out, ran_plan, inst) =
+        sort_planned(&keys, rows, inst, picked, exec, timings, &mut ws.arena)?;
     // A rank-coded key comes back as ranks: map them to codes in place,
     // as part of the decode.
     let td = Instant::now();
@@ -1027,7 +968,7 @@ fn execute(
         }
     }
     if !cols.resort.is_empty() {
-        sort_grouped(&mut result, cols, query, cfg, timings, cache, arena)?;
+        sort_grouped(&mut result, cols, query, cfg, timings, ws)?;
     }
     Ok(result)
 }
@@ -1040,8 +981,7 @@ fn sort_grouped(
     query: &Query,
     cfg: &EngineConfig,
     timings: &mut QueryTimings,
-    cache: &PlanCache,
-    arena: &mut ExecArena,
+    ws: &mut Workspace,
 ) -> Result<(), EngineError> {
     let t = Instant::now();
     let rows = result.first().map_or(0, |(_, v)| v.len());
@@ -1068,13 +1008,13 @@ fn sort_grouped(
         stats,
         want_final_groups: false,
     };
-    let picked = pick_plan(&inst, false, cfg, timings, cache)?;
+    let picked = pick_plan(&inst, false, cfg, timings, &mut ws.search)?;
     let refs: Vec<&CodeVec> = keys.iter().collect();
     let exec = ExecConfig {
         want_keys: 0,
         ..cfg.exec.clone()
     };
-    let (sorted, _, _) = sort_planned(&refs, None, &inst, picked, exec, timings, arena)?;
+    let (sorted, _, _) = sort_planned(&refs, None, inst, picked, exec, timings, &mut ws.arena)?;
     for (_, vals) in result.iter_mut() {
         *vals = sorted.oids.iter().map(|&p| vals[p as usize]).collect();
     }
@@ -1363,8 +1303,7 @@ mod tests {
         ] {
             let cfg = EngineConfig::builder().planner(planner).build();
             assert_eq!(run_query(&t, &q, &cfg).unwrap_err(), want);
-            let cache = PlanCache::new(4);
-            assert_eq!(warm_plan(&t, &q, &cfg, &cache).unwrap_err(), want);
+            assert_eq!(validate(&t, &q).unwrap_err(), want);
             let widths = ["a", "b"].map(|c| t.expect_column(c).rank_codes().map(|r| r.width()));
             assert_eq!(widths, [Some(2), Some(2)]);
         }

@@ -1,52 +1,45 @@
-//! Sessions: a shared immutable [`Database`], prepared queries whose
-//! plans live in a fingerprint-keyed [plan cache](PlanCacheStats), and
+//! Sessions: a shared immutable [`Database`], prepared queries, and
 //! concurrent query serving over `std::thread::scope`.
 //!
-//! The paper prices plan search as a per-query cost; under
-//! repeated query shapes that cost is pure overhead after the first
-//! execution. A [`Session`] keeps one [`MassagePlan`] per distinct
-//! [`PlanFingerprint`] — sort-key widths and directions, bucketed row
-//! count, quantized column statistics — so [`Session::prepare`] pays for
-//! stats collection and the plan search once and every later
-//! [`PreparedQuery::execute`] with an equal fingerprint skips the search
-//! entirely (`plan_search_ns == 0`,
-//! [`QueryTimings::plan_cached`](crate::QueryTimings::plan_cached)).
-//! Statistics drift past a quantization boundary changes the
-//! fingerprint, which *is* the invalidation rule: the lookup misses and
-//! a fresh search replaces the stale entry.
+//! A plan is a pure function of the sort instance and the cost model, and
+//! the exact search ([`mcs_planner::optimal`]) finds it in a fixed amount
+//! of work, so every execution plans its own instance: no plan is cached,
+//! and no execution can be served a plan searched for another instance.
+//! [`Session::prepare`] checks a query once — its table, every column it
+//! names, its window-key width — with the same checks every execution
+//! makes first, and runs no filter scan and no search.
 //!
-//! Concurrency: tables and cached plans are immutable once published, so
-//! [`Session::run_concurrent`] serves independent queries from scoped
-//! threads over the shared database, admission-limited by a
-//! dependency-free counting semaphore ([`AdmissionGate`]). Inter-query
-//! and intra-query parallelism compose through one [`WorkerPool`]: every
-//! query keeps one implicit worker (progress is never blocked on the
-//! pool) and borrows its *extra* morsel workers from the shared pool
-//! without blocking, so a saturated batch degrades queries to fewer
-//! threads instead of oversubscribing the machine.
+//! Concurrency: tables are immutable once published, so
+//! [`Session::run_concurrent`] serves independent queries from at most
+//! `threads` scoped worker threads over the shared database, each worker
+//! running a fixed share of the batch. Inter-query and intra-query
+//! parallelism compose through one [`WorkerPool`]: every query keeps one
+//! implicit worker (progress is never blocked on the pool) and borrows
+//! its *extra* morsel workers from the shared pool without blocking, so a
+//! saturated batch degrades queries to fewer threads instead of
+//! oversubscribing the machine.
 //!
-//! Memory: the session keeps a pool of [`ExecArena`]s, one per
-//! in-flight query. Every execution borrows an arena for its working
-//! buffers and returns it afterwards, so a warm prepared query re-runs
-//! its round loop without heap allocations; [`Session::arena_stats`]
-//! reports the pool's aggregate reuse counters.
+//! Memory: the session keeps a pool of workspaces, one per in-flight
+//! query: an [`ExecArena`](mcs_core::ExecArena) for the sort's working
+//! buffers and a
+//! [`SearchScratch`](mcs_planner::SearchScratch) for the plan search.
+//! Every execution borrows one and returns it afterwards, so a warm
+//! prepared query re-runs its round loop without heap allocations and
+//! its search allocates only the plan it returns;
+//! [`Session::arena_stats`] reports the pool's aggregate arena reuse
+//! counters.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use mcs_columnar::Table;
-use mcs_core::{ArenaStats, CancelToken, ExecArena, MassagePlan};
-use mcs_planner::PlanFingerprint;
+use mcs_core::{ArenaStats, CancelToken};
 use mcs_telemetry as telemetry;
 
 use crate::error::EngineError;
-use crate::pipeline::{run_pipeline, warm_plan, EngineConfig, QueryResult};
+use crate::pipeline::{run_pipeline, validate, EngineConfig, QueryResult, Workspace};
 use crate::query::Query;
-
-/// Default number of cached plans per session.
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 
 /// A set of registered, immutable, named tables queries run against.
 #[derive(Debug, Default)]
@@ -79,138 +72,8 @@ impl Database {
     }
 }
 
-#[derive(Debug)]
-struct CacheEntry {
-    plan: MassagePlan,
-    column_order: Vec<usize>,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct CacheInner {
-    map: HashMap<PlanFingerprint, CacheEntry>,
-    tick: u64,
-}
-
-/// The session's fingerprint-keyed plan cache (LRU, bounded capacity).
-///
-/// Shared by every query the session runs; thread-safe. Hits, misses,
-/// and evictions are counted both here (exact, per session — see
-/// [`PlanCacheStats`]) and on the global telemetry counters
-/// `planner.cache.{hit,miss,evict}`.
-#[derive(Debug)]
-pub(crate) struct PlanCache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl PlanCache {
-    pub(crate) fn new(capacity: usize) -> PlanCache {
-        PlanCache {
-            inner: Mutex::new(CacheInner::default()),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// A poisoned cache mutex only means another query panicked mid-
-    /// lookup; the map itself is always consistent, so keep serving.
-    fn lock(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub(crate) fn lookup(&self, fp: &PlanFingerprint) -> Option<(MassagePlan, Vec<usize>)> {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner.map.get_mut(fp)?;
-        entry.last_used = tick;
-        let hit = (entry.plan.clone(), entry.column_order.clone());
-        drop(inner);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if telemetry::is_enabled() {
-            telemetry::counter_add("planner.cache.hit", 1);
-        }
-        Some(hit)
-    }
-
-    /// Count a lookup miss (the caller decides whether a search follows).
-    pub(crate) fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if telemetry::is_enabled() {
-            telemetry::counter_add("planner.cache.miss", 1);
-        }
-    }
-
-    /// Publish a cleanly-searched plan, evicting the least-recently-used
-    /// entry when full. A zero-capacity cache (the benchmark's "cold"
-    /// mode) drops everything immediately.
-    pub(crate) fn insert(&self, fp: PlanFingerprint, plan: MassagePlan, column_order: Vec<usize>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let mut evicted = false;
-        if !inner.map.contains_key(&fp) && inner.map.len() >= self.capacity {
-            if let Some(lru) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&lru);
-                evicted = true;
-            }
-        }
-        inner.map.insert(
-            fp,
-            CacheEntry {
-                plan,
-                column_order,
-                last_used: tick,
-            },
-        );
-        drop(inner);
-        if evicted {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            if telemetry::is_enabled() {
-                telemetry::counter_add("planner.cache.evict", 1);
-            }
-        }
-    }
-
-    pub(crate) fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.lock().map.len(),
-        }
-    }
-}
-
-/// A point-in-time snapshot of one session's plan-cache counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlanCacheStats {
-    /// Lookups served from the cache (no plan search ran).
-    pub hits: u64,
-    /// Lookups that fell through to a fresh plan search.
-    pub misses: u64,
-    /// Entries evicted to make room (LRU).
-    pub evictions: u64,
-    /// Plans currently cached.
-    pub entries: usize,
-}
-
 /// Per-query execution limits: a deadline, an externally fireable
-/// cancel token, and a bound on admission-gate queueing.
+/// cancel token, and a bound on queueing.
 ///
 /// The default is unlimited on every axis and costs one branch per
 /// cancellation poll (the token stays the allocation-free
@@ -232,9 +95,10 @@ pub struct QueryOptions {
     /// and inside the long loops (every
     /// [`CHECK_INTERVAL`](mcs_core::CHECK_INTERVAL) iterations).
     pub deadline: Option<Instant>,
-    /// Longest a query may wait for an admission-gate permit in
-    /// [`Session::run_concurrent`] before being shed with
-    /// [`EngineError::Overloaded`]. `None` queues unboundedly.
+    /// Longest a query may wait behind earlier items of its worker in
+    /// [`Session::run_concurrent`] (or for the server's admission permit)
+    /// before being shed with [`EngineError::Overloaded`]. `None` queues
+    /// unboundedly.
     pub queue_timeout: Option<Duration>,
     /// A token the caller can fire from another thread to abandon the
     /// query ([`EngineError::Cancelled`]). Combined with
@@ -255,7 +119,7 @@ impl QueryOptions {
         self.with_deadline(Instant::now() + timeout)
     }
 
-    /// Bound admission-gate queueing (see
+    /// Bound queueing (see
     /// [`queue_timeout`](QueryOptions::queue_timeout)).
     pub fn with_queue_timeout(mut self, timeout: Duration) -> QueryOptions {
         self.queue_timeout = Some(timeout);
@@ -286,7 +150,8 @@ impl QueryOptions {
 }
 
 /// A query-serving context over a shared [`Database`]: one engine
-/// config, one plan cache, any number of (possibly concurrent) queries.
+/// config, one pool of working memory, any number of (possibly
+/// concurrent) queries.
 ///
 /// ```
 /// use mcs_columnar::{Column, Table};
@@ -301,8 +166,8 @@ impl QueryOptions {
 /// let mut q = Query::named("by_qty");
 /// q.order_by = vec![OrderKey::asc("qty")];
 /// q.select = vec!["qty".into()];
-/// let prepared = session.prepare("sales", &q)?;   // plans once
-/// let r = prepared.execute(&session)?;            // serves cached plan
+/// let prepared = session.prepare("sales", &q)?;   // checks the columns
+/// let r = prepared.execute(&session)?;            // plans and runs
 /// assert_eq!(r.column_required("qty")?, vec![1, 2, 3]);
 /// # Ok::<(), mcs_engine::EngineError>(())
 /// ```
@@ -310,32 +175,19 @@ impl QueryOptions {
 pub struct Session<'db> {
     db: &'db Database,
     cfg: EngineConfig,
-    cache: PlanCache,
-    /// Pooled execution arenas: each query pops one (or starts fresh
-    /// when the pool is empty, e.g. under new peak concurrency) and
-    /// pushes it back when done, so buffers are reused across queries
+    /// Pooled working memory: each query pops a workspace (or starts a
+    /// fresh one when the pool is empty, e.g. under new peak concurrency)
+    /// and pushes it back when done, so buffers are reused across queries
     /// without blocking concurrent executions on each other.
-    arenas: Mutex<Vec<ExecArena>>,
+    workspaces: Mutex<Vec<Workspace>>,
     /// Shared budget of *extra* intra-query morsel workers (see
     /// [`WorkerPool`]).
     workers: WorkerPool,
 }
 
 impl<'db> Session<'db> {
-    /// A session with the default plan-cache capacity
-    /// ([`DEFAULT_PLAN_CACHE_CAPACITY`]).
+    /// A session over `db` running every query under `cfg`.
     pub fn new(db: &'db Database, cfg: EngineConfig) -> Session<'db> {
-        Session::with_cache_capacity(db, cfg, DEFAULT_PLAN_CACHE_CAPACITY)
-    }
-
-    /// A session holding at most `capacity` cached plans. `0` disables
-    /// caching — every execution plans from scratch (how the benchmark's
-    /// `small_adhoc` workload runs the planner cold).
-    pub fn with_cache_capacity(
-        db: &'db Database,
-        cfg: EngineConfig,
-        capacity: usize,
-    ) -> Session<'db> {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -343,10 +195,20 @@ impl<'db> Session<'db> {
         Session {
             db,
             cfg,
-            cache: PlanCache::new(capacity),
-            arenas: Mutex::new(Vec::new()),
+            workspaces: Mutex::new(Vec::new()),
             workers: WorkerPool::new(cap),
         }
+    }
+
+    /// [`Session::new`]; the capacity is ignored, since no plan is
+    /// cached. Kept for the benchmark under `spine/`, which calls it; it
+    /// goes with ROADMAP item 3(c).
+    pub fn with_cache_capacity(
+        db: &'db Database,
+        cfg: EngineConfig,
+        _capacity: usize,
+    ) -> Session<'db> {
+        Session::new(db, cfg)
     }
 
     /// Override the session-wide worker cap (see [`WorkerPool`]). The
@@ -374,21 +236,16 @@ impl<'db> Session<'db> {
         &self.cfg
     }
 
-    /// Exact plan-cache counters for this session.
-    pub fn cache_stats(&self) -> PlanCacheStats {
-        self.cache.stats()
-    }
-
-    /// Aggregate [`ExecArena`] reuse counters across the session's
-    /// arena pool: `grows`/`reuses` sum every execution's accounting,
-    /// `bytes_peak` sums the per-arena high-water marks (the pool's
-    /// total held memory at peak). Arenas borrowed by in-flight queries
-    /// are not counted until they return.
+    /// Aggregate [`ExecArena`](mcs_core::ExecArena) reuse counters across
+    /// the session's pool: `grows`/`reuses` sum every execution's
+    /// accounting, `bytes_peak` sums the per-arena high-water marks (the
+    /// pool's total held memory at peak). Arenas borrowed by in-flight
+    /// queries are not counted until they return.
     pub fn arena_stats(&self) -> ArenaStats {
-        let arenas = self.lock_arenas();
+        let workspaces = self.lock_workspaces();
         let mut total = ArenaStats::default();
-        for arena in arenas.iter() {
-            let s = arena.stats();
+        for ws in workspaces.iter() {
+            let s = ws.arena.stats();
             total.bytes_peak += s.bytes_peak;
             total.grows += s.grows;
             total.reuses += s.reuses;
@@ -396,18 +253,10 @@ impl<'db> Session<'db> {
         total
     }
 
-    /// Like [`PlanCache::lock`]: a poisoned pool mutex only means a
-    /// query panicked while popping/pushing; the `Vec` stays consistent.
-    fn lock_arenas(&self) -> MutexGuard<'_, Vec<ExecArena>> {
-        self.arenas.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn take_arena(&self) -> ExecArena {
-        self.lock_arenas().pop().unwrap_or_default()
-    }
-
-    fn put_arena(&self, arena: ExecArena) {
-        self.lock_arenas().push(arena);
+    /// A poisoned pool mutex only means a query panicked while
+    /// popping/pushing; the `Vec` stays consistent, so keep serving.
+    fn lock_workspaces(&self) -> MutexGuard<'_, Vec<Workspace>> {
+        self.workspaces.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn resolve(&self, table: &str) -> Result<&'db Table, EngineError> {
@@ -418,24 +267,24 @@ impl<'db> Session<'db> {
             })
     }
 
-    /// Plan `query` against `table` now — filters, statistics, search —
-    /// caching the chosen plan, and return a handle that executes
-    /// without re-planning (for as long as the fingerprint still
-    /// matches). A query every execution would reject before sorting
-    /// fails here with the same error, before any plan search: an
-    /// unknown column anywhere in it (filter, sort key, SELECT, GROUP BY,
-    /// aggregate, ORDER BY label) or a window key wider than 64 bits.
+    /// Check `query` against `table` and return a handle that executes
+    /// it. The checks are the ones every execution makes before any
+    /// work, so a query every execution would reject fails here with the
+    /// same error: an unknown table, an unknown column anywhere in the
+    /// query (filter, sort key, SELECT, GROUP BY, aggregate, ORDER BY
+    /// label), or a window key wider than 64 bits. Runs no filter scan
+    /// and no plan search: each execution plans its own instance.
     pub fn prepare(&self, table: &str, query: &Query) -> Result<PreparedQuery, EngineError> {
-        let t = self.resolve(table)?;
-        warm_plan(t, query, &self.cfg, &self.cache)?;
+        validate(self.resolve(table)?, query)?;
         Ok(PreparedQuery {
             table: table.to_string(),
             query: query.clone(),
         })
     }
 
-    /// Execute `query` against `table` through the session's plan cache,
-    /// under `opts`' deadline / cancel token — **the** query entry point.
+    /// Execute `query` against `table` in the session's pooled working
+    /// memory, under `opts`' deadline / cancel token — **the** query
+    /// entry point.
     ///
     /// The default [`QueryOptions`] is unlimited on every axis and adds
     /// no overhead; with a deadline or token set, the pipeline polls at
@@ -443,11 +292,11 @@ impl<'db> Session<'db> {
     /// [`DeadlineExceeded`](EngineError::DeadlineExceeded) or
     /// [`Cancelled`](EngineError::Cancelled). An already-expired deadline
     /// returns without executing any phase. On every outcome — including
-    /// cancellation — the borrowed arena is restored and returned to the
-    /// pool, so the session keeps serving.
+    /// cancellation — the borrowed workspace is restored and returned to
+    /// the pool, so the session keeps serving.
     ///
-    /// `opts.queue_timeout` has no effect here (there is no admission
-    /// gate on the single-query path); see [`Session::run_concurrent`].
+    /// `opts.queue_timeout` has no effect here (nothing queues on the
+    /// single-query path); see [`Session::run_concurrent`].
     ///
     /// When `cfg.exec.threads > 1` the query borrows its extra morsel
     /// workers from the session's shared [`WorkerPool`] without
@@ -461,12 +310,27 @@ impl<'db> Session<'db> {
         query: &Query,
         opts: QueryOptions,
     ) -> Result<QueryResult, EngineError> {
+        let mut ws = self.lock_workspaces().pop().unwrap_or_default();
+        let result = self.query_in(&mut ws, table, query, opts);
+        // Return the workspace even on error: the executor restores its
+        // buffers on every exit path, so it stays reusable.
+        self.lock_workspaces().push(ws);
+        result
+    }
+
+    /// [`Session::query`] in the caller's workspace.
+    fn query_in(
+        &self,
+        ws: &mut Workspace,
+        table: &str,
+        query: &Query,
+        opts: QueryOptions,
+    ) -> Result<QueryResult, EngineError> {
         let t = self.resolve(table)?;
         let token = opts.effective_token();
         let want = self.cfg.exec.threads.max(1);
         let extras = self.workers.try_take(want - 1);
         let threads = 1 + extras;
-        let mut arena = self.take_arena();
         let result = if token.is_live() || threads != self.cfg.exec.threads {
             // The token and thread grant travel inside the exec config,
             // which every layer (executor, budgeted partition, segmented
@@ -474,34 +338,37 @@ impl<'db> Session<'db> {
             let mut cfg = self.cfg.clone();
             cfg.exec.sort.cancel = token;
             cfg.exec.threads = threads;
-            run_pipeline(t, query, &cfg, &self.cache, &mut arena)
+            run_pipeline(t, query, &cfg, ws)
         } else {
-            run_pipeline(t, query, &self.cfg, &self.cache, &mut arena)
+            run_pipeline(t, query, &self.cfg, ws)
         };
-        // Return the arena and the borrowed workers even on error: the
-        // executor restores its buffers on every exit path, so both stay
-        // reusable.
-        self.put_arena(arena);
+        // Return the borrowed workers even on error.
         self.workers.put(extras);
         result
     }
 
     /// Execute independent prepared queries concurrently over the shared
-    /// database, at most `threads` in flight at once, returning results
-    /// in input order.
+    /// database on at most `threads` worker threads, returning results in
+    /// input order.
     ///
-    /// Queries are independent: each gets its own [`QueryResult`] or
-    /// [`EngineError`]; one query's failure (or degradation) does not
-    /// affect the others. A panicking query thread propagates after the
-    /// scope joins.
+    /// The batch is dealt out statically: worker `w` of `T =
+    /// min(threads, queries)` runs items `w, w + T, w + 2T, …` in turn,
+    /// with no shared queue, in one workspace of the session's pool that
+    /// is taken before the workers start and returned after they join —
+    /// so a batch holds exactly `T` workspaces, and once the pool holds
+    /// `T` of them a batch draws no fresh one. Queries are independent:
+    /// each gets its own
+    /// [`QueryResult`] or [`EngineError`]; one query's failure (or
+    /// degradation) does not affect the others. A panicking worker
+    /// propagates after the scope joins.
     ///
-    /// Every query runs with `opts`' deadline/cancel token, and when
-    /// `opts.queue_timeout` is set a query that cannot get an admission
-    /// permit in time is **shed** with
-    /// [`Overloaded`](EngineError::Overloaded) instead of queueing
-    /// unboundedly — counted by the `engine.shed` telemetry counter.
-    /// Admitted queries report their gate wait in
-    /// [`QueryTimings::queue_ns`](crate::QueryTimings::queue_ns).
+    /// Every query runs with `opts`' deadline/cancel token. An item's
+    /// [`QueryTimings::queue_ns`](crate::QueryTimings::queue_ns) is the
+    /// time from the batch's start to its own. When `opts.queue_timeout`
+    /// is set, an item that waited behind an earlier one of its worker for
+    /// longer than that is **shed** with
+    /// [`Overloaded`](EngineError::Overloaded) instead of running —
+    /// counted by the `engine.shed` telemetry counter.
     pub fn run_concurrent(
         &self,
         prepared: &[PreparedQuery],
@@ -510,46 +377,63 @@ impl<'db> Session<'db> {
     ) -> Vec<Result<QueryResult, EngineError>> {
         let t0 = Instant::now();
         let opts = &opts;
-        let gate = AdmissionGate::new(threads.max(1));
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = prepared
-                .iter()
-                .map(|p| {
-                    let gate = &gate;
+        let workers = threads.max(1).min(prepared.len());
+        let run = |ws: &mut Workspace, turn: usize, p: &PreparedQuery| {
+            let queue_ns = t0.elapsed().as_nanos() as u64;
+            let late = opts
+                .queue_timeout
+                .is_some_and(|limit| turn > 0 && u128::from(queue_ns) > limit.as_nanos());
+            if late {
+                if telemetry::is_enabled() {
+                    telemetry::counter_add("engine.shed", 1);
+                    telemetry::record_span(
+                        "engine.shed",
+                        queue_ns,
+                        vec![("query", p.query.name.clone().into())],
+                    );
+                }
+                return Err(EngineError::Overloaded {
+                    waited_ns: queue_ns,
+                });
+            }
+            let mut r = self.query_in(ws, &p.table, &p.query, opts.clone())?;
+            r.timings.queue_ns = queue_ns;
+            Ok(r)
+        };
+        let mut spaces: Vec<Workspace> = {
+            let mut pool = self.lock_workspaces();
+            (0..workers)
+                .map(|_| pool.pop().unwrap_or_default())
+                .collect()
+        };
+        let mut shares: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = spaces
+                .iter_mut()
+                .enumerate()
+                .map(|(w, ws)| {
+                    let run = &run;
+                    let share = prepared.iter().skip(w).step_by(workers);
                     s.spawn(move || {
-                        let t_q = Instant::now();
-                        let _permit = match opts.queue_timeout {
-                            Some(timeout) => match gate.acquire_timeout(timeout) {
-                                Ok(permit) => permit,
-                                Err(e) => {
-                                    if telemetry::is_enabled() {
-                                        telemetry::counter_add("engine.shed", 1);
-                                        telemetry::record_span(
-                                            "engine.shed",
-                                            t_q.elapsed().as_nanos() as u64,
-                                            vec![("query", p.query.name.clone().into())],
-                                        );
-                                    }
-                                    return Err(e);
-                                }
-                            },
-                            None => gate.acquire(),
-                        };
-                        let queue_ns = t_q.elapsed().as_nanos() as u64;
-                        let mut r = self.query(&p.table, &p.query, opts.clone())?;
-                        r.timings.queue_ns = queue_ns;
-                        Ok(r)
+                        share
+                            .enumerate()
+                            .map(|(turn, p)| run(ws, turn, p))
+                            .collect()
                     })
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| match h.join() {
-                    Ok(r) => r,
+                    Ok(share) => Vec::into_iter(share),
                     Err(panic) => std::panic::resume_unwind(panic),
                 })
                 .collect()
         });
+        self.lock_workspaces().extend(spaces);
+        // Item `i` is turn `i / T` of worker `i % T`.
+        let results = (0..prepared.len())
+            .map_while(|i| shares[i % workers].next())
+            .collect();
         if telemetry::is_enabled() {
             telemetry::record_span(
                 "session.run_concurrent",
@@ -564,8 +448,8 @@ impl<'db> Session<'db> {
     }
 }
 
-/// A query whose plan the owning [`Session`] has already searched and
-/// cached. Cheap to clone; reusable across
+/// A query the owning [`Session`] has checked: its table, and every
+/// column it names. Cheap to clone; reusable across
 /// [`run_concurrent`](Session::run_concurrent) batches.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
@@ -584,9 +468,8 @@ impl PreparedQuery {
         &self.query
     }
 
-    /// Execute through `session`'s plan cache. On a warm cache this
-    /// skips plan search entirely: `timings.plan_search_ns == 0` and
-    /// [`plan_cached()`](crate::QueryTimings::plan_cached) is true.
+    /// Execute in `session`'s pooled working memory, planning this
+    /// execution's own instance.
     pub fn execute(&self, session: &Session<'_>) -> Result<QueryResult, EngineError> {
         session.query(&self.table, &self.query, QueryOptions::default())
     }
@@ -804,32 +687,6 @@ mod tests {
         );
     }
 
-    // The ISSUE's acceptance check: a warm-cache PreparedQuery::execute
-    // spends zero time in plan search and reports the hit.
-    #[test]
-    fn warm_execute_skips_plan_search_entirely() {
-        let db = db_with_sales();
-        let session = Session::new(&db, EngineConfig::default());
-        let prepared = session.prepare("sales", &orderby_query()).unwrap();
-        let warm = session.cache_stats();
-        assert_eq!((warm.misses, warm.entries), (1, 1), "prepare planned once");
-
-        let r = prepared.execute(&session).unwrap();
-        assert_eq!(r.timings.plan_search_ns, 0, "no search ran");
-        assert_eq!(r.timings.plan_cache_hits, 1);
-        assert_eq!(r.timings.plan_cache_misses, 0);
-        assert!(r.timings.plan_cached());
-        assert_eq!(
-            r.column_required("price").unwrap(),
-            vec![20, 30, 40, 10, 50, 60]
-        );
-
-        let stats = session.cache_stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.entries, 1);
-    }
-
     #[test]
     fn session_reuses_its_arena_across_executions() {
         let db = db_with_sales();
@@ -858,117 +715,6 @@ mod tests {
         let via_session = session.query("sales", &q, QueryOptions::default()).unwrap();
         let one_shot = crate::run_query(db.table("sales").unwrap(), &q, session.config()).unwrap();
         assert_eq!(via_session.columns, one_shot.columns);
-    }
-
-    #[test]
-    fn zero_capacity_cache_always_plans_fresh() {
-        let db = db_with_sales();
-        let session = Session::with_cache_capacity(&db, EngineConfig::default(), 0);
-        let prepared = session.prepare("sales", &orderby_query()).unwrap();
-        for _ in 0..3 {
-            let r = prepared.execute(&session).unwrap();
-            assert_eq!(r.timings.plan_cache_hits, 0);
-            assert!(!r.timings.plan_cached());
-        }
-        let stats = session.cache_stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 4, "prepare + 3 executes all missed");
-        assert_eq!(stats.entries, 0);
-    }
-
-    // A cold session (plan-cache capacity 0) running TPC-H Q1 misses 33
-    // times for one prepare plus a 16-query batch. That is not a
-    // double-count: a grouped + ORDER BY query performs TWO
-    // plan-cache lookups per execution — the main sort over the group
-    // keys, plus the post-sort of the grouped result (`sort_grouped`) —
-    // while a pure ORDER BY query performs one.
-    // This test pins both arithmetics against `Session::cache_stats`.
-    #[test]
-    fn grouped_order_by_performs_two_cache_lookups_per_execution() {
-        use crate::query::{Agg, AggKind};
-        let db = db_with_sales();
-
-        let mut q = Query::named("grouped_ordered");
-        q.group_by = vec!["nation".into(), "ship_date".into()];
-        q.aggregates = vec![Agg::new(AggKind::Count, "cnt")];
-        q.order_by = vec![OrderKey::asc("nation"), OrderKey::asc("ship_date")];
-
-        // Cold (capacity 0, as `small_adhoc` runs): every lookup
-        // misses, so Q executions after one prepare miss 1 + 2·Q times.
-        let session = Session::with_cache_capacity(&db, EngineConfig::default(), 0);
-        let prepared = session.prepare("sales", &q).unwrap();
-        assert_eq!(
-            session.cache_stats().misses,
-            1,
-            "prepare plans the main sort once"
-        );
-        for _ in 0..16 {
-            prepared.execute(&session).unwrap();
-        }
-        let cold = session.cache_stats();
-        assert_eq!(cold.hits, 0);
-        assert_eq!(
-            cold.misses,
-            1 + 16 * 2,
-            "two lookups per grouped+ordered execution"
-        );
-
-        // The same batch with a pure ORDER BY query: one lookup each.
-        let session = Session::with_cache_capacity(&db, EngineConfig::default(), 0);
-        let prepared = session.prepare("sales", &orderby_query()).unwrap();
-        for _ in 0..16 {
-            prepared.execute(&session).unwrap();
-        }
-        assert_eq!(session.cache_stats().misses, 1 + 16);
-
-        // Warm: both fingerprints cache after the first execution — two
-        // misses ever (main sort at prepare, post-sort on execution 1),
-        // every later lookup a hit.
-        let session = Session::new(&db, EngineConfig::default());
-        let prepared = session.prepare("sales", &q).unwrap();
-        for _ in 0..16 {
-            prepared.execute(&session).unwrap();
-        }
-        let warm = session.cache_stats();
-        assert_eq!(warm.misses, 2, "main-sort plan + post-sort plan");
-        assert_eq!(
-            warm.hits,
-            16 * 2 - 1,
-            "all 32 execution lookups hit except the post-sort's first"
-        );
-        assert_eq!(warm.entries, 2);
-    }
-
-    #[test]
-    fn cache_evicts_least_recently_used_at_capacity() {
-        let cache = PlanCache::new(2);
-        let fps: Vec<PlanFingerprint> = [100usize, 200, 300]
-            .iter()
-            .map(|&ndv| {
-                let inst = mcs_cost::SortInstance::uniform(1 << 12, &[(17, ndv as f64)]);
-                PlanFingerprint::of(&inst, false)
-            })
-            .collect();
-        let plan = MassagePlan::from_widths(&[17]);
-        cache.insert(fps[0].clone(), plan.clone(), vec![0]);
-        cache.insert(fps[1].clone(), plan.clone(), vec![0]);
-        assert!(cache.lookup(&fps[0]).is_some(), "refresh fps[0]");
-        cache.insert(fps[2].clone(), plan, vec![0]);
-        let stats = cache.stats();
-        assert_eq!((stats.evictions, stats.entries), (1, 2));
-        assert!(cache.lookup(&fps[1]).is_none(), "fps[1] was the LRU");
-        assert!(cache.lookup(&fps[0]).is_some());
-        assert!(cache.lookup(&fps[2]).is_some());
-    }
-
-    #[test]
-    fn column_at_a_time_sessions_bypass_the_cache() {
-        let db = db_with_sales();
-        let session = Session::new(&db, EngineConfig::without_massaging());
-        let prepared = session.prepare("sales", &orderby_query()).unwrap();
-        let r = prepared.execute(&session).unwrap();
-        assert_eq!(r.timings.plan_cache_hits + r.timings.plan_cache_misses, 0);
-        assert_eq!(session.cache_stats(), PlanCacheStats::default());
     }
 
     #[test]
@@ -1003,9 +749,8 @@ mod tests {
         let opts = QueryOptions::default().with_deadline(Instant::now());
         let err = session.query("sales", &orderby_query(), opts).unwrap_err();
         assert_eq!(err, EngineError::DeadlineExceeded);
-        // Nothing executed: no plan search, no cache traffic, no arena
-        // accounting — the entry check fired before every phase.
-        assert_eq!(session.cache_stats(), PlanCacheStats::default());
+        // Nothing executed: no arena accounting — the entry check fired
+        // before every phase.
         assert!(session.arena_stats().is_empty());
         // The same session still answers the same query afterwards.
         let r = session
@@ -1018,7 +763,7 @@ mod tests {
     }
 
     // `prepare` rejects an unknown column wherever the query names it,
-    // as every execute does, and plans nothing for it.
+    // as every execute does.
     fn assert_prepare_rejects(q: &Query, column: &str, context: &'static str) {
         let db = db_with_sales();
         let session = Session::new(&db, EngineConfig::default());
@@ -1027,7 +772,6 @@ mod tests {
             context,
         };
         assert_eq!(session.prepare("sales", q).unwrap_err(), want);
-        assert_eq!(session.cache_stats(), PlanCacheStats::default());
         let executed = session.query("sales", q, QueryOptions::default());
         assert_eq!(executed.unwrap_err(), want);
     }
@@ -1059,7 +803,7 @@ mod tests {
 
     // `prepare` rejects what every execute rejects before sorting: a
     // window key wider than one machine word fails with the same typed
-    // error, and no plan is searched or cached for it.
+    // error.
     #[test]
     fn prepare_rejects_a_too_wide_window_key_before_planning() {
         let mut t = Table::new("wide");
@@ -1075,7 +819,6 @@ mod tests {
         q.select = vec!["p".into()];
         let want = EngineError::WindowKeyTooWide { bits: 80 };
         assert_eq!(session.prepare("wide", &q).unwrap_err(), want);
-        assert_eq!(session.cache_stats(), PlanCacheStats::default());
         let executed = session.query("wide", &q, QueryOptions::default());
         assert_eq!(executed.unwrap_err(), want);
     }
@@ -1221,10 +964,25 @@ mod tests {
         let results = session.run_concurrent(&batch, 2, QueryOptions::default());
         assert!(results.iter().all(|r| r.is_ok()));
         // A generous queue timeout on a tiny workload: still nobody
-        // sheds, and admitted queries report their gate wait.
+        // sheds, and a later turn reports a later start than a first.
         let opts = QueryOptions::default().with_queue_timeout(Duration::from_secs(30));
         let results = session.run_concurrent(&batch, 2, opts);
-        assert!(results.iter().all(|r| r.is_ok()));
+        let queued: Vec<u64> = results
+            .iter()
+            .map(|r| r.as_ref().unwrap().timings.queue_ns)
+            .collect();
+        assert!(queued[6] > queued[0], "{queued:?}");
+        // No queueing allowed: each worker's first item runs, every later
+        // one has waited behind it and is shed.
+        let opts = QueryOptions::default().with_queue_timeout(Duration::ZERO);
+        let results = session.run_concurrent(&batch, 2, opts);
+        for (i, r) in results.iter().enumerate() {
+            match r {
+                Ok(_) => assert!(i < 2, "item {i} ran"),
+                Err(EngineError::Overloaded { waited_ns }) => assert!(i >= 2 && *waited_ns > 0),
+                Err(e) => panic!("item {i}: {e}"),
+            }
+        }
     }
 
     #[test]

@@ -972,12 +972,12 @@ impl Frame {
 /// A client → server message.
 #[derive(Debug, Clone)]
 pub enum Request {
-    /// Plan `query` against `table` now, warming the connection
-    /// session's plan cache.
+    /// Check `query` against `table` now (the table and every column it
+    /// names), as [`Session::prepare`](crate::Session::prepare) does.
     Prepare {
         /// Target table name.
         table: String,
-        /// The query to plan.
+        /// The query to check.
         query: Query,
     },
     /// Execute one query under per-request [`QueryOptions`].

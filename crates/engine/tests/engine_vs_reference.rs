@@ -4,9 +4,10 @@
 use mcs_columnar::{Column, Predicate, Table};
 use mcs_engine::reference::{assert_same_order, assert_same_rows, naive_execute};
 use mcs_engine::{
-    run_query, Agg, AggKind, EngineConfig, EngineError, Filter, MassagePlan, OrderKey, PlannerMode,
-    Query, QueryResult,
+    run_query, Agg, AggKind, Database, EngineConfig, EngineError, Filter, MassagePlan, OrderKey,
+    PlannerMode, Query, QueryOptions, QueryResult, Session,
 };
+use mcs_planner::{optimal, SearchScratch};
 use mcs_test_support::Rng;
 
 fn test_table(rows: usize, seed: u64) -> Table {
@@ -221,16 +222,16 @@ fn timings_are_recorded() {
     );
 }
 
-/// A random table for the generated-query property: 0–3,000 rows, 2–5
-/// columns `c0..`, each of width 1–20 with an NDV between 1 and the row
-/// count.
-fn random_table(rng: &mut mcs_test_support::Rng) -> Table {
+/// A random table `name` for the generated-query properties: 0–3,000
+/// rows, 2–5 columns `c0..`, each of width 1–20 with an NDV between 1 and
+/// the row count.
+fn random_table(rng: &mut mcs_test_support::Rng, name: &str) -> Table {
     let rows = if rng.gen_bool(0.1) {
         rng.gen_range(0..8usize)
     } else {
         rng.gen_range(0..=3000usize)
     };
-    let mut t = Table::new("gen");
+    let mut t = Table::new(name);
     for c in 0..rng.gen_range(2..=5usize) {
         let width = rng.gen_range(1..=20u32);
         let ndv = rng.gen_range(1..=rows.max(1) as u64).min(1 << width);
@@ -358,7 +359,7 @@ fn generated_queries_match_reference() {
         ),
     ];
     mcs_test_support::prop::check("generated_queries_match_reference", 64, |rng| {
-        let t = random_table(rng);
+        let t = random_table(rng, "gen");
         let queries = [
             random_order_by(rng, &t),
             random_group_by(rng, &t),
@@ -370,6 +371,64 @@ fn generated_queries_match_reference() {
             }
         }
     });
+}
+
+/// Each execution plans its own instance: over a fixed set of random
+/// tables served by one shared session, every ORDER BY, GROUP BY and
+/// window query that took no degradation rung ran a plan whose `T_mcs`
+/// on its own sort instance is the optimum of that instance. Each query
+/// runs under a sweep of eight filters keeping ever more rows, so
+/// instances of one shape that differ only a little follow each other
+/// through the session and its pooled search scratch.
+#[test]
+fn each_query_runs_its_own_instances_optimum() {
+    let mut rng = Rng::seed_from_u64(0x51_0B_71_3A);
+    let mut db = Database::new();
+    let names: Vec<String> = (0..12).map(|i| format!("t{i}")).collect();
+    for name in &names {
+        db.register(random_table(&mut rng, name));
+    }
+    let session = Session::new(&db, EngineConfig::default());
+    let model = &session.config().model;
+    let mut scratch = SearchScratch::default();
+    let mut checked = 0;
+    for name in &names {
+        let t = db.table(name).unwrap();
+        let queries = [
+            random_order_by(&mut rng, t),
+            random_group_by(&mut rng, t),
+            random_window(&mut rng, t),
+        ];
+        for q in &queries {
+            let column = q.sort_keys()[0].column.clone();
+            let max = t.expect_column(&column).stats().max;
+            for eighths in 1..=8 {
+                let mut q = q.clone();
+                q.filters = vec![Filter {
+                    column: column.clone(),
+                    predicate: Predicate::Le(max * eighths / 8),
+                }];
+                let r = session.query(name, &q, QueryOptions::default()).unwrap();
+                let tm = &r.timings;
+                let (Some(plan), Some(inst)) = (&tm.plan, &tm.sort_instance) else {
+                    continue;
+                };
+                if !tm.degradations.is_empty() {
+                    continue;
+                }
+                let ran = model.t_mcs(inst, plan);
+                let best = optimal(inst, model, q.order_free(), &mut scratch)
+                    .unwrap()
+                    .est_cost;
+                assert!(
+                    (ran - best).abs() <= 1e-9 * best.abs().max(1.0),
+                    "{name} {q:?}: ran {plan} at {ran}, optimum {best}"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 200, "only {checked} sorts checked");
 }
 
 /// A random table for the rank-code axis: 0–3,000 rows, 2–5 columns

@@ -4,7 +4,8 @@
 //!
 //! * [`optimal`] — the engine's search: the model's cheapest plan, found
 //!   exactly as a shortest path over bit positions (over every column
-//!   order too, for GROUP BY / PARTITION BY), with no deadline;
+//!   order too, for GROUP BY / PARTITION BY), with no deadline, in a
+//!   reusable [`SearchScratch`];
 //! * [`roga`] — the paper's **ro**und-based **g**reedy **a**lgorithm
 //!   (Algorithm 1): round-count by round-count, valid bank combinations,
 //!   exhaustive width assignment for `k ≤ 2`, greedy `T_sort^{j+1}`-
@@ -17,7 +18,7 @@
 //!
 //! ```
 //! use mcs_cost::{CostModel, SortInstance};
-//! use mcs_planner::{optimal, roga, RogaOptions};
+//! use mcs_planner::{optimal, roga, RogaOptions, SearchScratch};
 //!
 //! let inst = SortInstance::uniform(1 << 24, &[(17, 8192.0), (33, 8192.0)]);
 //! let model = CostModel::with_defaults();
@@ -25,7 +26,8 @@
 //! // The search never does worse than column-at-a-time.
 //! assert!(found.est_cost <= model.t_mcs(&inst, &inst.p0()));
 //! // The exact search never does worse than ROGA.
-//! let best = optimal(&inst, &model, false).expect("non-empty sort key");
+//! let best = optimal(&inst, &model, false, &mut SearchScratch::default())
+//!     .expect("non-empty sort key");
 //! assert!(best.est_cost <= found.est_cost);
 //! ```
 
@@ -37,7 +39,6 @@
 
 mod error;
 mod exhaustive;
-mod fingerprint;
 mod optimal;
 mod roga;
 mod rrs;
@@ -47,8 +48,7 @@ pub use error::SearchError;
 pub use exhaustive::{
     measure_all_plans, measure_plan, rank_by_time, rank_of, ExhaustiveOptions, MeasuredPlan,
 };
-pub use fingerprint::PlanFingerprint;
-pub use optimal::{optimal, MAX_ORDER_COLUMNS};
+pub use optimal::{optimal, SearchScratch, MAX_ORDER_COLUMNS};
 pub use roga::{permute_instance, roga, RogaOptions, SearchResult};
 pub use rrs::{rrs, RrsOptions};
 pub use space::{bank_combos, enumerate_compositions, max_rounds, next_order, width_assignments};

@@ -21,7 +21,8 @@
 //! columns the search plans the query's own order instead.
 //!
 //! The search is a fixed amount of work per instance: no clock decides
-//! what it returns.
+//! what it returns. It works out of a caller's [`SearchScratch`], so a
+//! warm search allocates only its result: the plan and the column order.
 
 use std::time::Instant;
 
@@ -30,7 +31,7 @@ use mcs_cost::{estimate_over_prefixes, prefix_product, CostModel, GroupEstimate,
 use mcs_telemetry as telemetry;
 
 use crate::error::SearchError;
-use crate::roga::{permute_instance, SearchResult};
+use crate::roga::SearchResult;
 
 /// Above this many sort columns an order-free search plans the query's own
 /// column order. The order lattice has about `2^(m−1)·W` nodes. Measured
@@ -64,13 +65,29 @@ enum Landing {
     Through(usize, usize),
 }
 
+/// Reusable working memory of [`optimal`]: the node lattice, the
+/// distances, predecessors and tokens of the shortest paths, and the walk
+/// back along the cheapest. A search clears and refills what it uses and
+/// keeps the capacity, so once a scratch has served an instance as large,
+/// a search allocates only its result.
+#[derive(Debug, Default)]
+pub struct SearchScratch {
+    nodes: Nodes,
+    dist: Vec<f64>,
+    /// Predecessors on the cheapest path over every plan.
+    pred: Vec<usize>,
+    /// Predecessors on the cheapest column-aligned path.
+    aligned: Vec<usize>,
+    tokens: Vec<(f64, usize)>,
+    path: Vec<usize>,
+    listed: Vec<bool>,
+}
+
 /// The nodes of one search. Boundary nodes come first, the boundary after
 /// the columns `done` encodes having id `done`; the nodes inside column
 /// `c` after them follow from `mid[done * m + c]`.
-struct Lattice<'a> {
-    inst: &'a SortInstance,
-    free: bool,
-    total: usize,
+#[derive(Debug, Default)]
+struct Nodes {
     /// `top[off[c] + b]`: distinct values of column `c`'s top `b` bits.
     top: Vec<f64>,
     off: Vec<usize>,
@@ -85,50 +102,68 @@ struct Lattice<'a> {
     order: Vec<usize>,
 }
 
+/// Clear `v` and fill it with `len` copies of `value`, keeping its
+/// capacity.
+fn reset<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+/// One search's view of its instance and of the nodes it built.
+struct Lattice<'a> {
+    inst: &'a SortInstance,
+    free: bool,
+    total: usize,
+    n: &'a mut Nodes,
+}
+
 impl<'a> Lattice<'a> {
-    fn new(inst: &'a SortInstance, free: bool) -> Lattice<'a> {
+    fn new(inst: &'a SortInstance, free: bool, n: &'a mut Nodes) -> Lattice<'a> {
         let m = inst.specs.len();
-        let mut off = Vec::with_capacity(m + 1);
-        let mut top = Vec::new();
+        n.top.clear();
+        n.off.clear();
         for s in &inst.stats {
-            off.push(top.len());
-            top.extend((0..=s.width).map(|b| s.distinct_top_bits(b)));
+            n.off.push(n.top.len());
+            n.top.extend((0..=s.width).map(|b| s.distinct_top_bits(b)));
         }
-        off.push(top.len());
+        n.off.push(n.top.len());
         let sets = if free { 1 << m } else { m + 1 };
-        let mut lat = Lattice {
+        n.nodes.clear();
+        n.nodes.extend((0..sets).map(|done| Node {
+            done,
+            col: NONE,
+            bits: 0,
+        }));
+        reset(&mut n.mid, sets * m, usize::MAX);
+        reset(&mut n.then, sets * m, usize::MAX);
+        let lat = Lattice {
             inst,
             free,
             total: inst.total_width() as usize,
-            top,
-            off,
-            nodes: (0..sets)
-                .map(|done| Node {
-                    done,
-                    col: NONE,
-                    bits: 0,
-                })
-                .collect(),
-            at: Vec::new(),
-            mid: vec![usize::MAX; sets * m],
-            then: vec![usize::MAX; sets * m],
-            order: Vec::new(),
+            n,
         };
         for done in 0..sets {
             for c in 0..m {
                 if !lat.follows(done, c) {
                     continue;
                 }
-                lat.then[done * m + c] = lat.take(done, c);
-                lat.mid[done * m + c] = lat.nodes.len();
+                lat.n.then[done * m + c] = lat.take(done, c);
+                lat.n.mid[done * m + c] = lat.n.nodes.len();
                 let bits = 1..lat.width(c);
-                lat.nodes
+                lat.n
+                    .nodes
                     .extend(bits.map(|bits| Node { done, col: c, bits }));
             }
         }
-        lat.at = lat.nodes.iter().map(|&n| lat.position(n)).collect();
-        lat.order = (0..lat.nodes.len()).collect();
-        lat.order.sort_by_key(|&i| lat.at[i]);
+        lat.n.at.clear();
+        for i in 0..lat.n.nodes.len() {
+            let at = lat.position(lat.n.nodes[i]);
+            lat.n.at.push(at);
+        }
+        let Nodes { at, order, .. } = &mut *lat.n;
+        order.clear();
+        order.extend(0..at.len());
+        order.sort_unstable_by_key(|&i| (at[i], i));
         lat
     }
 
@@ -204,11 +239,11 @@ impl<'a> Lattice<'a> {
         let width = self.width(c);
         let at = done * self.columns() + c;
         if bits < width {
-            Landing::Node(self.mid[at] + bits as usize - 1, true)
+            Landing::Node(self.n.mid[at] + bits as usize - 1, true)
         } else if bits == width {
-            Landing::Node(self.then[at], false)
+            Landing::Node(self.n.then[at], false)
         } else {
-            Landing::Through(self.then[at], (bits - width) as usize)
+            Landing::Through(self.n.then[at], (bits - width) as usize)
         }
     }
 
@@ -220,8 +255,9 @@ impl<'a> Lattice<'a> {
         }
         let whole = (0..self.columns())
             .filter(|&c| self.consumed(node.done, c))
-            .map(|c| self.top[self.off[c + 1] - 1]);
-        let part = (node.col != NONE).then(|| self.top[self.off[node.col] + node.bits as usize]);
+            .map(|c| self.n.top[self.n.off[c + 1] - 1]);
+        let part =
+            (node.col != NONE).then(|| self.n.top[self.n.off[node.col] + node.bits as usize]);
         let d = prefix_product(whole.chain(part));
         Some(estimate_over_prefixes(self.inst.rows, d))
     }
@@ -241,21 +277,29 @@ impl<'a> Lattice<'a> {
     }
 
     /// Shortest path from bit 0 to bit `W` over every plan, massage
-    /// included. Returns each node's predecessor on its cheapest path (the
-    /// start of the round that ends there), the path's cost and the
-    /// number of rounds priced.
+    /// included. Fills `pred` with each node's predecessor on its cheapest
+    /// path (the start of the round that ends there) and returns the
+    /// path's cost and the number of rounds priced.
     ///
     /// Nodes are settled in bit order. A round that runs past the end of
     /// its column waits at that column's boundary as a token with its bits
     /// still to go; tokens that meet there with equal bits to go keep the
     /// cheaper, and the boundary sends each on into every column that may
     /// follow it.
-    fn cheapest(&self, model: &CostModel) -> (Vec<usize>, f64, usize) {
+    fn cheapest(
+        &self,
+        model: &CostModel,
+        dist: &mut Vec<f64>,
+        pred: &mut Vec<usize>,
+        tokens: &mut Vec<(f64, usize)>,
+    ) -> (f64, usize) {
         let n = self.inst.rows;
         let cut = model.t_massage(n, 1);
-        let mut dist = vec![f64::INFINITY; self.nodes.len()];
-        let mut pred = vec![usize::MAX; self.nodes.len()];
-        let mut tokens = vec![(f64::INFINITY, usize::MAX); self.end() * MAX_ROUND + MAX_ROUND];
+        let len = self.n.nodes.len();
+        reset(dist, len, f64::INFINITY);
+        reset(pred, len, usize::MAX);
+        let slots = self.end() * MAX_ROUND + MAX_ROUND;
+        reset(tokens, slots, (f64::INFINITY, usize::MAX));
         dist[self.start()] = model.t_massage(n, self.columns());
         let mut priced = 0;
         let mut relax =
@@ -276,9 +320,9 @@ impl<'a> Lattice<'a> {
                     }
                 }
             };
-        for &i in &self.order {
-            let node = self.nodes[i];
-            let p = self.at[i];
+        for &i in &self.n.order {
+            let node = self.n.nodes[i];
+            let p = self.n.at[i];
             let reach = (self.total - p).min(MAX_ROUND);
             // Rounds cost no less than nothing: a node no cheaper than the
             // best complete plan so far cannot start a cheaper one.
@@ -307,7 +351,7 @@ impl<'a> Lattice<'a> {
                 } else {
                     self.land(node.done, node.col, node.bits + width as u32)
                 };
-                relax(to, dist[i] + price, i, &mut dist, &mut tokens);
+                relax(to, dist[i] + price, i, dist, tokens);
             }
             // Rounds passing through a boundary go on whatever the
             // boundary's own distance.
@@ -320,32 +364,37 @@ impl<'a> Lattice<'a> {
                                 self.land(node.done, c, bits as u32),
                                 cost,
                                 from,
-                                &mut dist,
-                                &mut tokens,
+                                dist,
+                                tokens,
                             );
                         }
                     }
                 }
             }
         }
-        (pred, dist[self.end()], priced)
+        (dist[self.end()], priced)
     }
 
     /// The cheapest column-aligned plan (one round per column, in its
-    /// tight bank) under the identity discount: no massage. Returns each
-    /// boundary's predecessor and the plan's cost.
-    fn cheapest_aligned(&self, model: &CostModel) -> (Vec<usize>, f64) {
-        let mut dist = vec![f64::INFINITY; self.nodes.len()];
-        let mut pred = vec![usize::MAX; self.nodes.len()];
+    /// tight bank) under the identity discount: no massage. Fills `pred`
+    /// with each boundary's predecessor and returns the plan's cost.
+    fn cheapest_aligned(
+        &self,
+        model: &CostModel,
+        dist: &mut Vec<f64>,
+        pred: &mut Vec<usize>,
+    ) -> f64 {
+        reset(dist, self.n.nodes.len(), f64::INFINITY);
+        reset(pred, self.n.nodes.len(), usize::MAX);
         dist[self.start()] = 0.0;
-        for &i in &self.order {
-            let node = self.nodes[i];
+        for &i in &self.n.order {
+            let node = self.n.nodes[i];
             if node.col != NONE || !dist[i].is_finite() {
                 continue;
             }
             let est = self.estimate(node);
             for c in self.next_columns(node.done) {
-                let j = self.then[node.done * self.columns() + c];
+                let j = self.n.then[node.done * self.columns() + c];
                 let width = self.width(c) as usize;
                 let cost = dist[i] + self.round(model, est.as_ref(), width, j == self.end());
                 if cost < dist[j] {
@@ -354,22 +403,28 @@ impl<'a> Lattice<'a> {
                 }
             }
         }
-        (pred, dist[self.end()])
+        dist[self.end()]
     }
 
     /// The column order and plan of the path that `pred` leads back along
-    /// from the end. Columns a round consumes whole are listed in index
-    /// order: the round's cost does not depend on theirs.
-    fn walk(&self, pred: &[usize]) -> (Vec<usize>, MassagePlan) {
-        let mut path = vec![self.end()];
+    /// from the end, walked in `path`. Columns a round consumes whole are
+    /// listed in index order: the round's cost does not depend on theirs.
+    fn walk(
+        &self,
+        pred: &[usize],
+        path: &mut Vec<usize>,
+        listed: &mut Vec<bool>,
+    ) -> (Vec<usize>, MassagePlan) {
+        path.clear();
+        path.push(self.end());
         while let Some(&i) = path.last().filter(|&&i| i != self.start()) {
             path.push(pred[i]);
         }
         path.reverse();
+        reset(listed, self.columns(), false);
         let mut order: Vec<usize> = Vec::with_capacity(self.columns());
-        let mut listed = vec![false; self.columns()];
-        for &i in &path {
-            let node = self.nodes[i];
+        for &i in path.iter() {
+            let node = self.n.nodes[i];
             let whole = (0..self.columns()).filter(|&c| self.consumed(node.done, c));
             let part = (node.col != NONE).then_some(node.col);
             for c in whole.chain(part) {
@@ -378,18 +433,18 @@ impl<'a> Lattice<'a> {
                 }
             }
         }
-        let widths: Vec<u32> = path
+        let rounds = path
             .windows(2)
-            .map(|w| (self.at[w[1]] - self.at[w[0]]) as u32)
+            .map(|w| Round::tight((self.n.at[w[1]] - self.n.at[w[0]]) as u32))
             .collect();
-        (order, MassagePlan::from_widths(&widths))
+        (order, MassagePlan::new(rounds))
     }
 }
 
 /// The plan of least estimated `T_mcs` for `inst` under `model`, by the
 /// shortest path of the module docs; with `permute_columns` (GROUP BY /
 /// PARTITION BY semantics) over every column order too, up to
-/// [`MAX_ORDER_COLUMNS`] columns.
+/// [`MAX_ORDER_COLUMNS`] columns. The search works in `scratch`.
 ///
 /// The returned `est_cost` is `model.t_mcs` of the returned plan on the
 /// permuted instance, which equals the path's length; `plans_costed`
@@ -399,6 +454,7 @@ pub fn optimal(
     inst: &SortInstance,
     model: &CostModel,
     permute_columns: bool,
+    scratch: &mut SearchScratch,
 ) -> Result<SearchResult, SearchError> {
     if inst.total_width() == 0 {
         return Err(SearchError::EmptySortKey);
@@ -407,26 +463,32 @@ pub fn optimal(
     if mcs_faults::fault_point!(mcs_faults::points::PLANNER_SEARCH) {
         return Err(SearchError::Injected(mcs_faults::points::PLANNER_SEARCH));
     }
+    let SearchScratch {
+        nodes,
+        dist,
+        pred,
+        aligned,
+        tokens,
+        path,
+        listed,
+    } = scratch;
     let m = inst.specs.len();
-    let lat = Lattice::new(inst, permute_columns && m > 1 && m <= MAX_ORDER_COLUMNS);
-    let (pred, mut cost, plans_costed) = lat.cheapest(model);
-    let mut walked = lat.walk(&pred);
+    let lat = Lattice::new(
+        inst,
+        permute_columns && m > 1 && m <= MAX_ORDER_COLUMNS,
+        nodes,
+    );
+    let (mut cost, plans_costed) = lat.cheapest(model, dist, pred, tokens);
+    let mut best: &[usize] = pred;
     if inst.specs.iter().all(|s| !s.descending && s.width > 0) {
-        let (pred, aligned) = lat.cheapest_aligned(model);
-        if aligned <= cost {
-            cost = aligned;
-            walked = lat.walk(&pred);
+        let aligned_cost = lat.cheapest_aligned(model, dist, aligned);
+        if aligned_cost <= cost {
+            cost = aligned_cost;
+            best = aligned;
         }
     }
-    let (column_order, plan) = walked;
-    let permuted;
-    let pinst = if column_order.iter().enumerate().all(|(i, &c)| i == c) {
-        inst
-    } else {
-        permuted = permute_instance(inst, &column_order);
-        &permuted
-    };
-    let est_cost = model.t_mcs(pinst, &plan);
+    let (column_order, plan) = lat.walk(best, path, listed);
+    let est_cost = model.t_mcs_in_order(inst, &column_order, &plan);
     debug_assert!(
         !est_cost.is_finite()
             || inst.specs.iter().any(|s| s.width == 0)

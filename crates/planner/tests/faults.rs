@@ -6,7 +6,7 @@
 
 use mcs_cost::{CostModel, SortInstance};
 use mcs_faults::{points, with_armed, FireMode};
-use mcs_planner::{optimal, roga, RogaOptions, SearchError};
+use mcs_planner::{optimal, roga, RogaOptions, SearchError, SearchScratch};
 
 #[test]
 fn injected_search_failure_and_starvation() {
@@ -15,12 +15,13 @@ fn injected_search_failure_and_starvation() {
     }
     let inst = SortInstance::uniform(1 << 20, &[(10, 1024.0), (17, 8192.0)]);
     let m = CostModel::with_defaults();
+    let mut scratch = SearchScratch::default();
 
     with_armed(&[(points::PLANNER_SEARCH, FireMode::Always)], || {
         let r = roga(&inst, &m, &RogaOptions::default()).map(|r| r.plans_costed);
         assert_eq!(r, Err(SearchError::Injected(points::PLANNER_SEARCH)));
         for permute_columns in [false, true] {
-            let r = optimal(&inst, &m, permute_columns).map(|r| r.plans_costed);
+            let r = optimal(&inst, &m, permute_columns, &mut scratch).map(|r| r.plans_costed);
             assert_eq!(r, Err(SearchError::Injected(points::PLANNER_SEARCH)));
         }
     });
@@ -28,7 +29,7 @@ fn injected_search_failure_and_starvation() {
     // The exact search prices its plan once through `t_mcs`, so a NaN
     // model still surfaces as a non-finite estimate.
     with_armed(&[(points::COST_NAN, FireMode::Always)], || {
-        let r = optimal(&inst, &m, true).expect("NaN costs are not an error");
+        let r = optimal(&inst, &m, true, &mut scratch).expect("NaN costs are not an error");
         assert!(r.est_cost.is_nan());
         assert!(r.plan.validate(inst.total_width()).is_ok());
     });

@@ -3,7 +3,9 @@
 //!
 //! `optimal` also checks, in debug builds, that the length of the path it
 //! found equals `T_mcs` of the plan it returns; every call below runs that
-//! check.
+//! check. Each test reuses one [`SearchScratch`] across instances of
+//! different shapes, so state left from one search must not leak into
+//! the next.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -11,7 +13,7 @@ use mcs_core::{MassagePlan, SortKernel, SortSpec};
 use mcs_cost::{CostModel, KeyColumnStats, SortInstance};
 use mcs_planner::{
     enumerate_compositions, next_order, optimal, permute_instance, roga, RogaOptions,
-    MAX_ORDER_COLUMNS,
+    SearchScratch, MAX_ORDER_COLUMNS,
 };
 use mcs_test_support::{check, Rng};
 
@@ -66,8 +68,9 @@ fn optimal_equals_the_enumerated_optimum() {
         let inst = instance(rng, m, 16);
         let w = inst.total_width();
         let all = enumerate_compositions(w, w, usize::MAX);
+        let mut scratch = SearchScratch::default();
         for model in models() {
-            let r = optimal(&inst, &model, false).expect("non-empty key");
+            let r = optimal(&inst, &model, false, &mut scratch).expect("non-empty key");
             assert_eq!(r.column_order, (0..m).collect::<Vec<_>>());
             assert!(r.plan.validate(w).is_ok(), "{}", r.plan);
             assert!(close(r.est_cost, model.t_mcs(&inst, &r.plan)));
@@ -94,15 +97,18 @@ fn optimal_cost_is_the_t_mcs_of_its_plan() {
     check("optimal_cost_is_the_t_mcs_of_its_plan", 64, |rng| {
         let m = rng.gen_range(1..=MAX_ORDER_COLUMNS + 2);
         let inst = instance(rng, m, 200);
+        let mut scratch = SearchScratch::default();
         for model in models() {
             for free in [false, true] {
-                let r = optimal(&inst, &model, free).expect("non-empty key");
+                let r = optimal(&inst, &model, free, &mut scratch).expect("non-empty key");
                 let mut sorted = r.column_order.clone();
                 sorted.sort_unstable();
                 assert_eq!(sorted, (0..m).collect::<Vec<_>>());
                 let pinst = permute_instance(&inst, &r.column_order);
                 assert!(r.plan.validate(inst.total_width()).is_ok());
-                assert!(close(r.est_cost, model.t_mcs(&pinst, &r.plan)));
+                let cost = model.t_mcs(&pinst, &r.plan);
+                assert!(close(r.est_cost, cost));
+                assert_eq!(model.t_mcs_in_order(&inst, &r.column_order, &r.plan), cost);
                 assert!(!r.timed_out);
             }
         }
@@ -116,9 +122,11 @@ fn optimal_is_at_most_unbounded_roga() {
     check("optimal_is_at_most_unbounded_roga", 24, |rng| {
         let m = rng.gen_range(1..=3usize);
         let inst = instance(rng, m, 90);
+        let mut scratch = SearchScratch::default();
         for model in models() {
             for permute_columns in [false, true] {
-                let exact = optimal(&inst, &model, permute_columns).expect("non-empty key");
+                let exact =
+                    optimal(&inst, &model, permute_columns, &mut scratch).expect("non-empty key");
                 let greedy = roga(
                     &inst,
                     &model,
@@ -147,14 +155,15 @@ fn order_search_equals_the_best_fixed_order() {
     check("order_search_equals_the_best_fixed_order", 48, |rng| {
         let m = rng.gen_range(2..=4usize);
         let inst = instance(rng, m, 120);
+        let mut scratch = SearchScratch::default();
         for model in models() {
-            let free = optimal(&inst, &model, true).expect("non-empty key");
+            let free = optimal(&inst, &model, true, &mut scratch).expect("non-empty key");
             let mut order: Vec<usize> = (0..m).collect();
             let mut state = vec![0; m];
             let mut best = f64::INFINITY;
             loop {
                 let pinst = permute_instance(&inst, &order);
-                let fixed = optimal(&pinst, &model, false).expect("non-empty key");
+                let fixed = optimal(&pinst, &model, false, &mut scratch).expect("non-empty key");
                 best = best.min(fixed.est_cost);
                 if !next_order(&mut order, &mut state) {
                     break;
@@ -173,7 +182,8 @@ fn order_search_equals_the_best_fixed_order() {
 }
 
 /// No clock decides the plan: twenty searches with a thread spinning on
-/// the other core return one plan and one order.
+/// the other core, through one scratch shared by four instances, return
+/// the plan and order a fresh scratch returns.
 #[test]
 fn same_plan_under_a_busy_core() {
     let mut rng = Rng::seed_from_u64(0x0B5E55ED);
@@ -184,7 +194,8 @@ fn same_plan_under_a_busy_core() {
     let first: Vec<(MassagePlan, Vec<usize>)> = instances
         .iter()
         .map(|inst| {
-            let r = optimal(inst, &model, true).expect("non-empty key");
+            let r =
+                optimal(inst, &model, true, &mut SearchScratch::default()).expect("non-empty key");
             (r.plan, r.column_order)
         })
         .collect();
@@ -204,9 +215,10 @@ fn same_plan_under_a_busy_core() {
             }
         });
         let _stop = Stop(&stop);
+        let mut scratch = SearchScratch::default();
         for _ in 0..20 {
             for (inst, want) in instances.iter().zip(&first) {
-                let r = optimal(inst, &model, true).expect("non-empty key");
+                let r = optimal(inst, &model, true, &mut scratch).expect("non-empty key");
                 assert_eq!((&r.plan, &r.column_order), (&want.0, &want.1));
             }
         }
@@ -219,9 +231,10 @@ fn same_plan_under_a_busy_core() {
 fn zero_width_columns_still_plan() {
     let mut inst = SortInstance::uniform(1 << 12, &[(0, 1.0), (5, 20.0), (0, 1.0), (7, 100.0)]);
     inst.want_final_groups = false;
+    let mut scratch = SearchScratch::default();
     for model in models() {
         for free in [false, true] {
-            let r = optimal(&inst, &model, free).expect("non-empty key");
+            let r = optimal(&inst, &model, free, &mut scratch).expect("non-empty key");
             assert!(r.plan.validate(12).is_ok(), "{}", r.plan);
             let mut sorted = r.column_order.clone();
             sorted.sort_unstable();

@@ -10,9 +10,11 @@
 //!   scoped handler thread per connection; scoping means shutdown joins
 //!   every handler before the accept thread exits — a stopped server
 //!   provably leaves no stray threads or sockets.
-//! * Each **connection** owns a [`Session`] (plan cache + arena pool),
-//!   so `Prepare` warms exactly the state later `Execute`s on the same
-//!   connection reuse, mirroring the in-process API.
+//! * Each **connection** owns a [`Session`] (its pool of arenas and
+//!   plan-search scratches), so later `Execute`s on the same connection
+//!   reuse the working memory earlier ones grew. `Prepare` checks a
+//!   query's table and columns, mirroring the in-process API; it runs no
+//!   filter scan and no plan search.
 //! * Every `Execute`/`Batch` passes through one shared [`AdmissionGate`]
 //!   before touching the engine. A full gate sheds with the same typed
 //!   `Overloaded { waited_ns }` a local caller would see — backpressure

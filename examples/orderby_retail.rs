@@ -86,7 +86,8 @@ fn main() {
         ],
         want_final_groups: false,
     };
-    let found = optimal(&inst, &model, false).expect("non-empty sort key");
+    let found =
+        optimal(&inst, &model, false, &mut SearchScratch::default()).expect("non-empty sort key");
     println!(
         "\nThe exact search chooses {} (estimated {:.2} ms, {} rounds priced in {:?})",
         found.plan,

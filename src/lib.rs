@@ -39,7 +39,8 @@
 //! q.group_by = vec!["nation".into(), "ship_date".into()];
 //! q.aggregates = vec![Agg::new(AggKind::Sum("price".into()), "sum_price")];
 //!
-//! // Sessions plan a query shape once and serve the cached plan after.
+//! // A session checks a prepared query's columns once; every execution
+//! // then plans its own instance exactly, in pooled working memory.
 //! let mut db = Database::new();
 //! db.register(t);
 //! let session = Session::new(&db, EngineConfig::default());
@@ -73,10 +74,12 @@ pub mod prelude {
     pub use mcs_cost::{calibrate, CalibrationOptions, CostModel, MachineSpec, SortInstance};
     pub use mcs_engine::{
         result_to_table, run_query, Agg, AggKind, Database, DegradeReason, EngineConfig,
-        EngineError, ExplainReport, Filter, OrderKey, PlanCacheStats, PlannerMode, PreparedQuery,
-        Query, QueryOptions, QueryResult, Session,
+        EngineError, ExplainReport, Filter, OrderKey, PlannerMode, PreparedQuery, Query,
+        QueryOptions, QueryResult, Session,
     };
-    pub use mcs_planner::{optimal, roga, rrs, RogaOptions, RrsOptions, SearchError};
+    pub use mcs_planner::{
+        optimal, roga, rrs, RogaOptions, RrsOptions, SearchError, SearchScratch,
+    };
     pub use mcs_simd_sort::{sort_pairs, sort_pairs_with, SortConfig, SortKernel};
 }
 

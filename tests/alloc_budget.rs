@@ -1,4 +1,5 @@
-//! Allocation-budget tests for the warm-arena execution path.
+//! Allocation-budget tests for the warm-arena execution path and the
+//! warm plan search.
 //!
 //! The tentpole claim of the `ExecArena` refactor is that a *warm*
 //! prepared query — same plan fingerprint, same row count, buffers
@@ -125,7 +126,7 @@ fn warm_round_loop_runs_with_zero_allocations() {
 #[test]
 fn warm_round_loop_is_allocation_free_across_plan_shapes() {
     // A wider three-column key exercises multi-round plans with lookups
-    // and a B64 round; the warm guarantee is per cached plan shape.
+    // and a B64 round; the warm guarantee is per plan shape.
     let db = sales_db(2048);
     let session = Session::new(&db, probe_config());
     let mut q = Query::named("by_three");
@@ -184,6 +185,45 @@ fn warm_scratch_sort_is_allocation_free() {
 }
 
 #[test]
+fn warm_search_allocates_only_its_result() {
+    // The plan search works in its `SearchScratch`: once the scratch has
+    // served an instance, searching it again allocates only the result —
+    // the plan and the column order — and, with telemetry on, the
+    // `planner.optimal` span's attribute list and plan notation: 4.
+    use mcs_cost::{CostModel, SortInstance};
+    use mcs_planner::{optimal, SearchScratch};
+    let model = CostModel::with_defaults();
+    let keys = [(5, 32.0), (11, 2048.0), (16, 40_000.0)];
+    let mut order_by = SortInstance::uniform(1 << 16, &keys);
+    order_by.specs[1].descending = true;
+    order_by.want_final_groups = false;
+    let group_by = SortInstance::uniform(1 << 16, &keys);
+    for (inst, order_free) in [(&order_by, false), (&group_by, true)] {
+        let mut scratch = SearchScratch::default();
+        let cold = optimal(inst, &model, order_free, &mut scratch).unwrap();
+        // The telemetry collector's span buffer is shared with the other
+        // tests of this binary and doubles now and then, on whichever
+        // thread pushes: the fewest of three warm searches is the
+        // search's own count.
+        let warm = (0..3)
+            .map(|_| {
+                let before = thread_allocation_count();
+                let r = optimal(inst, &model, order_free, &mut scratch).unwrap();
+                let allocs = thread_allocation_count() - before;
+                assert_eq!(r.plan, cold.plan);
+                assert_eq!(r.column_order, cold.column_order);
+                allocs
+            })
+            .min()
+            .unwrap();
+        assert!(
+            warm <= 4,
+            "warm search (order free: {order_free}) allocated {warm}"
+        );
+    }
+}
+
+#[test]
 fn warm_concurrent_round_loops_run_with_zero_allocations() {
     // The regression this suite exists to catch: warm executions under
     // `run_concurrent` must report `round_loop_allocs == 0` for every
@@ -199,8 +239,8 @@ fn warm_concurrent_round_loops_run_with_zero_allocations() {
     let serial = prepared[0].execute(&session).unwrap();
 
     // Warm-up: a batch may draft fresh arenas into the session pool (at
-    // most one per admission slot, and the pool only ever grows), so
-    // within `threads + 1` batches one batch runs on all-warm arenas.
+    // most one per worker, and the pool only ever grows), so within
+    // `threads + 1` batches one batch runs on all-warm arenas.
     let mut warmed = false;
     for _ in 0..=threads {
         let results = session.run_concurrent(&prepared, threads, QueryOptions::default());

@@ -1,8 +1,7 @@
 //! Session-layer stress tests: many threads executing repeated prepared
 //! queries over one shared [`Database`], checked against the naive
-//! differential oracle, with exact plan-cache accounting — and, under
-//! `--features faults`, chaos runs proving a degraded query never
-//! poisons the shared plan cache.
+//! differential oracle — and, under `--features faults`, chaos runs
+//! proving a degraded query leaves the session's next execution clean.
 
 use codemassage::engine::reference::{assert_same_rows, naive_execute};
 use codemassage::prelude::*;
@@ -42,7 +41,8 @@ fn stress_db(n: usize) -> Database {
     db
 }
 
-/// Three distinct query shapes — three fingerprints, three cached plans.
+/// Three distinct query shapes: an ORDER BY, a GROUP BY, and a filtered
+/// ORDER BY with a descending key.
 fn shapes() -> Vec<Query> {
     let mut by_date = Query::named("by_date");
     by_date.order_by = vec![OrderKey::asc("ship_date"), OrderKey::asc("nation")];
@@ -67,10 +67,10 @@ fn shapes() -> Vec<Query> {
 }
 
 /// N threads × repeated prepared queries: every result matches the
-/// scalar reference, and the cache counters come out exact — one miss
-/// per distinct shape (at prepare), one hit per execution.
+/// scalar reference, in input order, with no degradation, whether the
+/// batch runs on one worker or four.
 #[test]
-fn concurrent_prepared_queries_match_the_oracle_with_exact_cache_hits() {
+fn concurrent_prepared_queries_match_the_oracle() {
     let _guard = SESSION_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let db = stress_db(4096);
     let session = Session::new(&db, EngineConfig::default());
@@ -80,16 +80,10 @@ fn concurrent_prepared_queries_match_the_oracle_with_exact_cache_hits() {
         .iter()
         .map(|q| naive_execute(db.table("sales").unwrap(), q))
         .collect();
-
-    // Prepare each shape once: one search (miss) per shape.
     let prepared: Vec<PreparedQuery> = queries
         .iter()
         .map(|q| session.prepare("sales", q).unwrap())
         .collect();
-    let after_prepare = session.cache_stats();
-    assert_eq!(after_prepare.misses, queries.len() as u64);
-    assert_eq!(after_prepare.entries, queries.len());
-    assert_eq!(after_prepare.hits, 0);
 
     // A batch of 8 repetitions of every shape, executed 4-way concurrent.
     const REPS: usize = 8;
@@ -100,20 +94,9 @@ fn concurrent_prepared_queries_match_the_oracle_with_exact_cache_hits() {
         for (i, r) in results.into_iter().enumerate() {
             let r = r.unwrap();
             assert_same_rows(&r.columns, &oracles[i % queries.len()]);
-            assert!(
-                r.timings.plan_cached(),
-                "warm execution {i} must be served from the cache"
-            );
-            assert_eq!(r.timings.plan_search_ns, 0);
+            assert!(r.timings.degradations.is_empty(), "execution {i}");
         }
     }
-
-    // Exactly one hit per warm execution, not a miss more.
-    let stats = session.cache_stats();
-    assert_eq!(stats.hits, (2 * REPS * queries.len()) as u64);
-    assert_eq!(stats.misses, queries.len() as u64);
-    assert_eq!(stats.entries, queries.len());
-    assert_eq!(stats.evictions, 0);
 }
 
 /// The admission gate really bounds concurrency: a batch larger than the
@@ -136,55 +119,43 @@ fn oversubscribed_batch_completes_in_order() {
 }
 
 /// Chaos mode: faults degrade each query individually — the answer stays
-/// correct via the ladder — and never poison the shared plan cache with
-/// a fallback plan.
+/// correct via the ladder — and the session's next execution plans and
+/// runs cleanly.
 #[cfg(feature = "faults")]
 #[test]
-fn chaos_degrades_per_query_without_poisoning_the_shared_cache() {
+fn chaos_degrades_one_query_and_the_next_runs_clean() {
     use codemassage::faults::{points, with_armed, FireMode};
 
     let _guard = SESSION_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let db = stress_db(2048);
     let q = &shapes()[0];
     let oracle = naive_execute(db.table("sales").unwrap(), q);
-
-    // 1. Plan search fails while the cache is cold: the query degrades to
-    //    P0 and the P0 stand-in must NOT be published.
     let session = Session::new(&db, EngineConfig::default());
+    let prepared = session.prepare("sales", q).unwrap();
+    let clean = prepared.execute(&session).unwrap();
+    assert!(clean.timings.degradations.is_empty());
+
+    // 1. The plan search fails: the query degrades to P0.
     with_armed(&[(points::PLANNER_SEARCH, FireMode::Always)], || {
-        let r = session.query("sales", q, QueryOptions::default()).unwrap();
+        let r = prepared.execute(&session).unwrap();
         assert_same_rows(&r.columns, &oracle);
         assert!(r
             .timings
             .degradations
             .contains(&DegradeReason::PlanSearchFailed));
     });
-    let stats = session.cache_stats();
-    assert_eq!(
-        (stats.entries, stats.misses),
-        (0, 1),
-        "a degraded search result must not be cached"
-    );
 
-    // 2. Disarmed: the next run searches cleanly and publishes its plan…
-    let prepared = session.prepare("sales", q).unwrap();
-    assert_eq!(session.cache_stats().entries, 1);
-
-    // 3. …and an execution-time fault on a warm cache degrades that one
-    //    query (correct answer via the ladder) while the cached plan —
-    //    which is valid; the fault was transient — survives for the next
-    //    execution to hit cleanly.
+    // 2. An execution-time fault degrades that one query.
     with_armed(&[(points::CORE_ROUND_SORT, FireMode::Once)], || {
         let r = prepared.execute(&session).unwrap();
         assert_same_rows(&r.columns, &oracle);
         assert!(r.timings.degradations.contains(&DegradeReason::ExecFailed));
-        assert!(r.timings.plan_cached(), "the plan itself came from cache");
     });
+
+    // 3. Disarmed, the same session plans the same plan as before and
+    //    runs it without a rung.
     let r = prepared.execute(&session).unwrap();
     assert_same_rows(&r.columns, &oracle);
-    assert!(r.timings.degradations.is_empty(), "fault was transient");
-    assert_eq!(r.timings.plan_search_ns, 0);
-    let stats = session.cache_stats();
-    assert_eq!(stats.entries, 1);
-    assert_eq!(stats.hits, 2);
+    assert!(r.timings.degradations.is_empty(), "faults were transient");
+    assert_eq!(r.timings.plan, clean.timings.plan);
 }

@@ -216,43 +216,47 @@ fn degraded_execution_fires_counter_span_and_explain_annotation() {
     assert!(rep.render_redacted().contains("degraded: invalid_plan"));
 }
 
-/// The session layer's plan-cache counters and concurrency span: cold
-/// executions count `planner.cache.miss`, warm ones `planner.cache.hit`
-/// (with no planner search span), and `run_concurrent` wraps the batch
-/// in one `session.run_concurrent` span.
+/// Every execution plans its own instance: `prepare` searches nothing,
+/// and each execution emits one `planner.optimal` span per sort — one for
+/// an ORDER BY, two for a GROUP BY whose result is sorted again —
+/// while `run_concurrent` wraps its batch in one `session.run_concurrent`
+/// span.
 #[test]
-fn session_plan_cache_counters_and_span() {
+fn every_execution_searches_once_per_sort() {
     let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let t = demo_table(2048);
     let mut db = Database::new();
     db.register(t);
     let session = Session::new(&db, EngineConfig::default());
+    let searches = |snap: &telemetry::TelemetrySnapshot| {
+        snap.spans
+            .iter()
+            .filter(|s| s.name == "planner.optimal")
+            .count()
+    };
 
     let mut q = Query::named("spans_session");
     q.order_by = vec![OrderKey::asc("nation"), OrderKey::asc("ship_date")];
     q.select = vec!["price".into()];
+    let mut grouped = Query::named("spans_grouped");
+    grouped.group_by = vec!["nation".into(), "category".into()];
+    grouped.aggregates = vec![Agg::new(AggKind::Count, "cnt")];
+    grouped.order_by = vec![OrderKey::desc("cnt")];
 
     telemetry::reset();
     let prepared = session.prepare("sales", &q).unwrap();
-    let results = session.run_concurrent(&[prepared.clone(), prepared], 2, QueryOptions::default());
-    assert!(results.iter().all(|r| r.is_ok()));
+    let prepared_grouped = session.prepare("sales", &grouped).unwrap();
+    assert_eq!(
+        searches(&telemetry::take_all()),
+        0,
+        "prepare searches nothing"
+    );
 
+    let batch = [prepared.clone(), prepared, prepared_grouped.clone()];
+    let results = session.run_concurrent(&batch, 2, QueryOptions::default());
+    assert!(results.iter().all(|r| r.is_ok()));
     let snap = telemetry::take_all();
-    let counter = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, v)| v)
-    };
-    // prepare missed once and searched; both concurrent executes hit.
-    assert_eq!(counter("planner.cache.miss"), Some(1));
-    assert_eq!(counter("planner.cache.hit"), Some(2));
-    let search_spans = snap
-        .spans
-        .iter()
-        .filter(|s| s.name == "planner.optimal")
-        .count();
-    assert_eq!(search_spans, 1, "only the prepare searched");
+    assert_eq!(searches(&snap), 1 + 1 + 2);
     assert_eq!(
         snap.spans
             .iter()
@@ -260,6 +264,43 @@ fn session_plan_cache_counters_and_span() {
             .count(),
         1
     );
+    assert!(snap
+        .counters
+        .iter()
+        .all(|(n, _)| !n.starts_with("planner.cache")));
+
+    // Re-executing is searching again.
+    prepared_grouped.execute(&session).unwrap();
+    assert_eq!(searches(&telemetry::take_all()), 2);
+}
+
+/// A batch runs on at most `threads` workers, whatever its length: the
+/// 16 executions of a batch at threads 2 record their `engine.query`
+/// spans from at most two threads.
+#[test]
+fn batch_runs_on_at_most_threads_workers() {
+    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut db = Database::new();
+    db.register(demo_table(512));
+    let session = Session::new(&db, EngineConfig::default());
+    let mut q = Query::named("spans_batch");
+    q.order_by = vec![OrderKey::asc("ship_date")];
+    q.select = vec!["price".into()];
+    let batch = vec![session.prepare("sales", &q).unwrap(); 16];
+
+    telemetry::reset();
+    let results = session.run_concurrent(&batch, 2, QueryOptions::default());
+    assert!(results.iter().all(|r| r.is_ok()));
+    let snap = telemetry::take_all();
+    let queries: Vec<u64> = snap
+        .spans
+        .iter()
+        .filter(|s| s.name == "engine.query")
+        .map(|s| s.thread)
+        .collect();
+    assert_eq!(queries.len(), 16);
+    let threads: std::collections::BTreeSet<u64> = queries.into_iter().collect();
+    assert!(threads.len() <= 2, "{} worker threads", threads.len());
 }
 
 /// The execution arena's reuse counters: a cold session execution grows
@@ -316,7 +357,7 @@ fn arena_counters_fire_on_every_execution() {
     assert!(rep.render_redacted().contains("arena: peak ### bytes"));
 
     // A one-shot run is a cold session execution: its fresh arena grows
-    // once and its capacity-0 plan cache misses once.
+    // once, and it searches its one sort's plan.
     telemetry::reset();
     let mut q2 = Query::named("spans_one_shot");
     q2.order_by = vec![OrderKey::asc("nation")];
@@ -325,7 +366,8 @@ fn arena_counters_fire_on_every_execution() {
     let snap = telemetry::take_all();
     assert_eq!(counter(&snap, "exec.arena.grow"), Some(1));
     assert_eq!(counter(&snap, "exec.arena.reuse"), None);
-    assert_eq!(counter(&snap, "planner.cache.miss"), Some(1));
+    let searches = snap.spans.iter().filter(|s| s.name == "planner.optimal");
+    assert_eq!(searches.count(), 1);
     assert_eq!(
         (
             r.timings.mcs_stats.arena.grows,
@@ -335,7 +377,8 @@ fn arena_counters_fire_on_every_execution() {
     );
     assert_eq!(
         (r.timings.plan_cache_hits, r.timings.plan_cache_misses),
-        (0, 1)
+        (0, 0),
+        "no plan is cached"
     );
 }
 
